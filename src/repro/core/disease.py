@@ -14,8 +14,18 @@ transmission function: *infectivity* (how strongly an occupant of this
 state sheds) and *susceptibility* (how easily they acquire).
 
 The implementation is array-oriented: a :class:`DiseaseModel` compiles
-its states into flat NumPy arrays so a whole population's daily update
-is a handful of vectorised operations (see :meth:`DiseaseModel.advance_day`).
+its states into flat NumPy arrays, and the daily update
+(:meth:`DiseaseModel.advance_day`, :meth:`DiseaseModel.infect`) is
+loop-free over persons.  Every transition still owns the keyed stream
+``RngFactory.stream(PERSON, day, person, salt)`` and draws from it what
+``Generator.random()`` (branch choice) and :meth:`DwellDistribution.sample`
+(dwell) would draw, but no ``Generator`` is built: the streams' seeds
+are derived in one batch, :mod:`repro.util.pcg` replays their first raw
+64-bit outputs, and :meth:`DwellDistribution.replay` applies numpy's own
+integer / geometric transforms to those words in array arithmetic.  The
+rows a replay does not cover (GAMMA, GEOMETRIC with ``p < 1/3``, a
+Lemire rejection) fall back, row by row, to a real ``Generator`` on the
+same seed and ``sample`` — numpy stays the definition of every draw.
 """
 
 from __future__ import annotations
@@ -25,6 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.util.pcg import (
+    GEOMETRIC_SEARCH_MIN_P,
+    bounded_int32,
+    geometric_search,
+    raw_outputs,
+    to_double,
+)
 from repro.util.rng import RngFactory
 
 __all__ = [
@@ -110,6 +127,31 @@ class DwellDistribution:
         if self.kind == DwellKind.GAMMA:
             return np.maximum(1, np.ceil(rng.gamma(self.a, self.b, size=n))).astype(np.int32)
         return np.full(n, FOREVER, dtype=np.int32)
+
+    def replay(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised ``sample(gen, 1)[0]`` over many streams at once.
+
+        ``words[j]`` is the next raw 64-bit output of stream ``j``
+        (:func:`repro.util.pcg.raw_outputs`).  Returns ``(days,
+        replayed)``: where ``replayed[j]`` is true, ``days[j]`` is
+        bit-identical to what :meth:`sample` draws from that stream;
+        the other rows need the live ``Generator`` (their ``days`` are
+        unspecified).  FIXED, FOREVER and one-point UNIFORM consume no
+        output and always replay.
+        """
+        n = words.size
+        every = np.ones(n, dtype=bool)
+        if self.kind == DwellKind.FIXED:
+            return np.full(n, int(self.a), dtype=np.int32), every
+        if self.kind == DwellKind.FOREVER:
+            return np.full(n, FOREVER, dtype=np.int32), every
+        if self.kind == DwellKind.UNIFORM:
+            return bounded_int32(words, int(self.a), int(self.b))
+        if self.kind == DwellKind.GEOMETRIC and self.a >= GEOMETRIC_SEARCH_MIN_P:
+            days, finished = geometric_search(words, self.a)
+            return days.astype(np.int32), finished
+        # GAMMA, GEOMETRIC by inversion: ziggurat draws, not replayed.
+        return np.zeros(n, dtype=np.int32), ~every
 
     @property
     def mean(self) -> float:
@@ -226,12 +268,11 @@ class DiseaseModel:
                 raise ValueError(f"unknown state in infection entry {src!r} -> {dst!r}")
             if self.states[self.index[src]].susceptibility <= 0.0:
                 raise ValueError(f"infection entry source {src!r} is not susceptible")
-        self._entry_by_state_index = {
-            self.index[src]: self.index[dst]
-            for src, dst in self.infection_entry_by_state.items()
-        }
+        # Per-state infection entry override (-1: enter by treatment).
+        self._entry_override = np.full(len(states), -1, dtype=np.int32)
+        for src, dst in self.infection_entry_by_state.items():
+            self._entry_override[self.index[src]] = self.index[dst]
 
-        n = len(states)
         self.infectivity = np.array([s.infectivity for s in states], dtype=np.float64)
         self.susceptibility = np.array([s.susceptibility for s in states], dtype=np.float64)
         self.symptomatic = np.array([s.symptomatic for s in states], dtype=bool)
@@ -308,11 +349,15 @@ class DiseaseModel:
         Returns the indices of persons whose state changed, which the
         simulator uses for bookkeeping and dynamic-load statistics.
 
-        ``subset`` restricts the update to the given person ids — this
-        is how PersonManager chares advance only the persons they own.
-        Because draws are keyed per (day, person), advancing the whole
-        population at once or as a disjoint union of subsets yields
-        identical results.
+        ``subset`` restricts the update to the given (distinct) person
+        ids — this is how PersonManager chares advance only the persons
+        they own.  Because draws are keyed per (day, person), advancing
+        the whole population at once or as a disjoint union of subsets
+        yields identical results.
+
+        The due persons are handled as one batch: branch choice is the
+        first output of each person's keyed stream, dwell in the new
+        state the second (see the module docstring).
         """
         if subset is None:
             live = remaining != FOREVER
@@ -325,23 +370,25 @@ class DiseaseModel:
             due = live[remaining[live] <= 0]
         if due.size == 0:
             return due
-        changed: list[int] = []
-        for p in due:
-            p = int(p)
-            s = int(state[p])
-            t = int(treatment[p])
-            compiled = self._compiled.get((s, t)) or self._compiled.get((s, UNTREATED))
-            if compiled is None:  # pragma: no cover - absorbing states never come due
-                continue
-            gen = rng_factory.stream(RngFactory.PERSON, day, p, self._ADVANCE_SALT)
-            targets, cum = compiled
-            choice = min(int(np.searchsorted(cum, gen.random(), side="right")), len(targets) - 1)
-            ns = int(targets[choice])
-            state[p] = ns
-            dwell = self.states[ns].dwell
-            remaining[p] = FOREVER if dwell.kind == DwellKind.FOREVER else int(dwell.sample(gen, 1)[0])
-            changed.append(p)
-        return np.asarray(changed, dtype=np.int64)
+        seeds = rng_factory.keyed_seeds(RngFactory.PERSON, day, due, self._ADVANCE_SALT)
+        branch_words, dwell_words = raw_outputs(seeds, 2)
+        u = to_double(branch_words)
+        s = state[due]
+        t = treatment[due]
+        t = np.where(np.isin(t, self.treatments), t, UNTREATED)
+        target = np.full(due.size, -1, dtype=np.int32)
+        for (si, ti), (targets, cum) in self._compiled.items():
+            rows = np.flatnonzero((s == si) & (t == ti))
+            if rows.size:
+                choice = np.searchsorted(cum, u[rows], side="right")
+                target[rows] = targets[np.minimum(choice, len(targets) - 1)]
+        # A state without transitions stays put (it only comes due if a
+        # caller hand-set its timer; the model's own dwell is FOREVER).
+        moved = target >= 0
+        due, target, seeds, dwell_words = (a[moved] for a in (due, target, seeds, dwell_words))
+        state[due] = target
+        remaining[due] = self._draw_dwell(target, seeds, dwell_words, drawn=1)
+        return due.astype(np.int64, copy=False)
 
     def infect(
         self,
@@ -362,21 +409,41 @@ class DiseaseModel:
         per treatment.  Returns the persons actually infected.
         """
         persons = np.unique(np.asarray(persons, dtype=np.int64))
-        mask = self.is_susceptible[state[persons]]
-        hit = persons[mask]
-        for p in hit:
-            p = int(p)
-            entry = self._entry_by_state_index.get(int(state[p]))
-            if entry is None:
-                entry = self.entry_state(int(treatment[p]))
-            state[p] = entry
-            dwell = self.states[entry].dwell
-            if dwell.kind == DwellKind.FOREVER:
-                remaining[p] = FOREVER
-            else:
-                gen = rng_factory.stream(RngFactory.PERSON, day, p, self._INFECT_SALT)
-                remaining[p] = int(dwell.sample(gen, 1)[0])
+        hit = persons[self.is_susceptible[state[persons]]]
+        if hit.size == 0:
+            return hit
+        t = treatment[hit]
+        entry = np.full(hit.size, self.entry_state(UNTREATED), dtype=np.int32)
+        for ti in self.infection_entry:
+            entry[t == ti] = self.entry_state(ti)
+        override = self._entry_override[state[hit]]
+        entry = np.where(override >= 0, override, entry)
+        seeds = rng_factory.keyed_seeds(RngFactory.PERSON, day, hit, self._INFECT_SALT)
+        state[hit] = entry
+        remaining[hit] = self._draw_dwell(entry, seeds, raw_outputs(seeds, 1)[0], drawn=0)
         return hit
+
+    def _draw_dwell(
+        self, new_state: np.ndarray, seeds: np.ndarray, words: np.ndarray, drawn: int
+    ) -> np.ndarray:
+        """Dwell (int32 days) of each row's freshly entered state.
+
+        Row ``j``'s stream is seeded by ``seeds[j]``, has already
+        yielded ``drawn`` doubles, and ``words[j]`` is its next raw
+        output.  Rows :meth:`DwellDistribution.replay` does not cover
+        are drawn from a real Generator advanced to the same point.
+        """
+        out = np.empty(new_state.size, dtype=np.int32)
+        for ns in np.unique(new_state):
+            rows = np.flatnonzero(new_state == ns)
+            dwell = self.states[ns].dwell
+            days, replayed = dwell.replay(words[rows])
+            out[rows] = days
+            for r in rows[~replayed]:
+                gen = np.random.Generator(np.random.PCG64(int(seeds[r])))
+                gen.random(drawn)
+                out[r] = dwell.sample(gen, 1)[0]
+        return out
 
 
 # ----------------------------------------------------------------------

@@ -1,33 +1,52 @@
-"""Vectorised re-implementation of numpy's seed→first-uniform pipeline.
+"""Vectorised re-implementation of numpy's seed→PCG64-output pipeline.
 
 The keyed-RNG contract (:mod:`repro.util.rng`) is that a stream's draws
 depend only on its derived 64-bit seed, never on execution order.  The
-hot paths, however, need exactly *one* uniform per key — and paying a
-full ``Generator(PCG64(SeedSequence(seed)))`` construction (~µs) for a
-single double is what made the per-person loop in the exposure kernel
-the profile's top entry.
+hot paths, however, need only the *first one or two* draws per key — a
+coin flip per (day, location, person), a branch and a dwell per PTTS
+transition — and paying a full ``Generator(PCG64(SeedSequence(seed)))``
+construction (~15 µs) for them is what put the per-person loops at the
+top of the profile.
 
 This module replays, with pure ``uint32``/``uint64`` numpy array
 arithmetic, precisely what numpy does between an integer seed and the
-first ``.random()`` draw:
+stream's first raw outputs:
 
 1. ``SeedSequence(seed).generate_state(4, uint64)`` — O'Neill-style
    entropy pool mixing (``_seedseq_state``);
 2. PCG64 stream initialisation from those four words and one LCG step
    (128-bit multiply-add, carried as hi/lo ``uint64`` pairs);
-3. the XSL-RR output permutation and the 53-bit mantissa scaling of
-   ``Generator.random()`` (``first_uniforms``).
+3. per output, one more LCG step and the XSL-RR output permutation
+   (``raw_outputs``) — the 64-bit words every ``Generator``
+   distribution is computed from;
+4. the 53-bit mantissa scaling of ``Generator.random()``
+   (``to_double``; ``first_uniforms`` is output 0 through it).
 
-``tests/util/test_rng_batched.py`` pins bit-for-bit equality against
-``np.random.Generator(np.random.PCG64(seed)).random()`` across edge and
-random seeds — any numpy behaviour change breaks loudly, not silently.
+Two further ``Generator`` transforms of a raw word are restated for the
+PTTS dwell draws (:meth:`repro.core.disease.DwellDistribution.replay`):
+``integers(lo, hi, dtype=int32)`` (``bounded_int32``) and ``geometric(p)``
+for ``p >= 1/3`` (``geometric_search``).  Each flags the rare rows it
+cannot finish from one word instead of guessing, so the caller can hand
+those to a live ``Generator``.
+
+``tests/util/test_rng_batched.py`` pins all of it bit-for-bit against
+live numpy (``PCG64.random_raw``, ``Generator.random`` / ``integers`` /
+``geometric``) across edge and random seeds — any numpy behaviour
+change breaks loudly, not silently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["first_uniforms"]
+__all__ = [
+    "raw_outputs",
+    "to_double",
+    "first_uniforms",
+    "bounded_int32",
+    "geometric_search",
+    "GEOMETRIC_SEARCH_MIN_P",
+]
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -125,6 +144,44 @@ def _add128(ah, al, bh, bl):
     return ah + bh + (lo < al).astype(_U64), lo
 
 
+def raw_outputs(seeds: np.ndarray, k: int) -> np.ndarray:
+    """First ``k`` raw 64-bit outputs of each seed's PCG64 stream.
+
+    ``seeds`` is a ``uint64`` array; the result has shape
+    ``(k, *seeds.shape)`` and ``out[j]`` is bit-identical, per element,
+    to the ``j``-th ``next_uint64`` of ``np.random.PCG64(int(s))`` —
+    the words ``Generator`` feeds every distribution from — computed
+    without constructing any BitGenerator objects.
+    """
+    seeds = np.ascontiguousarray(seeds, dtype=_U64)
+    out = np.empty((k,) + seeds.shape, dtype=_U64)
+    if out.size == 0:
+        return out
+    w0, w1, w2, w3 = _seedseq_state(seeds)
+    # pcg64_srandom: inc = (initseq << 1) | 1; state = inc + initstate,
+    # then one LCG step.  initstate = w0:w1, initseq = w2:w3.
+    inc_hi = (w2 << _U64(1)) | (w3 >> _U64(63))
+    inc_lo = (w3 << _U64(1)) | _U64(1)
+
+    def step(hi, lo):
+        hi, lo = _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO)
+        return _add128(hi, lo, inc_hi, inc_lo)
+
+    st_hi, st_lo = step(*_add128(inc_hi, inc_lo, w0, w1))
+    for j in range(k):
+        # next_uint64: step, then XSL-RR output of the new state.
+        st_hi, st_lo = step(st_hi, st_lo)
+        rot = st_hi >> _U64(58)
+        xored = st_hi ^ st_lo
+        out[j] = (xored >> rot) | (xored << ((_U64(64) - rot) & _U64(63)))
+    return out
+
+
+def to_double(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()``'s 53-bit mantissa scaling of raw outputs."""
+    return (words >> _U64(11)) * _DOUBLE_SCALE
+
+
 def first_uniforms(seeds: np.ndarray) -> np.ndarray:
     """First ``Generator.random()`` double of each seed's PCG64 stream.
 
@@ -132,24 +189,51 @@ def first_uniforms(seeds: np.ndarray) -> np.ndarray:
     ``np.random.Generator(np.random.PCG64(int(s))).random()`` per
     element, computed without constructing any Generator objects.
     """
-    seeds = np.ascontiguousarray(seeds, dtype=_U64)
-    if seeds.size == 0:
-        return np.empty(seeds.shape, dtype=np.float64)
-    w0, w1, w2, w3 = _seedseq_state(seeds)
-    # pcg64_srandom: inc = (initseq << 1) | 1; state = inc + initstate,
-    # then one LCG step.  initstate = w0:w1, initseq = w2:w3.
-    inc_hi = (w2 << _U64(1)) | (w3 >> _U64(63))
-    inc_lo = (w3 << _U64(1)) | _U64(1)
-    st_hi, st_lo = _add128(inc_hi, inc_lo, w0, w1)
+    return to_double(raw_outputs(seeds, 1)[0])
 
-    def step(hi, lo):
-        hi, lo = _mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO)
-        return _add128(hi, lo, inc_hi, inc_lo)
 
-    st_hi, st_lo = step(st_hi, st_lo)
-    # First next_uint64: step, then XSL-RR output of the new state.
-    st_hi, st_lo = step(st_hi, st_lo)
-    rot = st_hi >> _U64(58)
-    xored = st_hi ^ st_lo
-    word = (xored >> rot) | (xored << ((_U64(64) - rot) & _U64(63)))
-    return (word >> _U64(11)) * _DOUBLE_SCALE
+def bounded_int32(words: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(lo, hi + 1, dtype=int32)`` from each stream's next word.
+
+    numpy draws a 32-bit bounded integer by Lemire's multiply-shift on
+    the *low* half of the next 64-bit output (``pcg64_next32`` serves
+    it first).  Returns ``(values, accepted)``: where ``accepted`` is
+    false Lemire rejected the first try (probability ``< (hi - lo + 1)
+    / 2**32``) and numpy goes on to further outputs — those rows'
+    values are not the draw.  ``lo == hi`` consumes no output.
+    """
+    span = hi - lo
+    if span == 0:
+        return np.full(words.shape, lo, dtype=np.int32), np.ones(words.shape, dtype=bool)
+    m = (words & _LOW32) * _U64(span + 1)
+    accepted = (m & _LOW32) >= _U64((0xFFFFFFFF - span) % (span + 1))
+    return (lo + (m >> _U64(32))).astype(np.int32), accepted
+
+
+#: ``random_geometric`` searches for ``p`` at or above this literal and
+#: inverts a ziggurat exponential (not restated here) below it.
+GEOMETRIC_SEARCH_MIN_P = 0.333333333333333333333333
+
+
+def geometric_search(words: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.geometric(p)`` for ``p >= 1/3`` from each stream's next word.
+
+    ``random_geometric_search`` takes one double ``U`` and returns
+    ``X = 1 + #{k >= 1 : U > p + pq + ... + pq**(k-1)}``, accumulating
+    the partial sums in doubles exactly as done here.  Returns
+    ``(values, finished)`` with ``int64`` values; ``finished`` is false
+    only where the sums stop growing below ``U`` (numpy's own loop
+    would not end there either).
+    """
+    u = to_double(words)
+    top = u.max(initial=0.0)
+    total = prod = p
+    q = 1.0 - p
+    sums = [total]
+    while total < top:
+        prod *= q
+        if total + prod == total:
+            break
+        total += prod
+        sums.append(total)
+    return 1 + np.searchsorted(sums, u, side="left"), u <= total

@@ -5,8 +5,20 @@ whether persons are processed sequentially, by chare, or across simulated
 PEs, person ``p`` on day ``d`` must see the same draws.  We achieve this by
 deriving a child seed from ``(root_seed, *keys)`` with a stable integer
 hash and constructing a fresh :class:`numpy.random.Generator` per keyed
-stream.  Stream construction is cheap (~1 microsecond) relative to the
-work done per stream (a day's worth of draws for one entity).
+stream.
+
+Stream construction is **not** cheap: ``RngFactory.stream`` measures
+~14.5 µs per call (BLAKE2b + ``SeedSequence`` + ``PCG64`` +
+``Generator``; 2-CPU reference box, ``benchmarks/ladder``), which is
+only worth paying when many draws follow from the one stream
+(population synthesis blocks, partitioner tie-breaking, baseline
+replications).  Anything that takes one or two draws per entity — a
+coin flip per (day, person), a dwell time per transition — must use the
+batched primitives instead: :func:`keyed_seeds` derives every stream's
+seed at ~0.9 µs per key and :mod:`repro.util.pcg` replays the streams'
+first raw outputs in array arithmetic, bit-identical to what the
+per-stream ``Generator`` would draw (:func:`keyed_uniforms` is the
+one-uniform case).
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ __all__ = [
     "derive_seed",
     "derive_seeds",
     "spawn_generator",
+    "keyed_seeds",
     "keyed_uniforms",
     "RngFactory",
 ]
@@ -85,21 +98,31 @@ def spawn_generator(root_seed: int, *keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(root_seed, *keys)))
 
 
-def keyed_uniforms(root_seed: int, *key_cols) -> np.ndarray:
-    """One U(0,1) draw per key tuple, fully batched.
+def keyed_seeds(root_seed: int, *key_cols) -> np.ndarray:
+    """The derived stream seed of every key tuple, fully batched.
 
     ``key_cols`` are integer arrays (or scalars, broadcast against the
     array columns); tuple ``j`` is ``(key_cols[0][j], key_cols[1][j],
-    ...)``.  Element ``j`` is bit-identical to
-    ``spawn_generator(root_seed, *tuple_j).random()`` — the same seed
-    derivation (BLAKE2b) feeds a vectorised replay of numpy's
-    SeedSequence→PCG64 pipeline (:mod:`repro.util.pcg`) instead of one
-    Generator construction per tuple, which is what makes per-entity
-    keyed coin flips affordable on the exposure hot path.
+    ...)`` and element ``j`` is ``derive_seed(root_seed, *tuple_j)`` —
+    the seed ``spawn_generator`` would build that tuple's stream from,
+    as ``uint64`` in the broadcast shape.
     """
     cols = np.broadcast_arrays(*[np.asarray(c, dtype=np.int64) for c in key_cols])
     keys = np.column_stack([c.ravel() for c in cols])
-    return first_uniforms(derive_seeds(root_seed, keys)).reshape(cols[0].shape)
+    return derive_seeds(root_seed, keys).reshape(cols[0].shape)
+
+
+def keyed_uniforms(root_seed: int, *key_cols) -> np.ndarray:
+    """One U(0,1) draw per key tuple, fully batched.
+
+    Element ``j`` is bit-identical to
+    ``spawn_generator(root_seed, *tuple_j).random()`` — the same seed
+    derivation (:func:`keyed_seeds`) feeds a vectorised replay of
+    numpy's SeedSequence→PCG64 pipeline (:mod:`repro.util.pcg`) instead
+    of one Generator construction per tuple, which is what makes
+    per-entity keyed coin flips affordable on the exposure hot path.
+    """
+    return first_uniforms(keyed_seeds(root_seed, *key_cols))
 
 
 class RngFactory:
@@ -154,6 +177,14 @@ class RngFactory:
         """Per-(day, location) stream used for transmission draws."""
         return self.stream(self.LOCATION, day, location_id)
 
+    def keyed_seeds(self, *key_cols) -> np.ndarray:
+        """Batched :meth:`seed`: one derived seed per key tuple.
+
+        See :func:`keyed_seeds`; element ``j`` seeds exactly the
+        Generator ``self.stream(*tuple_j)`` would return.
+        """
+        return keyed_seeds(self.root_seed, *key_cols)
+
     def keyed_uniforms(self, *key_cols) -> np.ndarray:
         """Batched keyed draws below this factory's root seed.
 
@@ -175,7 +206,10 @@ class RngFactory:
         prefix must use distinct ``salt`` values so their decisions
         stay independent.
         """
-        ids = np.fromiter((int(i) for i in ids), dtype=np.int64)
+        if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+            ids = ids.astype(np.int64, copy=False)
+        else:
+            ids = np.fromiter((int(i) for i in ids), dtype=np.int64)
         return keyed_uniforms(self.root_seed, prefix, day, ids, salt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
