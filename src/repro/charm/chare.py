@@ -11,6 +11,8 @@ entry method the chare may:
 * ``self.charge(seconds)``   — account modelled compute time,
 * ``self.send(...)``         — message another chare,
 * ``self.send_via(...)``     — message through an aggregation channel,
+* ``self.send_many_via(...)`` — a whole array of such messages in one
+  call (one record batch per flush instead of one object per record),
 * ``self.contribute(...)``   — join a reduction,
 * ``self.now()``             — read the PE's virtual clock.
 
@@ -23,6 +25,8 @@ from __future__ import annotations
 from typing import Any, Callable
 
 import numpy as np
+
+from repro.charm.aggregation import RecordBatch
 
 __all__ = ["Chare", "ChareArray", "ChareProxy"]
 
@@ -71,6 +75,29 @@ class Chare:
     ) -> None:
         """Send through a named aggregation channel (paper §IV-C)."""
         self.runtime._send_aggregated(self.pe, channel, array, index, method, payload, payload_bytes)
+
+    def send_many_via(
+        self,
+        channel: str,
+        array: str,
+        indices: np.ndarray,
+        method: str,
+        payloads: np.ndarray,
+        payload_bytes: int = 8,
+    ) -> None:
+        """Send ``payloads[i]`` to ``array[indices[i]]`` for every ``i``
+        through a named aggregation channel.
+
+        Modelled exactly as the loop of :meth:`send_via` calls — same
+        wire messages, in the same order — but the records travel as
+        columnar batches, and ``method`` is invoked once per (flushed
+        batch, target chare) with that chare's slice of ``payloads``.
+        """
+        batch = RecordBatch(
+            array, method, np.asarray(indices, dtype=np.int64), np.asarray(payloads),
+            payload_bytes,
+        )
+        self.runtime._send_many_aggregated(self.pe, channel, batch)
 
     def contribute(self, reduction: str, value: Any) -> None:
         """Contribute this chare's share to a named reduction."""

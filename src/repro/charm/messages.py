@@ -3,8 +3,9 @@
 The paper's §IV optimisations include "reducing buffering overhead and
 message size"; our message-size constants below reflect the optimised
 layout (packed visit records).  Sizes feed the α–β network model — the
-epidemic payloads themselves are carried as live Python objects, only
-their *modelled* wire size matters for timing.
+epidemic payloads themselves are carried live (one Python object per
+message, columnar :class:`~repro.charm.aggregation.RecordBatch` chunks
+per flushed aggregation buffer), only their *modelled* size is timed.
 """
 
 from __future__ import annotations

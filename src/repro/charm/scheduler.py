@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.charm.aggregation import AggregationRecord, MessageAggregator
+from repro.charm.aggregation import AggregationRecord, MessageAggregator, RecordBatch
 from repro.charm.tram import TramChannel, TramRecord
 from repro.charm.chare import Chare, ChareArray, ChareProxy
 from repro.charm.machine import Machine, MachineConfig
@@ -56,12 +56,24 @@ class _PEAgent(Chare):
     """Hidden per-PE system chare: collectives, batches, CD waves."""
 
     # -- aggregated batch dispatch -------------------------------------
+    def _dispatch(self, chunk: RecordBatch) -> None:
+        """Charge DISPATCH_OVERHEAD per record, as a running sum (the
+        float order of one ``charge()`` each, not ``n * x``)."""
+        charge = self.runtime._exec_charge
+        for _ in range(len(chunk)):
+            charge += DISPATCH_OVERHEAD
+        self.runtime._exec_charge = charge
+
+    def _deliver(self, chunk: RecordBatch) -> None:
+        """Invoke the entry method once per target chare of ``chunk``."""
+        for index, payloads in chunk.by_target():
+            self.runtime._invoke_inline(chunk.array, index, chunk.method, payloads)
+
     def recv_batch(self, payload) -> None:
-        channel, records = payload
-        rt = self.runtime
-        for rec in records:
-            self.charge(DISPATCH_OVERHEAD)
-            rt._invoke_inline(rec.array, rec.index, rec.method, rec.payload)
+        _channel, chunks = payload
+        for chunk in chunks:
+            self._dispatch(chunk)
+            self._deliver(chunk)
 
     # -- broadcast fan-out ----------------------------------------------
     def bcast(self, payload) -> None:
@@ -84,22 +96,23 @@ class _PEAgent(Chare):
 
     # -- TRAM mesh forwarding -----------------------------------------------
     def tram_batch(self, payload) -> None:
-        channel, records = payload
+        channel, chunks = payload
         rt = self.runtime
         chan = rt.aggregators[channel]
-        for rec in records:
-            self.charge(DISPATCH_OVERHEAD)
-            if rec.dst_pe == self.pe:
-                rt._invoke_inline(rec.inner.array, rec.inner.index, rec.inner.method,
-                                  rec.inner.payload)
-            else:
-                out = chan.append(self.pe, rec, count_in=False)
-                if out is not None:
-                    rt._emit_tram_batch(channel, *out)
+        for chunk in chunks:
+            self._dispatch(chunk)
+            dst_pes = rt.arrays[chunk.array].placement[chunk.indices]
+            onward = dst_pes != self.pe
+            if onward.any():
+                for hop, batch in chan.append_many(
+                    self.pe, dst_pes[onward], chunk.take(onward), count_in=False
+                ):
+                    rt._emit_batch(channel, hop, batch)
+                chunk = chunk.take(~onward)
+            self._deliver(chunk)
         # Intermediates forward what they re-aggregated immediately so the
         # phase drains without a distributed termination protocol.
-        for hop, batch in chan.flush_pe(self.pe):
-            rt._emit_tram_batch(channel, hop, batch)
+        rt.flush_channel(channel, self.pe)
 
     # -- completion/quiescence detection wave ------------------------------
     def sync_ask(self, name: str) -> None:
@@ -324,29 +337,27 @@ class RuntimeSimulator:
         if isinstance(agg, TramChannel):
             out = agg.append(src_pe, TramRecord(dst_pe, rec))
             if out is not None:
-                self._emit_tram_batch(channel, *out)
+                self._emit_batch(channel, *out)
             return
         batch = agg.append(src_pe, dst_pe, rec)
         if batch is not None:
-            self._enqueue_batch(channel, dst_pe, batch)
+            self._emit_batch(channel, dst_pe, batch)
+
+    def _send_many_aggregated(self, src_pe: int, channel: str, batch: RecordBatch) -> None:
+        dst_pes = self.arrays[batch.array].placement[batch.indices]
+        for pe, chunks in self.aggregators[channel].append_many(src_pe, dst_pes, batch):
+            self._emit_batch(channel, pe, chunks)
 
     def flush_channel(self, channel: str, src_pe: int) -> None:
         """End-of-phase flush of one PE's aggregation buffers."""
+        for pe, chunks in self.aggregators[channel].flush(src_pe):
+            self._emit_batch(channel, pe, chunks)
+
+    def _emit_batch(self, channel: str, pe: int, chunks: list[RecordBatch]) -> None:
+        """Queue one flushed buffer as one wire message to ``pe``'s agent."""
         agg = self.aggregators[channel]
-        if isinstance(agg, TramChannel):
-            for hop, records in agg.flush_pe(src_pe):
-                self._emit_tram_batch(channel, hop, records)
-            return
-        for dst_pe, records in agg.flush_source(src_pe):
-            self._enqueue_batch(channel, dst_pe, records)
-
-    def _emit_tram_batch(self, channel: str, hop_pe: int, records: list) -> None:
-        nbytes = sum(r.payload_bytes for r in records)
-        self._outbox.append(("__pe__", hop_pe, "tram_batch", (channel, records), nbytes))
-
-    def _enqueue_batch(self, channel: str, dst_pe: int, records: list[AggregationRecord]) -> None:
-        nbytes = sum(r.payload_bytes for r in records)
-        self._outbox.append(("__pe__", dst_pe, "recv_batch", (channel, records), nbytes))
+        nbytes = sum((c.payload_bytes + agg.header_bytes) * len(c) for c in chunks)
+        self._outbox.append(("__pe__", pe, agg.agent_entry, (channel, chunks), nbytes))
 
     def _contribute(self, pe: int, name: str, value: Any) -> None:
         spec = self._reductions[name]
@@ -401,8 +412,10 @@ class RuntimeSimulator:
         getattr(target, method)(payload)
         if array in self._tracked_arrays:
             key = (array, index)
-            self.chare_costs[key] = (
-                self.chare_costs.get(key, 0.0) + self._exec_charge - before
+            # Parenthesised so an entry that charges nothing adds exactly
+            # 0.0, however many records its delivery was split into.
+            self.chare_costs[key] = self.chare_costs.get(key, 0.0) + (
+                self._exec_charge - before
             )
 
     def _local_elements(self, array: str, pe: int) -> list[int]:
@@ -445,7 +458,9 @@ class RuntimeSimulator:
         chare.array_name = msg.array
         chare.index = msg.index
         chare.pe = pe
-        getattr(chare, msg.method)(msg.payload)
+        # Wall-clock span (virtual time is the Tracer's job); no-op when off.
+        with observe.span("charm.entry", array=msg.array, method=msg.method, pe=pe):
+            getattr(chare, msg.method)(msg.payload)
         charge = self._exec_charge
         # Non-SMP layouts pay compute interference from inline network
         # progression (NetworkModel.non_smp_compute_interference); a
@@ -518,9 +533,7 @@ class RuntimeSimulator:
         from repro.validate.invariants import InvariantViolation
 
         for name, agg in self.aggregators.items():
-            pending = (
-                agg.pending_pes() if isinstance(agg, TramChannel) else agg.pending_sources()
-            )
+            pending = agg.pending()
             if pending:
                 raise InvariantViolation(
                     f"aggregation channel {name!r} still buffers records on "

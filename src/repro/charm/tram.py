@@ -22,25 +22,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.charm.aggregation import AggregationRecord, _Buffer
+import numpy as np
+
+from repro.charm.aggregation import AggregationRecord, RecordBatch, _BufferedChannel
 
 __all__ = ["TramRecord", "TramChannel"]
 
 
 @dataclass(frozen=True)
 class TramRecord:
-    """An application record in flight, tagged with its final PE."""
+    """One application record tagged with its final PE (scalar ``append``)."""
 
     dst_pe: int
     inner: AggregationRecord
 
-    @property
-    def payload_bytes(self) -> int:
-        # 4 bytes of routing header on top of the application payload.
-        return self.inner.payload_bytes + 4
 
-
-class TramChannel:
+class TramChannel(_BufferedChannel):
     """2-D mesh routing with per-neighbour aggregation buffers.
 
     Parameters
@@ -58,18 +55,16 @@ class TramChannel:
         buffering (records forward immediately, still via the mesh).
     """
 
+    #: routing header riding on top of each record's application payload
+    header_bytes = 4
+    agent_entry = "tram_batch"
+
     def __init__(self, name: str, n_pes: int, buffer_bytes: int = 16 * 1024):
         if n_pes < 1:
             raise ValueError("need at least one PE")
-        if buffer_bytes < 0:
-            raise ValueError("buffer_bytes must be >= 0")
-        self.name = name
+        super().__init__(name, buffer_bytes)
         self.n_pes = n_pes
-        self.buffer_bytes = buffer_bytes
         self.cols = max(1, int(math.isqrt(n_pes)))
-        self._buffers: dict[tuple[int, int], _Buffer] = {}
-        self.records_in = 0
-        self.batches_out = 0
         self.forwards = 0
 
     # -- mesh geometry ---------------------------------------------------
@@ -88,41 +83,34 @@ class TramChannel:
                 return candidate
         return dst_pe
 
+    def next_hops(self, at_pe: int, dst_pes: np.ndarray) -> np.ndarray:
+        """:meth:`next_hop` for an array of destinations."""
+        candidate = at_pe // self.cols * self.cols + dst_pes % self.cols
+        return np.where((candidate != at_pe) & (candidate < self.n_pes), candidate, dst_pes)
+
     # -- buffering ---------------------------------------------------------
+    def _count(self, n: int, count_in: bool) -> None:
+        if count_in:
+            self.records_in += n
+        else:
+            self.forwards += n
+
     def append(
         self, at_pe: int, record: TramRecord, count_in: bool = True
-    ) -> tuple[int, list[TramRecord]] | None:
+    ) -> tuple[int, list[RecordBatch]] | None:
         """Buffer a record at ``at_pe``; return ``(hop, batch)`` on flush."""
-        if count_in:
-            self.records_in += 1
-        else:
-            self.forwards += 1
+        self._count(1, count_in)
         hop = self.next_hop(at_pe, record.dst_pe)
-        if self.buffer_bytes == 0:
-            self.batches_out += 1
-            return hop, [record]
-        buf = self._buffers.setdefault((at_pe, hop), _Buffer())
-        buf.records.append(record)
-        buf.bytes += record.payload_bytes
-        if buf.bytes >= self.buffer_bytes:
-            self._buffers.pop((at_pe, hop))
-            self.batches_out += 1
-            return hop, buf.records
-        return None
+        batch = self._append_one(at_pe, hop, RecordBatch.of_record(record.inner))
+        return None if batch is None else (hop, batch)
 
-    def flush_pe(self, pe: int) -> list[tuple[int, list[TramRecord]]]:
-        """Drain all of one PE's buffers (phase-end / forwarding flush)."""
-        out = []
-        for key in sorted(k for k in self._buffers if k[0] == pe):
-            buf = self._buffers.pop(key)
-            if buf.records:
-                self.batches_out += 1
-                out.append((key[1], buf.records))
-        return out
+    def append_many(
+        self, at_pe: int, dst_pes: np.ndarray, batch: RecordBatch, count_in: bool = True
+    ) -> list[tuple[int, list[RecordBatch]]]:
+        """Buffer ``batch`` at ``at_pe`` (row ``i`` bound for ``dst_pes[i]``);
+        return the ``(hop, batch)`` flushes in scalar emission order."""
+        self._count(len(batch), count_in)
+        return self._append_rows(at_pe, self.next_hops(at_pe, dst_pes), batch)
 
-    def pending_pes(self) -> set[int]:
-        return {k[0] for k in self._buffers}
-
-    @property
-    def aggregation_ratio(self) -> float:
-        return self.records_in / self.batches_out if self.batches_out else 0.0
+    flush_pe = _BufferedChannel.flush
+    pending_pes = _BufferedChannel.pending

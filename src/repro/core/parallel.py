@@ -8,8 +8,10 @@ day runs the six-step algorithm with real protocol traffic:
 
 1. driver broadcasts ``person_phase`` — PMs advance their persons'
    PTTS, filter their visits through the intervention schedule, and
-   stream visit records to the owning LMs through the aggregation
-   channel;
+   hand the surviving rows to the aggregation channel in one
+   ``send_many_via``: modelled as one 16-byte record per visit, carried
+   as one columnar record batch per (PE → PE) flush, which the owning
+   LMs receive as arrays of rows;
 2. a completion detector (or quiescence detector) closes the phase;
 3. driver broadcasts ``location_phase`` — LMs run the DES/interaction
    kernel over the visits they received and send infect messages;
@@ -183,10 +185,9 @@ class _PersonManager(Chare):
         lm_of = sim.distribution.location_chare
         dests = lm_of[sim.graph.visit_location[rows]]
         det = sim.visit_detector
-        channel, lm_name = sim.name("visits"), sim.name("lm")
-        for row, dst in zip(rows.tolist(), dests.tolist()):
-            det.produce()
-            self.send_via(channel, lm_name, dst, "recv_visits", row, VISIT_BYTES)
+        channel = sim.name("visits")
+        det.produce(rows.size)
+        self.send_many_via(channel, sim.name("lm"), dests, "recv_visits", rows, VISIT_BYTES)
         self.sim.runtime.flush_channel(channel, self.pe)
         det.producer_done()
 
@@ -214,17 +215,17 @@ class _LocationManager(Chare):
     def __init__(self, sim: "ParallelEpiSimdemics", locations: np.ndarray):
         self.sim = sim
         self.locations = locations
-        self.buffered_rows: list[int] = []
+        self.buffered_rows: list[np.ndarray] = []
 
-    def recv_visits(self, row: int) -> None:
-        self.sim.visit_detector.consume()
+    def recv_visits(self, rows: np.ndarray) -> None:
+        self.sim.visit_detector.consume(rows.size)
         if self.sim.checker is not None:
-            self.sim.checker.record_visit_received(row, self.index)
-        self.buffered_rows.append(row)
+            self.sim.checker.record_visits_received(rows, self.index)
+        self.buffered_rows.append(rows)
 
     def location_phase(self, day: int) -> None:
         sim = self.sim
-        rows = np.asarray(sorted(self.buffered_rows), dtype=np.int64)
+        rows = np.sort(np.concatenate(self.buffered_rows or [np.empty(0, dtype=np.int64)]))
         self.buffered_rows = []
         phase = compute_infections(
             rows, sim.graph, sim.health_state, sim.scenario.disease,
@@ -340,9 +341,10 @@ class ParallelEpiSimdemics:
         three (asserted by :mod:`repro.validate`).
     kernel:
         Exposure-kernel selection for the LocationManagers' interaction
-        computation (``"flat"`` / ``"grouped"``; None = the module
-        default).  Kernels are bit-for-bit equivalent — a performance
-        choice only, like ``delivery``.
+        computation (``"flat"`` / ``"grouped"`` / ``"compiled"``, see
+        :data:`repro.core.exposure.KERNELS`; None = the module default).
+        Kernels are bit-for-bit equivalent — a performance choice only,
+        like ``delivery``.
     validate:
         Attach an :class:`~repro.validate.invariants.InvariantChecker`
         and enable the runtime's own invariant checks: exactly-once
@@ -480,7 +482,6 @@ class ParallelEpiSimdemics:
         self.curve = EpiCurve()
         self.phase_times: list[PhaseTimes] = []
         self.day_results: list[DayResult] = []
-        self._visits_today = 0
         self.lb_period = lb_period
         self.lb_strategy = lb_strategy
         self.migration_model = migration_model or MigrationCostModel()
@@ -667,7 +668,8 @@ class ParallelEpiSimdemics:
         self.day_results.append(
             DayResult(
                 day=self.day,
-                visits_made=0,  # filled per-PM; aggregate not tracked here
+                # the detector keeps the day's count until start_day re-arms it
+                visits_made=int(self.visit_detector.produced.sum()),
                 new_infections=total_new,
                 transitions=0,
                 prevalence=prev,

@@ -214,22 +214,27 @@ class InvariantChecker:
 
     # -- visit phase -----------------------------------------------------
     def record_visits_sent(self, rows: np.ndarray) -> None:
-        self._visits_sent.update(int(r) for r in np.asarray(rows).ravel())
+        self._visits_sent.update(np.asarray(rows).ravel().tolist())
 
-    def record_visit_received(self, row: int, lm_index: int) -> None:
+    def record_visits_received(self, rows: np.ndarray, lm_index: int) -> None:
+        """Count one delivered batch of visit rows at LM ``lm_index``."""
+        rows = np.asarray(rows, dtype=np.int64).ravel()
         if not self._visit_phase_open:
             self._fail(
-                f"detector-closure soundness broken: visit row {row} was "
+                f"detector-closure soundness broken: visit row {int(rows[0])} was "
                 f"delivered after the day-{self._day} visit phase closed"
             )
-        owner = int(self.distribution.location_chare[self.graph.visit_location[row]])
-        if owner != lm_index:
+        locations = self.graph.visit_location[rows]
+        owners = self.distribution.location_chare[locations]
+        stray = np.flatnonzero(owners != lm_index)
+        if stray.size:
+            i = stray[0]
             self._fail(
-                f"misrouted visit: row {row} (location "
-                f"{int(self.graph.visit_location[row])}) arrived at LM {lm_index} "
-                f"but LM {owner} owns that location"
+                f"misrouted visit: row {int(rows[i])} (location "
+                f"{int(locations[i])}) arrived at LM {lm_index} "
+                f"but LM {int(owners[i])} owns that location"
             )
-        self._visits_recv[int(row)] += 1
+        self._visits_recv.update(rows.tolist())
 
     def close_visit_phase(self, channel=None) -> None:
         """The visit detector completed: delivery must be exactly-once."""
@@ -249,19 +254,12 @@ class InvariantChecker:
                 f"delivered {n} more time(s) than it was sent"
             )
         self._ok()
-        if channel is not None and self._channel_pending(channel):
+        if channel is not None and channel.pending():
             self._fail(
                 f"aggregation channel {channel.name!r} still buffers records "
                 f"after the day-{self._day} visit phase closed"
             )
         self._ok()
-
-    @staticmethod
-    def _channel_pending(channel) -> bool:
-        pending = getattr(channel, "pending_sources", None) or getattr(
-            channel, "pending_pes", None
-        )
-        return bool(pending())
 
     # -- location / infect phase ----------------------------------------
     def record_infections(self, day: int, events) -> None:

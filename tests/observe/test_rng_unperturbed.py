@@ -62,6 +62,20 @@ class TestParallel:
         assert len(obs.virtual_spans) > 0
         assert _curve_tuple(traced.result.curve) == _curve_tuple(plain.result.curve)
 
+    def test_entry_spans_leave_the_model_untouched(self, tiny_graph):
+        """Every scheduler event is one wall-clock ``charm.entry`` span
+        beneath ``charm.runtime.run``; modelled time does not notice."""
+        plain = self._run(tiny_graph)
+        with observe.observing() as obs:
+            traced = self._run(tiny_graph)
+        assert traced.runtime_stats == plain.runtime_stats
+        assert traced.phase_times == plain.phase_times
+        entries = [s for s in obs.closed_spans() if s.name == "charm.entry"]
+        assert len(entries) == plain.runtime_stats["events"]
+        assert {obs.spans[s.parent].name for s in entries} == {"charm.runtime.run"}
+        # the phases themselves run inline under their broadcast's span
+        assert {"bcast", "recv_batch", "recv_infect"} <= {s.attrs["method"] for s in entries}
+
     def test_traced_parallel_equals_sequential(self, tiny_graph):
         seq = SequentialSimulator(_scenario(tiny_graph)).run()
         with observe.observing():

@@ -92,36 +92,77 @@ class TestVisitDelivery:
         g = checker.graph
         checker.begin_day(0, np.zeros(g.n_persons, dtype=np.int64))
 
+    @staticmethod
+    def _owner(checker, row):
+        return int(checker.distribution.location_chare[checker.graph.visit_location[row]])
+
+    def _deliver(self, checker, rows):
+        """Deliver ``rows`` correctly: one batch per owning LM."""
+        rows = np.asarray(rows, dtype=np.int64)
+        owners = np.array([self._owner(checker, r) for r in rows])
+        for lm in np.unique(owners):
+            checker.record_visits_received(rows[owners == lm], int(lm))
+
     def test_lost_visit_fires(self, checker):
         self._open_day(checker)
         checker.record_visits_sent(np.array([0, 1, 2]))
-        for row in (0, 1):
-            lm = int(checker.distribution.location_chare[checker.graph.visit_location[row]])
-            checker.record_visit_received(row, lm)
-        with pytest.raises(InvariantViolation, match="never arrived"):
+        self._deliver(checker, [0, 1])
+        with pytest.raises(InvariantViolation, match="row 2 was sent but 1 copy never arrived"):
             checker.close_visit_phase()
 
     def test_duplicate_visit_fires(self, checker):
         self._open_day(checker)
+        checker.record_visits_sent(np.array([0, 1]))
+        self._deliver(checker, [0, 1])
+        self._deliver(checker, [1])
+        with pytest.raises(InvariantViolation, match="row 1 was delivered 1 more time"):
+            checker.close_visit_phase()
+
+    def test_duplicate_inside_one_batch_fires(self, checker):
+        self._open_day(checker)
         checker.record_visits_sent(np.array([0]))
-        lm = int(checker.distribution.location_chare[checker.graph.visit_location[0]])
-        checker.record_visit_received(0, lm)
-        checker.record_visit_received(0, lm)
-        with pytest.raises(InvariantViolation, match="delivered 1 more time"):
+        checker.record_visits_received(np.array([0, 0]), self._owner(checker, 0))
+        with pytest.raises(InvariantViolation, match="row 0 was delivered 1 more time"):
             checker.close_visit_phase()
 
     def test_late_delivery_after_close_fires(self, checker):
         self._open_day(checker)
         checker.close_visit_phase()
-        lm = int(checker.distribution.location_chare[checker.graph.visit_location[0]])
-        with pytest.raises(InvariantViolation, match="closure soundness"):
-            checker.record_visit_received(0, lm)
+        with pytest.raises(InvariantViolation, match="closure soundness broken: visit row 0 "):
+            checker.record_visits_received(np.array([0]), self._owner(checker, 0))
 
     def test_misrouted_visit_fires(self, checker):
         self._open_day(checker)
-        owner = int(checker.distribution.location_chare[checker.graph.visit_location[0]])
-        with pytest.raises(InvariantViolation, match="misrouted visit"):
-            checker.record_visit_received(0, owner + 1)
+        with pytest.raises(InvariantViolation, match="misrouted visit: row 0 "):
+            checker.record_visits_received(np.array([0]), self._owner(checker, 0) + 1)
+
+    def test_row_misrouted_inside_batch_fires(self, checker):
+        """One stray row in an otherwise correct batch is named."""
+        self._open_day(checker)
+        g, lm_of = checker.graph, checker.distribution.location_chare
+        owners = lm_of[g.visit_location]
+        lm = int(owners[0])
+        mine = np.flatnonzero(owners == lm)[:5]
+        stray = int(np.flatnonzero(owners != lm)[0])
+        batch = np.insert(mine, 3, stray)
+        with pytest.raises(InvariantViolation, match=f"misrouted visit: row {stray} "):
+            checker.record_visits_received(batch, lm)
+
+    def test_records_left_in_a_buffer_fire(self, checker):
+        """A batch whose tail never filled its buffer and was never
+        flushed is caught when the phase closes."""
+        from repro.charm.aggregation import MessageAggregator, RecordBatch
+
+        self._open_day(checker)
+        channel = MessageAggregator("visits", buffer_bytes=64)
+        rows = np.arange(5)
+        flushed = channel.append_many(
+            0, np.ones(5, dtype=np.int64),
+            RecordBatch("lm", "recv_visits", np.zeros(5, dtype=np.int64), rows, 16),
+        )
+        assert [len(c) for _, chunks in flushed for c in chunks] == [4]
+        with pytest.raises(InvariantViolation, match="'visits' still buffers records"):
+            checker.close_visit_phase(channel)
 
 
 class TestInfectPhase:
@@ -204,11 +245,11 @@ class TestEndToEnd:
         original = _LocationManager.recv_visits
         corrupted = {"done": False}
 
-        def corrupt(self, row):
-            original(self, row)
+        def corrupt(self, rows):
+            original(self, rows)
             if not corrupted["done"]:
                 corrupted["done"] = True
-                original(self, row)  # one row arrives twice
+                original(self, rows[:1])  # one row arrives twice
 
         monkeypatch.setattr(_LocationManager, "recv_visits", corrupt)
         with pytest.raises(InvariantViolation):
