@@ -38,7 +38,8 @@ Every hit and build is visible to :mod:`repro.observe` — spans named
 ``lab.pop_build`` / ``lab.part_build`` wrap real construction and
 ``lab.pop_hit`` / ``lab.part_hit`` counters mark hits, which is exactly
 what the cache tests assert on (a second identical sweep records zero
-build spans).
+build spans).  A partition entry that cannot be read back, or whose
+arrays do not fit the graph, counts ``lab.part_corrupt`` and is rebuilt.
 """
 
 from __future__ import annotations
@@ -214,15 +215,10 @@ class ArtifactCache:
         path = self._part_path(key)
         if path is None or not path.exists():
             return None
+        import zipfile  # np.load pulls it in for an .npz anyway
+
         from repro.partition.quality import BipartitePartition
 
-        with np.load(path, allow_pickle=False) as z:
-            part = BipartitePartition(
-                person_part=z["person_part"],
-                location_part=z["location_part"],
-                k=int(z["k"]),
-                method=str(z["method"]),
-            )
         graph_ref = path.with_suffix(".graph")
         if graph_ref.exists():
             # splitLoc transformed the graph: it lives in pop/ under
@@ -230,6 +226,20 @@ class ArtifactCache:
             graph = self._load_pop(graph_ref.read_text().strip())
             if graph is None:
                 return None  # split graph evicted; rebuild the pair
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                part = BipartitePartition(
+                    person_part=z["person_part"],
+                    location_part=z["location_part"],
+                    k=int(z["k"]),
+                    method=str(z["method"]),
+                )
+            part.validate_against(graph)
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+            # Truncated or unreadable file, or arrays that do not fit
+            # the graph: a miss, and the rebuild overwrites the entry.
+            observe.counter("lab.part_corrupt")
+            return None
         return graph, part
 
     def _store_part(self, key: str, graph, part, split: bool) -> None:

@@ -10,6 +10,11 @@ vector is the sum and whose edges merge by weight.
 Coarsening stops when the graph is small enough for initial
 partitioning or when matching stalls (common on star-like social
 graphs — a hub's neighbours all want the hub).
+
+The matching loop reads one adjacency entry at a time, which on an
+``ndarray`` builds a NumPy scalar per read: it walks the CSR columns
+through ``memoryview`` objects (plain ints, no copy) and keeps ``match``
+in a list.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import observe
 from repro.partition.csr import CSRGraph
 
 __all__ = ["CoarseLevel", "heavy_edge_matching", "contract", "coarsen_graph"]
@@ -35,24 +41,28 @@ class CoarseLevel:
 def heavy_edge_matching(graph: CSRGraph, rng: np.random.Generator) -> np.ndarray:
     """Return ``match[v]`` = matched partner (or ``v`` if unmatched)."""
     n = graph.n_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    xadj, adjncy, adjwgt = graph.xadj, graph.adjncy, graph.adjwgt
+    order = rng.permutation(n).tolist()
+    xadj = memoryview(graph.xadj)
+    adjncy = memoryview(graph.adjncy)
+    adjwgt = memoryview(graph.adjwgt)
+    match = [-1] * n
     for v in order:
         if match[v] != -1:
             continue
         best, best_w = -1, -1
-        for e in range(xadj[v], xadj[v + 1]):
-            u = adjncy[e]
-            if match[u] == -1 and u != v:
-                w = adjwgt[e]
-                if w > best_w:
-                    best, best_w = u, w
+        e0, e1 = xadj[v], xadj[v + 1]
+        for u, w in zip(adjncy[e0:e1], adjwgt[e0:e1]):
+            # first heaviest unmatched neighbour: strict >, adjacency order
+            if w > best_w and match[u] == -1 and u != v:
+                best, best_w = u, w
         if best == -1:
             match[v] = v
         else:
             match[v] = best
             match[best] = v
+    match = np.array(match, dtype=np.int64)
+    if observe.enabled():
+        observe.counter("partition.hem_matched", np.count_nonzero(match != np.arange(n)))
     return match
 
 
@@ -63,27 +73,20 @@ def contract(graph: CSRGraph, match: np.ndarray) -> tuple[CSRGraph, np.ndarray]:
     rep = np.minimum(np.arange(n), match)
     uniq, coarse_map = np.unique(rep, return_inverse=True)
     nc = uniq.size
-    # Coarse vertex weights.
-    ncon = graph.ncon
-    cvwgt = np.zeros((nc, ncon), dtype=np.int64)
-    np.add.at(cvwgt, coarse_map, graph.vwgt)
+    # Coarse vertex weights (bincount sums in float64: exact below 2**53).
+    cvwgt = np.empty((nc, graph.ncon), dtype=np.int64)
+    for c in range(graph.ncon):
+        cvwgt[:, c] = np.bincount(coarse_map, weights=graph.vwgt[:, c], minlength=nc)
     # Coarse edges: map endpoints, drop intra-pair edges, merge parallels.
     src = np.repeat(np.arange(n), np.diff(graph.xadj))
     cu = coarse_map[src]
     cv = coarse_map[graph.adjncy]
     keep = cu < cv  # one direction only, drops self (contracted) edges
-    if not keep.any():
-        coarse = CSRGraph(
-            xadj=np.zeros(nc + 1, dtype=np.int64),
-            adjncy=np.empty(0, dtype=np.int64),
-            adjwgt=np.empty(0, dtype=np.int64),
-            vwgt=cvwgt,
-        )
-        return coarse, coarse_map
     coarse = CSRGraph.from_edge_list(nc, cu[keep], cv[keep], graph.adjwgt[keep], cvwgt)
     return coarse, coarse_map
 
 
+@observe.traced("partition.coarsen")
 def coarsen_graph(
     graph: CSRGraph,
     rng: np.random.Generator,

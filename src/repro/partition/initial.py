@@ -9,6 +9,13 @@ and the best balanced bisection by cut wins.
 Multi-constraint handling: a region is "full" in a constraint once it
 holds its target fraction of it; growing stops when all constraints are
 full (or no candidates remain).
+
+The growing loop runs over Python floats (state in lists, CSR columns
+through ``memoryview`` objects): it tests the two-entry weight vector
+once per heap pop, and ``np.all`` / ``np.any`` / ``np.maximum`` on two
+elements cost microseconds each.  Weights go through ``astype(float64)``
+first, so every sum and comparison is the double an array expression
+gives.
 """
 
 from __future__ import annotations
@@ -17,9 +24,27 @@ import heapq
 
 import numpy as np
 
+from repro import observe
 from repro.partition.csr import CSRGraph
 
 __all__ = ["grow_bisection", "initial_bisection"]
+
+
+def _fullness(acc: list[float], target: list[float], totals: list[float]) -> tuple[bool, bool]:
+    """Has every constraint with any mass reached its target; has any constraint?"""
+    full, any_full = True, False
+    for a, t, total in zip(acc, target, totals):
+        if a >= t:
+            any_full = True
+        elif total != 0:
+            full = False
+    return full, any_full
+
+
+def _overshoots(acc: list[float], vw: list[float], target: list[float]) -> bool:
+    """Would absorbing weights ``vw`` badly overshoot a constraint they load?"""
+    vw_max = max(vw)
+    return any(w > 0 and a + w > max(t * 1.3, t + vw_max) for a, w, t in zip(acc, vw, target))
 
 
 def grow_bisection(
@@ -33,39 +58,38 @@ def grow_bisection(
     on gain; weights are accounted as vertices are absorbed.
     """
     n = graph.n_vertices
-    part = np.ones(n, dtype=np.int8)
-    totals = graph.total_vwgt().astype(np.float64)
-    target = totals * target_frac
-    acc = np.zeros_like(totals)
-    in_region = np.zeros(n, dtype=bool)
-    gain = np.zeros(n, dtype=np.float64)
+    xadj = memoryview(graph.xadj)
+    adjncy = memoryview(graph.adjncy)
+    adjwgt = memoryview(graph.adjwgt.astype(np.float64))
+    vwgt = graph.vwgt.astype(np.float64)
+    totals = graph.total_vwgt().astype(np.float64).tolist()
+    target = [t * target_frac for t in totals]
+    acc = [0.0] * len(totals)
+    in_region = bytearray(n)
+    gain = [0.0] * n
     heap: list[tuple[float, int]] = [(0.0, seed_vertex)]
-    enqueued = np.zeros(n, dtype=bool)
-    enqueued[seed_vertex] = True
-    while heap:
-        # Stop when every constraint with any mass has reached target.
-        if np.all((acc >= target) | (totals == 0)):
-            break
+    full, any_full = _fullness(acc, target, totals)
+    while heap and not full:
         _, v = heapq.heappop(heap)
         if in_region[v]:
             continue
+        vw = vwgt[v].tolist()
         # Skip if absorbing v would badly overshoot a constraint.
-        vw = graph.vwgt[v].astype(np.float64)
-        overshoot = (acc + vw) > np.maximum(target * 1.3, target + vw.max())
-        if np.any(overshoot & (vw > 0)) and np.any(acc >= target):
+        if any_full and _overshoots(acc, vw, target):
             continue
-        in_region[v] = True
-        part[v] = 0
-        acc += vw
-        for e in range(graph.xadj[v], graph.xadj[v + 1]):
-            u = graph.adjncy[e]
+        in_region[v] = 1
+        for c, w in enumerate(vw):
+            acc[c] += w
+        full, any_full = _fullness(acc, target, totals)
+        e0, e1 = xadj[v], xadj[v + 1]
+        for u, w in zip(adjncy[e0:e1], adjwgt[e0:e1]):
             if not in_region[u]:
-                gain[u] += graph.adjwgt[e]
+                gain[u] += w
                 heapq.heappush(heap, (-gain[u], u))
-                enqueued[u] = True
-    return part
+    return 1 - np.frombuffer(in_region, dtype=np.int8)
 
 
+@observe.traced("partition.initial")
 def initial_bisection(
     graph: CSRGraph,
     target_frac: float,

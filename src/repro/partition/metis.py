@@ -59,7 +59,12 @@ class MultilevelPartitioner:
         rng = self._rng_factory.stream(RngFactory.PARTITION, self._bisection_counter)
         if graph.n_vertices <= 1:
             return np.zeros(graph.n_vertices, dtype=np.int8)
+        # float64 sums (bincount, the growing heap) and int-vs-float limit
+        # comparisons are exact integer arithmetic only below 2**53.
+        if max(graph.total_vwgt().max(initial=0), graph.adjwgt.sum()) >= 2**53:
+            raise ValueError("vertex and edge weight sums must stay below 2**53")
         levels = coarsen_graph(graph, rng, coarsen_to=opts.coarsen_to)
+        observe.counter("partition.levels", len(levels))
         part = initial_bisection(
             levels[-1].graph, target_frac, rng, n_tries=opts.n_init_tries
         )
@@ -125,22 +130,24 @@ class MultilevelPartitioner:
 
 
 def _induced_subgraph(graph: CSRGraph, mask: np.ndarray) -> CSRGraph:
-    """Subgraph on ``mask`` vertices, renumbered densely."""
+    """Subgraph on ``mask`` vertices, renumbered densely.
+
+    Adjacency rows are filtered in place and the renumbering is monotone,
+    so each row keeps its order (``from_edge_list``'s for every graph the
+    partitioner builds) and nothing needs merging or sorting again.
+    """
     ids = np.flatnonzero(mask)
     renum = np.full(graph.n_vertices, -1, dtype=np.int64)
     renum[ids] = np.arange(ids.size)
     src = np.repeat(np.arange(graph.n_vertices), np.diff(graph.xadj))
-    keep = mask[src] & mask[graph.adjncy] & (src < graph.adjncy)
-    if not keep.any():
-        return CSRGraph(
-            xadj=np.zeros(ids.size + 1, dtype=np.int64),
-            adjncy=np.empty(0, dtype=np.int64),
-            adjwgt=np.empty(0, dtype=np.int64),
-            vwgt=graph.vwgt[ids].copy(),
-        )
-    return CSRGraph.from_edge_list(
-        ids.size, renum[src[keep]], renum[graph.adjncy[keep]], graph.adjwgt[keep],
-        graph.vwgt[ids],
+    keep = mask[src] & mask[graph.adjncy]
+    xadj = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(renum[src[keep]], minlength=ids.size), out=xadj[1:])
+    return CSRGraph(
+        xadj=xadj,
+        adjncy=renum[graph.adjncy[keep]],
+        adjwgt=graph.adjwgt[keep],
+        vwgt=graph.vwgt[ids],
     )
 
 

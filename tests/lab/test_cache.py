@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 
 from repro import observe
 from repro.lab import ArtifactCache, SweepConfig, run_sweep
@@ -201,3 +202,54 @@ class TestStreamedPopulations:
             run_sweep(config, workers=0, store_dir=tmp_path / "s2",
                       cache_dir=tmp_path / "cache")
         assert build_span_names(obs) == []
+
+
+class TestDamagedPartitionEntry:
+    """A ``part/<key>.npz`` that cannot be read back, or whose arrays do
+    not fit the graph, is a miss: counted, rebuilt once, overwritten."""
+
+    POP = PopulationSpec(n_persons=150, seed=4)
+    PART = PartitionSpec(method="gp", k=3)
+
+    def _entry(self, root, pop=None):
+        pop = pop or self.POP
+        return root / "part" / f"{self.PART.content_hash(pop.content_hash())}.npz"
+
+    def _build(self, root, pop=None):
+        pop = pop or self.POP
+        cache = ArtifactCache(root=root)
+        return cache.partition(pop, self.PART, cache.population(pop))[1]
+
+    def _reload(self, root):
+        cache = ArtifactCache(root=root)
+        with observe.observing() as obs:
+            part = cache.partition(self.POP, self.PART, cache.population(self.POP))[1]
+        return cache, obs, part
+
+    def _assert_rebuilt_once_then_hits(self, root, good):
+        cache, obs, part = self._reload(root)
+        assert cache.stats.part_builds == 1 and cache.stats.part_hits == 0
+        assert obs.counters.get("lab.part_corrupt") == 1
+        assert build_span_names(obs) == ["lab.part_build"]
+        assert np.array_equal(part.person_part, good.person_part)
+        assert np.array_equal(part.location_part, good.location_part)
+        # the rebuild overwrote the damaged file: the next process hits
+        cache, obs, part = self._reload(root)
+        assert cache.stats.part_builds == 0 and cache.stats.part_hits == 1
+        assert "lab.part_corrupt" not in obs.counters
+        assert np.array_equal(part.person_part, good.person_part)
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5, 0.95])
+    def test_truncated_file(self, tmp_path, keep):
+        good = self._build(tmp_path)
+        entry = self._entry(tmp_path)
+        blob = entry.read_bytes()
+        entry.write_bytes(blob[: int(len(blob) * keep)])
+        self._assert_rebuilt_once_then_hits(tmp_path, good)
+
+    def test_partition_of_another_population(self, tmp_path):
+        good = self._build(tmp_path)
+        other = PopulationSpec(n_persons=220, seed=5)
+        self._build(tmp_path, other)
+        self._entry(tmp_path).write_bytes(self._entry(tmp_path, other).read_bytes())
+        self._assert_rebuilt_once_then_hits(tmp_path, good)

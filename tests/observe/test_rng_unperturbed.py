@@ -11,7 +11,7 @@ from repro import observe
 from repro.charm.machine import Machine, MachineConfig
 from repro.core import Scenario, SequentialSimulator, TransmissionModel
 from repro.core.parallel import Distribution, ParallelEpiSimdemics
-from repro.partition import round_robin_partition
+from repro.partition import partition_bipartite, round_robin_partition
 
 
 def _scenario(graph):
@@ -81,3 +81,34 @@ class TestParallel:
         with observe.observing():
             par = self._run(tiny_graph)
         assert par.result.curve == seq.curve
+
+
+class TestPartitioner:
+    SPANS = {
+        "partition.bisect", "partition.coarsen", "partition.initial",
+        "partition.rebalance", "partition.fm_refine",
+    }
+    COUNTERS = (
+        "partition.levels", "partition.hem_matched",
+        "partition.fm_passes", "partition.fm_moves", "partition.fm_pushes",
+    )
+
+    def _traced(self, graph):
+        with observe.observing() as obs:
+            part = partition_bipartite(graph, 6)
+        return part, obs
+
+    def test_traced_partition_equals_untraced(self, small_graph):
+        plain = partition_bipartite(small_graph, 6)
+        traced, obs = self._traced(small_graph)
+        assert self.SPANS <= {s.name for s in obs.closed_spans()}
+        assert np.array_equal(traced.person_part, plain.person_part)
+        assert np.array_equal(traced.location_part, plain.location_part)
+
+    def test_work_counters_repeat_exactly(self, small_graph):
+        """They count matches, passes, moves and heap pushes, not time:
+        the same population gives the same numbers on every build."""
+        first = self._traced(small_graph)[1].counters
+        second = self._traced(small_graph)[1].counters
+        assert all(first[name] > 0 for name in self.COUNTERS)
+        assert {n: first[n] for n in self.COUNTERS} == {n: second[n] for n in self.COUNTERS}
