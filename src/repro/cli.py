@@ -32,6 +32,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.exposure import KERNELS
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="EpiSimdemics scalability-study reproduction (Yeom et al., IPDPS 2014)",
@@ -91,9 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--index-cases", type=int, default=10)
     r.add_argument("--transmissibility", type=float, default=2e-4)
-    r.add_argument(
-        "--kernel", choices=["flat", "grouped", "compiled"], default=None
-    )
+    r.add_argument("--kernel", choices=KERNELS, default=None)
     r.add_argument("--scenario", default=None, metavar="NAME",
                    help="run a registered scenario (disease model + model "
                         "components); see 'repro scenarios list'")
@@ -146,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also replay the recorded golden traces")
     v.add_argument("--refresh-golden", action="store_true",
                    help="re-record the golden traces instead of running the matrix")
-    v.add_argument("--kernel", choices=["flat", "grouped", "compiled"],
-                   default="flat",
+    v.add_argument("--kernel", choices=KERNELS, default="flat",
                    help="exposure kernel for the parallel cells (the sequential "
                         "reference always runs 'grouped')")
     v.add_argument("--diff-kernels", action="store_true",

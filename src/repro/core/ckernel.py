@@ -285,9 +285,13 @@ def accumulate_exposures(
 ) -> int:
     """Run the C accumulation loop; returns the interacting-pair count.
 
-    All array arguments must be C-contiguous with the dtypes of the C
-    signature; ``total_hazard`` / ``first_minute`` / ``pair_count`` are
-    written in place (callers initialise them).
+    The per-row arguments are columns of the day's candidate visits —
+    susceptible or infectious rows of a ``(location, sublocation)``
+    block that holds both today (the C comment's "active location" is
+    that block; the source text is frozen because it names the cached
+    library).  All array arguments must be C-contiguous with the dtypes
+    of the C signature; ``total_hazard`` / ``first_minute`` /
+    ``pair_count`` are written in place (callers initialise them).
     """
     lib = _load()
     if lib is False:

@@ -7,22 +7,27 @@ delegate the location phase (paper step 3) to
 locations are grouped into LocationManagers — the property that makes
 the parallel execution reproduce the sequential one exactly.
 
-Three interchangeable kernels implement the phase:
+People interact only inside a sublocation (paper §III-C, the fact
+splitLoc rests on), so the phase first cuts the day's visits down to
+the :class:`Candidates` — susceptible or infectious rows of a
+``(location, sublocation)`` block that holds both today — and gathers
+the remaining columns for those rows only.  Three interchangeable
+kernels then consume the candidates:
 
-* ``"flat"`` (default) — one global sort of the day's candidate visits
-  by ``(location, sublocation)``, sublocation-blocked pair enumeration
+* ``"flat"`` (default) — one global sort by ``(location,
+  sublocation)``, sublocation-blocked pair enumeration
   (:func:`~repro.core.des.blocked_pairwise_exposures`), segment-reduced
-  hazard accumulation over the whole visit set, and one batched
-  keyed-uniform draw (:meth:`~repro.util.rng.RngFactory.keyed_uniforms`)
-  for every exposed person at once;
+  hazard accumulation and one batched keyed-uniform draw
+  (:meth:`~repro.util.rng.RngFactory.keyed_uniforms`) for every exposed
+  person at once;
 * ``"grouped"`` — the reference formulation: a Python loop over
   locations, a per-location S×I cross product masked by sublocation
   after materialisation, and one keyed ``Generator`` per exposed
   person;
-* ``"compiled"`` — the flat kernel's candidate filter and sort, with
-  the pair enumeration + hazard reduction replaced by one streaming C
-  loop (:mod:`repro.core.ckernel`, built on demand via ``ctypes``)
-  that never materialises a per-pair array.  Only usable when
+* ``"compiled"`` — the flat kernel's sort, with the pair enumeration +
+  hazard reduction replaced by one streaming C loop
+  (:mod:`repro.core.ckernel`, built on demand via ``ctypes``) that
+  never materialises a per-pair array.  Only usable when
   :func:`repro.core.ckernel.available` — no C toolchain means callers
   fall back to the pure-numpy kernels.
 
@@ -86,6 +91,24 @@ class LocationPhaseResult:
         self.interactions.update(other.interactions)
 
 
+@dataclass(frozen=True)
+class Candidates:
+    """The visits that can transmit today — what a kernel is handed.
+
+    One entry per candidate visit, compacted, in ascending visit-row
+    order (the order the kernels' stable sorts start from).
+    """
+
+    person: np.ndarray
+    location: np.ndarray
+    subloc: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    state: np.ndarray
+    sus: np.ndarray  # bool: susceptible state
+    inf: np.ndarray  # bool: infectious state
+
+
 def compute_infections(
     visit_rows: np.ndarray,
     graph,
@@ -104,8 +127,10 @@ def compute_infections(
     visit_rows:
         Indices into ``graph``'s visit arrays — the visits that actually
         happen today (interventions already applied).  May span any
-        subset of locations; rows of one location must all be present
-        (callers split by location, never within one).
+        subset of locations; callers split by location, never within
+        one.  Pairs only need the rows of one ``(location,
+        sublocation)`` block together, but a person's hazards add per
+        *location* over every block of it they visit.
     graph:
         A :class:`~repro.synthpop.graph.PersonLocationGraph`.
     health_state:
@@ -114,8 +139,8 @@ def compute_infections(
         Also count events/interactions per location (costs one extra
         pass; used when fitting the dynamic load model).
     kernel:
-        ``"flat"`` (default) or ``"grouped"`` — see the module
-        docstring.  The two are bit-for-bit equivalent.
+        One of :data:`KERNELS` (None = :data:`DEFAULT_KERNEL`) — see
+        the module docstring.  All three are bit-for-bit equivalent.
 
     Notes
     -----
@@ -124,155 +149,154 @@ def compute_infections(
     infection — distributionally identical to per-pair Bernoulli trials
     and, crucially, order-independent.
     """
-    obs_span = observe.span(
-        "exposure.compute",
-        day=day,
-        kernel=DEFAULT_KERNEL if kernel is None else kernel,
-        visits=int(visit_rows.size),
-    )
-    with obs_span:
-        result = _compute_infections(
-            visit_rows, graph, health_state, disease, transmission, day,
-            rng_factory, collect_stats, kernel,
-        )
-        obs_span.set(infections=len(result.infections))
-        return result
-
-
-def _compute_infections(
-    visit_rows: np.ndarray,
-    graph,
-    health_state: np.ndarray,
-    disease: DiseaseModel,
-    transmission: TransmissionModel,
-    day: int,
-    rng_factory: RngFactory,
-    collect_stats: bool,
-    kernel: str | None,
-) -> LocationPhaseResult:
     kernel = DEFAULT_KERNEL if kernel is None else kernel
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    result = LocationPhaseResult()
-    if visit_rows.size == 0:
-        return result
-    vp = graph.visit_person[visit_rows]
-    vl = graph.visit_location[visit_rows]
-    vs = graph.visit_subloc[visit_rows]
-    vstart = graph.visit_start[visit_rows]
-    vend = graph.visit_end[visit_rows]
-    states = health_state[vp]
-    sus_mask = disease.is_susceptible[states]
-    inf_mask = disease.is_infectious[states]
-
-    if collect_stats:
-        locs, counts = np.unique(vl, return_counts=True)
-        result.events.update({int(l): int(2 * c) for l, c in zip(locs, counts)})
-
-    # Only locations with at least one infectious *and* one susceptible
-    # visit can transmit; restrict the expensive pass to those.
-    has_inf = np.zeros(graph.n_locations, dtype=bool)
-    has_inf[vl[inf_mask]] = True
-    has_sus = np.zeros(graph.n_locations, dtype=bool)
-    has_sus[vl[sus_mask]] = True
-    active_loc = has_inf & has_sus
-    cand = active_loc[vl] & (sus_mask | inf_mask)
-    if not cand.any():
-        return result
-
     impl = {
         "flat": _flat_kernel,
         "grouped": _grouped_kernel,
         "compiled": _compiled_kernel,
     }[kernel]
-    impl(
-        result, cand, vp, vl, vs, vstart, vend, states, sus_mask, inf_mask,
-        graph, disease, transmission, day, rng_factory, collect_stats,
-    )
+    result = LocationPhaseResult()
+    with observe.span(
+        "exposure.compute", day=day, kernel=kernel, visits=int(visit_rows.size)
+    ) as obs_span:
+        candidates = _block_filter(
+            visit_rows, graph, health_state, disease, result.events if collect_stats else None
+        )
+        if candidates is not None:
+            impl(result, candidates, graph, disease, transmission, day, rng_factory, collect_stats)
+        obs_span.set(infections=len(result.infections))
     return result
 
 
+def _block_filter(
+    visit_rows: np.ndarray, graph, health_state: np.ndarray, disease: DiseaseModel,
+    events: Counter | None,
+) -> Candidates | None:
+    """Today's :class:`Candidates`, or None when nothing can transmit.
+
+    A row is a candidate iff it is susceptible or infectious *and* its
+    ``(location, sublocation)`` block holds at least one infectious and
+    one susceptible visit today.  Dropping the rest changes no bit:
+
+    1. a pair needs an S row and an I row of one block, so a dropped
+       row is in no pair — the pair set is the same;
+    2. the filter keeps relative row order and every later sort is
+       stable (``lexsort``, ``argsort(kind="stable")``) or by value
+       (``np.unique``), so each ``(location, person)`` hazard sum adds
+       the same doubles in the same order in all three kernels;
+    3. the keys with at least one pair — hence every keyed draw — are
+       unchanged;
+    4. ``events`` (filled when not None) still counts *all* visit rows
+       per location and ``interactions`` counts pairs, so the load
+       model cannot move.
+    """
+    observe.counter("exposure.visits", visit_rows.size)
+    if visit_rows.size == 0:
+        return None
+    with observe.span("exposure.filter"):
+        vp = graph.visit_person[visit_rows]
+        states = health_state[vp]
+        sus = disease.is_susceptible[states]
+        inf = disease.is_infectious[states]
+        vl = graph.visit_location[visit_rows]
+        vs = graph.visit_subloc[visit_rows]
+        if events is not None:
+            locs, counts = np.unique(vl, return_counts=True)
+            events.update(dict(zip(locs.tolist(), (2 * counts).tolist())))
+        # Dense block id: sublocation s of location l is sub_off[l] + s,
+        # sub_off the exclusive prefix sum of the sublocation counts —
+        # O(n_locations), rebuilt per call, nothing kept on the graph.
+        sub_off = np.cumsum(graph.location_n_sublocs, dtype=np.int64)
+        n_blocks = int(sub_off[-1])
+        sub_off -= graph.location_n_sublocs
+        block = sub_off[vl] + vs
+        has_inf = np.zeros(n_blocks, dtype=bool)
+        has_inf[block[inf]] = True
+        has_sus = np.zeros(n_blocks, dtype=bool)
+        has_sus[block[sus]] = True
+        active = has_inf & has_sus
+        keep = np.flatnonzero(active[block] & (sus | inf))
+    observe.counter("exposure.active_blocks", int(np.count_nonzero(active)))
+    observe.counter("exposure.candidates", keep.size)
+    if keep.size == 0:
+        return None
+    with observe.span("exposure.gather"):
+        # Visit times are read for candidate rows only; on a memmap
+        # backing the other pages never enter RAM.
+        rows = visit_rows[keep]
+        return Candidates(
+            person=vp[keep], location=vl[keep], subloc=vs[keep],
+            start=graph.visit_start[rows], end=graph.visit_end[rows],
+            state=states[keep], sus=sus[keep], inf=inf[keep],
+        )
+
+
+def _draw_and_emit(
+    result: LocationPhaseResult, locs: np.ndarray, persons: np.ndarray,
+    total_h: np.ndarray, first_minute: np.ndarray,
+    transmission: TransmissionModel, day: int, rng_factory: RngFactory,
+) -> None:
+    """One batched keyed uniform per exposed ``(location, person)``."""
+    with observe.span("exposure.draw"):
+        probs = transmission.probability(total_h)
+        u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
+    with observe.span("exposure.emit"):
+        for j in np.flatnonzero(u < probs):
+            result.infections.append(
+                InfectionEvent(
+                    person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
+                )
+            )
+
+
 def _flat_kernel(
-    result: LocationPhaseResult,
-    cand: np.ndarray,
-    vp: np.ndarray,
-    vl: np.ndarray,
-    vs: np.ndarray,
-    vstart: np.ndarray,
-    vend: np.ndarray,
-    states: np.ndarray,
-    sus_mask: np.ndarray,
-    inf_mask: np.ndarray,
-    graph,
-    disease: DiseaseModel,
-    transmission: TransmissionModel,
-    day: int,
-    rng_factory: RngFactory,
-    collect_stats: bool,
+    result: LocationPhaseResult, candidates: Candidates, graph, disease: DiseaseModel,
+    transmission: TransmissionModel, day: int, rng_factory: RngFactory, collect_stats: bool,
 ) -> None:
     """Whole-visit-set vectorised kernel: no per-location Python loop."""
-    idx = np.flatnonzero(cand)
-    s_idx, i_idx, o_start, o_end = blocked_pairwise_exposures(
-        vl[idx], vs[idx], vstart[idx], vend[idx], sus_mask[idx], inf_mask[idx]
-    )
+    c = candidates
+    with observe.span("exposure.pairs"):
+        s_idx, i_idx, o_start, o_end = blocked_pairwise_exposures(
+            c.location, c.subloc, c.start, c.end, c.sus, c.inf
+        )
     if s_idx.size == 0:
         return
-    # Restore the grouped kernel's pair order (ascending susceptible
-    # row, infectious rows in block order within each) so per-person
-    # hazard sums accumulate in the same sequence — float addition is
-    # not associative, and bit-for-bit kernel equality is the contract.
-    order = np.argsort(s_idx, kind="stable")
-    s_idx, i_idx = s_idx[order], i_idx[order]
-    o_end = o_end[order]
-    overlap = (o_end - o_start[order]).astype(np.float64)
-
-    if collect_stats:
-        pair_locs, pair_counts = np.unique(vl[idx[s_idx]], return_counts=True)
-        result.interactions.update(
-            {int(l): int(c) for l, c in zip(pair_locs, pair_counts)}
+    with observe.span("exposure.sort"):
+        # Restore the grouped kernel's pair order (ascending susceptible
+        # row, infectious rows in block order within each) so per-person
+        # hazard sums accumulate in the same sequence — float addition is
+        # not associative, and bit-for-bit kernel equality is the contract.
+        order = np.argsort(s_idx, kind="stable")
+        s_idx, i_idx = s_idx[order], i_idx[order]
+        o_end = o_end[order]
+        overlap = (o_end - o_start[order]).astype(np.float64)
+    with observe.span("exposure.reduce"):
+        pair_loc = c.location[s_idx]
+        if collect_stats:
+            pair_locs, pair_counts = np.unique(pair_loc, return_counts=True)
+            result.interactions.update(dict(zip(pair_locs.tolist(), pair_counts.tolist())))
+        hazards = transmission.hazard(
+            overlap,
+            disease.infectivity[c.state[i_idx]],
+            disease.susceptibility[c.state[s_idx]],
         )
-
-    hazards = transmission.hazard(
-        overlap,
-        disease.infectivity[states[idx[i_idx]]],
-        disease.susceptibility[states[idx[s_idx]]],
-    )
-    # Segment-reduce per (location, person of the susceptible visit):
-    # total hazard and earliest potential infection minute.
-    key = vl[idx[s_idx]] * np.int64(graph.n_persons) + vp[idx[s_idx]]
-    uniq_key, inv = np.unique(key, return_inverse=True)
-    total_h = np.bincount(inv, weights=hazards, minlength=uniq_key.size)
-    first_minute = np.full(uniq_key.size, np.iinfo(np.int64).max)
-    np.minimum.at(first_minute, inv, o_end)
-    probs = transmission.probability(total_h)
-    locs = uniq_key // graph.n_persons
-    persons = uniq_key - locs * graph.n_persons
-    u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
-    for j in np.flatnonzero(u < probs):
-        result.infections.append(
-            InfectionEvent(
-                person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
-            )
-        )
+        # Segment-reduce per (location, person of the susceptible visit):
+        # total hazard and earliest potential infection minute.
+        key = pair_loc * np.int64(graph.n_persons) + c.person[s_idx]
+        uniq_key, inv = np.unique(key, return_inverse=True)
+        total_h = np.bincount(inv, weights=hazards, minlength=uniq_key.size)
+        first_minute = np.full(uniq_key.size, np.iinfo(np.int64).max)
+        np.minimum.at(first_minute, inv, o_end)
+        locs = uniq_key // graph.n_persons
+        persons = uniq_key - locs * graph.n_persons
+    _draw_and_emit(result, locs, persons, total_h, first_minute, transmission, day, rng_factory)
 
 
 def _compiled_kernel(
-    result: LocationPhaseResult,
-    cand: np.ndarray,
-    vp: np.ndarray,
-    vl: np.ndarray,
-    vs: np.ndarray,
-    vstart: np.ndarray,
-    vend: np.ndarray,
-    states: np.ndarray,
-    sus_mask: np.ndarray,
-    inf_mask: np.ndarray,
-    graph,
-    disease: DiseaseModel,
-    transmission: TransmissionModel,
-    day: int,
-    rng_factory: RngFactory,
-    collect_stats: bool,
+    result: LocationPhaseResult, candidates: Candidates, graph, disease: DiseaseModel,
+    transmission: TransmissionModel, day: int, rng_factory: RngFactory, collect_stats: bool,
 ) -> None:
     """Flat kernel with the pair stage in C (:mod:`repro.core.ckernel`).
 
@@ -284,145 +308,113 @@ def _compiled_kernel(
     """
     from repro.core import ckernel
 
-    idx = np.flatnonzero(cand)
-    # Candidate rows are all epidemiologically relevant (sus | inf), so
-    # blocked_pairwise_exposures' `relevant` filter is the identity
-    # here and the (location, sublocation) lexsort covers every row.
-    loc = np.ascontiguousarray(vl[idx], dtype=np.int64)
-    sub = np.ascontiguousarray(vs[idx], dtype=np.int64)
-    start = np.ascontiguousarray(vstart[idx], dtype=np.int64)
-    end = np.ascontiguousarray(vend[idx], dtype=np.int64)
-    state = np.ascontiguousarray(states[idx], dtype=np.int64)
-    sus = np.ascontiguousarray(sus_mask[idx], dtype=np.uint8)
-    inf = inf_mask[idx]
-    n = idx.size
+    c = candidates
+    with observe.span("exposure.sort"):
+        # Candidate rows are all epidemiologically relevant (sus | inf),
+        # so blocked_pairwise_exposures' `relevant` filter would be the
+        # identity and the (location, sublocation) lexsort covers every row.
+        loc, sub, start, end, state = (
+            np.ascontiguousarray(col, dtype=np.int64)
+            for col in (c.location, c.subloc, c.start, c.end, c.state)
+        )
+        sus = np.ascontiguousarray(c.sus, dtype=np.uint8)
+        n = loc.size
 
-    order = np.lexsort((sub, loc))  # sorted position -> candidate row
-    loc_s, sub_s = loc[order], sub[order]
-    new_block = np.empty(n, dtype=bool)
-    new_block[0] = True
-    np.not_equal(loc_s[1:], loc_s[:-1], out=new_block[1:])
-    new_block[1:] |= sub_s[1:] != sub_s[:-1]
-    block_id_sorted = np.cumsum(new_block) - 1
-    n_blocks = int(block_id_sorted[-1]) + 1
-    row_block = np.empty(n, dtype=np.int64)
-    row_block[order] = block_id_sorted
+        order = np.lexsort((sub, loc))  # sorted position -> candidate row
+        loc_s, sub_s = loc[order], sub[order]
+        new_block = np.empty(n, dtype=bool)
+        new_block[0] = True
+        np.not_equal(loc_s[1:], loc_s[:-1], out=new_block[1:])
+        new_block[1:] |= sub_s[1:] != sub_s[:-1]
+        block_id_sorted = np.cumsum(new_block) - 1
+        n_blocks = int(block_id_sorted[-1]) + 1
+        row_block = np.empty(n, dtype=np.int64)
+        row_block[order] = block_id_sorted
 
-    # Infectious candidate rows in sorted-position order, segmented by
-    # block — the partner iteration order of the flat enumeration.
-    inf_sorted = inf[order]
-    inf_rows = np.ascontiguousarray(order[inf_sorted], dtype=np.int64)
-    ni = np.bincount(block_id_sorted[inf_sorted], minlength=n_blocks)
-    inf_off = np.zeros(n_blocks + 1, dtype=np.int64)
-    np.cumsum(ni, out=inf_off[1:])
+        # Infectious candidate rows in sorted-position order, segmented
+        # by block — the partner iteration order of the flat enumeration.
+        inf_sorted = c.inf[order]
+        inf_rows = np.ascontiguousarray(order[inf_sorted], dtype=np.int64)
+        ni = np.bincount(block_id_sorted[inf_sorted], minlength=n_blocks)
+        inf_off = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(ni, out=inf_off[1:])
 
-    # One accumulator slot per distinct (location, person) key over the
-    # candidate rows — a superset of the flat kernel's pair-derived key
-    # set, compacted to the touched slots below.  np.unique sorts, so
-    # surviving slots align with the flat kernel's uniq_key order.
-    key = loc * np.int64(graph.n_persons) + vp[idx]
-    uniq_key, slot = np.unique(key, return_inverse=True)
-    slot = np.ascontiguousarray(slot, dtype=np.int64)
+        # One accumulator slot per distinct (location, person) key over
+        # the candidate rows — a superset of the flat kernel's
+        # pair-derived key set, compacted to the touched slots below.
+        # np.unique sorts, so surviving slots align with the flat
+        # kernel's uniq_key order.
+        key = loc * np.int64(graph.n_persons) + c.person
+        uniq_key, slot = np.unique(key, return_inverse=True)
+        slot = np.ascontiguousarray(slot, dtype=np.int64)
 
-    # Per (infectious state, susceptible state) hazard of one overlap
-    # minute, computed by the same TransmissionModel call (same clip,
-    # same log1p inputs) the flat kernel makes per pair.
-    n_states = len(disease.states)
-    haz_table = np.ascontiguousarray(
-        transmission.hazard(
-            1.0,
-            np.repeat(disease.infectivity, n_states),
-            np.tile(disease.susceptibility, n_states),
-        ),
-        dtype=np.float64,
-    )
-
-    total_h = np.zeros(uniq_key.size, dtype=np.float64)
-    first_minute = np.full(uniq_key.size, np.iinfo(np.int64).max, dtype=np.int64)
-    pair_count = np.zeros(uniq_key.size, dtype=np.int64)
-    pairs = ckernel.accumulate_exposures(
-        start, end, state, sus, slot, row_block, inf_rows, inf_off,
-        haz_table, n_states, total_h, first_minute, pair_count,
-    )
+    with observe.span("exposure.pairs"):
+        # Per (infectious state, susceptible state) hazard of one overlap
+        # minute, computed by the same TransmissionModel call (same clip,
+        # same log1p inputs) the flat kernel makes per pair.
+        n_states = len(disease.states)
+        inf_coef = np.repeat(disease.infectivity, n_states)
+        sus_coef = np.tile(disease.susceptibility, n_states)
+        haz_table = np.ascontiguousarray(
+            transmission.hazard(1.0, inf_coef, sus_coef), dtype=np.float64
+        )
+        total_h = np.zeros(uniq_key.size, dtype=np.float64)
+        first_minute = np.full(uniq_key.size, np.iinfo(np.int64).max, dtype=np.int64)
+        pair_count = np.zeros(uniq_key.size, dtype=np.int64)
+        pairs = ckernel.accumulate_exposures(
+            start, end, state, sus, slot, row_block, inf_rows, inf_off,
+            haz_table, n_states, total_h, first_minute, pair_count,
+        )
+        touched = pair_count > 0
+        uniq_key, total_h = uniq_key[touched], total_h[touched]
+        first_minute = first_minute[touched]
+        locs = uniq_key // graph.n_persons
+        persons = uniq_key - locs * graph.n_persons
     if pairs == 0:
         return
-    touched = pair_count > 0
-    uniq_key, total_h = uniq_key[touched], total_h[touched]
-    first_minute = first_minute[touched]
-
-    locs = uniq_key // graph.n_persons
-    persons = uniq_key - locs * graph.n_persons
     if collect_stats:
         pair_locs, inv_loc = np.unique(locs, return_inverse=True)
-        per_loc = np.bincount(
-            inv_loc, weights=pair_count[touched], minlength=pair_locs.size
-        )
-        result.interactions.update(
-            {int(l): int(c) for l, c in zip(pair_locs, per_loc)}
-        )
-    probs = transmission.probability(total_h)
-    u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
-    for j in np.flatnonzero(u < probs):
-        result.infections.append(
-            InfectionEvent(
-                person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
-            )
-        )
+        per_loc = np.bincount(inv_loc, weights=pair_count[touched], minlength=pair_locs.size)
+        result.interactions.update({int(l): int(n) for l, n in zip(pair_locs, per_loc)})
+    _draw_and_emit(result, locs, persons, total_h, first_minute, transmission, day, rng_factory)
 
 
 def _grouped_kernel(
-    result: LocationPhaseResult,
-    cand: np.ndarray,
-    vp: np.ndarray,
-    vl: np.ndarray,
-    vs: np.ndarray,
-    vstart: np.ndarray,
-    vend: np.ndarray,
-    states: np.ndarray,
-    sus_mask: np.ndarray,
-    inf_mask: np.ndarray,
-    graph,
-    disease: DiseaseModel,
-    transmission: TransmissionModel,
-    day: int,
-    rng_factory: RngFactory,
-    collect_stats: bool,
+    result: LocationPhaseResult, candidates: Candidates, graph, disease: DiseaseModel,
+    transmission: TransmissionModel, day: int, rng_factory: RngFactory, collect_stats: bool,
 ) -> None:
     """Reference kernel: per-location loop, per-person keyed Generators."""
-    idx = np.flatnonzero(cand)
-    order = idx[np.argsort(vl[idx], kind="stable")]
-    loc_sorted = vl[order]
-    boundaries = np.flatnonzero(np.diff(loc_sorted)) + 1
-    inf_coef = disease.infectivity
-    sus_coef = disease.susceptibility
-
+    c = candidates
+    with observe.span("exposure.sort"):
+        order = np.argsort(c.location, kind="stable")
+        boundaries = np.flatnonzero(np.diff(c.location[order])) + 1
     for group in np.split(order, boundaries):
-        loc = int(vl[group[0]])
-        s_idx, i_idx, o_start, o_end = pairwise_exposures(
-            vs[group], vstart[group], vend[group], sus_mask[group], inf_mask[group]
-        )
+        loc = int(c.location[group[0]])
+        with observe.span("exposure.pairs"):
+            s_idx, i_idx, o_start, o_end = pairwise_exposures(
+                c.subloc[group], c.start[group], c.end[group], c.sus[group], c.inf[group]
+            )
         if s_idx.size == 0:
             continue
         if collect_stats:
             result.interactions[loc] += int(s_idx.size)
-        g_s = group[s_idx]
-        g_i = group[i_idx]
-        hazards = transmission.hazard(
-            (o_end - o_start).astype(np.float64),
-            inf_coef[states[g_i]],
-            sus_coef[states[g_s]],
-        )
-        # Accumulate hazard and earliest potential infection minute per
-        # susceptible person at this location.
-        persons = vp[g_s]
-        uniq_p, inv = np.unique(persons, return_inverse=True)
-        total_h = np.bincount(inv, weights=hazards, minlength=uniq_p.size)
-        first_minute = np.full(uniq_p.size, np.iinfo(np.int64).max)
-        np.minimum.at(first_minute, inv, o_end)
-        probs = transmission.probability(total_h)
-        for j, p in enumerate(uniq_p):
-            u = rng_factory.stream(RngFactory.LOCATION, day, loc, int(p)).random()
-            if u < probs[j]:
-                result.infections.append(
-                    InfectionEvent(person=int(p), location=loc, minute=int(first_minute[j]))
-                )
+        with observe.span("exposure.reduce"):
+            hazards = transmission.hazard(
+                (o_end - o_start).astype(np.float64),
+                disease.infectivity[c.state[group[i_idx]]],
+                disease.susceptibility[c.state[group[s_idx]]],
+            )
+            # Accumulate hazard and earliest potential infection minute
+            # per susceptible person at this location.
+            uniq_p, inv = np.unique(c.person[group[s_idx]], return_inverse=True)
+            total_h = np.bincount(inv, weights=hazards, minlength=uniq_p.size)
+            first_minute = np.full(uniq_p.size, np.iinfo(np.int64).max)
+            np.minimum.at(first_minute, inv, o_end)
+            probs = transmission.probability(total_h)
+        with observe.span("exposure.draw"):  # draws and emits per person
+            for j, p in enumerate(uniq_p):
+                u = rng_factory.stream(RngFactory.LOCATION, day, loc, int(p)).random()
+                if u < probs[j]:
+                    result.infections.append(
+                        InfectionEvent(person=int(p), location=loc, minute=int(first_minute[j]))
+                    )

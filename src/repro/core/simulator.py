@@ -75,10 +75,10 @@ class SequentialSimulator:
         (needed when fitting the load model; ~15% slower).
     kernel:
         Exposure-kernel selection passed through to
-        :func:`~repro.core.exposure.compute_infections` (``"flat"`` /
-        ``"grouped"``; None = the module default).  Kernels are
-        bit-for-bit equivalent — this is a performance knob and the
-        lever for old-vs-new differential testing.
+        :func:`~repro.core.exposure.compute_infections` (one of
+        :data:`~repro.core.exposure.KERNELS`; None = the module default).
+        Kernels are bit-for-bit equivalent — this is a performance knob
+        and the lever for old-vs-new differential testing.
     """
 
     def __init__(

@@ -1,0 +1,327 @@
+"""Location-level candidate filter and its three kernels — a test oracle.
+
+``_compute_infections`` and the three ``_*_kernel`` functions below are
+what ``repro.core.exposure`` ran before the candidate filter moved from
+per *location* to per ``(location, sublocation)`` block, kept verbatim:
+a visit is a candidate when its **location** has an infectious and a
+susceptible visitor, every column is gathered for every row, and each
+kernel takes the ``cand`` mask plus nine full-length arrays.  They
+*define* what the block filter must reproduce bit-for-bit
+(``test_block_filter.py``); nothing under ``src/`` calls them.
+
+:func:`compute_infections` is the production wrapper's signature over
+the reference body, so a test can monkeypatch it in wherever a backend
+imported the production function.
+"""
+
+import numpy as np
+
+from repro.core.des import blocked_pairwise_exposures, pairwise_exposures
+from repro.core.disease import DiseaseModel
+from repro.core.exposure import (
+    DEFAULT_KERNEL,
+    KERNELS,
+    InfectionEvent,
+    LocationPhaseResult,
+)
+from repro.core.transmission import TransmissionModel
+from repro.util.rng import RngFactory
+
+
+def compute_infections(
+    visit_rows, graph, health_state, disease, transmission, day, rng_factory,
+    collect_stats=False, kernel=None,
+):
+    return _compute_infections(
+        visit_rows, graph, health_state, disease, transmission, day,
+        rng_factory, collect_stats, kernel,
+    )
+
+
+def _compute_infections(
+    visit_rows: np.ndarray,
+    graph,
+    health_state: np.ndarray,
+    disease: DiseaseModel,
+    transmission: TransmissionModel,
+    day: int,
+    rng_factory: RngFactory,
+    collect_stats: bool,
+    kernel: str | None,
+) -> LocationPhaseResult:
+    kernel = DEFAULT_KERNEL if kernel is None else kernel
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    result = LocationPhaseResult()
+    if visit_rows.size == 0:
+        return result
+    vp = graph.visit_person[visit_rows]
+    vl = graph.visit_location[visit_rows]
+    vs = graph.visit_subloc[visit_rows]
+    vstart = graph.visit_start[visit_rows]
+    vend = graph.visit_end[visit_rows]
+    states = health_state[vp]
+    sus_mask = disease.is_susceptible[states]
+    inf_mask = disease.is_infectious[states]
+
+    if collect_stats:
+        locs, counts = np.unique(vl, return_counts=True)
+        result.events.update({int(l): int(2 * c) for l, c in zip(locs, counts)})
+
+    # Only locations with at least one infectious *and* one susceptible
+    # visit can transmit; restrict the expensive pass to those.
+    has_inf = np.zeros(graph.n_locations, dtype=bool)
+    has_inf[vl[inf_mask]] = True
+    has_sus = np.zeros(graph.n_locations, dtype=bool)
+    has_sus[vl[sus_mask]] = True
+    active_loc = has_inf & has_sus
+    cand = active_loc[vl] & (sus_mask | inf_mask)
+    if not cand.any():
+        return result
+
+    impl = {
+        "flat": _flat_kernel,
+        "grouped": _grouped_kernel,
+        "compiled": _compiled_kernel,
+    }[kernel]
+    impl(
+        result, cand, vp, vl, vs, vstart, vend, states, sus_mask, inf_mask,
+        graph, disease, transmission, day, rng_factory, collect_stats,
+    )
+    return result
+
+
+def _flat_kernel(
+    result: LocationPhaseResult,
+    cand: np.ndarray,
+    vp: np.ndarray,
+    vl: np.ndarray,
+    vs: np.ndarray,
+    vstart: np.ndarray,
+    vend: np.ndarray,
+    states: np.ndarray,
+    sus_mask: np.ndarray,
+    inf_mask: np.ndarray,
+    graph,
+    disease: DiseaseModel,
+    transmission: TransmissionModel,
+    day: int,
+    rng_factory: RngFactory,
+    collect_stats: bool,
+) -> None:
+    """Whole-visit-set vectorised kernel: no per-location Python loop."""
+    idx = np.flatnonzero(cand)
+    s_idx, i_idx, o_start, o_end = blocked_pairwise_exposures(
+        vl[idx], vs[idx], vstart[idx], vend[idx], sus_mask[idx], inf_mask[idx]
+    )
+    if s_idx.size == 0:
+        return
+    # Restore the grouped kernel's pair order (ascending susceptible
+    # row, infectious rows in block order within each) so per-person
+    # hazard sums accumulate in the same sequence — float addition is
+    # not associative, and bit-for-bit kernel equality is the contract.
+    order = np.argsort(s_idx, kind="stable")
+    s_idx, i_idx = s_idx[order], i_idx[order]
+    o_end = o_end[order]
+    overlap = (o_end - o_start[order]).astype(np.float64)
+
+    if collect_stats:
+        pair_locs, pair_counts = np.unique(vl[idx[s_idx]], return_counts=True)
+        result.interactions.update(
+            {int(l): int(c) for l, c in zip(pair_locs, pair_counts)}
+        )
+
+    hazards = transmission.hazard(
+        overlap,
+        disease.infectivity[states[idx[i_idx]]],
+        disease.susceptibility[states[idx[s_idx]]],
+    )
+    # Segment-reduce per (location, person of the susceptible visit):
+    # total hazard and earliest potential infection minute.
+    key = vl[idx[s_idx]] * np.int64(graph.n_persons) + vp[idx[s_idx]]
+    uniq_key, inv = np.unique(key, return_inverse=True)
+    total_h = np.bincount(inv, weights=hazards, minlength=uniq_key.size)
+    first_minute = np.full(uniq_key.size, np.iinfo(np.int64).max)
+    np.minimum.at(first_minute, inv, o_end)
+    probs = transmission.probability(total_h)
+    locs = uniq_key // graph.n_persons
+    persons = uniq_key - locs * graph.n_persons
+    u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
+    for j in np.flatnonzero(u < probs):
+        result.infections.append(
+            InfectionEvent(
+                person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
+            )
+        )
+
+
+def _compiled_kernel(
+    result: LocationPhaseResult,
+    cand: np.ndarray,
+    vp: np.ndarray,
+    vl: np.ndarray,
+    vs: np.ndarray,
+    vstart: np.ndarray,
+    vend: np.ndarray,
+    states: np.ndarray,
+    sus_mask: np.ndarray,
+    inf_mask: np.ndarray,
+    graph,
+    disease: DiseaseModel,
+    transmission: TransmissionModel,
+    day: int,
+    rng_factory: RngFactory,
+    collect_stats: bool,
+) -> None:
+    """Flat kernel with the pair stage in C (:mod:`repro.core.ckernel`).
+
+    Bit-identical to ``"flat"``: the C loop adds the same doubles in
+    the same order ``np.bincount`` would over the sorted pair array,
+    and every transcendental (``log1p`` via the per-state hazard
+    table, ``expm1`` in ``probability``, the keyed uniforms) still runs
+    through the exact numpy code paths of the other kernels.
+    """
+    from repro.core import ckernel
+
+    idx = np.flatnonzero(cand)
+    # Candidate rows are all epidemiologically relevant (sus | inf), so
+    # blocked_pairwise_exposures' `relevant` filter is the identity
+    # here and the (location, sublocation) lexsort covers every row.
+    loc = np.ascontiguousarray(vl[idx], dtype=np.int64)
+    sub = np.ascontiguousarray(vs[idx], dtype=np.int64)
+    start = np.ascontiguousarray(vstart[idx], dtype=np.int64)
+    end = np.ascontiguousarray(vend[idx], dtype=np.int64)
+    state = np.ascontiguousarray(states[idx], dtype=np.int64)
+    sus = np.ascontiguousarray(sus_mask[idx], dtype=np.uint8)
+    inf = inf_mask[idx]
+    n = idx.size
+
+    order = np.lexsort((sub, loc))  # sorted position -> candidate row
+    loc_s, sub_s = loc[order], sub[order]
+    new_block = np.empty(n, dtype=bool)
+    new_block[0] = True
+    np.not_equal(loc_s[1:], loc_s[:-1], out=new_block[1:])
+    new_block[1:] |= sub_s[1:] != sub_s[:-1]
+    block_id_sorted = np.cumsum(new_block) - 1
+    n_blocks = int(block_id_sorted[-1]) + 1
+    row_block = np.empty(n, dtype=np.int64)
+    row_block[order] = block_id_sorted
+
+    # Infectious candidate rows in sorted-position order, segmented by
+    # block — the partner iteration order of the flat enumeration.
+    inf_sorted = inf[order]
+    inf_rows = np.ascontiguousarray(order[inf_sorted], dtype=np.int64)
+    ni = np.bincount(block_id_sorted[inf_sorted], minlength=n_blocks)
+    inf_off = np.zeros(n_blocks + 1, dtype=np.int64)
+    np.cumsum(ni, out=inf_off[1:])
+
+    # One accumulator slot per distinct (location, person) key over the
+    # candidate rows — a superset of the flat kernel's pair-derived key
+    # set, compacted to the touched slots below.  np.unique sorts, so
+    # surviving slots align with the flat kernel's uniq_key order.
+    key = loc * np.int64(graph.n_persons) + vp[idx]
+    uniq_key, slot = np.unique(key, return_inverse=True)
+    slot = np.ascontiguousarray(slot, dtype=np.int64)
+
+    # Per (infectious state, susceptible state) hazard of one overlap
+    # minute, computed by the same TransmissionModel call (same clip,
+    # same log1p inputs) the flat kernel makes per pair.
+    n_states = len(disease.states)
+    haz_table = np.ascontiguousarray(
+        transmission.hazard(
+            1.0,
+            np.repeat(disease.infectivity, n_states),
+            np.tile(disease.susceptibility, n_states),
+        ),
+        dtype=np.float64,
+    )
+
+    total_h = np.zeros(uniq_key.size, dtype=np.float64)
+    first_minute = np.full(uniq_key.size, np.iinfo(np.int64).max, dtype=np.int64)
+    pair_count = np.zeros(uniq_key.size, dtype=np.int64)
+    pairs = ckernel.accumulate_exposures(
+        start, end, state, sus, slot, row_block, inf_rows, inf_off,
+        haz_table, n_states, total_h, first_minute, pair_count,
+    )
+    if pairs == 0:
+        return
+    touched = pair_count > 0
+    uniq_key, total_h = uniq_key[touched], total_h[touched]
+    first_minute = first_minute[touched]
+
+    locs = uniq_key // graph.n_persons
+    persons = uniq_key - locs * graph.n_persons
+    if collect_stats:
+        pair_locs, inv_loc = np.unique(locs, return_inverse=True)
+        per_loc = np.bincount(
+            inv_loc, weights=pair_count[touched], minlength=pair_locs.size
+        )
+        result.interactions.update(
+            {int(l): int(c) for l, c in zip(pair_locs, per_loc)}
+        )
+    probs = transmission.probability(total_h)
+    u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
+    for j in np.flatnonzero(u < probs):
+        result.infections.append(
+            InfectionEvent(
+                person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
+            )
+        )
+
+
+def _grouped_kernel(
+    result: LocationPhaseResult,
+    cand: np.ndarray,
+    vp: np.ndarray,
+    vl: np.ndarray,
+    vs: np.ndarray,
+    vstart: np.ndarray,
+    vend: np.ndarray,
+    states: np.ndarray,
+    sus_mask: np.ndarray,
+    inf_mask: np.ndarray,
+    graph,
+    disease: DiseaseModel,
+    transmission: TransmissionModel,
+    day: int,
+    rng_factory: RngFactory,
+    collect_stats: bool,
+) -> None:
+    """Reference kernel: per-location loop, per-person keyed Generators."""
+    idx = np.flatnonzero(cand)
+    order = idx[np.argsort(vl[idx], kind="stable")]
+    loc_sorted = vl[order]
+    boundaries = np.flatnonzero(np.diff(loc_sorted)) + 1
+    inf_coef = disease.infectivity
+    sus_coef = disease.susceptibility
+
+    for group in np.split(order, boundaries):
+        loc = int(vl[group[0]])
+        s_idx, i_idx, o_start, o_end = pairwise_exposures(
+            vs[group], vstart[group], vend[group], sus_mask[group], inf_mask[group]
+        )
+        if s_idx.size == 0:
+            continue
+        if collect_stats:
+            result.interactions[loc] += int(s_idx.size)
+        g_s = group[s_idx]
+        g_i = group[i_idx]
+        hazards = transmission.hazard(
+            (o_end - o_start).astype(np.float64),
+            inf_coef[states[g_i]],
+            sus_coef[states[g_s]],
+        )
+        # Accumulate hazard and earliest potential infection minute per
+        # susceptible person at this location.
+        persons = vp[g_s]
+        uniq_p, inv = np.unique(persons, return_inverse=True)
+        total_h = np.bincount(inv, weights=hazards, minlength=uniq_p.size)
+        first_minute = np.full(uniq_p.size, np.iinfo(np.int64).max)
+        np.minimum.at(first_minute, inv, o_end)
+        probs = transmission.probability(total_h)
+        for j, p in enumerate(uniq_p):
+            u = rng_factory.stream(RngFactory.LOCATION, day, loc, int(p)).random()
+            if u < probs[j]:
+                result.infections.append(
+                    InfectionEvent(person=int(p), location=loc, minute=int(first_minute[j]))
+                )

@@ -1,0 +1,133 @@
+"""What is visible inside ``exposure.compute`` — and what the ladder reads.
+
+The stage spans must account for the phase (a layer with no row is a
+layer nobody can optimise), and the two things ``benchmarks/ladder``
+derives its exposure rows from — the size of the first positional
+argument of each pair-stage entry point, and the ``visits`` /
+``infections`` attributes of ``exposure.compute`` — must keep meaning
+what the program's own counters say.
+"""
+
+import collections
+
+import pytest
+
+from repro import observe
+from repro.core import ckernel, exposure, simulator
+from repro.spec import PopulationSpec, RunSpec, RuntimeSpec, execute
+
+STAGES = {
+    "flat": {"filter", "gather", "pairs", "sort", "reduce", "draw", "emit"},
+    "compiled": {"filter", "gather", "sort", "pairs", "draw", "emit"},
+    "grouped": {"filter", "gather", "sort", "pairs", "reduce", "draw"},
+}
+
+kernels = pytest.mark.parametrize(
+    "kernel",
+    [
+        "flat",
+        pytest.param(
+            "compiled",
+            marks=pytest.mark.skipif(
+                not ckernel.available(), reason=f"no compiled kernel: {ckernel.build_error()}"
+            ),
+        ),
+    ],
+)
+
+
+@pytest.fixture(scope="module")
+def simmering():
+    """20K persons, 2% index cases at low transmissibility: big enough
+    that a stage outweighs the Python between two spans."""
+    population = PopulationSpec(kind="generated", n_persons=20_000, seed=20140519)
+    graph = population.build()
+
+    def run(kernel):
+        spec = RunSpec(
+            population=population, n_days=4, seed=5, initial_infections=400,
+            transmissibility=2.5e-5, runtime=RuntimeSpec(kernel=kernel),
+        )
+        return execute(spec, graph=graph)
+
+    return run
+
+
+def _durations(obs):
+    total = collections.defaultdict(float)
+    for s in obs.closed_spans():
+        total[s.name] += s.duration
+    return total
+
+
+@kernels
+def test_stage_spans_tile_the_phase(simmering, kernel):
+    simmering(kernel)  # warm: first-call imports, the C library load
+    with observe.observing() as obs:
+        simmering(kernel)
+    total = _durations(obs)
+    stages = {f"exposure.{name}" for name in STAGES[kernel]}
+    assert stages <= set(total)
+    assert sum(total[name] for name in stages) >= 0.95 * total["exposure.compute"]
+    # each stage is a direct child of the phase, so none is counted twice
+    spans = obs.spans
+    assert {spans[s.parent].name for s in spans if s.name in stages} == {"exposure.compute"}
+
+
+def test_grouped_kernel_names_its_stages(tiny_graph):
+    from repro.core import Scenario, SequentialSimulator, TransmissionModel
+
+    scenario = Scenario(
+        graph=tiny_graph, n_days=3, seed=3, initial_infections=5,
+        transmission=TransmissionModel(2e-4),
+    )
+    with observe.observing() as obs:
+        SequentialSimulator(scenario, kernel="grouped").run()
+    names = {s.name for s in obs.closed_spans() if s.name.startswith("exposure.")}
+    assert names == {f"exposure.{n}" for n in STAGES["grouped"]} | {"exposure.compute"}
+
+
+def test_stage_names_do_not_collide_with_the_ladder_shims():
+    """The ladder sums spans by name; a stage sharing a shim's key
+    would be counted into that shim's row."""
+    SHIMS = pytest.importorskip("benchmarks.ladder.layers").SHIMS
+    stages = {f"exposure.{n}" for names in STAGES.values() for n in names}
+    assert not stages & {shim.key for shim in SHIMS}
+
+
+@kernels
+def test_what_the_ladder_reads(simmering, kernel, monkeypatch):
+    """``layers.SHIMS`` wraps the two pair-stage entry points through
+    their module attributes and takes ``args[0].size`` as the kernel's
+    active set; that must be the ``exposure.candidates`` counter."""
+    seen = {"arg0": 0, "calls": []}
+
+    def sized(fn):
+        def wrapper(*args, **kwargs):
+            seen["arg0"] += args[0].size
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recording(fn):
+        def wrapper(visit_rows, *args, **kwargs):
+            result = fn(visit_rows, *args, **kwargs)
+            seen["calls"].append((int(visit_rows.size), len(result.infections)))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(ckernel, "accumulate_exposures", sized(ckernel.accumulate_exposures))
+    monkeypatch.setattr(
+        exposure, "blocked_pairwise_exposures", sized(exposure.blocked_pairwise_exposures)
+    )
+    monkeypatch.setattr(simulator, "compute_infections", recording(exposure.compute_infections))
+    with observe.observing() as obs:
+        simmering(kernel)
+
+    assert seen["arg0"] == obs.counters["exposure.candidates"] > 0
+    phases = [s for s in obs.closed_spans() if s.name == "exposure.compute"]
+    assert [(s.attrs["visits"], s.attrs["infections"]) for s in phases] == seen["calls"]
+    assert sum(visits for visits, _ in seen["calls"]) == obs.counters["exposure.visits"]
+    assert sum(infections for _, infections in seen["calls"]) > 0
+    # the filter is the point: most gathered visits cannot transmit
+    assert obs.counters["exposure.candidates"] < 0.25 * obs.counters["exposure.visits"]
+    assert 0 < obs.counters["exposure.active_blocks"] <= obs.counters["exposure.candidates"]

@@ -6,10 +6,11 @@ an untraced one — the observability layer's no-Heisenberg contract.
 """
 
 import numpy as np
+import pytest
 
 from repro import observe
 from repro.charm.machine import Machine, MachineConfig
-from repro.core import Scenario, SequentialSimulator, TransmissionModel
+from repro.core import Scenario, SequentialSimulator, TransmissionModel, ckernel
 from repro.core.parallel import Distribution, ParallelEpiSimdemics
 from repro.partition import partition_bipartite, round_robin_partition
 
@@ -81,6 +82,49 @@ class TestParallel:
         with observe.observing():
             par = self._run(tiny_graph)
         assert par.result.curve == seq.curve
+
+
+class TestExposure:
+    COUNTERS = ("exposure.visits", "exposure.candidates", "exposure.active_blocks")
+
+    def _phase(self, graph, kernel):
+        from repro.core import influenza_model
+        from repro.core.exposure import compute_infections
+        from repro.util.rng import RngFactory
+
+        disease = influenza_model()
+        state, _ = disease.initial_health(graph.n_persons)
+        state[::7] = disease.index["infectious_symptomatic"]
+        return compute_infections(
+            np.arange(graph.n_visits), graph, state, disease, TransmissionModel(2e-3),
+            0, RngFactory(3), collect_stats=True, kernel=kernel,
+        )
+
+    @pytest.mark.parametrize("kernel", ["flat", "grouped", "compiled"])
+    def test_traced_phase_equals_untraced(self, small_graph, kernel):
+        if kernel == "compiled" and not ckernel.available():
+            pytest.skip(f"no compiled kernel: {ckernel.build_error()}")
+        plain = self._phase(small_graph, kernel)
+        with observe.observing() as obs:
+            traced = self._phase(small_graph, kernel)
+        stages = {s.name for s in obs.closed_spans()}
+        assert {"exposure.compute", "exposure.filter", "exposure.gather"} < stages
+        assert len(plain.infections) > 0 and traced.infections == plain.infections
+        assert traced.events == plain.events
+        assert traced.interactions == plain.interactions
+
+    def test_work_counters_repeat_exactly(self, small_graph):
+        """Visits gathered, candidates kept, blocks that can transmit:
+        counts of work, equal on every run and under every kernel."""
+        seen = []
+        for kernel in ("flat", "flat", "grouped"):
+            with observe.observing() as obs:
+                self._phase(small_graph, kernel)
+            seen.append({name: obs.counters[name] for name in self.COUNTERS})
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0]["exposure.visits"] == small_graph.n_visits
+        assert 0 < seen[0]["exposure.active_blocks"] <= seen[0]["exposure.candidates"]
+        assert seen[0]["exposure.candidates"] < small_graph.n_visits
 
 
 class TestPartitioner:
