@@ -9,9 +9,11 @@ contagion simulation itself:
   simulation of arrive/depart events,
 * :mod:`repro.core.interventions` — the intervention DSL (vaccination,
   school closure, ...),
+* :mod:`repro.core.day` — the six-step per-day algorithm, once: phase
+  functions over one ``EpidemicState`` that every backend calls,
 * :mod:`repro.core.simulator` — the sequential reference simulator
-  executing the six-step per-day algorithm,
-* :mod:`repro.core.parallel` — the same algorithm as chares on the
+  running those phases over everything,
+* :mod:`repro.core.parallel` — the same phases as chares on the
   simulated Charm-like runtime (imported lazily to avoid a hard
   dependency cycle with :mod:`repro.charm`).
 """

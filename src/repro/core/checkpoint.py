@@ -6,9 +6,10 @@ preempted job must not redo a week of compute).  Because all randomness
 is keyed by ``(day, entity)``, resuming from a checkpoint reproduces
 the uninterrupted run *exactly*; the tests assert bit-equality.
 
-The checkpoint captures the PTTS arrays, the epidemic bookkeeping, the
-curve so far, and the declared mutable state of every intervention and
-model component (via ``checkpoint_state`` / ``restore_state`` on
+The checkpoint captures the :class:`~repro.core.day.EpidemicState`
+(the PTTS arrays and the epidemic bookkeeping), the curve so far, and
+the declared mutable state of every intervention and model component
+(via ``checkpoint_state`` / ``restore_state`` on
 :class:`~repro.core.interventions.Intervention`): trigger state in the
 JSON header, array-valued state — contact-tracing rosters, quarantine
 clocks — as first-class npz arrays.
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.day import EpidemicState
 from repro.core.metrics import EpiCurve
 from repro.core.scenario import Scenario
 from repro.core.simulator import SequentialSimulator
@@ -72,7 +74,7 @@ def save_checkpoint(sim: SequentialSimulator, path: str | Path) -> None:
     header = {
         "format_version": _FORMAT_VERSION,
         "day": sim.day,
-        "seeded": sim._seeded,
+        "seeded": sim.state.seeded,
         "scenario_seed": sim.scenario.seed,
         "n_persons": sim.scenario.graph.n_persons,
         "graph_name": sim.scenario.graph.name,
@@ -81,10 +83,7 @@ def save_checkpoint(sim: SequentialSimulator, path: str | Path) -> None:
     np.savez_compressed(
         path,
         header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        health_state=sim.health_state,
-        days_remaining=sim.days_remaining,
-        treatment=sim.treatment,
-        ever_infected=sim._ever_infected,
+        **{name: getattr(sim.state, name) for name in EpidemicState.ARRAYS},
         curve_new=curve_arrays["new_infections"],
         curve_prev=curve_arrays["prevalence"],
         **state_arrays,
@@ -123,12 +122,10 @@ def load_checkpoint(scenario: Scenario, path: str | Path) -> SequentialSimulator
         if header["n_persons"] != scenario.graph.n_persons:
             raise ValueError("checkpoint population size does not match the graph")
         sim = SequentialSimulator(scenario)
-        sim.health_state[:] = data["health_state"]
-        sim.days_remaining[:] = data["days_remaining"]
-        sim.treatment[:] = data["treatment"]
-        sim._ever_infected[:] = data["ever_infected"]
+        for name in EpidemicState.ARRAYS:
+            getattr(sim.state, name)[:] = data[name]
+        sim.state.seeded = bool(header["seeded"])
         sim.day = int(header["day"])
-        sim._seeded = bool(header["seeded"])
         _restore_component_states(scenario, header["interventions"], data)
         curve = EpiCurve()
         for n, p in zip(data["curve_new"].tolist(), data["curve_prev"].tolist()):

@@ -1,0 +1,293 @@
+"""The six-step day (paper §II-B, Figure 1) — written once.
+
+A day is an *algorithm*; a backend only decides who owns which rows and
+how records move.  This module holds the algorithm as plain functions
+over one struct-of-arrays (:class:`EpidemicState`):
+
+* **central steps** — run once per day by whoever drives the run (the
+  sequential loop, the charm ``_Driver`` through ``prepare_day`` /
+  ``finish_day``, the smp driver): :func:`open_day` (seed index cases
+  on the first call → :func:`prevalence` → cumulative attack →
+  :func:`day_context` → ``update_treatments``) and :func:`close_day`
+  (``post_apply`` → :func:`prevalence` → :class:`DayResult`);
+* **owned steps** — run over a set of persons / visit rows (the
+  sequential loop over everything, a ``_PersonManager`` /
+  ``_LocationManager`` chare or an smp worker over what it owns):
+  :func:`person_phase`, :func:`location_phase`, :func:`apply_phase`.
+
+Every call of ``DayContext(…)``, ``advance_day``, ``visit_mask``,
+``update_treatments``, ``compute_infections``, ``disease.infect`` and
+``post_apply`` under ``src/`` is in this file
+(``tests/test_one_of_everything.py`` pins that).
+
+Why the three backends stay bit-identical to what each ran before
+----------------------------------------------------------------
+1. **Order.**  Per day every backend still runs *seed → prevalence →
+   ctx → update_treatments → advance_day → visit_mask →
+   compute_infections → infect → post_apply → prevalence*; the
+   backends put barriers (detectors, rings, the day barrier) *between*
+   these calls, never reorder them.  ``tests/core/day_loop_reference.py``
+   keeps the previous sequential loop verbatim as the oracle.
+2. **Owned subsets.**  Draws are keyed by ``(day, person)`` /
+   ``(day, location, person)``, and ``advance_day(subset=…)``,
+   ``visit_mask(ctx, rows)`` and ``compute_infections(rows)`` over a
+   disjoint cover equal the whole-population calls (the contract those
+   functions already state), so *persons* / *rows* only select work.
+3. **Charges and frames.**  The functions return the counts
+   (``n_transitions``, surviving rows, :class:`LocationPhaseResult`)
+   the charm chares turn into virtual time with the float expressions
+   they always used, and the smp workers pack into the same report
+   frames (infect records already are the wire's int64 rows), so
+   modelled time and ``wire_bytes`` cannot move; nothing here charges.
+4. **Randomness.**  No key, draw or RNG-contract version changes: the
+   functions pass ``scenario.rng_factory`` (a pure function of the
+   scenario seed) to the same primitives with the same arguments.
+
+Nothing here imports :mod:`repro.smp`, :mod:`repro.charm` or
+``multiprocessing`` — the sequential path pays for none of them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.core.disease import UNTREATED
+from repro.core.exposure import LocationPhaseResult, compute_infections
+from repro.core.interventions import DayContext
+from repro.core.scenario import Scenario
+
+__all__ = [
+    "EpidemicState",
+    "DayResult",
+    "PhaseTimes",
+    "OwnershipPlan",
+    "prevalence",
+    "day_context",
+    "open_day",
+    "close_day",
+    "person_phase",
+    "location_phase",
+    "apply_phase",
+]
+
+
+@dataclass
+class EpidemicState:
+    """The per-person state of one run, as four parallel arrays.
+
+    The arrays are only ever mutated **in place** — simulators expose
+    them as ``sim.health_state`` etc. and the smp backend places them
+    in shared memory, so rebinding one would silently fork the state.
+    """
+
+    health_state: np.ndarray
+    days_remaining: np.ndarray
+    treatment: np.ndarray
+    ever_infected: np.ndarray
+    #: index cases drawn yet?  (:func:`open_day` seeds on its first call)
+    seeded: bool = False
+
+    #: the array fields — also the checkpoint's npz keys
+    ARRAYS = ("health_state", "days_remaining", "treatment", "ever_infected")
+
+    @classmethod
+    def initial(cls, scenario: Scenario) -> "EpidemicState":
+        """Everyone susceptible and untreated, nobody ever infected."""
+        n = scenario.graph.n_persons
+        health_state, days_remaining = scenario.disease.initial_health(n)
+        return cls(
+            health_state=health_state,
+            days_remaining=days_remaining,
+            treatment=np.full(n, UNTREATED, dtype=np.int32),
+            ever_infected=np.zeros(n, dtype=bool),
+        )
+
+
+@dataclass
+class DayResult:
+    """What one simulated day produced."""
+
+    day: int
+    visits_made: int
+    new_infections: int
+    transitions: int
+    prevalence: float
+
+
+@dataclass
+class PhaseTimes:
+    """One day's phase boundaries: virtual seconds on the simulated
+    runtime, measured wall-clock seconds from the run origin on smp
+    (each boundary is the *last* worker's crossing)."""
+
+    day: int
+    start: float
+    visits_done: float
+    locations_done: float
+    day_done: float
+
+    @property
+    def person_phase(self) -> float:
+        return self.visits_done - self.start
+
+    @property
+    def location_phase(self) -> float:
+        return self.locations_done - self.visits_done
+
+    @property
+    def total(self) -> float:
+        return self.day_done - self.start
+
+
+@dataclass
+class OwnershipPlan:
+    """Who owns what: persons (and their visit rows) per PersonManager,
+    locations per LocationManager — chares on the simulated runtime,
+    the two halves of a worker process on smp."""
+
+    #: person id -> owning PersonManager
+    person_owner: np.ndarray
+    #: location id -> owning LocationManager
+    location_owner: np.ndarray
+    #: per PersonManager: owned person ids (ascending)
+    persons: list[np.ndarray]
+    #: per PersonManager: visit rows of its persons (ascending)
+    visit_rows: list[np.ndarray]
+    #: per LocationManager: owned location ids (ascending)
+    locations: list[np.ndarray]
+
+    @classmethod
+    def build(
+        cls, graph, person_owner: np.ndarray, location_owner: np.ndarray,
+        n_pm: int, n_lm: int,
+    ) -> "OwnershipPlan":
+        person_owner = person_owner.astype(np.int64, copy=False)
+        location_owner = location_owner.astype(np.int64, copy=False)
+        row_owner = person_owner[graph.visit_person]
+        return cls(
+            person_owner=person_owner,
+            location_owner=location_owner,
+            persons=[np.flatnonzero(person_owner == c) for c in range(n_pm)],
+            visit_rows=[np.flatnonzero(row_owner == c) for c in range(n_pm)],
+            locations=[np.flatnonzero(location_owner == c) for c in range(n_lm)],
+        )
+
+
+# ----------------------------------------------------------------------
+# central steps
+# ----------------------------------------------------------------------
+def prevalence(state: EpidemicState, scenario: Scenario) -> float:
+    """Fraction of persons currently infected: ever infected, not
+    susceptible any more, not yet settled into a terminal state."""
+    d = scenario.disease
+    infected_now = state.ever_infected & (state.health_state != d.susceptible_index)
+    infected_now &= ~d.is_terminal[state.health_state]
+    return float(infected_now.sum()) / max(1, scenario.graph.n_persons)
+
+
+def day_context(
+    state: EpidemicState, scenario: Scenario, day: int,
+    prevalence: float, cumulative_attack: float,
+) -> DayContext:
+    """The day's :class:`DayContext` over the live state arrays.
+
+    The driver passes what it just measured; an smp worker passes the
+    two floats it received with the day kick.
+    """
+    return DayContext(
+        day=day,
+        graph=scenario.graph,
+        disease=scenario.disease,
+        health_state=state.health_state,
+        treatment=state.treatment,
+        prevalence=prevalence,
+        cumulative_attack=cumulative_attack,
+        rng_factory=scenario.rng_factory,
+        days_remaining=state.days_remaining,
+    )
+
+
+def open_day(state: EpidemicState, scenario: Scenario, day: int) -> tuple[DayContext, int]:
+    """Central start of day; returns the context and the number of
+    index cases seeded (non-zero on a run's first day only).
+
+    The context carries start-of-day (pre-transition) prevalence so
+    central intervention decisions are identical in every backend.
+    """
+    seeded = 0
+    if not state.seeded:
+        # Index cases are infect messages applied on "day -1".
+        seeded = apply_phase(state, scenario, -1, scenario.index_cases())
+        state.seeded = True
+    ctx = day_context(
+        state, scenario, day,
+        prevalence(state, scenario), float(state.ever_infected.mean()),
+    )
+    scenario.interventions.update_treatments(ctx)
+    return ctx, seeded
+
+
+def close_day(
+    state: EpidemicState, scenario: Scenario, ctx: DayContext, *,
+    seeded: int, visits_made: int, transitions: int, infected: int,
+) -> DayResult:
+    """Central end of day, once every owner has applied its infections.
+
+    ``post_apply`` is where components edit state centrally: after the
+    day's infections are in, before prevalence is recorded.
+    """
+    scenario.interventions.post_apply(ctx)
+    return DayResult(
+        day=ctx.day,
+        visits_made=visits_made,
+        new_infections=infected + seeded,
+        transitions=transitions,
+        prevalence=prevalence(state, scenario),
+    )
+
+
+# ----------------------------------------------------------------------
+# owned steps
+# ----------------------------------------------------------------------
+def person_phase(
+    state: EpidemicState, scenario: Scenario, ctx: DayContext,
+    persons: np.ndarray | None = None, rows: np.ndarray | None = None,
+) -> tuple[int, np.ndarray]:
+    """Step 1 for ``persons`` and their visit ``rows`` (None = everyone):
+    fire due PTTS transitions, then filter the day's visits through the
+    interventions.  Returns ``(n_transitions, surviving visit rows)``.
+    """
+    changed = scenario.disease.advance_day(
+        state.health_state, state.days_remaining, state.treatment,
+        ctx.day, ctx.rng_factory, subset=persons,
+    )
+    keep = scenario.interventions.visit_mask(ctx, rows)
+    return int(changed.size), np.flatnonzero(keep) if rows is None else rows[keep]
+
+
+def location_phase(
+    state: EpidemicState, scenario: Scenario, day: int, rows: np.ndarray,
+    kernel: str | None = None, collect_stats: bool = False,
+) -> LocationPhaseResult:
+    """Step 3 over visit ``rows`` (ascending, whole locations)."""
+    return compute_infections(
+        rows, scenario.graph, state.health_state, scenario.disease,
+        scenario.transmission, day, scenario.rng_factory,
+        collect_stats=collect_stats, kernel=kernel,
+    )
+
+
+def apply_phase(
+    state: EpidemicState, scenario: Scenario, day: int, persons: np.ndarray
+) -> int:
+    """Step 5: apply the infect messages addressed to ``persons``;
+    returns how many were actually infected (duplicates and the no
+    longer susceptible drop out)."""
+    infected = scenario.disease.infect(
+        persons, state.health_state, state.days_remaining, state.treatment,
+        day=day, rng_factory=scenario.rng_factory,
+    )
+    state.ever_infected[infected] = True
+    return int(infected.size)

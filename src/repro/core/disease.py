@@ -278,6 +278,12 @@ class DiseaseModel:
         self.symptomatic = np.array([s.symptomatic for s in states], dtype=bool)
         self.is_infectious = self.infectivity > 0
         self.is_susceptible = self.susceptibility > 0
+        # Non-infectious absorbing states are terminal even when
+        # partially susceptible (e.g. a cross-immune recovered state):
+        # a person there is not "currently infected" any more.
+        self.is_terminal = np.array(
+            [s.dwell.kind == DwellKind.FOREVER and not s.is_infectious for s in states]
+        )
 
         # Validate transitions and cache (state, treatment) -> (targets, cumprobs).
         self._compiled: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}

@@ -79,16 +79,21 @@ class InfectionEvent:
 class LocationPhaseResult:
     """Infections plus the dynamic-load statistics of the phase."""
 
-    infections: list[InfectionEvent] = field(default_factory=list)
+    #: the phase's infect messages in emission order, one int64
+    #: ``(person, location, minute)`` row each — the record layout the
+    #: smp infect rings carry (``repro.smp.layout.INFECT_RECORD``)
+    records: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.int64))
     #: per-location event counts (2 × processed visits), keyed by location id
     events: Counter = field(default_factory=Counter)
     #: per-location S×I interaction counts
     interactions: Counter = field(default_factory=Counter)
 
-    def merge(self, other: "LocationPhaseResult") -> None:
-        self.infections.extend(other.infections)
-        self.events.update(other.events)
-        self.interactions.update(other.interactions)
+    @property
+    def infections(self) -> list[InfectionEvent]:
+        """Read-only object view of :attr:`records` for code that
+        inspects events one at a time (oracle, invariant checker,
+        tests); nothing on the run path builds it."""
+        return [InfectionEvent(p, loc, m) for p, loc, m in self.records.tolist()]
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,7 @@ def compute_infections(
         )
         if candidates is not None:
             impl(result, candidates, graph, disease, transmission, day, rng_factory, collect_stats)
-        obs_span.set(infections=len(result.infections))
+        obs_span.set(infections=len(result.records))
     return result
 
 
@@ -243,12 +248,8 @@ def _draw_and_emit(
         probs = transmission.probability(total_h)
         u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
     with observe.span("exposure.emit"):
-        for j in np.flatnonzero(u < probs):
-            result.infections.append(
-                InfectionEvent(
-                    person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
-                )
-            )
+        hit = u < probs
+        result.records = np.column_stack((persons[hit], locs[hit], first_minute[hit]))
 
 
 def _flat_kernel(
@@ -385,6 +386,7 @@ def _grouped_kernel(
 ) -> None:
     """Reference kernel: per-location loop, per-person keyed Generators."""
     c = candidates
+    records: list[tuple[int, int, int]] = []
     with observe.span("exposure.sort"):
         order = np.argsort(c.location, kind="stable")
         boundaries = np.flatnonzero(np.diff(c.location[order])) + 1
@@ -415,6 +417,5 @@ def _grouped_kernel(
             for j, p in enumerate(uniq_p):
                 u = rng_factory.stream(RngFactory.LOCATION, day, loc, int(p)).random()
                 if u < probs[j]:
-                    result.infections.append(
-                        InfectionEvent(person=int(p), location=loc, minute=int(first_minute[j]))
-                    )
+                    records.append((int(p), loc, int(first_minute[j])))
+    result.records = np.array(records, dtype=np.int64).reshape(-1, 3)

@@ -67,9 +67,7 @@ class DayContext:
     prevalence: float
     cumulative_attack: float
     rng_factory: RngFactory
-    #: live dwell-timer array; set wherever components may edit state
-    #: (the central driver), None on chare/worker contexts that only
-    #: filter visits.
+    #: live dwell-timer array, for components that edit state centrally
     days_remaining: np.ndarray | None = None
 
 

@@ -39,12 +39,13 @@ from repro.charm.machine import Machine, MachineConfig
 from repro.charm.messages import INFECT_BYTES, VISIT_BYTES
 from repro.charm.network import NetworkModel
 from repro.charm.scheduler import RuntimeSimulator
-from repro.core.disease import UNTREATED
-from repro.core.exposure import compute_infections
+from repro.core import day as day_steps
+from repro.core.day import DayResult, EpidemicState, OwnershipPlan, PhaseTimes
+from repro.core.exposure import KERNELS
 from repro.core.interventions import DayContext
 from repro.core.metrics import EpiCurve, state_histogram
 from repro.core.scenario import Scenario
-from repro.core.simulator import DayResult, SimulationResult
+from repro.core.simulator import SimulationResult
 from repro.loadmodel.dynamic import DynamicLoadModel
 from repro.loadmodel.static import PAPER_STATIC_MODEL, PiecewiseLoadModel
 from repro.partition.quality import BipartitePartition
@@ -118,29 +119,6 @@ class Distribution:
 
 
 @dataclass
-class PhaseTimes:
-    """Virtual-time stamps of one day's phase boundaries."""
-
-    day: int
-    start: float
-    visits_done: float
-    locations_done: float
-    day_done: float
-
-    @property
-    def person_phase(self) -> float:
-        return self.visits_done - self.start
-
-    @property
-    def location_phase(self) -> float:
-        return self.locations_done - self.visits_done
-
-    @property
-    def total(self) -> float:
-        return self.day_done - self.start
-
-
-@dataclass
 class ParallelResult:
     """Epidemic output + virtual timing of a parallel run."""
 
@@ -163,22 +141,18 @@ class _PersonManager(Chare):
         self.persons = persons
         self.rows = rows  # all visit rows owned by this PM's persons
         self.pending_infections: list[int] = []
-        self.new_today = 0
 
     def person_phase(self, day: int) -> None:
         sim = self.sim
         cost = sim.costs
-        d = sim.scenario.disease
-        changed = d.advance_day(
-            sim.health_state, sim.days_remaining, sim.treatment, day,
-            sim.rng_factory, subset=self.persons,
+        n_changed, rows = day_steps.person_phase(
+            sim.state, sim.scenario, sim.day_ctx, self.persons, self.rows
         )
+        sim.day_transitions += n_changed
         self.charge(
             cost.person_health_cost * self.persons.size
-            + cost.transition_cost * changed.size
+            + cost.transition_cost * n_changed
         )
-        keep = sim.scenario.interventions.visit_mask(sim.day_ctx, self.rows)
-        rows = self.rows[keep]
         self.charge(cost.visit_compute_cost * rows.size)
         if sim.checker is not None:
             sim.checker.record_visits_sent(rows)
@@ -202,19 +176,14 @@ class _PersonManager(Chare):
         sim = self.sim
         pending = np.asarray(self.pending_infections, dtype=np.int64)
         self.pending_infections = []
-        infected = sim.scenario.disease.infect(
-            pending, sim.health_state, sim.days_remaining, sim.treatment,
-            day=day, rng_factory=sim.rng_factory,
-        )
-        sim.ever_infected[infected] = True
+        infected = day_steps.apply_phase(sim.state, sim.scenario, day, pending)
         self.charge(sim.costs.infect_apply_cost * max(1, pending.size))
-        self.contribute(sim.name("day_stats"), int(infected.size))
+        self.contribute(sim.name("day_stats"), infected)
 
 
 class _LocationManager(Chare):
-    def __init__(self, sim: "ParallelEpiSimdemics", locations: np.ndarray):
+    def __init__(self, sim: "ParallelEpiSimdemics"):
         self.sim = sim
-        self.locations = locations
         self.buffered_rows: list[np.ndarray] = []
 
     def recv_visits(self, rows: np.ndarray) -> None:
@@ -227,16 +196,13 @@ class _LocationManager(Chare):
         sim = self.sim
         rows = np.sort(np.concatenate(self.buffered_rows or [np.empty(0, dtype=np.int64)]))
         self.buffered_rows = []
-        phase = compute_infections(
-            rows, sim.graph, sim.health_state, sim.scenario.disease,
-            sim.scenario.transmission, day, sim.rng_factory, collect_stats=True,
-            kernel=sim.kernel,
+        phase = day_steps.location_phase(
+            sim.state, sim.scenario, day, rows, kernel=sim.kernel, collect_stats=True
         )
         if sim.checker is not None:
             sim.checker.record_infections(day, phase.infections)
         # Feed the predictive load balancer's application-specific view.
-        for loc, inter in phase.interactions.items():
-            sim.last_interactions[loc] = inter
+        sim.last_interactions.update(phase.interactions)
         static = sim.costs.location_static
         dynamic = sim.costs.location_dynamic
         compute = 0.0
@@ -249,12 +215,12 @@ class _LocationManager(Chare):
         det = sim.infect_detector
         pm_of = sim.distribution.person_chare
         pm_name = sim.name("pm")
-        for ev in phase.infections:
+        # One infect message per infection, in emission order.
+        for (person, _loc, minute), pm in zip(
+            phase.records.tolist(), pm_of[phase.records[:, 0]].tolist()
+        ):
             det.produce()
-            self.send(
-                pm_name, int(pm_of[ev.person]), "recv_infect",
-                (ev.person, ev.minute), INFECT_BYTES,
-            )
+            self.send(pm_name, pm, "recv_infect", (person, minute), INFECT_BYTES)
         det.producer_done()
 
 
@@ -370,16 +336,6 @@ class ParallelEpiSimdemics:
     namespace:
         Prefix applied to every array/channel/detector name this
         simulation creates on the runtime.
-    backend:
-        ``"charm"`` (default) simulates the chare runtime in virtual
-        time; ``"smp"`` executes the same decomposition on real OS
-        processes over shared memory
-        (:class:`~repro.smp.SmpSimulator` — one worker per chare
-        pair, i.e. ``distribution.n_pm`` workers).  The epidemic is
-        bit-identical either way; with ``"smp"``, :meth:`run` returns
-        an :class:`~repro.smp.SmpResult` whose phase times are
-        *measured* wall-clock seconds instead of modelled virtual
-        time.
     """
 
     def __init__(
@@ -399,38 +355,7 @@ class ParallelEpiSimdemics:
         namespace: str = "",
         kernel: str | None = None,
         validate: bool = False,
-        backend: str = "charm",
     ):
-        from repro.core.exposure import KERNELS
-
-        if backend not in ("charm", "smp"):
-            raise ValueError("backend must be 'charm' or 'smp'")
-        self.backend = backend
-        if backend == "smp":
-            if distribution.n_pm != distribution.n_lm:
-                raise ValueError(
-                    "backend='smp' needs matching PM/LM counts "
-                    "(one worker runs one PM and one LM)"
-                )
-            from repro.partition.quality import BipartitePartition
-            from repro.smp import SmpSimulator
-
-            self.scenario = scenario
-            self.graph = scenario.graph
-            self.distribution = distribution
-            self.kernel = kernel
-            self._smp = SmpSimulator(
-                scenario,
-                n_workers=distribution.n_pm,
-                partition=BipartitePartition(
-                    person_part=distribution.person_chare,
-                    location_part=distribution.location_chare,
-                    k=distribution.n_pm,
-                    method=distribution.method,
-                ),
-                kernel=kernel,
-            )
-            return
         if sync not in ("cd", "qd"):
             raise ValueError("sync must be 'cd' or 'qd'")
         if delivery not in ("aggregated", "direct", "tram"):
@@ -470,15 +395,16 @@ class ParallelEpiSimdemics:
         else:
             self.checker = None
 
-        d = scenario.disease
-        g = self.graph
-        self.health_state, self.days_remaining = d.initial_health(g.n_persons)
-        self.treatment = np.full(g.n_persons, UNTREATED, dtype=np.int32)
-        self.ever_infected = np.zeros(g.n_persons, dtype=bool)
+        self.state = EpidemicState.initial(scenario)
+        # the same ndarrays, mutated in place only (see EpidemicState)
+        self.health_state = self.state.health_state
+        self.days_remaining = self.state.days_remaining
+        self.treatment = self.state.treatment
+        self.ever_infected = self.state.ever_infected
         self.day = 0
         self.day_ctx: DayContext | None = None
-        self._seeded = False
         self._seeded_count = 0
+        self.day_transitions = 0  # PTTS transitions fired today, over all PMs
         self.curve = EpiCurve()
         self.phase_times: list[PhaseTimes] = []
         self.day_results: list[DayResult] = []
@@ -490,20 +416,12 @@ class ParallelEpiSimdemics:
         self.last_interactions: dict[int, int] = {}
         self._cost_snapshot: dict[tuple[str, int], float] = {}
 
-        # Pre-compute per-chare object lists.
         dist = distribution
-        pm_persons = [np.flatnonzero(dist.person_chare == c) for c in range(dist.n_pm)]
-        ptr = g.person_visit_slices()
-        all_rows = np.arange(g.n_visits, dtype=np.int64)
-        pm_rows = [
-            np.concatenate([all_rows[ptr[p] : ptr[p + 1]] for p in persons])
-            if persons.size
-            else np.empty(0, dtype=np.int64)
-            for persons in pm_persons
-        ]
-        lm_locations = [np.flatnonzero(dist.location_chare == c) for c in range(dist.n_lm)]
+        plan = OwnershipPlan.build(
+            self.graph, dist.person_chare, dist.location_chare, dist.n_pm, dist.n_lm
+        )
         if self.checker is not None:
-            self.checker.check_partition(pm_persons, pm_rows, lm_locations)
+            self.checker.check_partition(plan.persons, plan.visit_rows, plan.locations)
 
         rt = self.runtime
         if delivery == "tram":
@@ -514,12 +432,12 @@ class ParallelEpiSimdemics:
             )
         rt.create_array(
             self.name("pm"),
-            lambda i: _PersonManager(self, pm_persons[i], pm_rows[i]),
+            lambda i: _PersonManager(self, plan.persons[i], plan.visit_rows[i]),
             dist.pm_placement,
         )
         rt.create_array(
             self.name("lm"),
-            lambda i: _LocationManager(self, lm_locations[i]),
+            lambda i: _LocationManager(self),
             dist.lm_placement,
         )
         rt.create_array(
@@ -534,7 +452,6 @@ class ParallelEpiSimdemics:
         )
         if lb_period is not None:
             rt.enable_chare_cost_tracking(self.name("lm"))
-        self._lm_locations = lm_locations
 
     @classmethod
     def from_spec(cls, spec, graph=None, partition=None) -> "ParallelEpiSimdemics":
@@ -575,42 +492,10 @@ class ParallelEpiSimdemics:
     # ------------------------------------------------------------------
     def prepare_day(self, day: int) -> None:
         """Central start-of-day work: seeding, treatments, day context."""
-        sc = self.scenario
-        d = sc.disease
-        if not self._seeded:
-            cases = sc.index_cases()
-            infected = d.infect(
-                cases, self.health_state, self.days_remaining, self.treatment,
-                day=-1, rng_factory=self.rng_factory,
-            )
-            self.ever_infected[infected] = True
-            self._seeded_count = int(infected.size)
-            self._seeded = True
-        self.day_ctx = DayContext(
-            day=day,
-            graph=self.graph,
-            disease=d,
-            health_state=self.health_state,
-            treatment=self.treatment,
-            prevalence=self._prevalence(),
-            cumulative_attack=float(self.ever_infected.mean()),
-            rng_factory=self.rng_factory,
-            days_remaining=self.days_remaining,
-        )
-        sc.interventions.update_treatments(self.day_ctx)
+        self.day_ctx, self._seeded_count = day_steps.open_day(self.state, self.scenario, day)
+        self.day_transitions = 0
         if self.checker is not None:
             self.checker.begin_day(day, self.health_state)
-
-    def _prevalence(self) -> float:
-        d = self.scenario.disease
-        if not hasattr(self, "_terminal_states"):
-            self._terminal_states = np.array(
-                [s.dwell.kind.name == "FOREVER" and not s.is_infectious
-                 for s in d.states]
-            )
-        now = self.ever_infected & (self.health_state != d.susceptible_index)
-        now &= ~self._terminal_states[self.health_state]
-        return float(now.sum()) / max(1, self.graph.n_persons)
 
     def maybe_rebalance(self, day: int) -> float:
         """Run an LB step if due; return its virtual-time cost (0 if not).
@@ -657,24 +542,16 @@ class ParallelEpiSimdemics:
 
     def finish_day(self, new_infections: int, times: PhaseTimes) -> None:
         """Called by the driver when a day's reduction arrives."""
-        total_new = new_infections + (self._seeded_count if self.day == 0 else 0)
-        # Post-apply hook: same algorithmic point as the sequential
-        # simulator (after the apply phase, before prevalence).
-        self.scenario.interventions.post_apply(self.day_ctx)
-        prev = self._prevalence()
-        self.curve.record_day(total_new, prev)
+        result = day_steps.close_day(
+            self.state, self.scenario, self.day_ctx, seeded=self._seeded_count,
+            # the detector keeps the day's count until start_day re-arms it
+            visits_made=int(self.visit_detector.produced.sum()),
+            transitions=self.day_transitions, infected=new_infections,
+        )
+        self.curve.record_day(result.new_infections, result.prevalence)
         if self.checker is not None:
             self.checker.end_day(self.day, self.health_state, self.ever_infected, self.curve)
-        self.day_results.append(
-            DayResult(
-                day=self.day,
-                # the detector keeps the day's count until start_day re-arms it
-                visits_made=int(self.visit_detector.produced.sum()),
-                new_infections=total_new,
-                transitions=0,
-                prevalence=prev,
-            )
-        )
+        self.day_results.append(result)
         self.phase_times.append(times)
         self.day += 1
 
@@ -706,13 +583,7 @@ class ParallelEpiSimdemics:
         executions are ingested as virtual spans — the Projections-style
         per-PE timeline view.  Tracing draws no random numbers, so the
         epidemic is bit-identical with or without it.
-
-        With ``backend="smp"`` the run instead executes on real worker
-        processes and returns an :class:`~repro.smp.SmpResult` (same
-        ``.result`` payload; measured wall-clock phase times).
         """
-        if self.backend == "smp":
-            return self._smp.run()
         obs = observe.active()
         tracer = None
         if obs is not None:

@@ -14,8 +14,8 @@ Entry points:
 
 * :class:`~repro.smp.backend.SmpSimulator` — run a scenario on N
   worker processes (``SmpSimulator(sc, n_workers=4).run()``);
-* ``ParallelEpiSimdemics(..., backend="smp")`` / ``repro run
-  --backend smp --workers N`` — the integrated surfaces;
+* ``RuntimeSpec(backend="smp")`` through :func:`repro.spec.execute` /
+  ``repro run --backend smp --workers N`` — the integrated surfaces;
 * :func:`~repro.validate.oracle.run_smp_matrix` — certify
   bit-exactness against :class:`~repro.core.simulator.
   SequentialSimulator`;
@@ -23,9 +23,9 @@ Entry points:
   (writes ``BENCH_smp.json``).
 """
 
-from repro.smp.backend import SmpPhaseTimes, SmpResult, SmpSimulator, SmpWorkerError
+from repro.smp.backend import SmpResult, SmpSimulator, SmpWorkerError
 from repro.smp.completion import PhaseTimeout, ShmPhaseDetector
-from repro.smp.layout import SmpPlan, block_partition, build_shared_state
+from repro.smp.layout import block_partition, build_shared_state
 from repro.smp.presets import heavy_tailed_graph
 from repro.smp.ring import Mailbox, RingFull, RingGrid
 from repro.smp.shm import SharedArena
@@ -33,11 +33,9 @@ from repro.smp.shm import SharedArena
 __all__ = [
     "SmpSimulator",
     "SmpResult",
-    "SmpPhaseTimes",
     "SmpWorkerError",
     "ShmPhaseDetector",
     "PhaseTimeout",
-    "SmpPlan",
     "block_partition",
     "build_shared_state",
     "heavy_tailed_graph",

@@ -1,14 +1,15 @@
 """Driver for the shared-memory multi-process backend (paper §IV-A).
 
-:class:`SmpSimulator` runs the six-step day loop on real OS processes:
-it lays the population state out in shared memory
+:class:`SmpSimulator` runs the six-step day (:mod:`repro.core.day`) on
+real OS processes: it lays the population state out in shared memory
 (:mod:`repro.smp.layout`), forks ``n_workers`` PEs running
 :func:`~repro.smp.worker.worker_main`, and then orchestrates days —
-everything the sequential simulator does *centrally* (index-case
-seeding, intervention treatment updates, prevalence bookkeeping) stays
-on the driver, in exactly the sequential order, while the person /
-location / apply phases execute in parallel on the workers with visit
-and infect traffic crossing PE boundaries through shared ring buffers.
+the central steps (:func:`~repro.core.day.open_day` /
+:func:`~repro.core.day.close_day`: index-case seeding, intervention
+treatment updates, prevalence bookkeeping) stay on the driver, in
+exactly the sequential order, while the person / location / apply
+phases execute in parallel on the workers with visit and infect
+traffic crossing PE boundaries through shared ring buffers.
 
 The result is **bit-identical** to
 :class:`~repro.core.simulator.SequentialSimulator` (same infection
@@ -50,45 +51,21 @@ from multiprocessing.connection import wait as _conn_wait
 import numpy as np
 
 from repro import observe
-from repro.core.exposure import InfectionEvent
-from repro.core.interventions import DayContext
+from repro.core import day as day_steps
+from repro.core.day import OwnershipPlan, PhaseTimes
 from repro.core.metrics import EpiCurve, state_histogram
 from repro.core.scenario import Scenario
-from repro.core.simulator import DayResult, SimulationResult
+from repro.core.simulator import SimulationResult
 from repro.partition.quality import BipartitePartition
 from repro.smp import protocol
-from repro.smp.layout import SmpPlan, block_partition, build_shared_state
+from repro.smp.layout import block_partition, build_shared_state
 from repro.smp.worker import WorkerContext, worker_main
 
-__all__ = ["SmpSimulator", "SmpResult", "SmpPhaseTimes", "SmpWorkerError"]
+__all__ = ["SmpSimulator", "SmpResult", "SmpWorkerError"]
 
 
 class SmpWorkerError(RuntimeError):
     """A worker process died or reported an exception; the run aborted."""
-
-
-@dataclass
-class SmpPhaseTimes:
-    """Measured wall-clock phase boundaries of one day (seconds from
-    the run origin; each boundary is the *last* worker's crossing)."""
-
-    day: int
-    start: float
-    visits_done: float
-    locations_done: float
-    day_done: float
-
-    @property
-    def person_phase(self) -> float:
-        return self.visits_done - self.start
-
-    @property
-    def location_phase(self) -> float:
-        return self.locations_done - self.visits_done
-
-    @property
-    def total(self) -> float:
-        return self.day_done - self.start
 
 
 @dataclass
@@ -98,9 +75,11 @@ class SmpResult:
     result: SimulationResult
     n_workers: int
     wall_seconds: float
-    phase_times: list[SmpPhaseTimes] = field(default_factory=list)
-    #: per-day infection events, as the oracle diffs them
-    infection_log: dict[int, list[InfectionEvent]] = field(default_factory=dict)
+    #: measured wall-clock phase boundaries, seconds from the run origin
+    phase_times: list[PhaseTimes] = field(default_factory=list)
+    #: per-day applied infect records, one int64 ``(person, location,
+    #: minute)`` row each, as the workers reported them
+    infection_log: dict[int, np.ndarray] = field(default_factory=dict)
     final_health_state: np.ndarray | None = None
     final_days_remaining: np.ndarray | None = None
     #: total ring-full stalls across workers and days
@@ -180,24 +159,19 @@ class SmpSimulator:
                 )
         self.scenario = scenario
         self.n_workers = n_workers
-        self.plan = SmpPlan.from_partition(g, partition)
+        partition.validate_against(g)
+        self.plan = OwnershipPlan.build(
+            g, partition.person_part, partition.location_part, n_workers, n_workers
+        )
         self.kernel = kernel
         self.ring_capacity = ring_capacity
         self.burst_bytes = burst_bytes
         self.collect_location_stats = collect_location_stats
         self.timeout = timeout
         self._fault = _fault
-        self.rng_factory = scenario.rng_factory
         # Clear component trigger/array state before the workers fork a
         # snapshot of the scenario, so one Scenario is reusable.
         scenario.interventions.reset()
-        d = scenario.disease
-        self._terminal_states = np.array(
-            [
-                s.dwell.kind.name == "FOREVER" and not s.is_infectious
-                for s in d.states
-            ]
-        )
 
     @classmethod
     def from_spec(cls, spec, graph=None, partition=None) -> "SmpSimulator":
@@ -222,13 +196,6 @@ class SmpSimulator:
         )
 
     # ------------------------------------------------------------------
-    def _prevalence(self, health_state, ever_infected) -> float:
-        d = self.scenario.disease
-        infected_now = ever_infected & (health_state != d.susceptible_index)
-        infected_now &= ~self._terminal_states[health_state]
-        return float(infected_now.sum()) / max(1, self.scenario.graph.n_persons)
-
-    # ------------------------------------------------------------------
     def run(self) -> SmpResult:
         with observe.span(
             "smp.run", workers=self.n_workers, days=self.scenario.n_days
@@ -237,7 +204,6 @@ class SmpSimulator:
 
     def _run(self) -> SmpResult:
         sc = self.scenario
-        d = sc.disease
         n = self.n_workers
         mp = multiprocessing.get_context("fork")
         shared = build_shared_state(sc, n, self.ring_capacity)
@@ -265,23 +231,11 @@ class SmpSimulator:
             curve = EpiCurve()
             result = SimulationResult(curve=curve, final_histogram={})
             out = SmpResult(result=result, n_workers=n, wall_seconds=0.0)
-            seeded = self._seed(shared)
+            state = shared.state
 
             for day in range(sc.n_days):
                 day_start = time.perf_counter() - t_origin
-                prevalence = self._prevalence(
-                    shared.health_state, shared.ever_infected
-                )
-                ctx = DayContext(
-                    day=day, graph=sc.graph, disease=d,
-                    health_state=shared.health_state,
-                    treatment=shared.treatment,
-                    prevalence=prevalence,
-                    cumulative_attack=float(shared.ever_infected.mean()),
-                    rng_factory=self.rng_factory,
-                    days_remaining=shared.days_remaining,
-                )
-                sc.interventions.update_treatments(ctx)
+                ctx, seeded = day_steps.open_day(state, sc, day)
                 # Workers are parked on their pipes; counters are quiet.
                 shared.visit_counters[:] = 0
                 shared.infect_counters[:] = 0
@@ -290,7 +244,7 @@ class SmpSimulator:
                 # stale pre-run snapshots otherwise.  Empty for the
                 # built-in interventions (exact 32-byte budget).
                 kick = protocol.encode_day(
-                    day, prevalence, ctx.cumulative_attack,
+                    day, ctx.prevalence, ctx.cumulative_attack,
                     sc.interventions.wire_state(),
                 )
                 for conn in parent_conns:
@@ -301,15 +255,14 @@ class SmpSimulator:
                     procs, parent_conns, shared, day, out
                 )
                 self._ingest_day(
-                    out, day, day_start, t_origin, reports,
-                    seeded if day == 0 else 0, shared, ctx,
+                    out, day_start, t_origin, reports, seeded, state, ctx
                 )
 
+            out.final_health_state = state.health_state.copy()
+            out.final_days_remaining = state.days_remaining.copy()
             out.result.final_histogram = state_histogram(
-                shared.health_state.copy(), d
+                out.final_health_state, sc.disease
             )
-            out.final_health_state = shared.health_state.copy()
-            out.final_days_remaining = shared.days_remaining.copy()
             out.wall_seconds = time.perf_counter() - t_origin
             stop = protocol.encode_stop()
             for conn in parent_conns:
@@ -330,15 +283,6 @@ class SmpSimulator:
             shared.arena.close()
 
     # ------------------------------------------------------------------
-    def _seed(self, shared) -> int:
-        cases = self.scenario.index_cases()
-        infected = self.scenario.disease.infect(
-            cases, shared.health_state, shared.days_remaining,
-            shared.treatment, day=-1, rng_factory=self.rng_factory,
-        )
-        shared.ever_infected[infected] = True
-        return int(infected.size)
-
     def _collect_reports(
         self, procs, conns, shared, day, out: SmpResult
     ) -> list[protocol.DayReport]:
@@ -391,29 +335,21 @@ class SmpSimulator:
         return reports
 
     def _ingest_day(
-        self, out: SmpResult, day, day_start, t_origin, reports, seeded, shared, ctx
+        self, out: SmpResult, day_start, t_origin, reports, seeded, state, ctx
     ) -> None:
-        new_infections = sum(r.infected for r in reports) + seeded
-        # Post-apply hook on the shared arrays: the workers have all
-        # reported and are parked on their pipes, so this central edit
-        # is race-free and lands at the same algorithmic point as the
-        # sequential simulator (after apply, before prevalence).
-        self.scenario.interventions.post_apply(ctx)
-        prevalence = self._prevalence(shared.health_state, shared.ever_infected)
-        day_result = DayResult(
-            day=day,
+        day = ctx.day
+        # The workers have all reported and are parked on their pipes,
+        # so close_day's central post_apply edit of the shared arrays is
+        # race-free.
+        day_result = day_steps.close_day(
+            state, self.scenario, ctx, seeded=seeded,
             visits_made=sum(r.visits_made for r in reports),
-            new_infections=new_infections,
             transitions=sum(r.transitions for r in reports),
-            prevalence=prevalence,
+            infected=sum(r.infected for r in reports),
         )
         out.result.days.append(day_result)
-        out.result.curve.record_day(new_infections, prevalence)
-        out.infection_log[day] = [
-            InfectionEvent(person=int(p), location=int(loc), minute=int(m))
-            for r in reports
-            for (p, loc, m) in r.events.tolist()
-        ]
+        out.result.curve.record_day(day_result.new_infections, day_result.prevalence)
+        out.infection_log[day] = np.concatenate([r.events for r in reports])
         out.backpressure_events += sum(r.backpressure for r in reports)
         if self.collect_location_stats:
             for r in reports:
@@ -439,7 +375,7 @@ class SmpSimulator:
                 if obs is not None:
                     obs.add_virtual_span(rank, start, end, f"pe.{name}")
         out.phase_times.append(
-            SmpPhaseTimes(
+            PhaseTimes(
                 day=day,
                 start=day_start,
                 visits_done=max(boundaries["person_phase"]),

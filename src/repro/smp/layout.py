@@ -2,11 +2,12 @@
 
 The SMP backend lays the population state out once, before forking:
 
-* **person state** — ``health_state`` / ``days_remaining`` /
-  ``treatment`` / ``ever_infected``, one shared array each, indexed by
-  global person id.  Worker ``w`` writes only the entries of persons
-  it owns (a disjoint block under the default contiguous layout), so
-  concurrent updates never touch the same element;
+* **person state** — one :class:`~repro.core.day.EpidemicState` whose
+  four arrays (``health_state`` / ``days_remaining`` / ``treatment`` /
+  ``ever_infected``) are shared segments indexed by global person id.
+  Worker ``w`` writes only the entries of persons it owns (a disjoint
+  block under the default contiguous layout), so concurrent updates
+  never touch the same element;
 * **traffic** — two ring-buffer grids (:class:`~repro.smp.ring.
   RingGrid`), one for visit rows (1 word each), one for infect events
   (3 words: person, location, minute);
@@ -14,13 +15,13 @@ The SMP backend lays the population state out once, before forking:
   infect phases, :class:`~repro.smp.completion.ShmPhaseDetector`) and
   a one-word abort flag the driver raises on teardown.
 
-Ownership mirrors the simulated runtime's
-:class:`~repro.core.parallel.Distribution`: persons → PersonManager
-ranks, locations → LocationManager ranks, except here both managers of
-rank ``w`` live in the same OS process (worker ``w`` *is* a PE running
-one PM and one LM — the paper's SMP mode with one chare of each array
-per PE).  Any :class:`~repro.partition.BipartitePartition` with
-``k == n_workers`` can be used; :func:`block_partition` is the default
+Ownership is the :class:`~repro.core.day.OwnershipPlan` the simulated
+runtime uses too: persons → PersonManager ranks, locations →
+LocationManager ranks, except here both managers of rank ``w`` live in
+the same OS process (worker ``w`` *is* a PE running one PM and one LM —
+the paper's SMP mode with one chare of each array per PE).  Any
+:class:`~repro.partition.BipartitePartition` with ``k == n_workers``
+can be used; :func:`block_partition` is the default
 contiguous layout (persons and locations in equal slabs), which keeps
 most visit traffic local for synthetic populations.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.disease import UNTREATED
+from repro.core.day import EpidemicState
 from repro.partition.quality import BipartitePartition
 from repro.smp.completion import ShmPhaseDetector
 from repro.smp.ring import RingGrid
@@ -40,7 +41,6 @@ from repro.smp.shm import SharedArena
 __all__ = [
     "INFECT_RECORD",
     "block_partition",
-    "SmpPlan",
     "SharedState",
     "build_shared_state",
 ]
@@ -67,47 +67,12 @@ def block_partition(n_persons: int, n_locations: int, k: int) -> BipartitePartit
 
 
 @dataclass
-class SmpPlan:
-    """Who owns what: the per-worker decomposition of one run."""
-
-    n_workers: int
-    #: person id -> owning worker
-    person_owner: np.ndarray
-    #: location id -> owning worker
-    location_owner: np.ndarray
-    #: per worker: owned person ids (ascending)
-    persons: list[np.ndarray]
-    #: per worker: owned visit-row indices (ascending; rows of owned persons)
-    visit_rows: list[np.ndarray]
-    #: per worker: owned location ids (ascending)
-    locations: list[np.ndarray]
-
-    @classmethod
-    def from_partition(cls, graph, partition: BipartitePartition) -> "SmpPlan":
-        partition.validate_against(graph)
-        k = partition.k
-        person_owner = partition.person_part.astype(np.int64)
-        location_owner = partition.location_part.astype(np.int64)
-        row_owner = person_owner[graph.visit_person]
-        return cls(
-            n_workers=k,
-            person_owner=person_owner,
-            location_owner=location_owner,
-            persons=[np.flatnonzero(person_owner == w) for w in range(k)],
-            visit_rows=[np.flatnonzero(row_owner == w) for w in range(k)],
-            locations=[np.flatnonzero(location_owner == w) for w in range(k)],
-        )
-
-
-@dataclass
 class SharedState:
     """All shared-memory arrays of one run (created pre-fork, inherited)."""
 
     arena: SharedArena
-    health_state: np.ndarray
-    days_remaining: np.ndarray
-    treatment: np.ndarray
-    ever_infected: np.ndarray
+    #: the person state, its arrays backed by shared segments
+    state: EpidemicState
     visit_rings: RingGrid
     infect_rings: RingGrid
     visit_counters: np.ndarray
@@ -127,43 +92,27 @@ def build_shared_state(
 ) -> SharedState:
     """Allocate the run's shared arrays inside one :class:`SharedArena`.
 
-    ``health_state`` / ``days_remaining`` start from the disease
-    model's initial population state, exactly as
-    :class:`~repro.core.simulator.SequentialSimulator` initialises them.
+    The person state starts from :meth:`EpidemicState.initial`, exactly
+    as :class:`~repro.core.simulator.SequentialSimulator` starts.
     """
-    g = scenario.graph
     arena = SharedArena()
+    grid = RingGrid.shape(n_workers, ring_capacity)
     try:
-        state0, remaining0 = scenario.disease.initial_health(g.n_persons)
-        health_state = arena.share("health", state0)
-        days_remaining = arena.share("remaining", remaining0)
-        treatment = arena.share(
-            "treatment", np.full(g.n_persons, UNTREATED, dtype=np.int32)
+        initial = EpidemicState.initial(scenario)
+        return SharedState(
+            arena=arena,
+            state=EpidemicState(
+                health_state=arena.share("health", initial.health_state),
+                days_remaining=arena.share("remaining", initial.days_remaining),
+                treatment=arena.share("treatment", initial.treatment),
+                ever_infected=arena.share("ever", initial.ever_infected),
+            ),
+            visit_rings=RingGrid(arena.alloc("vrings", grid), ring_capacity),
+            infect_rings=RingGrid(arena.alloc("irings", grid), ring_capacity),
+            visit_counters=arena.alloc("vcount", (3, n_workers)),
+            infect_counters=arena.alloc("icount", (3, n_workers)),
+            abort=arena.alloc("abort", (1,)),
         )
-        ever_infected = arena.alloc("ever", (g.n_persons,), np.bool_)
-        visit_rings = RingGrid(
-            arena.alloc("vrings", RingGrid.shape(n_workers, ring_capacity)),
-            ring_capacity,
-        )
-        infect_rings = RingGrid(
-            arena.alloc("irings", RingGrid.shape(n_workers, ring_capacity)),
-            ring_capacity,
-        )
-        visit_counters = arena.alloc("vcount", (3, n_workers))
-        infect_counters = arena.alloc("icount", (3, n_workers))
-        abort = arena.alloc("abort", (1,))
     except Exception:
         arena.close()
         raise
-    return SharedState(
-        arena=arena,
-        health_state=health_state,
-        days_remaining=days_remaining,
-        treatment=treatment,
-        ever_infected=ever_infected,
-        visit_rings=visit_rings,
-        infect_rings=infect_rings,
-        visit_counters=visit_counters,
-        infect_counters=infect_counters,
-        abort=abort,
-    )

@@ -1,27 +1,28 @@
 """The worker-process body: one PE running a PM and an LM.
 
-Each worker executes the paper's six-step day loop over real shared
-memory (see :mod:`repro.smp.backend` for the driver side):
+Each worker runs the owned steps of the six-step day
+(:mod:`repro.core.day`) over real shared memory and moves the records
+between them (see :mod:`repro.smp.backend` for the driver side):
 
-1. **person phase** — advance the PTTS of owned persons in the shared
-   health arrays (disjoint index sets, so no synchronisation needed),
-   filter owned visit rows through the intervention schedule, and
-   stream surviving row indices to the worker owning each visit's
-   location through the visit ring grid;
+1. **person phase** — :func:`~repro.core.day.person_phase` over the
+   owned persons and visit rows (disjoint index sets of the shared
+   state arrays, so no synchronisation needed), then stream surviving
+   row indices to the worker owning each visit's location through the
+   visit ring grid;
 2. the visit phase closes via the shared completion detector (workers
    drain their inboxes while waiting);
 3. **location phase** — sort the received rows ascending and run
-   :func:`~repro.core.exposure.compute_infections` over them.  Because
-   the kernels reduce hazards per (location, person) with stable
-   sorts, an ascending row subset covering whole locations produces
-   the *same bits* as the sequential whole-population pass restricted
-   to those locations — delivery order never leaks into the epidemic;
-4. infect events (3 words each) stream to the owner of each infected
-   person; the infect detector closes the phase, which by the latent
-   -period argument also means every reader of ``health_state`` is
-   done;
-5. **apply phase** — :meth:`DiseaseModel.infect` on the received
-   persons (owned, so writes stay disjoint);
+   :func:`~repro.core.day.location_phase` over them.  Because the
+   kernels reduce hazards per (location, person) with stable sorts, an
+   ascending row subset covering whole locations produces the *same
+   bits* as the sequential whole-population pass restricted to those
+   locations — delivery order never leaks into the epidemic;
+4. the phase's infect records (3 words each, already in wire layout)
+   stream to the owner of each infected person; the infect detector
+   closes the phase, which by the latent-period argument also means
+   every reader of ``health_state`` is done;
+5. **apply phase** — :func:`~repro.core.day.apply_phase` on the
+   received persons (owned, so writes stay disjoint);
 6. the day report (counts, events, wall-clock phase spans) goes back
    to the driver over the worker's pipe, which doubles as the day
    barrier — struct-packed bytes (:mod:`repro.smp.protocol`), never a
@@ -47,10 +48,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.exposure import compute_infections
-from repro.core.interventions import DayContext
+from repro.core import day as day_steps
+from repro.core.day import OwnershipPlan
 from repro.smp import protocol
-from repro.smp.layout import INFECT_RECORD, SharedState, SmpPlan
+from repro.smp.layout import INFECT_RECORD, SharedState
 from repro.smp.ring import Mailbox, route_records
 
 __all__ = ["WorkerContext", "worker_main", "WorkerAbort", "FAULT_EXIT_CODE"]
@@ -70,7 +71,7 @@ class WorkerContext:
     rank: int
     scenario: Any
     shared: SharedState
-    plan: SmpPlan
+    plan: OwnershipPlan
     conn: Any  # this worker's end of the driver pipe
     kernel: str | None = None
     burst_bytes: int = 2048
@@ -118,20 +119,16 @@ def worker_main(ctx: WorkerContext) -> None:
 
 def _run(ctx: WorkerContext) -> None:
     sc = ctx.scenario
-    g = sc.graph
-    d = sc.disease
     shared = ctx.shared
+    state = shared.state
     rank = ctx.rank
-    # A fresh factory from the scenario seed: keyed streams are pure
-    # functions of (seed, key), so every process derives the same draws.
-    rngf = sc.rng_factory
     det_v = shared.visit_detector(rank)
     det_i = shared.infect_detector(rank)
     owned_persons = ctx.plan.persons[rank]
     owned_rows = ctx.plan.visit_rows[rank]
     loc_owner = ctx.plan.location_owner
     person_owner = ctx.plan.person_owner
-    n_workers = ctx.plan.n_workers
+    n_workers = len(ctx.plan.persons)
 
     recv_rows: list[np.ndarray] = []
     recv_events: list[np.ndarray] = []
@@ -175,23 +172,17 @@ def _run(ctx: WorkerContext) -> None:
             # The driver appended central component state (quarantine
             # rosters etc.) that our forked snapshot doesn't have.
             sc.interventions.load_wire_state(buf[protocol.COMMAND_NBYTES:])
-        day_ctx = DayContext(
-            day=day, graph=g, disease=d,
-            health_state=shared.health_state, treatment=shared.treatment,
-            prevalence=prevalence, cumulative_attack=cumulative_attack,
-            rng_factory=rngf, days_remaining=shared.days_remaining,
-        )
+        # Keyed streams are pure functions of (seed, key), so the context
+        # rebuilt here draws exactly what the driver's would.
+        day_ctx = day_steps.day_context(state, sc, day, prevalence, cumulative_attack)
 
         # -- step 1: person phase (PTTS + visit filtering + send) --------
         t0 = time.perf_counter()
         _maybe_fault(ctx, day, "person")
-        transitions = d.advance_day(
-            shared.health_state, shared.days_remaining, shared.treatment,
-            day, rngf, subset=owned_persons,
+        transitions, kept = day_steps.person_phase(
+            state, sc, day_ctx, owned_persons, owned_rows
         )
-        keep = sc.interventions.visit_mask(day_ctx, rows=owned_rows)
-        kept = owned_rows[keep]
-        dests = loc_owner[g.visit_location[kept]]
+        dests = loc_owner[sc.graph.visit_location[kept]]
         _routed, parts = route_records(kept, dests, n_workers)
         for dst, part in enumerate(parts):
             visit_mb.send(dst, part)
@@ -208,20 +199,13 @@ def _run(ctx: WorkerContext) -> None:
             recv_rows.clear()
         else:
             rows = np.empty(0, dtype=np.int64)
-        phase = compute_infections(
-            rows, g, shared.health_state, d, sc.transmission, day, rngf,
-            collect_stats=ctx.collect_stats, kernel=ctx.kernel,
+        phase = day_steps.location_phase(
+            state, sc, day, rows, kernel=ctx.kernel, collect_stats=ctx.collect_stats
         )
-        if phase.infections:
-            ev = np.array(
-                [(e.person, e.location, e.minute) for e in phase.infections],
-                dtype=np.int64,
-            )
-            _ev_routed, ev_parts = route_records(
-                ev, person_owner[ev[:, 0]], n_workers
-            )
-            for dst, part in enumerate(ev_parts):
-                infect_mb.send(dst, part)
+        ev = phase.records  # already one wire record per row
+        _ev_routed, ev_parts = route_records(ev, person_owner[ev[:, 0]], n_workers)
+        for dst, part in enumerate(ev_parts):
+            infect_mb.send(dst, part)
         infect_mb.flush()
         det_i.producer_done()
         # -- step 4: infect-phase completion ------------------------------
@@ -235,11 +219,7 @@ def _run(ctx: WorkerContext) -> None:
             recv_events.clear()
         else:
             events = np.empty((0, INFECT_RECORD), dtype=np.int64)
-        infected = d.infect(
-            events[:, 0], shared.health_state, shared.days_remaining,
-            shared.treatment, day=day, rng_factory=rngf,
-        )
-        shared.ever_infected[infected] = True
+        infected = day_steps.apply_phase(state, sc, day, events[:, 0])
         t3 = time.perf_counter()
 
         # -- step 6: report (the driver's reduction) -----------------------
@@ -253,9 +233,9 @@ def _run(ctx: WorkerContext) -> None:
             protocol.encode_report(
                 protocol.DayReport(
                     day=day,
-                    transitions=int(transitions.size),
+                    transitions=transitions,
                     visits_made=int(kept.size),
-                    infected=int(infected.size),
+                    infected=infected,
                     backpressure=int(
                         visit_mb.backpressure_events
                         + infect_mb.backpressure_events

@@ -10,7 +10,7 @@ simulation day) rather than by draw order.
 
 from repro.util.rng import RngFactory, derive_seed, spawn_generator
 from repro.util.histogram import log_binned_histogram, LogHistogram
-from repro.util.timing import Timer, CostAccumulator
+from repro.util.timing import CostAccumulator
 
 __all__ = [
     "RngFactory",
@@ -18,6 +18,5 @@ __all__ = [
     "spawn_generator",
     "log_binned_histogram",
     "LogHistogram",
-    "Timer",
     "CostAccumulator",
 ]

@@ -1,47 +1,17 @@
-"""Wall-clock timing and virtual-cost accounting helpers.
+"""Virtual-cost accounting for the simulated machine.
 
-Two distinct notions of time appear in this codebase:
-
-* **wall time** — how long our Python code actually takes; used when
-  fitting the load model against real measurements (Figure 3a) and in
-  the pytest-benchmark harness.
-* **virtual time** — the modelled execution time of the simulated
-  parallel machine; accumulated by :class:`CostAccumulator` instances
-  owned by simulated PEs.
-
-Keeping them in separate types prevents the classic bug of adding
-seconds of Python interpretation to seconds of modelled Cray time.
+*Virtual time* — the modelled execution time of the simulated parallel
+machine — is accumulated by :class:`CostAccumulator` instances owned by
+simulated PEs.  Keeping it in its own type prevents the classic bug of
+adding seconds of Python interpretation (wall time, which
+:mod:`repro.observe` measures) to seconds of modelled Cray time.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-__all__ = ["Timer", "CostAccumulator"]
-
-
-class Timer:
-    """Context manager measuring wall time with ``perf_counter``.
-
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed: float = 0.0
-        self._start: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._start is not None
-        self.elapsed = time.perf_counter() - self._start
-        self._start = None
+__all__ = ["CostAccumulator"]
 
 
 @dataclass

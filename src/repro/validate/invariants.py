@@ -148,8 +148,8 @@ class InvariantChecker:
             if s.name in by_state:
                 allowed[i, disease.index[by_state[s.name]]] = True
             else:
-                for t in disease.treatments:
-                    allowed[i, disease.entry_state(t)] = True
+                for name in disease.infection_entry.values():
+                    allowed[i, disease.index[name]] = True
         for src, dst in extra_transitions:
             allowed[disease.index[src], disease.index[dst]] = True
         return allowed

@@ -642,8 +642,8 @@ def run_smp_matrix(
             out = sim.run()
             divergence = (
                 _diff_events(sim.scenario, seq_events, {
-                    d: {(ev.person, ev.location) for ev in evs}
-                    for d, evs in out.infection_log.items()
+                    d: {(person, loc) for person, loc, _minute in rows.tolist()}
+                    for d, rows in out.infection_log.items()
                 })
                 or _diff_curve(sim.scenario, seq_result.curve, out.result.curve)
                 or _diff_final_state_arrays(
@@ -820,8 +820,8 @@ def run_scenario_matrix(
             ).run()
             divergence = (
                 _diff_events(sc, seq_events, {
-                    d: {(ev.person, ev.location) for ev in evs}
-                    for d, evs in out.infection_log.items()
+                    d: {(person, loc) for person, loc, _minute in rows.tolist()}
+                    for d, rows in out.infection_log.items()
                 })
                 or _diff_curve(sc, seq_result.curve, out.result.curve)
                 or _diff_final_state_arrays(

@@ -10,9 +10,15 @@ kernel takes the ``cand`` mask plus nine full-length arrays.  They
 (``test_block_filter.py``); nothing under ``src/`` calls them.
 
 :func:`compute_infections` is the production wrapper's signature over
-the reference body, so a test can monkeypatch it in wherever a backend
-imported the production function.
+the reference body, so a test can monkeypatch it in for the production
+function (``repro.core.day.compute_infections``).  The kernels still
+append one ``InfectionEvent`` per infection, as they always did — to a
+:class:`_ListSink` standing in for the ``LocationPhaseResult`` of their
+day; the wrapper packs that list into today's ``records`` array.
 """
+
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,13 +34,27 @@ from repro.core.transmission import TransmissionModel
 from repro.util.rng import RngFactory
 
 
+@dataclass
+class _ListSink:
+    infections: list[InfectionEvent] = field(default_factory=list)
+    events: Counter = field(default_factory=Counter)
+    interactions: Counter = field(default_factory=Counter)
+
+
 def compute_infections(
     visit_rows, graph, health_state, disease, transmission, day, rng_factory,
     collect_stats=False, kernel=None,
 ):
-    return _compute_infections(
+    sink = _compute_infections(
         visit_rows, graph, health_state, disease, transmission, day,
         rng_factory, collect_stats, kernel,
+    )
+    return LocationPhaseResult(
+        records=np.array(
+            [(e.person, e.location, e.minute) for e in sink.infections], dtype=np.int64
+        ).reshape(-1, 3),
+        events=sink.events,
+        interactions=sink.interactions,
     )
 
 
@@ -52,7 +72,7 @@ def _compute_infections(
     kernel = DEFAULT_KERNEL if kernel is None else kernel
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    result = LocationPhaseResult()
+    result = _ListSink()
     if visit_rows.size == 0:
         return result
     vp = graph.visit_person[visit_rows]

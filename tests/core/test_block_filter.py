@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import DiseaseModel, HealthState, TransmissionModel, ckernel, influenza_model
 from repro.core import exposure as production
-from repro.core import parallel, simulator
+from repro.core import day as day_steps
 from repro.core.disease import UNTREATED, DwellDistribution, Transition
 from repro.core.exposure import KERNELS
 from repro.core.parallel import ParallelEpiSimdemics
@@ -267,9 +267,9 @@ def _spec(kernel, **runtime):
 
 
 def _use_reference(monkeypatch):
-    """Swap the oracle in wherever a backend imported ``compute_infections``."""
-    monkeypatch.setattr(simulator, "compute_infections", exposure_reference.compute_infections)
-    monkeypatch.setattr(parallel, "compute_infections", exposure_reference.compute_infections)
+    """Swap the oracle in at the one place any backend reaches
+    ``compute_infections`` through."""
+    monkeypatch.setattr(day_steps, "compute_infections", exposure_reference.compute_infections)
 
 
 @kernels

@@ -38,7 +38,7 @@ class TestSaveLoad:
         assert restored.day == 5
         np.testing.assert_array_equal(restored.health_state, sim.health_state)
         np.testing.assert_array_equal(restored.days_remaining, sim.days_remaining)
-        np.testing.assert_array_equal(restored._ever_infected, sim._ever_infected)
+        np.testing.assert_array_equal(restored.state.ever_infected, sim.state.ever_infected)
 
     def test_seed_mismatch_rejected(self, tiny_graph, tmp_path):
         sim = SequentialSimulator(_scenario(tiny_graph))

@@ -5,6 +5,8 @@ rows by location across multiple calls yields exactly the infections of
 one whole-population call.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ class TestStats:
             rows, tiny_graph, state, sc.disease, sc.transmission, 1,
             RngFactory(0), collect_stats=True,
         )
-        a.merge(b)
+        a.events.update(b.events)
         assert sum(a.events.values()) == before + sum(b.events.values())
 
     def test_infection_minutes_within_day(self, tiny_graph):
@@ -106,8 +108,9 @@ class TestStats:
 
 
 class TestCounterMerge:
-    """Stats accumulate Counter-style: merging results that share
-    location keys must *add* counts, never overwrite them."""
+    """Stats accumulate Counter-style: folding results that share
+    location keys with ``update`` — what every backend's run loop does
+    — must *add* counts, never overwrite them."""
 
     def test_merge_adds_on_shared_locations(self, tiny_graph):
         sc, state = _setup(tiny_graph)
@@ -125,7 +128,8 @@ class TestCounterMerge:
             loc: a.interactions[loc] + b.interactions[loc]
             for loc in set(a.interactions) | set(b.interactions)
         }
-        a.merge(b)
+        a.events.update(b.events)
+        a.interactions.update(b.interactions)
         assert dict(a.events) == expected
         assert dict(a.interactions) == expected_inter
 
@@ -140,19 +144,18 @@ class TestCounterMerge:
             RngFactory(sc.seed), collect_stats=True,
         )
         locs = tiny_graph.visit_location
-        merged = None
+        events, interactions, infections = Counter(), Counter(), []
         for part in range(3):
             res = compute_infections(
                 rows[locs[rows] % 3 == part], tiny_graph, state, sc.disease,
                 sc.transmission, 0, RngFactory(sc.seed), collect_stats=True,
             )
-            if merged is None:
-                merged = res
-            else:
-                merged.merge(res)
-        assert dict(merged.events) == dict(whole.events)
-        assert dict(merged.interactions) == dict(whole.interactions)
-        assert _key(merged.infections) == _key(whole.infections)
+            events.update(res.events)
+            interactions.update(res.interactions)
+            infections += res.infections
+        assert dict(events) == dict(whole.events)
+        assert dict(interactions) == dict(whole.interactions)
+        assert _key(infections) == _key(whole.infections)
 
     def test_sequential_run_accumulates_location_stats(self, tiny_graph):
         from repro.core import SequentialSimulator

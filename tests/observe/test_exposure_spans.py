@@ -13,7 +13,8 @@ import collections
 import pytest
 
 from repro import observe
-from repro.core import ckernel, exposure, simulator
+from repro.core import ckernel, exposure
+from repro.core import day as day_steps
 from repro.spec import PopulationSpec, RunSpec, RuntimeSpec, execute
 
 STAGES = {
@@ -119,7 +120,7 @@ def test_what_the_ladder_reads(simmering, kernel, monkeypatch):
     monkeypatch.setattr(
         exposure, "blocked_pairwise_exposures", sized(exposure.blocked_pairwise_exposures)
     )
-    monkeypatch.setattr(simulator, "compute_infections", recording(exposure.compute_infections))
+    monkeypatch.setattr(day_steps, "compute_infections", recording(exposure.compute_infections))
     with observe.observing() as obs:
         simmering(kernel)
 

@@ -26,8 +26,8 @@ def assert_bitexact(make_scenario, workers: int, **smp_kwargs) -> None:
 
     assert out.result.curve == seq_result.curve
     smp_events = {
-        day: {(e.person, e.location) for e in events}
-        for day, events in out.infection_log.items()
+        day: {(person, loc) for person, loc, _minute in rows.tolist()}
+        for day, rows in out.infection_log.items()
     }
     assert smp_events == seq_events
     np.testing.assert_array_equal(out.final_health_state, seq_state)

@@ -72,37 +72,6 @@ def test_bad_arguments_rejected(graph):
         SmpSimulator(sc, n_workers=2, ring_capacity=8, batch=64)
 
 
-def test_parallel_facade_delegates_to_smp(graph):
-    from repro.charm.machine import Machine, MachineConfig
-    from repro.core.parallel import Distribution, ParallelEpiSimdemics
-    from repro.core.simulator import SequentialSimulator
-    from repro.partition.metis import partition_bipartite
-
-    machine = MachineConfig(n_nodes=1, cores_per_node=4, processes_per_node=2)
-    bp = partition_bipartite(graph, 2)
-    dist = Distribution.from_partition(bp, Machine(machine))
-    sim = ParallelEpiSimdemics(
-        make_scenario(graph), machine, dist, backend="smp"
-    )
-    out = sim.run()
-    seq = SequentialSimulator(make_scenario(graph)).run()
-    assert out.result.curve == seq.curve
-    assert out.n_workers == 2
-
-
-def test_parallel_facade_rejects_unknown_backend(graph):
-    from repro.charm.machine import Machine, MachineConfig
-    from repro.core.parallel import Distribution, ParallelEpiSimdemics
-    from repro.partition.metis import partition_bipartite
-
-    machine = MachineConfig(n_nodes=1, cores_per_node=4, processes_per_node=2)
-    dist = Distribution.from_partition(
-        partition_bipartite(graph, 2), Machine(machine)
-    )
-    with pytest.raises(ValueError, match="backend"):
-        ParallelEpiSimdemics(make_scenario(graph), machine, dist, backend="mpi")
-
-
 def test_smp_oracle_matrix_cell():
     from repro.validate import run_smp_matrix
 

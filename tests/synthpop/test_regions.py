@@ -90,7 +90,7 @@ class TestEpidemicWave:
         )
         sim = SequentialSimulator(sc)
         sim.run()
-        infected = sim._ever_infected
+        infected = sim.state.ever_infected
         if infected.sum() > 15:  # enough spread to measure
             frac_in_seed_region = np.mean(
                 regional.person_region[np.flatnonzero(infected)] == seed_region

@@ -1,0 +1,163 @@
+"""Static guard: the day, the prevalence rule and ``PhaseTimes`` exist once.
+
+The six-step day lives in ``src/repro/core/day.py``; a backend only
+decides who owns which rows and how records move.  This test walks every
+module under ``src/repro`` with the stdlib ``ast`` (same style as
+``test_dead_code.py``) and rejects the shapes a second copy of the day
+would have:
+
+* ``DayContext(…)`` constructed, or ``.advance_day(`` / ``.visit_mask(`` /
+  ``.update_treatments(`` / ``.post_apply(`` / ``.infect(`` /
+  ``compute_infections(`` called, anywhere but ``core/day.py`` (the
+  modules that *define* those names are exempt);
+* a function named ``_prevalence``;
+* more than one class whose name ends in ``PhaseTimes``;
+* an ``InfectionEvent(`` construction on the run path — infections
+  travel as ``(person, location, minute)`` arrays; only the read-only
+  ``LocationPhaseResult.infections`` view may build the objects;
+* a ``backend`` parameter on ``ParallelEpiSimdemics.__init__``
+  (``RuntimeSpec.backend`` through ``spec.execute`` is the dispatch).
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+DAY = "core/day.py"
+
+#: call name -> modules (beside ``core/day.py``) that may use it: the
+#: definers, e.g. ``InterventionSchedule.post_apply`` fanning out to its
+#: components' ``post_apply``.
+DAY_PRIMITIVES = {
+    "DayContext": {"core/interventions.py"},
+    "advance_day": {"core/disease.py"},
+    "infect": {"core/disease.py"},
+    "visit_mask": {"core/interventions.py"},
+    "update_treatments": {"core/interventions.py"},
+    "post_apply": {"core/interventions.py"},
+    "compute_infections": {"core/exposure.py"},
+}
+
+#: where no ``InfectionEvent(…)`` may be built
+RUN_PATH = ("core/exposure.py", "core/simulator.py", "core/parallel.py", "core/day.py", "smp/")
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """``f(…)`` → ``f``; ``a.b.f(…)`` → ``f``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _violations(tree: ast.AST, module: str):
+    """``(lineno, message)`` for every forbidden shape in one module."""
+    view = None  # the one function allowed to build InfectionEvent objects
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "LocationPhaseResult":
+            view = next(
+                (f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "infections"),
+                None,
+            )
+    in_view = {id(n) for n in ast.walk(view)} if view is not None else set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "_prevalence":
+                yield node.lineno, "a second prevalence rule (function `_prevalence`)"
+            if node.name == "__init__" and module == "core/parallel.py":
+                if "backend" in [a.arg for a in node.args.args + node.args.kwonlyargs]:
+                    yield node.lineno, "`backend` parameter on a core/parallel.py constructor"
+        if not isinstance(node, ast.Call):
+            continue
+        name = _called_name(node)
+        if name in DAY_PRIMITIVES and module != DAY and module not in DAY_PRIMITIVES[name]:
+            yield node.lineno, f"day primitive `{name}(` called outside {DAY}"
+        if name == "InfectionEvent" and module.startswith(RUN_PATH) and id(node) not in in_view:
+            yield node.lineno, "`InfectionEvent(` built on the run path"
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(), filename=str(path))
+
+
+def test_day_primitives_are_called_from_core_day_only():
+    found = [
+        f"{module}:{lineno}: {message}"
+        for module, tree in _modules()
+        for lineno, message in _violations(tree, module)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_core_day_does_call_every_primitive():
+    """The guard is vacuous if the names drift: ``core/day.py`` must be
+    where each primitive *is* called."""
+    tree = ast.parse((SRC / DAY).read_text())
+    called = {_called_name(n) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    assert set(DAY_PRIMITIVES) <= called
+
+
+def test_exactly_one_phase_times_class():
+    classes = [
+        f"{module}:{node.name}"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("PhaseTimes")
+    ]
+    assert classes == ["core/day.py:PhaseTimes"]
+
+
+def test_core_day_imports_no_runtime():
+    """Sequential set-up time and RSS must not pick up either runtime."""
+    tree = ast.parse((SRC / DAY).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    banned = ("repro.smp", "repro.charm", "multiprocessing")
+    assert not [m for m in imported if m.startswith(banned)]
+
+
+def test_guard_catches_seeded_violations():
+    """The guard itself must flag the shapes the parent commit had."""
+    backend_copy = (
+        "class Sim:\n"
+        "    def __init__(self, scenario, backend='charm'):\n"
+        "        self.scenario = scenario\n"
+        "    def _prevalence(self):\n"
+        "        return 0.0\n"
+        "    def step(self, day):\n"
+        "        ctx = DayContext(day=day)\n"
+        "        self.scenario.interventions.update_treatments(ctx)\n"
+        "        d.advance_day(state, remaining, treatment, day, rngf)\n"
+        "        keep = sc.interventions.visit_mask(ctx, rows=rows)\n"
+        "        phase = compute_infections(rows, g, state, d, tm, day, rngf)\n"
+        "        self.scenario.disease.infect(persons, state, remaining, treatment)\n"
+        "        sc.interventions.post_apply(ctx)\n"
+        "        return [InfectionEvent(person=1, location=2, minute=3)]\n"
+    )
+    messages = [m for _, m in _violations(ast.parse(backend_copy), "core/parallel.py")]
+    assert len(messages) == 10, messages
+    assert sum("day primitive" in m for m in messages) == 7
+    # the same calls are what core/day.py is for, and the definers may fan out
+    assert not list(_violations(ast.parse("ctx = DayContext(day=0)\nd.infect(p)\n"), DAY))
+    assert not list(
+        _violations(ast.parse("iv.post_apply(ctx)\n"), "core/interventions.py")
+    )
+    # the read-only view is the one place the objects may be built
+    view = (
+        "class LocationPhaseResult:\n"
+        "    @property\n"
+        "    def infections(self):\n"
+        "        return [InfectionEvent(*row) for row in self.records.tolist()]\n"
+        "def _draw_and_emit(result):\n"
+        "    result.append(InfectionEvent(1, 2, 3))\n"
+    )
+    flagged = list(_violations(ast.parse(view), "core/exposure.py"))
+    assert [lineno for lineno, _ in flagged] == [6]

@@ -1,25 +1,8 @@
-"""Timer and CostAccumulator behaviour."""
+"""CostAccumulator behaviour."""
 
 import pytest
 
-from repro.util.timing import CostAccumulator, Timer
-
-
-class TestTimer:
-    def test_measures_nonnegative(self):
-        with Timer() as t:
-            sum(range(100))
-        assert t.elapsed >= 0.0
-
-    def test_reusable(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            sum(range(10000))
-        assert t.elapsed >= 0.0
-        assert first >= 0.0
+from repro.util.timing import CostAccumulator
 
 
 class TestCostAccumulator:
