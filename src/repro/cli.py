@@ -32,7 +32,7 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.core.exposure import KERNELS
+    from repro.spec import KERNELS  # not repro.core.exposure: ~80 ms on every command
 
     p = argparse.ArgumentParser(
         prog="repro",

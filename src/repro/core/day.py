@@ -254,24 +254,30 @@ def close_day(
 def person_phase(
     state: EpidemicState, scenario: Scenario, ctx: DayContext,
     persons: np.ndarray | None = None, rows: np.ndarray | None = None,
-) -> tuple[int, np.ndarray]:
+) -> tuple[int, np.ndarray | None]:
     """Step 1 for ``persons`` and their visit ``rows`` (None = everyone):
     fire due PTTS transitions, then filter the day's visits through the
-    interventions.  Returns ``(n_transitions, surviving visit rows)``.
+    interventions.  Returns ``(n_transitions, surviving visit rows)``,
+    the rows ascending — or None for "every visit of the graph happens
+    today" when ``rows`` was None and no intervention removed one, so
+    the sequential day never lists all rows.
     """
     changed = scenario.disease.advance_day(
         state.health_state, state.days_remaining, state.treatment,
         ctx.day, ctx.rng_factory, subset=persons,
     )
     keep = scenario.interventions.visit_mask(ctx, rows)
-    return int(changed.size), np.flatnonzero(keep) if rows is None else rows[keep]
+    if rows is None:
+        return int(changed.size), None if keep.all() else np.flatnonzero(keep)
+    return int(changed.size), rows[keep]
 
 
 def location_phase(
-    state: EpidemicState, scenario: Scenario, day: int, rows: np.ndarray,
+    state: EpidemicState, scenario: Scenario, day: int, rows: np.ndarray | None,
     kernel: str | None = None, collect_stats: bool = False,
 ) -> LocationPhaseResult:
-    """Step 3 over visit ``rows`` (ascending, whole locations)."""
+    """Step 3 over visit ``rows``: ascending, distinct, whole locations
+    (``ValueError`` otherwise); None = every visit of the graph."""
     return compute_infections(
         rows, scenario.graph, state.health_state, scenario.disease,
         scenario.transmission, day, scenario.rng_factory,

@@ -8,11 +8,12 @@ locations are grouped into LocationManagers — the property that makes
 the parallel execution reproduce the sequential one exactly.
 
 People interact only inside a sublocation (paper §III-C, the fact
-splitLoc rests on), so the phase first cuts the day's visits down to
-the :class:`Candidates` — susceptible or infectious rows of a
-``(location, sublocation)`` block that holds both today — and gathers
-the remaining columns for those rows only.  Three interchangeable
-kernels then consume the candidates:
+splitLoc rests on), so the phase first finds the :class:`Candidates` —
+susceptible or infectious rows of a ``(location, sublocation)`` block
+that holds both today — by walking from the infectious persons through
+the graph's block index (:func:`_block_filter`; it never reads the
+other rows), and gathers the columns for those rows only.  Three
+interchangeable kernels then consume the candidates:
 
 * ``"flat"`` (default) — one global sort by ``(location,
   sublocation)``, sublocation-blocked pair enumeration
@@ -50,6 +51,7 @@ from repro import observe
 from repro.core.des import blocked_pairwise_exposures, pairwise_exposures
 from repro.core.disease import DiseaseModel
 from repro.core.transmission import TransmissionModel
+from repro.spec import KERNELS  # defined where importing it is free
 from repro.util.rng import RngFactory
 
 __all__ = [
@@ -60,9 +62,6 @@ __all__ = [
     "compute_infections",
 ]
 
-#: Available exposure kernels (see module docstring).  ``"compiled"``
-#: additionally needs a C toolchain (``repro.core.ckernel.available``).
-KERNELS = ("flat", "grouped", "compiled")
 DEFAULT_KERNEL = "flat"
 
 
@@ -115,7 +114,7 @@ class Candidates:
 
 
 def compute_infections(
-    visit_rows: np.ndarray,
+    visit_rows: np.ndarray | None,
     graph,
     health_state: np.ndarray,
     disease: DiseaseModel,
@@ -131,7 +130,10 @@ def compute_infections(
     ----------
     visit_rows:
         Indices into ``graph``'s visit arrays — the visits that actually
-        happen today (interventions already applied).  May span any
+        happen today (interventions already applied) — **ascending and
+        distinct** (``ValueError`` otherwise: the block walk intersects
+        by ``searchsorted`` and the exactness argument starts from row
+        order), or None for every visit of the graph.  May span any
         subset of locations; callers split by location, never within
         one.  Pairs only need the rows of one ``(location,
         sublocation)`` block together, but a person's hazards add per
@@ -141,8 +143,10 @@ def compute_infections(
     health_state:
         Current per-person PTTS state indices.
     collect_stats:
-        Also count events/interactions per location (costs one extra
-        pass; used when fitting the dynamic load model).
+        Also count events/interactions per location.  ``events`` counts
+        *every* handed-in row, so this is the one pass over all of them
+        the phase still makes; the charm backend's load model needs it
+        and keeps it, the sequential default does not pay it.
     kernel:
         One of :data:`KERNELS` (None = :data:`DEFAULT_KERNEL`) — see
         the module docstring.  All three are bit-for-bit equivalent.
@@ -163,9 +167,8 @@ def compute_infections(
         "compiled": _compiled_kernel,
     }[kernel]
     result = LocationPhaseResult()
-    with observe.span(
-        "exposure.compute", day=day, kernel=kernel, visits=int(visit_rows.size)
-    ) as obs_span:
+    n_rows = graph.n_visits if visit_rows is None else int(visit_rows.size)
+    with observe.span("exposure.compute", day=day, kernel=kernel, visits=n_rows) as obs_span:
         candidates = _block_filter(
             visit_rows, graph, health_state, disease, result.events if collect_stats else None
         )
@@ -175,8 +178,16 @@ def compute_infections(
     return result
 
 
+def _slice_rows(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``ptr[i]:ptr[i+1]`` for each ``i`` of ``ids``, end to
+    end, and the length of each of those slices."""
+    counts = ptr[ids + 1] - ptr[ids]
+    first = np.cumsum(counts) - counts  # where each slice starts in the output
+    return np.repeat(ptr[ids] - first, counts) + np.arange(int(counts.sum())), counts
+
+
 def _block_filter(
-    visit_rows: np.ndarray, graph, health_state: np.ndarray, disease: DiseaseModel,
+    visit_rows: np.ndarray | None, graph, health_state: np.ndarray, disease: DiseaseModel,
     events: Counter | None,
 ) -> Candidates | None:
     """Today's :class:`Candidates`, or None when nothing can transmit.
@@ -187,54 +198,81 @@ def _block_filter(
 
     1. a pair needs an S row and an I row of one block, so a dropped
        row is in no pair — the pair set is the same;
-    2. the filter keeps relative row order and every later sort is
-       stable (``lexsort``, ``argsort(kind="stable")``) or by value
-       (``np.unique``), so each ``(location, person)`` hazard sum adds
-       the same doubles in the same order in all three kernels;
+    2. the candidates come out in ascending row order and every later
+       sort is stable (``lexsort``, ``argsort(kind="stable")``) or by
+       value (``np.unique``), so each ``(location, person)`` hazard sum
+       adds the same doubles in the same order in all three kernels;
     3. the keys with at least one pair — hence every keyed draw — are
        unchanged;
     4. ``events`` (filled when not None) still counts *all* visit rows
        per location and ``interactions`` counts pairs, so the load
        model cannot move.
+
+    Found by a walk over ``graph.block_visit_index()``, not by reading
+    every row: rows of today's infectious persons → their distinct
+    blocks → those blocks' rows (∩ ``visit_rows``) → S / I of those rows
+    → blocks that also hold an S row.  O(rows of infectious persons +
+    rows of their blocks); on a subset nothing is sized by the graph's
+    visits, persons or blocks, and ``events`` is the one O(rows) pass.
+
+    The walk meets rows block by block and **sorts the kept rows back
+    to ascending**: block-major order is *not* bit-exact.  A person's
+    hazards add into one ``(location, person)`` slot over every block
+    of the location they visit, in candidate order; a susceptible in
+    room 3 at 09:00 and room 0 at 14:00 (both active) would get the two
+    partial sums in the other order — a last-bit difference.  So
+    ``exposure.sort`` stays, and what the walk must win back is the
+    index build (radix passes, inside the first day that needs it).
     """
-    observe.counter("exposure.visits", visit_rows.size)
-    if visit_rows.size == 0:
+    n_rows = graph.n_visits if visit_rows is None else visit_rows.size
+    observe.counter("exposure.visits", n_rows)
+    if n_rows == 0:
         return None
     with observe.span("exposure.filter"):
-        vp = graph.visit_person[visit_rows]
-        states = health_state[vp]
-        sus = disease.is_susceptible[states]
-        inf = disease.is_infectious[states]
-        vl = graph.visit_location[visit_rows]
-        vs = graph.visit_subloc[visit_rows]
+        order, ptr, sub_off = graph.block_visit_index()
         if events is not None:
+            vl = graph.visit_location if visit_rows is None else graph.visit_location[visit_rows]
             locs, counts = np.unique(vl, return_counts=True)
             events.update(dict(zip(locs.tolist(), (2 * counts).tolist())))
-        # Dense block id: sublocation s of location l is sub_off[l] + s,
-        # sub_off the exclusive prefix sum of the sublocation counts —
-        # O(n_locations), rebuilt per call, nothing kept on the graph.
-        sub_off = np.cumsum(graph.location_n_sublocs, dtype=np.int64)
-        n_blocks = int(sub_off[-1])
-        sub_off -= graph.location_n_sublocs
-        block = sub_off[vl] + vs
-        has_inf = np.zeros(n_blocks, dtype=bool)
-        has_inf[block[inf]] = True
-        has_sus = np.zeros(n_blocks, dtype=bool)
-        has_sus[block[sus]] = True
-        active = has_inf & has_sus
-        keep = np.flatnonzero(active[block] & (sus | inf))
-    observe.counter("exposure.active_blocks", int(np.count_nonzero(active)))
-    observe.counter("exposure.candidates", keep.size)
-    if keep.size == 0:
+        if visit_rows is None:
+            carriers = np.flatnonzero(disease.is_infectious[health_state])
+            inf_rows, _ = _slice_rows(graph.person_visit_slices(), carriers)
+        else:
+            if not (visit_rows[1:] > visit_rows[:-1]).all():
+                raise ValueError("visit_rows must be ascending and distinct")
+            inf_rows = visit_rows[disease.is_infectious[health_state[graph.visit_person[visit_rows]]]]
+        # distinct blocks by sort + neighbour compare (np.unique is 10x slower)
+        blocks = np.sort(sub_off[graph.visit_location[inf_rows]] + graph.visit_subloc[inf_rows])
+        first = np.ones(blocks.size, dtype=bool)
+        np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
+        blocks = blocks[first]
+        pos, counts = _slice_rows(ptr, blocks)
+        rows = order[pos]
+        owner = np.repeat(np.arange(blocks.size), counts)  # index into `blocks`
+        observe.counter("exposure.walk_rows", inf_rows.size + rows.size)
+        if visit_rows is not None:  # the rows of those blocks that happen today
+            at = np.minimum(np.searchsorted(visit_rows, rows), n_rows - 1)
+            today = visit_rows[at] == rows
+            rows, owner = rows[today], owner[today]
+        states = health_state[graph.visit_person[rows]]
+        sus = disease.is_susceptible[states]
+        has_sus = np.zeros(blocks.size, dtype=bool)  # has_inf holds by construction
+        has_sus[owner[sus]] = True
+        can_transmit = (disease.is_susceptible | disease.is_infectious)[states]
+        rows = np.sort(rows[has_sus[owner] & can_transmit])
+    observe.counter("exposure.active_blocks", int(np.count_nonzero(has_sus)))
+    observe.counter("exposure.candidates", rows.size)
+    if rows.size == 0:
         return None
     with observe.span("exposure.gather"):
-        # Visit times are read for candidate rows only; on a memmap
+        # Every column is read for candidate rows only; on a memmap
         # backing the other pages never enter RAM.
-        rows = visit_rows[keep]
+        person = graph.visit_person[rows]
+        state = health_state[person]
         return Candidates(
-            person=vp[keep], location=vl[keep], subloc=vs[keep],
+            person=person, location=graph.visit_location[rows], subloc=graph.visit_subloc[rows],
             start=graph.visit_start[rows], end=graph.visit_end[rows],
-            state=states[keep], sus=sus[keep], inf=inf[keep],
+            state=state, sus=disease.is_susceptible[state], inf=disease.is_infectious[state],
         )
 
 

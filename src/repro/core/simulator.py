@@ -7,7 +7,9 @@ This is the semantic ground truth: the chare-parallel runtime in
 :mod:`repro.core.day`; this loop runs its owned steps — person phase,
 location phase, apply phase (paper §II-B steps 1, 3, 5) — over every
 person and visit, between the central :func:`~repro.core.day.open_day`
-and :func:`~repro.core.day.close_day` (step 6).
+and :func:`~repro.core.day.close_day` (step 6).  "Every visit" travels
+as ``None``, not as a row list: with no intervention active the
+location phase is O(visits in an infectious person's blocks).
 
 The latent-period argument (an infection today can never make someone
 infectious *today*) is what allows the whole day to be processed in
@@ -55,7 +57,8 @@ class SequentialSimulator:
         The simulation specification.
     collect_location_stats:
         Accumulate per-location event/interaction counts across the run
-        (needed when fitting the load model; ~15% slower).
+        (needed when fitting the load model).  ``events`` counts every
+        visit row, so this brings back one pass over all visits a day.
     kernel:
         Exposure-kernel selection passed through to
         :func:`~repro.core.exposure.compute_infections` (one of
@@ -109,8 +112,9 @@ class SequentialSimulator:
                 kernel=self.kernel, collect_stats=self.collect_location_stats,
             )
             infected = day_steps.apply_phase(state, sc, self.day, phase.records[:, 0])
+            visits_made = sc.graph.n_visits if visit_rows is None else int(visit_rows.size)
             result = day_steps.close_day(
-                state, sc, ctx, seeded=seeded, visits_made=int(visit_rows.size),
+                state, sc, ctx, seeded=seeded, visits_made=visits_made,
                 transitions=transitions, infected=infected,
             )
             self.day += 1

@@ -157,6 +157,9 @@ class SmpSimulator:
                 raise RuntimeError(
                     f"compiled kernel unavailable: {ckernel.build_error()}"
                 )
+        # Likewise the block index every worker's location phase walks:
+        # built once here, inherited copy-on-write, not once per worker.
+        g.block_visit_index()
         self.scenario = scenario
         self.n_workers = n_workers
         partition.validate_against(g)

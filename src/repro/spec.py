@@ -47,7 +47,14 @@ __all__ = [
     "execute",
     "canonical_json",
     "content_hash",
+    "KERNELS",
 ]
+
+#: Exposure kernels ``RuntimeSpec.kernel`` can name (see
+#: :mod:`repro.core.exposure`, which re-exports this; ``"compiled"``
+#: needs ``repro.core.ckernel.available``).  Here because this module
+#: imports nothing: the CLI builds its parser without ``repro.core``.
+KERNELS = ("flat", "grouped", "compiled")
 
 _DIGEST_SIZE = 16  # 128-bit BLAKE2b, hex length 32
 

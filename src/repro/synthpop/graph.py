@@ -26,6 +26,8 @@ from typing import Iterator
 
 import numpy as np
 
+from repro import observe
+
 __all__ = ["LocationType", "PersonLocationGraph", "MINUTES_PER_DAY"]
 
 #: Simulated minutes in one time step (one simulation day).
@@ -111,10 +113,15 @@ class PersonLocationGraph:
     #: or None for plain RAM arrays).  Carried so the backing's temp
     #: files share the graph's lifetime; content is identical either way.
     backing: object | None = field(default=None, repr=False, compare=False)
-    # Lazily built CSR indexes (by-person and by-location views).
+    # Lazily built CSR indexes (by-person, by-location and by-block
+    # views).  Private and derived: not hashed, not stored; every field
+    # here is listed in _INDEX_FIELDS so a new graph never inherits one.
     _person_ptr: np.ndarray | None = field(default=None, repr=False)
     _loc_order: np.ndarray | None = field(default=None, repr=False)
     _loc_ptr: np.ndarray | None = field(default=None, repr=False)
+    _block_index: tuple | None = field(default=None, repr=False, compare=False)
+
+    _INDEX_FIELDS = ("_person_ptr", "_loc_order", "_loc_ptr", "_block_index")
 
     # ------------------------------------------------------------------
     # basic properties
@@ -248,11 +255,36 @@ class PersonLocationGraph:
             self._loc_ptr = ptr
         return self._loc_order, self._loc_ptr
 
+    def block_visit_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(order, ptr, sub_off)`` grouping visit rows by block.
+
+        Sublocation ``s`` of location ``l`` is the dense block
+        ``b = sub_off[l] + s`` (``sub_off`` the exclusive prefix sum of
+        ``location_n_sublocs``); ``order[ptr[b]:ptr[b+1]]`` are its
+        visit rows, ascending.  ``order`` is the permutation
+        ``np.argsort(block, kind="stable")`` gives, taken as stable
+        16-bit radix passes from the low digit up (2.5x cheaper at 1.1M
+        visits): 8 B per visit + 8 B per block, built on first use.
+        """
+        if self._block_index is None:
+            with observe.span("graph.block_index", visits=self.n_visits):
+                n_blocks = int(self.location_n_sublocs.sum())
+                sub_off = np.cumsum(self.location_n_sublocs, dtype=np.int64)
+                sub_off -= self.location_n_sublocs
+                block = sub_off[self.visit_location] + self.visit_subloc
+                order = np.argsort(block.astype(np.uint16), kind="stable")
+                for shift in range(16, (n_blocks - 1).bit_length(), 16):
+                    digit = (block >> shift).astype(np.uint16)
+                    order = order[np.argsort(digit[order], kind="stable")]
+                ptr = np.zeros(n_blocks + 1, dtype=np.int64)
+                np.cumsum(np.bincount(block, minlength=n_blocks), out=ptr[1:])
+                self._block_index = (order, ptr, sub_off)
+        return self._block_index
+
     def invalidate_indexes(self) -> None:
         """Drop cached CSR indexes after in-place mutation."""
-        self._person_ptr = None
-        self._loc_order = None
-        self._loc_ptr = None
+        for name in self._INDEX_FIELDS:
+            setattr(self, name, None)
 
     # ------------------------------------------------------------------
     # validation
@@ -364,9 +396,7 @@ class PersonLocationGraph:
                 self.location_n_sublocs if location_n_sublocs is None else location_n_sublocs
             ),
             location_type=self.location_type if location_type is None else location_type,
-            _person_ptr=None,
-            _loc_order=None,
-            _loc_ptr=None,
+            **dict.fromkeys(self._INDEX_FIELDS),
         )
         return g
 

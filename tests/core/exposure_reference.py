@@ -1,4 +1,6 @@
-"""Location-level candidate filter and its three kernels — a test oracle.
+"""Two earlier candidate filters, kept verbatim — test oracles.
+
+**The location-level filter and its three kernels** (first part).
 
 ``_compute_infections`` and the three ``_*_kernel`` functions below are
 what ``repro.core.exposure`` ran before the candidate filter moved from
@@ -15,6 +17,18 @@ function (``repro.core.day.compute_infections``).  The kernels still
 append one ``InfectionEvent`` per infection, as they always did — to a
 :class:`_ListSink` standing in for the ``LocationPhaseResult`` of their
 day; the wrapper packs that list into today's ``records`` array.
+
+**The linear sublocation-block filter** (second part, at the bottom).
+``_block_filter`` is what ``repro.core.exposure._block_filter`` was
+before it became a walk over the block CSR from the infectious persons:
+one pass over *every* handed-in row, two ``n_blocks``-sized tables, no
+index — the same :class:`Candidates` in the same order.
+:func:`compute_infections_linear` is ``compute_infections`` as it stood
+around it, handing those candidates to the *production* kernels
+(``test_block_walk.py``).
+
+Both wrappers read ``visit_rows=None`` ("every visit of the graph", the
+form the sequential day now hands in) as ``np.arange(n_visits)``.
 """
 
 from collections import Counter
@@ -22,11 +36,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import observe
+from repro.core import exposure as production
 from repro.core.des import blocked_pairwise_exposures, pairwise_exposures
 from repro.core.disease import DiseaseModel
 from repro.core.exposure import (
     DEFAULT_KERNEL,
     KERNELS,
+    Candidates,
     InfectionEvent,
     LocationPhaseResult,
 )
@@ -45,6 +62,8 @@ def compute_infections(
     visit_rows, graph, health_state, disease, transmission, day, rng_factory,
     collect_stats=False, kernel=None,
 ):
+    if visit_rows is None:
+        visit_rows = np.arange(graph.n_visits)
     sink = _compute_infections(
         visit_rows, graph, health_state, disease, transmission, day,
         rng_factory, collect_stats, kernel,
@@ -345,3 +364,78 @@ def _grouped_kernel(
                 result.infections.append(
                     InfectionEvent(person=int(p), location=loc, minute=int(first_minute[j]))
                 )
+
+
+# ----------------------------------------------------------------------
+# second oracle: the linear sublocation-block filter
+# ----------------------------------------------------------------------
+def compute_infections_linear(
+    visit_rows, graph, health_state, disease, transmission, day, rng_factory,
+    collect_stats=False, kernel=None,
+):
+    if visit_rows is None:
+        visit_rows = np.arange(graph.n_visits)
+    kernel = DEFAULT_KERNEL if kernel is None else kernel
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    impl = {
+        "flat": production._flat_kernel,
+        "grouped": production._grouped_kernel,
+        "compiled": production._compiled_kernel,
+    }[kernel]
+    result = LocationPhaseResult()
+    with observe.span(
+        "exposure.compute", day=day, kernel=kernel, visits=int(visit_rows.size)
+    ) as obs_span:
+        candidates = _block_filter(
+            visit_rows, graph, health_state, disease, result.events if collect_stats else None
+        )
+        if candidates is not None:
+            impl(result, candidates, graph, disease, transmission, day, rng_factory, collect_stats)
+        obs_span.set(infections=len(result.records))
+    return result
+
+
+def _block_filter(
+    visit_rows: np.ndarray, graph, health_state: np.ndarray, disease: DiseaseModel,
+    events: Counter | None,
+) -> Candidates | None:
+    observe.counter("exposure.visits", visit_rows.size)
+    if visit_rows.size == 0:
+        return None
+    with observe.span("exposure.filter"):
+        vp = graph.visit_person[visit_rows]
+        states = health_state[vp]
+        sus = disease.is_susceptible[states]
+        inf = disease.is_infectious[states]
+        vl = graph.visit_location[visit_rows]
+        vs = graph.visit_subloc[visit_rows]
+        if events is not None:
+            locs, counts = np.unique(vl, return_counts=True)
+            events.update(dict(zip(locs.tolist(), (2 * counts).tolist())))
+        # Dense block id: sublocation s of location l is sub_off[l] + s,
+        # sub_off the exclusive prefix sum of the sublocation counts —
+        # O(n_locations), rebuilt per call, nothing kept on the graph.
+        sub_off = np.cumsum(graph.location_n_sublocs, dtype=np.int64)
+        n_blocks = int(sub_off[-1])
+        sub_off -= graph.location_n_sublocs
+        block = sub_off[vl] + vs
+        has_inf = np.zeros(n_blocks, dtype=bool)
+        has_inf[block[inf]] = True
+        has_sus = np.zeros(n_blocks, dtype=bool)
+        has_sus[block[sus]] = True
+        active = has_inf & has_sus
+        keep = np.flatnonzero(active[block] & (sus | inf))
+    observe.counter("exposure.active_blocks", int(np.count_nonzero(active)))
+    observe.counter("exposure.candidates", keep.size)
+    if keep.size == 0:
+        return None
+    with observe.span("exposure.gather"):
+        # Visit times are read for candidate rows only; on a memmap
+        # backing the other pages never enter RAM.
+        rows = visit_rows[keep]
+        return Candidates(
+            person=vp[keep], location=vl[keep], subloc=vs[keep],
+            start=graph.visit_start[rows], end=graph.visit_end[rows],
+            state=states[keep], sus=sus[keep], inf=inf[keep],
+        )

@@ -1,0 +1,409 @@
+"""The block walk against the linear block filter it replaced.
+
+Production finds the day's candidates by walking from the infectious
+persons through ``PersonLocationGraph.block_visit_index()``;
+``exposure_reference._block_filter`` is the one pass over every
+handed-in row it replaced, verbatim, in front of the *production*
+kernels (``compute_infections_linear``).  Same candidate rows in the
+same (ascending) order means the kernels cannot tell the two apart, so
+the first thing pinned is every :class:`Candidates` column; then what a
+caller sees (infections in order, ``events`` / ``interactions``, every
+keyed draw, the hazard-sum bytes) on all three kernels, for every form
+rows arrive in — ``None``, the full ``arange``, by-location and random
+ascending subsets, rows thinned by an active ``SchoolClosure``; then
+whole runs on all three backends.
+
+The case the walk could get wrong and the linear pass could not: a
+person's hazards add per ``(location, person)`` over *every* room of
+the location they visit, in candidate order.  The walk meets rows room
+by room; if it handed them on that way, a susceptible who is in room 3
+in the morning and room 0 in the afternoon would get the two partial
+sums in the other order.  ``test_block_major_order_is_not_bit_exact``
+shows that flips a last bit, which is why the walk sorts.
+"""
+
+import dataclasses
+import struct
+import types
+
+import numpy as np
+import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
+
+from repro.core import Scenario, SequentialSimulator, TransmissionModel, ckernel
+from repro.core import day as day_steps
+from repro.core import exposure as production
+from repro.core.disease import UNTREATED
+from repro.core.interventions import DayContext, InterventionSchedule, SchoolClosure
+from repro.core.parallel import ParallelEpiSimdemics
+from repro.scenarios import registry
+from repro.smp import SmpSimulator
+from repro.spec import PartitionSpec, PopulationSpec, RunSpec, RuntimeSpec, execute
+from repro.synthpop.graph import LocationType, PersonLocationGraph
+from repro.util.rng import RngFactory
+
+from . import exposure_reference
+from .day_loop_reference import ReferenceDayLoop
+from .test_block_filter import DISEASES, _observable, kernels, phases
+
+LINEAR = types.SimpleNamespace(compute_infections=exposure_reference.compute_infections_linear)
+COLUMNS = [f.name for f in dataclasses.fields(production.Candidates)]
+
+
+def _graph(visits, n_sublocs, n_persons, location_type=None):
+    """``visits``: (person, location, subloc, start, end), person-sorted."""
+    p, l, s, a, b = (np.asarray(c, dtype=np.int64) for c in zip(*visits))
+    n_sublocs = np.asarray(n_sublocs, dtype=np.int64)
+    graph = PersonLocationGraph(
+        name="walk", n_persons=n_persons, n_locations=n_sublocs.size,
+        visit_person=p, visit_location=l, visit_subloc=s, visit_start=a, visit_end=b,
+        location_n_sublocs=n_sublocs,
+        location_type=(
+            np.zeros(n_sublocs.size, dtype=np.int64) if location_type is None else location_type
+        ),
+        person_age=np.full(n_persons, 30, dtype=np.int64),
+        person_home=np.zeros(n_persons, dtype=np.int64),
+    )
+    graph.validate()
+    return graph
+
+
+@st.composite
+def walk_phases(draw):
+    """PR 18's phases, with the rows in every form a backend hands in."""
+    graph, disease, health, rows = draw(phases())
+    form = draw(st.sampled_from(["none", "arange", "drawn", "drawn", "closure"]))
+    if form == "none":  # the sequential day with no intervention active
+        rows = None
+    elif form == "arange":
+        rows = np.arange(graph.n_visits, dtype=np.int64)
+    elif form == "closure":  # odd locations are schools, closed today
+        graph = dataclasses.replace(
+            graph,
+            location_type=np.where(
+                np.arange(graph.n_locations) % 2, int(LocationType.SCHOOL), int(LocationType.HOME)
+            ),
+        )
+        ctx = DayContext(
+            day=3, graph=graph, disease=disease, health_state=health,
+            treatment=np.full(graph.n_persons, UNTREATED, dtype=np.int32),
+            prevalence=0.5, cumulative_attack=0.5, rng_factory=RngFactory(1),
+        )
+        rows = np.flatnonzero(InterventionSchedule([SchoolClosure(day=0)]).visit_mask(ctx))
+    return graph, disease, health, rows
+
+
+def _assert_same_candidates(graph, disease, health, rows):
+    got = production._block_filter(rows, graph, health, disease, None)
+    expected = exposure_reference._block_filter(
+        np.arange(graph.n_visits) if rows is None else rows, graph, health, disease, None
+    )
+    assert (got is None) == (expected is None)
+    if got is not None:
+        for name in COLUMNS:
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    return got
+
+
+# ----------------------------------------------------------------------
+# one phase
+# ----------------------------------------------------------------------
+@given(walk_phases())
+@settings(max_examples=300, deadline=None)
+def test_walk_finds_the_linear_filters_candidates(phase):
+    _assert_same_candidates(*phase)
+
+
+@kernels
+@given(walk_phases())
+@settings(max_examples=150, deadline=None)
+def test_walk_equals_linear_filter(kernel, phase):
+    got = _observable(production, kernel, *phase)
+    expected = _observable(LINEAR, kernel, *phase)
+    for key, value in expected.items():
+        assert got[key] == value, key
+
+
+def _room_order_matters(phase):
+    """A susceptible visits two *active* rooms of one location, the
+    higher-numbered room first: row order and block order disagree."""
+    graph, disease, health, rows = phase
+    if rows is not None and rows.size != graph.n_visits:
+        return False
+    state = health[graph.visit_person]
+    sus, inf = disease.is_susceptible[state], disease.is_infectious[state]
+    room = list(zip(graph.visit_location.tolist(), graph.visit_subloc.tolist()))
+    active = {r for r, s in zip(room, sus) if s} & {r for r, i in zip(room, inf) if i}
+    for r1 in np.flatnonzero(sus):
+        for r2 in range(r1 + 1, graph.n_visits):
+            if (
+                graph.visit_person[r2] == graph.visit_person[r1]
+                and room[r2][0] == room[r1][0] and room[r2][1] < room[r1][1]
+                and room[r1] in active and room[r2] in active
+            ):
+                return True
+    return False
+
+
+def test_strategy_reaches_rooms_visited_against_their_numbering():
+    find(walk_phases(), _room_order_matters, settings=settings(max_examples=5000, deadline=None))
+
+
+#: one susceptible, in room 3 of location 0 at 09:00 and in room 0 at
+#: 14:00; overlaps of 55, 41 and 17 minutes with three shedders
+REVISIT = [
+    (0, 0, 3, 540, 600), (0, 0, 0, 840, 900),
+    (1, 0, 3, 545, 600),  # symptomatic, room 3, 55 min
+    (2, 0, 0, 800, 881),  # asymptomatic, room 0, 41 min
+    (3, 0, 0, 883, 960),  # symptomatic, room 0, 17 min
+]
+
+
+def _revisit():
+    disease = DISEASES["influenza"]
+    S, I, A = (
+        disease.index[n]
+        for n in ("susceptible", "infectious_symptomatic", "infectious_asymptomatic")
+    )
+    tm = TransmissionModel(4e-3)
+    h55, h41, h17 = (
+        float(tm.hazard(float(m), disease.infectivity[s], 1.0))
+        for m, s in ((55, I), (41, A), (17, I))
+    )
+    return _graph(REVISIT, [4], 4), disease, np.array([S, I, A, I]), h55, h41, h17
+
+
+@kernels
+def test_hazards_add_in_row_order_across_rooms(kernel):
+    graph, disease, health, h55, h41, h17 = _revisit()
+    row_order = struct.pack("d", 0.0 + h55 + h41 + h17)
+    assert row_order != struct.pack("d", 0.0 + h41 + h17 + h55)  # the case discriminates
+    for rows in (None, np.arange(5)):
+        candidates = _assert_same_candidates(graph, disease, health, rows)
+        assert candidates.subloc.tolist() == [3, 0, 3, 0, 0]  # ascending rows, not by room
+        got = _observable(production, kernel, graph, disease, health, rows)
+        assert got["hazard_sums"] == row_order
+        assert got == _observable(LINEAR, kernel, graph, disease, health, rows)
+
+
+def test_block_major_order_is_not_bit_exact():
+    """Hand the flat kernel the same candidates room by room — the order
+    the walk meets them in — and the one hazard sum changes its last
+    bit: the walk's ``np.sort`` is not optional."""
+    graph, disease, health, h55, h41, h17 = _revisit()
+    c = production._block_filter(None, graph, health, disease, None)
+    by_room = np.lexsort((np.arange(c.person.size), c.subloc, c.location))
+    sums = []
+
+    class Spy(TransmissionModel):
+        def probability(self, total_hazard):
+            sums.append(np.asarray(total_hazard).tobytes())
+            return super().probability(total_hazard)
+
+    for order in (np.arange(c.person.size), by_room):
+        permuted = production.Candidates(**{n: getattr(c, n)[order] for n in COLUMNS})
+        production._flat_kernel(
+            production.LocationPhaseResult(), permuted, graph, disease, Spy(4e-3), 3,
+            RngFactory(11), False,
+        )
+    assert sums == [struct.pack("d", 0.0 + h55 + h41 + h17), struct.pack("d", 0.0 + h41 + h17 + h55)]
+    assert sums[0] != sums[1]
+
+
+@kernels
+@pytest.mark.parametrize("mix", ["no-infectious", "no-susceptible", "carrier"])
+def test_degenerate_populations(small_graph, kernel, mix):
+    """Nobody sheds; nobody can catch it; a state that does both."""
+    disease = DISEASES["carrier" if mix == "carrier" else "influenza"]
+    rng = np.random.default_rng(5)
+    allowed = np.flatnonzero({
+        "no-infectious": ~disease.is_infectious,
+        "no-susceptible": ~disease.is_susceptible,
+        "carrier": (disease.is_infectious & disease.is_susceptible) | disease.is_terminal,
+    }[mix])
+    health = rng.choice(allowed, small_graph.n_persons)
+    by_location = np.flatnonzero(small_graph.visit_location % 3 == 1)
+    for rows in (None, by_location):
+        _assert_same_candidates(small_graph, disease, health, rows)
+        got = _observable(production, kernel, small_graph, disease, health, rows)
+        assert got == _observable(LINEAR, kernel, small_graph, disease, health, rows)
+        assert bool(got["infections"]) == (mix == "carrier")
+        assert got["events"]  # every row still counts, whoever is in it
+
+
+# ----------------------------------------------------------------------
+# the index
+# ----------------------------------------------------------------------
+def _assert_index_is_the_stable_argsort(graph):
+    order, ptr, sub_off = graph.block_visit_index()
+    n_blocks = int(graph.location_n_sublocs.sum())
+    assert sub_off.tolist() == (
+        np.cumsum(graph.location_n_sublocs) - graph.location_n_sublocs
+    ).tolist()
+    block = sub_off[graph.visit_location] + graph.visit_subloc
+    assert order.dtype == ptr.dtype == sub_off.dtype == np.int64
+    assert sorted(order.tolist()) == list(range(graph.n_visits))  # a permutation
+    assert ptr.size == n_blocks + 1 and ptr[0] == 0 and ptr[-1] == graph.n_visits
+    assert (np.diff(ptr) >= 0).all()
+    assert np.array_equal(np.diff(ptr), np.bincount(block, minlength=n_blocks))
+    assert np.array_equal(block[order], np.sort(block))  # grouped by block ...
+    same_block = block[order][1:] == block[order][:-1]
+    assert (np.diff(order)[same_block] > 0).all()  # ... ascending row inside each
+    assert np.array_equal(order, np.argsort(block, kind="stable"))
+    assert graph.block_visit_index()[0] is order  # built once
+
+
+@given(phases())
+@settings(max_examples=100, deadline=None)
+def test_index_properties(phase):
+    _assert_index_is_the_stable_argsort(phase[0])
+
+
+def test_index_on_generated_populations(tiny_graph, small_graph, wy_graph):
+    for graph in (tiny_graph, small_graph, wy_graph):
+        _assert_index_is_the_stable_argsort(graph)
+
+
+@pytest.mark.parametrize(
+    "n_locations, rooms",
+    [(1, 1), (1, 7), (40_000, 2), (70_000, 1), (2, 40_000)],
+    ids=["one-block", "one-location", "80000-blocks", "70000-blocks", "wide-locations"],
+)
+def test_index_radix_passes(n_locations, rooms):
+    """Past 65,536 blocks the build takes a second 16-bit pass over the
+    first one's permutation; one block takes a pass over all-zero keys."""
+    rng = np.random.default_rng(n_locations + rooms)
+    n_persons = 3000
+    person = np.sort(rng.integers(0, n_persons, 12_000))
+    start = rng.integers(0, 1200, person.size)
+    by_person_start = np.lexsort((start, person))
+    location = rng.integers(0, n_locations, person.size)
+    visits = zip(
+        person[by_person_start], location, rng.integers(0, rooms, person.size),
+        start[by_person_start], start[by_person_start] + 30,
+    )
+    graph = _graph(list(visits), np.full(n_locations, rooms), n_persons)
+    _assert_index_is_the_stable_argsort(graph)
+    # and the walk over it, on a population where blocks are mostly singletons
+    disease = DISEASES["influenza"]
+    health = rng.choice(
+        [disease.index["susceptible"], disease.index["infectious_symptomatic"]],
+        n_persons, p=[0.9, 0.1],
+    )
+    _assert_same_candidates(graph, disease, health, None)
+    _assert_same_candidates(graph, disease, health, np.flatnonzero(location % 2 == 0))
+
+
+def test_empty_graph_has_an_empty_index():
+    graph = PersonLocationGraph(
+        name="empty", n_persons=0, n_locations=0,
+        **{f"visit_{c}": np.empty(0, dtype=np.int64)
+           for c in ("person", "location", "subloc", "start", "end")},
+        location_n_sublocs=np.empty(0, dtype=np.int64),
+        location_type=np.empty(0, dtype=np.int64),
+        person_age=np.empty(0, dtype=np.int64), person_home=np.empty(0, dtype=np.int64),
+    )
+    order, ptr, sub_off = graph.block_visit_index()
+    assert order.size == 0 and ptr.tolist() == [0] and sub_off.size == 0
+
+
+# ----------------------------------------------------------------------
+# run level: the epidemic, the simulated runtime's virtual time, smp
+# ----------------------------------------------------------------------
+def _spec(kernel, **runtime):
+    return RunSpec(
+        population=PopulationSpec(kind="generated", n_persons=2000, seed=20140519),
+        n_days=3, seed=5, initial_infections=40, transmissibility=2.5e-5,
+        runtime=RuntimeSpec(kernel=kernel, **runtime),
+    )
+
+
+def _use_linear(monkeypatch):
+    """Swap the oracle in at the one place any backend reaches
+    ``compute_infections`` through (forked smp workers inherit it)."""
+    monkeypatch.setattr(
+        day_steps, "compute_infections", exposure_reference.compute_infections_linear
+    )
+
+
+@kernels
+def test_sequential_run_record_is_unchanged(kernel, monkeypatch):
+    production_record = execute(_spec(kernel)).record()
+    _use_linear(monkeypatch)
+    assert execute(_spec(kernel)).record() == production_record
+    assert sum(production_record["new_infections"]) > 40  # it did transmit
+
+
+@kernels
+def test_charm_run_virtual_time_is_unchanged(kernel, monkeypatch):
+    """splitLoc'd graph, 4 PEs, one walk per LocationManager chare:
+    ``events`` / ``interactions`` feed the load model, so equal virtual
+    time pins them through a whole run."""
+    spec = _spec(kernel, backend="charm", workers=4)
+    graph, part = PartitionSpec("gp", k=4, split=True).build(spec.population.build())
+
+    def run():
+        out = ParallelEpiSimdemics.from_spec(spec, graph=graph, partition=part).run()
+        return out.phase_times, out.total_virtual_time, out.runtime_stats, out.result.curve
+
+    got = run()
+    _use_linear(monkeypatch)
+    assert run() == got
+    assert len(got[0]) == 3
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    ["flat", pytest.param("compiled", marks=pytest.mark.skipif(
+        not ckernel.available(), reason=f"no compiled kernel: {ckernel.build_error()}"))],
+)
+def test_smp_day_results_are_unchanged(kernel, monkeypatch):
+    spec = _spec(kernel, backend="smp", workers=2)
+    graph = spec.population.build()
+    got = SmpSimulator.from_spec(spec, graph=graph).run().result.days
+    assert graph._block_index is not None  # built in the driver, before the fork
+    _use_linear(monkeypatch)
+    assert SmpSimulator.from_spec(spec, graph=graph).run().result.days == got
+    assert sum(d.new_infections for d in got) > 40
+
+
+@pytest.mark.parametrize("config", ["influenza", "closure"] + registry.names())
+def test_visits_made_through_the_none_seam(small_graph, config, monkeypatch):
+    """The sequential day hands on ``None`` for "every visit" and counts
+    ``graph.n_visits``; the loop it replaced listed the rows."""
+    handed = []
+    real = day_steps.compute_infections
+
+    def spy(visit_rows, *args, **kwargs):
+        handed.append(visit_rows)
+        return real(visit_rows, *args, **kwargs)
+
+    def scenario():
+        if config in registry.names():
+            return registry.build_scenario(
+                config, small_graph, n_days=6, seed=7, initial_infections=12,
+                transmissibility=3e-4,
+            )
+        closure = [SchoolClosure(day=2, duration=2)] if config == "closure" else []
+        return Scenario(
+            graph=small_graph, n_days=6, seed=7, initial_infections=12,
+            transmission=TransmissionModel(3e-4),
+            interventions=InterventionSchedule(closure),
+        )
+
+    ref = ReferenceDayLoop(scenario())
+    expected = [ref._step_day()[0] for _ in range(6)]
+    monkeypatch.setattr(day_steps, "compute_infections", spy)
+    got = SequentialSimulator(scenario()).run().days
+    assert got == expected
+    for day, rows in zip(got, handed):
+        if rows is None:
+            assert day.visits_made == small_graph.n_visits
+        else:
+            assert day.visits_made == rows.size < small_graph.n_visits
+    if config == "influenza":
+        assert all(rows is None for rows in handed)
+    if config == "closure":
+        assert [rows is None for rows in handed] == [True, True, False, False, True, True]

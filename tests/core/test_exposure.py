@@ -45,13 +45,19 @@ class TestGroupingInvariance:
         b = compute_infections(part_b, tiny_graph, state, sc.disease, sc.transmission, 0, f)
         assert _key(whole.infections) == _key(a.infections + b.infections)
 
-    def test_row_order_irrelevant(self, tiny_graph):
+    def test_descending_rows_are_refused(self, tiny_graph):
+        """Rows come ascending and distinct (every backend sorts what
+        it received); another order used to be computed, to the same
+        infections but not provably the same last bit of a hazard sum,
+        and is now an error.  None means every visit."""
         sc, state = _setup(tiny_graph)
         f = RngFactory(sc.seed)
         rows = np.arange(tiny_graph.n_visits, dtype=np.int64)
         fwd = compute_infections(rows, tiny_graph, state, sc.disease, sc.transmission, 0, f)
-        rev = compute_infections(rows[::-1], tiny_graph, state, sc.disease, sc.transmission, 0, f)
-        assert _key(fwd.infections) == _key(rev.infections)
+        with pytest.raises(ValueError, match="ascending"):
+            compute_infections(rows[::-1], tiny_graph, state, sc.disease, sc.transmission, 0, f)
+        everything = compute_infections(None, tiny_graph, state, sc.disease, sc.transmission, 0, f)
+        assert len(fwd.infections) > 0 and everything.infections == fwd.infections
 
     def test_no_infectious_no_infections(self, tiny_graph):
         sc, _ = _setup(tiny_graph)

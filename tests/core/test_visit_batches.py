@@ -7,8 +7,6 @@ pinned exactly equal across delivery modes, sync protocols and buffer
 sizes small enough that buffers fill and flush mid-phase.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.charm.machine import Machine, MachineConfig
@@ -53,10 +51,7 @@ def _modelled(sim):
         "runtime_stats": out.runtime_stats,
         "curve": out.result.curve,
         "final_histogram": out.result.final_histogram,
-        # The per-visit oracle PM predates the per-day transition count
-        # (it reports none); ``tests/core/test_one_day.py`` pins that
-        # field against the sequential simulator instead.
-        "days": [dataclasses.replace(d, transitions=0) for d in out.result.days],
+        "days": out.result.days,  # all five fields, ``transitions`` included
         "chare_costs": sim.runtime.chare_costs,
         "lb": (sim.lb_steps, sim.lb_moves),
     }
@@ -71,6 +66,7 @@ def _assert_matches_oracle(graph, monkeypatch, **kwargs):
     for key, expected in oracle.items():
         assert production[key] == expected, key
     assert len(production["phase_times"]) == 6
+    assert sum(d.transitions for d in production["days"]) > 0
 
 
 @pytest.mark.parametrize("aggregation_bytes", [64, 256, 65536])

@@ -26,6 +26,9 @@ class LoopPersonManager(_PersonManager):
             sim.health_state, sim.days_remaining, sim.treatment, day,
             sim.rng_factory, subset=self.persons,
         )
+        # the one line newer than the loop: the per-day transition count
+        # every backend reports since the day was written once
+        sim.day_transitions += int(changed.size)
         self.charge(
             cost.person_health_cost * self.persons.size
             + cost.transition_cost * changed.size

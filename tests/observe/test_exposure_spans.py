@@ -51,6 +51,7 @@ def simmering():
         )
         return execute(spec, graph=graph)
 
+    run.graph = graph
     return run
 
 
@@ -73,6 +74,24 @@ def test_stage_spans_tile_the_phase(simmering, kernel):
     # each stage is a direct child of the phase, so none is counted twice
     spans = obs.spans
     assert {spans[s.parent].name for s in spans if s.name in stages} == {"exposure.compute"}
+
+
+def test_index_build_is_a_span_inside_the_first_filter(simmering):
+    """The walk's index is built by the first location phase that needs
+    it — inside ``run_s``, visible as its own row — and never again."""
+    simmering.graph.invalidate_indexes()
+    with observe.observing() as obs:
+        simmering("flat")
+    spans = obs.spans
+    builds = [s for s in obs.closed_spans() if s.name == "graph.block_index"]
+    assert [spans[s.parent].name for s in builds] == ["exposure.filter"]
+    assert builds[0].attrs["visits"] == simmering.graph.n_visits
+    assert spans[builds[0].parent].start == min(
+        s.start for s in obs.closed_spans() if s.name == "exposure.filter"
+    )
+    with observe.observing() as obs:
+        simmering("flat")
+    assert "graph.block_index" not in {s.name for s in obs.closed_spans()}
 
 
 def test_grouped_kernel_names_its_stages(tiny_graph):
@@ -110,9 +129,10 @@ def test_what_the_ladder_reads(simmering, kernel, monkeypatch):
         return wrapper
 
     def recording(fn):
-        def wrapper(visit_rows, *args, **kwargs):
-            result = fn(visit_rows, *args, **kwargs)
-            seen["calls"].append((int(visit_rows.size), len(result.infections)))
+        def wrapper(visit_rows, graph, *args, **kwargs):
+            result = fn(visit_rows, graph, *args, **kwargs)
+            handed = graph.n_visits if visit_rows is None else int(visit_rows.size)
+            seen["calls"].append((handed, len(result.infections)))
             return result
         return wrapper
 
@@ -132,3 +152,10 @@ def test_what_the_ladder_reads(simmering, kernel, monkeypatch):
     # the filter is the point: most gathered visits cannot transmit
     assert obs.counters["exposure.candidates"] < 0.25 * obs.counters["exposure.visits"]
     assert 0 < obs.counters["exposure.active_blocks"] <= obs.counters["exposure.candidates"]
+    # ... and the walk does not read them to find that out: it touches
+    # the infectious persons' rows and the rows of their blocks
+    assert (
+        obs.counters["exposure.candidates"]
+        < obs.counters["exposure.walk_rows"]
+        < 0.3 * obs.counters["exposure.visits"]
+    )

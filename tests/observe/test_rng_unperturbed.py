@@ -85,9 +85,11 @@ class TestParallel:
 
 
 class TestExposure:
-    COUNTERS = ("exposure.visits", "exposure.candidates", "exposure.active_blocks")
+    COUNTERS = (
+        "exposure.visits", "exposure.candidates", "exposure.active_blocks", "exposure.walk_rows",
+    )
 
-    def _phase(self, graph, kernel):
+    def _phase(self, graph, kernel, rows="arange"):
         from repro.core import influenza_model
         from repro.core.exposure import compute_infections
         from repro.util.rng import RngFactory
@@ -96,7 +98,8 @@ class TestExposure:
         state, _ = disease.initial_health(graph.n_persons)
         state[::7] = disease.index["infectious_symptomatic"]
         return compute_infections(
-            np.arange(graph.n_visits), graph, state, disease, TransmissionModel(2e-3),
+            np.arange(graph.n_visits) if rows == "arange" else rows,
+            graph, state, disease, TransmissionModel(2e-3),
             0, RngFactory(3), collect_stats=True, kernel=kernel,
         )
 
@@ -125,6 +128,21 @@ class TestExposure:
         assert seen[0]["exposure.visits"] == small_graph.n_visits
         assert 0 < seen[0]["exposure.active_blocks"] <= seen[0]["exposure.candidates"]
         assert seen[0]["exposure.candidates"] < small_graph.n_visits
+        # rows the walk touched: a count of work like the others, the
+        # same whether "every visit" arrives as None or listed
+        assert seen[0]["exposure.candidates"] <= seen[0]["exposure.walk_rows"]
+        with observe.observing() as obs:
+            whole = self._phase(small_graph, "flat", rows=None)
+        assert {name: obs.counters[name] for name in self.COUNTERS} == seen[0]
+        assert whole.infections == self._phase(small_graph, "flat").infections
+
+    def test_index_build_is_traced_and_changes_nothing(self, small_graph):
+        small_graph.invalidate_indexes()
+        with observe.observing() as obs:
+            traced = self._phase(small_graph, "flat")
+        assert "graph.block_index" in {s.name for s in obs.closed_spans()}
+        small_graph.invalidate_indexes()
+        assert self._phase(small_graph, "flat").infections == traced.infections
 
 
 class TestPartitioner:

@@ -134,6 +134,30 @@ class TestEpidemicEquivalence:
         assert split == pytest.approx(base, abs=0.12)
 
 
+    def test_index_built_before_the_split_changes_nothing(self):
+        """The block index is cached on the graph; splitLoc renumbers
+        locations and sublocations.  A run on the split graph must not
+        depend on whether the *unsplit* graph had its index built."""
+        from repro.spec import PopulationSpec, RunSpec, execute
+
+        spec = RunSpec(
+            population=PopulationSpec(kind="generated", n_persons=2000, seed=20140519),
+            n_days=4, seed=5, initial_infections=40, transmissibility=2.5e-5,
+        )
+
+        def record(prebuilt):
+            graph = spec.population.build()
+            if prebuilt:
+                graph.block_visit_index(), graph.person_visit_slices()
+            sr = split_heavy_locations(graph, max_partitions=256)
+            assert sr.n_split > 0
+            return execute(spec, graph=sr.graph).record()
+
+        cold = record(False)
+        assert record(True) == cold
+        assert sum(cold["new_infections"]) > 40
+
+
 class TestPostconditionProperties:
     """Hypothesis: splitLoc postconditions hold on arbitrary adversarial
     graphs drawn from the shared ``repro.validate.strategies`` pool."""

@@ -1,5 +1,7 @@
 """PersonLocationGraph invariants and accessors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +114,40 @@ class TestWithVisits:
         g2.validate()
         assert np.all(np.diff(g2.visit_person) >= 0)
         assert g2.n_visits == g.n_visits
+
+    def test_cached_indexes_do_not_ride_into_the_new_graph(self, small_graph):
+        """``with_visits`` goes through ``dataclasses.replace``, which
+        copies every field it is not told about — a cached index would
+        arrive in a graph whose rows, locations and sublocations are
+        numbered differently (splitLoc) and pick wrong rooms silently."""
+        from repro.partition import split_heavy_locations
+
+        g = small_graph
+        g.person_visit_slices(), g.location_visit_index(), g.block_visit_index()
+        assert all(getattr(g, name) is not None for name in g._INDEX_FIELDS)
+        moved = g.with_visits(  # everyone's rooms renumbered, back to front
+            g.visit_person, g.visit_location,
+            g.location_n_sublocs[g.visit_location] - 1 - g.visit_subloc,
+            g.visit_start, g.visit_end,
+        )
+        split = split_heavy_locations(g, max_partitions=64).graph
+        assert split.n_locations > g.n_locations
+        for new in (moved, split):
+            assert all(getattr(new, name) is None for name in new._INDEX_FIELDS)
+            fresh = PersonLocationGraph(**{
+                f.name: getattr(new, f.name)
+                for f in dataclasses.fields(new) if not f.name.startswith("_")
+            })
+            for got, expected in zip(new.block_visit_index(), fresh.block_visit_index()):
+                assert np.array_equal(got, expected)
+            assert not np.array_equal(new.block_visit_index()[0], g.block_visit_index()[0])
+        g.invalidate_indexes()
+        assert all(getattr(g, name) is None for name in g._INDEX_FIELDS)
+
+    def test_index_fields_lists_every_cached_field(self):
+        """The guard above only works if a new cache is registered."""
+        private = {f.name for f in dataclasses.fields(PersonLocationGraph) if f.name[0] == "_"}
+        assert private == set(PersonLocationGraph._INDEX_FIELDS)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=10, deadline=None)

@@ -131,3 +131,35 @@ class TestSweep:
     def test_sweep_rejects_malformed_grid(self, capsys):
         assert main(["sweep", "--quick", "--grid", "transmissibility"]) == 2
         assert "--grid" in capsys.readouterr().err
+
+
+class TestParserIsCheapToBuild:
+    def test_build_parser_leaves_the_exposure_module_out(self):
+        """Every command — ``repro results``, ``--help`` — builds the
+        parser; the ``--kernel`` choices come from ``repro.spec`` so that
+        costs no ``repro.core`` import (~80 ms).  A fresh interpreter,
+        because this process has long since imported everything."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys; from repro.cli import build_parser; p = build_parser();"
+            "from repro.spec import KERNELS;"
+            "ns = p.parse_args(['validate', '--kernel', KERNELS[-1]]);"
+            "print(ns.kernel, sorted(m for m in sys.modules if m.startswith('repro.core')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["compiled", "[]"]
+
+    def test_one_kernel_tuple(self):
+        from repro import spec
+        from repro.core import exposure
+
+        assert exposure.KERNELS is spec.KERNELS == ("flat", "grouped", "compiled")
