@@ -385,7 +385,11 @@ def _cmd_run(args) -> int:
     import time
     from pathlib import Path
 
-    spec = _run_spec_from_args(args)
+    try:
+        spec = _run_spec_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if spec is None:
         print("error: give a population path or --persons (exactly one)",
               file=sys.stderr)

@@ -1,5 +1,17 @@
-"""C hot path for the exposure kernel (built on demand via ``ctypes``).
+"""C hot paths, built on demand into one library loaded via ``ctypes``.
 
+Two loops live here, each the C form of a numpy (or hashlib) definition
+that stays in the repo and that it matches bit for bit:
+
+* **exposure accumulation** (:func:`accumulate_exposures`) — the pair
+  stage of the ``"compiled"`` exposure kernel;
+* **keyed draws** (:func:`keyed_raw`) — BLAKE2b seed derivation,
+  ``SeedSequence`` mixing and the first PCG64 outputs of every keyed
+  stream in one pass per key, behind :mod:`repro.util.rng`'s batched
+  primitives under *every* kernel.
+
+Exposure accumulation
+---------------------
 The ``"compiled"`` exposure kernel replaces the pair-materialising part
 of the ``"flat"`` kernel — segmented S×I enumeration, per-pair hazard
 evaluation, per-(location, person) hazard/bincount reduction and the
@@ -21,6 +33,20 @@ the other kernels:
   flat kernel makes, and ``probability``/``keyed_uniforms`` run on the
   reduced per-person arrays exactly as before.
 
+Keyed draws
+-----------
+A keyed stream is ``Generator(PCG64(derive_seed(root, *key)))``;
+:func:`repro.util.rng.derive_seeds` (hashlib) and
+:mod:`repro.util.pcg` (numpy) are its batched definition.  The C loop
+restates the same three steps per key — BLAKE2b with ``digest_size=8``
+and no key over ``root_le8 ‖ key_le8…`` (one compression up to 15 key
+words, a second beyond), ``SeedSequence(seed).generate_state(4,
+uint64)``, PCG64 ``srandom`` and the first ``n_out`` XSL-RR outputs —
+in integer arithmetic, which is exactly specified, so equality with
+the definition is the whole contract (``tests/util/test_keyed_c.py``).
+
+Build and fallback
+------------------
 The shared library is compiled once per source hash with the system C
 compiler (``$CC``, else ``cc``/``gcc``/``clang``) into a cache
 directory and memoised per process; forked SMP workers inherit the
@@ -28,9 +54,12 @@ mapping.  ``-ffp-contract=off`` keeps the compiler from fusing the
 multiply-add into an FMA that would change the bits.
 
 No toolchain (or ``REPRO_NO_CKERNEL=1``) simply means
-:func:`available` is ``False``: callers fall back to the pure-numpy
-kernels and tests skip cleanly — nothing in the repo *requires* a
-compiler.
+:func:`available` is ``False``: callers fall back to the numpy /
+hashlib definitions and tests skip cleanly — nothing in the repo
+*requires* a compiler.  The one switch governs both paths because they
+are one library: a machine has both C loops or neither, and since each
+path is bit-identical to its fallback, the switch changes speed, never
+an epidemic.
 """
 
 from __future__ import annotations
@@ -46,14 +75,15 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "build_error", "accumulate_exposures", "cache_dir"]
+__all__ = ["available", "build_error", "accumulate_exposures", "keyed_raw", "cache_dir"]
 
 C_SOURCE = r"""
 #include <stdint.h>
 
 /* Accumulate S x I exposure hazards, streaming, without materialising
  * pairs.  Rows are the day's candidate visits (every one susceptible
- * or infectious at an active location).  Susceptible rows are walked
+ * or infectious, in a (location, sublocation) block that holds both
+ * today).  Susceptible rows are walked
  * in ascending row order and their infectious partners in sorted
  * (location, sublocation)-block order -- the exact accumulation
  * sequence of the flat kernel's sort-by-susceptible + bincount, so
@@ -111,11 +141,154 @@ int64_t repro_accumulate_exposures(
     }
     return pairs;
 }
+
+/* ---- keyed draws ---------------------------------------------------- */
+
+static const uint64_t B2B_IV[8] = {
+    0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL,
+    0x3c6ef372fe94f82bULL, 0xa54ff53a5f1d36f1ULL,
+    0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL,
+    0x1f83d9abfb41bd6bULL, 0x5be0cd19137e2179ULL,
+};
+
+static const uint8_t B2B_SIGMA[12][16] = {
+    { 0,  1,  2,  3,  4,  5,  6,  7,  8,  9, 10, 11, 12, 13, 14, 15},
+    {14, 10,  4,  8,  9, 15, 13,  6,  1, 12,  0,  2, 11,  7,  5,  3},
+    {11,  8, 12,  0,  5,  2, 15, 13, 10, 14,  3,  6,  7,  1,  9,  4},
+    { 7,  9,  3,  1, 13, 12, 11, 14,  2,  6,  5, 10,  4,  0, 15,  8},
+    { 9,  0,  5,  7,  2,  4, 10, 15, 14,  1, 11, 12,  6,  8,  3, 13},
+    { 2, 12,  6, 10,  0, 11,  8,  3,  4, 13,  7,  5, 15, 14,  1,  9},
+    {12,  5,  1, 15, 14, 13,  4, 10,  0,  7,  6,  3,  9,  2,  8, 11},
+    {13, 11,  7, 14, 12,  1,  3,  9,  5,  0, 15,  4,  8,  6,  2, 10},
+    { 6, 15, 14,  9, 11,  3,  0,  8, 12,  2, 13,  7,  1,  4, 10,  5},
+    {10,  2,  8,  4,  7,  6,  1,  5, 15, 11,  9, 14,  3, 12, 13,  0},
+    { 0,  1,  2,  3,  4,  5,  6,  7,  8,  9, 10, 11, 12, 13, 14, 15},
+    {14, 10,  4,  8,  9, 15, 13,  6,  1, 12,  0,  2, 11,  7,  5,  3},
+};
+
+#define ROTR64(x, n) (((x) >> (n)) | ((x) << (64 - (n))))
+#define B2B_G(a, b, c, d, x, y) do {                          \
+        v[a] += v[b] + (x); v[d] = ROTR64(v[d] ^ v[a], 32);   \
+        v[c] += v[d];       v[b] = ROTR64(v[b] ^ v[c], 24);   \
+        v[a] += v[b] + (y); v[d] = ROTR64(v[d] ^ v[a], 16);   \
+        v[c] += v[d];       v[b] = ROTR64(v[b] ^ v[c], 63);   \
+    } while (0)
+#define B2B_ROUND(r) do {                                     \
+        const uint8_t *s = B2B_SIGMA[r];                      \
+        B2B_G(0, 4,  8, 12, m[s[ 0]], m[s[ 1]]);              \
+        B2B_G(1, 5,  9, 13, m[s[ 2]], m[s[ 3]]);              \
+        B2B_G(2, 6, 10, 14, m[s[ 4]], m[s[ 5]]);              \
+        B2B_G(3, 7, 11, 15, m[s[ 6]], m[s[ 7]]);              \
+        B2B_G(0, 5, 10, 15, m[s[ 8]], m[s[ 9]]);              \
+        B2B_G(1, 6, 11, 12, m[s[10]], m[s[11]]);              \
+        B2B_G(2, 7,  8, 13, m[s[12]], m[s[13]]);              \
+        B2B_G(3, 4,  9, 14, m[s[14]], m[s[15]]);              \
+    } while (0)
+
+/* One BLAKE2b compression (RFC 7693 F); t = bytes hashed so far,
+ * always < 2**64 here, so the high counter word stays zero. */
+static void b2b_compress(uint64_t h[8], const uint64_t m[16], uint64_t t, int last)
+{
+    uint64_t v[16];
+    for (int i = 0; i < 8; ++i) { v[i] = h[i]; v[i + 8] = B2B_IV[i]; }
+    v[12] ^= t;
+    if (last) v[14] = ~v[14];
+    B2B_ROUND(0); B2B_ROUND(1); B2B_ROUND(2);  B2B_ROUND(3);
+    B2B_ROUND(4); B2B_ROUND(5); B2B_ROUND(6);  B2B_ROUND(7);
+    B2B_ROUND(8); B2B_ROUND(9); B2B_ROUND(10); B2B_ROUND(11);
+    for (int i = 0; i < 8; ++i) h[i] ^= v[i] ^ v[i + 8];
+}
+
+/* blake2b(root_le8 + key_le8..., digest_size=8), read little-endian:
+ * util.rng.derive_seed.  Message words are the root then the keys, so
+ * block b holds words 16b .. 16b+15, zero-padded after the last. */
+static uint64_t keyed_seed(uint64_t root, const int64_t *key, int64_t k)
+{
+    uint64_t h[8], m[16];
+    for (int i = 0; i < 8; ++i) h[i] = B2B_IV[i];
+    h[0] ^= 0x01010008ULL;  /* depth 1, fanout 1, no key, 8-byte digest */
+    const int64_t n_words = k + 1;
+    for (int64_t w = 0;;) {
+        const int64_t take = n_words - w < 16 ? n_words - w : 16;
+        for (int64_t i = 0; i < 16; ++i) {
+            const int64_t j = w + i;
+            m[i] = i >= take ? 0 : j == 0 ? root : (uint64_t)key[j - 1];
+        }
+        w += take;
+        /* the last block is compressed with the final flag even when
+         * full: BLAKE2 never finalises an empty block */
+        b2b_compress(h, m, (uint64_t)w * 8, w == n_words);
+        if (w == n_words) return h[0];
+    }
+}
+
+/* numpy SeedSequence's hashmix / mix (bit_generator.pyx). */
+static inline uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const, uint32_t mult)
+{
+    value ^= *hash_const;
+    *hash_const *= mult;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static inline uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    const uint32_t r = 0xca01f9ddU * x - 0x4973f715U * y;
+    return r ^ (r >> 16);
+}
+
+/* PCG64(seed): SeedSequence(seed).generate_state(4, uint64), srandom,
+ * then n_out XSL-RR outputs written stride words apart (util.pcg). */
+static void pcg64_first(uint64_t seed, int64_t n_out, uint64_t *out, int64_t stride)
+{
+    uint32_t pool[4] = {(uint32_t)seed, (uint32_t)(seed >> 32), 0, 0};
+    uint32_t hc = 0x43b0d7e5U;
+    for (int i = 0; i < 4; ++i) pool[i] = ss_hashmix(pool[i], &hc, 0x931e8875U);
+    for (int src = 0; src < 4; ++src)
+        for (int dst = 0; dst < 4; ++dst)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &hc, 0x931e8875U));
+    uint32_t st[8];
+    hc = 0x8b51f9ddU;
+    for (int i = 0; i < 8; ++i) st[i] = ss_hashmix(pool[i & 3], &hc, 0x58f38dedU);
+    /* uint32 pairs combine low word first; initstate = w0:w1,
+     * initseq = w2:w3 (high:low) */
+    const unsigned __int128 mult =
+        ((unsigned __int128)2549297995355413924ULL << 64) | 4865540595714422341ULL;
+    const unsigned __int128 initstate =
+        ((unsigned __int128)(st[0] | (uint64_t)st[1] << 32) << 64)
+        | (st[2] | (uint64_t)st[3] << 32);
+    const unsigned __int128 initseq =
+        ((unsigned __int128)(st[4] | (uint64_t)st[5] << 32) << 64)
+        | (st[6] | (uint64_t)st[7] << 32);
+    const unsigned __int128 inc = (initseq << 1) | 1;
+    unsigned __int128 state = (inc + initstate) * mult + inc;
+    for (int64_t j = 0; j < n_out; ++j) {
+        state = state * mult + inc;
+        const uint64_t hi = (uint64_t)(state >> 64);
+        const uint64_t x = hi ^ (uint64_t)state;
+        const unsigned rot = (unsigned)(hi >> 58);
+        out[j * stride] = (x >> rot) | (x << ((64 - rot) & 63));
+    }
+}
+
+/* The derived seed of every key row and its stream's first n_out raw
+ * outputs.  keys is (n, k_keys) row-major; out is (n_out, n). */
+void repro_keyed_raw(
+    int64_t n, int64_t k_keys, uint64_t root, const int64_t *keys,
+    int64_t n_out, uint64_t *seeds, uint64_t *out)
+{
+    for (int64_t r = 0; r < n; ++r) {
+        seeds[r] = keyed_seed(root, keys + r * k_keys, k_keys);
+        if (n_out > 0) pcg64_first(seeds[r], n_out, out + r, n);
+    }
+}
 """
 
 _I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _U8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 _F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_U64 = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 
 #: memoised per process: None = not tried yet, False = unavailable
 _lib: ctypes.CDLL | None | bool = None
@@ -250,6 +423,12 @@ def _load() -> ctypes.CDLL | bool:
             ctypes.c_int64, _I64, _I64, _I64, _U8, _I64, _I64, _I64, _I64,
             _F64, ctypes.c_int64, _F64, _I64, _I64,
         ]
+        fn = lib.repro_keyed_raw
+        fn.restype = None
+        fn.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64, _I64,
+            ctypes.c_int64, _U64, _U64,
+        ]
         _lib = lib
     except (RuntimeError, OSError) as exc:
         _build_error = str(exc)
@@ -287,19 +466,38 @@ def accumulate_exposures(
 
     The per-row arguments are columns of the day's candidate visits —
     susceptible or infectious rows of a ``(location, sublocation)``
-    block that holds both today (the C comment's "active location" is
-    that block; the source text is frozen because it names the cached
-    library).  All array arguments must be C-contiguous with the dtypes
-    of the C signature; ``total_hazard`` / ``first_minute`` /
-    ``pair_count`` are written in place (callers initialise them).
+    block that holds both today.  All array arguments must be
+    C-contiguous with the dtypes of the C signature; ``total_hazard`` /
+    ``first_minute`` / ``pair_count`` are written in place (callers
+    initialise them).
     """
-    lib = _load()
-    if lib is False:
-        raise RuntimeError(f"compiled kernel unavailable: {_build_error}")
     return int(
-        lib.repro_accumulate_exposures(
+        _loaded().repro_accumulate_exposures(
             vstart.size, vstart, vend, state, sus, slot, row_block,
             inf_rows, inf_off, haz_table, n_states,
             total_hazard, first_minute, pair_count,
         )
     )
+
+
+def keyed_raw(root_seed: int, keys: np.ndarray, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Derived seed and first ``n_out`` raw PCG64 outputs of every key row.
+
+    ``keys`` is a C-contiguous ``(n, k)`` ``int64`` matrix and
+    ``root_seed`` a checked ``0 <= root_seed < 2**64`` (the C argument is
+    ``uint64`` and would wrap anything else).  Returns ``(seeds, words)``
+    — ``uint64`` arrays of shape ``(n,)`` and ``(n_out, n)``, equal to
+    ``derive_seeds(root_seed, keys)`` and ``raw_outputs(seeds, n_out)``.
+    """
+    n, k = keys.shape
+    seeds = np.empty(n, dtype=np.uint64)
+    words = np.empty((n_out, n), dtype=np.uint64)
+    _loaded().repro_keyed_raw(n, k, root_seed, keys, n_out, seeds, words)
+    return seeds, words
+
+
+def _loaded() -> ctypes.CDLL:
+    lib = _load()
+    if lib is False:
+        raise RuntimeError(f"compiled kernel unavailable: {_build_error}")
+    return lib

@@ -19,9 +19,10 @@ its states into flat NumPy arrays, and the daily update
 loop-free over persons.  Every transition still owns the keyed stream
 ``RngFactory.stream(PERSON, day, person, salt)`` and draws from it what
 ``Generator.random()`` (branch choice) and :meth:`DwellDistribution.sample`
-(dwell) would draw, but no ``Generator`` is built: the streams' seeds
-are derived in one batch, :mod:`repro.util.pcg` replays their first raw
-64-bit outputs, and :meth:`DwellDistribution.replay` applies numpy's own
+(dwell) would draw, but no ``Generator`` is built: one batched
+:meth:`~repro.util.rng.RngFactory.keyed_raw` call returns the streams'
+seeds and first raw 64-bit outputs, and
+:meth:`DwellDistribution.replay` applies numpy's own
 integer / geometric transforms to those words in array arithmetic.  The
 rows a replay does not cover (GAMMA, GEOMETRIC with ``p < 1/3``, a
 Lemire rejection) fall back, row by row, to a real ``Generator`` on the
@@ -39,7 +40,6 @@ from repro.util.pcg import (
     GEOMETRIC_SEARCH_MIN_P,
     bounded_int32,
     geometric_search,
-    raw_outputs,
     to_double,
 )
 from repro.util.rng import RngFactory
@@ -376,8 +376,9 @@ class DiseaseModel:
             due = live[remaining[live] <= 0]
         if due.size == 0:
             return due
-        seeds = rng_factory.keyed_seeds(RngFactory.PERSON, day, due, self._ADVANCE_SALT)
-        branch_words, dwell_words = raw_outputs(seeds, 2)
+        seeds, (branch_words, dwell_words) = rng_factory.keyed_raw(
+            2, RngFactory.PERSON, day, due, self._ADVANCE_SALT
+        )
         u = to_double(branch_words)
         s = state[due]
         t = treatment[due]
@@ -424,9 +425,9 @@ class DiseaseModel:
             entry[t == ti] = self.entry_state(ti)
         override = self._entry_override[state[hit]]
         entry = np.where(override >= 0, override, entry)
-        seeds = rng_factory.keyed_seeds(RngFactory.PERSON, day, hit, self._INFECT_SALT)
+        seeds, (words,) = rng_factory.keyed_raw(1, RngFactory.PERSON, day, hit, self._INFECT_SALT)
         state[hit] = entry
-        remaining[hit] = self._draw_dwell(entry, seeds, raw_outputs(seeds, 1)[0], drawn=0)
+        remaining[hit] = self._draw_dwell(entry, seeds, words, drawn=0)
         return hit
 
     def _draw_dwell(

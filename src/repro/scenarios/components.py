@@ -118,13 +118,14 @@ class WaningVaccination(ModelComponent):
             RngFactory.SCENARIO, ctx.day, sus, salt=self._SALT_SELECT
         )
         chosen = sus[draws < self.coverage]
-        dwell = d.states[v].dwell
-        for p in chosen:
-            p = int(p)
-            gen = ctx.rng_factory.stream(
-                RngFactory.SCENARIO, ctx.day, p, self._SALT_DWELL
-            )
-            ctx.days_remaining[p] = int(dwell.sample(gen, 1)[0])
+        # The dwell is the first draw of stream (SCENARIO, day, p,
+        # _SALT_DWELL), batched over the chosen persons.
+        seeds, (words,) = ctx.rng_factory.keyed_raw(
+            1, RngFactory.SCENARIO, ctx.day, chosen, self._SALT_DWELL
+        )
+        ctx.days_remaining[chosen] = d._draw_dwell(
+            np.full(chosen.size, v), seeds, words, drawn=0
+        )
         ctx.health_state[chosen] = v
         ctx.treatment[chosen] = VACCINATED
 

@@ -148,15 +148,15 @@ class SmpSimulator:
             burst_bytes = 2048 if batch is None else batch * 8
         if ring_capacity * 8 < burst_bytes:
             raise ValueError("ring_capacity must hold at least one burst")
-        if kernel == "compiled":
-            # Build/load before forking so every worker inherits the
-            # mapping instead of racing the first compile.
-            from repro.core import ckernel
+        # Build/load the C library before forking so every worker
+        # inherits the mapping instead of racing the first compile —
+        # under every kernel, since the keyed draws use it too.
+        from repro.core import ckernel
 
-            if not ckernel.available():
-                raise RuntimeError(
-                    f"compiled kernel unavailable: {ckernel.build_error()}"
-                )
+        if not ckernel.available() and kernel == "compiled":
+            raise RuntimeError(
+                f"compiled kernel unavailable: {ckernel.build_error()}"
+            )
         # Likewise the block index every worker's location phase walks:
         # built once here, inherited copy-on-write, not once per worker.
         g.block_visit_index()

@@ -385,6 +385,10 @@ class RunSpec:
     runtime: RuntimeSpec = field(default_factory=RuntimeSpec)
 
     def __post_init__(self) -> None:
+        # The root of every keyed stream: a uint64, checked here so a bad
+        # seed fails at construction, not deep inside the first draw.
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.n_days < 1:
             raise ValueError("n_days must be positive")
         if self.initial_infections < 0:

@@ -14,11 +14,14 @@ only worth paying when many draws follow from the one stream
 (population synthesis blocks, partitioner tie-breaking, baseline
 replications).  Anything that takes one or two draws per entity — a
 coin flip per (day, person), a dwell time per transition — must use the
-batched primitives instead: :func:`keyed_seeds` derives every stream's
-seed at ~0.9 µs per key and :mod:`repro.util.pcg` replays the streams'
-first raw outputs in array arithmetic, bit-identical to what the
-per-stream ``Generator`` would draw (:func:`keyed_uniforms` is the
-one-uniform case).
+batched primitives instead: :func:`keyed_raw` returns every stream's
+seed and first raw outputs, bit-identical to what the per-stream
+``Generator`` would draw (:func:`keyed_seeds` is the seeds alone,
+:func:`keyed_uniforms` the one-uniform case).  They run one fused C
+pass per key, ~0.2 µs (:func:`repro.core.ckernel.keyed_raw`), and fall
+back to the definition — :func:`derive_seeds` (hashlib, ~0.7 µs per
+key) then :mod:`repro.util.pcg`'s numpy replay — where
+:func:`repro.core.ckernel.available` is False.
 """
 
 from __future__ import annotations
@@ -28,18 +31,27 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.util.pcg import first_uniforms
+from repro.util.pcg import raw_outputs, to_double
 
 __all__ = [
     "derive_seed",
     "derive_seeds",
     "spawn_generator",
+    "keyed_raw",
     "keyed_seeds",
     "keyed_uniforms",
     "RngFactory",
 ]
 
 _MASK64 = (1 << 64) - 1
+
+
+def _check_root(root_seed) -> int:
+    """``root_seed`` as an int, or ValueError unless ``0 <= root_seed < 2**64``."""
+    root = int(root_seed)
+    if not 0 <= root <= _MASK64:
+        raise ValueError(f"root seed must be in [0, 2**64), got {root}")
+    return root
 
 
 def derive_seed(root_seed: int, *keys: int) -> int:
@@ -98,31 +110,58 @@ def spawn_generator(root_seed: int, *keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(root_seed, *keys)))
 
 
-def keyed_seeds(root_seed: int, *key_cols) -> np.ndarray:
-    """The derived stream seed of every key tuple, fully batched.
+def keyed_raw(root_seed: int, n_out: int, *key_cols) -> tuple[np.ndarray, np.ndarray]:
+    """Every key tuple's stream seed and first ``n_out`` raw outputs.
 
     ``key_cols`` are integer arrays (or scalars, broadcast against the
     array columns); tuple ``j`` is ``(key_cols[0][j], key_cols[1][j],
-    ...)`` and element ``j`` is ``derive_seed(root_seed, *tuple_j)`` —
-    the seed ``spawn_generator`` would build that tuple's stream from,
-    as ``uint64`` in the broadcast shape.
+    ...)``.  Returns ``(seeds, words)``: ``seeds[j]`` is
+    ``derive_seed(root_seed, *tuple_j)`` — the seed ``spawn_generator``
+    builds that tuple's stream from — and ``words[i][j]`` its ``i``-th
+    raw 64-bit output (:func:`repro.util.pcg.raw_outputs`), ``uint64``
+    in the broadcast shape and ``(n_out, *shape)``.
+
+    One C pass per key where :func:`repro.core.ckernel.available`;
+    otherwise :func:`derive_seeds` and ``raw_outputs``, the definition
+    the C pass is pinned to.
     """
-    cols = np.broadcast_arrays(*[np.asarray(c, dtype=np.int64) for c in key_cols])
-    keys = np.column_stack([c.ravel() for c in cols])
-    return derive_seeds(root_seed, keys).reshape(cols[0].shape)
+    from repro.core import ckernel  # repro.util must not import repro.core at load
+
+    root = _check_root(root_seed)
+    cols = [np.asarray(c, dtype=np.int64) for c in key_cols]
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    keys = np.empty(shape + (len(cols),), dtype=np.int64)
+    for j, c in enumerate(cols):
+        keys[..., j] = c
+    keys = keys.reshape(-1, len(cols))
+    if ckernel.available():
+        seeds, words = ckernel.keyed_raw(root, keys, n_out)
+    else:
+        seeds = derive_seeds(root, keys)
+        words = raw_outputs(seeds, n_out)
+    return seeds.reshape(shape), words.reshape((n_out,) + shape)
+
+
+def keyed_seeds(root_seed: int, *key_cols) -> np.ndarray:
+    """The derived stream seed of every key tuple, fully batched.
+
+    Element ``j`` is ``derive_seed(root_seed, *tuple_j)`` as ``uint64``
+    in the broadcast shape of ``key_cols`` (see :func:`keyed_raw`).
+    """
+    return keyed_raw(root_seed, 0, *key_cols)[0]
 
 
 def keyed_uniforms(root_seed: int, *key_cols) -> np.ndarray:
     """One U(0,1) draw per key tuple, fully batched.
 
     Element ``j`` is bit-identical to
-    ``spawn_generator(root_seed, *tuple_j).random()`` — the same seed
-    derivation (:func:`keyed_seeds`) feeds a vectorised replay of
-    numpy's SeedSequence→PCG64 pipeline (:mod:`repro.util.pcg`) instead
-    of one Generator construction per tuple, which is what makes
-    per-entity keyed coin flips affordable on the exposure hot path.
+    ``spawn_generator(root_seed, *tuple_j).random()`` — the first raw
+    output of the tuple's stream (:func:`keyed_raw`) through
+    ``Generator.random()``'s scaling, without one Generator
+    construction per tuple, which is what makes per-entity keyed coin
+    flips affordable on the exposure hot path.
     """
-    return first_uniforms(keyed_seeds(root_seed, *key_cols))
+    return to_double(keyed_raw(root_seed, 1, *key_cols)[1][0])
 
 
 class RngFactory:
@@ -159,7 +198,7 @@ class RngFactory:
     def __init__(self, root_seed: int = 0):
         if not isinstance(root_seed, (int, np.integer)):
             raise TypeError(f"root_seed must be an integer, got {type(root_seed).__name__}")
-        self.root_seed = int(root_seed)
+        self.root_seed = _check_root(root_seed)
 
     def seed(self, *keys: int) -> int:
         """Derived child seed for ``keys``."""
@@ -176,6 +215,11 @@ class RngFactory:
     def location_stream(self, day: int, location_id: int) -> np.random.Generator:
         """Per-(day, location) stream used for transmission draws."""
         return self.stream(self.LOCATION, day, location_id)
+
+    def keyed_raw(self, n_out: int, *key_cols) -> tuple[np.ndarray, np.ndarray]:
+        """Batched seeds and first ``n_out`` raw outputs (:func:`keyed_raw`)
+        of the streams ``self.stream(*tuple_j)`` would return."""
+        return keyed_raw(self.root_seed, n_out, *key_cols)
 
     def keyed_seeds(self, *key_cols) -> np.ndarray:
         """Batched :meth:`seed`: one derived seed per key tuple.

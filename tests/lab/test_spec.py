@@ -117,6 +117,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="disease"):
             small_spec(disease="measles")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected_before_hashing(self, seed):
+        # Used to construct and content-hash fine, then die inside the
+        # first derive_seed of execute().
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            small_spec(seed=seed)
+        d = small_spec().canonical()
+        d["seed"] = seed
+        with pytest.raises(ValueError, match="seed must be in"):
+            RunSpec.from_dict(d)
+
+    def test_boundary_seeds_accepted(self):
+        assert small_spec(seed=2**64 - 1).seed == 2**64 - 1
+        assert small_spec(seed=0).seed == 0
+
 
 class TestConstructionEquivalence:
     def test_population_spec_matches_direct_generation(self):

@@ -48,6 +48,34 @@ class TestSequential:
         assert _curve_tuple(traced.curve) == _curve_tuple(plain.curve)
 
 
+class TestKeyedDraws:
+    @pytest.mark.parametrize("scenario", ["", "waning-vaccination"])
+    def test_traced_c_pass_equals_untraced_definition(self, tiny_graph, monkeypatch, scenario):
+        """Every keyed draw through the C pass, traced, against every
+        draw through hashlib + ``util.pcg``, untraced: same epidemic.
+        The waning scenario adds its campaign-day dwell draws."""
+        if not ckernel.available():
+            pytest.skip(f"no compiled kernel: {ckernel.build_error()}")
+        from repro.scenarios import build_scenario
+
+        def scenario_():
+            if not scenario:
+                return _scenario(tiny_graph)
+            return build_scenario(
+                scenario, tiny_graph, n_days=6, seed=3, initial_infections=5,
+                transmissibility=2e-4, params={"coverage": 0.5, "day": 1},
+            )
+
+        with observe.observing() as obs:
+            traced = SequentialSimulator(scenario_()).run()
+        assert len(obs.closed_spans()) > 0
+        monkeypatch.setattr(ckernel, "available", lambda: False)
+        plain = SequentialSimulator(scenario_()).run()
+        assert plain.total_infections > 0
+        assert _curve_tuple(traced.curve) == _curve_tuple(plain.curve)
+        assert traced.final_histogram == plain.final_histogram
+
+
 class TestParallel:
     def _run(self, graph):
         mc = MachineConfig(n_nodes=2, cores_per_node=4, smp=True, processes_per_node=1)

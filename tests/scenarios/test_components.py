@@ -19,9 +19,11 @@ from repro.scenarios import (
     HospitalCapacity,
     TestTraceQuarantine,
     VariantAssignment,
+    WaningVaccination,
     build_scenario,
     hospital_model,
     two_variant_model,
+    waning_model,
 )
 from repro.spec import PopulationSpec
 from repro.util.rng import RngFactory
@@ -71,6 +73,39 @@ class TestHospitalCapacityUnit:
         state[:3] = d.index["H"]
         HospitalCapacity(beds=5).post_apply(make_ctx(graph, d, state))
         assert (state == d.index["H_over"]).sum() == 0
+
+
+class TestWaningVaccinationUnit:
+    @pytest.mark.parametrize("wane_hi", [8, 1_500_000_000])
+    def test_campaign_day_is_one_batched_draw(self, graph, monkeypatch, wane_hi):
+        """Each chosen person's dwell is still the first draw of stream
+        (SCENARIO, day, p, _SALT_DWELL) — the per-person loop it
+        replaced, kept here as the reference — but no ``rng.stream`` is
+        built on campaign day.  The wide span makes ~30% of rows Lemire
+        rejections, which go to the live-Generator fallback."""
+        d = waning_model(wane_lo=4, wane_hi=wane_hi)
+        state = np.full(graph.n_persons, d.susceptible_index, dtype=np.int64)
+        state[::7] = d.index["R"]
+        remaining = np.full(graph.n_persons, FOREVER, dtype=np.int64)
+        ctx = make_ctx(graph, d, state, day=3, days_remaining=remaining)
+        reference = ctx.rng_factory
+        calls = []
+        monkeypatch.setattr(
+            RngFactory, "stream", lambda self, *keys: calls.append(keys)
+        )
+        WaningVaccination(coverage=0.5, day=3).post_apply(ctx)
+        monkeypatch.undo()
+        assert calls == []
+        chosen = np.flatnonzero(state == d.index["V"])
+        assert 0 < chosen.size < graph.n_persons
+        dwell = d.states[d.index["V"]].dwell
+        expected = [
+            int(dwell.sample(reference.stream(RngFactory.SCENARIO, 3, int(p),
+                                              WaningVaccination._SALT_DWELL), 1)[0])
+            for p in chosen
+        ]
+        assert remaining[chosen].tolist() == expected
+        assert (remaining[state != d.index["V"]] == FOREVER).all()
 
 
 class TestDemographicTurnoverUnit:

@@ -97,6 +97,10 @@ class TestRunSpecFlow:
         assert main(["run", pop_file, "--persons", "100"]) == 2
         assert "exactly one" in capsys.readouterr().err
 
+    def test_run_rejects_an_out_of_range_seed(self, capsys):
+        assert main(["run", "--persons", "100", "--days", "2", "--seed", "-1"]) == 2
+        assert "seed must be in [0, 2**64), got -1" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_quick_sweep_and_results_roundtrip(self, tmp_path, capsys):

@@ -51,6 +51,17 @@ class TestRngFactory:
         with pytest.raises(TypeError):
             RngFactory("seed")  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("root", [-1, 2**64, -(2**63)])
+    def test_out_of_range_root_fails_at_construction(self, root):
+        # A uint64 C argument would wrap -1 to 2**64 - 1 and draw a
+        # different, valid-looking epidemic: refuse before any hashing.
+        with pytest.raises(ValueError, match=r"root seed must be in \[0, 2\*\*64\)"):
+            RngFactory(root)
+
+    @pytest.mark.parametrize("root", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_boundary_roots_accepted(self, root):
+        assert RngFactory(root).root_seed == int(root)
+
     def test_person_stream_matches_generic(self):
         f = RngFactory(4)
         a = f.person_stream(3, 17).random()
