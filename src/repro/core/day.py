@@ -13,7 +13,8 @@ over one struct-of-arrays (:class:`EpidemicState`):
 * **owned steps** — run over a set of persons / visit rows (the
   sequential loop over everything, a ``_PersonManager`` /
   ``_LocationManager`` chare or an smp worker over what it owns):
-  :func:`person_phase`, :func:`location_phase`, :func:`apply_phase`.
+  :func:`person_phase` (= :func:`advance_persons` then
+  :func:`filter_visits`), :func:`location_phase`, :func:`apply_phase`.
 
 Every call of ``DayContext(…)``, ``advance_day``, ``visit_mask``,
 ``update_treatments``, ``compute_infections``, ``disease.infect`` and
@@ -67,6 +68,8 @@ __all__ = [
     "day_context",
     "open_day",
     "close_day",
+    "advance_persons",
+    "filter_visits",
     "person_phase",
     "location_phase",
     "apply_phase",
@@ -251,25 +254,40 @@ def close_day(
 # ----------------------------------------------------------------------
 # owned steps
 # ----------------------------------------------------------------------
+def advance_persons(
+    state: EpidemicState, scenario: Scenario, ctx: DayContext, persons: np.ndarray | None = None
+) -> np.ndarray:
+    """Step 1a for ``persons`` (None = everyone): fire due PTTS
+    transitions; returns the ids of the persons whose state changed."""
+    return scenario.disease.advance_day(
+        state.health_state, state.days_remaining, state.treatment,
+        ctx.day, ctx.rng_factory, subset=persons,
+    )
+
+
+def filter_visits(
+    scenario: Scenario, ctx: DayContext, rows: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Step 1b: the visit ``rows`` (None = every visit) that survive the
+    interventions, ascending — or None for "every visit of the graph
+    happens today" when ``rows`` was None and none was removed, so the
+    sequential day never lists all rows."""
+    keep = scenario.interventions.visit_mask(ctx, rows)
+    if rows is None:
+        return None if keep.all() else np.flatnonzero(keep)
+    return rows[keep]
+
+
 def person_phase(
     state: EpidemicState, scenario: Scenario, ctx: DayContext,
     persons: np.ndarray | None = None, rows: np.ndarray | None = None,
 ) -> tuple[int, np.ndarray | None]:
     """Step 1 for ``persons`` and their visit ``rows`` (None = everyone):
-    fire due PTTS transitions, then filter the day's visits through the
-    interventions.  Returns ``(n_transitions, surviving visit rows)``,
-    the rows ascending — or None for "every visit of the graph happens
-    today" when ``rows`` was None and no intervention removed one, so
-    the sequential day never lists all rows.
-    """
-    changed = scenario.disease.advance_day(
-        state.health_state, state.days_remaining, state.treatment,
-        ctx.day, ctx.rng_factory, subset=persons,
-    )
-    keep = scenario.interventions.visit_mask(ctx, rows)
-    if rows is None:
-        return int(changed.size), None if keep.all() else np.flatnonzero(keep)
-    return int(changed.size), rows[keep]
+    :func:`advance_persons` then :func:`filter_visits`; returns
+    ``(n_transitions, surviving visit rows)``.  Charm calls the two
+    apart: one advance over everyone a day, then a filter per PM."""
+    changed = advance_persons(state, scenario, ctx, persons)
+    return int(changed.size), filter_visits(scenario, ctx, rows)
 
 
 def location_phase(

@@ -6,9 +6,10 @@ and LocationManagers (LM) — each managing many second-level objects
 strategies (RR, GP, …-splitLoc) and mapped onto PEs.  Each simulated
 day runs the six-step algorithm with real protocol traffic:
 
-1. driver broadcasts ``person_phase`` — PMs advance their persons'
-   PTTS, filter their visits through the intervention schedule, and
-   hand the surviving rows to the aggregation channel in one
+1. driver advances every person's PTTS once, centrally, then
+   broadcasts ``person_phase`` — PMs charge their own share of the
+   transitions, filter their visits through the intervention schedule,
+   and hand the surviving rows to the aggregation channel in one
    ``send_many_via``: modelled as one 16-byte record per visit, carried
    as one columnar record batch per (PE → PE) flush, which the owning
    LMs receive as arrays of rows;
@@ -28,6 +29,7 @@ model) and every message pays the machine/network model's prices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -81,6 +83,29 @@ class ComputeCostModel:
     transition_cost: float = 1.0e-6
     #: per infect message applied
     infect_apply_cost: float = 1.0e-6
+
+    def location_charge(self, events: np.ndarray, interactions: np.ndarray) -> float:
+        """Virtual seconds of one LocationManager phase: the static model
+        over each location's ``events`` plus the dynamic model over its
+        ``interactions``, summed in array order — bit for bit the scalar
+        loop ``compute += float(static(e)) + float(dynamic(e, i))`` from
+        ``0.0``:
+
+        * elementwise ufuncs (multiply, add, divide, clip, exp, maximum)
+          give each element the same double at any array length or
+          stride, so ``per[j]`` is the loop's ``float(s) + float(d)``;
+        * ``np.cumsum`` (``np.add.accumulate``) adds strictly left to
+          right and ``0.0 + x == x`` (each ``per[j]`` is positive), so
+          ``cumsum(per)[-1]`` is the loop's final ``compute``.
+
+        Not ``np.sum`` (pairwise), ``math.fsum`` (exactly rounded) or
+        builtin ``sum`` (compensated on Python ≥ 3.12).
+        """
+        if events.size == 0:
+            return 0.0
+        static = self.location_static.evaluate(events)
+        per = static + self.location_dynamic.evaluate(events, interactions)
+        return float(np.cumsum(per)[-1])
 
 
 @dataclass
@@ -145,13 +170,11 @@ class _PersonManager(Chare):
     def person_phase(self, day: int) -> None:
         sim = self.sim
         cost = sim.costs
-        n_changed, rows = day_steps.person_phase(
-            sim.state, sim.scenario, sim.day_ctx, self.persons, self.rows
-        )
-        sim.day_transitions += n_changed
+        # the PTTS already ran for everyone in ``prepare_day``
+        rows = day_steps.filter_visits(sim.scenario, sim.day_ctx, self.rows)
         self.charge(
             cost.person_health_cost * self.persons.size
-            + cost.transition_cost * n_changed
+            + cost.transition_cost * sim.transitions_per_pm[self.index]
         )
         self.charge(cost.visit_compute_cost * rows.size)
         if sim.checker is not None:
@@ -201,17 +224,14 @@ class _LocationManager(Chare):
         )
         if sim.checker is not None:
             sim.checker.record_infections(day, phase.infections)
+        # load-model inputs per location, in the events Counter's order
+        n = len(phase.events)
+        locs = np.fromiter(phase.events, np.int64, n)
+        events = np.fromiter(phase.events.values(), np.float64, n)
+        inter = np.fromiter(map(phase.interactions.get, phase.events, repeat(0)), np.int64, n)
         # Feed the predictive load balancer's application-specific view.
-        sim.last_interactions.update(phase.interactions)
-        static = sim.costs.location_static
-        dynamic = sim.costs.location_dynamic
-        compute = 0.0
-        for loc, events in phase.events.items():
-            inter = phase.interactions.get(loc, 0)
-            compute += float(static.evaluate(float(events))) + float(
-                dynamic.evaluate(events, inter)
-            )
-        self.charge(compute)
+        sim.last_interactions[locs] = inter
+        self.charge(sim.costs.location_charge(events, inter))
         det = sim.infect_detector
         pm_of = sim.distribution.person_chare
         pm_name = sim.name("pm")
@@ -405,6 +425,7 @@ class ParallelEpiSimdemics:
         self.day_ctx: DayContext | None = None
         self._seeded_count = 0
         self.day_transitions = 0  # PTTS transitions fired today, over all PMs
+        self.transitions_per_pm: list[int] = []  # the same, per PM
         self.curve = EpiCurve()
         self.phase_times: list[PhaseTimes] = []
         self.day_results: list[DayResult] = []
@@ -413,7 +434,8 @@ class ParallelEpiSimdemics:
         self.migration_model = migration_model or MigrationCostModel()
         self.lb_steps = 0
         self.lb_moves = 0
-        self.last_interactions: dict[int, int] = {}
+        #: per location, S×I pairs on the last completed day
+        self.last_interactions = np.zeros(self.graph.n_locations, dtype=np.int64)
         self._cost_snapshot: dict[tuple[str, int], float] = {}
 
         dist = distribution
@@ -491,11 +513,19 @@ class ParallelEpiSimdemics:
 
     # ------------------------------------------------------------------
     def prepare_day(self, day: int) -> None:
-        """Central start-of-day work: seeding, treatments, day context."""
+        """Central start-of-day work: seeding, treatments, day context,
+        and the day's one PTTS pass over everyone — keyed draws make it
+        equal to the PMs' disjoint subset advances, and it is the
+        sequential order; each PM charges :attr:`transitions_per_pm`."""
         self.day_ctx, self._seeded_count = day_steps.open_day(self.state, self.scenario, day)
-        self.day_transitions = 0
         if self.checker is not None:
             self.checker.begin_day(day, self.health_state)
+        self.last_interactions[:] = 0
+        changed = day_steps.advance_persons(self.state, self.scenario, self.day_ctx)
+        self.day_transitions = int(changed.size)
+        self.transitions_per_pm = np.bincount(
+            self.distribution.person_chare[changed], minlength=self.distribution.n_pm
+        ).tolist()
 
     def maybe_rebalance(self, day: int) -> float:
         """Run an LB step if due; return its virtual-time cost (0 if not).
@@ -514,12 +544,8 @@ class ParallelEpiSimdemics:
             # day's LM cost from the static model plus the dynamic model
             # fed with the interactions just observed.
             events = 2.0 * self.graph.location_visit_counts.astype(np.float64)
-            static = np.asarray(self.costs.location_static.evaluate(events))
-            inter = np.zeros(self.graph.n_locations)
-            for loc, v in self.last_interactions.items():
-                inter[loc] = v
-            dynamic = np.asarray(self.costs.location_dynamic.evaluate(events, inter))
-            per_loc = static + dynamic
+            static = self.costs.location_static.evaluate(events)
+            per_loc = static + self.costs.location_dynamic.evaluate(events, self.last_interactions)
             costs = np.zeros(n_lm)
             np.add.at(costs, self.distribution.location_chare, per_loc)
         else:

@@ -1,22 +1,35 @@
-"""The charm backend's batched person phase against its per-visit oracle.
+"""The charm backend's vectorised bookkeeping against its per-object oracle.
 
-Production sends each PersonManager's visits with one ``send_many_via``;
-``visit_loop_reference`` keeps the per-visit ``send_via`` loop it
-replaced.  Virtual time is the product here, so everything modelled is
-pinned exactly equal across delivery modes, sync protocols and buffer
-sizes small enough that buffers fill and flush mid-phase.
+Production sends each PersonManager's visits with one ``send_many_via``,
+advances the PTTS once a day for everyone in ``prepare_day`` and charges
+each LocationManager's load model as one array evaluation;
+``visit_loop_reference`` keeps the per-visit ``send_via`` loop, the
+per-PM ``advance_day`` with its ``prepare_day`` and the per-location
+load-model loop they replaced.  Virtual time is the product here, so
+everything modelled is pinned exactly equal across delivery modes, sync
+protocols, buffer sizes small enough that buffers fill and flush
+mid-phase, measured load balancing and the ladder's gp + splitLoc shape.
+
+The predictive balancer is left out of that matrix on purpose: it used
+to read interactions no day ever cleared, and now reads the last day's
+only (its own test below).
 """
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.charm.machine import Machine, MachineConfig
 from repro.core import Scenario, SequentialSimulator, TransmissionModel
+from repro.core import day as day_steps
 from repro.core import parallel
 from repro.core.interventions import InterventionSchedule, SchoolClosure, WorkClosure
 from repro.core.parallel import Distribution, ParallelEpiSimdemics
 from repro.partition import round_robin_partition
+from repro.spec import PartitionSpec, PopulationSpec, RunSpec, RuntimeSpec
 
-from .visit_loop_reference import LoopLocationManager, LoopPersonManager
+from .visit_loop_reference import LoopLocationManager, LoopPersonManager, loop_prepare_day
 
 MACHINE = MachineConfig(n_nodes=3, cores_per_node=4, smp=True, processes_per_node=1)
 
@@ -57,15 +70,20 @@ def _modelled(sim):
     }
 
 
-def _assert_matches_oracle(graph, monkeypatch, **kwargs):
-    production = _modelled(_simulation(graph, **kwargs))
+def _install_reference(patch):
+    patch.setattr(parallel, "_PersonManager", LoopPersonManager)
+    patch.setattr(parallel, "_LocationManager", LoopLocationManager)
+    patch.setattr(ParallelEpiSimdemics, "prepare_day", loop_prepare_day)
+
+
+def _assert_matches_oracle(build, monkeypatch, n_days=6):
+    production = _modelled(build())
     with monkeypatch.context() as patch:
-        patch.setattr(parallel, "_PersonManager", LoopPersonManager)
-        patch.setattr(parallel, "_LocationManager", LoopLocationManager)
-        oracle = _modelled(_simulation(graph, **kwargs))
+        _install_reference(patch)
+        oracle = _modelled(build())
     for key, expected in oracle.items():
         assert production[key] == expected, key
-    assert len(production["phase_times"]) == 6
+    assert len(production["phase_times"]) == n_days
     assert sum(d.transitions for d in production["days"]) > 0
 
 
@@ -76,19 +94,109 @@ def test_batched_person_phase_matches_the_visit_loop(
     tiny_graph, monkeypatch, delivery, sync, aggregation_bytes
 ):
     _assert_matches_oracle(
-        tiny_graph, monkeypatch,
-        delivery=delivery, sync=sync, aggregation_bytes=aggregation_bytes,
+        lambda: _simulation(
+            tiny_graph, delivery=delivery, sync=sync, aggregation_bytes=aggregation_bytes
+        ),
+        monkeypatch,
     )
 
 
 @pytest.mark.parametrize("delivery", ["aggregated", "tram"])
 def test_overdecomposed_with_load_balancing(tiny_graph, monkeypatch, delivery):
     """Several PMs and LMs per PE share buffers and batches; the LB's
-    measured chare costs (hence its moves) must not notice batching."""
+    measured chare costs (hence its moves) must not notice batching,
+    the central PTTS pass or the vectorised load model."""
     _assert_matches_oracle(
-        tiny_graph, monkeypatch,
-        chares_per_pe=3, lb_period=2, delivery=delivery, aggregation_bytes=256,
+        lambda: _simulation(
+            tiny_graph, chares_per_pe=3, lb_period=2, delivery=delivery, aggregation_bytes=256
+        ),
+        monkeypatch,
     )
+
+
+def test_overdecomposed_with_refine_load_balancing(tiny_graph, monkeypatch):
+    _assert_matches_oracle(
+        lambda: _simulation(tiny_graph, chares_per_pe=3, lb_period=2, lb_strategy="refine"),
+        monkeypatch,
+    )
+
+
+@pytest.fixture(scope="module")
+def ladder_shape():
+    """The ladder's ``charm_gp_split`` spec at 2K persons: gp k=16 +
+    splitLoc, 16 workers, 1% index cases, eight days."""
+    spec = RunSpec(
+        population=PopulationSpec(kind="generated", n_persons=2000, seed=20140519),
+        partition=PartitionSpec("gp", k=16, split=True),
+        n_days=8, seed=777, initial_infections=20,
+        runtime=RuntimeSpec(backend="charm", workers=16),
+    )
+    graph, part = spec.resolved_partition().build(spec.population.build())
+    return spec, graph, part
+
+
+def test_gp_split_ladder_shape_matches_the_loops(ladder_shape, monkeypatch):
+    spec, graph, part = ladder_shape
+    _assert_matches_oracle(
+        lambda: ParallelEpiSimdemics.from_spec(spec, graph=graph, partition=part),
+        monkeypatch, n_days=8,
+    )
+
+
+def _lb_inputs(sim, monkeypatch):
+    """Run ``sim``; return each day's interactions (summed over LMs) and,
+    per LB step, the interaction array the predictor read."""
+    daily: dict[int, Counter] = {}
+    read: dict[int, np.ndarray] = {}
+    location_phase = day_steps.location_phase
+
+    def spy_phase(state, scenario, day, rows, **kwargs):
+        phase = location_phase(state, scenario, day, rows, **kwargs)
+        daily.setdefault(day, Counter()).update(phase.interactions)
+        return phase
+
+    rebalance = sim.maybe_rebalance
+
+    def spy_rebalance(day):
+        read[day] = sim.last_interactions.copy()
+        return rebalance(day)
+
+    sim.maybe_rebalance = spy_rebalance
+    with monkeypatch.context() as patch:
+        patch.setattr(day_steps, "location_phase", spy_phase)
+        sim.run()
+    return daily, read
+
+
+def test_predictive_balancer_reads_only_the_last_day(tiny_graph, monkeypatch):
+    """§VII's predictor feeds the dynamic model "the interactions just
+    observed": a location with pairs on day d-1 and none on day d
+    contributes ``dynamic == 0`` at the LB step after day d.  The parent
+    kept its day d-1 count (the reference still does)."""
+
+    def build():
+        return _simulation(tiny_graph, chares_per_pe=3, lb_period=1, lb_strategy="predictive")
+
+    sim = build()
+    daily, read = _lb_inputs(sim, monkeypatch)
+    with monkeypatch.context() as patch:
+        _install_reference(patch)
+        _, stale_read = _lb_inputs(build(), monkeypatch)
+
+    events = 2.0 * tiny_graph.location_visit_counts
+    went_quiet = 0
+    for step, inter in read.items():  # the step after day ``step - 1``
+        expected = np.zeros(tiny_graph.n_locations, dtype=np.int64)
+        for loc, n in daily[step - 1].items():
+            expected[loc] = n
+        assert np.array_equal(inter, expected), step
+        dynamic = sim.costs.location_dynamic.evaluate(events, inter)
+        for loc, n in daily.get(step - 2, {}).items():
+            if n > 0 and daily[step - 1][loc] == 0:
+                went_quiet += 1
+                assert dynamic[loc] == 0.0
+                assert stale_read[step][loc] > 0
+    assert went_quiet > 0  # the case in point happened
 
 
 def test_visits_made_matches_the_sequential_simulator(tiny_graph):

@@ -1,20 +1,42 @@
-"""Per-visit reference for the charm backend's person phase — a test oracle.
+"""The charm backend's per-object bookkeeping, kept as a test oracle.
 
-``LoopPersonManager.person_phase`` is the loop ``_PersonManager`` ran
-before visits travelled as record batches, kept verbatim: one
-``det.produce()`` and one scalar ``send_via`` per visit row.  It
-*defines* what the batched send must reproduce exactly — phase times,
-total virtual time, runtime statistics, the epidemic
-(``test_visit_batches.py``); nothing under ``src/`` calls it.
+Three pieces production replaced, each kept verbatim, which together
+*define* what the vectorised forms must reproduce exactly — phase
+times, total virtual time, runtime statistics, tracked chare costs, LB
+moves, the epidemic (``test_visit_batches.py``); nothing under ``src/``
+calls them:
 
-``LoopLocationManager`` only adapts the receiving entry: a scalar record
-delivers one bare row where a batch delivers an array.
+* ``LoopPersonManager.person_phase`` — each PersonManager advances its
+  own persons' PTTS (``advance_day(subset=…)``), then sends one
+  ``det.produce()`` and one scalar ``send_via`` per visit row;
+* ``loop_prepare_day`` — the start of day that went with it, which
+  runs no PTTS (install it as ``ParallelEpiSimdemics.prepare_day``);
+* ``LoopLocationManager.location_phase`` — the load model charged one
+  scalar ``static.evaluate`` + ``dynamic.evaluate`` pair per location,
+  summed by ``compute +=`` from ``0.0``.  Its ``recv_visits`` only
+  adapts the receiving entry: a scalar record delivers one bare row
+  where a batch delivers an array.
+
+The one line that cannot be verbatim is the predictive balancer's feed:
+the parent ``update``-d a dict that nothing cleared, so here each
+location's pair count is written into the array and, with
+``loop_prepare_day`` installed, never reset — the parent's stale view,
+which ``test_visit_batches.py`` contrasts with production.
 """
 
 import numpy as np
 
-from repro.charm.messages import VISIT_BYTES
+from repro.charm.messages import INFECT_BYTES, VISIT_BYTES
+from repro.core import day as day_steps
 from repro.core.parallel import _LocationManager, _PersonManager
+
+
+def loop_prepare_day(self, day: int) -> None:
+    """Central start-of-day work: seeding, treatments, day context."""
+    self.day_ctx, self._seeded_count = day_steps.open_day(self.state, self.scenario, day)
+    self.day_transitions = 0
+    if self.checker is not None:
+        self.checker.begin_day(day, self.health_state)
 
 
 class LoopPersonManager(_PersonManager):
@@ -52,3 +74,35 @@ class LoopPersonManager(_PersonManager):
 class LoopLocationManager(_LocationManager):
     def recv_visits(self, row: int) -> None:
         super().recv_visits(np.array([row], dtype=np.int64))
+
+    def location_phase(self, day: int) -> None:
+        sim = self.sim
+        rows = np.sort(np.concatenate(self.buffered_rows or [np.empty(0, dtype=np.int64)]))
+        self.buffered_rows = []
+        phase = day_steps.location_phase(
+            sim.state, sim.scenario, day, rows, kernel=sim.kernel, collect_stats=True
+        )
+        if sim.checker is not None:
+            sim.checker.record_infections(day, phase.infections)
+        # Feed the predictive load balancer's application-specific view.
+        for loc, v in phase.interactions.items():
+            sim.last_interactions[loc] = v
+        static = sim.costs.location_static
+        dynamic = sim.costs.location_dynamic
+        compute = 0.0
+        for loc, events in phase.events.items():
+            inter = phase.interactions.get(loc, 0)
+            compute += float(static.evaluate(float(events))) + float(
+                dynamic.evaluate(events, inter)
+            )
+        self.charge(compute)
+        det = sim.infect_detector
+        pm_of = sim.distribution.person_chare
+        pm_name = sim.name("pm")
+        # One infect message per infection, in emission order.
+        for (person, _loc, minute), pm in zip(
+            phase.records.tolist(), pm_of[phase.records[:, 0]].tolist()
+        ):
+            det.produce()
+            self.send(pm_name, pm, "recv_infect", (person, minute), INFECT_BYTES)
+        det.producer_done()

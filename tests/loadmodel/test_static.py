@@ -61,7 +61,7 @@ class TestModelProperties:
         xs = np.array([10.0, 1000.0, 100000.0])
         ys = PAPER_STATIC_MODEL.evaluate(xs)
         for x, y in zip(xs, ys):
-            assert PAPER_STATIC_MODEL.evaluate(float(x)) == pytest.approx(float(y))
+            assert PAPER_STATIC_MODEL.evaluate(float(x)) == float(y)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
