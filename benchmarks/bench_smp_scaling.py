@@ -37,9 +37,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 from emit import emit_result  # noqa: E402
 
 from repro.core import Scenario, TransmissionModel  # noqa: E402
+from repro.core.simulator import SequentialSimulator  # noqa: E402
 from repro.smp import SmpSimulator  # noqa: E402
 from repro.spec import PopulationSpec  # noqa: E402
-from repro.validate.oracle import sequential_reference  # noqa: E402
+from repro.validate.oracle import diff_runs  # noqa: E402
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")
 
@@ -70,7 +71,8 @@ def main() -> int:
           f"{graph.n_visits:,} visits, {N_DAYS} days, {cpus} cpus"
           f"{' [tiny]' if TINY else ''}")
 
-    seq_result, _events, seq_state, _rem = sequential_reference(_scenario(graph))
+    scenario = _scenario(graph)
+    reference = SequentialSimulator(scenario).run()
 
     walls: dict[str, float] = {}
     ok = True
@@ -79,10 +81,7 @@ def main() -> int:
         for _ in range(REPEATS):
             out = SmpSimulator(_scenario(graph), n_workers=w, kernel=KERNEL).run()
             best = min(best, out.wall_seconds)
-        identical = (
-            out.result.curve == seq_result.curve
-            and (out.final_health_state == seq_state).all()
-        )
+        identical = diff_runs(scenario, reference, out.result, ordered=False) is None
         ok = ok and identical
         walls[f"w{w}"] = best
         print(f"  {w} worker(s): {best * 1e3:8.1f}ms  "

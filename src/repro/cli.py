@@ -530,7 +530,12 @@ def _cmd_scale(args) -> int:
 def _cmd_validate(args) -> int:
     from repro.spec import PopulationSpec
     from repro.validate.golden import GOLDEN_CASES, refresh_all, verify
-    from repro.validate.oracle import run_kernel_differential, run_matrix
+    from repro.validate.oracle import (
+        run_kernel_differential,
+        run_matrix,
+        run_scenario_matrix,
+        run_smp_matrix,
+    )
 
     if args.refresh_golden:
         for path in refresh_all():
@@ -541,29 +546,21 @@ def _cmd_validate(args) -> int:
         n_persons=args.persons, seed=args.seed, name=f"validate-{args.persons}"
     ).build()
     n_days = 4 if args.quick else args.days
-    report = run_matrix(
-        graph,
-        n_days=n_days,
-        seed=args.seed,
-        kernel=args.kernel,
-        progress=lambda line: print("  " + line),
-    )
-    print(report.format())
-    ok = report.all_equal
+    # Each oracle run prints its cells' lines as they finish; the
+    # report's summary follows them.
+    reports = [run_matrix(graph, n_days=n_days, seed=args.seed, kernel=args.kernel)]
+    print(reports[-1].format())
 
     if args.diff_kernels:
-        kreport = run_kernel_differential(graph, n_days=n_days, seed=args.seed)
-        print(kreport.format())
-        ok = ok and kreport.equal
         from repro.core import ckernel
 
+        reports.append(run_kernel_differential(graph, n_days=n_days, seed=args.seed))
+        print(reports[-1].format())
         if ckernel.available():
-            creport = run_kernel_differential(
-                graph, n_days=n_days, seed=args.seed,
-                kernel_a="flat", kernel_b="compiled",
-            )
-            print(creport.format())
-            ok = ok and creport.equal
+            reports.append(run_kernel_differential(
+                graph, n_days=n_days, seed=args.seed, kernel_a="flat", kernel_b="compiled",
+            ))
+            print(reports[-1].format())
         else:
             print(
                 "kernel differential flat-vs-compiled: SKIPPED "
@@ -571,30 +568,18 @@ def _cmd_validate(args) -> int:
             )
 
     if args.smp:
-        from repro.validate.oracle import run_smp_matrix
-
-        sreport = run_smp_matrix(
-            workers=tuple(args.smp_workers),
-            n_days=n_days,
-            seed=args.seed,
-            kernel=args.kernel,
-            progress=lambda line: print("  " + line),
-        )
-        print(sreport.format())
-        ok = ok and sreport.all_equal
+        reports.append(run_smp_matrix(
+            workers=tuple(args.smp_workers), n_days=n_days, seed=args.seed, kernel=args.kernel,
+        ))
+        print(reports[-1].format())
 
     if args.scenarios:
-        from repro.validate.oracle import run_scenario_matrix
-
-        screport = run_scenario_matrix(
+        reports.append(run_scenario_matrix(
             workers=(1, 2) if args.quick else (1, 2, 4),
-            n_days=n_days,
-            seed=args.seed,
-            kernel=args.kernel,
-            progress=lambda line: print("  " + line),
-        )
-        print(screport.format())
-        ok = ok and screport.all_equal
+            n_days=n_days, seed=args.seed, kernel=args.kernel,
+        ))
+        print(reports[-1].format())
+    ok = all(r.all_equal for r in reports)
 
     if args.external:
         from repro.validate.external import run_external_oracle

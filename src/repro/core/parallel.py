@@ -224,6 +224,7 @@ class _LocationManager(Chare):
         )
         if sim.checker is not None:
             sim.checker.record_infections(day, phase.infections)
+        sim.records_by_day.setdefault(day, []).append(phase.records)
         # load-model inputs per location, in the events Counter's order
         n = len(phase.events)
         locs = np.fromiter(phase.events, np.int64, n)
@@ -429,6 +430,8 @@ class ParallelEpiSimdemics:
         self.curve = EpiCurve()
         self.phase_times: list[PhaseTimes] = []
         self.day_results: list[DayResult] = []
+        #: per day, each LocationManager's infect records, in phase order
+        self.records_by_day: dict[int, list[np.ndarray]] = {}
         self.lb_period = lb_period
         self.lb_strategy = lb_strategy
         self.migration_model = migration_model or MigrationCostModel()
@@ -592,6 +595,9 @@ class ParallelEpiSimdemics:
             curve=self.curve,
             final_histogram=state_histogram(self.health_state, self.scenario.disease),
             days=self.day_results,
+            infection_log={d: np.concatenate(parts) for d, parts in self.records_by_day.items()},
+            final_health_state=self.health_state,
+            final_days_remaining=self.days_remaining,
         )
         return ParallelResult(
             result=result,

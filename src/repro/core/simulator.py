@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import observe
 from repro.core import day as day_steps
 from repro.core.day import DayResult, EpidemicState
@@ -34,7 +36,9 @@ __all__ = ["DayResult", "SimulationResult", "SequentialSimulator"]
 
 @dataclass
 class SimulationResult:
-    """Full-run output: the epidemic curve plus final state."""
+    """Full-run output: the epidemic curve plus final state — the one
+    run record every backend reports and :func:`repro.validate.oracle.
+    diff_runs` compares."""
 
     curve: EpiCurve
     final_histogram: dict[str, int]
@@ -42,6 +46,12 @@ class SimulationResult:
     #: summed per-location DES statistics (when stats collection is on)
     location_events: Counter = field(default_factory=Counter)
     location_interactions: Counter = field(default_factory=Counter)
+    #: per day, the applied infect records: one int64 ``(n, 3)`` array
+    #: of ``(person, location, minute)`` rows (emission order on seq)
+    infection_log: dict[int, np.ndarray] = field(default_factory=dict)
+    #: per-person PTTS state index and dwell timer after the last day
+    final_health_state: np.ndarray | None = None
+    final_days_remaining: np.ndarray | None = None
 
     @property
     def total_infections(self) -> int:
@@ -125,10 +135,15 @@ class SequentialSimulator:
         """Run all scenario days; return the aggregated result."""
         with observe.span("sequential.run", days=self.scenario.n_days):
             curve = EpiCurve()
-            result = SimulationResult(curve=curve, final_histogram={})
+            result = SimulationResult(
+                curve=curve, final_histogram={},
+                final_health_state=self.health_state,
+                final_days_remaining=self.days_remaining,
+            )
             for _ in range(self.scenario.n_days):
                 day_result, phase = self.step_day()
                 result.days.append(day_result)
+                result.infection_log[day_result.day] = phase.records
                 curve.record_day(day_result.new_infections, day_result.prevalence)
                 if self.collect_location_stats:
                     result.location_events.update(phase.events)

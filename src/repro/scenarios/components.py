@@ -15,8 +15,9 @@ Every stochastic choice is keyed under the dedicated
 :data:`repro.util.rng.RngFactory.SCENARIO` prefix by ``(day, person)``
 with a per-purpose salt, so a scenario's epidemic is bit-identical on
 the sequential, chare-parallel and shared-memory backends — the
-differential oracle (:func:`repro.validate.oracle.run_scenario_matrix`)
-certifies this for every registered scenario.
+differential oracle's scenario cells
+(:func:`repro.validate.oracle.run_scenario_matrix`) diff every
+registered scenario's run record across them.
 
 Components also *declare* their behaviour: checkpointable state
 (:meth:`~repro.core.interventions.Intervention.checkpoint_state`),

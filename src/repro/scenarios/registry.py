@@ -5,9 +5,10 @@ components that animate it, under a stable name with overridable
 default parameters.  The registry is what the CLI surfaces
 (``repro run --scenario <name>``, ``repro scenarios list``), what
 :class:`repro.spec.RunSpec` resolves its ``scenario`` field against,
-and what the scenario differential oracle
-(:func:`repro.validate.oracle.run_scenario_matrix`) iterates to
-certify every registered scenario bit-identical across backends.
+and what the differential oracle's scenario cells
+(:func:`repro.validate.oracle.run_scenario_matrix`) iterate: each
+registered scenario on seq kernels, charm and smp, every run record
+diffed against the sequential one.
 
 >>> sorted(names())
 ['contact-tracing', 'hospital-capacity', 'turnover', 'two-variant', 'waning-vaccination']

@@ -16,9 +16,10 @@ Entry points:
   worker processes (``SmpSimulator(sc, n_workers=4).run()``);
 * ``RuntimeSpec(backend="smp")`` through :func:`repro.spec.execute` /
   ``repro run --backend smp --workers N`` — the integrated surfaces;
-* :func:`~repro.validate.oracle.run_smp_matrix` — certify
-  bit-exactness against :class:`~repro.core.simulator.
-  SequentialSimulator`;
+* :func:`~repro.validate.oracle.run_smp_matrix` — the oracle's smp
+  cells: each run's :class:`~repro.core.simulator.SimulationResult`
+  diffed against :class:`~repro.core.simulator.SequentialSimulator`'s
+  by :func:`~repro.validate.oracle.diff_runs`;
 * ``benchmarks/bench_smp_scaling.py`` — strong-scaling measurements
   (writes ``BENCH_smp.json``).
 """

@@ -15,9 +15,13 @@ The result is **bit-identical** to
 :class:`~repro.core.simulator.SequentialSimulator` (same infection
 events, same epi-curve, same final arrays): every stochastic draw is
 keyed by (phase, day, person/location ids), so neither the partition
-nor message delivery order can influence the epidemic.  The
-differential oracle certifies this per run
-(:func:`repro.validate.oracle.run_smp_matrix`).
+nor message delivery order can influence the epidemic.  The run
+record is the sequential one — ``SmpResult.result`` is a
+:class:`~repro.core.simulator.SimulationResult` with the workers'
+infect records and copies of the final arrays — so the differential
+oracle's smp cells (:func:`repro.validate.oracle.run_smp_matrix`) diff
+it with the same :func:`~repro.validate.oracle.diff_runs` as every
+other backend.
 
 Observability: workers stamp each phase with ``time.perf_counter()``
 (CLOCK_MONOTONIC — one system-wide epoch on Linux, comparable across
@@ -77,11 +81,6 @@ class SmpResult:
     wall_seconds: float
     #: measured wall-clock phase boundaries, seconds from the run origin
     phase_times: list[PhaseTimes] = field(default_factory=list)
-    #: per-day applied infect records, one int64 ``(person, location,
-    #: minute)`` row each, as the workers reported them
-    infection_log: dict[int, np.ndarray] = field(default_factory=dict)
-    final_health_state: np.ndarray | None = None
-    final_days_remaining: np.ndarray | None = None
     #: total ring-full stalls across workers and days
     backpressure_events: int = 0
     #: total bytes crossing the day-barrier pipes (both directions) —
@@ -261,11 +260,10 @@ class SmpSimulator:
                     out, day_start, t_origin, reports, seeded, state, ctx
                 )
 
-            out.final_health_state = state.health_state.copy()
-            out.final_days_remaining = state.days_remaining.copy()
-            out.result.final_histogram = state_histogram(
-                out.final_health_state, sc.disease
-            )
+            # copies: the arena is unlinked when the run returns
+            result.final_health_state = state.health_state.copy()
+            result.final_days_remaining = state.days_remaining.copy()
+            result.final_histogram = state_histogram(result.final_health_state, sc.disease)
             out.wall_seconds = time.perf_counter() - t_origin
             stop = protocol.encode_stop()
             for conn in parent_conns:
@@ -352,7 +350,7 @@ class SmpSimulator:
         )
         out.result.days.append(day_result)
         out.result.curve.record_day(day_result.new_infections, day_result.prevalence)
-        out.infection_log[day] = np.concatenate([r.events for r in reports])
+        out.result.infection_log[day] = np.concatenate([r.events for r in reports])
         out.backpressure_events += sum(r.backpressure for r in reports)
         if self.collect_location_stats:
             for r in reports:

@@ -2,7 +2,8 @@
 
 The heavy-tailed builder previously lived in
 ``benchmarks/bench_exposure_kernel.py``; it moved here so the
-differential oracle (:func:`repro.validate.oracle.run_smp_matrix`),
+differential oracle's smp cells (the ``heavy`` preset of
+:func:`repro.validate.oracle.run_smp_matrix`),
 the scaling benchmark (``benchmarks/bench_smp_scaling.py``) and the
 bit-exactness tests all stress the same splitLoc-motivating regime —
 one location absorbing a large share of all visits is exactly where a

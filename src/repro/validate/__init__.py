@@ -8,10 +8,11 @@ here:
 * :mod:`repro.validate.strategies` — hypothesis strategies generating
   small-but-adversarial populations and scenarios, shared by all test
   tiers;
-* :mod:`repro.validate.oracle` — the differential oracle running one
-  scenario through both execution modes across the
-  {RR, GP, GP-splitLoc} × {cd, qd} × {direct, aggregated, tram} matrix
-  and diffing epi-curves, infection events and final state;
+* :mod:`repro.validate.oracle` — the differential oracle: one
+  :func:`~repro.validate.oracle.diff_runs` of every backend's
+  ``SimulationResult`` (infection events, epi-curve, final state)
+  against the sequential reference, over the charm, kernel, smp and
+  scenario cell lists;
 * :mod:`repro.validate.external` — the distribution-level oracle
   comparing seeded ensembles of the sequential reference against the
   independent FastSIR/Dijkstra baselines (``validate --external``),
@@ -34,24 +35,25 @@ from repro.validate.invariants import InvariantChecker, InvariantViolation
 __all__ = [
     "InvariantChecker",
     "InvariantViolation",
+    "diff_runs",
     "run_matrix",
     "run_smp_matrix",
     "run_external_oracle",
     "OracleReport",
-    "SmpOracleReport",
     "ExternalOracleReport",
 ]
 
 
 def __getattr__(name):
     if name in (
+        "diff_runs",
         "run_matrix",
+        "run_kernel_differential",
+        "run_smp_matrix",
+        "run_scenario_matrix",
         "OracleReport",
         "Divergence",
         "CellResult",
-        "run_smp_matrix",
-        "SmpOracleReport",
-        "SmpCellResult",
     ):
         from repro.validate import oracle
 

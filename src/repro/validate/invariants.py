@@ -26,9 +26,10 @@ ParallelEpiSimdemics` (enable with ``validate=True``):
 
 A failed check raises :class:`InvariantViolation` immediately with the
 offending day/location/person; passed checks are counted in
-``checks_passed`` so tests can assert coverage.  The checker also logs
-every infection event per day, which is what the differential oracle
-(:mod:`repro.validate.oracle`) diffs against the sequential reference.
+``checks_passed`` so tests can assert coverage.  The infection events
+themselves are the run record's (``SimulationResult.infection_log``),
+which the differential oracle (:mod:`repro.validate.oracle`) diffs
+against the sequential reference.
 
 :class:`~repro.charm.scheduler.RuntimeSimulator` accepts its own
 ``validate=`` flag for the runtime-level invariants (drained
@@ -115,8 +116,6 @@ class InvariantChecker:
         self.distribution = distribution
         self.reinfection_ok = bool(reinfection_ok)
         self.checks_passed = 0
-        #: per-day infection events (the oracle's parallel-side record)
-        self.infection_log: dict[int, list] = {}
         self._day = -1
         self._state0: np.ndarray | None = None
         self._visit_phase_open = False
@@ -210,7 +209,6 @@ class InvariantChecker:
         self._visits_recv.clear()
         self._infects_sent = 0
         self._infects_recv = 0
-        self.infection_log[day] = []
 
     # -- visit phase -----------------------------------------------------
     def record_visits_sent(self, rows: np.ndarray) -> None:
@@ -263,7 +261,7 @@ class InvariantChecker:
 
     # -- location / infect phase ----------------------------------------
     def record_infections(self, day: int, events) -> None:
-        """Log a LocationManager's infect messages; keys must be unique."""
+        """Count a LocationManager's infect messages; keys must be unique."""
         for ev in events:
             key = (day, ev.location, ev.person)
             if key in self._rng_keys_used:
@@ -275,7 +273,6 @@ class InvariantChecker:
             self._rng_keys_used.add(key)
             self._infects_sent += 1
         self._ok()
-        self.infection_log.setdefault(day, []).extend(events)
 
     def record_infect_received(self, person: int) -> None:
         if not self._infect_phase_open:

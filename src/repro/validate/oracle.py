@@ -1,49 +1,41 @@
-"""The differential oracle: sequential reference vs parallel runtime.
+"""The differential oracle: one diff over the run record every backend reports.
 
-One scenario is run through the sequential simulator and through the
-chare-parallel runtime across the full configuration matrix
+The sequential simulator, the chare runtime and the forked smp workers
+all return a :class:`~repro.core.simulator.SimulationResult`: the curve,
+each day's infect records and the final per-person arrays.  A *cell*
+runs one scenario under one :class:`~repro.spec.RuntimeSpec`, and
+:func:`diff_runs` holds its record to a sequential reference run of the
+same scenario, exactly; a mismatch is a :class:`Divergence` naming the
+first divergent day, location, person and transmission RNG key.
 
-    {RR, GP, GP-splitLoc} × {completion, quiescence} × {direct,
-    aggregated, TRAM}
-
-and every cell is checked for *exact* equality of
-
-* the per-day infection events (``(person, location)`` sets, taken from
-  the parallel run's :class:`~repro.validate.invariants.InvariantChecker`
-  log and the sequential run's location-phase results),
-* the epidemic curve (new infections, cumulative count, prevalence),
-* the final state (per-person PTTS state, dwell timers and the state
-  histogram).
-
-A mismatch produces a structured :class:`Divergence` naming the first
-divergent day, the offending location/person and the transmission RNG
-key involved — the information needed to bisect a keyed-RNG regression.
-
-The splitLoc distribution transforms the graph, so its cells are
-compared against a sequential reference run on the *split* graph (the
-split is a preprocessing step; equivalence is claimed per graph, and
-``tests/partition/test_splitloc.py`` separately pins the split's own
-semantics).
-
-The matrix is also the certification harness for the exposure-kernel
-rewrite: by default the sequential reference runs the ``grouped``
-(reference) kernel while every parallel cell runs the ``flat`` kernel,
-so one green matrix certifies old-vs-new *and* sequential-vs-parallel
-at once.  :func:`run_kernel_differential` additionally compares the two
-kernels head-to-head on the sequential simulator, down to the infection
-minute and event order.
+The four cell lists — :func:`run_matrix` (charm: {RR, GP, GP-splitLoc}
+× {cd, qd} × {direct, aggregated, TRAM}), :func:`run_kernel_differential`,
+:func:`run_smp_matrix` and :func:`run_scenario_matrix` — share one
+runner, one driver and one :class:`OracleReport`.  splitLoc cells
+compare against a reference on the *split* graph (the split is a
+preprocessing step; ``tests/partition/test_splitloc.py`` pins it).  By
+default the reference runs the ``grouped`` kernel and every cell
+``flat``, so each cell is a cross-kernel differential too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
 from repro.charm.machine import Machine, MachineConfig
+from repro.core import ckernel
 from repro.core.parallel import Distribution, ParallelEpiSimdemics
 from repro.core.scenario import Scenario
 from repro.core.simulator import SequentialSimulator, SimulationResult
+from repro.core.transmission import TransmissionModel
+from repro.partition import partition_bipartite, round_robin_partition, split_heavy_locations
+from repro.scenarios import registry
+from repro.smp import SmpSimulator
+from repro.spec import PopulationSpec, RuntimeSpec
 from repro.util.rng import RngFactory
 
 __all__ = [
@@ -54,13 +46,7 @@ __all__ = [
     "Divergence",
     "CellResult",
     "OracleReport",
-    "KernelDiffReport",
-    "SmpCellResult",
-    "SmpOracleReport",
-    "ScenarioCellResult",
-    "ScenarioOracleReport",
-    "sequential_reference",
-    "run_cell",
+    "diff_runs",
     "run_matrix",
     "run_kernel_differential",
     "run_smp_matrix",
@@ -70,16 +56,22 @@ __all__ = [
 DISTRIBUTIONS = ("rr", "gp", "gp-split")
 SYNC_MODES = ("cd", "qd")
 DELIVERY_MODES = ("direct", "aggregated", "tram")
+#: Population presets the smp cells certify on: "tiny" is the
+#: generator's default synthetic town; "heavy" the Zipf-popularity
+#: stress graph where one location absorbs a large share of all visits.
+SMP_PRESETS = ("tiny", "heavy")
 
 #: Matrix-wide default machine: 2 SMP nodes, 8 PEs — small enough for
 #: CI, large enough that every protocol (tree collectives, comm
 #: threads, inter-node wires) actually runs.
 DEFAULT_MACHINE = MachineConfig(n_nodes=2, cores_per_node=4, smp=True, processes_per_node=1)
 
+_NO_RECORDS = np.empty((0, 3), dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class Divergence:
-    """Structured description of the first sequential↔parallel mismatch."""
+    """Structured description of the first reference↔run mismatch."""
 
     kind: str  # "events" | "curve" | "final-state"
     day: int | None = None
@@ -105,29 +97,39 @@ class Divergence:
 
 @dataclass
 class CellResult:
-    """Outcome of one matrix cell."""
+    """Outcome of one cell; :meth:`format` is its streamed line.
 
-    distribution: str
-    sync: str
-    delivery: str
+    >>> print(CellResult("rr×cd×direct", True, None, checks_passed=51).format())
+      rr×cd×direct                            exact  (51 invariant checks)
+    """
+
+    label: str
     equal: bool
-    checks_passed: int
-    divergence: Divergence | None = None
+    divergence: Divergence | None
+    checks_passed: int = 0
+    #: ring-full stalls of an smp cell
+    backpressure: int = 0
 
-    @property
-    def label(self) -> str:
-        return f"{self.distribution}×{self.sync}×{self.delivery}"
+    def format(self) -> str:
+        counts = ((self.checks_passed, "invariant checks"), (self.backpressure, "ring stalls"))
+        counters = [f"{n} {what}" for n, what in counts if n]
+        extra = f"  ({', '.join(counters)})" if counters else ""
+        return f"  {self.label:<36} {'exact' if self.equal else 'DIVERGED':>8}{extra}"
 
 
 @dataclass
 class OracleReport:
-    """All cells of one matrix run.
+    """All cells of one oracle run.
 
-    >>> r = OracleReport(cells=[], n_persons=100, n_days=8)
+    >>> r = OracleReport("differential oracle", cells=[], n_persons=100, n_days=8)
     >>> r.all_equal, r.total_checks
     (True, 0)
+    >>> print(r.format())
+    differential oracle: 0 cells, 100 persons × 8 days
+    all cells bit-identical to the sequential reference
     """
 
+    title: str
     cells: list[CellResult]
     n_persons: int
     n_days: int
@@ -141,719 +143,303 @@ class OracleReport:
         return sum(c.checks_passed for c in self.cells)
 
     def format(self) -> str:
+        """Header, the divergences and the verdict (the cells' own lines
+        were printed as they finished)."""
+        n = len(self.cells)
         lines = [
-            f"differential oracle: {len(self.cells)} cells, "
+            f"{self.title}: {n} cell{'s' * (n != 1)}, "
             f"{self.n_persons} persons × {self.n_days} days"
         ]
         for c in self.cells:
-            status = "exact" if c.equal else "DIVERGED"
-            lines.append(f"  {c.label:<24} {status:>8}  ({c.checks_passed} invariant checks)")
             if c.divergence is not None:
-                lines.append("    " + c.divergence.format().replace("\n", "\n    "))
-        verdict = (
+                lines.append(f"  {c.label}: " + c.divergence.format().replace("\n", "\n    "))
+        lines.append(
             "all cells bit-identical to the sequential reference"
             if self.all_equal
             else "EQUIVALENCE BROKEN — see divergences above"
         )
-        lines.append(verdict)
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# reference side
-# ----------------------------------------------------------------------
-def sequential_reference(
-    scenario: Scenario,
-    kernel: str | None = None,
-) -> tuple[SimulationResult, dict[int, set], np.ndarray, np.ndarray]:
-    """Run the sequential simulator, also logging per-day infection events.
+def diff_runs(
+    scenario: Scenario, ref: SimulationResult, got: SimulationResult, *, ordered: bool
+) -> Divergence | None:
+    """The first difference between two run records of ``scenario``.
 
-    Returns ``(result, events_by_day, health_state, days_remaining)``
-    where ``events_by_day[d]`` is the set of ``(person, location)``
-    transmissions of day ``d``.  ``kernel`` selects the exposure kernel
-    (None = the module default).
+    Day by day: the curve's length (in both directions), then the
+    infect records, then new infections and prevalence with ``==``.
+    With ``ordered`` (both sides sequential: the kernels promise
+    emission order too) each day's record arrays must be equal as they
+    are; otherwise as sets of ``(person, location, minute)`` rows, since
+    a parallel runtime's delivery order is not part of the contract.
+    Last, every person's final PTTS state and dwell timer.
+
+    >>> from repro.core import Scenario, TransmissionModel
+    >>> from repro.synthpop import PopulationConfig, generate_population
+    >>> sc = Scenario(graph=generate_population(PopulationConfig(n_persons=80), 0),
+    ...               n_days=3, seed=0, initial_infections=4,
+    ...               transmission=TransmissionModel(4e-4))
+    >>> ref = SequentialSimulator(sc, kernel="grouped").run()
+    >>> got = SequentialSimulator(sc, kernel="flat").run()
+    >>> diff_runs(sc, ref, got, ordered=True) is None
+    True
+    >>> got.curve.prevalence[2] = float(np.nextafter(got.curve.prevalence[2], 1.0))
+    >>> print(diff_runs(sc, ref, got, ordered=True).format())
+    first divergence: curve, day 2
+      reference: 10 new / prevalence 0.25; run: 10 new / prevalence 0.25000000000000006
     """
-    from repro.core.metrics import EpiCurve, state_histogram
-
-    sim = SequentialSimulator(scenario, kernel=kernel)
-    curve = EpiCurve()
-    result = SimulationResult(curve=curve, final_histogram={})
-    events: dict[int, set] = {}
-    for day in range(scenario.n_days):
-        day_result, phase = sim.step_day()
-        events[day] = {(ev.person, ev.location) for ev in phase.infections}
-        result.days.append(day_result)
-        curve.record_day(day_result.new_infections, day_result.prevalence)
-    result.final_histogram = state_histogram(sim.health_state, scenario.disease)
-    return result, events, sim.health_state, sim.days_remaining
-
-
-# ----------------------------------------------------------------------
-# comparison
-# ----------------------------------------------------------------------
-def _diff_events(
-    scenario: Scenario, seq_events: dict[int, set], par_events: dict[int, set]
-) -> Divergence | None:
-    factory = scenario.rng_factory
-    for day in range(scenario.n_days):
-        s, p = seq_events.get(day, set()), par_events.get(day, set())
-        if s == p:
-            continue
-        only_seq = sorted(s - p, key=lambda e: (e[1], e[0]))
-        only_par = sorted(p - s, key=lambda e: (e[1], e[0]))
-        person, location = (only_seq or only_par)[0]
-        side = "sequential-only" if only_seq else "parallel-only"
-        return Divergence(
-            kind="events",
-            day=day,
-            location=location,
-            person=person,
-            rng_key=factory.seed(RngFactory.LOCATION, day, location, person),
-            detail=(
-                f"{side} infection event; {len(only_seq)} event(s) missing from "
-                f"the parallel run, {len(only_par)} extra"
-            ),
-        )
-    return None
-
-
-def _diff_curve(scenario: Scenario, seq_curve, par_curve) -> Divergence | None:
-    for day in range(scenario.n_days):
-        if day >= par_curve.n_days:
+    n_ref, n_got = ref.curve.n_days, got.curve.n_days
+    for day in range(max(n_ref, n_got)):
+        if day >= min(n_ref, n_got):
             return Divergence(
                 kind="curve", day=day,
-                detail=f"parallel curve ends after {par_curve.n_days} day(s)",
+                detail=f"the reference curve has {n_ref} day(s), the run's {n_got}",
             )
-        if seq_curve.new_infections[day] != par_curve.new_infections[day]:
+        a = ref.infection_log.get(day, _NO_RECORDS)
+        b = got.infection_log.get(day, _NO_RECORDS)
+        if not (np.array_equal(a, b) or (not ordered and np.array_equal(_by_row(a), _by_row(b)))):
+            return _events_divergence(scenario.rng_factory, day, a, b)
+        new_ref, new_got = ref.curve.new_infections[day], got.curve.new_infections[day]
+        prev_ref, prev_got = ref.curve.prevalence[day], got.curve.prevalence[day]
+        if new_ref != new_got or prev_ref != prev_got:
             return Divergence(
                 kind="curve", day=day,
                 detail=(
-                    f"new infections differ: sequential "
-                    f"{seq_curve.new_infections[day]}, parallel "
-                    f"{par_curve.new_infections[day]}"
+                    f"reference: {new_ref} new / prevalence {prev_ref!r}; "
+                    f"run: {new_got} new / prevalence {prev_got!r}"
                 ),
             )
-        if not np.isclose(seq_curve.prevalence[day], par_curve.prevalence[day]):
+    names = [s.name for s in scenario.disease.states]
+    for what, a, b, show in (
+        ("final PTTS state", ref.final_health_state, got.final_health_state,
+         lambda v: repr(names[v])),
+        ("dwell timer", ref.final_days_remaining, got.final_days_remaining, str),
+    ):
+        if not np.array_equal(a, b):
+            p = int(np.flatnonzero(a != b)[0])
             return Divergence(
-                kind="curve", day=day,
-                detail=(
-                    f"prevalence differs: sequential {seq_curve.prevalence[day]!r}, "
-                    f"parallel {par_curve.prevalence[day]!r}"
-                ),
+                kind="final-state", person=p,
+                detail=f"{what} differs: reference {show(int(a[p]))}, run {show(int(b[p]))}",
             )
     return None
 
 
-def _diff_final_state(
-    seq_state: np.ndarray,
-    seq_remaining: np.ndarray,
-    sim: ParallelEpiSimdemics,
-) -> Divergence | None:
-    names = [s.name for s in sim.scenario.disease.states]
-    if not np.array_equal(seq_state, sim.health_state):
-        p = int(np.flatnonzero(seq_state != sim.health_state)[0])
-        return Divergence(
-            kind="final-state", person=p,
-            detail=(
-                f"final PTTS state differs: sequential {names[int(seq_state[p])]!r}, "
-                f"parallel {names[int(sim.health_state[p])]!r}"
-            ),
+def _by_row(records: np.ndarray) -> np.ndarray:
+    """``records`` sorted by (person, location, minute)."""
+    return records[np.lexsort(records.T[::-1])]
+
+
+def _events_divergence(factory: RngFactory, day: int, a, b) -> Divergence:
+    rows_a, rows_b = set(map(tuple, a.tolist())), set(map(tuple, b.tolist()))
+    only = sorted(rows_a ^ rows_b, key=lambda e: (e[1], e[0], e[2]))
+    if only:
+        first = only[0]
+        detail = (
+            f"{len(rows_a - rows_b)} event(s) only in the reference, {len(rows_b - rows_a)} "
+            f"only in the run; first (person, location, minute): {first}"
         )
-    if not np.array_equal(seq_remaining, sim.days_remaining):
-        p = int(np.flatnonzero(seq_remaining != sim.days_remaining)[0])
-        return Divergence(
-            kind="final-state", person=p,
-            detail=(
-                f"dwell timer differs: sequential {int(seq_remaining[p])}, "
-                f"parallel {int(sim.days_remaining[p])}"
-            ),
-        )
-    return None
-
-
-# ----------------------------------------------------------------------
-# matrix driver
-# ----------------------------------------------------------------------
-def _make_partition(graph, distribution: str, n_pes: int):
-    if distribution == "rr":
-        from repro.partition import round_robin_partition
-
-        return round_robin_partition(graph, n_pes)
-    from repro.partition import partition_bipartite
-
-    return partition_bipartite(graph, n_pes)
-
-
-def run_cell(
-    scenario: Scenario,
-    machine: MachineConfig,
-    partition,
-    sync: str,
-    delivery: str,
-    aggregation_bytes: int = 8 * 1024,
-    kernel: str | None = None,
-) -> ParallelEpiSimdemics:
-    """Run one matrix cell with invariant checks on; return the sim."""
-    dist = Distribution.from_partition(partition, Machine(machine))
-    sim = ParallelEpiSimdemics(
-        scenario,
-        machine,
-        dist,
-        sync=sync,
-        delivery=delivery,
-        aggregation_bytes=aggregation_bytes,
-        kernel=kernel,
-        validate=True,
+    else:  # equal sets: name the first row out of order or repeated
+        first = next(x or y for x, y in zip_longest(a.tolist(), b.tolist()) if x != y)
+        detail = "same events, different emission order or multiplicity"
+    person, location, _minute = first
+    return Divergence(
+        kind="events", day=day, location=location, person=person,
+        rng_key=factory.seed(RngFactory.LOCATION, day, location, person), detail=detail,
     )
-    sim.run()
-    return sim
+
+
+def _make_partition(graph, distribution: str, n_pes: int):
+    return (round_robin_partition if distribution == "rr" else partition_bipartite)(graph, n_pes)
+
+
+def _run_cell(
+    scenario: Scenario, runtime: RuntimeSpec, partition, machine: MachineConfig
+) -> tuple[SimulationResult, int, int]:
+    """Run one cell: ``(result, invariant checks passed, ring stalls)``."""
+    if runtime.backend == "seq":
+        return SequentialSimulator(scenario, kernel=runtime.kernel).run(), 0, 0
+    if runtime.backend == "smp":
+        out = SmpSimulator(
+            scenario, n_workers=runtime.workers, partition=partition, kernel=runtime.kernel,
+            ring_capacity=runtime.ring_capacity, burst_bytes=runtime.burst_bytes,
+        ).run()
+        return out.result, 0, out.backpressure_events
+    sim = ParallelEpiSimdemics(
+        scenario, machine, Distribution.from_partition(partition, Machine(machine)),
+        sync=runtime.sync, delivery=runtime.delivery, aggregation_bytes=8 * 1024,
+        kernel=runtime.kernel, validate=True,
+    )
+    return sim.run().result, sim.checker.checks_passed, 0
+
+
+def _drive(
+    title: str, cells, reference_kernel: str | None, n_days: int,
+    machine: MachineConfig = DEFAULT_MACHINE,
+) -> OracleReport:
+    """Run ``cells`` — ``(label, build, runtime, partition)`` tuples, where
+    ``build()`` makes a fresh copy of the cell's scenario — against one
+    sequential reference per ``build``, printing each line as it lands."""
+    references: dict = {}
+    results: list[CellResult] = []
+    n_persons = 0
+    for label, build, runtime, partition in cells:
+        if build not in references:
+            references[build] = SequentialSimulator(build(), kernel=reference_kernel).run()
+        scenario = build()
+        got, checks, stalls = _run_cell(scenario, runtime, partition, machine)
+        divergence = diff_runs(
+            scenario, references[build], got, ordered=runtime.backend == "seq"
+        )
+        cell = CellResult(label, divergence is None, divergence, checks, stalls)
+        print(cell.format(), flush=True)
+        results.append(cell)
+        n_persons = max(n_persons, scenario.graph.n_persons)
+    return OracleReport(title, results, n_persons, n_days)
+
+
+def _plain(graph, n_days: int, seed: int, initial_infections: int, transmissibility: float):
+    """Factory of the plain influenza scenario on ``graph``."""
+    return partial(
+        Scenario, graph=graph, n_days=n_days, seed=seed,
+        initial_infections=initial_infections, transmission=TransmissionModel(transmissibility),
+    )
 
 
 def run_matrix(
-    graph,
-    *,
-    machine: MachineConfig | None = None,
-    n_days: int = 8,
-    seed: int = 0,
-    initial_infections: int = 10,
-    transmissibility: float = 2.0e-4,
+    graph, *, machine: MachineConfig | None = None, n_days: int = 8, seed: int = 0,
+    initial_infections: int = 10, transmissibility: float = 2.0e-4,
     distributions: tuple[str, ...] = DISTRIBUTIONS,
     sync_modes: tuple[str, ...] = SYNC_MODES,
     deliveries: tuple[str, ...] = DELIVERY_MODES,
-    kernel: str | None = "flat",
-    reference_kernel: str | None = "grouped",
-    progress=None,
+    kernel: str | None = "flat", reference_kernel: str | None = "grouped",
 ) -> OracleReport:
-    """Run the full differential matrix on ``graph``.
+    """The charm runtime's cells: distribution × sync × delivery.
 
-    ``kernel`` is the exposure kernel of every parallel cell and
+    ``kernel`` is the exposure kernel of every cell and
     ``reference_kernel`` the sequential side's; the deliberately
     asymmetric defaults make each cell a cross-kernel *and*
-    cross-execution differential.  ``progress`` is an optional callable
-    receiving one line per finished cell (the CLI passes ``print``).
-
-    Restrict the axes to run a subset (here: one cell):
+    cross-execution differential.  Restrict the axes to run a subset
+    (here: one cell):
 
     >>> from repro.synthpop import PopulationConfig, generate_population
     >>> g = generate_population(PopulationConfig(n_persons=60), 0)
     >>> report = run_matrix(g, n_days=2, distributions=("rr",),
     ...                     sync_modes=("cd",), deliveries=("direct",))
+      rr×cd×direct                            exact  (27 invariant checks)
     >>> len(report.cells), report.all_equal
     (1, True)
     """
-    from repro.core.transmission import TransmissionModel
-    from repro.partition import split_heavy_locations
-
     machine = machine or DEFAULT_MACHINE
     n_pes = Machine(machine).n_pes
-
-    def scenario_for(g) -> Scenario:
-        return Scenario(
-            graph=g,
-            n_days=n_days,
-            seed=seed,
-            initial_infections=initial_infections,
-            transmission=TransmissionModel(transmissibility),
-        )
-
-    # Graph variants and their sequential references (computed once).
-    variants: dict[str, tuple] = {}
-
-    def variant_for(distribution: str):
-        key = "split" if distribution.endswith("-split") else "raw"
-        if key not in variants:
-            g = (
-                split_heavy_locations(graph, max_partitions=4 * n_pes).graph
-                if key == "split"
-                else graph
-            )
-            variants[key] = (g, sequential_reference(scenario_for(g), reference_kernel))
-        return variants[key]
-
-    cells: list[CellResult] = []
-    partitions: dict[str, object] = {}
+    builds, cells = {}, []
     for distribution in distributions:
-        g, (seq_result, seq_events, seq_state, seq_remaining) = variant_for(distribution)
-        if distribution not in partitions:
-            partitions[distribution] = _make_partition(
-                g, "rr" if distribution == "rr" else "gp", n_pes
-            )
+        split = distribution.endswith("-split")
+        if split not in builds:
+            g = split_heavy_locations(graph, max_partitions=4 * n_pes).graph if split else graph
+            builds[split] = _plain(g, n_days, seed, initial_infections, transmissibility)
+        build = builds[split]
+        partition = _make_partition(build.keywords["graph"], distribution, n_pes)
         for sync in sync_modes:
             for delivery in deliveries:
-                sim = run_cell(
-                    scenario_for(g), machine, partitions[distribution], sync, delivery,
-                    kernel=kernel,
-                )
-                par_curve = sim.curve
-                divergence = (
-                    _diff_events(sim.scenario, seq_events, {
-                        d: {(ev.person, ev.location) for ev in evs}
-                        for d, evs in sim.checker.infection_log.items()
-                    })
-                    or _diff_curve(sim.scenario, seq_result.curve, par_curve)
-                    or _diff_final_state(seq_state, seq_remaining, sim)
-                )
-                cell = CellResult(
-                    distribution=distribution,
-                    sync=sync,
-                    delivery=delivery,
-                    equal=divergence is None,
-                    checks_passed=sim.checker.checks_passed,
-                    divergence=divergence,
-                )
-                cells.append(cell)
-                if progress is not None:
-                    status = "exact" if cell.equal else "DIVERGED"
-                    progress(f"{cell.label:<24} {status}  ({cell.checks_passed} checks)")
-    return OracleReport(cells=cells, n_persons=graph.n_persons, n_days=n_days)
-
-
-# ----------------------------------------------------------------------
-# kernel-vs-kernel differential (old vs new exposure kernel)
-# ----------------------------------------------------------------------
-@dataclass
-class KernelDiffReport:
-    """Head-to-head comparison of two exposure kernels."""
-
-    kernel_a: str
-    kernel_b: str
-    n_persons: int
-    n_days: int
-    divergence: Divergence | None = None
-
-    @property
-    def equal(self) -> bool:
-        return self.divergence is None
-
-    def format(self) -> str:
-        head = (
-            f"kernel differential: {self.kernel_a} vs {self.kernel_b}, "
-            f"{self.n_persons} persons × {self.n_days} days"
-        )
-        if self.equal:
-            return head + "\n  kernels bit-identical (events, minutes, curve, final state)"
-        return head + "\n  " + self.divergence.format().replace("\n", "\n  ")
+                runtime = RuntimeSpec("charm", kernel=kernel, sync=sync, delivery=delivery)
+                cells.append((f"{distribution}×{sync}×{delivery}", build, runtime, partition))
+    return _drive("differential oracle", cells, reference_kernel, n_days, machine)
 
 
 def run_kernel_differential(
-    graph,
-    *,
-    n_days: int = 8,
-    seed: int = 0,
-    initial_infections: int = 10,
-    transmissibility: float = 2.0e-4,
-    kernel_a: str = "grouped",
-    kernel_b: str = "flat",
-) -> KernelDiffReport:
-    """Run the sequential simulator once per kernel and compare exactly.
+    graph, *, n_days: int = 8, seed: int = 0, initial_infections: int = 10,
+    transmissibility: float = 2.0e-4, kernel_a: str = "grouped", kernel_b: str = "flat",
+) -> OracleReport:
+    """One sequential cell: ``kernel_b`` against a ``kernel_a`` reference,
+    so the infect records must match in emission order, minute included.
 
-    Stricter than the matrix's event-set comparison: per-day infection
-    events must match as ordered ``(person, location, minute)`` lists —
-    the kernels promise bit-for-bit equivalence, including the order
-    infect messages are emitted in — and the epidemic curve, final PTTS
-    state and dwell timers must be identical.
-    """
-    from repro.core.transmission import TransmissionModel
-
-    def scenario() -> Scenario:
-        return Scenario(
-            graph=graph,
-            n_days=n_days,
-            seed=seed,
-            initial_infections=initial_infections,
-            transmission=TransmissionModel(transmissibility),
-        )
-
-    report = KernelDiffReport(
-        kernel_a=kernel_a, kernel_b=kernel_b,
-        n_persons=graph.n_persons, n_days=n_days,
-    )
-    sc_a, sc_b = scenario(), scenario()
-    sim_a = SequentialSimulator(sc_a, kernel=kernel_a)
-    sim_b = SequentialSimulator(sc_b, kernel=kernel_b)
-    factory = sc_a.rng_factory
-    for day in range(n_days):
-        day_a, phase_a = sim_a.step_day()
-        day_b, phase_b = sim_b.step_day()
-        ev_a = [(e.person, e.location, e.minute) for e in phase_a.infections]
-        ev_b = [(e.person, e.location, e.minute) for e in phase_b.infections]
-        if ev_a != ev_b:
-            only_a = sorted(set(ev_a) - set(ev_b))
-            only_b = sorted(set(ev_b) - set(ev_a))
-            if only_a or only_b:
-                person, location, _minute = (only_a or only_b)[0]
-                detail = (
-                    f"{len(only_a)} event(s) only in {kernel_a}, "
-                    f"{len(only_b)} only in {kernel_b}"
-                )
-            else:
-                person, location, _minute = ev_a[0]
-                detail = "same events, different emission order"
-            report.divergence = Divergence(
-                kind="events", day=day, location=location, person=person,
-                rng_key=factory.seed(RngFactory.LOCATION, day, location, person),
-                detail=detail,
-            )
-            return report
-        if (day_a.new_infections, day_a.prevalence) != (
-            day_b.new_infections, day_b.prevalence
-        ):
-            report.divergence = Divergence(
-                kind="curve", day=day,
-                detail=(
-                    f"{kernel_a}: {day_a.new_infections} new / prevalence "
-                    f"{day_a.prevalence!r}; {kernel_b}: {day_b.new_infections} "
-                    f"new / prevalence {day_b.prevalence!r}"
-                ),
-            )
-            return report
-    report.divergence = _diff_final_state_arrays(
-        sim_a.health_state, sim_a.days_remaining,
-        sim_b.health_state, sim_b.days_remaining,
-    )
-    return report
-
-
-# ----------------------------------------------------------------------
-# the SMP backend's cells (real processes vs sequential reference)
-# ----------------------------------------------------------------------
-#: Population presets the SMP matrix certifies on: "tiny" is the
-#: generator's default synthetic town; "heavy" the Zipf-popularity
-#: stress graph where one location absorbs a large share of all visits.
-SMP_PRESETS = ("tiny", "heavy")
-
-
-@dataclass
-class SmpCellResult:
-    """Outcome of one (preset, worker-count) SMP cell."""
-
-    preset: str
-    workers: int
-    equal: bool
-    backpressure: int = 0
-    divergence: Divergence | None = None
-
-    @property
-    def label(self) -> str:
-        return f"{self.preset}×w{self.workers}"
-
-
-@dataclass
-class SmpOracleReport:
-    """All cells of one SMP differential run.
-
-    >>> r = SmpOracleReport(cells=[], n_days=4)
-    >>> r.all_equal
+    >>> from repro.synthpop import PopulationConfig, generate_population
+    >>> g = generate_population(PopulationConfig(n_persons=60), 0)
+    >>> run_kernel_differential(g, n_days=2).all_equal
+      grouped-vs-flat                         exact
     True
     """
-
-    cells: list[SmpCellResult]
-    n_days: int
-
-    @property
-    def all_equal(self) -> bool:
-        return all(c.equal for c in self.cells)
-
-    def format(self) -> str:
-        lines = [f"smp differential oracle: {len(self.cells)} cells, {self.n_days} days"]
-        for c in self.cells:
-            status = "exact" if c.equal else "DIVERGED"
-            lines.append(
-                f"  {c.label:<16} {status:>8}  ({c.backpressure} ring stalls)"
-            )
-            if c.divergence is not None:
-                lines.append("    " + c.divergence.format().replace("\n", "\n    "))
-        lines.append(
-            "smp backend bit-identical to the sequential reference"
-            if self.all_equal
-            else "EQUIVALENCE BROKEN — see divergences above"
-        )
-        return "\n".join(lines)
+    build = _plain(graph, n_days, seed, initial_infections, transmissibility)
+    cells = [(f"{kernel_a}-vs-{kernel_b}", build, RuntimeSpec(kernel=kernel_b), None)]
+    return _drive(f"kernel differential {kernel_a} vs {kernel_b}", cells, kernel_a, n_days)
 
 
 def run_smp_matrix(
-    *,
-    workers: tuple[int, ...] = (1, 2, 4),
-    presets: tuple[str, ...] = SMP_PRESETS,
-    n_days: int = 6,
-    seed: int = 0,
-    initial_infections: int = 8,
-    transmissibility: float = 2.0e-4,
-    kernel: str | None = "flat",
-    reference_kernel: str | None = "grouped",
-    tiny_persons: int = 300,
-    heavy_persons: int = 1500,
-    heavy_locations: int = 200,
-    ring_capacity: int = 1024,
-    progress=None,
-) -> SmpOracleReport:
-    """Certify the shared-memory backend against the sequential reference.
+    *, workers: tuple[int, ...] = (1, 2, 4), presets: tuple[str, ...] = SMP_PRESETS,
+    n_days: int = 6, seed: int = 0, initial_infections: int = 8,
+    transmissibility: float = 2.0e-4, kernel: str | None = "flat",
+    reference_kernel: str | None = "grouped", tiny_persons: int = 300,
+    heavy_persons: int = 1500, heavy_locations: int = 200, ring_capacity: int = 1024,
+) -> OracleReport:
+    """The shared-memory backend's cells: preset × worker count.
 
     Every cell forks real worker processes
-    (:class:`~repro.smp.SmpSimulator`), runs the scenario, and checks
-    the per-day infection-event sets, the epidemic curve and the final
-    per-person arrays for exact equality — the same three diffs as the
-    simulated-runtime matrix.  A deliberately small ``ring_capacity``
-    keeps the backpressure path exercised.
+    (:class:`~repro.smp.SmpSimulator`); a deliberately small
+    ``ring_capacity`` keeps the backpressure path exercised.
 
     >>> report = run_smp_matrix(workers=(2,), presets=("tiny",), n_days=2,
-    ...                         tiny_persons=80)
+    ...                         tiny_persons=80)  # doctest: +ELLIPSIS
+      tiny×w2                                 exact...
     >>> report.all_equal
     True
     """
-    from repro.core.transmission import TransmissionModel
-    from repro.smp import SmpSimulator
-    from repro.spec import PopulationSpec
-
-    def graph_for(preset: str):
-        # Both presets go through PopulationSpec — the same construction
-        # path (and cache key) the CLI, the benchmarks and the lab use.
-        if preset == "tiny":
-            return PopulationSpec(
-                n_persons=tiny_persons, seed=seed, name="synthetic"
-            ).build()
-        if preset == "heavy":
-            return PopulationSpec(
-                kind="preset", preset="heavy-tailed", n_persons=heavy_persons,
-                params={"n_locations": heavy_locations},
-            ).build()
-        raise ValueError(f"unknown preset {preset!r} (expected one of {SMP_PRESETS})")
-
-    def scenario_for(g) -> Scenario:
-        return Scenario(
-            graph=g,
-            n_days=n_days,
-            seed=seed,
-            initial_infections=initial_infections,
-            transmission=TransmissionModel(transmissibility),
-        )
-
-    cells: list[SmpCellResult] = []
+    # Both presets go through PopulationSpec — the same construction
+    # path (and cache key) the CLI, the benchmarks and the lab use.
+    specs = {
+        "tiny": PopulationSpec(n_persons=tiny_persons, seed=seed, name="synthetic"),
+        "heavy": PopulationSpec(
+            kind="preset", preset="heavy-tailed", n_persons=heavy_persons,
+            params={"n_locations": heavy_locations},
+        ),
+    }
+    cells = []
     for preset in presets:
-        g = graph_for(preset)
-        seq_result, seq_events, seq_state, seq_remaining = sequential_reference(
-            scenario_for(g), reference_kernel
-        )
-        for n_workers in workers:
-            sim = SmpSimulator(
-                scenario_for(g), n_workers=n_workers, kernel=kernel,
-                ring_capacity=ring_capacity,
-            )
-            out = sim.run()
-            divergence = (
-                _diff_events(sim.scenario, seq_events, {
-                    d: {(person, loc) for person, loc, _minute in rows.tolist()}
-                    for d, rows in out.infection_log.items()
-                })
-                or _diff_curve(sim.scenario, seq_result.curve, out.result.curve)
-                or _diff_final_state_arrays(
-                    seq_state, seq_remaining,
-                    out.final_health_state, out.final_days_remaining,
-                )
-            )
-            cell = SmpCellResult(
-                preset=preset,
-                workers=n_workers,
-                equal=divergence is None,
-                backpressure=out.backpressure_events,
-                divergence=divergence,
-            )
-            cells.append(cell)
-            if progress is not None:
-                status = "exact" if cell.equal else "DIVERGED"
-                progress(f"{cell.label:<16} {status}")
-    return SmpOracleReport(cells=cells, n_days=n_days)
-
-
-# ----------------------------------------------------------------------
-# the scenario matrix (every registered scenario × backends × kernels)
-# ----------------------------------------------------------------------
-@dataclass
-class ScenarioCellResult:
-    """Outcome of one (scenario, backend/kernel) cell."""
-
-    scenario: str
-    backend: str
-    equal: bool
-    checks_passed: int = 0
-    divergence: Divergence | None = None
-
-    @property
-    def label(self) -> str:
-        return f"{self.scenario}×{self.backend}"
-
-
-@dataclass
-class ScenarioOracleReport:
-    """All cells of one scenario differential run.
-
-    >>> r = ScenarioOracleReport(cells=[], n_persons=300, n_days=6)
-    >>> r.all_equal
-    True
-    """
-
-    cells: list[ScenarioCellResult]
-    n_persons: int
-    n_days: int
-
-    @property
-    def all_equal(self) -> bool:
-        return all(c.equal for c in self.cells)
-
-    @property
-    def total_checks(self) -> int:
-        return sum(c.checks_passed for c in self.cells)
-
-    def format(self) -> str:
-        lines = [
-            f"scenario differential oracle: {len(self.cells)} cells, "
-            f"{self.n_persons} persons × {self.n_days} days"
-        ]
-        for c in self.cells:
-            status = "exact" if c.equal else "DIVERGED"
-            extra = f"  ({c.checks_passed} checks)" if c.checks_passed else ""
-            lines.append(f"  {c.label:<36} {status:>8}{extra}")
-            if c.divergence is not None:
-                lines.append("    " + c.divergence.format().replace("\n", "\n    "))
-        lines.append(
-            "every scenario bit-identical across backends and kernels"
-            if self.all_equal
-            else "EQUIVALENCE BROKEN — see divergences above"
-        )
-        return "\n".join(lines)
+        if preset not in specs:
+            raise ValueError(f"unknown preset {preset!r} (expected one of {SMP_PRESETS})")
+        build = _plain(specs[preset].build(), n_days, seed, initial_infections, transmissibility)
+        for w in workers:
+            runtime = RuntimeSpec("smp", w, kernel=kernel, ring_capacity=ring_capacity)
+            cells.append((f"{preset}×w{w}", build, runtime, None))
+    return _drive("smp differential oracle", cells, reference_kernel, n_days)
 
 
 def run_scenario_matrix(
-    *,
-    scenarios: tuple[str, ...] | None = None,
-    workers: tuple[int, ...] = (1, 2),
-    machine: MachineConfig | None = None,
-    n_days: int = 6,
-    seed: int = 0,
-    initial_infections: int = 8,
-    transmissibility: float = 3.0e-4,
-    persons: int = 300,
-    kernel: str | None = "flat",
-    reference_kernel: str | None = "grouped",
+    *, scenarios: tuple[str, ...] | None = None, workers: tuple[int, ...] = (1, 2),
+    machine: MachineConfig | None = None, n_days: int = 6, seed: int = 0,
+    initial_infections: int = 8, transmissibility: float = 3.0e-4, persons: int = 300,
+    kernel: str | None = "flat", reference_kernel: str | None = "grouped",
     ring_capacity: int = 1024,
-    progress=None,
-) -> ScenarioOracleReport:
-    """Certify every registered scenario bit-identical across backends.
+) -> OracleReport:
+    """Every registered scenario's cells: seq kernels, charm, smp.
 
-    For each scenario name (default: all of
-    :func:`repro.scenarios.names`) the grouped-kernel sequential run is
-    the reference; the cells compare it against the sequential
-    simulator on ``kernel`` (plus the compiled kernel when a C
-    toolchain is present), the chare runtime with invariant checks on
-    (which also exercises each component's declared
-    ``extra_transitions``), and the shared-memory backend at each
-    worker count — the same three exact diffs as the base matrix.
+    For each scenario (default: all of :func:`repro.scenarios.names`)
+    the cells are the sequential simulator on ``kernel`` (plus
+    ``compiled`` when a C toolchain is present), the chare runtime with
+    invariant checks on (which also exercises each component's declared
+    ``extra_transitions``) and smp at each worker count.
 
     >>> report = run_scenario_matrix(scenarios=("turnover",), workers=(1,),
-    ...                              n_days=2, persons=80)
-    >>> report.all_equal
-    True
+    ...                              n_days=2, persons=80)  # doctest: +ELLIPSIS
+      turnover×seq-flat                       exact
+    ...
+      turnover×smp-w1                         exact...
+    >>> len(report.cells) >= 3, report.all_equal
+    (True, True)
     """
-    from repro.core import ckernel
-    from repro.scenarios import registry
-    from repro.smp import SmpSimulator
-    from repro.spec import PopulationSpec
-
     machine = machine or DEFAULT_MACHINE
-    n_pes = Machine(machine).n_pes
-    graph = PopulationSpec(
-        n_persons=persons, seed=seed, name="scenario-oracle"
-    ).build()
-    partition = _make_partition(graph, "rr", n_pes)
-
-    def build(name: str) -> Scenario:
-        return registry.build_scenario(
-            name, graph, n_days=n_days, seed=seed,
-            initial_infections=initial_infections,
-            transmissibility=transmissibility,
-        )
-
-    def emit(cell: ScenarioCellResult) -> None:
-        cells.append(cell)
-        if progress is not None:
-            status = "exact" if cell.equal else "DIVERGED"
-            progress(f"{cell.label:<36} {status}")
-
-    cells: list[ScenarioCellResult] = []
+    graph = PopulationSpec(n_persons=persons, seed=seed, name="scenario-oracle").build()
+    partition = _make_partition(graph, "rr", Machine(machine).n_pes)
     seq_kernels = [kernel] + (["compiled"] if ckernel.available() else [])
+    cells = []
     for name in scenarios or tuple(registry.names()):
-        sc = build(name)
-        seq_result, seq_events, seq_state, seq_remaining = sequential_reference(
-            sc, reference_kernel
+        build = partial(
+            registry.build_scenario, name, graph, n_days=n_days, seed=seed,
+            initial_infections=initial_infections, transmissibility=transmissibility,
         )
-        for k in seq_kernels:
-            _res, ev, st, rem = sequential_reference(build(name), k)
-            divergence = (
-                _diff_events(sc, seq_events, ev)
-                or _diff_curve(sc, seq_result.curve, _res.curve)
-                or _diff_final_state_arrays(seq_state, seq_remaining, st, rem)
-            )
-            emit(ScenarioCellResult(
-                scenario=name, backend=f"seq-{k}",
-                equal=divergence is None, divergence=divergence,
-            ))
-        sim = run_cell(build(name), machine, partition, "cd", "aggregated",
-                       kernel=kernel)
-        divergence = (
-            _diff_events(sim.scenario, seq_events, {
-                d: {(ev.person, ev.location) for ev in evs}
-                for d, evs in sim.checker.infection_log.items()
-            })
-            or _diff_curve(sim.scenario, seq_result.curve, sim.curve)
-            or _diff_final_state(seq_state, seq_remaining, sim)
-        )
-        emit(ScenarioCellResult(
-            scenario=name, backend="charm-rr",
-            equal=divergence is None,
-            checks_passed=sim.checker.checks_passed,
-            divergence=divergence,
-        ))
-        for n_workers in workers:
-            out = SmpSimulator(
-                build(name), n_workers=n_workers, kernel=kernel,
-                ring_capacity=ring_capacity,
-            ).run()
-            divergence = (
-                _diff_events(sc, seq_events, {
-                    d: {(person, loc) for person, loc, _minute in rows.tolist()}
-                    for d, rows in out.infection_log.items()
-                })
-                or _diff_curve(sc, seq_result.curve, out.result.curve)
-                or _diff_final_state_arrays(
-                    seq_state, seq_remaining,
-                    out.final_health_state, out.final_days_remaining,
-                )
-            )
-            emit(ScenarioCellResult(
-                scenario=name, backend=f"smp-w{n_workers}",
-                equal=divergence is None, divergence=divergence,
-            ))
-    return ScenarioOracleReport(
-        cells=cells, n_persons=graph.n_persons, n_days=n_days
-    )
-
-
-def _diff_final_state_arrays(
-    state_a: np.ndarray,
-    remaining_a: np.ndarray,
-    state_b: np.ndarray,
-    remaining_b: np.ndarray,
-) -> Divergence | None:
-    if not np.array_equal(state_a, state_b):
-        p = int(np.flatnonzero(state_a != state_b)[0])
-        return Divergence(
-            kind="final-state", person=p,
-            detail=f"final PTTS state index differs: {int(state_a[p])} vs {int(state_b[p])}",
-        )
-    if not np.array_equal(remaining_a, remaining_b):
-        p = int(np.flatnonzero(remaining_a != remaining_b)[0])
-        return Divergence(
-            kind="final-state", person=p,
-            detail=f"dwell timer differs: {int(remaining_a[p])} vs {int(remaining_b[p])}",
-        )
-    return None
+        cells += [(f"{name}×seq-{k}", build, RuntimeSpec(kernel=k), None) for k in seq_kernels]
+        charm = RuntimeSpec("charm", kernel=kernel)
+        cells.append((f"{name}×charm-rr", build, charm, partition))
+        for w in workers:
+            smp = RuntimeSpec("smp", w, kernel=kernel, ring_capacity=ring_capacity)
+            cells.append((f"{name}×smp-w{w}", build, smp, None))
+    return _drive("scenario differential oracle", cells, reference_kernel, n_days, machine)

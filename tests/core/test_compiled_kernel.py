@@ -89,7 +89,7 @@ class TestCompiledBitExact:
         report = run_kernel_differential(
             graph, n_days=5, seed=3, kernel_a="flat", kernel_b="compiled"
         )
-        assert report.equal, report.format()
+        assert report.all_equal, report.format()
 
     def test_sequential_simulator_accepts_compiled(self):
         graph = generate_population(
@@ -113,7 +113,7 @@ class TestCompiledBitExact:
         report = run_smp_matrix(
             workers=(2,), presets=("tiny",), n_days=4, kernel="compiled"
         )
-        assert all(c.equal for c in report.cells), report.cells
+        assert report.all_equal, report.format()
 
 
 def test_disabled_by_env_is_a_clean_miss():

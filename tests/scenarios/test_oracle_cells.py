@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core.simulator import SequentialSimulator
-from repro.validate.oracle import run_scenario_matrix, sequential_reference
+from repro.validate.oracle import diff_runs, run_scenario_matrix
 from repro.validate.strategies import scenario_compositions
 
 PINNED = ("waning-vaccination", "contact-tracing", "hospital-capacity",
@@ -24,12 +24,12 @@ def test_pinned_scenario_cells_are_exact():
         scenarios=PINNED, workers=(2,), n_days=5, persons=250, seed=0,
     )
     assert report.all_equal, report.format()
-    backends = {c.backend for c in report.cells}
+    backends = {c.label.split("×")[1] for c in report.cells}
     assert {"seq-flat", "charm-rr", "smp-w2"} <= backends
-    assert {c.scenario for c in report.cells} == set(PINNED)
+    assert {c.label.split("×")[0] for c in report.cells} == set(PINNED)
     # The charm cells ran with the invariant checker on.
     assert all(c.checks_passed > 0
-               for c in report.cells if c.backend == "charm-rr")
+               for c in report.cells if c.label.endswith("×charm-rr"))
 
 
 def test_divergence_reporting_shape():
@@ -37,7 +37,8 @@ def test_divergence_reporting_shape():
         scenarios=("turnover",), workers=(1,), n_days=2, persons=80,
     )
     assert report.all_equal
-    assert "turnover×smp-w1" in report.format()
+    assert "turnover×smp-w1" in [c.label for c in report.cells]
+    assert report.format().startswith("scenario differential oracle: ")
     assert "bit-identical" in report.format()
 
 
@@ -45,12 +46,10 @@ def test_divergence_reporting_shape():
 @given(sc=scenario_compositions())
 def test_random_composition_kernels_agree(sc):
     """grouped vs flat on random component stacks over corner graphs."""
-    res_a, ev_a, st_a, rem_a = sequential_reference(sc, "grouped")
-    res_b, ev_b, st_b, rem_b = sequential_reference(sc, "flat")
-    assert ev_a == ev_b
-    assert list(res_a.curve.new_infections) == list(res_b.curve.new_infections)
-    assert np.array_equal(st_a, st_b)
-    assert np.array_equal(rem_a, rem_b)
+    ref = SequentialSimulator(sc, kernel="grouped").run()
+    got = SequentialSimulator(sc, kernel="flat").run()
+    divergence = diff_runs(sc, ref, got, ordered=True)
+    assert divergence is None, divergence.format()
 
 
 @settings(max_examples=12, deadline=None)

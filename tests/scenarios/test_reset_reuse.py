@@ -75,7 +75,7 @@ def test_reuse_across_backends(graph):
     first = seq_fingerprint(sc)
     out = SmpSimulator(sc, n_workers=2, ring_capacity=1024).run()
     assert list(out.result.curve.new_infections) == first[0]
-    assert np.array_equal(out.final_health_state, first[1])
+    assert np.array_equal(out.result.final_health_state, first[1])
     assert_identical(seq_fingerprint(sc), first)
 
 

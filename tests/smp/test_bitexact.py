@@ -8,30 +8,22 @@ how many real processes the population is split across.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import Scenario, TransmissionModel
 from repro.core.interventions import parse_intervention_script
+from repro.core.simulator import SequentialSimulator
 from repro.smp import SmpSimulator, heavy_tailed_graph
 from repro.synthpop import PopulationConfig, generate_population
-from repro.validate.oracle import sequential_reference
+from repro.validate.oracle import diff_runs
 
 
 def assert_bitexact(make_scenario, workers: int, **smp_kwargs) -> None:
-    seq_result, seq_events, seq_state, seq_remaining = sequential_reference(
-        make_scenario()
-    )
-    out = SmpSimulator(make_scenario(), n_workers=workers, **smp_kwargs).run()
-
-    assert out.result.curve == seq_result.curve
-    smp_events = {
-        day: {(person, loc) for person, loc, _minute in rows.tolist()}
-        for day, rows in out.infection_log.items()
-    }
-    assert smp_events == seq_events
-    np.testing.assert_array_equal(out.final_health_state, seq_state)
-    np.testing.assert_array_equal(out.final_days_remaining, seq_remaining)
+    reference = SequentialSimulator(make_scenario()).run()
+    scenario = make_scenario()
+    out = SmpSimulator(scenario, n_workers=workers, **smp_kwargs).run()
+    divergence = diff_runs(scenario, reference, out.result, ordered=False)
+    assert divergence is None, divergence.format()
 
 
 @pytest.fixture(scope="module")

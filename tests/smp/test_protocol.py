@@ -186,7 +186,7 @@ class TestWireBudget:
             ),
             n_workers=n_workers,
         ).run()
-        n_events = sum(len(evs) for evs in out.infection_log.values())
+        n_events = sum(len(evs) for evs in out.result.infection_log.values())
         expected = n_days * n_workers * (
             protocol.COMMAND_NBYTES + protocol.REPORT_HEADER_NBYTES
         ) + 24 * n_events

@@ -80,7 +80,7 @@ def test_smp_oracle_matrix_cell():
     )
     assert report.all_equal
     assert [c.label for c in report.cells] == ["tiny×w2"]
-    assert "exact" in report.format()
+    assert "exact" in report.cells[0].format()
 
 
 def test_profile_backend_smp_emits_per_pe_tracks(tmp_path):
@@ -98,10 +98,9 @@ def test_profile_backend_smp_emits_per_pe_tracks(tmp_path):
 
 def test_final_state_arrays_are_copies(graph):
     # The result must stay valid after the arena is unlinked.
-    out = SmpSimulator(make_scenario(graph, n_days=2), n_workers=2).run()
-    assert isinstance(out.final_health_state, np.ndarray)
-    assert out.final_health_state.base is None or isinstance(
-        out.final_health_state.base, np.ndarray
-    )
-    # Touching the data must not fault (segment is gone by now).
-    assert out.final_health_state.sum() >= 0
+    result = SmpSimulator(make_scenario(graph, n_days=2), n_workers=2).run().result
+    for final in (result.final_health_state, result.final_days_remaining):
+        assert isinstance(final, np.ndarray)
+        assert final.base is None or isinstance(final.base, np.ndarray)
+        # Touching the data must not fault (segment is gone by now).
+        assert final.sum() >= 0

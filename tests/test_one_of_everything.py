@@ -1,4 +1,5 @@
-"""Static guard: the day, the prevalence rule and ``PhaseTimes`` exist once.
+"""Static guard: the day, the run loop, the prevalence rule, ``PhaseTimes``
+and the oracle's report exist once.
 
 The six-step day lives in ``src/repro/core/day.py``; a backend only
 decides who owns which rows and how records move.  This test walks every
@@ -16,7 +17,13 @@ would have:
   travel as ``(person, location, minute)`` arrays; only the read-only
   ``LocationPhaseResult.infections`` view may build the objects;
 * a ``backend`` parameter on ``ParallelEpiSimdemics.__init__``
-  (``RuntimeSpec.backend`` through ``spec.execute`` is the dispatch).
+  (``RuntimeSpec.backend`` through ``spec.execute`` is the dispatch);
+* ``.step_day(`` called outside ``core/simulator.py`` — a private copy
+  of the run loop — except in ``core/checkpoint.py``, the one copy left
+  (``run_with_checkpointing`` resumes mid-run);
+* more than one class in ``validate/oracle.py`` whose name ends in
+  ``Report``, or in ``CellResult``: every backend reports one
+  ``SimulationResult``, so the oracle needs one report and one cell.
 """
 
 import ast
@@ -41,6 +48,11 @@ DAY_PRIMITIVES = {
 
 #: where no ``InfectionEvent(…)`` may be built
 RUN_PATH = ("core/exposure.py", "core/simulator.py", "core/parallel.py", "core/day.py", "smp/")
+
+#: the run loop's home, and the one module that still runs its own
+STEP_DAY_CALLERS = {"core/simulator.py", "core/checkpoint.py"}
+
+ORACLE = "validate/oracle.py"
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -77,6 +89,14 @@ def _violations(tree: ast.AST, module: str):
             yield node.lineno, f"day primitive `{name}(` called outside {DAY}"
         if name == "InfectionEvent" and module.startswith(RUN_PATH) and id(node) not in in_view:
             yield node.lineno, "`InfectionEvent(` built on the run path"
+        if name == "step_day" and module not in STEP_DAY_CALLERS:
+            yield node.lineno, "`step_day(` outside core/simulator.py (a copy of the run loop)"
+
+
+def _oracle_classes(tree: ast.AST) -> dict[str, list[str]]:
+    """The classes whose names end in ``Report`` / ``CellResult``."""
+    names = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    return {suffix: [n for n in names if n.endswith(suffix)] for suffix in ("Report", "CellResult")}
 
 
 def _modules():
@@ -109,6 +129,11 @@ def test_exactly_one_phase_times_class():
         if isinstance(node, ast.ClassDef) and node.name.endswith("PhaseTimes")
     ]
     assert classes == ["core/day.py:PhaseTimes"]
+
+
+def test_one_oracle_report_and_one_cell_class():
+    found = _oracle_classes(ast.parse((SRC / ORACLE).read_text()))
+    assert found == {"Report": ["OracleReport"], "CellResult": ["CellResult"]}
 
 
 def test_core_day_imports_no_runtime():
@@ -161,3 +186,26 @@ def test_guard_catches_seeded_violations():
     )
     flagged = list(_violations(ast.parse(view), "core/exposure.py"))
     assert [lineno for lineno, _ in flagged] == [6]
+
+
+def test_guard_catches_seeded_oracle_copies():
+    """The oracle guards flag the shapes the oracle had before its collapse."""
+    four_families = (
+        "class OracleReport: pass\n"
+        "class KernelDiffReport: pass\n"
+        "class SmpOracleReport: pass\n"
+        "class CellResult: pass\n"
+        "class SmpCellResult: pass\n"
+    )
+    found = _oracle_classes(ast.parse(four_families))
+    assert len(found["Report"]) == 3 and len(found["CellResult"]) == 2
+    private_loop = (
+        "def sequential_reference(scenario, kernel=None):\n"
+        "    sim = SequentialSimulator(scenario, kernel=kernel)\n"
+        "    for _ in range(scenario.n_days):\n"
+        "        day_result, phase = sim.step_day()\n"
+    )
+    flagged = list(_violations(ast.parse(private_loop), ORACLE))
+    assert [lineno for lineno, _ in flagged] == [4]
+    for home in sorted(STEP_DAY_CALLERS):
+        assert not list(_violations(ast.parse(private_loop), home))
