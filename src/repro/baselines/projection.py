@@ -6,8 +6,10 @@ network: persons are vertices, and an undirected edge carries the total
 the person–location visit graph by enumerating every pair of visits
 co-present in the same ``(location, sublocation)`` block with positive
 interval overlap — the exact pair geometry the exposure kernels use
-(:func:`repro.core.des.blocked_pairwise_exposures`) — and summing
-overlap minutes per person pair.
+(:func:`repro.core.des.blocked_pairwise_exposures`, segmented by the
+graph's own block index,
+:meth:`~repro.synthpop.graph.PersonLocationGraph.block_visit_index`) —
+and summing overlap minutes per person pair.
 
 Because hazards in the main model add across simultaneous contacts,
 the daily probability that infectious *u* transmits to susceptible *v*
@@ -122,13 +124,10 @@ def project_contact_graph(graph: PersonLocationGraph) -> ContactGraph:
     50
     """
     every = np.ones(graph.n_visits, dtype=bool)
+    order, ptr, _ = graph.block_visit_index()
+    block_id = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
     a_idx, b_idx, o_start, o_end = blocked_pairwise_exposures(
-        graph.visit_location,
-        graph.visit_subloc,
-        graph.visit_start,
-        graph.visit_end,
-        every,
-        every,
+        order, block_id, graph.visit_start, graph.visit_end, every, every
     )
     pu = graph.visit_person[a_idx].astype(np.int64)
     pv = graph.visit_person[b_idx].astype(np.int64)

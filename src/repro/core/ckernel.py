@@ -17,9 +17,9 @@ of the ``"flat"`` kernel — segmented S×I enumeration, per-pair hazard
 evaluation, per-(location, person) hazard/bincount reduction and the
 earliest-minute ``minimum.at`` — with one streaming C loop that never
 allocates a per-pair array.  Everything around it (the candidate
-filter, the ``(location, sublocation)`` lexsort, the infection draw)
-stays in numpy, which is what keeps the result **bit-identical** to
-the other kernels:
+walk and the block segmentation it hands on, the accumulator slots,
+the infection draw) stays in numpy, which is what keeps the result
+**bit-identical** to the other kernels:
 
 * integer overlap arithmetic and IEEE-754 double multiply/add are
   exactly specified, and the C loop performs them in precisely the

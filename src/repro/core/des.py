@@ -16,8 +16,9 @@ Two equivalent implementations are provided:
   kernel);
 * :func:`blocked_pairwise_exposures` — the same pair set for *all*
   locations at once, enumerated per ``(location, sublocation)`` block
-  so a heavy location never materialises pairs across sublocation
-  boundaries (used by the ``flat`` exposure kernel).
+  of a segmentation the caller already holds, so a heavy location
+  never materialises pairs across sublocation boundaries (used by the
+  ``flat`` exposure kernel and the contact-graph projection).
 
 Property-based tests assert all three produce identical interaction
 sets.  The DES also reports the statistics the dynamic load model
@@ -119,7 +120,7 @@ class LocationDES:
             [np.full(n, self.ARRIVE, dtype=np.int8), np.full(n, self.DEPART, dtype=np.int8)]
         )
         visits = np.concatenate([np.arange(n), np.arange(n)])
-        order = np.lexsort((1 - kinds, times))  # departures first on ties
+        order = np.argsort(2 * times + 1 - kinds, kind="stable")  # departures first on ties
         present_sus: dict[int, set[int]] = {}
         present_inf: dict[int, set[int]] = {}
         out: list[Interaction] = []
@@ -195,8 +196,8 @@ def pairwise_exposures(
 
 
 def blocked_pairwise_exposures(
-    location: np.ndarray,
-    subloc: np.ndarray,
+    order: np.ndarray,
+    block_id: np.ndarray,
     start: np.ndarray,
     end: np.ndarray,
     is_susceptible: np.ndarray,
@@ -212,32 +213,24 @@ def blocked_pairwise_exposures(
     its S×I product, the same property splitLoc exploits, and the
     per-location Python loop disappears entirely.
 
+    The caller hands in the segmentation it already holds (the exposure
+    walk's ``Candidates.order`` / ``.block``, or the graph's
+    ``block_visit_index()``): ``order`` lists visit indices grouped by
+    block, ``block_id`` (non-decreasing) names each entry's block.  Each
+    block's pairs come out susceptible-major, both sides in ``order``.
+
     Returns ``(sus_idx, inf_idx, overlap_start, overlap_end)``, indices
-    into the input arrays, one row per interacting pair with positive
-    overlap (order may differ from the other implementations).
+    into the per-visit arrays, one row per interacting pair with
+    positive overlap (order may differ from the other implementations).
     """
     empty = np.empty(0, dtype=np.int64)
-    n = len(start)
-    if n == 0 or not (is_susceptible.any() and is_infectious.any()):
-        return empty, empty, empty.copy(), empty.copy()
-
-    # Sort the epidemiologically relevant visits by (location,
-    # sublocation); each run of equal keys is one interaction block.
-    relevant = np.flatnonzero(is_susceptible | is_infectious)
-    order = relevant[np.lexsort((subloc[relevant], location[relevant]))]
-    loc_s = location[order]
-    sub_s = subloc[order]
-    new_block = np.empty(order.size, dtype=bool)
-    new_block[0] = True
-    np.not_equal(loc_s[1:], loc_s[:-1], out=new_block[1:])
-    new_block[1:] |= sub_s[1:] != sub_s[:-1]
-    block_id = np.cumsum(new_block) - 1
-    n_blocks = int(block_id[-1]) + 1
-
     # Positions (into `order`) of the susceptible/infectious members of
     # each block, plus per-block counts — the segmented S×I geometry.
     sus_pos = np.flatnonzero(is_susceptible[order])
     inf_pos = np.flatnonzero(is_infectious[order])
+    if sus_pos.size == 0 or inf_pos.size == 0:
+        return empty, empty, empty.copy(), empty.copy()
+    n_blocks = int(block_id[-1]) + 1
     ns = np.bincount(block_id[sus_pos], minlength=n_blocks)
     ni = np.bincount(block_id[inf_pos], minlength=n_blocks)
     pair_counts = ns * ni

@@ -12,21 +12,22 @@ splitLoc rests on), so the phase first finds the :class:`Candidates` —
 susceptible or infectious rows of a ``(location, sublocation)`` block
 that holds both today — by walking from the infectious persons through
 the graph's block index (:func:`_block_filter`; it never reads the
-other rows), and gathers the columns for those rows only.  Three
-interchangeable kernels then consume the candidates:
+other rows), and gathers the columns for those rows only.  The walk
+meets the candidates block by block and hands that segmentation on
+with them, so no kernel sorts candidates by ``(location,
+sublocation)``.  Three interchangeable kernels then consume them:
 
-* ``"flat"`` (default) — one global sort by ``(location,
-  sublocation)``, sublocation-blocked pair enumeration
-  (:func:`~repro.core.des.blocked_pairwise_exposures`), segment-reduced
-  hazard accumulation and one batched keyed-uniform draw
-  (:meth:`~repro.util.rng.RngFactory.keyed_uniforms`) for every exposed
-  person at once;
+* ``"flat"`` (default) — sublocation-blocked pair enumeration over the
+  walk's segmentation (:func:`~repro.core.des.blocked_pairwise_exposures`),
+  hazard accumulation per ``(location, person)`` slot and one batched
+  keyed-uniform draw (:meth:`~repro.util.rng.RngFactory.keyed_uniforms`)
+  for every exposed person at once;
 * ``"grouped"`` — the reference formulation: a Python loop over
   locations, a per-location S×I cross product masked by sublocation
   after materialisation, and one keyed ``Generator`` per exposed
   person;
-* ``"compiled"`` — the flat kernel's sort, with the pair enumeration +
-  hazard reduction replaced by one streaming C loop
+* ``"compiled"`` — the flat kernel's slots and tail, with the pair
+  enumeration + hazard reduction replaced by one streaming C loop
   (:mod:`repro.core.ckernel`, built on demand via ``ctypes``) that
   never materialises a per-pair array.  Only usable when
   :func:`repro.core.ckernel.available` — no C toolchain means callers
@@ -100,7 +101,8 @@ class Candidates:
     """The visits that can transmit today — what a kernel is handed.
 
     One entry per candidate visit, compacted, in ascending visit-row
-    order (the order the kernels' stable sorts start from).
+    order (the order every hazard sum adds in), plus the block
+    segmentation the walk found them in.
     """
 
     person: np.ndarray
@@ -111,6 +113,8 @@ class Candidates:
     state: np.ndarray
     sus: np.ndarray  # bool: susceptible state
     inf: np.ndarray  # bool: infectious state
+    order: np.ndarray  # block-major position -> candidate index
+    block: np.ndarray  # dense block id per block-major position, from 0 up
 
 
 def compute_infections(
@@ -198,10 +202,11 @@ def _block_filter(
 
     1. a pair needs an S row and an I row of one block, so a dropped
        row is in no pair — the pair set is the same;
-    2. the candidates come out in ascending row order and every later
-       sort is stable (``lexsort``, ``argsort(kind="stable")``) or by
-       value (``np.unique``), so each ``(location, person)`` hazard sum
-       adds the same doubles in the same order in all three kernels;
+    2. the candidates come out in ascending row order, and every
+       kernel visits susceptible rows in that order (the C loop, the
+       flat kernel's ``argsort(kind="stable")``), so each ``(location,
+       person)`` hazard sum adds the same doubles in the same order in
+       all three kernels;
     3. the keys with at least one pair — hence every keyed draw — are
        unchanged;
     4. ``events`` (filled when not None) still counts *all* visit rows
@@ -215,21 +220,22 @@ def _block_filter(
     rows of their blocks); on a subset nothing is sized by the graph's
     visits, persons or blocks, and ``events`` is the one O(rows) pass.
 
-    The walk meets rows block by block and **sorts the kept rows back
-    to ascending**: block-major order is *not* bit-exact.  A person's
-    hazards add into one ``(location, person)`` slot over every block
-    of the location they visit, in candidate order; a susceptible in
-    room 3 at 09:00 and room 0 at 14:00 (both active) would get the two
-    partial sums in the other order — a last-bit difference.  So
-    ``exposure.sort`` stays, and what the walk must win back is the
-    index build (radix passes, inside the first day that needs it).
+    The walk meets rows block by block; block id ``sub_off[loc] + sub``
+    is monotone in ``(loc, sub)`` and the CSR ascends inside a block, so
+    that order *is* the stable ``(location, sublocation)`` sort of the
+    candidates, handed on as ``Candidates.order`` / ``.block`` for the
+    kernels to segment by.  The columns go back to **ascending rows**:
+    block-major accumulation is *not* bit-exact.  A susceptible in room
+    3 at 09:00 and room 0 at 14:00 (both active) adds two partial sums
+    into one ``(location, person)`` slot, and in the other order they
+    differ in the last bit.
     """
     n_rows = graph.n_visits if visit_rows is None else visit_rows.size
     observe.counter("exposure.visits", n_rows)
     if n_rows == 0:
         return None
     with observe.span("exposure.filter"):
-        order, ptr, sub_off = graph.block_visit_index()
+        index, ptr, sub_off = graph.block_visit_index()
         if events is not None:
             vl = graph.visit_location if visit_rows is None else graph.visit_location[visit_rows]
             locs, counts = np.unique(vl, return_counts=True)
@@ -247,7 +253,7 @@ def _block_filter(
         np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
         blocks = blocks[first]
         pos, counts = _slice_rows(ptr, blocks)
-        rows = order[pos]
+        rows = index[pos]
         owner = np.repeat(np.arange(blocks.size), counts)  # index into `blocks`
         observe.counter("exposure.walk_rows", inf_rows.size + rows.size)
         if visit_rows is not None:  # the rows of those blocks that happen today
@@ -258,8 +264,13 @@ def _block_filter(
         sus = disease.is_susceptible[states]
         has_sus = np.zeros(blocks.size, dtype=bool)  # has_inf holds by construction
         has_sus[owner[sus]] = True
-        can_transmit = (disease.is_susceptible | disease.is_infectious)[states]
-        rows = np.sort(rows[has_sus[owner] & can_transmit])
+        keep = has_sus[owner] & (disease.is_susceptible | disease.is_infectious)[states]
+        rows, owner = rows[keep], owner[keep]  # block-major
+        by_row = np.argsort(rows)  # rows are distinct: any sort kind
+        order = np.empty(rows.size, dtype=np.int64)
+        order[by_row] = np.arange(rows.size)
+        block = (np.cumsum(has_sus) - 1)[owner]  # every has_sus block keeps a row
+        rows = rows[by_row]
     observe.counter("exposure.active_blocks", int(np.count_nonzero(has_sus)))
     observe.counter("exposure.candidates", rows.size)
     if rows.size == 0:
@@ -273,15 +284,40 @@ def _block_filter(
             person=person, location=graph.visit_location[rows], subloc=graph.visit_subloc[rows],
             start=graph.visit_start[rows], end=graph.visit_end[rows],
             state=state, sus=disease.is_susceptible[state], inf=disease.is_infectious[state],
+            order=order, block=block,
         )
 
 
+def _slots(c: Candidates, n_persons: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, slot)``: one accumulator slot per distinct ``(location,
+    person)`` of the *susceptible* candidates, keys ascending (emission
+    order); kernels read ``slot`` on susceptible rows only."""
+    sus = np.flatnonzero(c.sus)
+    key = c.location[sus] * np.int64(n_persons) + c.person[sus]
+    keys, inv = np.unique(key, return_inverse=True)
+    slot = np.zeros(c.sus.size, dtype=np.int64)
+    slot[sus] = inv
+    return keys, slot
+
+
 def _draw_and_emit(
-    result: LocationPhaseResult, locs: np.ndarray, persons: np.ndarray,
-    total_h: np.ndarray, first_minute: np.ndarray,
+    result: LocationPhaseResult, keys: np.ndarray, total_h: np.ndarray,
+    first_minute: np.ndarray, pair_count: np.ndarray, graph, collect_stats: bool,
     transmission: TransmissionModel, day: int, rng_factory: RngFactory,
 ) -> None:
-    """One batched keyed uniform per exposed ``(location, person)``."""
+    """The flat and compiled kernels' tail over the per-slot sums: keep
+    the touched slots, count ``interactions`` per location, then one
+    batched keyed uniform per exposed ``(location, person)``."""
+    with observe.span("exposure.reduce"):
+        touched = pair_count > 0
+        keys, pair_count = keys[touched], pair_count[touched]
+        locs = keys // graph.n_persons
+        persons = keys - locs * graph.n_persons
+        if collect_stats:  # keys ascend, so each location's slots are one run
+            pair_locs, first = np.unique(locs, return_index=True)
+            per_loc = np.add.reduceat(pair_count, first)
+            result.interactions.update(dict(zip(pair_locs.tolist(), per_loc.tolist())))
+        total_h, first_minute = total_h[touched], first_minute[touched]
     with observe.span("exposure.draw"):
         probs = transmission.probability(total_h)
         u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
@@ -298,7 +334,7 @@ def _flat_kernel(
     c = candidates
     with observe.span("exposure.pairs"):
         s_idx, i_idx, o_start, o_end = blocked_pairwise_exposures(
-            c.location, c.subloc, c.start, c.end, c.sus, c.inf
+            c.order, c.block, c.start, c.end, c.sus, c.inf
         )
     if s_idx.size == 0:
         return
@@ -307,30 +343,28 @@ def _flat_kernel(
         # row, infectious rows in block order within each) so per-person
         # hazard sums accumulate in the same sequence — float addition is
         # not associative, and bit-for-bit kernel equality is the contract.
-        order = np.argsort(s_idx, kind="stable")
-        s_idx, i_idx = s_idx[order], i_idx[order]
-        o_end = o_end[order]
-        overlap = (o_end - o_start[order]).astype(np.float64)
+        by_sus = np.argsort(s_idx, kind="stable")
+        s_idx, i_idx = s_idx[by_sus], i_idx[by_sus]
+        o_end = o_end[by_sus]
+        overlap = (o_end - o_start[by_sus]).astype(np.float64)
+        keys, slot = _slots(c, graph.n_persons)
     with observe.span("exposure.reduce"):
-        pair_loc = c.location[s_idx]
-        if collect_stats:
-            pair_locs, pair_counts = np.unique(pair_loc, return_counts=True)
-            result.interactions.update(dict(zip(pair_locs.tolist(), pair_counts.tolist())))
         hazards = transmission.hazard(
             overlap,
             disease.infectivity[c.state[i_idx]],
             disease.susceptibility[c.state[s_idx]],
         )
-        # Segment-reduce per (location, person of the susceptible visit):
-        # total hazard and earliest potential infection minute.
-        key = pair_loc * np.int64(graph.n_persons) + c.person[s_idx]
-        uniq_key, inv = np.unique(key, return_inverse=True)
-        total_h = np.bincount(inv, weights=hazards, minlength=uniq_key.size)
-        first_minute = np.full(uniq_key.size, np.iinfo(np.int64).max)
-        np.minimum.at(first_minute, inv, o_end)
-        locs = uniq_key // graph.n_persons
-        persons = uniq_key - locs * graph.n_persons
-    _draw_and_emit(result, locs, persons, total_h, first_minute, transmission, day, rng_factory)
+        # Per slot, in pair order: total hazard, earliest potential
+        # infection minute, pair count.
+        pair_slot = slot[s_idx]
+        total_h = np.bincount(pair_slot, weights=hazards, minlength=keys.size)
+        first_minute = np.full(keys.size, np.iinfo(np.int64).max)
+        np.minimum.at(first_minute, pair_slot, o_end)
+        pair_count = np.bincount(pair_slot, minlength=keys.size)
+    _draw_and_emit(
+        result, keys, total_h, first_minute, pair_count, graph, collect_stats,
+        transmission, day, rng_factory,
+    )
 
 
 def _compiled_kernel(
@@ -339,53 +373,33 @@ def _compiled_kernel(
 ) -> None:
     """Flat kernel with the pair stage in C (:mod:`repro.core.ckernel`).
 
-    Bit-identical to ``"flat"``: the C loop adds the same doubles in
-    the same order ``np.bincount`` would over the sorted pair array,
-    and every transcendental (``log1p`` via the per-state hazard
-    table, ``expm1`` in ``probability``, the keyed uniforms) still runs
-    through the exact numpy code paths of the other kernels.
+    Bit-identical to ``"flat"``: the C loop visits susceptible rows in
+    ascending candidate order and each one's infectious partners in the
+    walk's block-major order, so it adds the same doubles in the same
+    order ``np.bincount`` does over the flat kernel's sorted pairs; and
+    every transcendental (``log1p`` via the per-state hazard table,
+    ``expm1`` in ``probability``, the keyed uniforms) still runs through
+    the exact numpy code paths of the other kernels.
     """
     from repro.core import ckernel
 
     c = candidates
     with observe.span("exposure.sort"):
-        # Candidate rows are all epidemiologically relevant (sus | inf),
-        # so blocked_pairwise_exposures' `relevant` filter would be the
-        # identity and the (location, sublocation) lexsort covers every row.
-        loc, sub, start, end, state = (
-            np.ascontiguousarray(col, dtype=np.int64)
-            for col in (c.location, c.subloc, c.start, c.end, c.state)
+        keys, slot = _slots(c, graph.n_persons)
+        # The walk's segmentation per candidate row, and each block's
+        # infectious rows in block-major order — the partner order of
+        # the flat enumeration.
+        n_blocks = int(c.block[-1]) + 1
+        row_block = np.empty(c.order.size, dtype=np.int64)
+        row_block[c.order] = c.block
+        inf_bm = c.inf[c.order]
+        inf_rows = c.order[inf_bm]
+        inf_off = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(np.bincount(c.block[inf_bm], minlength=n_blocks), out=inf_off[1:])
+        start, end, state = (
+            np.ascontiguousarray(col, dtype=np.int64) for col in (c.start, c.end, c.state)
         )
         sus = np.ascontiguousarray(c.sus, dtype=np.uint8)
-        n = loc.size
-
-        order = np.lexsort((sub, loc))  # sorted position -> candidate row
-        loc_s, sub_s = loc[order], sub[order]
-        new_block = np.empty(n, dtype=bool)
-        new_block[0] = True
-        np.not_equal(loc_s[1:], loc_s[:-1], out=new_block[1:])
-        new_block[1:] |= sub_s[1:] != sub_s[:-1]
-        block_id_sorted = np.cumsum(new_block) - 1
-        n_blocks = int(block_id_sorted[-1]) + 1
-        row_block = np.empty(n, dtype=np.int64)
-        row_block[order] = block_id_sorted
-
-        # Infectious candidate rows in sorted-position order, segmented
-        # by block — the partner iteration order of the flat enumeration.
-        inf_sorted = c.inf[order]
-        inf_rows = np.ascontiguousarray(order[inf_sorted], dtype=np.int64)
-        ni = np.bincount(block_id_sorted[inf_sorted], minlength=n_blocks)
-        inf_off = np.zeros(n_blocks + 1, dtype=np.int64)
-        np.cumsum(ni, out=inf_off[1:])
-
-        # One accumulator slot per distinct (location, person) key over
-        # the candidate rows — a superset of the flat kernel's
-        # pair-derived key set, compacted to the touched slots below.
-        # np.unique sorts, so surviving slots align with the flat
-        # kernel's uniq_key order.
-        key = loc * np.int64(graph.n_persons) + c.person
-        uniq_key, slot = np.unique(key, return_inverse=True)
-        slot = np.ascontiguousarray(slot, dtype=np.int64)
 
     with observe.span("exposure.pairs"):
         # Per (infectious state, susceptible state) hazard of one overlap
@@ -397,25 +411,19 @@ def _compiled_kernel(
         haz_table = np.ascontiguousarray(
             transmission.hazard(1.0, inf_coef, sus_coef), dtype=np.float64
         )
-        total_h = np.zeros(uniq_key.size, dtype=np.float64)
-        first_minute = np.full(uniq_key.size, np.iinfo(np.int64).max, dtype=np.int64)
-        pair_count = np.zeros(uniq_key.size, dtype=np.int64)
+        total_h = np.zeros(keys.size, dtype=np.float64)
+        first_minute = np.full(keys.size, np.iinfo(np.int64).max, dtype=np.int64)
+        pair_count = np.zeros(keys.size, dtype=np.int64)
         pairs = ckernel.accumulate_exposures(
             start, end, state, sus, slot, row_block, inf_rows, inf_off,
             haz_table, n_states, total_h, first_minute, pair_count,
         )
-        touched = pair_count > 0
-        uniq_key, total_h = uniq_key[touched], total_h[touched]
-        first_minute = first_minute[touched]
-        locs = uniq_key // graph.n_persons
-        persons = uniq_key - locs * graph.n_persons
     if pairs == 0:
         return
-    if collect_stats:
-        pair_locs, inv_loc = np.unique(locs, return_inverse=True)
-        per_loc = np.bincount(inv_loc, weights=pair_count[touched], minlength=pair_locs.size)
-        result.interactions.update({int(l): int(n) for l, n in zip(pair_locs, per_loc)})
-    _draw_and_emit(result, locs, persons, total_h, first_minute, transmission, day, rng_factory)
+    _draw_and_emit(
+        result, keys, total_h, first_minute, pair_count, graph, collect_stats,
+        transmission, day, rng_factory,
+    )
 
 
 def _grouped_kernel(

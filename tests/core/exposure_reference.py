@@ -22,7 +22,10 @@ day; the wrapper packs that list into today's ``records`` array.
 ``_block_filter`` is what ``repro.core.exposure._block_filter`` was
 before it became a walk over the block CSR from the infectious persons:
 one pass over *every* handed-in row, two ``n_blocks``-sized tables, no
-index — the same :class:`Candidates` in the same order.
+index — the same :class:`Candidates` in the same order, with the block
+segmentation (``order`` / ``block``) built by :func:`_segmentation`,
+the lexsort the kernels ran before the walk handed it on.  The first
+oracle's flat kernel takes its pair segmentation from there too.
 :func:`compute_infections_linear` is ``compute_infections`` as it stood
 around it, handing those candidates to the *production* kernels
 (``test_block_walk.py``).
@@ -151,7 +154,7 @@ def _flat_kernel(
     """Whole-visit-set vectorised kernel: no per-location Python loop."""
     idx = np.flatnonzero(cand)
     s_idx, i_idx, o_start, o_end = blocked_pairwise_exposures(
-        vl[idx], vs[idx], vstart[idx], vend[idx], sus_mask[idx], inf_mask[idx]
+        *_segmentation(vl[idx], vs[idx]), vstart[idx], vend[idx], sus_mask[idx], inf_mask[idx]
     )
     if s_idx.size == 0:
         return
@@ -434,8 +437,22 @@ def _block_filter(
         # Visit times are read for candidate rows only; on a memmap
         # backing the other pages never enter RAM.
         rows = visit_rows[keep]
+        order, block = _segmentation(vl[keep], vs[keep])
         return Candidates(
             person=vp[keep], location=vl[keep], subloc=vs[keep],
             start=graph.visit_start[rows], end=graph.visit_end[rows],
-            state=states[keep], sus=sus[keep], inf=inf[keep],
+            state=states[keep], sus=sus[keep], inf=inf[keep], order=order, block=block,
         )
+
+
+def _segmentation(location, subloc):
+    """``(order, block)`` the way the kernels built it before the walk
+    handed it on: a ``(location, sublocation)`` lexsort, then a block
+    id from the new-block flags' cumsum."""
+    order = np.lexsort((subloc, location))  # sorted position -> candidate row
+    loc_s, sub_s = location[order], subloc[order]
+    new_block = np.empty(order.size, dtype=bool)
+    new_block[:1] = True
+    np.not_equal(loc_s[1:], loc_s[:-1], out=new_block[1:])
+    new_block[1:] |= sub_s[1:] != sub_s[:-1]
+    return order, np.cumsum(new_block) - 1

@@ -6,7 +6,10 @@ persons through ``PersonLocationGraph.block_visit_index()``;
 handed-in row it replaced, verbatim, in front of the *production*
 kernels (``compute_infections_linear``).  Same candidate rows in the
 same (ascending) order means the kernels cannot tell the two apart, so
-the first thing pinned is every :class:`Candidates` column; then what a
+the first thing pinned is every :class:`Candidates` column — the
+reference builds the block segmentation (``order`` / ``block``) by the
+``(location, sublocation)`` lexsort the kernels ran before the walk
+handed it on, so the walk's block-major order is pinned to it; then what a
 caller sees (infections in order, ``events`` / ``interactions``, every
 keyed draw, the hazard-sum bytes) on all three kernels, for every form
 rows arrive in — ``None``, the full ``arange``, by-location and random
@@ -19,7 +22,9 @@ the location they visit, in candidate order.  The walk meets rows room
 by room; if it handed them on that way, a susceptible who is in room 3
 in the morning and room 0 in the afternoon would get the two partial
 sums in the other order.  ``test_block_major_order_is_not_bit_exact``
-shows that flips a last bit, which is why the walk sorts.
+shows that flips a last bit, which is why the walk sorts the columns
+back to ascending rows and keeps block-major order only as the
+segmentation.
 """
 
 import dataclasses
@@ -49,6 +54,7 @@ from .test_block_filter import DISEASES, _observable, kernels, phases
 
 LINEAR = types.SimpleNamespace(compute_infections=exposure_reference.compute_infections_linear)
 COLUMNS = [f.name for f in dataclasses.fields(production.Candidates)]
+SEGMENTATION = ("order", "block")
 
 
 def _graph(visits, n_sublocs, n_persons, location_type=None):
@@ -101,9 +107,10 @@ def _assert_same_candidates(graph, disease, health, rows):
     )
     assert (got is None) == (expected is None)
     if got is not None:
-        for name in COLUMNS:
+        for name in COLUMNS:  # the reference builds `order` / `block` by lexsort
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+        assert got.order.tolist() == np.lexsort((got.subloc, got.location)).tolist()
     return got
 
 
@@ -191,7 +198,7 @@ def test_hazards_add_in_row_order_across_rooms(kernel):
 def test_block_major_order_is_not_bit_exact():
     """Hand the flat kernel the same candidates room by room — the order
     the walk meets them in — and the one hazard sum changes its last
-    bit: the walk's ``np.sort`` is not optional."""
+    bit: the walk's sort back to ascending rows is not optional."""
     graph, disease, health, h55, h41, h17 = _revisit()
     c = production._block_filter(None, graph, health, disease, None)
     by_room = np.lexsort((np.arange(c.person.size), c.subloc, c.location))
@@ -203,7 +210,10 @@ def test_block_major_order_is_not_bit_exact():
             return super().probability(total_hazard)
 
     for order in (np.arange(c.person.size), by_room):
-        permuted = production.Candidates(**{n: getattr(c, n)[order] for n in COLUMNS})
+        permuted = production.Candidates(
+            **{n: getattr(c, n)[order] for n in COLUMNS if n not in SEGMENTATION},
+            order=np.argsort(order)[c.order], block=c.block,  # the same blocks, renumbered rows
+        )
         production._flat_kernel(
             production.LocationPhaseResult(), permuted, graph, disease, Spy(4e-3), 3,
             RngFactory(11), False,

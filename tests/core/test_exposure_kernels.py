@@ -9,7 +9,11 @@ match exactly:
   adversarially drawn populations;
 * the **event-driven DES** — :func:`blocked_pairwise_exposures` must
   enumerate exactly the interaction set :class:`LocationDES` computes
-  per location.
+  per location.  It takes its block segmentation from the caller; here
+  that is a test-side ``(location, sublocation)`` lexsort
+  (``exposure_reference._segmentation``), and the contact-graph
+  projection's ``block_visit_index()`` must give the same arrays as
+  that lexsort.
 """
 
 import numpy as np
@@ -21,6 +25,16 @@ from repro.core.exposure import compute_infections
 from repro.core.simulator import SequentialSimulator
 from repro.util.rng import RngFactory
 from repro.validate.strategies import scenarios, visit_graphs
+
+from .exposure_reference import _segmentation
+
+
+def _blocked_pairs(graph, sus, inf):
+    """blocked_pairwise_exposures over every visit of ``graph``."""
+    return blocked_pairwise_exposures(
+        *_segmentation(graph.visit_location, graph.visit_subloc),
+        graph.visit_start, graph.visit_end, sus, inf,
+    )
 
 
 def _infection_tuples(result):
@@ -109,10 +123,7 @@ class TestBlockedPairsVsDES:
         sus = rng.random(n) < 0.5
         inf = ~sus & (rng.random(n) < 0.6)
 
-        s_idx, i_idx, o_start, o_end = blocked_pairwise_exposures(
-            graph.visit_location, graph.visit_subloc,
-            graph.visit_start, graph.visit_end, sus, inf,
-        )
+        s_idx, i_idx, o_start, o_end = _blocked_pairs(graph, sus, inf)
         got = {
             (int(s), int(i), int(a), int(b))
             for s, i, a, b in zip(s_idx, i_idx, o_start, o_end)
@@ -142,10 +153,7 @@ class TestBlockedPairsVsDES:
         sus = rng.random(n) < 0.4
         inf = rng.random(n) < 0.4  # deliberately allows sus&inf overlap
 
-        s_idx, i_idx, o_start, o_end = blocked_pairwise_exposures(
-            graph.visit_location, graph.visit_subloc,
-            graph.visit_start, graph.visit_end, sus, inf,
-        )
+        s_idx, i_idx, o_start, o_end = _blocked_pairs(graph, sus, inf)
         got = set(zip(s_idx.tolist(), i_idx.tolist(), o_start.tolist(), o_end.tolist()))
 
         expected = set()
@@ -173,3 +181,21 @@ class TestBlockedPairsVsDES:
             one, one, one, one + 5, np.array([True]), np.array([False])
         )
         assert all(a.size == 0 for a in out)
+
+    def test_projection_on_the_block_index_equals_the_lexsort(self, small_graph, monkeypatch):
+        """project_contact_graph segments by ``block_visit_index()``; the
+        lexsort segmentation over every visit gives the same bytes."""
+        from repro.baselines import projection
+
+        got = projection.project_contact_graph(small_graph)
+        real = projection.blocked_pairwise_exposures
+
+        def lexsorted(order, block_id, *rest):
+            return real(*_segmentation(small_graph.visit_location, small_graph.visit_subloc), *rest)
+
+        monkeypatch.setattr(projection, "blocked_pairwise_exposures", lexsorted)
+        expected = projection.project_contact_graph(small_graph)
+        assert got.n_edges > 1000
+        for name in ("indptr", "indices", "weights"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

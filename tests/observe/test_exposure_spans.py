@@ -19,7 +19,7 @@ from repro.spec import PopulationSpec, RunSpec, RuntimeSpec, execute
 
 STAGES = {
     "flat": {"filter", "gather", "pairs", "sort", "reduce", "draw", "emit"},
-    "compiled": {"filter", "gather", "sort", "pairs", "draw", "emit"},
+    "compiled": {"filter", "gather", "sort", "pairs", "reduce", "draw", "emit"},
     "grouped": {"filter", "gather", "sort", "pairs", "reduce", "draw"},
 }
 

@@ -23,7 +23,10 @@ would have:
   (``run_with_checkpointing`` resumes mid-run);
 * more than one class in ``validate/oracle.py`` whose name ends in
   ``Report``, or in ``CellResult``: every backend reports one
-  ``SimulationResult``, so the oracle needs one report and one cell.
+  ``SimulationResult``, so the oracle needs one report and one cell;
+* the word ``lexsort`` anywhere under ``core/``, docstrings included:
+  the exposure walk hands the kernels their ``(location, sublocation)``
+  blocks, so no kernel sorts candidates into them again.
 """
 
 import ast
@@ -53,6 +56,9 @@ RUN_PATH = ("core/exposure.py", "core/simulator.py", "core/parallel.py", "core/d
 STEP_DAY_CALLERS = {"core/simulator.py", "core/checkpoint.py"}
 
 ORACLE = "validate/oracle.py"
+
+#: the package no ``lexsort`` may appear in
+SORT_FREE = "core/"
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -99,6 +105,11 @@ def _oracle_classes(tree: ast.AST) -> dict[str, list[str]]:
     return {suffix: [n for n in names if n.endswith(suffix)] for suffix in ("Report", "CellResult")}
 
 
+def _lexsorts(source: str) -> list[int]:
+    """Line numbers of ``source`` that mention ``lexsort``."""
+    return [i for i, line in enumerate(source.splitlines(), 1) if "lexsort" in line]
+
+
 def _modules():
     for path in sorted(SRC.rglob("*.py")):
         yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(), filename=str(path))
@@ -134,6 +145,15 @@ def test_exactly_one_phase_times_class():
 def test_one_oracle_report_and_one_cell_class():
     found = _oracle_classes(ast.parse((SRC / ORACLE).read_text()))
     assert found == {"Report": ["OracleReport"], "CellResult": ["CellResult"]}
+
+
+def test_no_lexsort_in_core():
+    found = [
+        f"{path.relative_to(SRC).as_posix()}:{lineno}"
+        for path in sorted((SRC / SORT_FREE).rglob("*.py"))
+        for lineno in _lexsorts(path.read_text())
+    ]
+    assert not found, found
 
 
 def test_core_day_imports_no_runtime():
@@ -186,6 +206,13 @@ def test_guard_catches_seeded_violations():
     )
     flagged = list(_violations(ast.parse(view), "core/exposure.py"))
     assert [lineno for lineno, _ in flagged] == [6]
+    # the compiled kernel's block build before the walk handed it on
+    resort = (
+        "def _compiled_kernel(c):\n"
+        "    order = np.lexsort((c.subloc, c.location))  # sorted position -> row\n"
+        "    return order\n"
+    )
+    assert _lexsorts(resort) == [2]
 
 
 def test_guard_catches_seeded_oracle_copies():
