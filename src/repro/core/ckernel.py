@@ -1,14 +1,17 @@
 """C hot paths, built on demand into one library loaded via ``ctypes``.
 
-Two loops live here, each the C form of a numpy (or hashlib) definition
-that stays in the repo and that it matches bit for bit:
+Three loops live here, each the C form of a numpy (or hashlib)
+definition that stays in the repo and that it matches bit for bit:
 
 * **exposure accumulation** (:func:`accumulate_exposures`) — the pair
   stage of the ``"compiled"`` exposure kernel;
 * **keyed draws** (:func:`keyed_raw`) — BLAKE2b seed derivation,
   ``SeedSequence`` mixing and the first PCG64 outputs of every keyed
   stream in one pass per key, behind :mod:`repro.util.rng`'s batched
-  primitives under *every* kernel.
+  primitives under *every* kernel;
+* **the block index** (:func:`block_index`) — a stable counting sort of
+  the visit rows by ``(location, sublocation)`` block, equal to the
+  numpy packed-key sort in ``PersonLocationGraph.block_visit_index()``.
 
 Exposure accumulation
 ---------------------
@@ -56,10 +59,10 @@ multiply-add into an FMA that would change the bits.
 No toolchain (or ``REPRO_NO_CKERNEL=1``) simply means
 :func:`available` is ``False``: callers fall back to the numpy /
 hashlib definitions and tests skip cleanly — nothing in the repo
-*requires* a compiler.  The one switch governs both paths because they
-are one library: a machine has both C loops or neither, and since each
-path is bit-identical to its fallback, the switch changes speed, never
-an epidemic.
+*requires* a compiler.  The one switch governs all three paths because
+they are one library: a machine has all three C loops or none, and
+since each path is bit-identical to its fallback, the switch changes
+speed, never an epidemic.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "build_error", "accumulate_exposures", "keyed_raw", "cache_dir"]
+__all__ = ["available", "build_error", "accumulate_exposures", "keyed_raw", "block_index",
+           "cache_dir"]
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -140,6 +144,34 @@ int64_t repro_accumulate_exposures(
         pairs += hits;
     }
     return pairs;
+}
+
+#define REPRO_ID(col, width, i) /* an id column in its own width, 4 or 8 */ \
+    ((width) == 8 ? ((const int64_t *)(col))[i] : ((const int32_t *)(col))[i])
+
+/* order = argsort(sub_off[loc] + sub, kind="stable") and its CSR bounds
+ * ptr (zeroed on entry) by a counting sort.  Pass 1 checks and counts;
+ * a bad row returns 1 (location) / 2 (sublocation) before any scatter.
+ * Pass 2 scatters ascending rows through ptr[b] as the cursor, which
+ * shifts ptr down one block; the last loop shifts it back. */
+int64_t repro_block_index(
+    int64_t n, const void *loc, int64_t loc_width, const void *sub, int64_t sub_width,
+    const int64_t *n_sub, const int64_t *sub_off, int64_t n_locations, int64_t n_blocks,
+    int64_t *ptr, int64_t *order)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t l = REPRO_ID(loc, loc_width, i);
+        if (l < 0 || l >= n_locations) return 1;
+        const int64_t s = REPRO_ID(sub, sub_width, i), b = sub_off[l] + s;
+        if (s < 0 || s >= n_sub[l] || b < 0 || b >= n_blocks) return 2;
+        ++ptr[b + 1];
+    }
+    for (int64_t b = 0; b < n_blocks; ++b) ptr[b + 1] += ptr[b];
+    for (int64_t i = 0; i < n; ++i)
+        order[ptr[sub_off[REPRO_ID(loc, loc_width, i)] + REPRO_ID(sub, sub_width, i)]++] = i;
+    for (int64_t b = n_blocks; b > 0; --b) ptr[b] = ptr[b - 1];
+    ptr[0] = 0;
+    return 0;
 }
 
 /* ---- keyed draws ---------------------------------------------------- */
@@ -429,6 +461,10 @@ def _load() -> ctypes.CDLL | bool:
             ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64, _I64,
             ctypes.c_int64, _U64, _U64,
         ]
+        fn = lib.repro_block_index
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p, ctypes.c_int64] * 2, _I64, _I64,
+                       ctypes.c_int64, ctypes.c_int64, _I64, _I64]
         _lib = lib
     except (RuntimeError, OSError) as exc:
         _build_error = str(exc)
@@ -494,6 +530,27 @@ def keyed_raw(root_seed: int, keys: np.ndarray, n_out: int) -> tuple[np.ndarray,
     words = np.empty((n_out, n), dtype=np.uint64)
     _loaded().repro_keyed_raw(n, k, root_seed, keys, n_out, seeds, words)
     return seeds, words
+
+
+def block_index(visit_location, visit_subloc, location_n_sublocs, sub_off, n_blocks):
+    """``(order, ptr)`` of ``PersonLocationGraph.block_visit_index()`` by
+    the C counting sort.  Id columns are widened, never narrowed (no bad
+    id may wrap back into range); int32 / int64 memmaps go uncopied.  An
+    out-of-range id raises ``ValueError`` naming its column."""
+    loc, sub = (np.ascontiguousarray(
+        c if c.dtype == np.int32 else c.astype(np.int64, casting="safe", copy=False)
+    ) for c in (visit_location, visit_subloc))
+    n_sub = location_n_sublocs.astype(np.int64, casting="safe")
+    if sub.size != loc.size or sub_off.shape != n_sub.shape:
+        raise ValueError("visit columns or sub_off disagree in length")
+    ptr, order = np.zeros(n_blocks + 1, dtype=np.int64), np.empty(loc.size, dtype=np.int64)
+    bad = _loaded().repro_block_index(
+        loc.size, loc.ctypes.data, loc.itemsize, sub.ctypes.data, sub.itemsize,
+        n_sub, sub_off, n_sub.size, n_blocks, ptr, order,
+    )
+    if bad:
+        raise ValueError(("visit_location", "visit_subloc")[bad - 1] + " out of range")
+    return order, ptr
 
 
 def _loaded() -> ctypes.CDLL:

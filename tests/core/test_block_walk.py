@@ -27,8 +27,10 @@ back to ascending rows and keeps block-major order only as the
 segmentation.
 """
 
+import contextlib
 import dataclasses
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -45,6 +47,7 @@ from repro.core.parallel import ParallelEpiSimdemics
 from repro.scenarios import registry
 from repro.smp import SmpSimulator
 from repro.spec import PartitionSpec, PopulationSpec, RunSpec, RuntimeSpec, execute
+from repro.synthpop import PopulationConfig, generate_population_streamed
 from repro.synthpop.graph import LocationType, PersonLocationGraph
 from repro.util.rng import RngFactory
 
@@ -246,23 +249,42 @@ def test_degenerate_populations(small_graph, kernel, mix):
 # ----------------------------------------------------------------------
 # the index
 # ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _numpy_index():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ckernel, "available", lambda: False)
+        yield
+
+
+#: the C counting sort (where the library builds), then the numpy
+#: packed-key sort with the library hidden
+INDEX_PATHS = (contextlib.nullcontext, _numpy_index)
+
+
+def _unindexed(graph, **columns):
+    """The same graph as a new object with no cached index."""
+    return dataclasses.replace(graph, **columns, **dict.fromkeys(graph._INDEX_FIELDS))
+
+
 def _assert_index_is_the_stable_argsort(graph):
-    order, ptr, sub_off = graph.block_visit_index()
     n_blocks = int(graph.location_n_sublocs.sum())
-    assert sub_off.tolist() == (
-        np.cumsum(graph.location_n_sublocs) - graph.location_n_sublocs
-    ).tolist()
-    block = sub_off[graph.visit_location] + graph.visit_subloc
-    assert order.dtype == ptr.dtype == sub_off.dtype == np.int64
-    assert sorted(order.tolist()) == list(range(graph.n_visits))  # a permutation
-    assert ptr.size == n_blocks + 1 and ptr[0] == 0 and ptr[-1] == graph.n_visits
-    assert (np.diff(ptr) >= 0).all()
-    assert np.array_equal(np.diff(ptr), np.bincount(block, minlength=n_blocks))
-    assert np.array_equal(block[order], np.sort(block))  # grouped by block ...
-    same_block = block[order][1:] == block[order][:-1]
-    assert (np.diff(order)[same_block] > 0).all()  # ... ascending row inside each
-    assert np.array_equal(order, np.argsort(block, kind="stable"))
-    assert graph.block_visit_index()[0] is order  # built once
+    expected_off = np.cumsum(graph.location_n_sublocs) - graph.location_n_sublocs
+    block = expected_off[graph.visit_location] + graph.visit_subloc
+    for path in INDEX_PATHS:
+        fresh = _unindexed(graph)
+        with path():
+            order, ptr, sub_off = fresh.block_visit_index()
+        assert sub_off.tolist() == expected_off.tolist()
+        assert order.dtype == ptr.dtype == sub_off.dtype == np.int64
+        assert sorted(order.tolist()) == list(range(graph.n_visits))  # a permutation
+        assert ptr.size == n_blocks + 1 and ptr[0] == 0 and ptr[-1] == graph.n_visits
+        assert (np.diff(ptr) >= 0).all()
+        assert np.array_equal(np.diff(ptr), np.bincount(block, minlength=n_blocks))
+        assert np.array_equal(block[order], np.sort(block))  # grouped by block ...
+        same_block = block[order][1:] == block[order][:-1]
+        assert (np.diff(order)[same_block] > 0).all()  # ... ascending row inside each
+        assert np.array_equal(order, np.argsort(block, kind="stable"))
+        assert fresh.block_visit_index()[0] is order  # built once
 
 
 @given(phases())
@@ -276,14 +298,40 @@ def test_index_on_generated_populations(tiny_graph, small_graph, wy_graph):
         _assert_index_is_the_stable_argsort(graph)
 
 
+def test_index_on_a_memmap_population(tmp_path):
+    """Streamed columns on disk: the C loop reads int64 ``visit_location``
+    and int32 ``visit_subloc`` where they lie and allocates only what it
+    returns; an int64 copy of ``visit_subloc`` gives the same index."""
+    graph = generate_population_streamed(
+        PopulationConfig(n_persons=1000), 3, backing="memmap", block_persons=64, dir=tmp_path,
+    )
+    assert isinstance(graph.visit_location, np.memmap) and graph.visit_subloc.dtype == np.int32
+    if ckernel.available():
+        n_blocks = int(graph.location_n_sublocs.sum())
+        sub_off = np.cumsum(graph.location_n_sublocs, dtype=np.int64) - graph.location_n_sublocs
+        args = graph.visit_location, graph.visit_subloc, graph.location_n_sublocs, sub_off, n_blocks
+        ckernel.block_index(*args)  # warm: first-call ctypes set-up allocates too
+        tracemalloc.start()
+        ckernel.block_index(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        returned = 8 * (graph.n_visits + n_blocks + 1 + graph.n_locations)  # + int64 room counts
+        assert returned <= peak < returned + 4 * graph.n_visits  # less than a copy of either column
+    _assert_index_is_the_stable_argsort(graph)
+    wide = _unindexed(graph, visit_subloc=graph.visit_subloc.astype(np.int64))
+    _assert_index_is_the_stable_argsort(wide)
+    assert np.array_equal(wide.block_visit_index()[0], _unindexed(graph).block_visit_index()[0])
+
+
 @pytest.mark.parametrize(
     "n_locations, rooms",
     [(1, 1), (1, 7), (40_000, 2), (70_000, 1), (2, 40_000)],
     ids=["one-block", "one-location", "80000-blocks", "70000-blocks", "wide-locations"],
 )
-def test_index_radix_passes(n_locations, rooms):
-    """Past 65,536 blocks the build takes a second 16-bit pass over the
-    first one's permutation; one block takes a pass over all-zero keys."""
+def test_index_block_counts(n_locations, rooms):
+    """Past 65,536 blocks (the most a 16-bit key holds), on a single
+    block, and on two locations of 40,000 rooms; mostly singleton
+    blocks in the wide cases."""
     rng = np.random.default_rng(n_locations + rooms)
     n_persons = 3000
     person = np.sort(rng.integers(0, n_persons, 12_000))
@@ -315,8 +363,34 @@ def test_empty_graph_has_an_empty_index():
         location_type=np.empty(0, dtype=np.int64),
         person_age=np.empty(0, dtype=np.int64), person_home=np.empty(0, dtype=np.int64),
     )
+    _assert_index_is_the_stable_argsort(graph)  # both paths
     order, ptr, sub_off = graph.block_visit_index()
     assert order.size == 0 and ptr.tolist() == [0] and sub_off.size == 0
+
+
+#: (location, subloc) planted at one row of a valid three-location
+#: graph with [2, 3, 2] rooms, the column the error must name
+CORRUPT = {
+    "negative-location": (-1, 0, "visit_location"),  # wrapped to the last location
+    "room-past-its-location": (0, 2, "visit_subloc"),  # the next location's first block
+    "room-past-the-last-location": (2, 2, "visit_subloc"),  # one block past the end
+    "room-that-int32-wraps": (1, 2**32, "visit_subloc"),  # room 0 after a narrowing cast
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPT))
+def test_out_of_range_ids_raise_and_leave_the_graph_alone(case):
+    location, subloc, column = CORRUPT[case]
+    graph = _graph([(p, p % 3, 0, 60 * p, 60 * p + 30) for p in range(6)], [2, 3, 2], 6)
+    graph.visit_location[4], graph.visit_subloc[4] = location, subloc
+    before = graph.content_hash()
+    messages = set()
+    for path in INDEX_PATHS:
+        with path(), pytest.raises(ValueError, match=column) as raised:
+            graph.block_visit_index()
+        messages.add(str(raised.value))
+        assert graph._block_index is None and graph.content_hash() == before
+    assert messages == {f"{column} out of range"}  # one error, whichever path ran
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,7 @@ def test_index_build_is_a_span_inside_the_first_filter(simmering):
     builds = [s for s in obs.closed_spans() if s.name == "graph.block_index"]
     assert [spans[s.parent].name for s in builds] == ["exposure.filter"]
     assert builds[0].attrs["visits"] == simmering.graph.n_visits
+    assert builds[0].attrs["blocks"] == int(simmering.graph.location_n_sublocs.sum())
     assert spans[builds[0].parent].start == min(
         s.start for s in obs.closed_spans() if s.name == "exposure.filter"
     )
