@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--index-cases", type=int, default=10)
     r.add_argument("--transmissibility", type=float, default=2e-4)
-    r.add_argument("--kernel", choices=KERNELS, default=None)
+    r.add_argument("--kernel", choices=KERNELS, default=None, help="exposure kernel "
+                   "(default: compiled where a C compiler builds it, else flat; same bits)")
     r.add_argument("--scenario", default=None, metavar="NAME",
                    help="run a registered scenario (disease model + model "
                         "components); see 'repro scenarios list'")

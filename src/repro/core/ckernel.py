@@ -1,10 +1,14 @@
 """C hot paths, built on demand into one library loaded via ``ctypes``.
 
-Three loops live here, each the C form of a numpy (or hashlib)
+Four loops live here, each the C form of a numpy (or hashlib)
 definition that stays in the repo and that it matches bit for bit:
 
-* **exposure accumulation** (:func:`accumulate_exposures`) — the pair
-  stage of the ``"compiled"`` exposure kernel;
+* **the block walk** (:func:`block_walk`) — from ``health_state``
+  through the block index to the day's candidate rows, block-major,
+  with a CSR over the active blocks (``exposure._numpy_walk``);
+* **exposure accumulation** (:func:`accumulate_exposures`) — from those
+  rows to the per-``(location, person)`` hazard sums of the
+  ``"compiled"`` kernel (the ``"flat"`` kernel's pair stage);
 * **keyed draws** (:func:`keyed_raw`) — BLAKE2b seed derivation,
   ``SeedSequence`` mixing and the first PCG64 outputs of every keyed
   stream in one pass per key, behind :mod:`repro.util.rng`'s batched
@@ -13,28 +17,12 @@ definition that stays in the repo and that it matches bit for bit:
   the visit rows by ``(location, sublocation)`` block, equal to the
   numpy packed-key sort in ``PersonLocationGraph.block_visit_index()``.
 
-Exposure accumulation
----------------------
-The ``"compiled"`` exposure kernel replaces the pair-materialising part
-of the ``"flat"`` kernel — segmented S×I enumeration, per-pair hazard
-evaluation, per-(location, person) hazard/bincount reduction and the
-earliest-minute ``minimum.at`` — with one streaming C loop that never
-allocates a per-pair array.  Everything around it (the candidate
-walk and the block segmentation it hands on, the accumulator slots,
-the infection draw) stays in numpy, which is what keeps the result
-**bit-identical** to the other kernels:
-
-* integer overlap arithmetic and IEEE-754 double multiply/add are
-  exactly specified, and the C loop performs them in precisely the
-  order ``np.bincount`` accumulates the sorted pair array (ascending
-  susceptible row, block order within a row);
-* every transcendental stays in numpy — the per-pair
-  ``-log1p(-rate)`` factor only depends on the (infectious state,
-  susceptible state) pair, so it is precomputed as an
-  ``n_states × n_states`` table with the *same*
-  :meth:`~repro.core.transmission.TransmissionModel.hazard` call the
-  flat kernel makes, and ``probability``/``keyed_uniforms`` run on the
-  reduced per-person arrays exactly as before.
+The location phase
+------------------
+``repro.core.exposure._compiled_kernel`` argues why the accumulation is
+bit-identical to the flat kernel.  Both loops read each column as it
+lies, raise ``ValueError`` on a person id or health state out of range,
+and free their scratch on every path.
 
 Keyed draws
 -----------
@@ -59,8 +47,8 @@ multiply-add into an FMA that would change the bits.
 No toolchain (or ``REPRO_NO_CKERNEL=1``) simply means
 :func:`available` is ``False``: callers fall back to the numpy /
 hashlib definitions and tests skip cleanly — nothing in the repo
-*requires* a compiler.  The one switch governs all three paths because
-they are one library: a machine has all three C loops or none, and
+*requires* a compiler.  The one switch governs all four paths because
+they are one library: a machine has all four C loops or none, and
 since each path is bit-identical to its fallback, the switch changes
 speed, never an epidemic.
 """
@@ -78,76 +66,150 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "build_error", "accumulate_exposures", "keyed_raw", "block_index",
-           "cache_dir"]
+__all__ = ["available", "build_error", "block_walk", "accumulate_exposures", "keyed_raw",
+           "block_index", "cache_dir"]
 
 C_SOURCE = r"""
 #include <stdint.h>
-
-/* Accumulate S x I exposure hazards, streaming, without materialising
- * pairs.  Rows are the day's candidate visits (every one susceptible
- * or infectious, in a (location, sublocation) block that holds both
- * today).  Susceptible rows are walked
- * in ascending row order and their infectious partners in sorted
- * (location, sublocation)-block order -- the exact accumulation
- * sequence of the flat kernel's sort-by-susceptible + bincount, so
- * the double sums match bit for bit.
- *
- * Returns the number of interacting pairs (positive overlap). */
-int64_t repro_accumulate_exposures(
-    int64_t n_rows,
-    const int64_t *vstart,        /* per candidate row: visit start   */
-    const int64_t *vend,          /* per candidate row: visit end     */
-    const int64_t *state,         /* per candidate row: health state  */
-    const uint8_t *sus,           /* per candidate row: susceptible?  */
-    const int64_t *slot,          /* per candidate row: (loc, person)
-                                     accumulator index                */
-    const int64_t *row_block,     /* per candidate row: (loc, subloc)
-                                     block id                         */
-    const int64_t *inf_rows,      /* infectious candidate rows, in
-                                     sorted-position order            */
-    const int64_t *inf_off,       /* per block: [start, end) into
-                                     inf_rows (n_blocks + 1 entries)  */
-    const double *haz_table,      /* [inf_state * n_states + sus_state]
-                                     = hazard per overlap minute      */
-    int64_t n_states,
-    double *total_hazard,         /* out, per slot: summed hazard     */
-    int64_t *first_minute,        /* out, per slot: min overlap end
-                                     (init to INT64_MAX)              */
-    int64_t *pair_count)          /* out, per slot: interacting pairs */
-{
-    int64_t pairs = 0;
-    for (int64_t r = 0; r < n_rows; ++r) {
-        if (!sus[r]) continue;
-        const int64_t b = row_block[r];
-        const int64_t k0 = inf_off[b], k1 = inf_off[b + 1];
-        if (k0 == k1) continue;
-        const int64_t s0 = vstart[r], e0 = vend[r];
-        const int64_t sl = slot[r];
-        const double *tab = haz_table + state[r];  /* column of sus state */
-        double acc = total_hazard[sl];
-        int64_t fmin = first_minute[sl];
-        int64_t hits = 0;
-        for (int64_t k = k0; k < k1; ++k) {
-            const int64_t ri = inf_rows[k];
-            if (ri == r) continue;                 /* no self pairing */
-            const int64_t os = s0 > vstart[ri] ? s0 : vstart[ri];
-            const int64_t oe = e0 < vend[ri] ? e0 : vend[ri];
-            if (oe <= os) continue;
-            acc += (double)(oe - os) * tab[state[ri] * n_states];
-            if (oe < fmin) fmin = oe;
-            ++hits;
-        }
-        total_hazard[sl] = acc;
-        first_minute[sl] = fmin;
-        pair_count[sl] += hits;
-        pairs += hits;
-    }
-    return pairs;
-}
+#include <stdlib.h>
 
 #define REPRO_ID(col, width, i) /* an id column in its own width, 4 or 8 */ \
     ((width) == 8 ? ((const int64_t *)(col))[i] : ((const int32_t *)(col))[i])
+
+/* ---- the location phase: col[] / width[] are the visit columns and
+ * health_state as they lie; role[state] has bits SUS / INF ------------ */
+enum { PERSON, LOCATION, SUBLOC, START, END, HEALTH };
+#define COL(k, i) REPRO_ID(col[k], width[k], i)
+enum { SUS = 1, INF = 2 };
+
+/* Health state of person p; -1 / -2 when p / the state is out of range */
+static inline int64_t state_of(const void *const *col, const int64_t *width,
+                               int64_t n_persons, int64_t n_states, int64_t p)
+{
+    if (p < 0 || p >= n_persons) return -1;
+    const int64_t s = COL(HEALTH, p);
+    return s < 0 || s >= n_states ? -2 : s;
+}
+
+/* qsort order of int64 values, or of records whose first member is one */
+static int by_value(const void *a, const void *b)
+{
+    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* exposure._numpy_walk: candidate rows block-major, bptr over the active
+ * blocks, out = {candidates, active blocks, walked rows}.  visit_rows is
+ * NULL (every visit) or ascending, distinct, in range; mark is zeroed,
+ * one byte per block.  bptr + 1 holds the sorted walked blocks until
+ * overwritten: block i is read before bptr[i + 1] can be written.
+ * Returns 0, or 1 / 2 for a person id / health state out of range. */
+int64_t repro_block_walk(
+    int64_t n_rows, const int64_t *visit_rows, const void *const *col, const int64_t *width,
+    int64_t n_persons, const int64_t *person_ptr, const int64_t *sub_off,
+    const int64_t *index, const int64_t *ptr, const uint8_t *role, int64_t n_states,
+    uint8_t *mark, int64_t *rows, int64_t *bptr, int64_t *out)
+{
+    int64_t *blocks = bptr + 1, n_walked = 0, walked = 0, n = 0, n_active = 0;
+    for (int64_t i = 0; i < (visit_rows ? n_rows : n_persons); ++i) {
+        const int64_t s = state_of(col, width, n_persons, n_states,
+                                   visit_rows ? COL(PERSON, visit_rows[i]) : i);
+        if (s < 0) return -s;
+        if (!(role[s] & INF)) continue;
+        for (int64_t r = visit_rows ? visit_rows[i] : person_ptr[i],
+             end = visit_rows ? r + 1 : person_ptr[i + 1]; r < end; ++r, ++walked) {
+            const int64_t b = sub_off[COL(LOCATION, r)] + COL(SUBLOC, r);
+            if (!mark[b]) mark[b] = 1, blocks[n_walked++] = b;
+        }
+    }
+    qsort(blocks, n_walked, sizeof *blocks, by_value);
+    bptr[0] = 0;
+    for (int64_t i = 0; i < n_walked; ++i) {
+        const int64_t b = blocks[i], first = n;
+        int64_t lo = 0, sus = 0;
+        walked += ptr[b + 1] - ptr[b];
+        for (int64_t k = ptr[b]; k < ptr[b + 1]; ++k) {
+            const int64_t r = index[k];
+            for (int64_t hi = visit_rows ? n_rows : 0; lo < hi;) { /* r ascends: search on */
+                const int64_t mid = lo + (hi - lo) / 2;
+                if (visit_rows[mid] < r) lo = mid + 1; else hi = mid;
+            }
+            if (visit_rows && (lo == n_rows || visit_rows[lo] != r)) continue;
+            const int64_t s = state_of(col, width, n_persons, n_states, COL(PERSON, r));
+            if (s < 0) return -s;
+            if (role[s]) rows[n++] = r, sus |= role[s] & SUS;
+        }
+        if (sus) bptr[++n_active] = n; else n = first;
+    }
+    out[0] = n, out[1] = n_active, out[2] = walked;
+    return 0;
+}
+
+typedef struct { int64_t row, person, start, end, state, block; } sus_visit;
+typedef struct { int64_t row, start, end, column; } inf_visit; /* column = state * n_states */
+
+/* Hazards per (location, person) slot from the walk's rows / bptr, one
+ * location (adjacent blocks) at a time: its susceptible candidates by
+ * ascending row, each with its block's infectious partners as contiguous
+ * records in block order; a run of equal persons is one slot.  Writes
+ * the slots with a pair, keys ascending; returns their number, or -1 / -2
+ * (person id / health state), -3 (rows / bptr) out of range, -4 no memory. */
+int64_t repro_accumulate_exposures(
+    int64_t n, const int64_t *rows, int64_t n_blocks, const int64_t *bptr,
+    const void *const *col, const int64_t *width, int64_t n_visits, int64_t n_persons,
+    const uint8_t *role, const double *haz_table, int64_t n_states,
+    int64_t *keys, double *total_h, int64_t *first_minute, int64_t *pair_count)
+{
+    if (bptr[0] != 0 || bptr[n_blocks] != n) return -3;
+    for (int64_t j = 0; j < n_blocks; ++j) if (bptr[j + 1] <= bptr[j]) return -3;
+    for (int64_t k = 0; k < n; ++k) if (rows[k] < 0 || rows[k] >= n_visits) return -3;
+    sus_visit *sus = malloc((n + 1) * sizeof *sus);
+    inf_visit *inf = malloc((n + 1) * sizeof *inf);
+    int64_t *inf_off = malloc((n + 1) * sizeof *inf_off), n_slots = 0;
+    if (!sus || !inf || !inf_off) n_slots = -4;
+    for (int64_t j0 = 0, j1; n_slots >= 0 && j0 < n_blocks; j0 = j1) {
+        const int64_t loc = COL(LOCATION, rows[bptr[j0]]);
+        int64_t n_sus = 0, n_inf = 0, sorted = 1;
+        for (j1 = j0; n_slots >= 0 && j1 < n_blocks && COL(LOCATION, rows[bptr[j1]]) == loc;
+             ++j1) {
+            inf_off[j1 - j0] = n_inf;
+            for (int64_t k = bptr[j1]; k < bptr[j1 + 1] && n_slots >= 0; ++k) {
+                const int64_t r = rows[k], p = COL(PERSON, r);
+                const int64_t s = state_of(col, width, n_persons, n_states, p);
+                if (s < 0) { n_slots = s; continue; }
+                const int64_t a = COL(START, r), e = COL(END, r);
+                if (role[s] & INF) inf[n_inf++] = (inf_visit){r, a, e, s * n_states};
+                if (!(role[s] & SUS)) continue;
+                sorted &= n_sus == 0 || sus[n_sus - 1].row < r;
+                sus[n_sus++] = (sus_visit){r, p, a, e, s, j1 - j0};
+            }
+        }
+        inf_off[j1 - j0] = n_inf;
+        if (!sorted) qsort(sus, n_sus, sizeof *sus, by_value); /* by row: runs interleave */
+        for (int64_t i = 0; n_slots >= 0 && i < n_sus;) {
+            const int64_t p = sus[i].person;
+            double acc = 0.0;
+            int64_t fmin = INT64_MAX, hits = 0;
+            for (; i < n_sus && sus[i].person == p; ++i) {
+                const sus_visit v = sus[i];
+                for (int64_t k = inf_off[v.block]; k < inf_off[v.block + 1]; ++k) {
+                    const inf_visit w = inf[k];
+                    const int64_t os = v.start > w.start ? v.start : w.start;
+                    const int64_t oe = v.end < w.end ? v.end : w.end;
+                    if (w.row == v.row || oe <= os) continue; /* no self pairing */
+                    acc += (double)(oe - os) * haz_table[w.column + v.state];
+                    if (oe < fmin) fmin = oe;
+                    ++hits;
+                }
+            }
+            if (!hits) continue;
+            keys[n_slots] = loc * n_persons + p, total_h[n_slots] = acc;
+            first_minute[n_slots] = fmin, pair_count[n_slots++] = hits;
+        }
+    }
+    free(sus), free(inf), free(inf_off);
+    return n_slots;
+}
 
 /* order = argsort(sub_off[loc] + sub, kind="stable") and its CSR bounds
  * ptr (zeroed on entry) by a counting sort.  Pass 1 checks and counts;
@@ -449,12 +511,15 @@ def _load() -> ctypes.CDLL | bool:
         return _lib
     try:
         lib = ctypes.CDLL(str(_compile()))
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        fn = lib.repro_block_walk
+        fn.restype = i64
+        fn.argtypes = [i64, ptr, ptr, _I64, i64, _I64, _I64, _I64, _I64, _U8, i64,
+                       _U8, _I64, _I64, _I64]
         fn = lib.repro_accumulate_exposures
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [
-            ctypes.c_int64, _I64, _I64, _I64, _U8, _I64, _I64, _I64, _I64,
-            _F64, ctypes.c_int64, _F64, _I64, _I64,
-        ]
+        fn.restype = i64
+        fn.argtypes = [i64, _I64, i64, _I64, ptr, _I64, i64, i64, _U8, _F64, i64,
+                       _I64, _F64, _I64, _I64]
         fn = lib.repro_keyed_raw
         fn.restype = None
         fn.argtypes = [
@@ -483,37 +548,71 @@ def build_error() -> str | None:
     return _build_error
 
 
-def accumulate_exposures(
-    vstart: np.ndarray,
-    vend: np.ndarray,
-    state: np.ndarray,
-    sus: np.ndarray,
-    slot: np.ndarray,
-    row_block: np.ndarray,
-    inf_rows: np.ndarray,
-    inf_off: np.ndarray,
-    haz_table: np.ndarray,
-    n_states: int,
-    total_hazard: np.ndarray,
-    first_minute: np.ndarray,
-    pair_count: np.ndarray,
-) -> int:
-    """Run the C accumulation loop; returns the interacting-pair count.
-
-    The per-row arguments are columns of the day's candidate visits —
-    susceptible or infectious rows of a ``(location, sublocation)``
-    block that holds both today.  All array arguments must be
-    C-contiguous with the dtypes of the C signature; ``total_hazard`` /
-    ``first_minute`` / ``pair_count`` are written in place (callers
-    initialise them).
-    """
-    return int(
-        _loaded().repro_accumulate_exposures(
-            vstart.size, vstart, vend, state, sus, slot, row_block,
-            inf_rows, inf_off, haz_table, n_states,
-            total_hazard, first_minute, pair_count,
-        )
+def _widened(col: np.ndarray) -> np.ndarray:
+    """An id or time column as it lies if int32 / int64 (memmaps go uncopied),
+    else widened to int64 — never narrowed: no bad value wraps into range."""
+    return np.ascontiguousarray(
+        col if col.dtype == np.int32 else col.astype(np.int64, casting="safe", copy=False)
     )
+
+
+def _phase_args(graph, health_state, disease):
+    """``(keep_alive, col, width, role)`` for the location-phase loops:
+    the C ``enum`` columns, and per state bits 1 / 2 = S / I."""
+    cols = [_widened(c) for c in (graph.visit_person, graph.visit_location, graph.visit_subloc,
+                                  graph.visit_start, graph.visit_end, health_state)]
+    if [c.size for c in cols] != [graph.n_visits] * 5 + [graph.n_persons]:
+        raise ValueError("visit columns or health_state disagree with the graph in length")
+    role = disease.is_susceptible.astype(np.uint8) | disease.is_infectious.astype(np.uint8) << 1
+    return (cols, (ctypes.c_void_p * 6)(*(c.ctypes.data for c in cols)),
+            np.array([c.itemsize for c in cols], dtype=np.int64), role)
+
+
+def _check(code: int) -> None:
+    if code == 4:
+        raise MemoryError("exposure accumulation scratch")
+    if code:
+        raise ValueError(("visit_person", "health_state", "rows / bptr")[code - 1] + " out of range")
+
+
+def block_walk(visit_rows, graph, health_state, disease):
+    """``(rows, bptr, walk_rows)`` of ``repro.core.exposure._numpy_walk``
+    (the definition) by one C pass.  ``visit_rows`` is None or
+    ascending, distinct and in range (the caller checks)."""
+    lib = _loaded()
+    index, ptr, sub_off = graph.block_visit_index()
+    keep_alive, col, width, role = _phase_args(graph, health_state, disease)
+    visit_rows = None if visit_rows is None else np.ascontiguousarray(visit_rows, dtype=np.int64)
+    cap = graph.n_visits if visit_rows is None else visit_rows.size  # rows ⊆ the handed-in rows
+    rows, out = np.empty(cap, dtype=np.int64), np.empty(3, dtype=np.int64)
+    bptr = np.empty(min(cap, ptr.size - 1) + 1, dtype=np.int64)
+    _check(lib.repro_block_walk(
+        cap, None if visit_rows is None else visit_rows.ctypes.data, col, width,
+        graph.n_persons, graph.person_visit_slices(), sub_off, index, ptr, role,
+        role.size, np.zeros(ptr.size - 1, dtype=np.uint8), rows, bptr, out,
+    ))
+    n, n_active, walk_rows = out.tolist()
+    return rows[:n], bptr[:n_active + 1], walk_rows
+
+
+def accumulate_exposures(rows, bptr, graph, health_state, disease, haz_table):
+    """``(keys, total_h, first_minute, pair_count)`` of every ``(location,
+    person)`` slot with a pair, keys ``location * n_persons + person``
+    ascending, from the walk's ``(rows, bptr)`` by one C pass;
+    ``haz_table[i * n_states + s]``: one overlap minute of state i with s."""
+    lib = _loaded()
+    keep_alive, col, width, role = _phase_args(graph, health_state, disease)
+    haz_table = np.ascontiguousarray(haz_table, dtype=np.float64)
+    if haz_table.size != role.size ** 2:
+        raise ValueError("haz_table must hold n_states ** 2 hazards")
+    keys, first_minute, pair_count = (np.empty(rows.size, dtype=np.int64) for _ in range(3))
+    total_h = np.empty(rows.size, dtype=np.float64)
+    n = lib.repro_accumulate_exposures(
+        rows.size, rows, bptr.size - 1, bptr, col, width, graph.n_visits, graph.n_persons,
+        role, haz_table, role.size, keys, total_h, first_minute, pair_count,
+    )
+    _check(-min(n, 0))
+    return keys[:n], total_h[:n], first_minute[:n], pair_count[:n]
 
 
 def keyed_raw(root_seed: int, keys: np.ndarray, n_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -537,9 +636,7 @@ def block_index(visit_location, visit_subloc, location_n_sublocs, sub_off, n_blo
     the C counting sort.  Id columns are widened, never narrowed (no bad
     id may wrap back into range); int32 / int64 memmaps go uncopied.  An
     out-of-range id raises ``ValueError`` naming its column."""
-    loc, sub = (np.ascontiguousarray(
-        c if c.dtype == np.int32 else c.astype(np.int64, casting="safe", copy=False)
-    ) for c in (visit_location, visit_subloc))
+    loc, sub = _widened(visit_location), _widened(visit_subloc)
     n_sub = location_n_sublocs.astype(np.int64, casting="safe")
     if sub.size != loc.size or sub_off.shape != n_sub.shape:
         raise ValueError("visit columns or sub_off disagree in length")

@@ -8,37 +8,32 @@ locations are grouped into LocationManagers — the property that makes
 the parallel execution reproduce the sequential one exactly.
 
 People interact only inside a sublocation (paper §III-C, the fact
-splitLoc rests on), so the phase first finds the :class:`Candidates` —
+splitLoc rests on), so the phase first finds the candidates —
 susceptible or infectious rows of a ``(location, sublocation)`` block
 that holds both today — by walking from the infectious persons through
-the graph's block index (:func:`_block_filter`; it never reads the
-other rows), and gathers the columns for those rows only.  The walk
-meets the candidates block by block and hands that segmentation on
-with them, so no kernel sorts candidates by ``(location,
-sublocation)``.  Three interchangeable kernels then consume them:
+the graph's block index (:func:`_walk`; it never reads the other rows)
+and hands them on block-major, with a CSR over their blocks, to one of
+three interchangeable kernels:
 
-* ``"flat"`` (default) — sublocation-blocked pair enumeration over the
-  walk's segmentation (:func:`~repro.core.des.blocked_pairwise_exposures`),
-  hazard accumulation per ``(location, person)`` slot and one batched
+* ``"compiled"`` (the default where :func:`repro.core.ckernel.available`)
+  — C from the walk to the per-``(location, person)`` hazard sums
+  (:mod:`repro.core.ckernel`), no column gather, no per-pair array;
+* ``"flat"`` (the default without a C toolchain) — the columns in
+  ascending row order (:func:`_block_filter`), blocked pair enumeration
+  (:func:`~repro.core.des.blocked_pairwise_exposures`), hazard
+  accumulation per ``(location, person)`` slot and one batched
   keyed-uniform draw (:meth:`~repro.util.rng.RngFactory.keyed_uniforms`)
-  for every exposed person at once;
+  for every exposed person at once — the compiled kernel's tail too;
 * ``"grouped"`` — the reference formulation: a Python loop over
   locations, a per-location S×I cross product masked by sublocation
   after materialisation, and one keyed ``Generator`` per exposed
-  person;
-* ``"compiled"`` — the flat kernel's slots and tail, with the pair
-  enumeration + hazard reduction replaced by one streaming C loop
-  (:mod:`repro.core.ckernel`, built on demand via ``ctypes``) that
-  never materialises a per-pair array.  Only usable when
-  :func:`repro.core.ckernel.available` — no C toolchain means callers
-  fall back to the pure-numpy kernels.
+  person.
 
 All kernels produce bit-identical results — same infection events in
 the same order, same statistics — which ``repro validate
---diff-kernels`` and the differential oracle certify; ``"flat"`` is
-much faster than ``"grouped"`` on heavy-tailed populations (see
-``benchmarks/bench_exposure_kernel.py``) and ``"compiled"`` beats
-``"flat"`` again by skipping the pair materialisation entirely.
+--diff-kernels`` and the differential oracle certify, so the default
+changes speed, never an epidemic (``benchmarks/ladder``'s
+``seq_dense_compiled`` and ``seq_dense_flat`` measure the two).
 """
 
 from __future__ import annotations
@@ -49,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import observe
+from repro.core import ckernel
 from repro.core.des import blocked_pairwise_exposures, pairwise_exposures
 from repro.core.disease import DiseaseModel
 from repro.core.transmission import TransmissionModel
@@ -57,13 +53,10 @@ from repro.util.rng import RngFactory
 
 __all__ = [
     "KERNELS",
-    "DEFAULT_KERNEL",
     "InfectionEvent",
     "LocationPhaseResult",
     "compute_infections",
 ]
-
-DEFAULT_KERNEL = "flat"
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,8 @@ class LocationPhaseResult:
 
 @dataclass(frozen=True)
 class Candidates:
-    """The visits that can transmit today — what a kernel is handed.
+    """The visits that can transmit today — what the numpy kernels are
+    handed.
 
     One entry per candidate visit, compacted, in ascending visit-row
     order (the order every hazard sum adds in), plus the block
@@ -134,12 +128,12 @@ def compute_infections(
     ----------
     visit_rows:
         Indices into ``graph``'s visit arrays — the visits that actually
-        happen today (interventions already applied) — **ascending and
-        distinct** (``ValueError`` otherwise: the block walk intersects
-        by ``searchsorted`` and the exactness argument starts from row
-        order), or None for every visit of the graph.  May span any
-        subset of locations; callers split by location, never within
-        one.  Pairs only need the rows of one ``(location,
+        happen today (interventions already applied) — **ascending,
+        distinct and in** ``[0, n_visits)`` (``ValueError`` otherwise:
+        the block walk intersects by binary search and the exactness
+        argument starts from row order), or None for every visit of
+        the graph.  May span any subset of locations; callers split by
+        location, never within one.  Pairs only need the rows of one ``(location,
         sublocation)`` block together, but a person's hazards add per
         *location* over every block of it they visit.
     graph:
@@ -152,8 +146,9 @@ def compute_infections(
         the phase still makes; the charm backend's load model needs it
         and keeps it, the sequential default does not pay it.
     kernel:
-        One of :data:`KERNELS` (None = :data:`DEFAULT_KERNEL`) — see
-        the module docstring.  All three are bit-for-bit equivalent.
+        One of :data:`KERNELS`; None is ``"compiled"`` where the C
+        library loads, else ``"flat"`` — see the module docstring.  All
+        three are bit-for-bit equivalent.
 
     Notes
     -----
@@ -162,21 +157,21 @@ def compute_infections(
     infection — distributionally identical to per-pair Bernoulli trials
     and, crucially, order-independent.
     """
-    kernel = DEFAULT_KERNEL if kernel is None else kernel
+    kernel = ("compiled" if ckernel.available() else "flat") if kernel is None else kernel
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    impl = {
-        "flat": _flat_kernel,
-        "grouped": _grouped_kernel,
-        "compiled": _compiled_kernel,
-    }[kernel]
     result = LocationPhaseResult()
     n_rows = graph.n_visits if visit_rows is None else int(visit_rows.size)
+    events = result.events if collect_stats else None
     with observe.span("exposure.compute", day=day, kernel=kernel, visits=n_rows) as obs_span:
-        candidates = _block_filter(
-            visit_rows, graph, health_state, disease, result.events if collect_stats else None
-        )
-        if candidates is not None:
+        if kernel == "compiled":
+            walked = _walk(visit_rows, graph, health_state, disease, events)
+            if walked is not None:
+                _compiled_kernel(result, *walked, graph, health_state, disease, transmission,
+                                 day, rng_factory, collect_stats)
+        elif (candidates := _block_filter(visit_rows, graph, health_state, disease,
+                                          events)) is not None:
+            impl = _flat_kernel if kernel == "flat" else _grouped_kernel
             impl(result, candidates, graph, disease, transmission, day, rng_factory, collect_stats)
         obs_span.set(infections=len(result.records))
     return result
@@ -190,92 +185,106 @@ def _slice_rows(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.repeat(ptr[ids] - first, counts) + np.arange(int(counts.sum())), counts
 
 
-def _block_filter(
+def _walk(
     visit_rows: np.ndarray | None, graph, health_state: np.ndarray, disease: DiseaseModel,
     events: Counter | None,
-) -> Candidates | None:
-    """Today's :class:`Candidates`, or None when nothing can transmit.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The filter stage: today's candidate rows, block-major, and the
+    CSR ``bptr`` over their blocks, or None when nothing can transmit.
 
     A row is a candidate iff it is susceptible or infectious *and* its
-    ``(location, sublocation)`` block holds at least one infectious and
-    one susceptible visit today.  Dropping the rest changes no bit:
-
-    1. a pair needs an S row and an I row of one block, so a dropped
-       row is in no pair — the pair set is the same;
-    2. the candidates come out in ascending row order, and every
-       kernel visits susceptible rows in that order (the C loop, the
-       flat kernel's ``argsort(kind="stable")``), so each ``(location,
-       person)`` hazard sum adds the same doubles in the same order in
-       all three kernels;
-    3. the keys with at least one pair — hence every keyed draw — are
-       unchanged;
-    4. ``events`` (filled when not None) still counts *all* visit rows
-       per location and ``interactions`` counts pairs, so the load
-       model cannot move.
+    ``(location, sublocation)`` block holds an infectious and a
+    susceptible visit today.  Dropping the rest changes no bit: a pair
+    needs an S and an I row of one block, so the pairs, the keys with a
+    pair (hence every keyed draw) and ``interactions`` are the same, and
+    ``events`` (when not None) still counts *all* rows per location.
 
     Found by a walk over ``graph.block_visit_index()``, not by reading
-    every row: rows of today's infectious persons → their distinct
-    blocks → those blocks' rows (∩ ``visit_rows``) → S / I of those rows
-    → blocks that also hold an S row.  O(rows of infectious persons +
-    rows of their blocks); on a subset nothing is sized by the graph's
-    visits, persons or blocks, and ``events`` is the one O(rows) pass.
-
-    The walk meets rows block by block; block id ``sub_off[loc] + sub``
-    is monotone in ``(loc, sub)`` and the CSR ascends inside a block, so
-    that order *is* the stable ``(location, sublocation)`` sort of the
-    candidates, handed on as ``Candidates.order`` / ``.block`` for the
-    kernels to segment by.  The columns go back to **ascending rows**:
-    block-major accumulation is *not* bit-exact.  A susceptible in room
-    3 at 09:00 and room 0 at 14:00 (both active) adds two partial sums
-    into one ``(location, person)`` slot, and in the other order they
-    differ in the last bit.
+    every row: infectious persons' rows → their blocks → those blocks'
+    rows (∩ ``visit_rows``) → blocks that also hold an S row; in C
+    (:func:`repro.core.ckernel.block_walk`) or numpy (:func:`_numpy_walk`).
     """
     n_rows = graph.n_visits if visit_rows is None else visit_rows.size
     observe.counter("exposure.visits", n_rows)
     if n_rows == 0:
         return None
     with observe.span("exposure.filter"):
-        index, ptr, sub_off = graph.block_visit_index()
+        if visit_rows is not None:
+            if not (visit_rows[1:] > visit_rows[:-1]).all():
+                raise ValueError("visit_rows must be ascending and distinct")
+            if visit_rows[0] < 0 or visit_rows[-1] >= graph.n_visits:  # ascending: ends suffice
+                raise ValueError("visit_rows out of range")
         if events is not None:
             vl = graph.visit_location if visit_rows is None else graph.visit_location[visit_rows]
             locs, counts = np.unique(vl, return_counts=True)
             events.update(dict(zip(locs.tolist(), (2 * counts).tolist())))
-        if visit_rows is None:
-            carriers = np.flatnonzero(disease.is_infectious[health_state])
-            inf_rows, _ = _slice_rows(graph.person_visit_slices(), carriers)
-        else:
-            if not (visit_rows[1:] > visit_rows[:-1]).all():
-                raise ValueError("visit_rows must be ascending and distinct")
-            inf_rows = visit_rows[disease.is_infectious[health_state[graph.visit_person[visit_rows]]]]
-        # distinct blocks by sort + neighbour compare (np.unique is 10x slower)
-        blocks = np.sort(sub_off[graph.visit_location[inf_rows]] + graph.visit_subloc[inf_rows])
-        first = np.ones(blocks.size, dtype=bool)
-        np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
-        blocks = blocks[first]
-        pos, counts = _slice_rows(ptr, blocks)
-        rows = index[pos]
-        owner = np.repeat(np.arange(blocks.size), counts)  # index into `blocks`
-        observe.counter("exposure.walk_rows", inf_rows.size + rows.size)
-        if visit_rows is not None:  # the rows of those blocks that happen today
-            at = np.minimum(np.searchsorted(visit_rows, rows), n_rows - 1)
-            today = visit_rows[at] == rows
-            rows, owner = rows[today], owner[today]
-        states = health_state[graph.visit_person[rows]]
-        sus = disease.is_susceptible[states]
-        has_sus = np.zeros(blocks.size, dtype=bool)  # has_inf holds by construction
-        has_sus[owner[sus]] = True
-        keep = has_sus[owner] & (disease.is_susceptible | disease.is_infectious)[states]
-        rows, owner = rows[keep], owner[keep]  # block-major
+        walk = ckernel.block_walk if ckernel.available() else _numpy_walk
+        rows, bptr, walk_rows = walk(visit_rows, graph, health_state, disease)
+    observe.counter("exposure.walk_rows", walk_rows)
+    observe.counter("exposure.active_blocks", bptr.size - 1)
+    observe.counter("exposure.candidates", rows.size)
+    return (rows, bptr) if rows.size else None
+
+
+def _numpy_walk(
+    visit_rows: np.ndarray | None, graph, health_state: np.ndarray, disease: DiseaseModel,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(rows, bptr, walk_rows)``, the definition of
+    :func:`repro.core.ckernel.block_walk`: the candidates by ascending
+    block id ``sub_off[loc] + sub`` (the stable ``(location,
+    sublocation)`` sort), ``rows[bptr[j]:bptr[j+1]]`` active block ``j``;
+    ``walk_rows`` counts the infectious rows and all rows of their blocks."""
+    index, ptr, sub_off = graph.block_visit_index()
+    if visit_rows is None:
+        carriers = np.flatnonzero(disease.is_infectious[health_state])
+        inf_rows, _ = _slice_rows(graph.person_visit_slices(), carriers)
+    else:
+        inf_rows = visit_rows[disease.is_infectious[health_state[graph.visit_person[visit_rows]]]]
+    # distinct blocks by sort + neighbour compare (np.unique is 10x slower)
+    blocks = np.sort(sub_off[graph.visit_location[inf_rows]] + graph.visit_subloc[inf_rows])
+    first = np.ones(blocks.size, dtype=bool)
+    np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
+    blocks = blocks[first]
+    pos, counts = _slice_rows(ptr, blocks)
+    rows = index[pos]
+    owner = np.repeat(np.arange(blocks.size), counts)  # index into `blocks`
+    walk_rows = inf_rows.size + rows.size
+    if visit_rows is not None:  # the rows of those blocks that happen today
+        at = np.minimum(np.searchsorted(visit_rows, rows), visit_rows.size - 1)
+        today = visit_rows[at] == rows
+        rows, owner = rows[today], owner[today]
+    states = health_state[graph.visit_person[rows]]
+    sus = disease.is_susceptible[states]
+    has_sus = np.zeros(blocks.size, dtype=bool)  # has_inf holds by construction
+    has_sus[owner[sus]] = True
+    keep = has_sus[owner] & (disease.is_susceptible | disease.is_infectious)[states]
+    rows, owner = rows[keep], owner[keep]
+    bptr = np.zeros(np.count_nonzero(has_sus) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=blocks.size)[has_sus], out=bptr[1:])
+    return rows, bptr, int(walk_rows)
+
+
+def _block_filter(
+    visit_rows: np.ndarray | None, graph, health_state: np.ndarray, disease: DiseaseModel,
+    events: Counter | None,
+) -> Candidates | None:
+    """Today's :class:`Candidates` for the numpy kernels, or None:
+    :func:`_walk`, with the columns back in **ascending rows** and the
+    block-major order kept as ``order`` / ``block``.  The flat kernel
+    adds in candidate order, and block-major is *not* bit-exact: a
+    susceptible in room 3 at 09:00 and room 0 at 14:00 (both active)
+    adds two partial sums into one slot, differing in the last bit.
+    """
+    walked = _walk(visit_rows, graph, health_state, disease, events)
+    if walked is None:
+        return None
+    rows, bptr = walked
+    with observe.span("exposure.gather"):
         by_row = np.argsort(rows)  # rows are distinct: any sort kind
         order = np.empty(rows.size, dtype=np.int64)
         order[by_row] = np.arange(rows.size)
-        block = (np.cumsum(has_sus) - 1)[owner]  # every has_sus block keeps a row
+        block = np.repeat(np.arange(bptr.size - 1), np.diff(bptr))
         rows = rows[by_row]
-    observe.counter("exposure.active_blocks", int(np.count_nonzero(has_sus)))
-    observe.counter("exposure.candidates", rows.size)
-    if rows.size == 0:
-        return None
-    with observe.span("exposure.gather"):
         # Every column is read for candidate rows only; on a memmap
         # backing the other pages never enter RAM.
         person = graph.visit_person[rows]
@@ -368,57 +377,37 @@ def _flat_kernel(
 
 
 def _compiled_kernel(
-    result: LocationPhaseResult, candidates: Candidates, graph, disease: DiseaseModel,
-    transmission: TransmissionModel, day: int, rng_factory: RngFactory, collect_stats: bool,
+    result: LocationPhaseResult, rows: np.ndarray, bptr: np.ndarray, graph,
+    health_state: np.ndarray, disease: DiseaseModel, transmission: TransmissionModel, day: int,
+    rng_factory: RngFactory, collect_stats: bool,
 ) -> None:
-    """Flat kernel with the pair stage in C (:mod:`repro.core.ckernel`).
+    """The walk's rows to the slot sums in one C loop
+    (:func:`repro.core.ckernel.accumulate_exposures`), then the flat
+    kernel's tail.
 
-    Bit-identical to ``"flat"``: the C loop visits susceptible rows in
-    ascending candidate order and each one's infectious partners in the
-    walk's block-major order, so it adds the same doubles in the same
-    order ``np.bincount`` does over the flat kernel's sorted pairs; and
-    every transcendental (``log1p`` via the per-state hazard table,
-    ``expm1`` in ``probability``, the keyed uniforms) still runs through
-    the exact numpy code paths of the other kernels.
+    Bit-identical to ``"flat"`` with no global sort back to ascending
+    rows: a slot's hazard sum only sees that slot's rows, all in one
+    location, so it is enough that the C loop visits each location's
+    susceptible candidates in ascending row order, each with its block's
+    infectious partners in block order — the order ``np.bincount`` adds
+    the flat kernel's sorted pairs in.  The visit table is person-sorted,
+    so a run of equal persons is one slot, and slots come out in the flat
+    kernel's ``np.unique`` ``(location, person)`` order; ``first_minute``
+    (a min) and ``pair_count`` (an integer) do not depend on order.
+    Every transcendental runs through the other kernels' numpy paths.
     """
-    from repro.core import ckernel
-
-    c = candidates
-    with observe.span("exposure.sort"):
-        keys, slot = _slots(c, graph.n_persons)
-        # The walk's segmentation per candidate row, and each block's
-        # infectious rows in block-major order — the partner order of
-        # the flat enumeration.
-        n_blocks = int(c.block[-1]) + 1
-        row_block = np.empty(c.order.size, dtype=np.int64)
-        row_block[c.order] = c.block
-        inf_bm = c.inf[c.order]
-        inf_rows = c.order[inf_bm]
-        inf_off = np.zeros(n_blocks + 1, dtype=np.int64)
-        np.cumsum(np.bincount(c.block[inf_bm], minlength=n_blocks), out=inf_off[1:])
-        start, end, state = (
-            np.ascontiguousarray(col, dtype=np.int64) for col in (c.start, c.end, c.state)
-        )
-        sus = np.ascontiguousarray(c.sus, dtype=np.uint8)
-
     with observe.span("exposure.pairs"):
         # Per (infectious state, susceptible state) hazard of one overlap
         # minute, computed by the same TransmissionModel call (same clip,
         # same log1p inputs) the flat kernel makes per pair.
         n_states = len(disease.states)
-        inf_coef = np.repeat(disease.infectivity, n_states)
-        sus_coef = np.tile(disease.susceptibility, n_states)
-        haz_table = np.ascontiguousarray(
-            transmission.hazard(1.0, inf_coef, sus_coef), dtype=np.float64
+        haz_table = transmission.hazard(
+            1.0, np.repeat(disease.infectivity, n_states), np.tile(disease.susceptibility, n_states)
         )
-        total_h = np.zeros(keys.size, dtype=np.float64)
-        first_minute = np.full(keys.size, np.iinfo(np.int64).max, dtype=np.int64)
-        pair_count = np.zeros(keys.size, dtype=np.int64)
-        pairs = ckernel.accumulate_exposures(
-            start, end, state, sus, slot, row_block, inf_rows, inf_off,
-            haz_table, n_states, total_h, first_minute, pair_count,
+        keys, total_h, first_minute, pair_count = ckernel.accumulate_exposures(
+            rows, bptr, graph, health_state, disease, haz_table
         )
-    if pairs == 0:
+    if keys.size == 0:
         return
     _draw_and_emit(
         result, keys, total_h, first_minute, pair_count, graph, collect_stats,

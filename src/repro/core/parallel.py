@@ -329,8 +329,9 @@ class ParallelEpiSimdemics:
     kernel:
         Exposure-kernel selection for the LocationManagers' interaction
         computation (``"flat"`` / ``"grouped"`` / ``"compiled"``, see
-        :data:`repro.core.exposure.KERNELS`; None = the module default).
-        Kernels are bit-for-bit equivalent — a performance choice only,
+        :data:`repro.core.exposure.KERNELS`; None = ``"compiled"`` where
+        the C library loads, else ``"flat"``).  Kernels are bit-for-bit
+        equivalent — a performance choice only,
         like ``delivery``.
     validate:
         Attach an :class:`~repro.validate.invariants.InvariantChecker`

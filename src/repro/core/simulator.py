@@ -72,8 +72,9 @@ class SequentialSimulator:
     kernel:
         Exposure-kernel selection passed through to
         :func:`~repro.core.exposure.compute_infections` (one of
-        :data:`~repro.core.exposure.KERNELS`; None = the module default).
-        Kernels are bit-for-bit equivalent — this is a performance knob
+        :data:`~repro.core.exposure.KERNELS`; None = ``"compiled"`` where
+        the C library loads, else ``"flat"``).  Kernels are bit-for-bit
+        equivalent — this is a performance knob
         and the lever for old-vs-new differential testing.
     """
 

@@ -322,7 +322,7 @@ class RuntimeSpec:
 
     backend: str = "seq"
     workers: int = 1
-    #: exposure kernel: flat / grouped / compiled (None = module default)
+    #: exposure kernel: flat / grouped / compiled (None = compiled, else flat)
     kernel: str | None = None
     #: charm message delivery: direct / aggregated / tram
     delivery: str = "aggregated"

@@ -2,14 +2,16 @@
 
 **The location-level filter and its three kernels** (first part).
 
-``_compute_infections`` and the three ``_*_kernel`` functions below are
+``_compute_infections`` and the ``_*_kernel`` functions below are
 what ``repro.core.exposure`` ran before the candidate filter moved from
 per *location* to per ``(location, sublocation)`` block, kept verbatim:
 a visit is a candidate when its **location** has an infectious and a
 susceptible visitor, every column is gathered for every row, and each
 kernel takes the ``cand`` mask plus nine full-length arrays.  They
 *define* what the block filter must reproduce bit-for-bit
-(``test_block_filter.py``); nothing under ``src/`` calls them.
+(``test_block_filter.py``); nothing under ``src/`` calls them.  The
+compiled kernel's old C loop is gone from ``src/``, so ``"compiled"``
+runs the reference flat kernel here, its definition by contract.
 
 :func:`compute_infections` is the production wrapper's signature over
 the reference body, so a test can monkeypatch it in for the production
@@ -27,8 +29,9 @@ segmentation (``order`` / ``block``) built by :func:`_segmentation`,
 the lexsort the kernels ran before the walk handed it on.  The first
 oracle's flat kernel takes its pair segmentation from there too.
 :func:`compute_infections_linear` is ``compute_infections`` as it stood
-around it, handing those candidates to the *production* kernels
-(``test_block_walk.py``).
+around it, handing those candidates to the *production* numpy kernels
+(``"compiled"`` to the production flat kernel, its definition:
+``test_block_walk.py``).
 
 Both wrappers read ``visit_rows=None`` ("every visit of the graph", the
 form the sequential day now hands in) as ``np.arange(n_visits)``.
@@ -44,7 +47,6 @@ from repro.core import exposure as production
 from repro.core.des import blocked_pairwise_exposures, pairwise_exposures
 from repro.core.disease import DiseaseModel
 from repro.core.exposure import (
-    DEFAULT_KERNEL,
     KERNELS,
     Candidates,
     InfectionEvent,
@@ -91,7 +93,7 @@ def _compute_infections(
     collect_stats: bool,
     kernel: str | None,
 ) -> LocationPhaseResult:
-    kernel = DEFAULT_KERNEL if kernel is None else kernel
+    kernel = "flat" if kernel is None else kernel  # every kernel gives the same bits
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     result = _ListSink()
@@ -124,7 +126,7 @@ def _compute_infections(
     impl = {
         "flat": _flat_kernel,
         "grouped": _grouped_kernel,
-        "compiled": _compiled_kernel,
+        "compiled": _flat_kernel,  # bit-identical to flat by contract: its definition
     }[kernel]
     impl(
         result, cand, vp, vl, vs, vstart, vend, states, sus_mask, inf_mask,
@@ -188,120 +190,6 @@ def _flat_kernel(
     probs = transmission.probability(total_h)
     locs = uniq_key // graph.n_persons
     persons = uniq_key - locs * graph.n_persons
-    u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
-    for j in np.flatnonzero(u < probs):
-        result.infections.append(
-            InfectionEvent(
-                person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
-            )
-        )
-
-
-def _compiled_kernel(
-    result: LocationPhaseResult,
-    cand: np.ndarray,
-    vp: np.ndarray,
-    vl: np.ndarray,
-    vs: np.ndarray,
-    vstart: np.ndarray,
-    vend: np.ndarray,
-    states: np.ndarray,
-    sus_mask: np.ndarray,
-    inf_mask: np.ndarray,
-    graph,
-    disease: DiseaseModel,
-    transmission: TransmissionModel,
-    day: int,
-    rng_factory: RngFactory,
-    collect_stats: bool,
-) -> None:
-    """Flat kernel with the pair stage in C (:mod:`repro.core.ckernel`).
-
-    Bit-identical to ``"flat"``: the C loop adds the same doubles in
-    the same order ``np.bincount`` would over the sorted pair array,
-    and every transcendental (``log1p`` via the per-state hazard
-    table, ``expm1`` in ``probability``, the keyed uniforms) still runs
-    through the exact numpy code paths of the other kernels.
-    """
-    from repro.core import ckernel
-
-    idx = np.flatnonzero(cand)
-    # Candidate rows are all epidemiologically relevant (sus | inf), so
-    # blocked_pairwise_exposures' `relevant` filter is the identity
-    # here and the (location, sublocation) lexsort covers every row.
-    loc = np.ascontiguousarray(vl[idx], dtype=np.int64)
-    sub = np.ascontiguousarray(vs[idx], dtype=np.int64)
-    start = np.ascontiguousarray(vstart[idx], dtype=np.int64)
-    end = np.ascontiguousarray(vend[idx], dtype=np.int64)
-    state = np.ascontiguousarray(states[idx], dtype=np.int64)
-    sus = np.ascontiguousarray(sus_mask[idx], dtype=np.uint8)
-    inf = inf_mask[idx]
-    n = idx.size
-
-    order = np.lexsort((sub, loc))  # sorted position -> candidate row
-    loc_s, sub_s = loc[order], sub[order]
-    new_block = np.empty(n, dtype=bool)
-    new_block[0] = True
-    np.not_equal(loc_s[1:], loc_s[:-1], out=new_block[1:])
-    new_block[1:] |= sub_s[1:] != sub_s[:-1]
-    block_id_sorted = np.cumsum(new_block) - 1
-    n_blocks = int(block_id_sorted[-1]) + 1
-    row_block = np.empty(n, dtype=np.int64)
-    row_block[order] = block_id_sorted
-
-    # Infectious candidate rows in sorted-position order, segmented by
-    # block — the partner iteration order of the flat enumeration.
-    inf_sorted = inf[order]
-    inf_rows = np.ascontiguousarray(order[inf_sorted], dtype=np.int64)
-    ni = np.bincount(block_id_sorted[inf_sorted], minlength=n_blocks)
-    inf_off = np.zeros(n_blocks + 1, dtype=np.int64)
-    np.cumsum(ni, out=inf_off[1:])
-
-    # One accumulator slot per distinct (location, person) key over the
-    # candidate rows — a superset of the flat kernel's pair-derived key
-    # set, compacted to the touched slots below.  np.unique sorts, so
-    # surviving slots align with the flat kernel's uniq_key order.
-    key = loc * np.int64(graph.n_persons) + vp[idx]
-    uniq_key, slot = np.unique(key, return_inverse=True)
-    slot = np.ascontiguousarray(slot, dtype=np.int64)
-
-    # Per (infectious state, susceptible state) hazard of one overlap
-    # minute, computed by the same TransmissionModel call (same clip,
-    # same log1p inputs) the flat kernel makes per pair.
-    n_states = len(disease.states)
-    haz_table = np.ascontiguousarray(
-        transmission.hazard(
-            1.0,
-            np.repeat(disease.infectivity, n_states),
-            np.tile(disease.susceptibility, n_states),
-        ),
-        dtype=np.float64,
-    )
-
-    total_h = np.zeros(uniq_key.size, dtype=np.float64)
-    first_minute = np.full(uniq_key.size, np.iinfo(np.int64).max, dtype=np.int64)
-    pair_count = np.zeros(uniq_key.size, dtype=np.int64)
-    pairs = ckernel.accumulate_exposures(
-        start, end, state, sus, slot, row_block, inf_rows, inf_off,
-        haz_table, n_states, total_h, first_minute, pair_count,
-    )
-    if pairs == 0:
-        return
-    touched = pair_count > 0
-    uniq_key, total_h = uniq_key[touched], total_h[touched]
-    first_minute = first_minute[touched]
-
-    locs = uniq_key // graph.n_persons
-    persons = uniq_key - locs * graph.n_persons
-    if collect_stats:
-        pair_locs, inv_loc = np.unique(locs, return_inverse=True)
-        per_loc = np.bincount(
-            inv_loc, weights=pair_count[touched], minlength=pair_locs.size
-        )
-        result.interactions.update(
-            {int(l): int(c) for l, c in zip(pair_locs, per_loc)}
-        )
-    probs = transmission.probability(total_h)
     u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
     for j in np.flatnonzero(u < probs):
         result.infections.append(
@@ -378,13 +266,13 @@ def compute_infections_linear(
 ):
     if visit_rows is None:
         visit_rows = np.arange(graph.n_visits)
-    kernel = DEFAULT_KERNEL if kernel is None else kernel
+    kernel = "flat" if kernel is None else kernel  # every kernel gives the same bits
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     impl = {
         "flat": production._flat_kernel,
         "grouped": production._grouped_kernel,
-        "compiled": production._compiled_kernel,
+        "compiled": production._flat_kernel,  # the compiled phase's definition
     }[kernel]
     result = LocationPhaseResult()
     with observe.span(

@@ -38,6 +38,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from repro import observe
 from repro.core import Scenario, SequentialSimulator, TransmissionModel, ckernel
 from repro.core import day as day_steps
 from repro.core import exposure as production
@@ -244,6 +245,133 @@ def test_degenerate_populations(small_graph, kernel, mix):
         assert got == _observable(LINEAR, kernel, small_graph, disease, health, rows)
         assert bool(got["infections"]) == (mix == "carrier")
         assert got["events"]  # every row still counts, whoever is in it
+
+
+# ----------------------------------------------------------------------
+# the walk in C against its numpy definition
+# ----------------------------------------------------------------------
+needs_ckernel = pytest.mark.skipif(
+    not ckernel.available(), reason=f"no compiled kernel: {ckernel.build_error()}"
+)
+
+
+def _assert_walks_agree(graph, disease, health, rows):
+    """``ckernel.block_walk`` against ``exposure._numpy_walk``: equal
+    ``rows`` / ``bptr`` bytes and ``walk_rows``, and equal counters when
+    ``_walk`` runs on either; returns the C walk's ``(rows, bptr)``."""
+    got = ckernel.block_walk(rows, graph, health, disease)
+    expected = production._numpy_walk(rows, graph, health, disease)
+    assert got[0].dtype == got[1].dtype == np.int64
+    assert [got[0].tobytes(), got[1].tobytes(), got[2]] == [
+        expected[0].tobytes(), expected[1].tobytes(), expected[2]
+    ]
+    counters = []
+    for c_loop in (True, False):
+        with pytest.MonkeyPatch.context() as mp, observe.observing() as obs:
+            mp.setattr(ckernel, "available", lambda: c_loop)
+            production._walk(rows, graph, health, disease, None)
+        counters.append(dict(obs.counters))
+    assert counters[0] == counters[1]
+    return got[:2]
+
+
+@needs_ckernel
+@given(walk_phases())
+@settings(max_examples=300, deadline=None)
+def test_c_walk_equals_numpy_walk(phase):
+    _assert_walks_agree(*phase)
+
+
+@needs_ckernel
+def test_c_walk_on_generated_populations(tiny_graph, small_graph, wy_graph):
+    disease = DISEASES["influenza"]
+    S, I = disease.index["susceptible"], disease.index["infectious_symptomatic"]
+    rng = np.random.default_rng(3)
+    for graph in (tiny_graph, small_graph, wy_graph):
+        health = rng.choice([S, I], graph.n_persons, p=[0.9, 0.1]).astype(np.int32)
+        all_rows = np.arange(graph.n_visits)
+        for rows in (None, all_rows, all_rows[graph.visit_location % 3 == 1],
+                     all_rows[rng.random(graph.n_visits) < 0.6]):
+            rows_walked, bptr = _assert_walks_agree(graph, disease, health, rows)
+            assert bptr.size > 1 and rows_walked.size == bptr[-1]
+
+
+@needs_ckernel
+def test_c_walk_on_a_memmap_population(tmp_path):
+    """int64 ``visit_location`` and int32 ``visit_subloc`` / times read
+    where they lie on disk, then every column widened to int64."""
+    graph = generate_population_streamed(
+        PopulationConfig(n_persons=1000), 3, backing="memmap", block_persons=64, dir=tmp_path,
+    )
+    assert isinstance(graph.visit_location, np.memmap) and graph.visit_subloc.dtype == np.int32
+    disease = DISEASES["influenza"]
+    health = np.random.default_rng(4).choice(
+        [disease.index["susceptible"], disease.index["infectious_symptomatic"]],
+        graph.n_persons, p=[0.85, 0.15],
+    ).astype(np.int32)
+    wide = _unindexed(graph, **{
+        name: getattr(graph, name).astype(np.int64)
+        for name in ("visit_person", "visit_location", "visit_subloc", "visit_start", "visit_end")
+    })
+    by_location = np.flatnonzero(graph.visit_location % 2 == 0)
+    for rows in (None, by_location):
+        narrow = _assert_walks_agree(graph, disease, health, rows)
+        for got, expected in zip(_assert_walks_agree(wide, disease, health.astype(np.int64), rows),
+                                 narrow):
+            assert got.tobytes() == expected.tobytes()
+
+
+@needs_ckernel
+@pytest.mark.parametrize("mix", ["no-infectious", "no-susceptible", "carrier"])
+def test_c_walk_on_degenerate_populations(small_graph, mix):
+    disease = DISEASES["carrier" if mix == "carrier" else "influenza"]
+    allowed = np.flatnonzero({
+        "no-infectious": ~disease.is_infectious,
+        "no-susceptible": ~disease.is_susceptible,
+        "carrier": (disease.is_infectious & disease.is_susceptible) | disease.is_terminal,
+    }[mix])
+    health = np.random.default_rng(5).choice(allowed, small_graph.n_persons)
+    for rows in (None, np.flatnonzero(small_graph.visit_location % 3 == 1)):
+        walked, _ = _assert_walks_agree(small_graph, disease, health, rows)
+        assert bool(walked.size) == (mix == "carrier")
+
+
+@kernels
+@pytest.mark.parametrize("bad", ["negative", "past-the-end"])
+@pytest.mark.parametrize("walk", ["c", "numpy"])
+def test_visit_rows_out_of_range_raise(small_graph, kernel, bad, walk):
+    """A ``-3`` used to wrap to a row near the end of the table and a row
+    ``>= n_visits`` died in numpy's ``IndexError``; both are one
+    ``ValueError`` on every kernel, whichever walk runs."""
+    if walk == "c" and not ckernel.available():
+        pytest.skip(f"no compiled kernel: {ckernel.build_error()}")
+    rows = np.array([-3, 0, 5]) if bad == "negative" else np.array([0, 5, small_graph.n_visits])
+    disease = DISEASES["influenza"]
+    health = np.full(small_graph.n_persons, disease.index["infectious_symptomatic"])
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="out of range"):
+        mp.setattr(ckernel, "available", lambda: walk == "c")
+        production.compute_infections(
+            rows, small_graph, health, disease, TransmissionModel(4e-3), 3, RngFactory(11),
+            kernel=kernel,
+        )
+
+
+@needs_ckernel
+@pytest.mark.parametrize("state", [-1, 99])
+def test_health_state_out_of_range_raises_in_both_c_loops(tiny_graph, state):
+    disease = DISEASES["influenza"]
+    S, I = disease.index["susceptible"], disease.index["infectious_symptomatic"]
+    health = np.where(np.arange(tiny_graph.n_persons) % 4, S, I)
+    rows, bptr, _ = ckernel.block_walk(None, tiny_graph, health, disease)
+    health[tiny_graph.visit_person[rows[0]]] = state
+    haz = np.zeros(len(disease.states) ** 2)
+    for rows_in in (None, np.arange(tiny_graph.n_visits)):
+        with pytest.raises(ValueError, match="health_state out of range"):
+            ckernel.block_walk(rows_in, tiny_graph, health, disease)
+    with pytest.raises(ValueError, match="health_state out of range"):
+        ckernel.accumulate_exposures(rows, bptr, tiny_graph, health, disease, haz)
+    with pytest.raises(ValueError, match="rows / bptr out of range"):
+        ckernel.accumulate_exposures(rows, bptr[:-1], tiny_graph, health, disease, haz)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The compiled (C-via-ctypes) exposure kernel: bit-exact or absent.
 
-The ``"compiled"`` kernel replaces the flat kernel's pair
-materialisation with a streaming C loop.  Its contract has two halves:
+The ``"compiled"`` kernel runs the location phase in C from the block
+walk to the per-``(location, person)`` slot sums, without the flat
+kernel's column gather or pair materialisation.  Its contract has two
+halves:
 
 * when a C toolchain is present, it is **bit-identical** to the
   pure-numpy kernels — same events in the same order, same minutes,
@@ -24,12 +26,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import Scenario, TransmissionModel, ckernel
+from repro.core import Scenario, TransmissionModel, ckernel, exposure, influenza_model
 from repro.core.exposure import KERNELS, compute_infections
 from repro.core.simulator import SequentialSimulator
 from repro.synthpop import PopulationConfig, generate_population
 from repro.util.rng import RngFactory
 from repro.validate.strategies import scenarios
+
+from .test_block_walk import walk_phases
 
 needs_ckernel = pytest.mark.skipif(
     not ckernel.available(),
@@ -116,6 +120,75 @@ class TestCompiledBitExact:
         assert report.all_equal, report.format()
 
 
+def _slot_sums(kernel, graph, disease, health, rows):
+    """The per-slot arrays a kernel hands ``_draw_and_emit``, touched
+    slots only, ``total_h`` as bytes."""
+    seen = []
+    real = exposure._draw_and_emit
+
+    def spy(result, keys, total_h, first_minute, pair_count, *args):
+        touched = pair_count > 0
+        seen.append((keys[touched].tolist(), total_h[touched].tobytes(),
+                     first_minute[touched].tolist(), pair_count[touched].tolist()))
+        return real(result, keys, total_h, first_minute, pair_count, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exposure, "_draw_and_emit", spy)
+        compute_infections(rows, graph, health, disease, TransmissionModel(4e-3), 3,
+                           RngFactory(11), collect_stats=True, kernel=kernel)
+    return seen
+
+
+@needs_ckernel
+@given(walk_phases())
+@settings(max_examples=300, deadline=None)
+def test_compiled_slot_sums_equal_the_flat_kernels(phase):
+    """keys, the ``total_h`` bytes, ``first_minute`` and ``pair_count``
+    of the C accumulation against the flat kernel, its definition."""
+    graph, disease, health, rows = phase
+    assert (_slot_sums("compiled", graph, disease, health, rows)
+            == _slot_sums("flat", graph, disease, health, rows))
+
+
+@needs_ckernel
+def test_compiled_slot_sums_on_a_dense_day(small_graph):
+    disease = influenza_model()
+    health = np.where(np.arange(small_graph.n_persons) % 5, disease.index["susceptible"],
+                      disease.index["infectious_symptomatic"])
+    for rows in (None, np.flatnonzero(small_graph.visit_location % 2 == 0)):
+        flat = _slot_sums("flat", small_graph, disease, health, rows)
+        assert len(flat) == 1 and len(flat[0][0]) > 50
+        assert _slot_sums("compiled", small_graph, disease, health, rows) == flat
+
+
+def test_no_kernel_means_compiled_where_the_library_loads():
+    """A spec without ``kernel`` runs the C path when the library loads
+    and ``flat`` under ``REPRO_NO_CKERNEL=1``; the spec never records it."""
+    code = (
+        "from repro import observe\n"
+        "from repro.core import ckernel\n"
+        "from repro.spec import PopulationSpec, RunSpec, execute\n"
+        "spec = RunSpec(population=PopulationSpec(kind='generated', n_persons=300, seed=3),\n"
+        "               n_days=3, seed=5, initial_infections=10)\n"
+        "assert 'kernel' not in spec.canonical()['runtime']  # None stays None\n"
+        "with observe.observing() as obs:\n"
+        "    execute(spec)\n"
+        "kernels = {s.attrs['kernel'] for s in obs.closed_spans() if s.name == 'exposure.compute'}\n"
+        "assert kernels == {'compiled' if ckernel.available() else 'flat'}, kernels\n"
+        "print(kernels.pop())\n"
+    )
+    ran = {}
+    for disabled in ("0", "1"):
+        env = dict(os.environ, REPRO_NO_CKERNEL=disabled)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        ran[disabled] = subprocess.run(
+            [sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True,
+        ).stdout.strip()
+    assert ran["1"] == "flat"  # the child checked "0" against its own available()
+    if ckernel.available():
+        assert ran["0"] == "compiled"
+
+
 def test_disabled_by_env_is_a_clean_miss():
     """REPRO_NO_CKERNEL=1 means unavailable-with-reason, not an error.
 
@@ -125,12 +198,13 @@ def test_disabled_by_env_is_a_clean_miss():
         "from repro.core import ckernel\n"
         "assert not ckernel.available()\n"
         "assert 'REPRO_NO_CKERNEL' in ckernel.build_error()\n"
-        "try:\n"
-        "    ckernel.accumulate_exposures(*[None] * 13)\n"
-        "except RuntimeError as exc:\n"
-        "    assert 'unavailable' in str(exc)\n"
-        "else:\n"
-        "    raise AssertionError('expected RuntimeError')\n"
+        "for loop, arity in ((ckernel.block_walk, 4), (ckernel.accumulate_exposures, 6)):\n"
+        "    try:\n"
+        "        loop(*[None] * arity)\n"
+        "    except RuntimeError as exc:\n"
+        "        assert 'unavailable' in str(exc)\n"
+        "    else:\n"
+        "        raise AssertionError('expected RuntimeError')\n"
     )
     env = dict(os.environ, REPRO_NO_CKERNEL="1")
     env["PYTHONPATH"] = os.pathsep.join(sys.path)

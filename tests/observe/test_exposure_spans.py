@@ -19,7 +19,9 @@ from repro.spec import PopulationSpec, RunSpec, RuntimeSpec, execute
 
 STAGES = {
     "flat": {"filter", "gather", "pairs", "sort", "reduce", "draw", "emit"},
-    "compiled": {"filter", "gather", "sort", "pairs", "reduce", "draw", "emit"},
+    # the walk, then the C accumulation straight from its rows: no
+    # column gather and no slot sort
+    "compiled": {"filter", "pairs", "reduce", "draw", "emit"},
     "grouped": {"filter", "gather", "sort", "pairs", "reduce", "draw"},
 }
 

@@ -139,7 +139,7 @@ class TestExposure:
         with observe.observing() as obs:
             traced = self._phase(small_graph, kernel)
         stages = {s.name for s in obs.closed_spans()}
-        assert {"exposure.compute", "exposure.filter", "exposure.gather"} < stages
+        assert {"exposure.compute", "exposure.filter", "exposure.pairs"} < stages
         assert len(plain.infections) > 0 and traced.infections == plain.infections
         assert traced.events == plain.events
         assert traced.interactions == plain.interactions
