@@ -3,9 +3,8 @@
 The "experiment lab" ROADMAP item 3 asked for: an epyc-style engine
 that expands parameter grids × N seeded replications into
 :class:`~repro.spec.RunSpec` tasks, executes them asynchronously over a
-persistent warm worker pool (forked processes + struct-packed pipe
-frames, reusing the :mod:`repro.smp` worker/pipe/protocol
-infrastructure patterns), with
+persistent warm worker pool (:mod:`repro.workers` processes,
+struct-packed pipe frames), with
 
 * a **content-addressed artifact cache**
   (:class:`~repro.lab.cache.ArtifactCache`): populations and
@@ -37,7 +36,7 @@ Usage::
 """
 
 from repro.lab.cache import ArtifactCache, CacheStats
-from repro.lab.pool import LabWorkerError, WorkerPool, run_specs
+from repro.lab.pool import LabWorkerError, WorkerPool
 from repro.lab.store import ResultStore
 from repro.lab.sweep import (
     ReplayResult,
@@ -55,7 +54,6 @@ __all__ = [
     "CacheStats",
     "WorkerPool",
     "LabWorkerError",
-    "run_specs",
     "ResultStore",
     "SweepConfig",
     "SweepTask",

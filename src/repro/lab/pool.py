@@ -1,11 +1,9 @@
 """Persistent warm worker pool executing RunSpecs (the lab's engine).
 
-Reuses the :mod:`repro.smp` infrastructure pattern — forked worker
-processes, one duplex pipe per worker, struct-packed frames
-(:mod:`repro.lab.protocol`), a single
-:func:`multiprocessing.connection.wait` park on the driver side with
-liveness re-checks — but where an SMP worker owns a *slice of one run*,
-a lab worker owns *whole runs*: it receives a serialised
+The processes, pipes, park and shutdown are :class:`repro.workers.Workers`,
+the runtime under :mod:`repro.smp` too; the frames are
+:mod:`repro.lab.protocol`.  Where an SMP worker owns a *slice of one
+run*, a lab worker owns *whole runs*: it receives a serialised
 :class:`~repro.spec.RunSpec`, builds its artifacts through a
 process-local :class:`~repro.lab.cache.ArtifactCache` (backed by the
 shared on-disk cache directory, so one worker's build is every
@@ -26,71 +24,53 @@ store bytes across pool sizes 1, 2 and 4.
 
 from __future__ import annotations
 
-import multiprocessing
-import time
 import traceback
-from dataclasses import dataclass
-from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 
 from repro import observe
 from repro.lab import protocol
 from repro.lab.cache import ArtifactCache
 from repro.spec import RunSpec, execute
+from repro.workers import WorkerError, Workers, encode_error, opcode
 
-__all__ = ["WorkerPool", "LabWorkerError", "run_specs"]
+__all__ = ["WorkerPool", "LabWorkerError"]
 
 
-class LabWorkerError(RuntimeError):
+class LabWorkerError(WorkerError):
     """A pool worker died or a task raised; the sweep aborted."""
 
 
-@dataclass
-class _Worker:
-    rank: int
-    process: object
-    conn: object  # driver's end of the pipe
-    busy_task: int | None = None
+def _run_task(task_id: int, spec: RunSpec, cache: ArtifactCache) -> protocol.TaskResult:
+    """Execute one spec into its result frame's fields (pooled or inline)."""
+    result = execute(spec, cache=cache)
+    return protocol.TaskResult(
+        task_id=task_id,
+        new_infections=result.new_infections,
+        prevalence=result.prevalence,
+        total_infections=result.total_infections,
+        final_histogram=result.final_histogram,
+        wall_seconds=result.wall_seconds,
+        builds=result.builds,
+        backpressure=result.backpressure_events,
+    )
 
 
 def _worker_main(rank: int, conn, cache_dir) -> None:
-    """Worker body: loop over task frames until the stop frame.
-
-    A task failure is *reported* (error frame), not fatal — the worker
-    stays alive for the next task; only a driver disconnect ends it.
-    """
+    """Worker body: one result frame per task frame, until the stop
+    frame.  A task failure is *reported* (error frame), not fatal."""
     cache = ArtifactCache(root=cache_dir)
     while True:
-        try:
-            buf = conn.recv_bytes()
-        except (EOFError, OSError):
-            break
-        if protocol.opcode(buf) == protocol.OP_STOP:
-            break
+        buf = conn.recv_bytes()
+        if opcode(buf) == protocol.OP_STOP:
+            return
         task_id, spec_json = protocol.decode_task(buf)
         try:
-            spec = RunSpec.from_json(spec_json)
-            result = execute(spec, cache=cache)
             frame = protocol.encode_result(
-                protocol.TaskResult(
-                    task_id=task_id,
-                    new_infections=result.new_infections,
-                    prevalence=result.prevalence,
-                    total_infections=result.total_infections,
-                    final_histogram=result.final_histogram,
-                    wall_seconds=result.wall_seconds,
-                    builds=result.builds,
-                    backpressure=result.backpressure_events,
-                )
+                _run_task(task_id, RunSpec.from_json(spec_json), cache)
             )
         except Exception as exc:
-            frame = protocol.encode_error(
-                task_id, repr(exc), traceback.format_exc()
-            )
-        try:
-            conn.send_bytes(frame)
-        except (BrokenPipeError, OSError):
-            break
+            frame = encode_error(task_id, repr(exc), traceback.format_exc())
+        conn.send_bytes(frame)
 
 
 class WorkerPool:
@@ -115,20 +95,12 @@ class WorkerPool:
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         #: driver-side cache; in inline mode the only cache there is
         self.cache = ArtifactCache(root=self.cache_dir)
-        self._workers: list[_Worker] = []
+        self._workers = Workers(
+            n_workers, _worker_main, (self.cache_dir,),
+            stop=protocol.encode_stop(), error=LabWorkerError,
+        ) if n_workers else None
         self._next_task = 0
         self._closed = False
-        if n_workers:
-            mp = multiprocessing.get_context("fork")
-            for rank in range(n_workers):
-                parent, child = mp.Pipe()
-                p = mp.Process(
-                    target=_worker_main, args=(rank, child, self.cache_dir),
-                    daemon=True,
-                )
-                p.start()
-                child.close()
-                self._workers.append(_Worker(rank=rank, process=p, conn=parent))
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "WorkerPool":
@@ -140,7 +112,7 @@ class WorkerPool:
     @property
     def worker_pids(self) -> list[int]:
         """Live worker process ids (tests pin warmness across batches)."""
-        return [w.process.pid for w in self._workers]
+        return [] if self._workers is None else self._workers.pids
 
     # ------------------------------------------------------------------
     def map(self, specs, progress=None) -> list[protocol.TaskResult]:
@@ -149,7 +121,8 @@ class WorkerPool:
         Tasks are dispatched one per idle worker and backfilled as
         results arrive (no static chunking — a slow grid point cannot
         starve the pool).  ``progress`` receives ``(done, total)``
-        after each completion.
+        after each completion.  A worker's death or a task's exception
+        closes the pool and raises :class:`LabWorkerError`.
         """
         specs = list(specs)
         if self._closed:
@@ -157,26 +130,18 @@ class WorkerPool:
         with observe.span(
             "lab.pool.map", tasks=len(specs), workers=self.n_workers
         ):
-            if self.n_workers == 0:
+            if self._workers is None:
                 return self._map_inline(specs, progress)
-            return self._map_pool(specs, progress)
+            try:
+                return self._map_pool(specs, progress)
+            except WorkerError:
+                self.close()
+                raise
 
     def _map_inline(self, specs, progress) -> list[protocol.TaskResult]:
         out = []
         for i, spec in enumerate(specs):
-            result = execute(spec, cache=self.cache)
-            out.append(
-                protocol.TaskResult(
-                    task_id=self._next_task + i,
-                    new_infections=result.new_infections,
-                    prevalence=result.prevalence,
-                    total_infections=result.total_infections,
-                    final_histogram=result.final_histogram,
-                    wall_seconds=result.wall_seconds,
-                    builds=result.builds,
-                    backpressure=result.backpressure_events,
-                )
-            )
+            out.append(_run_task(self._next_task + i, spec, self.cache))
             if progress is not None:
                 progress(i + 1, len(specs))
         self._next_task += len(specs)
@@ -185,100 +150,34 @@ class WorkerPool:
     def _map_pool(self, specs, progress) -> list[protocol.TaskResult]:
         base = self._next_task
         self._next_task += len(specs)
-        payloads = {
-            base + i: spec.to_json() for i, spec in enumerate(specs)
-        }
-        queue = list(payloads)  # submission order
+        queue = [(base + i, spec.to_json()) for i, spec in enumerate(specs)]
         results: dict[int, protocol.TaskResult] = {}
-        idle = list(self._workers)
-        busy: dict[int, _Worker] = {}
+        idle = list(range(self.n_workers))
+        busy: dict[int, int] = {}  # rank -> task id
 
         def dispatch() -> None:
             while queue and idle:
-                task_id = queue.pop(0)
-                worker = idle.pop(0)
-                with observe.span("lab.pool.submit", task=task_id, worker=worker.rank):
-                    worker.conn.send_bytes(
-                        protocol.encode_task(task_id, payloads[task_id])
-                    )
-                worker.busy_task = task_id
-                busy[task_id] = worker
+                (task_id, payload), rank = queue.pop(0), idle.pop(0)
+                with observe.span("lab.pool.submit", task=task_id, worker=rank):
+                    self._workers.send(rank, protocol.encode_task(task_id, payload), task_id)
+                busy[rank] = task_id
 
         dispatch()
-        while len(results) < len(specs):
-            ready = _conn_wait([w.conn for w in busy.values()], timeout=0.1)
-            if not ready:
-                self._check_liveness(busy)
-                continue
-            for conn in ready:
-                worker = next(w for w in busy.values() if w.conn is conn)
-                try:
-                    buf = conn.recv_bytes()
-                except EOFError:
-                    self._abort(worker, "died mid-task (EOF on pipe)")
-                with observe.span("lab.pool.collect", worker=worker.rank):
-                    if protocol.opcode(buf) == protocol.OP_ERROR:
-                        task_id, exc, tb = protocol.decode_error(buf)
-                        self.close()
-                        raise LabWorkerError(
-                            f"task {task_id} failed on worker "
-                            f"{worker.rank}: {exc}\n{tb}"
-                        )
+        while busy:
+            for rank, buf in self._workers.recv(busy):
+                with observe.span("lab.pool.collect", worker=rank):
                     r = protocol.decode_result(buf)
                 results[r.task_id] = r
-                del busy[r.task_id]
-                worker.busy_task = None
-                idle.append(worker)
+                del busy[rank]
+                idle.append(rank)
                 if progress is not None:
                     progress(len(results), len(specs))
             dispatch()
         return [results[base + i] for i in range(len(specs))]
 
-    def _check_liveness(self, busy) -> None:
-        for worker in list(busy.values()):
-            if not worker.process.is_alive():
-                self._abort(worker, f"died (exit code {worker.process.exitcode})")
-
-    def _abort(self, worker: _Worker, why: str):
-        task = worker.busy_task
-        self.close()
-        raise LabWorkerError(f"worker {worker.rank} {why} on task {task}")
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop every worker; idempotent."""
-        if self._closed:
-            return
         self._closed = True
-        stop = protocol.encode_stop()
-        for w in self._workers:
-            try:
-                w.conn.send_bytes(stop)
-            except (BrokenPipeError, OSError):
-                pass
-        for w in self._workers:
-            try:
-                w.conn.close()
-            except OSError:
-                pass
-            w.process.join(timeout=5.0)
-            if w.process.is_alive():  # pragma: no cover - last resort
-                w.process.terminate()
-                w.process.join(timeout=5.0)
-
-
-def run_specs(
-    specs,
-    workers: int = 0,
-    cache_dir: str | Path | None = None,
-    progress=None,
-) -> tuple[list[protocol.TaskResult], "ArtifactCache", float]:
-    """One-shot convenience: pool up, map, tear down.
-
-    Returns ``(results, driver_cache, wall_seconds)``; per-worker cache
-    activity is visible through each result's ``builds`` count.
-    """
-    t0 = time.perf_counter()
-    with WorkerPool(workers, cache_dir=cache_dir) as pool:
-        results = pool.map(specs, progress=progress)
-        return results, pool.cache, time.perf_counter() - t0
+        if self._workers is not None:
+            self._workers.close()

@@ -18,8 +18,8 @@ traffic to a byte budget.
   wall_seconds, backpressure)`` followed by the raw ``int64`` bytes of
   the per-day new-infection counts, the raw ``float64`` bytes of the
   per-day prevalence series, and the sorted-key JSON of the final
-  state histogram; or an error frame (opcode + task id + two length-
-  prefixed UTF-8 strings).
+  state histogram; or the shared error frame of :mod:`repro.workers`
+  (opcode + task id + two length-prefixed UTF-8 strings).
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.workers import claim_opcodes
+
 __all__ = [
     "OP_TASK",
     "OP_STOP",
     "OP_RESULT",
-    "OP_ERROR",
     "TASK_HEADER_NBYTES",
     "RESULT_HEADER_NBYTES",
     "TaskResult",
@@ -43,18 +44,13 @@ __all__ = [
     "encode_stop",
     "encode_result",
     "decode_result",
-    "encode_error",
-    "decode_error",
-    "opcode",
     "result_nbytes",
 ]
 
-# Disjoint from the smp.protocol opcode space so a crossed wire fails
-# loudly instead of decoding garbage.
 OP_TASK = 16
 OP_STOP = 17
 OP_RESULT = 18
-OP_ERROR = 19
+claim_opcodes(__name__, OP_TASK, OP_STOP, OP_RESULT)
 
 _TASK = struct.Struct("<qqq")  # opcode, task_id, spec_nbytes
 TASK_HEADER_NBYTES = _TASK.size  # 24
@@ -63,8 +59,6 @@ TASK_HEADER_NBYTES = _TASK.size  # 24
 #: wall_seconds, backpressure
 _RESULT = struct.Struct("<qqqqqqdq")
 RESULT_HEADER_NBYTES = _RESULT.size  # 64
-
-_ERROR = struct.Struct("<qqqq")  # opcode, task_id, len_a, len_b
 
 _WORD = 8
 
@@ -108,6 +102,7 @@ def decode_task(buf: bytes) -> tuple[int, str]:
 def encode_stop() -> bytes:
     """The pool's shutdown frame (fixed task-header layout).
 
+    >>> from repro.workers import opcode
     >>> opcode(encode_stop()) == OP_STOP
     True
     """
@@ -158,26 +153,3 @@ def decode_result(buf: bytes) -> TaskResult:
         total_infections=total, final_histogram=hist,
         wall_seconds=wall, builds=builds, backpressure=backpressure,
     )
-
-
-def encode_error(task_id: int, exc_repr: str, traceback_text: str) -> bytes:
-    """Pack a task failure (opcode + task id + two UTF-8 strings)."""
-    a = exc_repr.encode("utf-8", errors="replace")
-    b = traceback_text.encode("utf-8", errors="replace")
-    return _ERROR.pack(OP_ERROR, task_id, len(a), len(b)) + a + b
-
-
-def decode_error(buf: bytes) -> tuple[int, str, str]:
-    """Decode a task failure into ``(task_id, exc_repr, traceback)``."""
-    op, task_id, na, nb = _ERROR.unpack_from(buf)
-    if op != OP_ERROR:
-        raise ValueError(f"expected error opcode {OP_ERROR}, got {op}")
-    start = _ERROR.size
-    a = buf[start : start + na].decode("utf-8", errors="replace")
-    b = buf[start + na : start + na + nb].decode("utf-8", errors="replace")
-    return task_id, a, b
-
-
-def opcode(buf: bytes) -> int:
-    """Peek a frame's opcode without decoding the rest."""
-    return struct.unpack_from("<q", buf)[0]

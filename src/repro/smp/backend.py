@@ -32,25 +32,18 @@ timelines of real PEs.
 
 The day barrier itself is cheap by construction: commands and reports
 cross the pipes as fixed-layout struct-packed bytes
-(:mod:`repro.smp.protocol` — no pickling, no per-event tuples), and
-the driver parks in one :func:`multiprocessing.connection.wait` over
-*all* worker pipes instead of polling each one on a fixed tick, so
-barrier cost no longer scales with the worker count.
-
-Failure handling: a worker death is detected by the driver's wait
-loop (a dead worker's pipe reads as EOF, and liveness is re-checked on
-every wait timeout), which raises the shared abort flag (peers
-spinning in a completion wait exit cleanly instead of hanging) and
-raises :class:`SmpWorkerError`; the shared-memory arena is unlinked on
-every exit path.
+(:mod:`repro.smp.protocol` — no pickling, no per-event tuples).  The
+processes, the park and the failure report are :mod:`repro.workers`:
+a worker's death or error frame raises :class:`SmpWorkerError`, and the
+driver then raises the shared abort flag (peers spinning in a
+completion wait exit cleanly instead of hanging) and unlinks the
+shared-memory arena on every exit path.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
 
 import numpy as np
 
@@ -64,12 +57,16 @@ from repro.partition.quality import BipartitePartition
 from repro.smp import protocol
 from repro.smp.layout import block_partition, build_shared_state
 from repro.smp.worker import WorkerContext, worker_main
+from repro.workers import WorkerError, Workers
 
 __all__ = ["SmpSimulator", "SmpResult", "SmpWorkerError"]
 
 
-class SmpWorkerError(RuntimeError):
+class SmpWorkerError(WorkerError):
     """A worker process died or reported an exception; the run aborted."""
+
+    DIED = "worker {rank} died on day {task} (exit code {exitcode}) before reporting"
+    FAILED = "worker {rank} failed on day {task}: {exc}\n{tb}"
 
 
 @dataclass
@@ -207,29 +204,19 @@ class SmpSimulator:
     def _run(self) -> SmpResult:
         sc = self.scenario
         n = self.n_workers
-        mp = multiprocessing.get_context("fork")
         shared = build_shared_state(sc, n, self.ring_capacity)
-        procs: list = []
-        parent_conns: list = []
+        context = WorkerContext(
+            scenario=sc, shared=shared, plan=self.plan, kernel=self.kernel,
+            burst_bytes=self.burst_bytes, collect_stats=self.collect_location_stats,
+            timeout=self.timeout, fault=self._fault,
+        )
+        workers = None
         t_origin = time.perf_counter()
         try:
-            for rank in range(n):
-                parent, child = mp.Pipe()
-                ctx = WorkerContext(
-                    rank=rank, scenario=sc, shared=shared, plan=self.plan,
-                    conn=child, kernel=self.kernel,
-                    burst_bytes=self.burst_bytes,
-                    collect_stats=self.collect_location_stats,
-                    timeout=self.timeout, fault=self._fault,
-                )
-                # Fork inherits the shared mappings and the context
-                # directly — nothing is pickled, nothing re-attached.
-                p = mp.Process(target=worker_main, args=(ctx,), daemon=True)
-                p.start()
-                child.close()  # the worker keeps its inherited copy
-                procs.append(p)
-                parent_conns.append(parent)
-
+            # Fork inherits the shared mappings and the context
+            # directly — nothing is pickled, nothing re-attached.
+            workers = Workers(n, worker_main, (context,), stop=protocol.encode_stop(),
+                              error=SmpWorkerError)
             curve = EpiCurve()
             result = SimulationResult(curve=curve, final_histogram={})
             out = SmpResult(result=result, n_workers=n, wall_seconds=0.0)
@@ -249,13 +236,10 @@ class SmpSimulator:
                     day, ctx.prevalence, ctx.cumulative_attack,
                     sc.interventions.wire_state(),
                 )
-                for conn in parent_conns:
-                    conn.send_bytes(kick)
-                out.wire_bytes += len(kick) * len(parent_conns)
+                workers.broadcast(kick, day)
+                out.wire_bytes += len(kick) * n
 
-                reports = self._collect_reports(
-                    procs, parent_conns, shared, day, out
-                )
+                reports = self._collect_reports(workers, day, out)
                 self._ingest_day(
                     out, day_start, t_origin, reports, seeded, state, ctx
                 )
@@ -265,74 +249,25 @@ class SmpSimulator:
             result.final_days_remaining = state.days_remaining.copy()
             result.final_histogram = state_histogram(result.final_health_state, sc.disease)
             out.wall_seconds = time.perf_counter() - t_origin
-            stop = protocol.encode_stop()
-            for conn in parent_conns:
-                conn.send_bytes(stop)
             return out
         finally:
             shared.abort[0] = 1
-            for conn in parent_conns:
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-            for p in procs:
-                p.join(timeout=5.0)
-                if p.is_alive():  # pragma: no cover - last resort
-                    p.terminate()
-                    p.join(timeout=5.0)
+            if workers is not None:
+                workers.close()
             shared.arena.close()
 
     # ------------------------------------------------------------------
-    def _collect_reports(
-        self, procs, conns, shared, day, out: SmpResult
-    ) -> list[protocol.DayReport]:
-        """The day barrier: one ``day_done`` from every worker.
-
-        Parks in a single :func:`multiprocessing.connection.wait` over
-        every still-pending pipe (no per-worker polling tick) and
-        re-checks liveness on each wait timeout, so a dead worker
-        aborts the run — and unsticks its spinning peers via the
-        shared abort flag — instead of hanging it.
-        """
-        rank_of = {id(conn): rank for rank, conn in enumerate(conns)}
-        pending = list(conns)
-        reports: list[protocol.DayReport | None] = [None] * len(procs)
+    def _collect_reports(self, workers: Workers, day, out: SmpResult) -> list[protocol.DayReport]:
+        """The day barrier: one ``day_done`` from every worker."""
+        pending = set(range(self.n_workers))
+        reports: list[protocol.DayReport | None] = [None] * self.n_workers
         while pending:
-            ready = _conn_wait(pending, timeout=0.05)
-            for conn in ready:
-                rank = rank_of[id(conn)]
-                try:
-                    buf = conn.recv_bytes()
-                except EOFError:
-                    # A dead worker's pipe reads as EOF: same abort
-                    # path as seeing the process gone below.
-                    shared.abort[0] = 1
-                    procs[rank].join(timeout=5.0)
-                    raise SmpWorkerError(
-                        f"worker {rank} died on day {day} "
-                        f"(exit code {procs[rank].exitcode}) before reporting"
-                    ) from None
-                if protocol.opcode(buf) == protocol.OP_ERROR:
-                    shared.abort[0] = 1
-                    exc, tb = protocol.decode_error(buf)
-                    raise SmpWorkerError(
-                        f"worker {rank} failed on day {day}: {exc}\n{tb}"
-                    )
+            for rank, buf in workers.recv(pending):
                 r = protocol.decode_report(buf)
                 assert r.day == day
                 out.wire_bytes += len(buf)
                 reports[rank] = r
-                pending.remove(conn)
-            if ready:
-                continue
-            for rank, p in enumerate(procs):
-                if reports[rank] is None and not p.is_alive():
-                    shared.abort[0] = 1
-                    raise SmpWorkerError(
-                        f"worker {rank} died on day {day} "
-                        f"(exit code {p.exitcode}) before reporting"
-                    )
+                pending.discard(rank)
         return reports
 
     def _ingest_day(

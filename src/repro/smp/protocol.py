@@ -1,22 +1,19 @@
 """Fixed-layout wire protocol for the SMP day barrier (no pickle).
 
-The per-day driver↔worker pipe traffic used to be pickled tuples whose
-``day_done`` payload embedded a Python list of per-event tuples —
-O(events) tuple boxing, pickling and unpickling on *every* day of
-*every* worker, a measurable share of the SMP slowdown
-(``BENCH_smp.json`` before the fix).  This module replaces it with
-struct-packed bytes over ``Connection.send_bytes``/``recv_bytes``:
+The per-day driver↔worker pipe traffic is struct-packed bytes over
+``Connection.send_bytes``/``recv_bytes`` (pickled per-event tuples once
+cost a measurable share of the SMP run):
 
 * **downlink** (driver → worker): one fixed 32-byte command —
   ``(opcode, day, prevalence, cumulative_attack)`` — for both the
   day kick-off and the stop signal;
-* **uplink** (worker → driver): a fixed 120-byte ``day_done`` header
+* **uplink** (worker → driver): a fixed 104-byte ``day_done`` header
   (counts + the four phase-boundary clocks) followed by the raw int64
   bytes of the applied infect-event records and, when location stats
   are collected, their ``(key, count)`` pair arrays.  Arrays cross the
   pipe as ``ndarray.tobytes()`` / ``np.frombuffer`` — a length-prefixed
   memcpy, never a pickle;
-* **errors**: opcode + two UTF-8 length-prefixed strings.
+* **errors**: the shared error frame of :mod:`repro.workers`.
 
 Every message size is an explicit function of its counts
 (:func:`report_nbytes`), which is what lets the regression tests put a
@@ -30,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.workers import claim_opcodes
+
 __all__ = [
     "OP_DAY",
     "OP_STOP",
     "OP_DAY_DONE",
-    "OP_ERROR",
     "COMMAND_NBYTES",
     "REPORT_HEADER_NBYTES",
     "DayReport",
@@ -43,16 +41,13 @@ __all__ = [
     "decode_command",
     "encode_report",
     "decode_report",
-    "encode_error",
-    "decode_error",
-    "opcode",
     "report_nbytes",
 ]
 
 OP_DAY = 0
 OP_STOP = 1
 OP_DAY_DONE = 2
-OP_ERROR = 3
+claim_opcodes(__name__, OP_DAY, OP_STOP, OP_DAY_DONE)
 
 #: driver → worker: opcode, day, prevalence, cumulative_attack
 _COMMAND = struct.Struct("<qqdd")
@@ -204,26 +199,3 @@ def decode_report(buf: bytes) -> DayReport:
         clocks=(t0, t1, t2, t3), events=events,
         stats_events=stats_events, stats_interactions=stats_interactions,
     )
-
-
-def encode_error(exc_repr: str, traceback_text: str) -> bytes:
-    """Pack a worker failure (opcode + two UTF-8 strings)."""
-    a = exc_repr.encode("utf-8", errors="replace")
-    b = traceback_text.encode("utf-8", errors="replace")
-    return struct.pack("<qqq", OP_ERROR, len(a), len(b)) + a + b
-
-
-def decode_error(buf: bytes) -> tuple[str, str]:
-    """Decode a worker failure into ``(exc_repr, traceback_text)``."""
-    op, na, nb = struct.unpack_from("<qqq", buf)
-    if op != OP_ERROR:
-        raise ValueError(f"expected error opcode {OP_ERROR}, got {op}")
-    start = struct.calcsize("<qqq")
-    a = buf[start : start + na].decode("utf-8", errors="replace")
-    b = buf[start + na : start + na + nb].decode("utf-8", errors="replace")
-    return a, b
-
-
-def opcode(buf: bytes) -> int:
-    """Peek a message's opcode without decoding the rest."""
-    return struct.unpack_from("<q", buf)[0]

@@ -60,19 +60,18 @@ __all__ = ["WorkerContext", "worker_main", "WorkerAbort", "FAULT_EXIT_CODE"]
 FAULT_EXIT_CODE = 17
 
 
-class WorkerAbort(Exception):
-    """Raised inside a worker when the driver set the abort flag."""
+class WorkerAbort(EOFError):
+    """Raised inside a worker when the driver set the abort flag: like
+    EOF on the pipe, the driver is gone and the worker exits quietly."""
 
 
 @dataclass
 class WorkerContext:
-    """Everything one worker needs; built pre-fork and inherited."""
+    """Everything the workers share; built pre-fork and inherited."""
 
-    rank: int
     scenario: Any
     shared: SharedState
     plan: OwnershipPlan
-    conn: Any  # this worker's end of the driver pipe
     kernel: str | None = None
     burst_bytes: int = 2048
     collect_stats: bool = False
@@ -89,39 +88,18 @@ def _counter_pairs(counter) -> tuple[np.ndarray, np.ndarray]:
     return keys, counts
 
 
-def _maybe_fault(ctx: WorkerContext, day: int, phase: str) -> None:
+def _maybe_fault(ctx: WorkerContext, rank: int, day: int, phase: str) -> None:
     f = ctx.fault
-    if f and f["rank"] == ctx.rank and f["day"] == day and f["phase"] == phase:
+    if f and f["rank"] == rank and f["day"] == day and f["phase"] == phase:
         os._exit(FAULT_EXIT_CODE)
 
 
-def worker_main(ctx: WorkerContext) -> None:
-    """Process entry point; never raises into multiprocessing internals."""
-    try:
-        _run(ctx)
-    except (WorkerAbort, EOFError, KeyboardInterrupt):
-        pass  # driver tore the run down; exit quietly
-    except Exception as exc:  # pragma: no cover - defensive
-        import traceback
-
-        try:
-            ctx.conn.send_bytes(
-                protocol.encode_error(repr(exc), traceback.format_exc())
-            )
-        except Exception:
-            pass
-    finally:
-        try:
-            ctx.conn.close()
-        except Exception:
-            pass
-
-
-def _run(ctx: WorkerContext) -> None:
+def worker_main(rank: int, conn, ctx: WorkerContext) -> None:
+    """Process entry point under :class:`repro.workers.Workers`, which
+    reports an exception to the driver as an error frame."""
     sc = ctx.scenario
     shared = ctx.shared
     state = shared.state
-    rank = ctx.rank
     det_v = shared.visit_detector(rank)
     det_i = shared.infect_detector(rank)
     owned_persons = ctx.plan.persons[rank]
@@ -164,7 +142,7 @@ def _run(ctx: WorkerContext) -> None:
             raise WorkerAbort
 
     while True:
-        buf = ctx.conn.recv_bytes()  # the day barrier: blocks until the driver
+        buf = conn.recv_bytes()  # the day barrier: blocks until the driver
         op, day, prevalence, cumulative_attack = protocol.decode_command(buf)
         if op == protocol.OP_STOP:
             break
@@ -178,7 +156,7 @@ def _run(ctx: WorkerContext) -> None:
 
         # -- step 1: person phase (PTTS + visit filtering + send) --------
         t0 = time.perf_counter()
-        _maybe_fault(ctx, day, "person")
+        _maybe_fault(ctx, rank, day, "person")
         transitions, kept = day_steps.person_phase(
             state, sc, day_ctx, owned_persons, owned_rows
         )
@@ -193,7 +171,7 @@ def _run(ctx: WorkerContext) -> None:
         t1 = time.perf_counter()
 
         # -- step 3: location phase over owned locations' rows ------------
-        _maybe_fault(ctx, day, "location")
+        _maybe_fault(ctx, rank, day, "location")
         if recv_rows:
             rows = np.sort(np.concatenate(recv_rows))
             recv_rows.clear()
@@ -213,7 +191,7 @@ def _run(ctx: WorkerContext) -> None:
         t2 = time.perf_counter()
 
         # -- step 5: apply infect messages to owned persons ----------------
-        _maybe_fault(ctx, day, "apply")
+        _maybe_fault(ctx, rank, day, "apply")
         if recv_events:
             events = np.concatenate(recv_events).reshape(-1, INFECT_RECORD)
             recv_events.clear()
@@ -229,7 +207,7 @@ def _run(ctx: WorkerContext) -> None:
         if ctx.collect_stats:
             stats_events = _counter_pairs(phase.events)
             stats_inter = _counter_pairs(phase.interactions)
-        ctx.conn.send_bytes(
+        conn.send_bytes(
             protocol.encode_report(
                 protocol.DayReport(
                     day=day,

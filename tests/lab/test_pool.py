@@ -9,11 +9,15 @@ the :mod:`repro.smp.protocol` conventions.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from repro.lab import LabWorkerError, WorkerPool, run_specs
+from repro import workers
+from repro.lab import LabWorkerError, WorkerPool
 from repro.lab import protocol as lp
 from repro.spec import PopulationSpec, RunSpec
 
@@ -25,6 +29,11 @@ def tiny_spec(seed=0, n_days=2) -> RunSpec:
         seed=seed,
         initial_infections=4,
     )
+
+
+def _state(pid: int) -> str:
+    with open(f"/proc/{pid}/stat") as f:
+        return f.read().rsplit(")", 1)[1].split()[0]
 
 
 class TestProtocol:
@@ -58,16 +67,19 @@ class TestProtocol:
         assert (back.builds, back.backpressure) == (1, 2)
 
     def test_error_frame_roundtrip(self):
-        frame = lp.encode_error(3, "ValueError('x')", "trace\nback")
-        assert lp.opcode(frame) == lp.OP_ERROR
-        assert lp.decode_error(frame) == (3, "ValueError('x')", "trace\nback")
+        # A task failure travels in the shared error frame of repro.workers.
+        frame = workers.encode_error(3, "ValueError('x')", "trace\nback")
+        assert workers.opcode(frame) == workers.OP_ERROR
+        assert workers.decode_error(frame) == (3, "ValueError('x')", "trace\nback")
+        assert workers.opcode(lp.encode_stop()) == lp.OP_STOP
 
     def test_opcodes_disjoint_from_smp_protocol(self):
         from repro.smp import protocol as sp
 
         smp_ops = {getattr(sp, n) for n in dir(sp) if n.startswith("OP_")}
-        lab_ops = {lp.OP_TASK, lp.OP_STOP, lp.OP_RESULT, lp.OP_ERROR}
+        lab_ops = {lp.OP_TASK, lp.OP_STOP, lp.OP_RESULT}
         assert not (smp_ops & lab_ops)
+        assert workers.OP_ERROR not in smp_ops | lab_ops
 
 
 class TestWorkerPool:
@@ -88,9 +100,9 @@ class TestWorkerPool:
 
     def test_inline_mode_matches_pool_mode(self):
         specs = [tiny_spec(seed=s) for s in range(3)]
-        inline = WorkerPool(0)
-        pooled_results, _, _ = run_specs(specs, workers=2)
-        inline_results = inline.map(specs)
+        inline_results = WorkerPool(0).map(specs)
+        with WorkerPool(2) as pool:
+            pooled_results = pool.map(specs)
         for a, b in zip(inline_results, pooled_results):
             assert list(a.new_infections) == list(b.new_infections)
             assert a.final_histogram == b.final_histogram
@@ -118,6 +130,20 @@ class TestWorkerPool:
         pool.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             pool.map([tiny_spec()])
+
+    def test_idle_worker_death_raises_lab_worker_error(self):
+        # A worker SIGKILLed between two map() calls is found on the
+        # next dispatch: the runtime's error, not a bare BrokenPipeError.
+        with WorkerPool(1) as pool:
+            pool.map([tiny_spec(seed=1)])
+            pid = pool.worker_pids[0]
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while _state(pid) != "Z":  # dead, not yet reaped
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            with pytest.raises(LabWorkerError, match="exit code -9"):
+                pool.map([tiny_spec(seed=2)])
 
     def test_negative_worker_count_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,9 @@ exactly from its embedded spec.
 
 from __future__ import annotations
 
+import glob
+from dataclasses import replace
+
 import pytest
 
 from repro.lab import (
@@ -18,7 +21,7 @@ from repro.lab import (
     run_sweep,
     spec_with,
 )
-from repro.spec import PopulationSpec, RunSpec
+from repro.spec import PopulationSpec, RunSpec, RuntimeSpec
 from repro.util.rng import derive_seed
 
 
@@ -70,6 +73,18 @@ class TestPoolSizeIndependence:
         inline = (tmp_path / "inline" / "results.jsonl").read_bytes()
         pooled = (tmp_path / f"w{workers}" / "results.jsonl").read_bytes()
         assert pooled == inline
+
+    def test_smp_runs_in_a_pooled_sweep(self, tmp_path):
+        # Pool workers may fork: an smp-w2 spec runs under workers=2
+        # exactly as inline, and every shared-memory segment is unlinked.
+        base = tiny_config().base
+        cfg = tiny_config(base=replace(base, runtime=RuntimeSpec(backend="smp", workers=2)))
+        before = set(glob.glob("/dev/shm/repro-smp-*"))
+        for workers in (0, 2):
+            run_sweep(cfg, workers=workers, store_dir=tmp_path / f"w{workers}")
+        inline = (tmp_path / "w0" / "results.jsonl").read_bytes()
+        assert (tmp_path / "w2" / "results.jsonl").read_bytes() == inline
+        assert set(glob.glob("/dev/shm/repro-smp-*")) <= before
 
     def test_records_are_in_task_order_with_no_timings(self, tmp_path):
         run_sweep(tiny_config(), workers=2, store_dir=tmp_path)

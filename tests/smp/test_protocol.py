@@ -15,6 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import workers
 from repro.core import Scenario, TransmissionModel
 from repro.smp import SmpSimulator, protocol
 from repro.smp.backoff import BASE_SLEEP, MAX_SLEEP, YIELD_LAPS, Backoff
@@ -93,10 +94,11 @@ class TestReports:
         assert out.events.base is not None  # a view of the buffer, not a copy
 
     def test_opcode_peek_and_error_roundtrip(self):
-        err = protocol.encode_error("ValueError('x')", "trace\nback")
-        assert protocol.opcode(err) == protocol.OP_ERROR
-        assert protocol.decode_error(err) == ("ValueError('x')", "trace\nback")
-        assert protocol.opcode(protocol.encode_report(make_report())) \
+        # A worker failure travels in the shared error frame of repro.workers.
+        err = workers.encode_error(1, "ValueError('x')", "trace\nback")
+        assert workers.opcode(err) == workers.OP_ERROR
+        assert workers.decode_error(err) == (1, "ValueError('x')", "trace\nback")
+        assert workers.opcode(protocol.encode_report(make_report())) \
             == protocol.OP_DAY_DONE
 
 

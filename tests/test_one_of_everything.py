@@ -26,7 +26,12 @@ would have:
   ``SimulationResult``, so the oracle needs one report and one cell;
 * the word ``lexsort`` anywhere under ``core/``, docstrings included:
   the exposure walk hands the kernels their ``(location, sublocation)``
-  blocks, so no kernel sorts candidates into them again.
+  blocks, so no kernel sorts candidates into them again;
+* process management outside ``workers.py``, the one worker runtime:
+  an import of ``multiprocessing.connection`` or a ``connection.wait(``
+  (the park), or a ``Pipe(`` / ``Process(`` / ``is_alive(`` /
+  ``get_context(`` / ``Pool(`` call — except ``validate/external.py``'s
+  pickling ``Pool`` from a ``get_context``.
 """
 
 import ast
@@ -59,6 +64,18 @@ ORACLE = "validate/oracle.py"
 
 #: the package no ``lexsort`` may appear in
 SORT_FREE = "core/"
+
+#: the one module that spawns, pipes and parks worker processes
+RUNTIME = "workers.py"
+
+#: process-management call -> modules beside RUNTIME that may make it
+SPAWN_CALLS = {
+    "Pipe": set(),
+    "Process": set(),
+    "is_alive": set(),
+    "get_context": {"validate/external.py"},
+    "Pool": {"validate/external.py"},
+}
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -108,6 +125,30 @@ def _oracle_classes(tree: ast.AST) -> dict[str, list[str]]:
 def _lexsorts(source: str) -> list[int]:
     """Line numbers of ``source`` that mention ``lexsort``."""
     return [i for i, line in enumerate(source.splitlines(), 1) if "lexsort" in line]
+
+
+def _runtime_violations(tree: ast.AST, module: str):
+    """``(lineno, message)`` for process management outside RUNTIME."""
+    if module == RUNTIME:
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            parks = any(a.name == "multiprocessing.connection" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parks = node.module == "multiprocessing.connection" or (
+                node.module == "multiprocessing" and "connection" in [a.name for a in node.names]
+            )
+        else:
+            parks = False
+        if parks:
+            yield node.lineno, f"`multiprocessing.connection` imported outside {RUNTIME}"
+        if isinstance(node, ast.Call):
+            name = _called_name(node)
+            if name in SPAWN_CALLS and module not in SPAWN_CALLS[name]:
+                yield node.lineno, f"`{name}(` outside {RUNTIME}"
+            owner = getattr(node.func, "value", None)
+            if name == "wait" and "connection" in (getattr(owner, "id", None), getattr(owner, "attr", None)):
+                yield node.lineno, f"`connection.wait(` outside {RUNTIME}"
 
 
 def _modules():
@@ -236,3 +277,37 @@ def test_guard_catches_seeded_oracle_copies():
     assert [lineno for lineno, _ in flagged] == [4]
     for home in sorted(STEP_DAY_CALLERS):
         assert not list(_violations(ast.parse(private_loop), home))
+
+
+def test_worker_processes_are_managed_in_workers_only():
+    found = [
+        f"{module}:{lineno}: {message}"
+        for module, tree in _modules()
+        for lineno, message in _runtime_violations(tree, module)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_guard_catches_seeded_worker_runtimes():
+    """The runtime guard flags the spawn / park / liveness shapes that
+    ``lab/pool.py`` and ``smp/backend.py`` each had, and is not vacuous."""
+    pool_copy = (
+        "import multiprocessing\n"
+        "from multiprocessing.connection import wait as _conn_wait\n"
+        "mp = multiprocessing.get_context('fork')\n"
+        "parent, child = mp.Pipe()\n"
+        "p = mp.Process(target=_worker_main, args=(0, child), daemon=True)\n"
+        "ready = _conn_wait([parent], timeout=0.1)\n"
+        "if not ready and not p.is_alive():\n"
+        "    raise LabWorkerError('died')\n"
+    )
+    flagged = sorted(line for line, _ in _runtime_violations(ast.parse(pool_copy), "lab/pool.py"))
+    assert flagged == [2, 3, 4, 5, 7]
+    park = "from multiprocessing import connection\nconnection.wait(conns)\nmultiprocessing.connection.wait(c)\n"
+    assert sorted(line for line, _ in _runtime_violations(ast.parse(park), "smp/backend.py")) == [1, 2, 3]
+    assert not list(_runtime_violations(ast.parse(pool_copy), RUNTIME))
+    external = "ctx = multiprocessing.get_context('fork')\npool = ctx.Pool(2)\nctx.Pipe()\n"
+    assert [line for line, _ in _runtime_violations(ast.parse(external), "validate/external.py")] == [3]
+    runtime = ast.parse((SRC / RUNTIME).read_text())
+    called = {_called_name(n) for n in ast.walk(runtime) if isinstance(n, ast.Call)}
+    assert {"get_context", "Pipe", "Process", "wait"} <= called
