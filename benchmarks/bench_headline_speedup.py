@@ -20,7 +20,8 @@ from repro.analysis.speedup import lpt_location_partition
 from repro.loadmodel.workload import WorkloadModel
 from repro.partition import round_robin_partition, split_heavy_locations
 from repro.partition.quality import BipartitePartition
-from repro.synthpop import load_population, save_population, state_population
+from repro.lab import ArtifactCache
+from repro.spec import PopulationSpec
 
 from .conftest import CACHE_DIR
 
@@ -28,13 +29,8 @@ CORES = [1, 64, 360, 1440]  # 1/1000 of {64K, 360K, 1.44M}
 
 
 def _us_graph():
-    CACHE_DIR.mkdir(exist_ok=True)
-    cache = CACHE_DIR / "US_0.001_1.npz"
-    if cache.exists():
-        return load_population(cache)
-    g = state_population("US", scale=1e-3, seed=1)
-    save_population(g, cache)
-    return g
+    spec = PopulationSpec(kind="state", state="US", scale=1e-3, seed=1)
+    return ArtifactCache(root=CACHE_DIR).population(spec)
 
 
 def _lpt_provider(graph):

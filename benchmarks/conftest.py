@@ -3,7 +3,8 @@
 Every bench regenerates one of the paper's tables/figures and writes
 its series to ``benchmarks/results/<name>.txt`` (EXPERIMENTS.md indexes
 these).  Population synthesis is cached on disk under
-``benchmarks/_cache`` keyed by (state, scale, seed).
+``benchmarks/_cache`` by the lab's :class:`~repro.lab.ArtifactCache`,
+keyed by the population spec's content hash (state, scale, seed).
 
 ``REPRO_BENCH_SCALE`` multiplies every population scale (default 1.0);
 raise it on a bigger machine to push the experiments closer to paper
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.synthpop import load_population, save_population, state_population
+from repro.lab import ArtifactCache
+from repro.spec import PopulationSpec
 
 BENCH_DIR = Path(__file__).parent
 CACHE_DIR = BENCH_DIR / "_cache"
@@ -42,13 +44,8 @@ SEED = 1
 
 def _load_state(state: str) -> "PersonLocationGraph":
     scale = STATE_SCALES[state] * SCALE_MULT
-    CACHE_DIR.mkdir(exist_ok=True)
-    cache = CACHE_DIR / f"{state}_{scale:g}_{SEED}.npz"
-    if cache.exists():
-        return load_population(cache)
-    g = state_population(state, scale=scale, seed=SEED)
-    save_population(g, cache)
-    return g
+    spec = PopulationSpec(kind="state", state=state, scale=scale, seed=SEED)
+    return ArtifactCache(root=CACHE_DIR).population(spec)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 Commands
 --------
-``generate``   synthesise a population and save it (``.npz``)
+``generate``   synthesise a population and save it (a directory)
 ``info``       summarise a saved population
 ``simulate``   run the sequential simulator, print the epidemic curve
 ``run``        run a scenario on a chosen backend (seq / charm / smp)
@@ -19,6 +19,10 @@ can start from the shell and graduate to Python.  ``run``, ``simulate``,
 ``validate`` and ``sweep`` all assemble a :class:`repro.spec.RunSpec`
 first — one canonical, hashable definition of "a run", serialisable to
 JSON/TOML (``repro run --save-spec run.json`` / ``--spec run.json``).
+
+A saved population is a directory of ``.npy`` columns plus
+``header.json`` (:func:`repro.synthpop.save_population`); every command
+that takes a population path reads that format.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="synthesise a population")
-    g.add_argument("output", help="output .npz path")
+    g.add_argument("output", help="output population directory (must not exist)")
     g.add_argument("--state", default="IA", help="Table-I state code or US")
     g.add_argument("--scale", type=float, default=1e-3, help="population scale factor")
     g.add_argument("--persons", type=int, default=None,
@@ -49,10 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
 
     i = sub.add_parser("info", help="summarise a saved population")
-    i.add_argument("population", help=".npz path")
+    i.add_argument("population", help="population directory")
 
     s = sub.add_parser("simulate", help="run the sequential simulator")
-    s.add_argument("population", help=".npz path")
+    s.add_argument("population", help="population directory")
     s.add_argument("--days", type=int, default=120)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--index-cases", type=int, default=10)
@@ -73,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     r.add_argument("population", nargs="?", default=None,
-                   help=".npz path (omit with --persons to synthesise one)")
+                   help="population directory (omit with --persons to synthesise one)")
     r.add_argument("--persons", type=int, default=None,
                    help="synthesise a population of this size instead of loading one")
     r.add_argument("--backing", choices=["ram", "memmap", "auto"], default=None,
@@ -119,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario to show (with action 'show')")
 
     q = sub.add_parser("partition", help="partition a population, report quality")
-    q.add_argument("population", help=".npz path")
+    q.add_argument("population", help="population directory")
     q.add_argument("-k", type=int, default=32, help="number of partitions")
     q.add_argument("--method", choices=["rr", "gp"], default="gp")
     q.add_argument("--split", action="store_true", help="apply splitLoc first")
@@ -127,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="splitLoc threshold parameter")
 
     c = sub.add_parser("scale", help="analytic strong-scaling sweep")
-    c.add_argument("population", help=".npz path")
+    c.add_argument("population", help="population directory")
     c.add_argument("--cores", type=int, nargs="+",
                    default=[1, 16, 64, 256, 1024, 4096])
     c.add_argument("--strategy", choices=["rr", "gp-lpt"], default="gp-lpt")
@@ -275,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    from pathlib import Path
+
     from repro.synthpop import (
         PopulationConfig,
         generate_population,
@@ -282,6 +288,9 @@ def _cmd_generate(args) -> int:
         state_population,
     )
 
+    if Path(args.output).exists():
+        print(f"error: {args.output} exists; give a new path", file=sys.stderr)
+        return 2
     if args.persons is not None:
         graph = generate_population(
             PopulationConfig(n_persons=args.persons), args.seed,

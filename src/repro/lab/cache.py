@@ -16,18 +16,16 @@ sub-spec*, so:
 
 Layout under the cache root::
 
-    pop/<pop-hash>.npz           saved population (synthpop .npz format)
-    pop/<pop-hash>.d/            memmap population (directory of .npy
+    pop/<pop-hash>.d/            saved population (directory of .npy
                                  columns; loads back as read-only
                                  memmaps — constant RAM at any size)
     part/<part-hash>.npz         person/location part arrays + metadata
     part/<part-hash>.graph       pop-hash of the post-splitLoc graph
                                  (only when the partition spec splits)
 
-Streamed populations built on a memmap backing are stored in the
-directory format — an owned temp backing is *renamed* into the cache
-(zero-copy persist), and later loads memmap the columns instead of
-inflating gigabytes into RAM.
+A streamed population built on a memmap backing is *renamed* into the
+cache (zero-copy, :func:`repro.synthpop.save_population`); any other
+graph is written column by column.
 
 Writes are build-to-temp + :func:`os.replace`, so concurrent builders
 (the lab worker pool makes this routine) race benignly: both build,
@@ -38,13 +36,16 @@ Every hit and build is visible to :mod:`repro.observe` — spans named
 ``lab.pop_build`` / ``lab.part_build`` wrap real construction and
 ``lab.pop_hit`` / ``lab.part_hit`` counters mark hits, which is exactly
 what the cache tests assert on (a second identical sweep records zero
-build spans).  A partition entry that cannot be read back, or whose
-arrays do not fit the graph, counts ``lab.part_corrupt`` and is rebuilt.
+build spans).  A population entry that cannot be read back counts
+``lab.pop_corrupt``; a partition entry that cannot be read back, or
+whose arrays do not fit the graph, counts ``lab.part_corrupt``.  Either
+is rebuilt.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,53 +135,31 @@ class ArtifactCache:
         self._pops[key] = graph
         return graph
 
-    def _pop_path(self, key: str) -> Path | None:
-        return None if self.root is None else self.root / "pop" / f"{key}.npz"
-
     def _pop_dir_path(self, key: str) -> Path | None:
         return None if self.root is None else self.root / "pop" / f"{key}.d"
 
     def _load_pop(self, key: str):
-        dpath = self._pop_dir_path(key)
-        if dpath is not None and dpath.is_dir():
-            from repro.synthpop import load_population_dir
-
-            return load_population_dir(dpath, mmap=True)
-        path = self._pop_path(key)
-        if path is None or not path.exists():
+        path = self._pop_dir_path(key)
+        if path is None or not path.is_dir():
             return None
         from repro.synthpop import load_population
 
-        return load_population(path)
+        try:
+            return load_population(path)
+        except (OSError, EOFError, ValueError, KeyError):
+            # A missing, truncated or unreadable column or header: a
+            # miss.  The entry goes first, or the rebuild's save would
+            # take it for a concurrent writer's and keep it.
+            observe.counter("lab.pop_corrupt")
+            shutil.rmtree(path, ignore_errors=True)
+            return None
 
     def _store_pop(self, key: str, graph) -> None:
-        path = self._pop_path(key)
-        if path is None:
-            return
-        backing = getattr(graph, "backing", None)
-        if backing is not None and backing.kind == "memmap":
-            dpath = self._pop_dir_path(key)
-            if dpath.is_dir():
-                return
-            if backing.owned:
-                # Freshly streamed into a temp dir: rename it into the
-                # cache — no byte is copied, and the open memmaps stay
-                # valid through the move.
-                from repro.synthpop.store import write_population_header
+        path = self._pop_dir_path(key)
+        if path is not None:
+            from repro.synthpop import save_population
 
-                write_population_header(graph, backing.dir)
-                backing.persist(dpath)
-            else:
-                from repro.synthpop import save_population_dir
-
-                save_population_dir(graph, dpath)
-            return
-        from repro.synthpop import save_population
-
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp.npz")
-        save_population(graph, tmp)
-        os.replace(tmp, path)  # atomic: concurrent builders all win
+            save_population(graph, path)
 
     # -- partitions -----------------------------------------------------
     def partition(self, pop_spec: PopulationSpec, part_spec: PartitionSpec, graph):

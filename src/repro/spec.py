@@ -115,8 +115,9 @@ class PopulationSpec:
         that the SMP oracle, the kernel/scaling benchmarks and the lab
         all share (one builder, one cache key).
     ``file``
-        a saved ``.npz`` population (not content-addressable, so the
-        lab cache passes it through).
+        a population directory written by
+        :func:`repro.synthpop.save_population` (not content-addressable,
+        so the lab cache passes it through).
 
     >>> PopulationSpec(n_persons=100).build().n_persons
     100

@@ -19,6 +19,9 @@ Two generation paths share one graph type:
   a :class:`PopulationBacking` (RAM or ``np.memmap``), bounded memory
   at any population size.  See ``docs/scaling.md``.
 
+One on-disk format, a directory of ``.npy`` columns
+(:func:`save_population` / :func:`load_population`), serves both.
+
 See DESIGN.md §2 for why matching these distributions preserves the
 paper's scaling phenomena.
 """
@@ -32,12 +35,7 @@ from repro.synthpop.states import (
     state_population,
     synthetic_state_sweep,
 )
-from repro.synthpop.io import save_population, load_population
-from repro.synthpop.store import (
-    PopulationBacking,
-    load_population_dir,
-    save_population_dir,
-)
+from repro.synthpop.store import PopulationBacking, load_population, save_population
 from repro.synthpop.stream import generate_population_streamed
 
 __all__ = [
@@ -47,14 +45,12 @@ __all__ = [
     "generate_population",
     "generate_population_streamed",
     "PopulationBacking",
-    "save_population_dir",
-    "load_population_dir",
+    "save_population",
+    "load_population",
     "STATE_PRESETS",
     "StatePreset",
     "state_population",
     "synthetic_state_sweep",
     "bounded_zipf_sample",
     "pareto_attractiveness",
-    "save_population",
-    "load_population",
 ]

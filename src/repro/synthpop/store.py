@@ -1,4 +1,4 @@
-"""Population backing stores: RAM arrays or ``np.memmap`` files.
+"""Population backing stores and the one on-disk population format.
 
 The dense generator materialises every per-visit array in RAM, which
 caps population size at available memory.  A :class:`PopulationBacking`
@@ -24,6 +24,10 @@ this) and disarms the finalizer.
 The default directory for new memmap backings is
 ``$REPRO_POP_DIR`` when set, else the system temp dir.
 
+A saved population is such a directory plus a ``header.json``
+(:func:`save_population` / :func:`load_population`): the same bytes a
+memmap backing holds, so persisting a fresh backing is a rename.
+
 >>> b = PopulationBacking.create("ram")
 >>> arr = b.allocate("visit_start", (4,), np.int32)
 >>> arr[:] = 7
@@ -33,6 +37,7 @@ The default directory for new memmap backings is
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -42,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["PopulationBacking", "save_population_dir", "load_population_dir"]
+__all__ = ["PopulationBacking", "save_population", "load_population"]
 
 #: Environment variable naming the default parent directory for new
 #: memmap backings (falls back to the system temp dir).
@@ -58,6 +63,18 @@ def _default_parent() -> Path:
 
 def _remove_dir(path: Path) -> None:
     shutil.rmtree(path, ignore_errors=True)
+
+
+def _publish(src: Path, target: Path) -> None:
+    """Rename the finished directory ``src`` onto ``target``.  When a
+    concurrent writer got there first, its directory is kept (other
+    processes may have it mapped) and ``src`` is dropped."""
+    try:
+        os.replace(src, target)
+    except OSError:
+        if not target.is_dir():
+            raise
+        _remove_dir(src)
 
 
 class PopulationBacking:
@@ -143,8 +160,10 @@ class PopulationBacking:
         """Move an owned memmap directory to ``target`` and keep it.
 
         The open memmaps stay valid (file descriptors survive the
-        rename).  Falls back to a copy when ``target`` is on another
-        filesystem.  Returns the final path.
+        rename).  Copies when ``target`` is on another filesystem.  If
+        ``target`` already exists a concurrent builder won: its files
+        are kept and this backing's directory is dropped.  Returns the
+        final path.
         """
         if self.kind != "memmap":
             raise ValueError("only memmap backings can be persisted")
@@ -154,11 +173,15 @@ class PopulationBacking:
         if not self.owned:
             raise ValueError("backing does not own its directory")
         try:
-            os.replace(self.dir, target)
-        except OSError:
-            # Cross-device move: copy then drop the original.
-            shutil.copytree(self.dir, target, dirs_exist_ok=True)
-            shutil.rmtree(self.dir, ignore_errors=True)
+            _publish(self.dir, target)
+        except OSError as exc:
+            if exc.errno != errno.EXDEV:
+                raise
+            # Another filesystem: copy beside the target, then rename.
+            tmp = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+            shutil.copytree(self.dir, tmp, dirs_exist_ok=True)
+            _publish(tmp, target)
+            _remove_dir(self.dir)
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
@@ -179,41 +202,46 @@ class PopulationBacking:
 
 
 # ----------------------------------------------------------------------
-def write_population_header(graph, dir: str | Path) -> None:
-    """Write the ``header.json`` that makes a directory of column
-    ``.npy`` files loadable — used when persisting a generation
-    backing in place (rename, no copy)."""
+def _write_header(graph, dir: Path) -> None:
+    """The ``header.json`` that makes a directory of columns loadable."""
     header = {
         "format_version": 1,
         "name": graph.name,
         "n_persons": graph.n_persons,
         "n_locations": graph.n_locations,
     }
-    (Path(dir) / _HEADER_NAME).write_text(json.dumps(header, sort_keys=True))
+    (dir / _HEADER_NAME).write_text(json.dumps(header, sort_keys=True))
 
 
-def save_population_dir(graph, target: str | Path) -> Path:
+def save_population(graph, target: str | Path) -> Path:
     """Write ``graph`` as a directory of ``.npy`` files + JSON header.
 
     The column-per-file layout is what makes populations *streamable*:
     each array loads back as a read-only memmap, so opening a saved
     10M-person population costs a few pages, not gigabytes.  Writing
     goes through a temp directory + ``os.replace`` so concurrent
-    writers race benignly.
+    writers race benignly: if ``target`` already exists, it is kept.
+    A graph on an owned memmap backing (fresh from the streamed
+    generator) already holds its columns there, so its directory is
+    renamed to ``target`` instead (:meth:`PopulationBacking.persist`).
 
     >>> import tempfile
     >>> from repro.synthpop import PopulationConfig
     >>> from repro.synthpop.stream import generate_population_streamed
     >>> g = generate_population_streamed(PopulationConfig(n_persons=40), 0)
-    >>> d = save_population_dir(g, Path(tempfile.mkdtemp()) / "pop.d")
-    >>> load_population_dir(d).n_persons
+    >>> d = save_population(g, Path(tempfile.mkdtemp()) / "pop.d")
+    >>> load_population(d).n_persons
     40
     """
     target = Path(target)
+    backing = getattr(graph, "backing", None)
+    if backing is not None and backing.kind == "memmap" and backing.owned:
+        _write_header(graph, backing.dir)
+        return backing.persist(target)
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
     try:
-        write_population_header(graph, tmp)
+        _write_header(graph, tmp)
         for name, arr in _graph_columns(graph).items():
             out = np.lib.format.open_memmap(
                 tmp / f"{name}.npy", mode="w+", dtype=arr.dtype, shape=arr.shape
@@ -224,33 +252,27 @@ def save_population_dir(graph, target: str | Path) -> Path:
                 out[lo : lo + step] = arr[lo : lo + step]
             out.flush()
             del out
-        try:
-            os.replace(tmp, target)
-        except OSError:
-            if target.exists():  # concurrent writer won the race
-                shutil.rmtree(tmp, ignore_errors=True)
-            else:
-                raise
+        _publish(tmp, target)
     except Exception:
-        shutil.rmtree(tmp, ignore_errors=True)
+        _remove_dir(tmp)
         raise
     return target
 
 
-def load_population_dir(path: str | Path, mmap: bool = True):
-    """Load a population saved by :func:`save_population_dir`.
+def load_population(path: str | Path):
+    """Load a population saved by :func:`save_population`.
 
-    With ``mmap=True`` (default) every column is a read-only
-    ``np.memmap`` view — constant RAM regardless of population size.
-    The returned graph carries a non-owned backing (deleting the graph
-    never deletes a persisted artifact).
+    Every column is a read-only ``np.memmap`` view — constant RAM
+    regardless of population size.  The returned graph carries a
+    non-owned backing (deleting the graph never deletes a persisted
+    artifact).
 
     >>> import tempfile
     >>> from repro.synthpop import PopulationConfig
     >>> from repro.synthpop.stream import generate_population_streamed
     >>> g = generate_population_streamed(PopulationConfig(n_persons=30), 1)
-    >>> d = save_population_dir(g, Path(tempfile.mkdtemp()) / "p.d")
-    >>> g2 = load_population_dir(d)
+    >>> d = save_population(g, Path(tempfile.mkdtemp()) / "p.d")
+    >>> g2 = load_population(d)
     >>> g2.content_hash() == g.content_hash()
     True
     """
@@ -260,10 +282,9 @@ def load_population_dir(path: str | Path, mmap: bool = True):
     header = json.loads((path / _HEADER_NAME).read_text())
     if header.get("format_version") != 1:
         raise ValueError(
-            f"unsupported population-dir format {header.get('format_version')!r}"
+            f"unsupported population format version {header.get('format_version')!r}"
         )
-    backing = PopulationBacking("memmap" if mmap else "ram", path, owned=False)
-    mode = "r" if mmap else None
+    backing = PopulationBacking("memmap", path, owned=False)
 
     def col(name, required=True):
         f = path / f"{name}.npy"
@@ -271,8 +292,7 @@ def load_population_dir(path: str | Path, mmap: bool = True):
             if required:
                 raise ValueError(f"population dir {path} is missing {name}.npy")
             return None
-        arr = np.load(f, mmap_mode=mode)
-        return backing.adopt(name, arr)
+        return backing.adopt(name, np.load(f, mmap_mode="r"))
 
     graph = PersonLocationGraph(
         name=header["name"],

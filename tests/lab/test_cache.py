@@ -110,7 +110,7 @@ class TestKeys:
         from repro.synthpop import save_population
 
         graph = PopulationSpec(n_persons=80, seed=3).build()
-        path = tmp_path / "pop.npz"
+        path = tmp_path / "pop.d"
         save_population(graph, path)
         cache = ArtifactCache()
         spec = PopulationSpec(kind="file", path=str(path))
@@ -151,9 +151,9 @@ class TestDiskPersistence:
 
 
 class TestStreamedPopulations:
-    """Memmap-backed streamed populations persist as ``pop/<key>.d``
-    directories: the generation backing is *renamed* into the cache
-    (zero-copy), and later loads memmap the columns back."""
+    """Populations persist as ``pop/<key>.d`` directories: a memmap
+    generation backing is *renamed* into the cache (zero-copy), a RAM
+    build is written out, and later loads memmap the columns back."""
 
     def _spec(self, backing):
         return PopulationSpec(
@@ -186,11 +186,11 @@ class TestStreamedPopulations:
         assert second.stats.pop_builds == 0
         assert loaded.content_hash() == built.content_hash()
 
-    def test_ram_build_stores_npz(self, tmp_path):
+    def test_ram_build_stores_directory_artifact(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
         cache.population(self._spec("ram"))
         key = self._spec("ram").content_hash()
-        assert (tmp_path / "pop" / f"{key}.npz").exists()
+        assert sorted(p.name for p in (tmp_path / "pop").iterdir()) == [f"{key}.d"]
 
     def test_streamed_sweep_caches_clean(self, tmp_path):
         config = sweep_config(
@@ -202,6 +202,52 @@ class TestStreamedPopulations:
             run_sweep(config, workers=0, store_dir=tmp_path / "s2",
                       cache_dir=tmp_path / "cache")
         assert build_span_names(obs) == []
+
+
+class TestDamagedPopulationEntry:
+    """A ``pop/<key>.d`` that cannot be read back is a miss: counted,
+    removed, rebuilt once, and the rebuilt entry hits next time."""
+
+    POP = PopulationSpec(n_persons=150, seed=4)
+
+    def _entry(self, root):
+        return root / "pop" / f"{self.POP.content_hash()}.d"
+
+    def _reload(self, root):
+        cache = ArtifactCache(root=root)
+        with observe.observing() as obs:
+            graph = cache.population(self.POP)
+        return cache, obs, graph
+
+    def _assert_rebuilt_once_then_hits(self, root, good):
+        cache, obs, graph = self._reload(root)
+        assert cache.stats.pop_builds == 1 and cache.stats.pop_hits == 0
+        assert obs.counters.get("lab.pop_corrupt") == 1
+        assert build_span_names(obs) == ["lab.pop_build"]
+        assert graph.content_hash() == good
+        cache, obs, graph = self._reload(root)
+        assert cache.stats.pop_builds == 0 and cache.stats.pop_hits == 1
+        assert "lab.pop_corrupt" not in obs.counters
+        assert graph.content_hash() == good
+
+    @pytest.mark.parametrize("keep", [0.0, 0.05, 0.5, 0.95])
+    def test_truncated_column(self, tmp_path, keep):
+        good = ArtifactCache(root=tmp_path).population(self.POP).content_hash()
+        column = self._entry(tmp_path) / "visit_person.npy"
+        blob = column.read_bytes()
+        column.write_bytes(blob[: int(len(blob) * keep)])
+        self._assert_rebuilt_once_then_hits(tmp_path, good)
+
+    def test_missing_column(self, tmp_path):
+        good = ArtifactCache(root=tmp_path).population(self.POP).content_hash()
+        (self._entry(tmp_path) / "visit_end.npy").unlink()
+        self._assert_rebuilt_once_then_hits(tmp_path, good)
+
+    @pytest.mark.parametrize("header", ["", "{not json", "{}", '{"format_version": 1}'])
+    def test_bad_header(self, tmp_path, header):
+        good = ArtifactCache(root=tmp_path).population(self.POP).content_hash()
+        (self._entry(tmp_path) / "header.json").write_text(header)
+        self._assert_rebuilt_once_then_hits(tmp_path, good)
 
 
 class TestDamagedPartitionEntry:

@@ -111,7 +111,7 @@ class TestWorkerPool:
         bad = tiny_spec()
         bad = bad.__class__.from_dict(
             {**bad.canonical(),
-             "population": {"kind": "file", "path": "/nonexistent/pop.npz"}}
+             "population": {"kind": "file", "path": "/nonexistent/pop.d"}}
         )
         with WorkerPool(1) as pool:
             with pytest.raises(LabWorkerError, match="task 0"):

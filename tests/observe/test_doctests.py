@@ -22,7 +22,6 @@ import repro.scenarios.registry
 import repro.scenarios.spec
 import repro.synthpop.generator
 import repro.synthpop.graph
-import repro.synthpop.io
 import repro.synthpop.powerlaw
 import repro.synthpop.states
 import repro.synthpop.store
@@ -43,7 +42,6 @@ MODULES = [
     repro.scenarios.spec,
     repro.synthpop.generator,
     repro.synthpop.graph,
-    repro.synthpop.io,
     repro.synthpop.powerlaw,
     repro.synthpop.states,
     repro.synthpop.store,

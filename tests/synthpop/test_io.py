@@ -1,19 +1,14 @@
-"""Population persistence round-trips."""
+"""Population persistence round-trips (the column-directory format)."""
 
 import numpy as np
 import pytest
 
-from repro.synthpop import (
-    PopulationConfig,
-    generate_population,
-    load_population,
-    save_population,
-)
+from repro.synthpop import load_population, save_population
 
 
 class TestRoundTrip:
     def test_roundtrip_preserves_everything(self, tmp_path, tiny_graph):
-        path = tmp_path / "pop.npz"
+        path = tmp_path / "pop.d"
         save_population(tiny_graph, path)
         back = load_population(path)
         assert back.name == tiny_graph.name
@@ -26,20 +21,13 @@ class TestRoundTrip:
         ):
             np.testing.assert_array_equal(getattr(back, f), getattr(tiny_graph, f))
 
-    def test_suffix_added(self, tmp_path):
-        g = generate_population(PopulationConfig(n_persons=60), 0)
-        save_population(g, tmp_path / "x")  # numpy appends .npz
-        back = load_population(tmp_path / "x")
-        assert back.n_persons == 60
-
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_population(tmp_path / "nope.npz")
+            load_population(tmp_path / "nope.d")
 
     def test_loaded_graph_usable_in_simulation(self, tmp_path, tiny_graph):
         from repro.core import Scenario, SequentialSimulator
 
-        save_population(tiny_graph, tmp_path / "g.npz")
-        g = load_population(tmp_path / "g.npz")
+        g = load_population(save_population(tiny_graph, tmp_path / "g.d"))
         res = SequentialSimulator(Scenario(graph=g, n_days=3, seed=1)).run()
         assert res.curve.n_days == 3

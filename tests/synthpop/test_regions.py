@@ -100,8 +100,8 @@ class TestEpidemicWave:
 
 class TestPersistence:
     def test_regions_roundtrip(self, tmp_path, regional):
-        save_population(regional, tmp_path / "r.npz")
-        back = load_population(tmp_path / "r.npz")
+        back = load_population(save_population(regional, tmp_path / "r.d"))
+        assert back.content_hash() == regional.content_hash()
         np.testing.assert_array_equal(back.person_region, regional.person_region)
         np.testing.assert_array_equal(back.location_region, regional.location_region)
 

@@ -13,8 +13,8 @@ from repro.synthpop import (
     PopulationConfig,
     generate_population,
     generate_population_streamed,
-    load_population_dir,
-    save_population_dir,
+    load_population,
+    save_population,
 )
 
 
@@ -70,6 +70,23 @@ class TestBacking:
         gc.collect()
         np.testing.assert_array_equal(np.load(target / "x.npy"), [7, 7, 7, 7])
 
+    def test_persist_keeps_the_winner_of_a_race(self, tmp_path):
+        """A concurrent builder already published ``target``: its files
+        keep their bytes and inodes (others may have them mapped), and
+        the loser's directory is dropped, not copied over them."""
+        target = tmp_path / "artifact"
+        winner = PopulationBacking.create("memmap")
+        winner.allocate("x", (4,), np.int64)[:] = 7
+        winner.persist(target)
+        inode = (target / "x.npy").stat().st_ino
+        loser = PopulationBacking.create("memmap")
+        loser.allocate("x", (4,), np.int64)[:] = 1
+        loser_dir = Path(loser.dir)
+        assert loser.persist(target) == target
+        assert not loser_dir.exists() and not loser.owned
+        assert (target / "x.npy").stat().st_ino == inode
+        np.testing.assert_array_equal(np.load(target / "x.npy"), [7, 7, 7, 7])
+
     def test_persist_requires_ownership(self, tmp_path):
         (tmp_path / "pre").mkdir()
         b = PopulationBacking("memmap", tmp_path / "pre", owned=False)
@@ -85,46 +102,40 @@ class TestPopulationDir:
     def test_round_trip_dense_graph(self, tmp_path):
         # The directory format also accepts plain dense graphs.
         g = generate_population(PopulationConfig(n_persons=150), 3)
-        d = save_population_dir(g, tmp_path / "dense.d")
-        g2 = load_population_dir(d)
+        d = save_population(g, tmp_path / "dense.d")
+        g2 = load_population(d)
         assert g2.content_hash() == g.content_hash()
         assert g2.name == g.name
-
-    def test_mmap_false_loads_plain_arrays(self, tmp_path):
-        g = generate_population_streamed(PopulationConfig(n_persons=80), 2)
-        d = save_population_dir(g, tmp_path / "p.d")
-        g2 = load_population_dir(d, mmap=False)
-        assert not isinstance(g2.visit_person, np.memmap)
-        assert g2.content_hash() == g.content_hash()
+        assert isinstance(g2.visit_person, np.memmap)  # loads always map
 
     def test_regions_round_trip(self, tmp_path):
         g = generate_population_streamed(
             PopulationConfig(n_persons=120, n_regions=3), 2
         )
-        g2 = load_population_dir(save_population_dir(g, tmp_path / "r.d"))
+        g2 = load_population(save_population(g, tmp_path / "r.d"))
         np.testing.assert_array_equal(
             np.asarray(g2.person_region), np.asarray(g.person_region)
         )
 
     def test_missing_column_rejected(self, tmp_path):
         g = generate_population_streamed(PopulationConfig(n_persons=50), 0)
-        d = save_population_dir(g, tmp_path / "bad.d")
+        d = save_population(g, tmp_path / "bad.d")
         (d / "visit_start.npy").unlink()
         with pytest.raises(ValueError, match="visit_start"):
-            load_population_dir(d)
+            load_population(d)
 
     def test_bad_format_version_rejected(self, tmp_path):
         g = generate_population_streamed(PopulationConfig(n_persons=50), 0)
-        d = save_population_dir(g, tmp_path / "v.d")
+        d = save_population(g, tmp_path / "v.d")
         header = d / "header.json"
         header.write_text(header.read_text().replace('"format_version": 1', '"format_version": 99'))
         with pytest.raises(ValueError, match="format"):
-            load_population_dir(d)
+            load_population(d)
 
     def test_loaded_graph_backing_not_owned(self, tmp_path):
         g = generate_population_streamed(PopulationConfig(n_persons=50), 0)
-        d = save_population_dir(g, tmp_path / "keep.d")
-        g2 = load_population_dir(d)
+        d = save_population(g, tmp_path / "keep.d")
+        g2 = load_population(d)
         del g2
         gc.collect()
         assert d.is_dir()  # loading never claims ownership

@@ -25,8 +25,8 @@ from repro.spec import PopulationSpec, RunSpec, execute
 from repro.synthpop import (
     PopulationConfig,
     generate_population_streamed,
-    load_population_dir,
-    save_population_dir,
+    load_population,
+    save_population,
 )
 from repro.synthpop.graph import MINUTES_PER_DAY
 
@@ -162,8 +162,8 @@ class TestChunkInvariance:
 
 class TestRoundTrip:
     def test_dir_round_trip(self, tmp_path, graph):
-        d = save_population_dir(graph, tmp_path / "pop.d")
-        loaded = load_population_dir(d)
+        d = save_population(graph, tmp_path / "pop.d")
+        loaded = load_population(d)
         assert loaded.content_hash() == graph.content_hash()
         assert isinstance(loaded.visit_person, np.memmap)
 

@@ -8,22 +8,39 @@ from repro.synthpop import save_population
 
 @pytest.fixture()
 def pop_file(tmp_path, tiny_graph):
-    path = tmp_path / "pop.npz"
-    save_population(tiny_graph, path)
-    return str(path)
+    return str(save_population(tiny_graph, tmp_path / "pop.d"))
 
 
 class TestGenerate:
     def test_generate_state(self, tmp_path, capsys):
-        out = str(tmp_path / "wy.npz")
+        out = str(tmp_path / "wy.d")
         assert main(["generate", out, "--state", "WY", "--scale", "2e-4", "--seed", "3"]) == 0
         assert "wrote" in capsys.readouterr().out
-        assert (tmp_path / "wy.npz").exists()
+        assert (tmp_path / "wy.d" / "header.json").exists()
 
     def test_generate_explicit_persons(self, tmp_path, capsys):
-        out = str(tmp_path / "c.npz")
+        out = str(tmp_path / "c.d")
         assert main(["generate", out, "--persons", "150"]) == 0
         assert "150 people" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("existing", ["dir", "file"])
+    def test_generate_refuses_an_existing_path(self, tmp_path, capsys, existing):
+        from repro.synthpop import load_population
+
+        out = tmp_path / "old.d"
+        if existing == "dir":
+            assert main(["generate", str(out), "--persons", "120"]) == 0
+            before = load_population(out).content_hash()
+        else:
+            out.write_text("keep me")
+        capsys.readouterr()
+        assert main(["generate", str(out), "--persons", "150", "--seed", "9"]) == 2
+        captured = capsys.readouterr()
+        assert "exists" in captured.err and "wrote" not in captured.out
+        if existing == "dir":
+            assert load_population(out).content_hash() == before
+        else:
+            assert out.read_text() == "keep me"
 
 
 class TestInfo:

@@ -1,6 +1,6 @@
 """Repository hygiene: generated artefacts must never be committed.
 
-``benchmarks/_cache/*.npz`` (synthesised-population caches) and
+``benchmarks/_cache/`` (the benchmarks' population cache) and
 ``__pycache__`` bytecode once crept into the tree; this guard keeps
 the git index free of machine-generated files.  It asks git for the
 tracked file list, so it is a no-op (skipped) outside a git checkout.

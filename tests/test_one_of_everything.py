@@ -31,7 +31,11 @@ would have:
   an import of ``multiprocessing.connection`` or a ``connection.wait(``
   (the park), or a ``Pipe(`` / ``Process(`` / ``is_alive(`` /
   ``get_context(`` / ``Pool(`` call — except ``validate/external.py``'s
-  pickling ``Pool`` from a ``get_context``.
+  pickling ``Pool`` from a ``get_context``;
+* a second on-disk population format: ``open_memmap(`` outside
+  ``synthpop/store.py`` (the column-directory format), and an
+  ``np.savez`` / ``np.savez_compressed`` call anywhere but
+  ``core/checkpoint.py`` and ``lab/cache.py``'s partition entries.
 """
 
 import ast
@@ -75,6 +79,16 @@ SPAWN_CALLS = {
     "is_alive": set(),
     "get_context": {"validate/external.py"},
     "Pool": {"validate/external.py"},
+}
+
+#: the one module that writes population columns
+POPULATION_FORMAT = "synthpop/store.py"
+
+#: on-disk writer call -> the modules that may make it
+WRITERS = {
+    "open_memmap": {POPULATION_FORMAT},
+    "savez": {"core/checkpoint.py", "lab/cache.py"},
+    "savez_compressed": {"core/checkpoint.py", "lab/cache.py"},
 }
 
 
@@ -149,6 +163,15 @@ def _runtime_violations(tree: ast.AST, module: str):
             owner = getattr(node.func, "value", None)
             if name == "wait" and "connection" in (getattr(owner, "id", None), getattr(owner, "attr", None)):
                 yield node.lineno, f"`connection.wait(` outside {RUNTIME}"
+
+
+def _writer_violations(tree: ast.AST, module: str):
+    """``(lineno, message)`` for every on-disk writer outside its home."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _called_name(node)
+            if name in WRITERS and module not in WRITERS[name]:
+                yield node.lineno, f"`{name}(` outside {', '.join(sorted(WRITERS[name]))}"
 
 
 def _modules():
@@ -311,3 +334,33 @@ def test_guard_catches_seeded_worker_runtimes():
     runtime = ast.parse((SRC / RUNTIME).read_text())
     called = {_called_name(n) for n in ast.walk(runtime) if isinstance(n, ast.Call)}
     assert {"get_context", "Pipe", "Process", "wait"} <= called
+
+
+def test_one_population_format():
+    found = [
+        f"{module}:{lineno}: {message}"
+        for module, tree in _modules()
+        for lineno, message in _writer_violations(tree, module)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_guard_catches_seeded_population_formats():
+    """The writer guard flags the ``.npz`` population format that
+    ``synthpop/io.py`` was, a column writer outside the store, and is
+    not vacuous."""
+    npz_format = (
+        "def save_population(graph, path):\n"
+        "    arrays = dict(visit_person=graph.visit_person)\n"
+        "    np.savez_compressed(path, **arrays)\n"
+        "    np.savez(path, **arrays)\n"
+    )
+    assert [line for line, _ in _writer_violations(ast.parse(npz_format), "synthpop/io.py")] == [3, 4]
+    columns = "out = np.lib.format.open_memmap(tmp / 'x.npy', mode='w+', dtype=d, shape=s)\n"
+    assert [line for line, _ in _writer_violations(ast.parse(columns), "lab/cache.py")] == [1]
+    assert not list(_writer_violations(ast.parse(columns), POPULATION_FORMAT))
+    assert not list(_writer_violations(ast.parse(npz_format), "core/checkpoint.py"))
+    for module, name in ((POPULATION_FORMAT, "open_memmap"), ("core/checkpoint.py", "savez_compressed"),
+                         ("lab/cache.py", "savez_compressed")):
+        tree = ast.parse((SRC / module).read_text())
+        assert name in {_called_name(n) for n in ast.walk(tree) if isinstance(n, ast.Call)}
