@@ -111,17 +111,26 @@ int64_t repro_block_walk(
     uint8_t *mark, int64_t *rows, int64_t *bptr, int64_t *out)
 {
     int64_t *blocks = bptr + 1, n_walked = 0, walked = 0, n = 0, n_active = 0;
-    for (int64_t i = 0; i < (visit_rows ? n_rows : n_persons); ++i) {
-        const int64_t s = state_of(col, width, n_persons, n_states,
-                                   visit_rows ? COL(PERSON, visit_rows[i]) : i);
-        if (s < 0) return -s;
-        if (!(role[s] & INF)) continue;
-        for (int64_t r = visit_rows ? visit_rows[i] : person_ptr[i],
-             end = visit_rows ? r + 1 : person_ptr[i + 1]; r < end; ++r, ++walked) {
-            const int64_t b = sub_off[COL(LOCATION, r)] + COL(SUBLOC, r);
-            if (!mark[b]) mark[b] = 1, blocks[n_walked++] = b;
-        }
+#define WALK(r0, r1) /* mark the blocks of carrier rows [r0, r1) */ \
+    for (int64_t r = (r0), end = (r1); r < end; ++r, ++walked) { \
+        const int64_t b = sub_off[COL(LOCATION, r)] + COL(SUBLOC, r); \
+        if (!mark[b]) mark[b] = 1, blocks[n_walked++] = b; \
     }
+#define SCAN(T) /* every person: health_state typed as it lies */ \
+    for (int64_t i = 0; i < n_persons; ++i) { \
+        const T s = ((const T *)col[HEALTH])[i]; \
+        if ((uint64_t)s >= (uint64_t)n_states) return 2; \
+        if (role[s] & INF) WALK(person_ptr[i], person_ptr[i + 1]) \
+    }
+    if (!visit_rows && width[HEALTH] == 8) SCAN(int64_t)
+    else if (!visit_rows) SCAN(int32_t)
+    else for (int64_t i = 0; i < n_rows; ++i) {
+        const int64_t s = state_of(col, width, n_persons, n_states, COL(PERSON, visit_rows[i]));
+        if (s < 0) return -s;
+        if (role[s] & INF) WALK(visit_rows[i], visit_rows[i] + 1)
+    }
+#undef SCAN
+#undef WALK
     qsort(blocks, n_walked, sizeof *blocks, by_value);
     bptr[0] = 0;
     for (int64_t i = 0; i < n_walked; ++i) {

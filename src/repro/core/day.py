@@ -183,11 +183,19 @@ class OwnershipPlan:
 # ----------------------------------------------------------------------
 def prevalence(state: EpidemicState, scenario: Scenario) -> float:
     """Fraction of persons currently infected: ever infected, not
-    susceptible any more, not yet settled into a terminal state."""
+    susceptible any more, not yet settled into a terminal state.
+
+    Counts the ever-infected persons per state, so a day costs what they
+    cost plus one mask scan; ``ValueError`` if one's state is out of range.
+    """
     d = scenario.disease
-    infected_now = state.ever_infected & (state.health_state != d.susceptible_index)
-    infected_now &= ~d.is_terminal[state.health_state]
-    return float(infected_now.sum()) / max(1, scenario.graph.n_persons)
+    infected = state.health_state[state.ever_infected]
+    if infected.size and (infected.min() < 0 or infected.max() >= d.n_states):
+        raise ValueError("health_state out of range")
+    per_state = np.bincount(infected, minlength=d.n_states)
+    counted = ~d.is_terminal
+    counted[d.susceptible_index] = False
+    return float(per_state[counted].sum()) / max(1, scenario.graph.n_persons)
 
 
 def day_context(
@@ -226,7 +234,8 @@ def open_day(state: EpidemicState, scenario: Scenario, day: int) -> tuple[DayCon
         state.seeded = True
     ctx = day_context(
         state, scenario, day,
-        prevalence(state, scenario), float(state.ever_infected.mean()),
+        prevalence(state, scenario),
+        np.count_nonzero(state.ever_infected) / state.ever_infected.size,
     )
     scenario.interventions.update_treatments(ctx)
     return ctx, seeded
@@ -294,8 +303,10 @@ def location_phase(
     state: EpidemicState, scenario: Scenario, day: int, rows: np.ndarray | None,
     kernel: str | None = None, collect_stats: bool = False,
 ) -> LocationPhaseResult:
-    """Step 3 over visit ``rows``: ascending, distinct, whole locations
-    (``ValueError`` otherwise); None = every visit of the graph."""
+    """Step 3 over visit ``rows`` (None = every visit of the graph):
+    ascending, distinct and in range (``ValueError`` otherwise).  The
+    caller owes whole locations, as :func:`compute_infections` states:
+    a person's hazards add per location, and nothing checks that."""
     return compute_infections(
         rows, scenario.graph, state.health_state, scenario.disease,
         scenario.transmission, day, scenario.rng_factory,

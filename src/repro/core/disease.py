@@ -367,8 +367,8 @@ class DiseaseModel:
         """
         if subset is None:
             live = remaining != FOREVER
-            remaining[live] -= 1
-            due = np.flatnonzero(live & (remaining <= 0))
+            np.subtract(remaining, 1, out=remaining, where=live)
+            due = np.flatnonzero(remaining <= 0)  # FOREVER > 0: only live timers
         else:
             subset = np.asarray(subset, dtype=np.int64)
             live = subset[remaining[subset] != FOREVER]

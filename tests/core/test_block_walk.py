@@ -358,10 +358,11 @@ def test_visit_rows_out_of_range_raise(small_graph, kernel, bad, walk):
 
 @needs_ckernel
 @pytest.mark.parametrize("state", [-1, 99])
-def test_health_state_out_of_range_raises_in_both_c_loops(tiny_graph, state):
+@pytest.mark.parametrize("dtype", ["int32", "int64"])  # initial_health's, and widened
+def test_health_state_out_of_range_raises_in_both_c_loops(tiny_graph, dtype, state):
     disease = DISEASES["influenza"]
     S, I = disease.index["susceptible"], disease.index["infectious_symptomatic"]
-    health = np.where(np.arange(tiny_graph.n_persons) % 4, S, I)
+    health = np.where(np.arange(tiny_graph.n_persons) % 4, S, I).astype(dtype)
     rows, bptr, _ = ckernel.block_walk(None, tiny_graph, health, disease)
     health[tiny_graph.visit_person[rows[0]]] = state
     haz = np.zeros(len(disease.states) ** 2)

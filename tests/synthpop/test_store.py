@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import gc
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +89,55 @@ class TestBacking:
         assert not loser_dir.exists() and not loser.owned
         assert (target / "x.npy").stat().st_ino == inode
         np.testing.assert_array_equal(np.load(target / "x.npy"), [7, 7, 7, 7])
+
+    @staticmethod
+    def _exdev_once(monkeypatch):
+        """Make the next ``os.replace`` fail as a rename across
+        filesystems does; returns the list of attempted sources."""
+        real, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(Path(src))
+            if len(calls) == 1:
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        return calls
+
+    def test_persist_copies_across_filesystems(self, tmp_path, monkeypatch):
+        g = generate_population_streamed(PopulationConfig(n_persons=80), 4, backing="memmap")
+        source, digest = Path(g.backing.dir), g.content_hash()
+        calls = self._exdev_once(monkeypatch)
+        target = save_population(g, tmp_path / "pop.d")
+        assert calls[0] == source and len(calls) == 2  # the rename, then the copy's
+        assert load_population(target).content_hash() == digest
+        assert not source.exists() and not g.backing.owned
+        assert not list(tmp_path.glob(".pop.d.*"))
+
+    def test_persist_across_filesystems_keeps_the_winner_of_a_race(self, tmp_path, monkeypatch):
+        """A concurrent writer publishes ``target`` while the copy runs."""
+        target = tmp_path / "artifact"
+        winner = PopulationBacking.create("memmap")
+        winner.allocate("x", (4,), np.int64)[:] = 7
+        inode = (Path(winner.dir) / "x.npy").stat().st_ino
+        loser = PopulationBacking.create("memmap")
+        loser.allocate("x", (4,), np.int64)[:] = 1
+        loser_dir = Path(loser.dir)
+        real_copytree = shutil.copytree
+
+        def copy_and_lose(src, dst, **kwargs):
+            real_copytree(src, dst, **kwargs)
+            winner.persist(target)
+
+        calls = self._exdev_once(monkeypatch)
+        monkeypatch.setattr(shutil, "copytree", copy_and_lose)
+        assert loser.persist(target) == target
+        assert len(calls) == 3  # the loser's rename, the winner's, the loser's copy
+        assert not loser_dir.exists() and not loser.owned
+        assert (target / "x.npy").stat().st_ino == inode
+        np.testing.assert_array_equal(np.load(target / "x.npy"), [7, 7, 7, 7])
+        assert not list(tmp_path.glob(".artifact.*"))
 
     def test_persist_requires_ownership(self, tmp_path):
         (tmp_path / "pre").mkdir()
