@@ -66,8 +66,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "build_error", "block_walk", "accumulate_exposures", "keyed_raw",
-           "block_index", "cache_dir"]
+__all__ = ["available", "build_error", "checked_masks", "block_walk", "accumulate_exposures",
+           "keyed_raw", "block_index", "cache_dir"]
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -99,51 +99,47 @@ static int by_value(const void *a, const void *b)
 }
 
 /* exposure._numpy_walk: candidate rows block-major, bptr over the active
- * blocks, out = {candidates, active blocks, walked rows}.  visit_rows is
- * NULL (every visit) or ascending, distinct, in range; mark is zeroed,
- * one byte per block.  bptr + 1 holds the sorted walked blocks until
- * overwritten: block i is read before bptr[i + 1] can be written.
+ * blocks, out = {candidates, active blocks, walked rows}.  owned (per
+ * location) and removed (per visit row) are NULL or byte masks: carrier
+ * rows unowned or removed mark no block, removed rows are no candidates.
+ * mark is zeroed, one byte per block.  bptr + 1 holds the sorted walked
+ * blocks until overwritten: block i is read before bptr[i + 1] can be.
  * Returns 0, or 1 / 2 for a person id / health state out of range. */
 int64_t repro_block_walk(
-    int64_t n_rows, const int64_t *visit_rows, const void *const *col, const int64_t *width,
+    const void *const *col, const int64_t *width,
     int64_t n_persons, const int64_t *person_ptr, const int64_t *sub_off,
     const int64_t *index, const int64_t *ptr, const uint8_t *role, int64_t n_states,
+    const uint8_t *owned, const uint8_t *removed,
     uint8_t *mark, int64_t *rows, int64_t *bptr, int64_t *out)
 {
     int64_t *blocks = bptr + 1, n_walked = 0, walked = 0, n = 0, n_active = 0;
-#define WALK(r0, r1) /* mark the blocks of carrier rows [r0, r1) */ \
+#define WALK(r0, r1, SKIP) /* mark the blocks of carrier rows [r0, r1) */ \
     for (int64_t r = (r0), end = (r1); r < end; ++r, ++walked) { \
-        const int64_t b = sub_off[COL(LOCATION, r)] + COL(SUBLOC, r); \
-        if (!mark[b]) mark[b] = 1, blocks[n_walked++] = b; \
+        const int64_t l = COL(LOCATION, r), b = sub_off[l] + COL(SUBLOC, r); \
+        if (!(SKIP) && !mark[b]) mark[b] = 1, blocks[n_walked++] = b; \
     }
-#define SCAN(T) /* every person: health_state typed as it lies */ \
+#define SCAN(T, SKIP) /* every person: health_state typed as it lies */ \
     for (int64_t i = 0; i < n_persons; ++i) { \
         const T s = ((const T *)col[HEALTH])[i]; \
         if ((uint64_t)s >= (uint64_t)n_states) return 2; \
-        if (role[s] & INF) WALK(person_ptr[i], person_ptr[i + 1]) \
+        if (role[s] & INF) WALK(person_ptr[i], person_ptr[i + 1], SKIP) \
     }
-    if (!visit_rows && width[HEALTH] == 8) SCAN(int64_t)
-    else if (!visit_rows) SCAN(int32_t)
-    else for (int64_t i = 0; i < n_rows; ++i) {
-        const int64_t s = state_of(col, width, n_persons, n_states, COL(PERSON, visit_rows[i]));
-        if (s < 0) return -s;
-        if (role[s] & INF) WALK(visit_rows[i], visit_rows[i] + 1)
-    }
+#define MASKED ((owned && !owned[l]) || (removed && removed[r]))
+    if (!owned && !removed) { /* no mask test in the loop */
+        if (width[HEALTH] == 8) SCAN(int64_t, 0) else SCAN(int32_t, 0)
+    } else if (width[HEALTH] == 8) SCAN(int64_t, MASKED) else SCAN(int32_t, MASKED)
+#undef MASKED
 #undef SCAN
 #undef WALK
     qsort(blocks, n_walked, sizeof *blocks, by_value);
     bptr[0] = 0;
     for (int64_t i = 0; i < n_walked; ++i) {
         const int64_t b = blocks[i], first = n;
-        int64_t lo = 0, sus = 0;
+        int64_t sus = 0;
         walked += ptr[b + 1] - ptr[b];
         for (int64_t k = ptr[b]; k < ptr[b + 1]; ++k) {
             const int64_t r = index[k];
-            for (int64_t hi = visit_rows ? n_rows : 0; lo < hi;) { /* r ascends: search on */
-                const int64_t mid = lo + (hi - lo) / 2;
-                if (visit_rows[mid] < r) lo = mid + 1; else hi = mid;
-            }
-            if (visit_rows && (lo == n_rows || visit_rows[lo] != r)) continue;
+            if (removed && removed[r]) continue;
             const int64_t s = state_of(col, width, n_persons, n_states, COL(PERSON, r));
             if (s < 0) return -s;
             if (role[s]) rows[n++] = r, sus |= role[s] & SUS;
@@ -523,7 +519,7 @@ def _load() -> ctypes.CDLL | bool:
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
         fn = lib.repro_block_walk
         fn.restype = i64
-        fn.argtypes = [i64, ptr, ptr, _I64, i64, _I64, _I64, _I64, _I64, _U8, i64,
+        fn.argtypes = [ptr, _I64, i64, _I64, _I64, _I64, _I64, _U8, i64, ptr, ptr,
                        _U8, _I64, _I64, _I64]
         fn = lib.repro_accumulate_exposures
         fn.restype = i64
@@ -584,21 +580,32 @@ def _check(code: int) -> None:
         raise ValueError(("visit_person", "health_state", "rows / bptr")[code - 1] + " out of range")
 
 
-def block_walk(visit_rows, graph, health_state, disease):
+def checked_masks(graph, owned, removed):
+    """``[owned, removed]`` as the walks index them: each None or a
+    contiguous bool mask of ``n_locations`` / ``n_visits`` entries;
+    ``ValueError`` on another length or dtype, before any loop reads one."""
+    masks = []
+    for name, mask, n in (("owned", owned, graph.n_locations), ("removed", removed, graph.n_visits)):
+        if mask is not None and (np.asarray(mask).dtype != np.bool_ or np.shape(mask) != (n,)):
+            raise ValueError(f"{name} must be a bool mask of {n} entries")
+        masks.append(None if mask is None else np.ascontiguousarray(mask))
+    return masks
+
+
+def block_walk(graph, health_state, disease, owned=None, removed=None):
     """``(rows, bptr, walk_rows)`` of ``repro.core.exposure._numpy_walk``
-    (the definition) by one C pass.  ``visit_rows`` is None or
-    ascending, distinct and in range (the caller checks)."""
+    (the definition) by one C pass; ``owned`` / ``removed`` as
+    :func:`checked_masks` takes them."""
     lib = _loaded()
+    owned, removed = checked_masks(graph, owned, removed)
     index, ptr, sub_off = graph.block_visit_index()
     keep_alive, col, width, role = _phase_args(graph, health_state, disease)
-    visit_rows = None if visit_rows is None else np.ascontiguousarray(visit_rows, dtype=np.int64)
-    cap = graph.n_visits if visit_rows is None else visit_rows.size  # rows ⊆ the handed-in rows
-    rows, out = np.empty(cap, dtype=np.int64), np.empty(3, dtype=np.int64)
-    bptr = np.empty(min(cap, ptr.size - 1) + 1, dtype=np.int64)
+    rows, out = np.empty(graph.n_visits, dtype=np.int64), np.empty(3, dtype=np.int64)
+    bptr = np.empty(min(graph.n_visits, ptr.size - 1) + 1, dtype=np.int64)
     _check(lib.repro_block_walk(
-        cap, None if visit_rows is None else visit_rows.ctypes.data, col, width,
-        graph.n_persons, graph.person_visit_slices(), sub_off, index, ptr, role,
-        role.size, np.zeros(ptr.size - 1, dtype=np.uint8), rows, bptr, out,
+        col, width, graph.n_persons, graph.person_visit_slices(), sub_off, index, ptr, role,
+        role.size, *(None if m is None else m.ctypes.data for m in (owned, removed)),
+        np.zeros(ptr.size - 1, dtype=np.uint8), rows, bptr, out,
     ))
     n, n_active, walk_rows = out.tolist()
     return rows[:n], bptr[:n_active + 1], walk_rows

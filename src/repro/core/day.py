@@ -1,8 +1,8 @@
 """The six-step day (paper §II-B, Figure 1) — written once.
 
-A day is an *algorithm*; a backend only decides who owns which rows and
-how records move.  This module holds the algorithm as plain functions
-over one struct-of-arrays (:class:`EpidemicState`):
+A day is an *algorithm*; a backend only decides who owns which persons
+and locations and how records move.  This module holds the algorithm as
+plain functions over one struct-of-arrays (:class:`EpidemicState`):
 
 * **central steps** — run once per day by whoever drives the run (the
   sequential loop, the charm ``_Driver`` through ``prepare_day`` /
@@ -10,11 +10,12 @@ over one struct-of-arrays (:class:`EpidemicState`):
   on the first call → :func:`prevalence` → cumulative attack →
   :func:`day_context` → ``update_treatments``) and :func:`close_day`
   (``post_apply`` → :func:`prevalence` → :class:`DayResult`);
-* **owned steps** — run over a set of persons / visit rows (the
-  sequential loop over everything, a ``_PersonManager`` /
-  ``_LocationManager`` chare or an smp worker over what it owns):
+* **owned steps** — run over what an owner owns (the sequential loop
+  over everything, a ``_PersonManager`` / ``_LocationManager`` chare or
+  an smp worker over its share): persons and their visit rows for
   :func:`person_phase` (= :func:`advance_persons` then
-  :func:`filter_visits`), :func:`location_phase`, :func:`apply_phase`.
+  :func:`filter_visits`) and :func:`apply_phase`, a location mask for
+  :func:`location_phase`.
 
 Every call of ``DayContext(…)``, ``advance_day``, ``visit_mask``,
 ``update_treatments``, ``compute_infections``, ``disease.infect`` and
@@ -30,12 +31,15 @@ Why the three backends stay bit-identical to what each ran before
    these calls, never reorder them.  ``tests/core/day_loop_reference.py``
    keeps the previous sequential loop verbatim as the oracle.
 2. **Owned subsets.**  Draws are keyed by ``(day, person)`` /
-   ``(day, location, person)``, and ``advance_day(subset=…)``,
-   ``visit_mask(ctx, rows)`` and ``compute_infections(rows)`` over a
-   disjoint cover equal the whole-population calls (the contract those
-   functions already state), so *persons* / *rows* only select work.
+   ``(day, location, person)``, and ``advance_day(subset=…)`` and
+   ``visit_mask(ctx, rows)`` over disjoint persons / rows, and
+   ``compute_infections(owned=…)`` over disjoint **location masks**,
+   equal the whole-population calls, so ownership only selects work.
+   The location phase also takes the day's **removed-visit mask** (the
+   rows ``visit_mask`` dropped, written by their owners): no owner
+   lists or sorts visit rows.
 3. **Charges and frames.**  The functions return the counts
-   (``n_transitions``, surviving rows, :class:`LocationPhaseResult`)
+   (``n_transitions``, the keep mask, :class:`LocationPhaseResult`)
    the charm chares turn into virtual time with the float expressions
    they always used, and the smp workers pack into the same report
    frames (infect records already are the wire's int64 rows), so
@@ -147,8 +151,9 @@ class PhaseTimes:
 @dataclass
 class OwnershipPlan:
     """Who owns what: persons (and their visit rows) per PersonManager,
-    locations per LocationManager — chares on the simulated runtime,
-    the two halves of a worker process on smp."""
+    locations per LocationManager (``location_owner == lm`` is the mask
+    :func:`location_phase` takes) — chares on the simulated runtime, the
+    two halves of a worker process on smp."""
 
     #: person id -> owning PersonManager
     person_owner: np.ndarray
@@ -158,13 +163,10 @@ class OwnershipPlan:
     persons: list[np.ndarray]
     #: per PersonManager: visit rows of its persons (ascending)
     visit_rows: list[np.ndarray]
-    #: per LocationManager: owned location ids (ascending)
-    locations: list[np.ndarray]
 
     @classmethod
     def build(
-        cls, graph, person_owner: np.ndarray, location_owner: np.ndarray,
-        n_pm: int, n_lm: int,
+        cls, graph, person_owner: np.ndarray, location_owner: np.ndarray, n_pm: int
     ) -> "OwnershipPlan":
         person_owner = person_owner.astype(np.int64, copy=False)
         location_owner = location_owner.astype(np.int64, copy=False)
@@ -174,7 +176,6 @@ class OwnershipPlan:
             location_owner=location_owner,
             persons=[np.flatnonzero(person_owner == c) for c in range(n_pm)],
             visit_rows=[np.flatnonzero(row_owner == c) for c in range(n_pm)],
-            locations=[np.flatnonzero(location_owner == c) for c in range(n_lm)],
         )
 
 
@@ -277,14 +278,11 @@ def advance_persons(
 def filter_visits(
     scenario: Scenario, ctx: DayContext, rows: np.ndarray | None = None
 ) -> np.ndarray | None:
-    """Step 1b: the visit ``rows`` (None = every visit) that survive the
-    interventions, ascending — or None for "every visit of the graph
-    happens today" when ``rows`` was None and none was removed, so the
-    sequential day never lists all rows."""
+    """Step 1b: the interventions' keep mask over the visit ``rows``
+    (None = every visit), or None when every one of them happens today
+    — the day with no intervention active builds no per-row array."""
     keep = scenario.interventions.visit_mask(ctx, rows)
-    if rows is None:
-        return None if keep.all() else np.flatnonzero(keep)
-    return rows[keep]
+    return None if keep.all() else keep
 
 
 def person_phase(
@@ -293,24 +291,24 @@ def person_phase(
 ) -> tuple[int, np.ndarray | None]:
     """Step 1 for ``persons`` and their visit ``rows`` (None = everyone):
     :func:`advance_persons` then :func:`filter_visits`; returns
-    ``(n_transitions, surviving visit rows)``.  Charm calls the two
-    apart: one advance over everyone a day, then a filter per PM."""
+    ``(n_transitions, keep mask over rows or None)``.  Charm calls the
+    two apart: one advance over everyone a day, then a filter per PM."""
     changed = advance_persons(state, scenario, ctx, persons)
     return int(changed.size), filter_visits(scenario, ctx, rows)
 
 
 def location_phase(
-    state: EpidemicState, scenario: Scenario, day: int, rows: np.ndarray | None,
+    state: EpidemicState, scenario: Scenario, day: int,
+    owned: np.ndarray | None = None, removed: np.ndarray | None = None,
     kernel: str | None = None, collect_stats: bool = False,
 ) -> LocationPhaseResult:
-    """Step 3 over visit ``rows`` (None = every visit of the graph):
-    ascending, distinct and in range (``ValueError`` otherwise).  The
-    caller owes whole locations, as :func:`compute_infections` states:
-    a person's hazards add per location, and nothing checks that."""
+    """Step 3 over the ``owned`` locations (bool mask, None = all) and
+    the visits of theirs not ``removed`` today (bool mask over visit
+    rows, None = none removed) — :func:`compute_infections`."""
     return compute_infections(
-        rows, scenario.graph, state.health_state, scenario.disease,
+        scenario.graph, state.health_state, scenario.disease,
         scenario.transmission, day, scenario.rng_factory,
-        collect_stats=collect_stats, kernel=kernel,
+        owned=owned, removed=removed, collect_stats=collect_stats, kernel=kernel,
     )
 
 

@@ -112,39 +112,35 @@ class Candidates:
 
 
 def compute_infections(
-    visit_rows: np.ndarray | None,
     graph,
     health_state: np.ndarray,
     disease: DiseaseModel,
     transmission: TransmissionModel,
     day: int,
     rng_factory: RngFactory,
+    *,
+    owned: np.ndarray | None = None,
+    removed: np.ndarray | None = None,
     collect_stats: bool = False,
     kernel: str | None = None,
 ) -> LocationPhaseResult:
-    """Run the location phase over the given visit rows.
+    """Run the location phase over the owned locations' visits today.
 
     Parameters
     ----------
-    visit_rows:
-        Indices into ``graph``'s visit arrays — the visits that actually
-        happen today (interventions already applied) — **ascending,
-        distinct and in** ``[0, n_visits)`` (``ValueError`` otherwise:
-        the block walk intersects by binary search and the exactness
-        argument starts from row order), or None for every visit of
-        the graph.  May span any subset of locations; callers split by
-        location, never within one.  Pairs only need the rows of one ``(location,
-        sublocation)`` block together, but a person's hazards add per
-        *location* over every block of it they visit.
     graph:
         A :class:`~repro.synthpop.graph.PersonLocationGraph`.
     health_state:
         Current per-person PTTS state indices.
+    owned / removed:
+        Bool masks over locations / visit rows (checked by
+        :func:`repro.core.ckernel.checked_masks`): the locations this
+        call computes (None = all; owners split by location, never within
+        one — a person's hazards add per location) and the visits
+        interventions dropped today (None = none).
     collect_stats:
-        Also count events/interactions per location.  ``events`` counts
-        *every* handed-in row, so this is the one pass over all of them
-        the phase still makes; the charm backend's load model needs it
-        and keeps it, the sequential default does not pay it.
+        Also count events/interactions per location; ``events`` is 2 ×
+        the visits processed per owned location, ascending.
     kernel:
         One of :data:`KERNELS`; None is ``"compiled"`` where the C
         library loads, else ``"flat"`` — see the module docstring.  All
@@ -161,19 +157,19 @@ def compute_infections(
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     result = LocationPhaseResult()
-    n_rows = graph.n_visits if visit_rows is None else int(visit_rows.size)
     events = result.events if collect_stats else None
-    with observe.span("exposure.compute", day=day, kernel=kernel, visits=n_rows) as obs_span:
+    with observe.span("exposure.compute", day=day, kernel=kernel) as obs_span:
         if kernel == "compiled":
-            walked = _walk(visit_rows, graph, health_state, disease, events)
+            n_visits, walked = _walk(graph, health_state, disease, owned, removed, events)
             if walked is not None:
                 _compiled_kernel(result, *walked, graph, health_state, disease, transmission,
                                  day, rng_factory, collect_stats)
-        elif (candidates := _block_filter(visit_rows, graph, health_state, disease,
-                                          events)) is not None:
-            impl = _flat_kernel if kernel == "flat" else _grouped_kernel
-            impl(result, candidates, graph, disease, transmission, day, rng_factory, collect_stats)
-        obs_span.set(infections=len(result.records))
+        else:
+            n_visits, c = _block_filter(graph, health_state, disease, owned, removed, events)
+            if c is not None:
+                impl = _flat_kernel if kernel == "flat" else _grouped_kernel
+                impl(result, c, graph, disease, transmission, day, rng_factory, collect_stats)
+        obs_span.set(visits=n_visits, infections=len(result.records))
     return result
 
 
@@ -186,60 +182,74 @@ def _slice_rows(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _walk(
-    visit_rows: np.ndarray | None, graph, health_state: np.ndarray, disease: DiseaseModel,
-    events: Counter | None,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The filter stage: today's candidate rows, block-major, and the
-    CSR ``bptr`` over their blocks, or None when nothing can transmit.
+    graph, health_state: np.ndarray, disease: DiseaseModel,
+    owned: np.ndarray | None, removed: np.ndarray | None, events: Counter | None,
+) -> tuple[int, tuple[np.ndarray, np.ndarray] | None]:
+    """The filter stage: ``(n_visits, walked)``, the visits processed and
+    today's candidate rows, block-major, with the CSR ``bptr`` over their
+    blocks (None when nothing can transmit).
 
-    A row is a candidate iff it is susceptible or infectious *and* its
-    ``(location, sublocation)`` block holds an infectious and a
-    susceptible visit today.  Dropping the rest changes no bit: a pair
-    needs an S and an I row of one block, so the pairs, the keys with a
-    pair (hence every keyed draw) and ``interactions`` are the same, and
-    ``events`` (when not None) still counts *all* rows per location.
+    A row is a candidate iff it happens today at an owned location, is
+    susceptible or infectious *and* its ``(location, sublocation)``
+    block holds an infectious and a susceptible visit today.  Dropping
+    the rest changes no bit: a pair needs an S and an I row of one
+    block, so the pairs, the keys with a pair (hence every keyed draw)
+    and ``interactions`` are the same, and ``events`` (when not None)
+    still counts *all* processed rows per location.
 
     Found by a walk over ``graph.block_visit_index()``, not by reading
-    every row: infectious persons' rows → their blocks → those blocks'
-    rows (∩ ``visit_rows``) → blocks that also hold an S row; in C
+    every row: infectious persons' rows (owned, not removed) → their
+    blocks → those blocks' rows not removed → blocks that also hold an
+    S row; in C
     (:func:`repro.core.ckernel.block_walk`) or numpy (:func:`_numpy_walk`).
     """
-    n_rows = graph.n_visits if visit_rows is None else visit_rows.size
-    observe.counter("exposure.visits", n_rows)
-    if n_rows == 0:
-        return None
+    owned, removed = ckernel.checked_masks(graph, owned, removed)
     with observe.span("exposure.filter"):
-        if visit_rows is not None:
-            if not (visit_rows[1:] > visit_rows[:-1]).all():
-                raise ValueError("visit_rows must be ascending and distinct")
-            if visit_rows[0] < 0 or visit_rows[-1] >= graph.n_visits:  # ascending: ends suffice
-                raise ValueError("visit_rows out of range")
-        if events is not None:
-            vl = graph.visit_location if visit_rows is None else graph.visit_location[visit_rows]
-            locs, counts = np.unique(vl, return_counts=True)
-            events.update(dict(zip(locs.tolist(), (2 * counts).tolist())))
+        if owned is None and removed is None and events is None:
+            n_visits = graph.n_visits
+        else:  # per owned location: its range of the index, less the removed rows in it
+            index, ptr, sub_off = graph.block_visit_index()
+            loc_ptr = ptr[np.append(sub_off, ptr.size - 1)]  # location l: loc_ptr[l]:loc_ptr[l+1]
+            locs = np.arange(graph.n_locations) if owned is None else np.flatnonzero(owned)
+            counts = loc_ptr[locs + 1] - loc_ptr[locs]
+            if removed is not None:
+                pos, _ = _slice_rows(loc_ptr, locs)
+                owner = np.repeat(np.arange(locs.size), counts)  # index into `locs`
+                counts = counts - np.bincount(owner[removed[index[pos]]], minlength=locs.size)
+            n_visits = int(counts.sum())
+            if events is not None:  # ascending locations, those with a visit
+                some = counts > 0
+                events.update(dict(zip(locs[some].tolist(), (2 * counts[some]).tolist())))
+        observe.counter("exposure.visits", n_visits)
+        if n_visits == 0:
+            return 0, None
         walk = ckernel.block_walk if ckernel.available() else _numpy_walk
-        rows, bptr, walk_rows = walk(visit_rows, graph, health_state, disease)
+        rows, bptr, walk_rows = walk(graph, health_state, disease, owned, removed)
     observe.counter("exposure.walk_rows", walk_rows)
     observe.counter("exposure.active_blocks", bptr.size - 1)
     observe.counter("exposure.candidates", rows.size)
-    return (rows, bptr) if rows.size else None
+    return n_visits, ((rows, bptr) if rows.size else None)
 
 
 def _numpy_walk(
-    visit_rows: np.ndarray | None, graph, health_state: np.ndarray, disease: DiseaseModel,
+    graph, health_state: np.ndarray, disease: DiseaseModel,
+    owned: np.ndarray | None = None, removed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """``(rows, bptr, walk_rows)``, the definition of
     :func:`repro.core.ckernel.block_walk`: the candidates by ascending
     block id ``sub_off[loc] + sub`` (the stable ``(location,
     sublocation)`` sort), ``rows[bptr[j]:bptr[j+1]]`` active block ``j``;
-    ``walk_rows`` counts the infectious rows and all rows of their blocks."""
+    ``walk_rows`` counts the carrier rows scanned and all rows of the
+    blocks they mark."""
+    owned, removed = ckernel.checked_masks(graph, owned, removed)
     index, ptr, sub_off = graph.block_visit_index()
-    if visit_rows is None:
-        carriers = np.flatnonzero(disease.is_infectious[health_state])
-        inf_rows, _ = _slice_rows(graph.person_visit_slices(), carriers)
-    else:
-        inf_rows = visit_rows[disease.is_infectious[health_state[graph.visit_person[visit_rows]]]]
+    carriers = np.flatnonzero(disease.is_infectious[health_state])
+    inf_rows, _ = _slice_rows(graph.person_visit_slices(), carriers)
+    walk_rows = inf_rows.size
+    if owned is not None:
+        inf_rows = inf_rows[owned[graph.visit_location[inf_rows]]]
+    if removed is not None:
+        inf_rows = inf_rows[~removed[inf_rows]]
     # distinct blocks by sort + neighbour compare (np.unique is 10x slower)
     blocks = np.sort(sub_off[graph.visit_location[inf_rows]] + graph.visit_subloc[inf_rows])
     first = np.ones(blocks.size, dtype=bool)
@@ -248,10 +258,9 @@ def _numpy_walk(
     pos, counts = _slice_rows(ptr, blocks)
     rows = index[pos]
     owner = np.repeat(np.arange(blocks.size), counts)  # index into `blocks`
-    walk_rows = inf_rows.size + rows.size
-    if visit_rows is not None:  # the rows of those blocks that happen today
-        at = np.minimum(np.searchsorted(visit_rows, rows), visit_rows.size - 1)
-        today = visit_rows[at] == rows
+    walk_rows += rows.size
+    if removed is not None:  # the rows of those blocks that happen today
+        today = ~removed[rows]
         rows, owner = rows[today], owner[today]
     states = health_state[graph.visit_person[rows]]
     sus = disease.is_susceptible[states]
@@ -265,19 +274,19 @@ def _numpy_walk(
 
 
 def _block_filter(
-    visit_rows: np.ndarray | None, graph, health_state: np.ndarray, disease: DiseaseModel,
-    events: Counter | None,
-) -> Candidates | None:
-    """Today's :class:`Candidates` for the numpy kernels, or None:
+    graph, health_state: np.ndarray, disease: DiseaseModel,
+    owned: np.ndarray | None, removed: np.ndarray | None, events: Counter | None,
+) -> tuple[int, Candidates | None]:
+    """``(n_visits, candidates)`` for the numpy kernels:
     :func:`_walk`, with the columns back in **ascending rows** and the
     block-major order kept as ``order`` / ``block``.  The flat kernel
     adds in candidate order, and block-major is *not* bit-exact: a
     susceptible in room 3 at 09:00 and room 0 at 14:00 (both active)
     adds two partial sums into one slot, differing in the last bit.
     """
-    walked = _walk(visit_rows, graph, health_state, disease, events)
+    n_visits, walked = _walk(graph, health_state, disease, owned, removed, events)
     if walked is None:
-        return None
+        return n_visits, None
     rows, bptr = walked
     with observe.span("exposure.gather"):
         by_row = np.argsort(rows)  # rows are distinct: any sort kind
@@ -289,7 +298,7 @@ def _block_filter(
         # backing the other pages never enter RAM.
         person = graph.visit_person[rows]
         state = health_state[person]
-        return Candidates(
+        return n_visits, Candidates(
             person=person, location=graph.visit_location[rows], subloc=graph.visit_subloc[rows],
             start=graph.visit_start[rows], end=graph.visit_end[rows],
             state=state, sus=disease.is_susceptible[state], inf=disease.is_infectious[state],

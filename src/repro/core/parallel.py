@@ -15,7 +15,9 @@ day runs the six-step algorithm with real protocol traffic:
    LMs receive as arrays of rows;
 2. a completion detector (or quiescence detector) closes the phase;
 3. driver broadcasts ``location_phase`` — LMs run the DES/interaction
-   kernel over the visits they received and send infect messages;
+   kernel over their owned locations' visits less the rows the PMs'
+   interventions removed (two masks; the rows received are modelled
+   traffic) and send infect messages;
 4. a second detector closes the infect phase;
 5. driver broadcasts ``apply_phase`` — PMs apply infections;
 6. a spanning-tree reduction returns the day's statistics to the driver.
@@ -171,7 +173,13 @@ class _PersonManager(Chare):
         sim = self.sim
         cost = sim.costs
         # the PTTS already ran for everyone in ``prepare_day``
-        rows = day_steps.filter_visits(sim.scenario, sim.day_ctx, self.rows)
+        keep = day_steps.filter_visits(sim.scenario, sim.day_ctx, self.rows)
+        rows = self.rows
+        if keep is not None:  # tell the LMs, through the one run-wide mask
+            if sim.removed is None:
+                sim.removed = np.zeros(sim.graph.n_visits, dtype=bool)
+            sim.removed[rows] = ~keep
+            rows = rows[keep]
         self.charge(
             cost.person_health_cost * self.persons.size
             + cost.transition_cost * sim.transitions_per_pm[self.index]
@@ -207,20 +215,18 @@ class _PersonManager(Chare):
 class _LocationManager(Chare):
     def __init__(self, sim: "ParallelEpiSimdemics"):
         self.sim = sim
-        self.buffered_rows: list[np.ndarray] = []
 
     def recv_visits(self, rows: np.ndarray) -> None:
+        # modelled traffic: the location phase reads the two masks
         self.sim.visit_detector.consume(rows.size)
         if self.sim.checker is not None:
             self.sim.checker.record_visits_received(rows, self.index)
-        self.buffered_rows.append(rows)
 
     def location_phase(self, day: int) -> None:
         sim = self.sim
-        rows = np.sort(np.concatenate(self.buffered_rows or [np.empty(0, dtype=np.int64)]))
-        self.buffered_rows = []
+        owned = sim.distribution.location_chare == self.index
         phase = day_steps.location_phase(
-            sim.state, sim.scenario, day, rows, kernel=sim.kernel, collect_stats=True
+            sim.state, sim.scenario, day, owned, sim.removed, kernel=sim.kernel, collect_stats=True
         )
         if sim.checker is not None:
             sim.checker.record_infections(day, phase.infections)
@@ -427,6 +433,8 @@ class ParallelEpiSimdemics:
         self.day_ctx: DayContext | None = None
         self._seeded_count = 0
         self.day_transitions = 0  # PTTS transitions fired today, over all PMs
+        #: visit rows the PMs' interventions dropped today (None: none)
+        self.removed: np.ndarray | None = None
         self.transitions_per_pm: list[int] = []  # the same, per PM
         self.curve = EpiCurve()
         self.phase_times: list[PhaseTimes] = []
@@ -443,11 +451,10 @@ class ParallelEpiSimdemics:
         self._cost_snapshot: dict[tuple[str, int], float] = {}
 
         dist = distribution
-        plan = OwnershipPlan.build(
-            self.graph, dist.person_chare, dist.location_chare, dist.n_pm, dist.n_lm
-        )
+        plan = OwnershipPlan.build(self.graph, dist.person_chare, dist.location_chare, dist.n_pm)
         if self.checker is not None:
-            self.checker.check_partition(plan.persons, plan.visit_rows, plan.locations)
+            lm_locations = [dist.location_chare == c for c in range(dist.n_lm)]
+            self.checker.check_partition(plan.persons, plan.visit_rows, lm_locations)
 
         rt = self.runtime
         if delivery == "tram":
@@ -525,6 +532,7 @@ class ParallelEpiSimdemics:
         if self.checker is not None:
             self.checker.begin_day(day, self.health_state)
         self.last_interactions[:] = 0
+        self.removed = None
         changed = day_steps.advance_persons(self.state, self.scenario, self.day_ctx)
         self.day_transitions = int(changed.size)
         self.transitions_per_pm = np.bincount(

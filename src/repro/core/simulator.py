@@ -115,15 +115,15 @@ class SequentialSimulator:
         with observe.span("sim.day", day=self.day):
             state, sc = self.state, self.scenario
             ctx, seeded = day_steps.open_day(state, sc, self.day)
-            transitions, visit_rows = day_steps.person_phase(state, sc, ctx)
+            transitions, keep = day_steps.person_phase(state, sc, ctx)
             # Steps 2 and 4, the sync points, are implicit here; the
             # parallel runtimes run real completion-detection protocols.
             phase = day_steps.location_phase(
-                state, sc, self.day, visit_rows,
+                state, sc, self.day, removed=None if keep is None else ~keep,
                 kernel=self.kernel, collect_stats=self.collect_location_stats,
             )
             infected = day_steps.apply_phase(state, sc, self.day, phase.records[:, 0])
-            visits_made = sc.graph.n_visits if visit_rows is None else int(visit_rows.size)
+            visits_made = sc.graph.n_visits if keep is None else int(np.count_nonzero(keep))
             result = day_steps.close_day(
                 state, sc, ctx, seeded=seeded, visits_made=visits_made,
                 transitions=transitions, infected=infected,

@@ -8,8 +8,8 @@ the central steps (:func:`~repro.core.day.open_day` /
 :func:`~repro.core.day.close_day`: index-case seeding, intervention
 treatment updates, prevalence bookkeeping) stay on the driver, in
 exactly the sequential order, while the person / location / apply
-phases execute in parallel on the workers with visit and infect
-traffic crossing PE boundaries through shared ring buffers.
+phases execute in parallel on the workers, with infect records
+crossing PE boundaries through shared ring buffers.
 
 The result is **bit-identical** to
 :class:`~repro.core.simulator.SequentialSimulator` (same infection
@@ -78,7 +78,7 @@ class SmpResult:
     wall_seconds: float
     #: measured wall-clock phase boundaries, seconds from the run origin
     phase_times: list[PhaseTimes] = field(default_factory=list)
-    #: total ring-full stalls across workers and days
+    #: total infect-ring-full stalls across workers and days
     backpressure_events: int = 0
     #: total bytes crossing the day-barrier pipes (both directions) —
     #: the regression tests hold this to the struct-layout budget
@@ -160,7 +160,7 @@ class SmpSimulator:
         self.n_workers = n_workers
         partition.validate_against(g)
         self.plan = OwnershipPlan.build(
-            g, partition.person_part, partition.location_part, n_workers, n_workers
+            g, partition.person_part, partition.location_part, n_workers
         )
         self.kernel = kernel
         self.ring_capacity = ring_capacity

@@ -8,12 +8,15 @@ The SMP backend lays the population state out once, before forking:
   Worker ``w`` writes only the entries of persons it owns (a disjoint
   block under the default contiguous layout), so concurrent updates
   never touch the same element;
-* **traffic** — two ring-buffer grids (:class:`~repro.smp.ring.
-  RingGrid`), one for visit rows (1 word each), one for infect events
-  (3 words: person, location, minute);
-* **control** — two ``(3, n)`` completion-counter blocks (visit and
-  infect phases, :class:`~repro.smp.completion.ShmPhaseDetector`) and
-  a one-word abort flag the driver raises on teardown.
+* **removed visits** — the day's removed-visit mask, one bool per
+  visit row, written by the rows' owners and read by every location
+  phase (visit rows do not travel);
+* **traffic** — one ring-buffer grid (:class:`~repro.smp.ring.
+  RingGrid`) for infect events (3 words: person, location, minute);
+* **control** — two ``(3, n)`` completion-counter blocks (visit phase,
+  closing on zero records, and infect phase,
+  :class:`~repro.smp.completion.ShmPhaseDetector`) and a one-word
+  abort flag the driver raises on teardown.
 
 Ownership is the :class:`~repro.core.day.OwnershipPlan` the simulated
 runtime uses too: persons → PersonManager ranks, locations →
@@ -73,7 +76,8 @@ class SharedState:
     arena: SharedArena
     #: the person state, its arrays backed by shared segments
     state: EpidemicState
-    visit_rings: RingGrid
+    #: the day's removed-visit mask, one entry per visit row
+    removed: np.ndarray
     infect_rings: RingGrid
     visit_counters: np.ndarray
     infect_counters: np.ndarray
@@ -107,7 +111,7 @@ def build_shared_state(
                 treatment=arena.share("treatment", initial.treatment),
                 ever_infected=arena.share("ever", initial.ever_infected),
             ),
-            visit_rings=RingGrid(arena.alloc("vrings", grid), ring_capacity),
+            removed=arena.alloc("removed", (scenario.graph.n_visits,), dtype=bool),
             infect_rings=RingGrid(arena.alloc("irings", grid), ring_capacity),
             visit_counters=arena.alloc("vcount", (3, n_workers)),
             infect_counters=arena.alloc("icount", (3, n_workers)),

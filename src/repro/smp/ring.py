@@ -1,11 +1,10 @@
 """Fixed-size SPSC ring buffers and TRAM-style aggregating mailboxes.
 
-Cross-PE traffic in the SMP backend (visit rows during the person
-phase, infect events during the location phase) flows through a dense
-``n_workers x n_workers`` grid of single-producer/single-consumer ring
-buffers living in one shared-memory block — ring ``(src, dst)`` is
-written only by worker ``src`` and drained only by worker ``dst``, so
-no locks are needed:
+Cross-PE traffic in the SMP backend (infect events during the location
+phase) flows through a dense ``n_workers x n_workers`` grid of
+single-producer/single-consumer ring buffers living in one shared-memory
+block — ring ``(src, dst)`` is written only by worker ``src`` and
+drained only by worker ``dst``, so no locks are needed:
 
 * each cell is ``[head, tail, slot0, slot1, ...]`` of int64;
 * ``tail`` (producer-owned) and ``head`` (consumer-owned) are
@@ -29,11 +28,9 @@ sender keeps freeing room in its own inbound rings.
 Messages are int64 words; multi-word records (e.g. the 3-word infect
 events) set ``record=k`` on the mailbox so bursts never split a record.
 Burst size is specified in **bytes** (``burst_bytes``) and rounded down
-to a whole number of records, so a visit mailbox (8-byte records) and
-an infect mailbox (24-byte records) sharing one budget aggregate the
-same wire volume per flush instead of the wide records flushing ~3×
-as often.  The classes work on any int64 numpy array, so the unit
-tests in ``tests/smp/test_ring.py`` exercise wraparound and
+to a whole number of records, so every record width aggregates the same
+wire volume per flush.  The classes work on any int64 numpy array, so
+the unit tests in ``tests/smp/test_ring.py`` exercise wraparound and
 backpressure on plain in-process arrays with no shared memory at all.
 
 The hot paths are copy-frugal: ring slots are written/read as one or
@@ -55,8 +52,8 @@ __all__ = ["RingGrid", "Mailbox", "RingFull", "route_records"]
 
 _HEADER = 2  # head, tail
 
-#: Default mailbox aggregation budget: 2 KiB per burst (256 visit rows
-#: or 85 infect records), the TRAM-style sweet spot measured by
+#: Default mailbox aggregation budget: 2 KiB per burst (256 one-word
+#: records or 85 infect records), the TRAM-style sweet spot measured by
 #: ``benchmarks/bench_smp_scaling.py``.
 DEFAULT_BURST_BYTES = 2048
 
@@ -229,7 +226,7 @@ class Mailbox:
     [(0, [5])]
 
     The byte budget equalises flush cadence across record widths —
-    2048 bytes stages 256 one-word visit rows or 85 three-word infect
+    2048 bytes stages 256 one-word records or 85 three-word infect
     records per burst:
 
     >>> wide = RingGrid(np.zeros(RingGrid.shape(2, 512), dtype=np.int64), 512)

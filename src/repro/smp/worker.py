@@ -6,17 +6,13 @@ between them (see :mod:`repro.smp.backend` for the driver side):
 
 1. **person phase** — :func:`~repro.core.day.person_phase` over the
    owned persons and visit rows (disjoint index sets of the shared
-   state arrays, so no synchronisation needed), then stream surviving
-   row indices to the worker owning each visit's location through the
-   visit ring grid;
-2. the visit phase closes via the shared completion detector (workers
-   drain their inboxes while waiting);
-3. **location phase** — sort the received rows ascending and run
-   :func:`~repro.core.day.location_phase` over them.  Because the
-   kernels reduce hazards per (location, person) with stable sorts, an
-   ascending row subset covering whole locations produces the *same
-   bits* as the sequential whole-population pass restricted to those
-   locations — delivery order never leaks into the epidemic;
+   arrays, so no synchronisation needed), writing the owned rows'
+   entries of the shared removed-visit mask; no visit row travels;
+2. the visit detector closes on zero records: the person → location
+   barrier;
+3. **location phase** — :func:`~repro.core.day.location_phase` over the
+   owned-location mask and the removed-visit mask, which over a
+   disjoint location cover gives the sequential pass's *same bits*;
 4. the phase's infect records (3 words each, already in wire layout)
    stream to the owner of each infected person; the infect detector
    closes the phase, which by the latent-period argument also means
@@ -28,10 +24,9 @@ between them (see :mod:`repro.smp.backend` for the driver side):
    barrier — struct-packed bytes (:mod:`repro.smp.protocol`), never a
    pickle, so the barrier cost stays flat in the event count.
 
-Routing is zero-copy on the send side: surviving visit rows (and
-infect-event records) are destination-sorted once and streamed to the
-mailboxes as contiguous slices of that one array
-(:func:`~repro.smp.ring.route_records`).
+Routing is zero-copy on the send side: infect-event records are
+destination-sorted once and streamed to the mailboxes as contiguous
+slices of that one array (:func:`~repro.smp.ring.route_records`).
 
 Keyed RNG makes all of this order-independent: every draw a worker
 takes is keyed by (phase, day, person/location), so the epidemic is
@@ -104,20 +99,13 @@ def worker_main(rank: int, conn, ctx: WorkerContext) -> None:
     det_i = shared.infect_detector(rank)
     owned_persons = ctx.plan.persons[rank]
     owned_rows = ctx.plan.visit_rows[rank]
-    loc_owner = ctx.plan.location_owner
+    owned_locations = ctx.plan.location_owner == rank
     person_owner = ctx.plan.person_owner
     n_workers = len(ctx.plan.persons)
+    removed = shared.removed
+    wrote_removed = False  # whether our rows' entries hold a True
 
-    recv_rows: list[np.ndarray] = []
     recv_events: list[np.ndarray] = []
-
-    def drain_visits() -> int:
-        got = 0
-        for _src, words in visit_mb.receive():
-            det_v.consume(int(words.size))
-            recv_rows.append(words)
-            got += int(words.size)
-        return got
 
     def drain_infects() -> int:
         got = 0
@@ -127,10 +115,6 @@ def worker_main(rank: int, conn, ctx: WorkerContext) -> None:
             got += int(words.size)
         return got
 
-    visit_mb = Mailbox(
-        shared.visit_rings, rank, burst_bytes=ctx.burst_bytes,
-        on_backpressure=drain_visits, on_sent=det_v.produce,
-    )
     infect_mb = Mailbox(
         shared.infect_rings, rank, burst_bytes=ctx.burst_bytes,
         record=INFECT_RECORD,
@@ -154,31 +138,25 @@ def worker_main(rank: int, conn, ctx: WorkerContext) -> None:
         # rebuilt here draws exactly what the driver's would.
         day_ctx = day_steps.day_context(state, sc, day, prevalence, cumulative_attack)
 
-        # -- step 1: person phase (PTTS + visit filtering + send) --------
+        # -- step 1: person phase (PTTS + visit filtering) ---------------
         t0 = time.perf_counter()
         _maybe_fault(ctx, rank, day, "person")
-        transitions, kept = day_steps.person_phase(
+        transitions, keep = day_steps.person_phase(
             state, sc, day_ctx, owned_persons, owned_rows
         )
-        dests = loc_owner[sc.graph.visit_location[kept]]
-        _routed, parts = route_records(kept, dests, n_workers)
-        for dst, part in enumerate(parts):
-            visit_mb.send(dst, part)
-        visit_mb.flush()
+        if keep is not None or wrote_removed:
+            removed[owned_rows] = False if keep is None else ~keep
+            wrote_removed = keep is not None
         det_v.producer_done()
-        # -- step 2: visit-phase completion -------------------------------
-        det_v.wait_closed(drain_visits, timeout=ctx.timeout, should_abort=check_abort)
+        # -- step 2: the person -> location barrier ------------------------
+        det_v.wait_closed(lambda: 0, timeout=ctx.timeout, should_abort=check_abort)
         t1 = time.perf_counter()
 
-        # -- step 3: location phase over owned locations' rows ------------
+        # -- step 3: location phase over owned locations -------------------
         _maybe_fault(ctx, rank, day, "location")
-        if recv_rows:
-            rows = np.sort(np.concatenate(recv_rows))
-            recv_rows.clear()
-        else:
-            rows = np.empty(0, dtype=np.int64)
-        phase = day_steps.location_phase(
-            state, sc, day, rows, kernel=ctx.kernel, collect_stats=ctx.collect_stats
+        phase = day_steps.location_phase(  # None: no worker removed a visit
+            state, sc, day, owned_locations, removed if removed.any() else None,
+            kernel=ctx.kernel, collect_stats=ctx.collect_stats,
         )
         ev = phase.records  # already one wire record per row
         _ev_routed, ev_parts = route_records(ev, person_owner[ev[:, 0]], n_workers)
@@ -212,12 +190,9 @@ def worker_main(rank: int, conn, ctx: WorkerContext) -> None:
                 protocol.DayReport(
                     day=day,
                     transitions=transitions,
-                    visits_made=int(kept.size),
+                    visits_made=owned_rows.size if keep is None else int(np.count_nonzero(keep)),
                     infected=infected,
-                    backpressure=int(
-                        visit_mb.backpressure_events
-                        + infect_mb.backpressure_events
-                    ),
+                    backpressure=infect_mb.backpressure_events,
                     clocks=(t0, t1, t2, t3),
                     events=events,
                     stats_events=stats_events,

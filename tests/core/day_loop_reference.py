@@ -109,13 +109,13 @@ class ReferenceDayLoop:
         # Steps 2–4: location phase (sync points are implicit here; the
         # parallel runtime runs real completion-detection protocols).
         phase = compute_infections(
-            visit_rows,
             g,
             self.health_state,
             d,
             sc.transmission,
             day,
             self.rng_factory,
+            removed=~keep,
             collect_stats=self.collect_location_stats,
             kernel=self.kernel,
         )

@@ -33,8 +33,10 @@ around it, handing those candidates to the *production* numpy kernels
 (``"compiled"`` to the production flat kernel, its definition:
 ``test_block_walk.py``).
 
-Both wrappers read ``visit_rows=None`` ("every visit of the graph", the
-form the sequential day now hands in) as ``np.arange(n_visits)``.
+Both wrappers take the production signature — an ``owned`` location
+mask and a ``removed`` visit mask, None for all / none — and run the
+verbatim bodies over :func:`rows_of` them, the ascending row list every
+owner used to hand in.
 """
 
 from collections import Counter
@@ -63,12 +65,22 @@ class _ListSink:
     interactions: Counter = field(default_factory=Counter)
 
 
+def rows_of(graph, owned=None, removed=None):
+    """The visit rows a mask-form call processes, ascending: the rows at
+    ``owned`` locations that were not ``removed`` (None = all / none)."""
+    keep = np.ones(graph.n_visits, dtype=bool)
+    if owned is not None:
+        keep &= owned[graph.visit_location]
+    if removed is not None:
+        keep &= ~removed
+    return np.flatnonzero(keep)
+
+
 def compute_infections(
-    visit_rows, graph, health_state, disease, transmission, day, rng_factory,
-    collect_stats=False, kernel=None,
+    graph, health_state, disease, transmission, day, rng_factory, *,
+    owned=None, removed=None, collect_stats=False, kernel=None,
 ):
-    if visit_rows is None:
-        visit_rows = np.arange(graph.n_visits)
+    visit_rows = rows_of(graph, owned, removed)
     sink = _compute_infections(
         visit_rows, graph, health_state, disease, transmission, day,
         rng_factory, collect_stats, kernel,
@@ -261,11 +273,10 @@ def _grouped_kernel(
 # second oracle: the linear sublocation-block filter
 # ----------------------------------------------------------------------
 def compute_infections_linear(
-    visit_rows, graph, health_state, disease, transmission, day, rng_factory,
-    collect_stats=False, kernel=None,
+    graph, health_state, disease, transmission, day, rng_factory, *,
+    owned=None, removed=None, collect_stats=False, kernel=None,
 ):
-    if visit_rows is None:
-        visit_rows = np.arange(graph.n_visits)
+    visit_rows = rows_of(graph, owned, removed)
     kernel = "flat" if kernel is None else kernel  # every kernel gives the same bits
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")

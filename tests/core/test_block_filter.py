@@ -93,7 +93,8 @@ class SpyRng(RngFactory):
 
 @st.composite
 def phases(draw):
-    """``(graph, disease, health_state, visit_rows)`` for one location phase.
+    """``(graph, disease, health_state, owned, removed)`` for one location
+    phase: a location mask and a removed-visit mask, None for all / none.
 
     Locations have 1–4 sublocations and few persons, so blocks with
     only susceptible, only infectious or only inert visitors sit beside
@@ -142,18 +143,19 @@ def phases(draw):
     weight = 1.0 + 4.0 * (disease.is_susceptible | disease.is_infectious)[allowed]
     health = rng.choice(allowed, n_persons, p=weight / weight.sum())
 
-    rows = np.arange(graph.n_visits, dtype=np.int64)
+    owned = removed = None
     subset = draw(st.sampled_from(["all", "by-location", "by-block", "any"]))
-    if subset == "by-location":  # what one LocationManager is handed
-        rows = rows[graph.visit_location % 2 == draw(st.integers(0, 1))]
-    elif subset == "by-block":  # no caller does this; the two filters still agree
-        rows = rows[(graph.visit_location + graph.visit_subloc) % 2 == draw(st.integers(0, 1))]
+    if subset == "by-location":  # what one LocationManager owns
+        owned = np.arange(n_locations) % 2 == draw(st.integers(0, 1))
+    elif subset == "by-block":  # no intervention does this; the two filters still agree
+        removed = (graph.visit_location + graph.visit_subloc) % 2 == draw(st.integers(0, 1))
     elif subset == "any":
-        rows = rows[rng.random(rows.size) < 0.7]
-    return graph, disease, health, rows
+        owned = rng.random(n_locations) < 0.7
+        removed = rng.random(graph.n_visits) < 0.3
+    return graph, disease, health, owned, removed
 
 
-def _observable(module, kernel, graph, disease, health, rows, seed=11):
+def _observable(module, kernel, graph, disease, health, owned, removed, seed=11):
     hazard_sums = []
 
     class SpyTransmission(TransmissionModel):
@@ -166,8 +168,8 @@ def _observable(module, kernel, graph, disease, health, rows, seed=11):
 
     rng = SpyRng(seed)
     out = module.compute_infections(
-        rows, graph, health, disease, SpyTransmission(4e-3), 3, rng,
-        collect_stats=True, kernel=kernel,
+        graph, health, disease, SpyTransmission(4e-3), 3, rng,
+        owned=owned, removed=removed, collect_stats=True, kernel=kernel,
     )
     return {
         "infections": [(e.person, e.location, e.minute) for e in out.infections],
@@ -192,20 +194,20 @@ def test_block_filter_equals_location_filter(kernel, phase):
 @given(phases(), st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_rows_out_of_order_are_refused(kernel, phase, seed):
-    """Ascending, distinct rows are the contract (every backend sorts on
-    receipt): the walk intersects by ``searchsorted``, and a person's
-    hazards add in candidate order, so another order could move a last
-    bit.  Shuffled or repeated rows raise instead of computing."""
-    graph, disease, health, rows = phase
+    """Owners hand in masks, not row lists, so no order is left to get
+    wrong.  A row list where a mask goes — ascending, shuffled,
+    repeated, or ``arange(n_visits)``, exactly a mask's length — raises
+    instead of being read as one."""
+    graph, disease, health, owned, removed = phase
+    rows = exposure_reference.rows_of(graph, owned, removed)
     shuffled = np.random.default_rng(seed).permutation(rows)
-    for bad in (shuffled, np.repeat(rows, 2)):
-        if bad.size < 2 or (bad[1:] > bad[:-1]).all():
-            continue
-        with pytest.raises(ValueError, match="ascending"):
-            production.compute_infections(
-                bad, graph, health, disease, TransmissionModel(4e-3), 3, RngFactory(11),
-                kernel=kernel,
-            )
+    for bad in (rows, shuffled, np.repeat(rows, 2), np.arange(graph.n_visits)):
+        for masks in ({"owned": bad}, {"removed": bad}):
+            with pytest.raises(ValueError, match="bool mask"):
+                production.compute_infections(
+                    graph, health, disease, TransmissionModel(4e-3), 3, RngFactory(11),
+                    kernel=kernel, **masks,
+                )
 
 
 def test_strategy_reaches_the_case_that_matters():
@@ -215,7 +217,7 @@ def test_strategy_reaches_the_case_that_matters():
     from hypothesis import find
 
     def transmits_beside_dropped_rooms(phase):
-        graph, disease, health, rows = phase
+        graph, disease, health, owned, removed = phase
         sus = disease.is_susceptible[health[graph.visit_person]]
         inf = disease.is_infectious[health[graph.visit_person]]
         block = graph.visit_location * 8 + graph.visit_subloc
@@ -225,7 +227,7 @@ def test_strategy_reaches_the_case_that_matters():
             set(zip(graph.visit_person, graph.visit_location))
         )
         return (
-            rows.size == graph.n_visits and revisits
+            owned is None and removed is None and revisits
             and {b // 8 for b in both} & {b // 8 for b in lonely}
             and _observable(production, "flat", *phase)["infections"]
         )
@@ -256,13 +258,12 @@ def test_dropped_rows_are_exactly_the_ones_in_no_transmitting_block():
     )
     graph.validate()
     health = np.array([S, I, S, I, I, R, S])
-    rows = np.arange(graph.n_visits)
-
     from repro import observe
 
     with observe.observing() as obs:
         out = production.compute_infections(
-            rows, graph, health, disease, TransmissionModel(0.5), 0, RngFactory(1),
+            graph, health, disease, TransmissionModel(0.5), 0, RngFactory(1),
+            owned=np.ones(2, dtype=bool), removed=np.zeros(graph.n_visits, dtype=bool),
             collect_stats=True, kernel="flat",
         )
     assert obs.counters["exposure.visits"] == 8

@@ -12,9 +12,9 @@ reference builds the block segmentation (``order`` / ``block``) by the
 handed it on, so the walk's block-major order is pinned to it; then what a
 caller sees (infections in order, ``events`` / ``interactions``, every
 keyed draw, the hazard-sum bytes) on all three kernels, for every form
-rows arrive in — ``None``, the full ``arange``, by-location and random
-ascending subsets, rows thinned by an active ``SchoolClosure``; then
-whole runs on all three backends.
+the masks arrive in — ``None``, all-owned and none-removed, by-location
+and random owned locations and removed rows, rows removed by an active
+``SchoolClosure``; then whole runs on all three backends.
 
 The case the walk could get wrong and the linear pass could not: a
 person's hazards add per ``(location, person)`` over *every* room of
@@ -81,13 +81,15 @@ def _graph(visits, n_sublocs, n_persons, location_type=None):
 
 @st.composite
 def walk_phases(draw):
-    """PR 18's phases, with the rows in every form a backend hands in."""
-    graph, disease, health, rows = draw(phases())
-    form = draw(st.sampled_from(["none", "arange", "drawn", "drawn", "closure"]))
+    """The block filter's phases, with the masks in every form a backend
+    hands in."""
+    graph, disease, health, owned, removed = draw(phases())
+    form = draw(st.sampled_from(["none", "all", "drawn", "drawn", "closure"]))
     if form == "none":  # the sequential day with no intervention active
-        rows = None
-    elif form == "arange":
-        rows = np.arange(graph.n_visits, dtype=np.int64)
+        owned = removed = None
+    elif form == "all":  # an smp worker that owns everything, nothing removed
+        owned = np.ones(graph.n_locations, dtype=bool)
+        removed = np.zeros(graph.n_visits, dtype=bool)
     elif form == "closure":  # odd locations are schools, closed today
         graph = dataclasses.replace(
             graph,
@@ -100,14 +102,14 @@ def walk_phases(draw):
             treatment=np.full(graph.n_persons, UNTREATED, dtype=np.int32),
             prevalence=0.5, cumulative_attack=0.5, rng_factory=RngFactory(1),
         )
-        rows = np.flatnonzero(InterventionSchedule([SchoolClosure(day=0)]).visit_mask(ctx))
-    return graph, disease, health, rows
+        removed = ~InterventionSchedule([SchoolClosure(day=0)]).visit_mask(ctx)
+    return graph, disease, health, owned, removed
 
 
-def _assert_same_candidates(graph, disease, health, rows):
-    got = production._block_filter(rows, graph, health, disease, None)
+def _assert_same_candidates(graph, disease, health, owned, removed):
+    _, got = production._block_filter(graph, health, disease, owned, removed, None)
     expected = exposure_reference._block_filter(
-        np.arange(graph.n_visits) if rows is None else rows, graph, health, disease, None
+        exposure_reference.rows_of(graph, owned, removed), graph, health, disease, None
     )
     assert (got is None) == (expected is None)
     if got is not None:
@@ -140,8 +142,8 @@ def test_walk_equals_linear_filter(kernel, phase):
 def _room_order_matters(phase):
     """A susceptible visits two *active* rooms of one location, the
     higher-numbered room first: row order and block order disagree."""
-    graph, disease, health, rows = phase
-    if rows is not None and rows.size != graph.n_visits:
+    graph, disease, health, owned, removed = phase
+    if exposure_reference.rows_of(graph, owned, removed).size != graph.n_visits:
         return False
     state = health[graph.visit_person]
     sus, inf = disease.is_susceptible[state], disease.is_infectious[state]
@@ -191,12 +193,12 @@ def test_hazards_add_in_row_order_across_rooms(kernel):
     graph, disease, health, h55, h41, h17 = _revisit()
     row_order = struct.pack("d", 0.0 + h55 + h41 + h17)
     assert row_order != struct.pack("d", 0.0 + h41 + h17 + h55)  # the case discriminates
-    for rows in (None, np.arange(5)):
-        candidates = _assert_same_candidates(graph, disease, health, rows)
+    for masks in ((None, None), (np.ones(1, dtype=bool), np.zeros(5, dtype=bool))):
+        candidates = _assert_same_candidates(graph, disease, health, *masks)
         assert candidates.subloc.tolist() == [3, 0, 3, 0, 0]  # ascending rows, not by room
-        got = _observable(production, kernel, graph, disease, health, rows)
+        got = _observable(production, kernel, graph, disease, health, *masks)
         assert got["hazard_sums"] == row_order
-        assert got == _observable(LINEAR, kernel, graph, disease, health, rows)
+        assert got == _observable(LINEAR, kernel, graph, disease, health, *masks)
 
 
 def test_block_major_order_is_not_bit_exact():
@@ -204,7 +206,7 @@ def test_block_major_order_is_not_bit_exact():
     the walk meets them in — and the one hazard sum changes its last
     bit: the walk's sort back to ascending rows is not optional."""
     graph, disease, health, h55, h41, h17 = _revisit()
-    c = production._block_filter(None, graph, health, disease, None)
+    _, c = production._block_filter(graph, health, disease, None, None, None)
     by_room = np.lexsort((np.arange(c.person.size), c.subloc, c.location))
     sums = []
 
@@ -238,11 +240,10 @@ def test_degenerate_populations(small_graph, kernel, mix):
         "carrier": (disease.is_infectious & disease.is_susceptible) | disease.is_terminal,
     }[mix])
     health = rng.choice(allowed, small_graph.n_persons)
-    by_location = np.flatnonzero(small_graph.visit_location % 3 == 1)
-    for rows in (None, by_location):
-        _assert_same_candidates(small_graph, disease, health, rows)
-        got = _observable(production, kernel, small_graph, disease, health, rows)
-        assert got == _observable(LINEAR, kernel, small_graph, disease, health, rows)
+    for owned in (None, np.arange(small_graph.n_locations) % 3 == 1):
+        _assert_same_candidates(small_graph, disease, health, owned, None)
+        got = _observable(production, kernel, small_graph, disease, health, owned, None)
+        assert got == _observable(LINEAR, kernel, small_graph, disease, health, owned, None)
         assert bool(got["infections"]) == (mix == "carrier")
         assert got["events"]  # every row still counts, whoever is in it
 
@@ -255,12 +256,12 @@ needs_ckernel = pytest.mark.skipif(
 )
 
 
-def _assert_walks_agree(graph, disease, health, rows):
+def _assert_walks_agree(graph, disease, health, owned, removed):
     """``ckernel.block_walk`` against ``exposure._numpy_walk``: equal
     ``rows`` / ``bptr`` bytes and ``walk_rows``, and equal counters when
     ``_walk`` runs on either; returns the C walk's ``(rows, bptr)``."""
-    got = ckernel.block_walk(rows, graph, health, disease)
-    expected = production._numpy_walk(rows, graph, health, disease)
+    got = ckernel.block_walk(graph, health, disease, owned, removed)
+    expected = production._numpy_walk(graph, health, disease, owned, removed)
     assert got[0].dtype == got[1].dtype == np.int64
     assert [got[0].tobytes(), got[1].tobytes(), got[2]] == [
         expected[0].tobytes(), expected[1].tobytes(), expected[2]
@@ -269,7 +270,7 @@ def _assert_walks_agree(graph, disease, health, rows):
     for c_loop in (True, False):
         with pytest.MonkeyPatch.context() as mp, observe.observing() as obs:
             mp.setattr(ckernel, "available", lambda: c_loop)
-            production._walk(rows, graph, health, disease, None)
+            production._walk(graph, health, disease, owned, removed, None)
         counters.append(dict(obs.counters))
     assert counters[0] == counters[1]
     return got[:2]
@@ -289,10 +290,13 @@ def test_c_walk_on_generated_populations(tiny_graph, small_graph, wy_graph):
     rng = np.random.default_rng(3)
     for graph in (tiny_graph, small_graph, wy_graph):
         health = rng.choice([S, I], graph.n_persons, p=[0.9, 0.1]).astype(np.int32)
-        all_rows = np.arange(graph.n_visits)
-        for rows in (None, all_rows, all_rows[graph.visit_location % 3 == 1],
-                     all_rows[rng.random(graph.n_visits) < 0.6]):
-            rows_walked, bptr = _assert_walks_agree(graph, disease, health, rows)
+        for owned, removed in (
+            (None, None), (np.ones(graph.n_locations, dtype=bool), None),
+            (np.arange(graph.n_locations) % 3 == 1, None),
+            (None, rng.random(graph.n_visits) < 0.4),
+            (rng.random(graph.n_locations) < 0.5, rng.random(graph.n_visits) < 0.4),
+        ):
+            rows_walked, bptr = _assert_walks_agree(graph, disease, health, owned, removed)
             assert bptr.size > 1 and rows_walked.size == bptr[-1]
 
 
@@ -313,11 +317,11 @@ def test_c_walk_on_a_memmap_population(tmp_path):
         name: getattr(graph, name).astype(np.int64)
         for name in ("visit_person", "visit_location", "visit_subloc", "visit_start", "visit_end")
     })
-    by_location = np.flatnonzero(graph.visit_location % 2 == 0)
-    for rows in (None, by_location):
-        narrow = _assert_walks_agree(graph, disease, health, rows)
-        for got, expected in zip(_assert_walks_agree(wide, disease, health.astype(np.int64), rows),
-                                 narrow):
+    by_location = np.arange(graph.n_locations) % 2 == 0
+    for owned in (None, by_location):
+        narrow = _assert_walks_agree(graph, disease, health, owned, None)
+        wide_walk = _assert_walks_agree(wide, disease, health.astype(np.int64), owned, None)
+        for got, expected in zip(wide_walk, narrow):
             assert got.tobytes() == expected.tobytes()
 
 
@@ -331,8 +335,8 @@ def test_c_walk_on_degenerate_populations(small_graph, mix):
         "carrier": (disease.is_infectious & disease.is_susceptible) | disease.is_terminal,
     }[mix])
     health = np.random.default_rng(5).choice(allowed, small_graph.n_persons)
-    for rows in (None, np.flatnonzero(small_graph.visit_location % 3 == 1)):
-        walked, _ = _assert_walks_agree(small_graph, disease, health, rows)
+    for owned in (None, np.arange(small_graph.n_locations) % 3 == 1):
+        walked, _ = _assert_walks_agree(small_graph, disease, health, owned, None)
         assert bool(walked.size) == (mix == "carrier")
 
 
@@ -340,19 +344,44 @@ def test_c_walk_on_degenerate_populations(small_graph, mix):
 @pytest.mark.parametrize("bad", ["negative", "past-the-end"])
 @pytest.mark.parametrize("walk", ["c", "numpy"])
 def test_visit_rows_out_of_range_raise(small_graph, kernel, bad, walk):
-    """A ``-3`` used to wrap to a row near the end of the table and a row
-    ``>= n_visits`` died in numpy's ``IndexError``; both are one
+    """A row list used to be the form, and a ``-3`` wrapped to a row near
+    the end of the table; rows handed where a mask goes now raise one
     ``ValueError`` on every kernel, whichever walk runs."""
     if walk == "c" and not ckernel.available():
         pytest.skip(f"no compiled kernel: {ckernel.build_error()}")
     rows = np.array([-3, 0, 5]) if bad == "negative" else np.array([0, 5, small_graph.n_visits])
     disease = DISEASES["influenza"]
     health = np.full(small_graph.n_persons, disease.index["infectious_symptomatic"])
-    with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="out of range"):
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="bool mask"):
         mp.setattr(ckernel, "available", lambda: walk == "c")
         production.compute_infections(
-            rows, small_graph, health, disease, TransmissionModel(4e-3), 3, RngFactory(11),
-            kernel=kernel,
+            small_graph, health, disease, TransmissionModel(4e-3), 3, RngFactory(11),
+            removed=rows, kernel=kernel,
+        )
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "not-bool"])
+@pytest.mark.parametrize("mask", ["owned", "removed"])
+def test_masks_that_do_not_fit_the_graph_raise(small_graph, mask, bad):
+    """The walks read ``owned[location]`` and ``removed[row]``: a mask an
+    entry short or long, or not bool, is a ``ValueError`` before either
+    walk reads it — the C walk where the library loads, the numpy walk
+    always (the only one under ``REPRO_NO_CKERNEL=1``), and the phase."""
+    n = small_graph.n_locations if mask == "owned" else small_graph.n_visits
+    value = {"short": np.zeros(n - 1, dtype=bool), "long": np.ones(n + 1, dtype=bool),
+             "not-bool": np.ones(n, dtype=np.uint8)}[bad]
+    disease = DISEASES["influenza"]
+    health = np.full(small_graph.n_persons, disease.index["infectious_symptomatic"])
+    walks = [production._numpy_walk]
+    if ckernel.available():
+        walks.append(ckernel.block_walk)
+    for walk in walks:
+        with pytest.raises(ValueError, match=f"{mask} must be a bool mask of {n} entries"):
+            walk(small_graph, health, disease, **{mask: value})
+    with pytest.raises(ValueError, match=f"{mask} must be a bool mask"):
+        production.compute_infections(
+            small_graph, health, disease, TransmissionModel(4e-3), 3, RngFactory(11),
+            collect_stats=True, **{mask: value},
         )
 
 
@@ -363,12 +392,13 @@ def test_health_state_out_of_range_raises_in_both_c_loops(tiny_graph, dtype, sta
     disease = DISEASES["influenza"]
     S, I = disease.index["susceptible"], disease.index["infectious_symptomatic"]
     health = np.where(np.arange(tiny_graph.n_persons) % 4, S, I).astype(dtype)
-    rows, bptr, _ = ckernel.block_walk(None, tiny_graph, health, disease)
+    rows, bptr, _ = ckernel.block_walk(tiny_graph, health, disease)
     health[tiny_graph.visit_person[rows[0]]] = state
     haz = np.zeros(len(disease.states) ** 2)
-    for rows_in in (None, np.arange(tiny_graph.n_visits)):
+    for masks in ((None, None), (np.ones(tiny_graph.n_locations, dtype=bool),
+                                 np.zeros(tiny_graph.n_visits, dtype=bool))):
         with pytest.raises(ValueError, match="health_state out of range"):
-            ckernel.block_walk(rows_in, tiny_graph, health, disease)
+            ckernel.block_walk(tiny_graph, health, disease, *masks)
     with pytest.raises(ValueError, match="health_state out of range"):
         ckernel.accumulate_exposures(rows, bptr, tiny_graph, health, disease, haz)
     with pytest.raises(ValueError, match="rows / bptr out of range"):
@@ -479,8 +509,8 @@ def test_index_block_counts(n_locations, rooms):
         [disease.index["susceptible"], disease.index["infectious_symptomatic"]],
         n_persons, p=[0.9, 0.1],
     )
-    _assert_same_candidates(graph, disease, health, None)
-    _assert_same_candidates(graph, disease, health, np.flatnonzero(location % 2 == 0))
+    _assert_same_candidates(graph, disease, health, None, None)
+    _assert_same_candidates(graph, disease, health, np.arange(n_locations) % 2 == 0, None)
 
 
 def test_empty_graph_has_an_empty_index():
@@ -584,14 +614,15 @@ def test_smp_day_results_are_unchanged(kernel, monkeypatch):
 
 @pytest.mark.parametrize("config", ["influenza", "closure"] + registry.names())
 def test_visits_made_through_the_none_seam(small_graph, config, monkeypatch):
-    """The sequential day hands on ``None`` for "every visit" and counts
-    ``graph.n_visits``; the loop it replaced listed the rows."""
+    """The sequential day hands on ``removed=None`` for "no visit
+    removed" and counts ``graph.n_visits``; the loop it replaced listed
+    the rows."""
     handed = []
     real = day_steps.compute_infections
 
-    def spy(visit_rows, *args, **kwargs):
-        handed.append(visit_rows)
-        return real(visit_rows, *args, **kwargs)
+    def spy(*args, **kwargs):
+        handed.append(kwargs["removed"])
+        return real(*args, **kwargs)
 
     def scenario():
         if config in registry.names():
@@ -611,12 +642,12 @@ def test_visits_made_through_the_none_seam(small_graph, config, monkeypatch):
     monkeypatch.setattr(day_steps, "compute_infections", spy)
     got = SequentialSimulator(scenario()).run().days
     assert got == expected
-    for day, rows in zip(got, handed):
-        if rows is None:
+    for day, removed in zip(got, handed):
+        if removed is None:
             assert day.visits_made == small_graph.n_visits
         else:
-            assert day.visits_made == rows.size < small_graph.n_visits
+            assert day.visits_made == small_graph.n_visits - removed.sum() < small_graph.n_visits
     if config == "influenza":
-        assert all(rows is None for rows in handed)
+        assert all(removed is None for removed in handed)
     if config == "closure":
-        assert [rows is None for rows in handed] == [True, True, False, False, True, True]
+        assert [removed is None for removed in handed] == [True, True, False, False, True, True]

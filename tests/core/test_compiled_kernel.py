@@ -61,8 +61,7 @@ def _phase_inputs(scenario, infected_frac=0.25):
         state[sick] = d.state_index(
             d.states[int(np.flatnonzero(d.is_infectious)[0])].name
         )
-    rows = np.arange(g.n_visits, dtype=np.int64)
-    return g, d, state, rows
+    return g, d, state
 
 
 @needs_ckernel
@@ -70,14 +69,14 @@ class TestCompiledBitExact:
     @given(scenarios())
     @settings(max_examples=40, deadline=None)
     def test_same_infections_same_order_same_stats(self, scenario):
-        g, d, state, rows = _phase_inputs(scenario)
+        g, d, state = _phase_inputs(scenario)
         f = RngFactory(scenario.seed)
         flat = compute_infections(
-            rows, g, state, d, scenario.transmission, 0, f,
+            g, state, d, scenario.transmission, 0, f,
             collect_stats=True, kernel="flat",
         )
         compiled = compute_infections(
-            rows, g, state, d, scenario.transmission, 0, f,
+            g, state, d, scenario.transmission, 0, f,
             collect_stats=True, kernel="compiled",
         )
         assert _infection_tuples(compiled) == _infection_tuples(flat)
@@ -120,7 +119,7 @@ class TestCompiledBitExact:
         assert report.all_equal, report.format()
 
 
-def _slot_sums(kernel, graph, disease, health, rows):
+def _slot_sums(kernel, graph, disease, health, owned, removed):
     """The per-slot arrays a kernel hands ``_draw_and_emit``, touched
     slots only, ``total_h`` as bytes."""
     seen = []
@@ -134,8 +133,8 @@ def _slot_sums(kernel, graph, disease, health, rows):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exposure, "_draw_and_emit", spy)
-        compute_infections(rows, graph, health, disease, TransmissionModel(4e-3), 3,
-                           RngFactory(11), collect_stats=True, kernel=kernel)
+        compute_infections(graph, health, disease, TransmissionModel(4e-3), 3, RngFactory(11),
+                           owned=owned, removed=removed, collect_stats=True, kernel=kernel)
     return seen
 
 
@@ -145,9 +144,7 @@ def _slot_sums(kernel, graph, disease, health, rows):
 def test_compiled_slot_sums_equal_the_flat_kernels(phase):
     """keys, the ``total_h`` bytes, ``first_minute`` and ``pair_count``
     of the C accumulation against the flat kernel, its definition."""
-    graph, disease, health, rows = phase
-    assert (_slot_sums("compiled", graph, disease, health, rows)
-            == _slot_sums("flat", graph, disease, health, rows))
+    assert _slot_sums("compiled", *phase) == _slot_sums("flat", *phase)
 
 
 @needs_ckernel
@@ -155,10 +152,10 @@ def test_compiled_slot_sums_on_a_dense_day(small_graph):
     disease = influenza_model()
     health = np.where(np.arange(small_graph.n_persons) % 5, disease.index["susceptible"],
                       disease.index["infectious_symptomatic"])
-    for rows in (None, np.flatnonzero(small_graph.visit_location % 2 == 0)):
-        flat = _slot_sums("flat", small_graph, disease, health, rows)
+    for owned in (None, np.arange(small_graph.n_locations) % 2 == 0):
+        flat = _slot_sums("flat", small_graph, disease, health, owned, None)
         assert len(flat) == 1 and len(flat[0][0]) > 50
-        assert _slot_sums("compiled", small_graph, disease, health, rows) == flat
+        assert _slot_sums("compiled", small_graph, disease, health, owned, None) == flat
 
 
 def test_no_kernel_means_compiled_where_the_library_loads():

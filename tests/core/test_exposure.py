@@ -1,14 +1,13 @@
 """Location-phase exposure computation: grouping invariance.
 
-The keystone property for parallel correctness: splitting the visit
-rows by location across multiple calls yields exactly the infections of
-one whole-population call.
+The keystone property for parallel correctness: splitting the locations
+across multiple calls (owned-location masks) yields exactly the
+infections of one whole-population call.
 """
 
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from repro.core import Scenario, TransmissionModel
 from repro.core.exposure import compute_infections
@@ -33,45 +32,26 @@ class TestGroupingInvariance:
     def test_split_by_location_equals_whole(self, tiny_graph):
         sc, state = _setup(tiny_graph)
         f = RngFactory(sc.seed)
-        rows = np.arange(tiny_graph.n_visits, dtype=np.int64)
-        whole = compute_infections(
-            rows, tiny_graph, state, sc.disease, sc.transmission, 0, f
-        )
-        # Partition rows by location parity — two "LocationManagers".
-        locs = tiny_graph.visit_location
-        part_a = rows[locs[rows] % 2 == 0]
-        part_b = rows[locs[rows] % 2 == 1]
-        a = compute_infections(part_a, tiny_graph, state, sc.disease, sc.transmission, 0, f)
-        b = compute_infections(part_b, tiny_graph, state, sc.disease, sc.transmission, 0, f)
+        whole = compute_infections(tiny_graph, state, sc.disease, sc.transmission, 0, f)
+        # Own locations by parity — two "LocationManagers".
+        even = np.arange(tiny_graph.n_locations) % 2 == 0
+        a = compute_infections(tiny_graph, state, sc.disease, sc.transmission, 0, f, owned=even)
+        b = compute_infections(tiny_graph, state, sc.disease, sc.transmission, 0, f, owned=~even)
         assert _key(whole.infections) == _key(a.infections + b.infections)
-
-    def test_descending_rows_are_refused(self, tiny_graph):
-        """Rows come ascending and distinct (every backend sorts what
-        it received); another order used to be computed, to the same
-        infections but not provably the same last bit of a hazard sum,
-        and is now an error.  None means every visit."""
-        sc, state = _setup(tiny_graph)
-        f = RngFactory(sc.seed)
-        rows = np.arange(tiny_graph.n_visits, dtype=np.int64)
-        fwd = compute_infections(rows, tiny_graph, state, sc.disease, sc.transmission, 0, f)
-        with pytest.raises(ValueError, match="ascending"):
-            compute_infections(rows[::-1], tiny_graph, state, sc.disease, sc.transmission, 0, f)
-        everything = compute_infections(None, tiny_graph, state, sc.disease, sc.transmission, 0, f)
-        assert len(fwd.infections) > 0 and everything.infections == fwd.infections
 
     def test_no_infectious_no_infections(self, tiny_graph):
         sc, _ = _setup(tiny_graph)
         d = sc.disease
         state, _ = d.initial_health(tiny_graph.n_persons)
-        rows = np.arange(tiny_graph.n_visits, dtype=np.int64)
-        res = compute_infections(rows, tiny_graph, state, d, sc.transmission, 0, RngFactory(0))
+        res = compute_infections(tiny_graph, state, d, sc.transmission, 0, RngFactory(0))
         assert res.infections == []
 
     def test_empty_rows(self, tiny_graph):
+        """An owner of no location processes no visit: no records, no events."""
         sc, state = _setup(tiny_graph)
         res = compute_infections(
-            np.empty(0, dtype=np.int64), tiny_graph, state, sc.disease,
-            sc.transmission, 0, RngFactory(0),
+            tiny_graph, state, sc.disease, sc.transmission, 0, RngFactory(0),
+            owned=np.zeros(tiny_graph.n_locations, dtype=bool), collect_stats=True,
         )
         assert res.infections == []
         assert res.events == {}
@@ -80,23 +60,21 @@ class TestGroupingInvariance:
 class TestStats:
     def test_event_counts_are_two_per_visit(self, tiny_graph):
         sc, state = _setup(tiny_graph)
-        rows = np.arange(tiny_graph.n_visits, dtype=np.int64)
         res = compute_infections(
-            rows, tiny_graph, state, sc.disease, sc.transmission, 0,
+            tiny_graph, state, sc.disease, sc.transmission, 0,
             RngFactory(0), collect_stats=True,
         )
         assert sum(res.events.values()) == 2 * tiny_graph.n_visits
 
     def test_merge_accumulates(self, tiny_graph):
         sc, state = _setup(tiny_graph)
-        rows = np.arange(tiny_graph.n_visits, dtype=np.int64)
         a = compute_infections(
-            rows, tiny_graph, state, sc.disease, sc.transmission, 0,
+            tiny_graph, state, sc.disease, sc.transmission, 0,
             RngFactory(0), collect_stats=True,
         )
         before = sum(a.events.values())
         b = compute_infections(
-            rows, tiny_graph, state, sc.disease, sc.transmission, 1,
+            tiny_graph, state, sc.disease, sc.transmission, 1,
             RngFactory(0), collect_stats=True,
         )
         a.events.update(b.events)
@@ -104,9 +82,8 @@ class TestStats:
 
     def test_infection_minutes_within_day(self, tiny_graph):
         sc, state = _setup(tiny_graph, infected_frac=0.3)
-        rows = np.arange(tiny_graph.n_visits, dtype=np.int64)
         res = compute_infections(
-            rows, tiny_graph, state, sc.disease, sc.transmission, 0, RngFactory(3)
+            tiny_graph, state, sc.disease, sc.transmission, 0, RngFactory(3)
         )
         assert res.infections, "expected some transmissions at 30% prevalence"
         for ev in res.infections:
@@ -120,13 +97,12 @@ class TestCounterMerge:
 
     def test_merge_adds_on_shared_locations(self, tiny_graph):
         sc, state = _setup(tiny_graph)
-        rows = np.arange(tiny_graph.n_visits, dtype=np.int64)
         a = compute_infections(
-            rows, tiny_graph, state, sc.disease, sc.transmission, 0,
+            tiny_graph, state, sc.disease, sc.transmission, 0,
             RngFactory(0), collect_stats=True,
         )
         b = compute_infections(
-            rows, tiny_graph, state, sc.disease, sc.transmission, 1,
+            tiny_graph, state, sc.disease, sc.transmission, 1,
             RngFactory(0), collect_stats=True,
         )
         expected = {loc: a.events[loc] + b.events[loc] for loc in set(a.events) | set(b.events)}
@@ -144,17 +120,15 @@ class TestCounterMerge:
         location group; merged per-location stats must equal the
         whole-population call's."""
         sc, state = _setup(tiny_graph)
-        rows = np.arange(tiny_graph.n_visits, dtype=np.int64)
         whole = compute_infections(
-            rows, tiny_graph, state, sc.disease, sc.transmission, 0,
+            tiny_graph, state, sc.disease, sc.transmission, 0,
             RngFactory(sc.seed), collect_stats=True,
         )
-        locs = tiny_graph.visit_location
         events, interactions, infections = Counter(), Counter(), []
         for part in range(3):
             res = compute_infections(
-                rows[locs[rows] % 3 == part], tiny_graph, state, sc.disease,
-                sc.transmission, 0, RngFactory(sc.seed), collect_stats=True,
+                tiny_graph, state, sc.disease, sc.transmission, 0, RngFactory(sc.seed),
+                owned=np.arange(tiny_graph.n_locations) % 3 == part, collect_stats=True,
             )
             events.update(res.events)
             interactions.update(res.interactions)

@@ -51,22 +51,21 @@ def _phase_inputs(scenario, infected_frac=0.25):
     if n_sick:
         sick = rng.choice(g.n_persons, n_sick, replace=False)
         state[sick] = d.state_index(d.states[int(np.flatnonzero(d.is_infectious)[0])].name)
-    rows = np.arange(g.n_visits, dtype=np.int64)
-    return g, d, state, rows
+    return g, d, state
 
 
 class TestKernelEquivalence:
     @given(scenarios())
     @settings(max_examples=60, deadline=None)
     def test_same_infections_same_order(self, scenario):
-        g, d, state, rows = _phase_inputs(scenario)
+        g, d, state = _phase_inputs(scenario)
         f = RngFactory(scenario.seed)
         grouped = compute_infections(
-            rows, g, state, d, scenario.transmission, 0, f,
+            g, state, d, scenario.transmission, 0, f,
             collect_stats=True, kernel="grouped",
         )
         flat = compute_infections(
-            rows, g, state, d, scenario.transmission, 0, f,
+            g, state, d, scenario.transmission, 0, f,
             collect_stats=True, kernel="flat",
         )
         assert _infection_tuples(flat) == _infection_tuples(grouped)
@@ -88,7 +87,7 @@ class TestKernelEquivalence:
     @given(visit_graphs())
     @settings(max_examples=40, deadline=None)
     def test_flat_kernel_grouping_invariance(self, graph):
-        """Splitting visit rows by location across calls reproduces the
+        """Splitting the locations across calls reproduces the
         whole-population flat-kernel call (the parallel-correctness
         keystone, previously asserted only for the grouped kernel)."""
         from repro.core import Scenario, TransmissionModel
@@ -97,14 +96,13 @@ class TestKernelEquivalence:
             graph=graph, seed=5, initial_infections=0,
             transmission=TransmissionModel(3e-3),
         )
-        g, d, state, rows = _phase_inputs(sc)
+        g, d, state = _phase_inputs(sc)
         f = RngFactory(sc.seed)
-        whole = compute_infections(rows, g, state, d, sc.transmission, 0, f, kernel="flat")
-        locs = g.visit_location
+        whole = compute_infections(g, state, d, sc.transmission, 0, f, kernel="flat")
         parts = [
             compute_infections(
-                rows[locs[rows] % 2 == m], g, state, d, sc.transmission, 0, f,
-                kernel="flat",
+                g, state, d, sc.transmission, 0, f,
+                owned=np.arange(g.n_locations) % 2 == m, kernel="flat",
             )
             for m in (0, 1)
         ]

@@ -150,8 +150,8 @@ def _lb_inputs(sim, monkeypatch):
     read: dict[int, np.ndarray] = {}
     location_phase = day_steps.location_phase
 
-    def spy_phase(state, scenario, day, rows, **kwargs):
-        phase = location_phase(state, scenario, day, rows, **kwargs)
+    def spy_phase(state, scenario, day, *args, **kwargs):
+        phase = location_phase(state, scenario, day, *args, **kwargs)
         daily.setdefault(day, Counter()).update(phase.interactions)
         return phase
 

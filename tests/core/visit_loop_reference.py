@@ -17,6 +17,10 @@ calls them:
   adapts the receiving entry: a scalar record delivers one bare row
   where a batch delivers an array.
 
+Two things are newer than the loops: the PMs write the LMs'
+removed-visit mask, and the LMs hand the location phase their location
+mask and that mask instead of the rows they received, sorted.
+
 The one line that cannot be verbatim is the predictive balancer's feed:
 the parent ``update``-d a dict that nothing cleared, so here each
 location's pair count is written into the array and, with
@@ -35,6 +39,7 @@ def loop_prepare_day(self, day: int) -> None:
     """Central start-of-day work: seeding, treatments, day context."""
     self.day_ctx, self._seeded_count = day_steps.open_day(self.state, self.scenario, day)
     self.day_transitions = 0
+    self.removed = None  # newer than the loop: the LMs' removed-visit mask
     if self.checker is not None:
         self.checker.begin_day(day, self.health_state)
 
@@ -56,6 +61,10 @@ class LoopPersonManager(_PersonManager):
             + cost.transition_cost * changed.size
         )
         keep = sim.scenario.interventions.visit_mask(sim.day_ctx, self.rows)
+        if not keep.all():  # newer than the loop: what the LMs read
+            if sim.removed is None:
+                sim.removed = np.zeros(sim.graph.n_visits, dtype=bool)
+            sim.removed[self.rows] = ~keep
         rows = self.rows[keep]
         self.charge(cost.visit_compute_cost * rows.size)
         if sim.checker is not None:
@@ -77,10 +86,10 @@ class LoopLocationManager(_LocationManager):
 
     def location_phase(self, day: int) -> None:
         sim = self.sim
-        rows = np.sort(np.concatenate(self.buffered_rows or [np.empty(0, dtype=np.int64)]))
-        self.buffered_rows = []
         phase = day_steps.location_phase(
-            sim.state, sim.scenario, day, rows, kernel=sim.kernel, collect_stats=True
+            sim.state, sim.scenario, day, sim.distribution.location_chare == self.index,
+            sim.removed,
+            kernel=sim.kernel, collect_stats=True,
         )
         if sim.checker is not None:
             sim.checker.record_infections(day, phase.infections)

@@ -132,9 +132,10 @@ def test_what_the_ladder_reads(simmering, kernel, monkeypatch):
         return wrapper
 
     def recording(fn):
-        def wrapper(visit_rows, graph, *args, **kwargs):
-            result = fn(visit_rows, graph, *args, **kwargs)
-            handed = graph.n_visits if visit_rows is None else int(visit_rows.size)
+        def wrapper(graph, *args, **kwargs):
+            result = fn(graph, *args, **kwargs)
+            removed = kwargs["removed"]
+            handed = graph.n_visits - (0 if removed is None else int(removed.sum()))
             seen["calls"].append((handed, len(result.infections)))
             return result
         return wrapper

@@ -117,7 +117,7 @@ class TestExposure:
         "exposure.visits", "exposure.candidates", "exposure.active_blocks", "exposure.walk_rows",
     )
 
-    def _phase(self, graph, kernel, rows="arange"):
+    def _phase(self, graph, kernel, masks=True):
         from repro.core import influenza_model
         from repro.core.exposure import compute_infections
         from repro.util.rng import RngFactory
@@ -125,10 +125,11 @@ class TestExposure:
         disease = influenza_model()
         state, _ = disease.initial_health(graph.n_persons)
         state[::7] = disease.index["infectious_symptomatic"]
+        owned = np.ones(graph.n_locations, dtype=bool) if masks else None
+        removed = np.zeros(graph.n_visits, dtype=bool) if masks else None
         return compute_infections(
-            np.arange(graph.n_visits) if rows == "arange" else rows,
-            graph, state, disease, TransmissionModel(2e-3),
-            0, RngFactory(3), collect_stats=True, kernel=kernel,
+            graph, state, disease, TransmissionModel(2e-3), 0, RngFactory(3),
+            owned=owned, removed=removed, collect_stats=True, kernel=kernel,
         )
 
     @pytest.mark.parametrize("kernel", ["flat", "grouped", "compiled"])
@@ -157,10 +158,10 @@ class TestExposure:
         assert 0 < seen[0]["exposure.active_blocks"] <= seen[0]["exposure.candidates"]
         assert seen[0]["exposure.candidates"] < small_graph.n_visits
         # rows the walk touched: a count of work like the others, the
-        # same whether "every visit" arrives as None or listed
+        # same whether "every visit" arrives as None or as masks
         assert seen[0]["exposure.candidates"] <= seen[0]["exposure.walk_rows"]
         with observe.observing() as obs:
-            whole = self._phase(small_graph, "flat", rows=None)
+            whole = self._phase(small_graph, "flat", masks=False)
         assert {name: obs.counters[name] for name in self.COUNTERS} == seen[0]
         assert whole.infections == self._phase(small_graph, "flat").infections
 

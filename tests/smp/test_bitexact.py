@@ -14,6 +14,8 @@ from repro.core import Scenario, TransmissionModel
 from repro.core.interventions import parse_intervention_script
 from repro.core.simulator import SequentialSimulator
 from repro.smp import SmpSimulator, heavy_tailed_graph
+from repro.smp.layout import block_partition
+from repro.spec import content_hash
 from repro.synthpop import PopulationConfig, generate_population
 from repro.validate.oracle import diff_runs
 
@@ -67,6 +69,33 @@ def test_heavy_tailed_population(heavy_graph, workers):
     assert_bitexact(
         make_tiny(heavy_graph, transmission=TransmissionModel(3e-4)), workers
     )
+
+
+def _digest(result) -> str:
+    """The epidemic of a run, order-free within a day: curve, each day's
+    infect records sorted, final health state."""
+    return content_hash({
+        "curve": [result.curve.new_infections, result.curve.prevalence],
+        "infections": {day: sorted(map(tuple, rec.tolist()))
+                       for day, rec in sorted(result.infection_log.items())},
+        "final": result.final_health_state.tolist(),
+    })
+
+
+def test_a_worker_that_owns_no_location():
+    """Four workers, three locations: ``block_partition`` leaves worker 3
+    no location, so its location phase runs over an all-False mask.  It
+    still crosses both barriers (the visit detector with zero records,
+    the infect detector), and the run equals the sequential one."""
+    graph = heavy_tailed_graph(n_persons=200, n_locations=3, seed=5)
+    assert block_partition(graph.n_persons, graph.n_locations, 4).location_part.tolist() == [0, 1, 2]
+    factory = make_tiny(graph, transmission=TransmissionModel(1e-4))
+    reference = SequentialSimulator(factory()).run()
+    scenario = factory()
+    out = SmpSimulator(scenario, n_workers=4).run()
+    assert diff_runs(scenario, reference, out.result, ordered=False) is None
+    assert _digest(out.result) == _digest(reference)
+    assert sum(reference.curve.new_infections) > 8  # it transmitted beyond the index cases
 
 
 def test_tight_rings_still_exact(tiny_graph):

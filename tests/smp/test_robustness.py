@@ -48,7 +48,11 @@ def test_worker_crash_raises_not_hangs(graph, phase):
         _fault={"rank": 1, "day": 0, "phase": phase},
     )
     t0 = time.monotonic()
-    with pytest.raises(SmpWorkerError, match=f"exit code {FAULT_EXIT_CODE}"):
+    # the person -> location barrier carries no records: a peer dying
+    # before or after it is reported, with its rank and day, all the same
+    with pytest.raises(
+        SmpWorkerError, match=f"worker 1 died on day 0 \\(exit code {FAULT_EXIT_CODE}\\)"
+    ):
         sim.run()
     # The dead worker's process sentinel wakes the driver's park; it
     # does not wait out the phase timeout — seconds, not minutes.
@@ -93,11 +97,11 @@ def test_sigkilled_driver_leaves_no_worker_and_no_segment(tmp_path):
 
         location_phase = day.location_phase
 
-        def marked(state, scenario, d, rows, **kw):
+        def marked(state, scenario, d, *args, **kw):
             if d == 1:  # tell the test this worker is inside day 1
                 open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
                 time.sleep(0.5)
-            return location_phase(state, scenario, d, rows, **kw)
+            return location_phase(state, scenario, d, *args, **kw)
 
         day.location_phase = marked
         graph = generate_population(PopulationConfig(n_persons=250), 31, name="smp-kill")

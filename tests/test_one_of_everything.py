@@ -27,6 +27,11 @@ would have:
 * the word ``lexsort`` anywhere under ``core/``, docstrings included:
   the exposure walk hands the kernels their ``(location, sublocation)``
   blocks, so no kernel sorts candidates into them again;
+* a second location-phase form: ``searchsorted`` in ``core/exposure.py``
+  or in the block walk's source in ``core/ckernel.py`` (the ∩ with a
+  handed-in row list), or ``np.sort(np.concatenate`` under ``core/`` or
+  ``smp/`` (an owner sorting the rows it received) — owners pass a
+  location mask and a removed-visit mask;
 * process management outside ``workers.py``, the one worker runtime:
   an import of ``multiprocessing.connection`` or a ``connection.wait(``
   (the park), or a ``Pipe(`` / ``Process(`` / ``is_alive(`` /
@@ -68,6 +73,9 @@ ORACLE = "validate/oracle.py"
 
 #: the package no ``lexsort`` may appear in
 SORT_FREE = "core/"
+
+#: where no owner may sort the visit rows it received
+RECEIVE_SORT_FREE = ("core/", "smp/")
 
 #: the one module that spawns, pipes and parks worker processes
 RUNTIME = "workers.py"
@@ -136,9 +144,18 @@ def _oracle_classes(tree: ast.AST) -> dict[str, list[str]]:
     return {suffix: [n for n in names if n.endswith(suffix)] for suffix in ("Report", "CellResult")}
 
 
-def _lexsorts(source: str) -> list[int]:
-    """Line numbers of ``source`` that mention ``lexsort``."""
-    return [i for i, line in enumerate(source.splitlines(), 1) if "lexsort" in line]
+def _mentions(source: str, word: str) -> list[int]:
+    """Line numbers of ``source`` that mention ``word``."""
+    return [i for i, line in enumerate(source.splitlines(), 1) if word in line]
+
+
+def _walk_source(ckernel_source: str) -> str:
+    """The block walk in ``core/ckernel.py``: the C function, then its
+    Python entry point."""
+    c_start = ckernel_source.index("int64_t repro_block_walk(")
+    py_start = ckernel_source.index("\ndef block_walk(")
+    return (ckernel_source[c_start:ckernel_source.index("\n}\n", c_start)]
+            + ckernel_source[py_start:ckernel_source.index("\ndef ", py_start + 1)])
 
 
 def _runtime_violations(tree: ast.AST, module: str):
@@ -215,7 +232,21 @@ def test_no_lexsort_in_core():
     found = [
         f"{path.relative_to(SRC).as_posix()}:{lineno}"
         for path in sorted((SRC / SORT_FREE).rglob("*.py"))
-        for lineno in _lexsorts(path.read_text())
+        for lineno in _mentions(path.read_text(), "lexsort")
+    ]
+    assert not found, found
+
+
+def test_one_location_phase_form():
+    exposure = (SRC / "core/exposure.py").read_text()
+    walk = _walk_source((SRC / "core/ckernel.py").read_text())
+    assert "repro_block_walk" in walk and "def block_walk" in walk
+    assert not _mentions(exposure, "searchsorted") and not _mentions(walk, "searchsorted")
+    found = [
+        f"{path.relative_to(SRC).as_posix()}:{lineno}"
+        for package in RECEIVE_SORT_FREE
+        for path in sorted((SRC / package).rglob("*.py"))
+        for lineno in _mentions(path.read_text(), "np.sort(np.concatenate")
     ]
     assert not found, found
 
@@ -276,7 +307,22 @@ def test_guard_catches_seeded_violations():
         "    order = np.lexsort((c.subloc, c.location))  # sorted position -> row\n"
         "    return order\n"
     )
-    assert _lexsorts(resort) == [2]
+    assert _mentions(resort, "lexsort") == [2]
+    # the subset walk's ∩ with a row list, and an owner's receive-side sort
+    subset_walk = (
+        "def _numpy_walk(visit_rows, graph, health_state, disease):\n"
+        "    at = np.minimum(np.searchsorted(visit_rows, rows), visit_rows.size - 1)\n"
+    )
+    assert _mentions(subset_walk, "searchsorted") == [2]
+    c_walk = (
+        "int64_t repro_block_walk(int64_t n_rows, const int64_t *visit_rows)\n{\n"
+        "    lo = searchsorted(visit_rows, n_rows, r);\n}\n"
+        "def block_walk(visit_rows, graph):\n    return walk(visit_rows)\n"
+        "def accumulate_exposures(rows):\n    pass\n"
+    )
+    assert _mentions(_walk_source(c_walk), "searchsorted") == [3]
+    receive_sort = "        rows = np.sort(np.concatenate(self.buffered_rows))\n"
+    assert _mentions(receive_sort, "np.sort(np.concatenate") == [1]
 
 
 def test_guard_catches_seeded_oracle_copies():
