@@ -200,8 +200,8 @@ def _walk(
     Found by a walk over ``graph.block_visit_index()``, not by reading
     every row: infectious persons' rows (owned, not removed) → their
     blocks → those blocks' rows not removed → blocks that also hold an
-    S row; in C
-    (:func:`repro.core.ckernel.block_walk`) or numpy (:func:`_numpy_walk`).
+    S row; in C (:func:`repro.core.ckernel.block_walk`) or numpy
+    (:func:`_numpy_walk`).
     """
     owned, removed = ckernel.checked_masks(graph, owned, removed)
     with observe.span("exposure.filter"):

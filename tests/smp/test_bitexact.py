@@ -14,18 +14,19 @@ from repro.core import Scenario, TransmissionModel
 from repro.core.interventions import parse_intervention_script
 from repro.core.simulator import SequentialSimulator
 from repro.smp import SmpSimulator, heavy_tailed_graph
-from repro.smp.layout import block_partition
+from repro.smp.layout import INFECT_RECORD, block_partition
 from repro.spec import content_hash
 from repro.synthpop import PopulationConfig, generate_population
 from repro.validate.oracle import diff_runs
 
 
-def assert_bitexact(make_scenario, workers: int, **smp_kwargs) -> None:
+def assert_bitexact(make_scenario, workers: int, **smp_kwargs):
     reference = SequentialSimulator(make_scenario()).run()
     scenario = make_scenario()
     out = SmpSimulator(scenario, n_workers=workers, **smp_kwargs).run()
     divergence = diff_runs(scenario, reference, out.result, ordered=False)
     assert divergence is None, divergence.format()
+    return reference, out
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +102,13 @@ def test_a_worker_that_owns_no_location():
 def test_tight_rings_still_exact(tiny_graph):
     # Force heavy backpressure: rings barely larger than one batch.
     # Correctness must not depend on ring capacity, only progress does.
-    out_kwargs = dict(ring_capacity=64, batch=16)
-    assert_bitexact(make_tiny(tiny_graph), 2, **out_kwargs)
+    # Infect records are the only ring traffic (visit rows do not
+    # travel), so the epidemic must send enough of them: one day's
+    # records overflow a 64-word ring several times over.
+    reference, _ = assert_bitexact(
+        make_tiny(tiny_graph, transmission=TransmissionModel(3e-3)), 2, ring_capacity=64, batch=16
+    )
+    assert max(len(day) for day in reference.infection_log.values()) > 2 * 64 // INFECT_RECORD
 
 
 SCRIPT = """
