@@ -83,7 +83,6 @@ def _phase_state(graph, seed=3, infected_frac=0.08):
 
 def time_kernel(kernel: str, graph, sc, state) -> tuple[float, list]:
     """Best-of-REPEATS wall time for N_DAYS location phases."""
-    rows = np.arange(graph.n_visits, dtype=np.int64)
     f = RngFactory(sc.seed)
     best = float("inf")
     infections = None
@@ -92,7 +91,7 @@ def time_kernel(kernel: str, graph, sc, state) -> tuple[float, list]:
         t0 = time.perf_counter()
         for day in range(N_DAYS):
             res = compute_infections(
-                rows, graph, state, sc.disease, sc.transmission, day, f,
+                graph, state, sc.disease, sc.transmission, day, f,
                 kernel=kernel,
             )
             events.extend((day, e.person, e.location, e.minute) for e in res.infections)

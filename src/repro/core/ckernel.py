@@ -114,9 +114,9 @@ int64_t repro_block_walk(
 {
     int64_t *blocks = bptr + 1, n_walked = 0, walked = 0, n = 0, n_active = 0;
 #define WALK(r0, r1, SKIP) /* mark the blocks of carrier rows [r0, r1) */ \
-    for (int64_t r = (r0), end = (r1); r < end; ++r, ++walked) { \
+    for (int64_t r = (r0), end = (r1); r < end; ++r) { \
         const int64_t l = COL(LOCATION, r), b = sub_off[l] + COL(SUBLOC, r); \
-        if (!(SKIP) && !mark[b]) mark[b] = 1, blocks[n_walked++] = b; \
+        if (!(SKIP) && (++walked, !mark[b])) mark[b] = 1, blocks[n_walked++] = b; \
     }
 #define SCAN(T, SKIP) /* every person: health_state typed as it lies */ \
     for (int64_t i = 0; i < n_persons; ++i) { \

@@ -208,14 +208,13 @@ def _walk(
         if owned is None and removed is None and events is None:
             n_visits = graph.n_visits
         else:  # per owned location: its range of the index, less the removed rows in it
-            index, ptr, sub_off = graph.block_visit_index()
+            _, ptr, sub_off = graph.block_visit_index()
             loc_ptr = ptr[np.append(sub_off, ptr.size - 1)]  # location l: loc_ptr[l]:loc_ptr[l+1]
             locs = np.arange(graph.n_locations) if owned is None else np.flatnonzero(owned)
             counts = loc_ptr[locs + 1] - loc_ptr[locs]
             if removed is not None:
-                pos, _ = _slice_rows(loc_ptr, locs)
-                owner = np.repeat(np.arange(locs.size), counts)  # index into `locs`
-                counts = counts - np.bincount(owner[removed[index[pos]]], minlength=locs.size)
+                counts = counts - np.bincount(
+                    graph.visit_location[removed], minlength=graph.n_locations)[locs]
             n_visits = int(counts.sum())
             if events is not None:  # ascending locations, those with a visit
                 some = counts > 0
@@ -239,17 +238,17 @@ def _numpy_walk(
     :func:`repro.core.ckernel.block_walk`: the candidates by ascending
     block id ``sub_off[loc] + sub`` (the stable ``(location,
     sublocation)`` sort), ``rows[bptr[j]:bptr[j+1]]`` active block ``j``;
-    ``walk_rows`` counts the carrier rows scanned and all rows of the
-    blocks they mark."""
+    ``walk_rows`` counts the carrier rows kept (owned, not removed) and
+    all rows of the blocks they mark."""
     owned, removed = ckernel.checked_masks(graph, owned, removed)
     index, ptr, sub_off = graph.block_visit_index()
     carriers = np.flatnonzero(disease.is_infectious[health_state])
     inf_rows, _ = _slice_rows(graph.person_visit_slices(), carriers)
-    walk_rows = inf_rows.size
     if owned is not None:
         inf_rows = inf_rows[owned[graph.visit_location[inf_rows]]]
     if removed is not None:
         inf_rows = inf_rows[~removed[inf_rows]]
+    walk_rows = inf_rows.size
     # distinct blocks by sort + neighbour compare (np.unique is 10x slower)
     blocks = np.sort(sub_off[graph.visit_location[inf_rows]] + graph.visit_subloc[inf_rows])
     first = np.ones(blocks.size, dtype=bool)

@@ -213,8 +213,9 @@ class _PersonManager(Chare):
 
 
 class _LocationManager(Chare):
-    def __init__(self, sim: "ParallelEpiSimdemics"):
+    def __init__(self, sim: "ParallelEpiSimdemics", owned: np.ndarray):
         self.sim = sim
+        self.owned = owned  # bool per location: the ones this LM computes
 
     def recv_visits(self, rows: np.ndarray) -> None:
         # modelled traffic: the location phase reads the two masks
@@ -224,9 +225,8 @@ class _LocationManager(Chare):
 
     def location_phase(self, day: int) -> None:
         sim = self.sim
-        owned = sim.distribution.location_chare == self.index
         phase = day_steps.location_phase(
-            sim.state, sim.scenario, day, owned, sim.removed, kernel=sim.kernel, collect_stats=True
+            sim.state, sim.scenario, day, self.owned, sim.removed, kernel=sim.kernel, collect_stats=True
         )
         if sim.checker is not None:
             sim.checker.record_infections(day, phase.infections)
@@ -452,9 +452,9 @@ class ParallelEpiSimdemics:
 
         dist = distribution
         plan = OwnershipPlan.build(self.graph, dist.person_chare, dist.location_chare, dist.n_pm)
+        lm_owned = [dist.location_chare == c for c in range(dist.n_lm)]
         if self.checker is not None:
-            lm_locations = [dist.location_chare == c for c in range(dist.n_lm)]
-            self.checker.check_partition(plan.persons, plan.visit_rows, lm_locations)
+            self.checker.check_partition(plan.persons, plan.visit_rows, lm_owned)
 
         rt = self.runtime
         if delivery == "tram":
@@ -470,7 +470,7 @@ class ParallelEpiSimdemics:
         )
         rt.create_array(
             self.name("lm"),
-            lambda i: _LocationManager(self),
+            lambda i: _LocationManager(self, lm_owned[i]),
             dist.lm_placement,
         )
         rt.create_array(

@@ -80,3 +80,20 @@ def test_mask_form_equals_the_row_list_oracle(kernel, walk, cover):
             merged.update(dict(p[key]))
         assert dict(merged) == dict(whole[key]), key
     assert sorted(sum((p["drawn"] for p in parts), [])) == sorted(whole["drawn"])
+
+
+@walks
+@given(covers())
+@settings(max_examples=60, deadline=None)
+def test_walk_counts_add_up_over_a_cover(walk, cover):
+    """``walk_rows``, candidates and active blocks count only what an
+    owner keeps (its carrier rows not removed and their blocks' rows),
+    so a disjoint cover sums to the ``owned=None`` walk's counts."""
+    graph, disease, health, owned_masks, removed = cover
+    fn = ckernel.block_walk if walk == "c" else production._numpy_walk
+
+    def counts(owned):
+        rows, bptr, walk_rows = fn(graph, health, disease, owned, removed)
+        return np.array([walk_rows, rows.size, bptr.size - 1])
+
+    assert (sum(counts(owned) for owned in owned_masks) == counts(None)).all()
