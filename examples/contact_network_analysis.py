@@ -3,34 +3,54 @@
 
 EpiSimdemics never materialises the person–person graph — that is the
 design decision that makes the location-centric DES scale.  This
-example materialises it anyway (affordable at analysis scale) to show
-the structure the simulator is implicitly traversing: contact degrees,
-contact-minute distributions, and the bipartite-vs-unipartite size
-blow-up that justifies the paper's representation choice.
+example materialises it anyway (affordable at analysis scale) with the
+repo's one projection, :func:`repro.baselines.project_contact_graph`,
+to show the structure the simulator is implicitly traversing: contact
+degrees, contact-minute distributions, connectivity, and the
+bipartite-vs-unipartite size blow-up that justifies the paper's
+representation choice.
 
 Run:  python examples/contact_network_analysis.py
 """
 
 import numpy as np
 
+from repro.baselines import project_contact_graph
 from repro.synthpop import state_population
-from repro.synthpop.contact import contact_network
 from repro.util.histogram import log_binned_histogram
+
+
+def component_sizes(net) -> np.ndarray:
+    """Connected-component sizes, largest first: min-label propagation
+    with pointer jumping over the CSR (each label ends as the smallest
+    person id in its component)."""
+    src = np.repeat(np.arange(net.n_persons), net.degrees)
+    label = np.arange(net.n_persons)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[net.indices])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    sizes = np.bincount(label)
+    return np.sort(sizes[sizes > 0])[::-1]
 
 
 def main() -> None:
     graph = state_population("WY", scale=2e-3, seed=4)
     print(f"population: {graph.summary()}\n")
 
-    net = contact_network(graph)
+    net = project_contact_graph(graph)
     print("person-person contact network (one day):")
     print(f"  edges                : {net.n_edges:,}")
     print(f"  vs person-location   : {graph.n_visits:,} visits "
           f"({net.n_edges / graph.n_visits:.1f}x)")
-    deg = net.degrees()
+    deg = net.degrees
     print(f"  mean contact degree  : {deg.mean():.1f}")
     print(f"  median / max degree  : {np.median(deg):.0f} / {deg.max()}")
-    minutes = net.contact_minutes_per_person()
+    owner = np.repeat(np.arange(net.n_persons), deg)
+    minutes = np.bincount(owner, weights=net.weights, minlength=net.n_persons)
     print(f"  mean contact minutes : {minutes.mean():.0f}")
 
     print("\ncontact-degree distribution (log-binned):")
@@ -39,12 +59,9 @@ def main() -> None:
         if n:
             print(f"  degree ~{c:7.1f}: {'#' * max(1, int(40 * n / hist.counts.max()))} {n}")
 
-    # Connectivity via networkx — the giant component is what lets a
-    # single index case reach most of the population.
-    g = net.to_networkx()
-    import networkx as nx
-
-    components = sorted((len(c) for c in nx.connected_components(g)), reverse=True)
+    # The giant component is what lets a single index case reach most
+    # of the population.
+    components = component_sizes(net)
     print(f"\nconnected components: {len(components)}; giant component covers "
           f"{components[0] / graph.n_persons:.0%} of the population")
     print(

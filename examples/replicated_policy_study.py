@@ -2,17 +2,18 @@
 """Replicated intervention study with confidence intervals.
 
 A single stochastic run can mislead a decision-maker; the paper's H1N1
-analyses compared policies over replicate ensembles.  This example uses
-the experiment harness to run each policy across seeds (common random
-numbers) and reports attack-rate confidence intervals plus paired
-significance tests.
+analyses compared policies over replicate ensembles.  This example
+states each policy as a RunSpec, runs every policy across the same
+seeds (common random numbers) as lab tasks, and reports attack-rate
+confidence intervals plus paired significance tests.
 
 Run:  python examples/replicated_policy_study.py
 """
 
-from repro.analysis.experiments import compare_policies
-from repro.core import Scenario, TransmissionModel, parse_intervention_script
-from repro.synthpop import state_population
+import dataclasses
+
+from repro.lab import compare_policies
+from repro.spec import PopulationSpec, RunSpec
 
 POLICY_SCRIPTS = {
     "baseline": "",
@@ -27,26 +28,22 @@ POLICY_SCRIPTS = {
 
 SEEDS = range(8)
 
+BASE = RunSpec(
+    population=PopulationSpec(kind="state", state="WY", scale=2e-3, seed=1),
+    n_days=100,
+    initial_infections=8,
+    transmissibility=1.5e-4,
+)
+
 
 def main() -> None:
-    graph = state_population("WY", scale=2e-3, seed=1)
-    print(f"population: {graph.summary()}")
-    print(f"replicates: {len(list(SEEDS))} seeds per policy (common random numbers)\n")
+    print(f"population: {BASE.population.build().summary()}")
+    print(f"replicates: {len(SEEDS)} seeds per policy (common random numbers)\n")
 
-    def factory(script):
-        def make(seed):
-            return Scenario(
-                graph=graph,
-                n_days=100,
-                seed=seed,
-                initial_infections=8,
-                transmission=TransmissionModel(1.5e-4),
-                interventions=parse_intervention_script(script),
-            )
-
-        return make
-
-    policies = {name: factory(script) for name, script in POLICY_SCRIPTS.items()}
+    policies = {
+        name: dataclasses.replace(BASE, interventions=script)
+        for name, script in POLICY_SCRIPTS.items()
+    }
     summaries, contrasts = compare_policies(policies, SEEDS)
 
     print(f"{'policy':<20} {'attack rate':>12} {'95% CI':>18} {'peak day':>9}")

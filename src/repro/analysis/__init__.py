@@ -9,6 +9,9 @@
 * :mod:`repro.analysis.scaling` — the phase-cost analytic execution
   model and strong-scaling harness (Figures 12, 13, headline
   speedups), validated against the runtime simulator.
+
+Replicate ensembles and policy contrasts are lab tasks:
+:mod:`repro.lab.replicates`.
 """
 
 from repro.analysis.speedup import (
@@ -27,7 +30,6 @@ from repro.analysis.scaling import (
     strong_scaling_curve,
     speedup_table,
 )
-from repro.analysis.experiments import ReplicateSummary, run_replicates, compare_policies
 from repro.analysis.theory import (
     PowerLawTheory,
     characteristic_dmax,
@@ -50,9 +52,6 @@ __all__ = [
     "ScalingPoint",
     "strong_scaling_curve",
     "speedup_table",
-    "ReplicateSummary",
-    "run_replicates",
-    "compare_policies",
     "PowerLawTheory",
     "characteristic_dmax",
     "expected_max_degree",

@@ -176,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--alpha", type=float, default=0.01,
                    help="familywise false-positive level of the --external tests")
     v.add_argument("--external-workers", type=int, default=1,
-                   help="fork workers for the --external model replications "
-                        "(any count is bit-identical)")
+                   help="lab pool size for the --external model replications "
+                        "(<= 1 runs them inline; any count is bit-identical)")
 
     f = sub.add_parser(
         "profile",

@@ -13,6 +13,11 @@ struct-packed pipe frames), with
 * a **structured append-only result store**
   (:class:`~repro.lab.store.ResultStore`): canonical-JSONL records in
   task order plus a manifest, byte-identical at any pool size;
+* **replicate studies** (:mod:`repro.lab.replicates`):
+  :func:`run_replicates` / :func:`compare_policies` run one spec, or
+  each policy's spec, on the caller's seeds (common random numbers)
+  as one pool map, with CI, quantile bands and paired t-tests in
+  numpy;
 * full :mod:`repro.observe` coverage — ``lab.sweep`` / ``lab.expand``
   / ``lab.pool.submit`` / ``lab.pop_build`` / ``lab.collect`` spans
   make a sweep profileable end to end.
@@ -37,6 +42,7 @@ Usage::
 
 from repro.lab.cache import ArtifactCache, CacheStats
 from repro.lab.pool import LabWorkerError, WorkerPool
+from repro.lab.replicates import ReplicateSummary, compare_policies, run_replicates
 from repro.lab.store import ResultStore
 from repro.lab.sweep import (
     ReplayResult,
@@ -55,6 +61,9 @@ __all__ = [
     "WorkerPool",
     "LabWorkerError",
     "ResultStore",
+    "ReplicateSummary",
+    "run_replicates",
+    "compare_policies",
     "SweepConfig",
     "SweepTask",
     "SweepReport",

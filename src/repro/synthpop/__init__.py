@@ -21,6 +21,8 @@ Two generation paths share one graph type:
 
 One on-disk format, a directory of ``.npy`` columns
 (:func:`save_population` / :func:`load_population`), serves both.
+The person–person contact network these visits imply is projected
+once, by :func:`repro.baselines.project_contact_graph`.
 
 See DESIGN.md §2 for why matching these distributions preserves the
 paper's scaling phenomena.

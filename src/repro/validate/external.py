@@ -32,7 +32,6 @@ supported mutation while passing the unmodified model.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +48,9 @@ from repro.baselines import (
     run_fastsir,
 )
 from repro.baselines.stats import permutation_pvalue, trajectory_ks_statistic
-from repro.core.scenario import Scenario
-from repro.core.simulator import SequentialSimulator
-from repro.core.transmission import TransmissionModel
+from repro.core.pttsl import format_ptts
+from repro.lab.pool import WorkerPool
+from repro.spec import PopulationSpec, RunSpec
 from repro.util.rng import RngFactory, derive_seed
 
 __all__ = [
@@ -105,65 +104,40 @@ def _mutated_disease(mutation: str | None, latent_days: int, infectious_days: in
 
 
 # ----------------------------------------------------------------------
-# model-side replications (optionally fanned out over fork workers)
+# model-side replications (lab tasks)
 # ----------------------------------------------------------------------
-#: Context inherited by forked pool workers (numpy graphs fork cheaply
-#: via copy-on-write; no pickling of the population per task).
-_MODEL_CTX: dict = {}
-
-
-def _model_replication(rep: int) -> tuple[int, np.ndarray]:
-    ctx = _MODEL_CTX
-    scenario = Scenario(
-        graph=ctx["graph"],
-        disease=ctx["disease"],
-        transmission=ctx["transmission"],
-        n_days=ctx["n_days"],
-        initial_infections=ctx["initial_infections"],
-        seed=derive_seed(ctx["seed"], RngFactory.BASELINE, rep, _SALT_MODEL),
-    )
-    result = SequentialSimulator(scenario).run()
-    return result.total_infections, np.asarray(result.curve.prevalence, dtype=np.float64)
-
-
 def _model_ensemble(
-    graph,
-    disease,
-    transmission: TransmissionModel,
+    pool: WorkerPool,
+    population: PopulationSpec,
+    disease: str,
+    transmissibility: float,
     *,
     n_days: int,
     initial_infections: int,
     seed: int,
     replications: int,
-    workers: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Final sizes and prevalence trajectories of the model ensemble.
 
-    Replication ``rep`` runs under root seed
-    ``derive_seed(seed, BASELINE, rep, salt)`` regardless of ``workers``
-    and results are collected in replication order, so the ensemble is
-    bit-identical for any worker count (asserted by
+    Replication ``rep`` is a :class:`~repro.spec.RunSpec` under root
+    seed ``derive_seed(seed, BASELINE, rep, salt)`` whatever the pool
+    size, and the pool returns results in submission order, so the
+    ensemble is bit-identical for any worker count (asserted by
     ``tests/validate/test_external.py``).
     """
-    _MODEL_CTX.update(
-        graph=graph,
-        disease=disease,
-        transmission=transmission,
-        n_days=n_days,
-        initial_infections=initial_infections,
-        seed=seed,
+    results = pool.map(
+        RunSpec(
+            population=population,
+            disease=disease,
+            transmissibility=transmissibility,
+            n_days=n_days,
+            initial_infections=initial_infections,
+            seed=derive_seed(seed, RngFactory.BASELINE, rep, _SALT_MODEL),
+        )
+        for rep in range(replications)
     )
-    try:
-        if workers <= 1:
-            rows = [_model_replication(rep) for rep in range(replications)]
-        else:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as pool:
-                rows = pool.map(_model_replication, range(replications))
-    finally:
-        _MODEL_CTX.clear()
-    sizes = np.array([r[0] for r in rows], dtype=np.float64)
-    prevalence = np.stack([r[1] for r in rows])
+    sizes = np.array([r.total_infections for r in results], dtype=np.float64)
+    prevalence = np.array([r.prevalence for r in results], dtype=np.float64)
     return sizes, prevalence
 
 
@@ -303,8 +277,11 @@ def run_external_oracle(
 
     Every stochastic choice (replications, permutation shuffles) is
     keyed below ``seed``, so the report is a deterministic function of
-    its arguments.  ``workers`` fans the model-side replications out
-    over forked processes without changing any result bit.
+    its arguments.  The model-side replications are
+    :class:`~repro.spec.RunSpec` tasks on one lab
+    :class:`~repro.lab.pool.WorkerPool` of ``workers`` processes
+    (inline when ``workers`` ≤ 1), without changing any result bit; a
+    killed worker raises :class:`~repro.lab.pool.LabWorkerError`.
 
     The per-test rejection level is ``alpha`` divided by the number of
     tests in the report (three per cell); ``n_permutations`` must
@@ -318,8 +295,6 @@ def run_external_oracle(
     >>> len(report.cells)
     2
     """
-    from repro.spec import PopulationSpec
-
     unknown = set(presets) - set(EXTERNAL_PRESETS)
     if unknown:
         raise ValueError(f"unknown presets {sorted(unknown)}")
@@ -336,7 +311,9 @@ def run_external_oracle(
         )
 
     params = SEIRParams(transmissibility, latent_days, infectious_days)
-    disease = _mutated_disease(mutation, latent_days, infectious_days)
+    disease = "ptts:" + format_ptts(
+        _mutated_disease(mutation, latent_days, infectious_days)
+    )
     model_r = (
         2.0 * transmissibility if mutation == "transmissibility_x2" else transmissibility
     )
@@ -344,95 +321,96 @@ def run_external_oracle(
 
     cells: list[ExternalCellResult] = []
     tail_check: HeavyTailCheck | None = None
-    for preset_idx, preset in enumerate(presets):
-        if preset == "tiny":
-            graph = PopulationSpec(
-                n_persons=tiny_persons, seed=seed, name="oracle-tiny"
-            ).build()
-        else:
-            graph = PopulationSpec(
-                kind="preset", preset="heavy-tailed", n_persons=heavy_persons,
-                params={"n_locations": heavy_locations},
-            ).build()
-        contact = project_contact_graph(graph)
-        contact.validate()
+    with WorkerPool(workers if workers > 1 else 0) as pool:
+        for preset_idx, preset in enumerate(presets):
+            if preset == "tiny":
+                pspec = PopulationSpec(
+                    n_persons=tiny_persons, seed=seed, name="oracle-tiny"
+                )
+            else:
+                pspec = PopulationSpec(
+                    kind="preset", preset="heavy-tailed", n_persons=heavy_persons,
+                    params={"n_locations": heavy_locations},
+                )
+            contact = project_contact_graph(pool.cache.population(pspec))
+            contact.validate()
 
-        model_sizes, model_prev = _model_ensemble(
-            graph,
-            disease,
-            TransmissionModel(model_r),
-            n_days=n_days,
-            initial_infections=initial_infections,
-            seed=seed,
-            replications=replications,
-            workers=workers,
-        )
-
-        for baseline_idx, baseline in enumerate(baselines):
-            base_sizes, base_prev = _baseline_ensemble(
-                contact,
-                params,
-                baseline=baseline,
+            model_sizes, model_prev = _model_ensemble(
+                pool,
+                pspec,
+                disease,
+                model_r,
                 n_days=n_days,
                 initial_infections=initial_infections,
-                factory=factory,
+                seed=seed,
                 replications=replications,
             )
-            perm_rng = factory.stream(
-                RngFactory.BASELINE, 1000 + preset_idx, baseline_idx, _SALT_PERMUTE
-            )
-            comparisons = [
-                compare_samples(
-                    model_sizes,
-                    base_sizes,
-                    perm_rng,
-                    metric="final-size",
-                    threshold=threshold,
-                    n_permutations=n_permutations,
-                ),
-            ]
-            traj, traj_p = permutation_pvalue(
-                model_prev,
-                base_prev,
-                perm_rng,
-                statistic=trajectory_ks_statistic,
-                n_permutations=n_permutations,
-            )
-            comparisons.append(
-                MetricComparison(
-                    metric="prevalence",
-                    day=None,
-                    ks=traj,
-                    ks_pvalue=traj_p,
-                    ad=0.0,
-                    ad_pvalue=1.0,
-                    threshold=threshold,
-                    detail="sup over days of per-day KS",
-                )
-            )
-            cell = ExternalCellResult(
-                preset=preset,
-                baseline=baseline,
-                comparisons=comparisons,
-                model_final_sizes=model_sizes,
-                baseline_final_sizes=base_sizes,
-                model_prevalence=model_prev,
-                baseline_prevalence=base_prev,
-            )
-            cells.append(cell)
-            if progress is not None:
-                progress(f"{cell.label:<18} {'agrees' if cell.equal else 'DIVERGED'}")
 
-        if preset == "heavy" and heavy_tail:
-            tail_check = heavy_tail_check(
-                contact,
-                rng_factory=factory,
-                latent_days=latent_days,
-                infectious_days=infectious_days,
-                replications=heavy_tail_replications,
-            )
-            if progress is not None:
-                progress("heavy-tail " + tail_check.format())
+            for baseline_idx, baseline in enumerate(baselines):
+                base_sizes, base_prev = _baseline_ensemble(
+                    contact,
+                    params,
+                    baseline=baseline,
+                    n_days=n_days,
+                    initial_infections=initial_infections,
+                    factory=factory,
+                    replications=replications,
+                )
+                perm_rng = factory.stream(
+                    RngFactory.BASELINE, 1000 + preset_idx, baseline_idx, _SALT_PERMUTE
+                )
+                comparisons = [
+                    compare_samples(
+                        model_sizes,
+                        base_sizes,
+                        perm_rng,
+                        metric="final-size",
+                        threshold=threshold,
+                        n_permutations=n_permutations,
+                    ),
+                ]
+                traj, traj_p = permutation_pvalue(
+                    model_prev,
+                    base_prev,
+                    perm_rng,
+                    statistic=trajectory_ks_statistic,
+                    n_permutations=n_permutations,
+                )
+                comparisons.append(
+                    MetricComparison(
+                        metric="prevalence",
+                        day=None,
+                        ks=traj,
+                        ks_pvalue=traj_p,
+                        ad=0.0,
+                        ad_pvalue=1.0,
+                        threshold=threshold,
+                        detail="sup over days of per-day KS",
+                    )
+                )
+                cell = ExternalCellResult(
+                    preset=preset,
+                    baseline=baseline,
+                    comparisons=comparisons,
+                    model_final_sizes=model_sizes,
+                    baseline_final_sizes=base_sizes,
+                    model_prevalence=model_prev,
+                    baseline_prevalence=base_prev,
+                )
+                cells.append(cell)
+                if progress is not None:
+                    progress(f"{cell.label:<18} {'agrees' if cell.equal else 'DIVERGED'}")
+
+            if preset == "heavy" and heavy_tail:
+                tail_check = heavy_tail_check(
+                    contact,
+                    rng_factory=factory,
+                    latent_days=latent_days,
+                    infectious_days=infectious_days,
+                    replications=heavy_tail_replications,
+                )
+                if progress is not None:
+                    progress("heavy-tail " + tail_check.format())
 
     return ExternalOracleReport(
         cells=cells,

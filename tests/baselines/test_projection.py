@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.baselines import ContactGraph, project_contact_graph
+from repro.synthpop.graph import PersonLocationGraph
 from repro.validate.strategies import visit_graphs
 
 
@@ -64,11 +65,87 @@ class TestProjectionProperties:
             assert k.size == 1 and nw[k[0]] == pytest.approx(weight)
 
 
+def _two_room_graph():
+    """3 persons: A and B share room 0 (overlap 60m), C alone in room 1."""
+    return PersonLocationGraph(
+        name="rooms",
+        n_persons=3,
+        n_locations=1,
+        visit_person=np.array([0, 1, 2]),
+        visit_location=np.array([0, 0, 0]),
+        visit_subloc=np.array([0, 0, 1], dtype=np.int32),
+        visit_start=np.array([100, 140, 100], dtype=np.int32),
+        visit_end=np.array([200, 260, 200], dtype=np.int32),
+        location_n_sublocs=np.array([2], dtype=np.int32),
+        location_type=np.array([4], dtype=np.int8),
+        person_age=np.array([30, 30, 30], dtype=np.int16),
+        person_home=np.array([0, 0, 0]),
+    )
+
+
+class TestSmallCases:
+    def test_single_overlap_pair(self):
+        u, v, w = project_contact_graph(_two_room_graph()).edge_list()
+        assert u.tolist() == [0] and v.tolist() == [1]
+        assert w.tolist() == [60.0]  # [140, 200]
+
+    def test_different_sublocations_no_contact(self):
+        assert project_contact_graph(_two_room_graph()).degrees[2] == 0
+
+    def test_repeat_visits_accumulate(self):
+        g = _two_room_graph()
+        # Duplicate all visits -> same pairs, doubled + cross-visit overlaps.
+        g2 = g.with_visits(
+            np.concatenate([g.visit_person, g.visit_person]),
+            np.concatenate([g.visit_location, g.visit_location]),
+            np.concatenate([g.visit_subloc, g.visit_subloc]),
+            np.concatenate([g.visit_start, g.visit_start]),
+            np.concatenate([g.visit_end, g.visit_end]),
+        )
+        contact = project_contact_graph(g2)
+        assert contact.n_edges == 1
+        assert contact.total_weight == 4 * 60.0  # 2x2 visit combinations
+
+    def test_empty_population(self):
+        none = np.empty(0, dtype=np.int64)
+        g = _two_room_graph().with_visits(none, none, none, none, none)
+        assert project_contact_graph(g).n_edges == 0
+
+
+class TestOnSyntheticPopulation:
+    def test_household_contacts_exist(self, tiny_graph):
+        contact = project_contact_graph(tiny_graph)
+        assert contact.n_edges > 0
+        # Mean contact degree should be well above 1 (household + anchor).
+        assert contact.degrees.mean() > 1.0
+
+    def test_no_self_edges_and_canonical_order(self, tiny_graph):
+        u, v, _ = project_contact_graph(tiny_graph).edge_list()
+        assert np.all(u < v)
+
+    def test_minutes_positive_and_bounded(self, tiny_graph):
+        contact = project_contact_graph(tiny_graph)
+        assert np.all(contact.weights > 0)
+        # A pair can't share more minutes than a few full days of visits.
+        assert contact.weights.max() < 10 * 1440
+
+    def test_degree_dispersion(self, small_graph):
+        """Contact degrees are broad but bounded: sublocations cap
+        co-presence (capacity ~25), so the person–person tail is
+        moderated relative to the location in-degree tail — which is
+        why the paper's splitLoc operates on locations, not people."""
+        deg = project_contact_graph(small_graph).degrees
+        assert deg.max() >= 2.5 * max(np.median(deg), 1)
+        assert deg.mean() > 10  # everyone meets household + anchor groups
+
+
 class TestProjectionOnPresets:
     def test_tiny_graph_projects_clean(self, tiny_graph):
         contact = project_contact_graph(tiny_graph)
-        contact.validate()
+        contact.validate()  # no self-loops
         assert contact.n_edges > 0
+        u, v, _ = contact.edge_list()
+        assert np.all(u < v)  # each edge once, in canonical order
         assert contact.name.endswith("-contact")
         # Projection is deterministic.
         again = project_contact_graph(tiny_graph)

@@ -35,18 +35,25 @@ would have:
 * process management outside ``workers.py``, the one worker runtime:
   an import of ``multiprocessing.connection`` or a ``connection.wait(``
   (the park), or a ``Pipe(`` / ``Process(`` / ``is_alive(`` /
-  ``get_context(`` / ``Pool(`` call — except ``validate/external.py``'s
-  pickling ``Pool`` from a ``get_context``;
+  ``get_context(`` / ``Pool(`` call, with no exemption: every ensemble
+  runs on the lab pool;
 * a second on-disk population format: ``open_memmap(`` outside
   ``synthpop/store.py`` (the column-directory format), and an
   ``np.savez`` / ``np.savez_compressed`` call anywhere but
-  ``core/checkpoint.py`` and ``lab/cache.py``'s partition entries.
+  ``core/checkpoint.py`` and ``lab/cache.py``'s partition entries;
+* a dependency beside numpy: an ``import scipy`` / ``import networkx``
+  (top-level or inside a function) under ``src/``, ``examples/`` or
+  ``benchmarks/``, or a ``pyproject.toml`` ``dependencies`` list other
+  than numpy's.
 """
 
 import ast
+import re
+import tomllib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 DAY = "core/day.py"
 
@@ -80,14 +87,8 @@ RECEIVE_SORT_FREE = ("core/", "smp/")
 #: the one module that spawns, pipes and parks worker processes
 RUNTIME = "workers.py"
 
-#: process-management call -> modules beside RUNTIME that may make it
-SPAWN_CALLS = {
-    "Pipe": set(),
-    "Process": set(),
-    "is_alive": set(),
-    "get_context": {"validate/external.py"},
-    "Pool": {"validate/external.py"},
-}
+#: process-management calls no module beside RUNTIME may make
+SPAWN_CALLS = ("Pipe", "Process", "is_alive", "get_context", "Pool")
 
 #: the one module that writes population columns
 POPULATION_FORMAT = "synthpop/store.py"
@@ -175,7 +176,7 @@ def _runtime_violations(tree: ast.AST, module: str):
             yield node.lineno, f"`multiprocessing.connection` imported outside {RUNTIME}"
         if isinstance(node, ast.Call):
             name = _called_name(node)
-            if name in SPAWN_CALLS and module not in SPAWN_CALLS[name]:
+            if name in SPAWN_CALLS:
                 yield node.lineno, f"`{name}(` outside {RUNTIME}"
             owner = getattr(node.func, "value", None)
             if name == "wait" and "connection" in (getattr(owner, "id", None), getattr(owner, "attr", None)):
@@ -375,8 +376,9 @@ def test_guard_catches_seeded_worker_runtimes():
     park = "from multiprocessing import connection\nconnection.wait(conns)\nmultiprocessing.connection.wait(c)\n"
     assert sorted(line for line, _ in _runtime_violations(ast.parse(park), "smp/backend.py")) == [1, 2, 3]
     assert not list(_runtime_violations(ast.parse(pool_copy), RUNTIME))
+    # validate/external.py's fork Pool, exempt until its ensembles ran on the lab pool
     external = "ctx = multiprocessing.get_context('fork')\npool = ctx.Pool(2)\nctx.Pipe()\n"
-    assert [line for line, _ in _runtime_violations(ast.parse(external), "validate/external.py")] == [3]
+    assert [line for line, _ in _runtime_violations(ast.parse(external), "validate/external.py")] == [1, 2, 3]
     runtime = ast.parse((SRC / RUNTIME).read_text())
     called = {_called_name(n) for n in ast.walk(runtime) if isinstance(n, ast.Call)}
     assert {"get_context", "Pipe", "Process", "wait"} <= called
@@ -410,3 +412,61 @@ def test_guard_catches_seeded_population_formats():
                          ("lab/cache.py", "savez_compressed")):
         tree = ast.parse((SRC / module).read_text())
         assert name in {_called_name(n) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+
+
+#: the trees no scipy / networkx import may appear in
+DEPENDENCY_FREE = ("src", "examples", "benchmarks")
+
+#: packages once declared beside numpy, each imported by one duplicate module
+DROPPED_DEPENDENCIES = ("scipy", "networkx")
+
+
+def _dependency_violations(tree: ast.AST):
+    """``(lineno, message)`` for every scipy / networkx import, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in DROPPED_DEPENDENCIES:
+                yield node.lineno, f"`{name}` imported"
+
+
+def _declared_dependencies(pyproject: str) -> list[str]:
+    """The package names in ``[project] dependencies``, version pins dropped."""
+    deps = tomllib.loads(pyproject)["project"]["dependencies"]
+    return [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps]
+
+
+def test_numpy_is_the_only_dependency():
+    found = [
+        f"{path.relative_to(ROOT).as_posix()}:{lineno}: {message}"
+        for tree_root in DEPENDENCY_FREE
+        for path in sorted((ROOT / tree_root).rglob("*.py"))
+        for lineno, message in _dependency_violations(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, "\n".join(found)
+    assert _declared_dependencies((ROOT / "pyproject.toml").read_text()) == ["numpy"]
+
+
+def test_guard_catches_seeded_dependencies():
+    """The dependency guard flags the imports ``analysis/experiments.py``
+    and ``synthpop/contact.py`` made (inside functions) and the
+    ``pyproject.toml`` that declared them, and is not vacuous."""
+    seeded = (
+        "import numpy as np\n"
+        "def attack_rate_ci(self):\n"
+        "    from scipy import stats\n"
+        "    return stats.norm.ppf(0.975)\n"
+        "def to_networkx(self):\n"
+        "    import networkx as nx\n"
+        "import scipy.stats\n"
+        "from networkx.algorithms import components\n"
+        "import scipyish\n"
+    )
+    assert sorted(line for line, _ in _dependency_violations(ast.parse(seeded))) == [3, 6, 7, 8]
+    pyproject = '[project]\ndependencies = ["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"]\n'
+    assert _declared_dependencies(pyproject) == ["numpy", "scipy", "networkx"]

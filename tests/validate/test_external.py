@@ -7,10 +7,18 @@ configuration that passes for the unmodified model — same seeds, same
 replication counts, same thresholds.
 """
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
+import repro.lab.pool
+from repro.lab import LabWorkerError
+from repro.util.rng import RngFactory, derive_seed
 from repro.validate.external import (
+    _SALT_MODEL,
     BASELINES,
     EXTERNAL_PRESETS,
     MUTATIONS,
@@ -98,6 +106,38 @@ class TestDeterminism:
             assert np.array_equal(a.model_final_sizes, b.model_final_sizes)
             assert [(c.ks, c.ks_pvalue, c.ad, c.ad_pvalue) for c in a.comparisons] \
                 == [(c.ks, c.ks_pvalue, c.ad, c.ad_pvalue) for c in b.comparisons]
+
+
+class TestWorkerDeath:
+    def test_killed_worker_raises_with_its_rank(self, monkeypatch):
+        """A model replication whose worker is SIGKILLed surfaces as
+        ``LabWorkerError`` naming that worker, and leaves no child alive
+        (a fork ``Pool`` waits for the lost task forever)."""
+        doomed = derive_seed(0, RngFactory.BASELINE, 1, _SALT_MODEL)  # task 1 -> worker 1
+        execute = repro.lab.pool.execute
+
+        def execute_or_die(spec, cache=None):
+            if spec.seed == doomed:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return execute(spec, cache=cache)
+
+        def hung(signum, frame):
+            raise TimeoutError("the oracle hung on a dead worker")
+
+        # patched before the pool forks, so the workers inherit it
+        monkeypatch.setattr(repro.lab.pool, "execute", execute_or_die)
+        before = set(multiprocessing.active_children())
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(LabWorkerError, match="worker 1 died") as err:
+                run_external_oracle(workers=2, presets=("tiny",), n_days=4, replications=4,
+                                    tiny_persons=60, heavy_tail=False)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (err.value.rank, err.value.exitcode) == (1, -signal.SIGKILL)
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestGuards:
