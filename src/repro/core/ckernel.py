@@ -11,8 +11,8 @@ definition that stays in the repo and that it matches bit for bit:
   ``"compiled"`` kernel (the ``"flat"`` kernel's pair stage);
 * **keyed draws** (:func:`keyed_raw`) — BLAKE2b seed derivation,
   ``SeedSequence`` mixing and the first PCG64 outputs of every keyed
-  stream in one pass per key, behind :mod:`repro.util.rng`'s batched
-  primitives under *every* kernel;
+  stream in one pass over 1, 4 or 8 keys, behind
+  :mod:`repro.util.rng`'s batched primitives under *every* kernel;
 * **the block index** (:func:`block_index`) — a stable counting sort of
   the visit rows by ``(location, sublocation)`` block, equal to the
   numpy packed-key sort in ``PersonLocationGraph.block_visit_index()``.
@@ -36,12 +36,21 @@ uint64)``, PCG64 ``srandom`` and the first ``n_out`` XSL-RR outputs —
 in integer arithmetic, which is exactly specified, so equality with
 the definition is the whole contract (``tests/util/test_keyed_c.py``).
 
+The pass runs over L keys at a time, one key row per SIMD lane: L = 8
+under AVX-512F, 4 under AVX2, else the scalar loop (the reference, and
+the path on every other CPU or architecture).  ``repro_keyed_isa``
+reports the widest level ``__builtin_cpu_supports`` finds; it is read
+once at load (:func:`keyed_isa`) and passed to every call.  The lane
+functions carry their own ``target`` attribute instead of the build
+taking ``-march``, so one cached library runs on any x86-64 that shares
+``REPRO_CKERNEL_CACHE``.
+
 Build and fallback
 ------------------
-The shared library is compiled once per source hash with the system C
-compiler (``$CC``, else ``cc``/``gcc``/``clang``) into a cache
-directory and memoised per process; forked SMP workers inherit the
-mapping.  ``-ffp-contract=off`` keeps the compiler from fusing the
+The shared library is compiled once per hash of the source and the
+compile flags (:data:`_CFLAGS`) with the system C compiler (``$CC``,
+else ``cc``/``gcc``/``clang``) into a cache directory and memoised per
+process; forked SMP workers inherit the mapping.  ``-ffp-contract=off`` keeps the compiler from fusing the
 multiply-add into an FMA that would change the bits.
 
 No toolchain (or ``REPRO_NO_CKERNEL=1``) simply means
@@ -67,7 +76,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["available", "build_error", "checked_masks", "block_walk", "accumulate_exposures",
-           "keyed_raw", "block_index", "cache_dir"]
+           "keyed_isa", "keyed_raw", "block_index", "cache_dir", "KEYED_ISAS", "KEYED_LANES"]
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -266,22 +275,28 @@ static const uint8_t B2B_SIGMA[12][16] = {
 };
 
 #define ROTR64(x, n) (((x) >> (n)) | ((x) << (64 - (n))))
-#define B2B_G(a, b, c, d, x, y) do {                          \
-        v[a] += v[b] + (x); v[d] = ROTR64(v[d] ^ v[a], 32);   \
-        v[c] += v[d];       v[b] = ROTR64(v[b] ^ v[c], 24);   \
-        v[a] += v[b] + (y); v[d] = ROTR64(v[d] ^ v[a], 16);   \
-        v[c] += v[d];       v[b] = ROTR64(v[b] ^ v[c], 63);   \
+/* v and m are words or vectors of lanes; ROT rotates them */
+#define B2B_G(a, b, c, d, x, y, ROT) do {                     \
+        v[a] += v[b] + (x); v[d] = ROT(v[d] ^ v[a], 32);      \
+        v[c] += v[d];       v[b] = ROT(v[b] ^ v[c], 24);      \
+        v[a] += v[b] + (y); v[d] = ROT(v[d] ^ v[a], 16);      \
+        v[c] += v[d];       v[b] = ROT(v[b] ^ v[c], 63);      \
     } while (0)
-#define B2B_ROUND(r) do {                                     \
+#define B2B_ROUND(r, ROT) do {                                \
         const uint8_t *s = B2B_SIGMA[r];                      \
-        B2B_G(0, 4,  8, 12, m[s[ 0]], m[s[ 1]]);              \
-        B2B_G(1, 5,  9, 13, m[s[ 2]], m[s[ 3]]);              \
-        B2B_G(2, 6, 10, 14, m[s[ 4]], m[s[ 5]]);              \
-        B2B_G(3, 7, 11, 15, m[s[ 6]], m[s[ 7]]);              \
-        B2B_G(0, 5, 10, 15, m[s[ 8]], m[s[ 9]]);              \
-        B2B_G(1, 6, 11, 12, m[s[10]], m[s[11]]);              \
-        B2B_G(2, 7,  8, 13, m[s[12]], m[s[13]]);              \
-        B2B_G(3, 4,  9, 14, m[s[14]], m[s[15]]);              \
+        B2B_G(0, 4,  8, 12, m[s[ 0]], m[s[ 1]], ROT);         \
+        B2B_G(1, 5,  9, 13, m[s[ 2]], m[s[ 3]], ROT);         \
+        B2B_G(2, 6, 10, 14, m[s[ 4]], m[s[ 5]], ROT);         \
+        B2B_G(3, 7, 11, 15, m[s[ 6]], m[s[ 7]], ROT);         \
+        B2B_G(0, 5, 10, 15, m[s[ 8]], m[s[ 9]], ROT);         \
+        B2B_G(1, 6, 11, 12, m[s[10]], m[s[11]], ROT);         \
+        B2B_G(2, 7,  8, 13, m[s[12]], m[s[13]], ROT);         \
+        B2B_G(3, 4,  9, 14, m[s[14]], m[s[15]], ROT);         \
+    } while (0)
+#define B2B_ROUNDS(ROT) do {                                  \
+        B2B_ROUND(0, ROT); B2B_ROUND(1, ROT); B2B_ROUND(2, ROT);  B2B_ROUND(3, ROT);  \
+        B2B_ROUND(4, ROT); B2B_ROUND(5, ROT); B2B_ROUND(6, ROT);  B2B_ROUND(7, ROT);  \
+        B2B_ROUND(8, ROT); B2B_ROUND(9, ROT); B2B_ROUND(10, ROT); B2B_ROUND(11, ROT); \
     } while (0)
 
 /* One BLAKE2b compression (RFC 7693 F); t = bytes hashed so far,
@@ -292,9 +307,7 @@ static void b2b_compress(uint64_t h[8], const uint64_t m[16], uint64_t t, int la
     for (int i = 0; i < 8; ++i) { v[i] = h[i]; v[i + 8] = B2B_IV[i]; }
     v[12] ^= t;
     if (last) v[14] = ~v[14];
-    B2B_ROUND(0); B2B_ROUND(1); B2B_ROUND(2);  B2B_ROUND(3);
-    B2B_ROUND(4); B2B_ROUND(5); B2B_ROUND(6);  B2B_ROUND(7);
-    B2B_ROUND(8); B2B_ROUND(9); B2B_ROUND(10); B2B_ROUND(11);
+    B2B_ROUNDS(ROTR64);
     for (int i = 0; i < 8; ++i) h[i] ^= v[i] ^ v[i + 8];
 }
 
@@ -336,8 +349,28 @@ static inline uint32_t ss_mix(uint32_t x, uint32_t y)
     return r ^ (r >> 16);
 }
 
-/* PCG64(seed): SeedSequence(seed).generate_state(4, uint64), srandom,
- * then n_out XSL-RR outputs written stride words apart (util.pcg). */
+/* PCG64 srandom from the words w of SeedSequence(seed).generate_state(4,
+ * uint64), then n_out XSL-RR outputs written stride words apart (util.pcg).
+ * initstate = w0:w1, initseq = w2:w3 (high:low). */
+static void pcg64_out(const uint64_t w[4], int64_t n_out, uint64_t *out, int64_t stride)
+{
+    const unsigned __int128 mult =
+        ((unsigned __int128)2549297995355413924ULL << 64) | 4865540595714422341ULL;
+    const unsigned __int128 initstate = ((unsigned __int128)w[0] << 64) | w[1];
+    const unsigned __int128 initseq = ((unsigned __int128)w[2] << 64) | w[3];
+    const unsigned __int128 inc = (initseq << 1) | 1;
+    unsigned __int128 state = (inc + initstate) * mult + inc;
+    for (int64_t j = 0; j < n_out; ++j) {
+        state = state * mult + inc;
+        const uint64_t hi = (uint64_t)(state >> 64);
+        const uint64_t x = hi ^ (uint64_t)state;
+        const unsigned rot = (unsigned)(hi >> 58);
+        out[j * stride] = (x >> rot) | (x << ((64 - rot) & 63));
+    }
+}
+
+/* PCG64(seed): SeedSequence(seed).generate_state(4, uint64), then
+ * pcg64_out. */
 static void pcg64_first(uint64_t seed, int64_t n_out, uint64_t *out, int64_t stride)
 {
     uint32_t pool[4] = {(uint32_t)seed, (uint32_t)(seed >> 32), 0, 0};
@@ -350,33 +383,103 @@ static void pcg64_first(uint64_t seed, int64_t n_out, uint64_t *out, int64_t str
     uint32_t st[8];
     hc = 0x8b51f9ddU;
     for (int i = 0; i < 8; ++i) st[i] = ss_hashmix(pool[i & 3], &hc, 0x58f38dedU);
-    /* uint32 pairs combine low word first; initstate = w0:w1,
-     * initseq = w2:w3 (high:low) */
-    const unsigned __int128 mult =
-        ((unsigned __int128)2549297995355413924ULL << 64) | 4865540595714422341ULL;
-    const unsigned __int128 initstate =
-        ((unsigned __int128)(st[0] | (uint64_t)st[1] << 32) << 64)
-        | (st[2] | (uint64_t)st[3] << 32);
-    const unsigned __int128 initseq =
-        ((unsigned __int128)(st[4] | (uint64_t)st[5] << 32) << 64)
-        | (st[6] | (uint64_t)st[7] << 32);
-    const unsigned __int128 inc = (initseq << 1) | 1;
-    unsigned __int128 state = (inc + initstate) * mult + inc;
-    for (int64_t j = 0; j < n_out; ++j) {
-        state = state * mult + inc;
-        const uint64_t hi = (uint64_t)(state >> 64);
-        const uint64_t x = hi ^ (uint64_t)state;
-        const unsigned rot = (unsigned)(hi >> 58);
-        out[j * stride] = (x >> rot) | (x << ((64 - rot) & 63));
-    }
+    uint64_t w[4]; /* uint32 pairs combine low word first */
+    for (int i = 0; i < 4; ++i) w[i] = st[2 * i] | (uint64_t)st[2 * i + 1] << 32;
+    pcg64_out(w, n_out, out, stride);
+}
+
+/* ---- keyed draws, L keys per pass: the three steps above on vectors
+ * of L lanes, one key row per lane.  BLAKE2b's state words and the
+ * transposed message words are vectors (the same B2B_ROUNDS),
+ * SeedSequence runs on uint32 lanes (hash_const is the same sequence
+ * for every key), PCG64 stays per lane.  A short last batch repeats
+ * its last row and stores only the valid lanes.  Each width is
+ * compiled for its own target and picked at run time, so the library
+ * needs no -march and runs on any x86-64. */
+#if defined(__x86_64__) && (defined(__clang__) || __GNUC__ >= 9)
+#include <immintrin.h>
+/* AVX2 has no vector rotate: by 32, 24 and 16 bits it is a byte shuffle */
+#define ROTR_X4(x, n) ((n) % 8 ? ROTR64(x, n) : (u64x4)_mm256_shuffle_epi8((__m256i)(x), \
+    (__m256i)(u64x4){ROTR64(0x0706050403020100ULL, n), ROTR64(0x0f0e0d0c0b0a0908ULL, n), \
+                     ROTR64(0x0706050403020100ULL, n), ROTR64(0x0f0e0d0c0b0a0908ULL, n)}))
+/* ss_hashmix / ss_mix on uint32 lanes; hc is the caller's hash_const */
+#define SS_HASHMIX_V(x, mult) \
+    ({ __typeof__(x) y_ = (x) ^ hc; hc *= (mult); y_ *= hc; y_ ^ y_ >> 16; })
+#define SS_MIX_V(x, y) ({ __typeof__(x) r_ = 0xca01f9ddU * (x) - 0x4973f715U * (y); r_ ^ r_ >> 16; })
+#define KEYED_LANES(L, ISA, ROT) \
+typedef uint64_t u64x##L __attribute__((vector_size(8 * L))); \
+typedef uint32_t u32x##L __attribute__((vector_size(4 * L))); \
+__attribute__((target(ISA))) static void keyed_x##L( \
+    int64_t n, int64_t k_keys, uint64_t root, const int64_t *keys, \
+    int64_t n_out, uint64_t *seeds, uint64_t *out) \
+{ \
+    for (int64_t r0 = 0; r0 < n; r0 += L) { \
+        const int64_t valid = n - r0 < L ? n - r0 : L; \
+        u64x##L h[8], m[16], v[16]; \
+        for (int i = 0; i < 8; ++i) h[i] = (u64x##L){0} + B2B_IV[i]; \
+        h[0] ^= 0x01010008ULL; \
+        for (int64_t w = 0, take; w < k_keys + 1; w += take) { \
+            take = k_keys + 1 - w < 16 ? k_keys + 1 - w : 16; \
+            for (int j = 0; j < L; ++j) { \
+                const int64_t *key = keys + (r0 + (j < valid ? j : valid - 1)) * k_keys; \
+                for (int i = 0; i < 16; ++i) \
+                    m[i][j] = i >= take ? 0 : w + i == 0 ? root : (uint64_t)key[w + i - 1]; \
+            } \
+            for (int i = 0; i < 8; ++i) v[i] = h[i], v[i + 8] = (u64x##L){0} + B2B_IV[i]; \
+            v[12] ^= (uint64_t)(w + take) * 8; \
+            if (w + take == k_keys + 1) v[14] = ~v[14]; \
+            B2B_ROUNDS(ROT); \
+            for (int i = 0; i < 8; ++i) h[i] ^= v[i] ^ v[i + 8]; \
+        } \
+        for (int j = 0; j < valid; ++j) seeds[r0 + j] = h[0][j]; \
+        if (n_out <= 0) continue; \
+        u32x##L pool[4] = {__builtin_convertvector(h[0], u32x##L), \
+                           __builtin_convertvector(h[0] >> 32, u32x##L)}, st[8]; \
+        uint32_t hc = 0x43b0d7e5U; \
+        uint64_t lane[4]; \
+        for (int i = 0; i < 4; ++i) pool[i] = SS_HASHMIX_V(pool[i], 0x931e8875U); \
+        for (int src = 0; src < 4; ++src) \
+            for (int dst = 0; dst < 4; ++dst) \
+                if (src != dst) \
+                    pool[dst] = SS_MIX_V(pool[dst], SS_HASHMIX_V(pool[src], 0x931e8875U)); \
+        hc = 0x8b51f9ddU; \
+        for (int i = 0; i < 8; ++i) st[i] = SS_HASHMIX_V(pool[i & 3], 0x58f38dedU); \
+        for (int i = 0; i < 4; ++i) /* pcg64_out's w[i] in h[i], read as whole words */ \
+            h[i] = __builtin_convertvector(st[2 * i], u64x##L) \
+                   | __builtin_convertvector(st[2 * i + 1], u64x##L) << 32; \
+        for (int j = 0; j < valid; ++j) { \
+            for (int i = 0; i < 4; ++i) lane[i] = h[i][j]; \
+            pcg64_out(lane, n_out, out + r0 + j, n); \
+        } \
+    } \
+}
+KEYED_LANES(4, "avx2", ROTR_X4)
+KEYED_LANES(8, "avx512f", ROTR64) /* vprorq */
+#endif
+
+/* The widest lane level this CPU runs: 2 = AVX-512F x 8, 1 = AVX2 x 4,
+ * 0 = the scalar loop (any other CPU or architecture). */
+int64_t repro_keyed_isa(void)
+{
+#ifdef KEYED_LANES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) return 2;
+    if (__builtin_cpu_supports("avx2")) return 1;
+#endif
+    return 0;
 }
 
 /* The derived seed of every key row and its stream's first n_out raw
- * outputs.  keys is (n, k_keys) row-major; out is (n_out, n). */
+ * outputs, at lane level isa (at most repro_keyed_isa()).  keys is
+ * (n, k_keys) row-major; out is (n_out, n). */
 void repro_keyed_raw(
     int64_t n, int64_t k_keys, uint64_t root, const int64_t *keys,
-    int64_t n_out, uint64_t *seeds, uint64_t *out)
+    int64_t n_out, uint64_t *seeds, uint64_t *out, int64_t isa)
 {
+#ifdef KEYED_LANES
+    if (isa == 2) { keyed_x8(n, k_keys, root, keys, n_out, seeds, out); return; }
+    if (isa == 1) { keyed_x4(n, k_keys, root, keys, n_out, seeds, out); return; }
+#endif
     for (int64_t r = 0; r < n; ++r) {
         seeds[r] = keyed_seed(root, keys + r * k_keys, k_keys);
         if (n_out > 0) pcg64_first(seeds[r], n_out, out + r, n);
@@ -392,6 +495,12 @@ _U64 = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 #: memoised per process: None = not tried yet, False = unavailable
 _lib: ctypes.CDLL | None | bool = None
 _build_error: str | None = None
+#: the keyed pass's lane levels (index = level) and keys per pass
+KEYED_ISAS, KEYED_LANES = ("scalar", "avx2", "avx512f"), (1, 4, 8)
+_keyed_isa = 0
+#: the compile command's flags; -ffp-contract=off: an FMA would change
+#: the multiply-add bits vs numpy, and bit-exactness is the contract
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math")
 
 
 def cache_dir() -> Path:
@@ -458,6 +567,12 @@ def _acquire_build_lock(lock: Path, out: Path) -> bool:
         return True
 
 
+def _library_path() -> Path:
+    """The cached library's path, tagged by the source and the flags."""
+    tag = hashlib.sha256("\0".join((C_SOURCE, *_CFLAGS)).encode()).hexdigest()[:16]
+    return cache_dir() / f"exposure-{tag}.so"
+
+
 def _compile() -> Path:
     """Build (or reuse) the shared library; raises on any failure.
 
@@ -466,8 +581,7 @@ def _compile() -> Path:
     ``os.replace`` means even an unlocked straggler can only ever
     install a complete library.
     """
-    tag = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
-    out = cache_dir() / f"exposure-{tag}.so"
+    out = _library_path()
     if out.exists():
         return out
     cc = _find_compiler()
@@ -483,13 +597,8 @@ def _compile() -> Path:
         if out.exists():  # finished while we raced for the lock
             return out
         src.write_text(C_SOURCE)
-        # -ffp-contract=off: an FMA would change the multiply-add bits
-        # vs numpy; bit-exactness across kernels is the contract.
-        subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-ffp-contract=off",
-             "-fno-fast-math", str(src), "-o", str(tmp)],
-            check=True, capture_output=True, text=True,
-        )
+        subprocess.run([cc, *_CFLAGS, str(src), "-o", str(tmp)],
+                       check=True, capture_output=True, text=True)
         os.replace(tmp, out)  # atomic: a partial .so can never be seen
     except subprocess.CalledProcessError as exc:
         raise RuntimeError(f"C kernel build failed:\n{exc.stderr}") from exc
@@ -507,7 +616,7 @@ def _compile() -> Path:
 
 
 def _load() -> ctypes.CDLL | bool:
-    global _lib, _build_error
+    global _lib, _build_error, _keyed_isa
     if _lib is not None:
         return _lib
     if os.environ.get("REPRO_NO_CKERNEL", "") not in ("", "0"):
@@ -527,10 +636,9 @@ def _load() -> ctypes.CDLL | bool:
                        _I64, _F64, _I64, _I64]
         fn = lib.repro_keyed_raw
         fn.restype = None
-        fn.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64, _I64,
-            ctypes.c_int64, _U64, _U64,
-        ]
+        fn.argtypes = [i64, i64, ctypes.c_uint64, _I64, i64, _U64, _U64, i64]
+        lib.repro_keyed_isa.restype = i64
+        _keyed_isa = lib.repro_keyed_isa()
         fn = lib.repro_block_index
         fn.restype = ctypes.c_int64
         fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p, ctypes.c_int64] * 2, _I64, _I64,
@@ -631,8 +739,16 @@ def accumulate_exposures(rows, bptr, graph, health_state, disease, haz_table):
     return keys[:n], total_h[:n], first_minute[:n], pair_count[:n]
 
 
+def keyed_isa() -> int:
+    """The widest lane level of the keyed pass this CPU runs, an index
+    into :data:`KEYED_ISAS` / :data:`KEYED_LANES` (0 without the library)."""
+    available()
+    return _keyed_isa
+
+
 def keyed_raw(root_seed: int, keys: np.ndarray, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """Derived seed and first ``n_out`` raw PCG64 outputs of every key row.
+    """Derived seed and first ``n_out`` raw PCG64 outputs of every key row,
+    :data:`KEYED_LANES` keys per pass at level :func:`keyed_isa`.
 
     ``keys`` is a C-contiguous ``(n, k)`` ``int64`` matrix and
     ``root_seed`` a checked ``0 <= root_seed < 2**64`` (the C argument is
@@ -640,10 +756,17 @@ def keyed_raw(root_seed: int, keys: np.ndarray, n_out: int) -> tuple[np.ndarray,
     — ``uint64`` arrays of shape ``(n,)`` and ``(n_out, n)``, equal to
     ``derive_seeds(root_seed, keys)`` and ``raw_outputs(seeds, n_out)``.
     """
+    return _keyed_raw_at(keyed_isa(), root_seed, keys, n_out)
+
+
+def _keyed_raw_at(level: int, root_seed: int, keys: np.ndarray, n_out: int):
+    """:func:`keyed_raw` at lane level ``level``; ValueError above this CPU's."""
+    if not 0 <= level <= keyed_isa():
+        raise ValueError(f"lane level {level} is not in 0..{keyed_isa()} on this CPU")
     n, k = keys.shape
     seeds = np.empty(n, dtype=np.uint64)
     words = np.empty((n_out, n), dtype=np.uint64)
-    _loaded().repro_keyed_raw(n, k, root_seed, keys, n_out, seeds, words)
+    _loaded().repro_keyed_raw(n, k, root_seed, keys, n_out, seeds, words, level)
     return seeds, words
 
 

@@ -238,9 +238,8 @@ def test_concurrent_fresh_builds_race_to_one_library(tmp_path):
 def test_stale_lock_is_stolen(tmp_path, monkeypatch):
     """A lock left by a dead builder must not wedge later processes."""
     monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(tmp_path))
-    tag = __import__("hashlib").sha256(ckernel.C_SOURCE.encode()).hexdigest()[:16]
-    lock = tmp_path / f"exposure-{tag}.lock"
-    tmp_path.mkdir(exist_ok=True)
+    lock = ckernel._library_path().with_suffix(".lock")
+    assert lock.parent == tmp_path
     lock.write_text("99999")
     stale = __import__("time").time() - 2 * ckernel._LOCK_STALE_SECONDS
     os.utime(lock, (stale, stale))
@@ -278,11 +277,22 @@ def test_cache_is_reused_not_rebuilt(tmp_path, monkeypatch):
     """A second process finds the .so in the cache (sha-named, atomic)."""
     cached = sorted(ckernel.cache_dir().glob("exposure-*.so"))
     assert cached, "available() implies a built library in the cache"
-    # The library name embeds the source hash: editing the source would
-    # miss the cache instead of loading stale bits.
-    tag = ckernel.cache_dir() / (
-        "exposure-"
-        + __import__("hashlib").sha256(ckernel.C_SOURCE.encode()).hexdigest()[:16]
-        + ".so"
-    )
-    assert tag in cached
+    # The library name embeds the hash of the source and the compile
+    # flags: editing either would miss the cache instead of loading
+    # stale bits.
+    assert ckernel._library_path() in cached
+
+
+def test_flags_change_the_cached_path(monkeypatch):
+    """A library built from the same source with other flags is another
+    file: the tag hashes the flag list too, not only ``C_SOURCE``."""
+    path = ckernel._library_path()
+    assert path.name.startswith("exposure-") and path.suffix == ".so"
+    assert ckernel._library_path() == path  # a pure function of source and flags
+    for flags in (ckernel._CFLAGS + ("-O3",), ckernel._CFLAGS[:-1], ckernel._CFLAGS[::-1]):
+        monkeypatch.setattr(ckernel, "_CFLAGS", flags)
+        assert ckernel._library_path() != path
+    monkeypatch.setattr(ckernel, "_CFLAGS", ckernel._CFLAGS[::-1])
+    assert ckernel._library_path() == path
+    monkeypatch.setattr(ckernel, "C_SOURCE", ckernel.C_SOURCE + "\n")
+    assert ckernel._library_path() != path

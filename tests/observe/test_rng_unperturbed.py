@@ -75,6 +75,40 @@ class TestKeyedDraws:
         assert _curve_tuple(traced.curve) == _curve_tuple(plain.curve)
         assert traced.final_histogram == plain.final_histogram
 
+    @pytest.mark.parametrize("c_pass", [True, False], ids=["c", "hashlib"])
+    def test_keys_counter_is_the_rows_drawn(self, tiny_graph, monkeypatch, c_pass):
+        """Every batched draw (PTTS advance / infect, exposure) is one
+        ``rng.keyed`` span, and ``rng.keys`` adds up the key rows that
+        reached the C pass — or hashlib, with the library off — as
+        counted at that call; traced and untraced runs agree."""
+        from repro.util import rng as rng_mod
+
+        if c_pass and not ckernel.available():
+            pytest.skip(f"no compiled kernel: {ckernel.build_error()}")
+        if not c_pass:
+            monkeypatch.setattr(ckernel, "available", lambda: False)
+        owner, name = (ckernel, "keyed_raw") if c_pass else (rng_mod, "derive_seeds")
+        real, rows = getattr(owner, name), []
+        monkeypatch.setattr(owner, name, lambda root, keys, *a: rows.append(len(keys)) or real(root, keys, *a))
+        plain = SequentialSimulator(_scenario(tiny_graph)).run()
+        untraced_rows, rows[:] = sum(rows), []
+        with observe.observing() as obs:
+            traced = SequentialSimulator(_scenario(tiny_graph)).run()
+        assert _curve_tuple(traced.curve) == _curve_tuple(plain.curve)
+        assert traced.final_histogram == plain.final_histogram
+        spans = [s for s in obs.closed_spans() if s.name == "rng.keyed"]
+        assert obs.counters["rng.keys"] == sum(rows) == untraced_rows > 0
+        assert [s.attrs["keys"] for s in spans] == rows
+        assert {s.attrs["n_out"] for s in spans} == {1, 2}  # exposure / infect, advance
+        isa = ckernel.KEYED_ISAS[ckernel.keyed_isa()] if c_pass else "hashlib"
+        assert {s.attrs["isa"] for s in spans} == {isa}
+
+    def test_names_are_not_ladder_shim_keys(self):
+        """The ladder wraps entry points in spans named by their shim
+        key; the program's own names must not collide with them."""
+        layers = pytest.importorskip("benchmarks.ladder.layers")
+        assert {"rng.keyed", "rng.keys"}.isdisjoint(shim.key for shim in layers.SHIMS)
+
 
 class TestParallel:
     def _run(self, graph):

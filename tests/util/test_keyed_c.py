@@ -6,8 +6,10 @@ derivation (``util.rng.derive_seeds``, hashlib), numpy's
 Those two stay the definition; every test here compares the C pass
 with them, or with a live ``Generator``, for exact equality.  Key
 arities 1–19 cover one BLAKE2b block (up to 15 key words: 128 bytes with
-the root) and two.  The C tests skip cleanly without a toolchain; the
-fallback test runs everywhere.
+the root) and two.  ``TestEveryLaneLevel`` runs each lane level this
+CPU has (scalar, 4 keys per pass under AVX2, 8 under AVX-512F) through
+``ckernel._keyed_raw_at``.  The C tests skip cleanly without a
+toolchain; the fallback test runs everywhere.
 """
 
 from __future__ import annotations
@@ -134,6 +136,69 @@ class TestAgainstDefinition:
         np.testing.assert_array_equal(keyed_uniforms(5, 1, locs, 0), to_double(words[0]))
         scalar_seed, _ = keyed_raw(5, 1, 1, 2, 3)
         assert scalar_seed.shape == () and int(scalar_seed) == derive_seed(5, 1, 2, 3)
+
+
+LEVELS = list(range(ckernel.keyed_isa() + 1)) if ckernel.available() else []
+
+
+@needs_ckernel
+@pytest.mark.parametrize("level", LEVELS, ids=[ckernel.KEYED_ISAS[lv] for lv in LEVELS])
+class TestEveryLaneLevel:
+    """The pass at each lane level this CPU runs — the scalar loop, then
+    4 (AVX2) and 8 (AVX-512F) keys at a time — against the definition."""
+
+    def test_every_tail_residue_arity_root_and_n_out(self, level):
+        """n = 0 … 2L+1 for every L, so each lane count has short last
+        batches of every size; arities 1–19 reach the second BLAKE2b
+        compression; ``n_out`` 0–3 at every shape."""
+        n_max = 2 * max(ckernel.KEYED_LANES) + 1
+        for k in range(1, 20):
+            keys = random_keys(n_max, k, seed=k)
+            for root in ROOTS:
+                want_seeds, want_words = definition(root, keys, 3)
+                for n in range(n_max + 1):
+                    for n_out in range(4):
+                        seeds, words = ckernel._keyed_raw_at(level, root, keys[:n], n_out)
+                        assert seeds.shape == (n,) and words.shape == (n_out, n)
+                        np.testing.assert_array_equal(seeds, want_seeds[:n])
+                        np.testing.assert_array_equal(words, want_words[:n_out, :n])
+
+    def test_random_keys(self, level):
+        """10^5 keys of arity 4 — a (day, person)-style stream — plus
+        1,001 of arity 17, both counts off every lane multiple."""
+        for k, n, root in ((4, 10**5, 4242), (17, 1_001, 2**64 - 1)):
+            keys = random_keys(n, k, seed=level + k)
+            seeds, words = ckernel._keyed_raw_at(level, root, keys, 2)
+            want_seeds, want_words = definition(root, keys, 2)
+            np.testing.assert_array_equal(seeds, want_seeds)
+            np.testing.assert_array_equal(words, want_words)
+
+
+@needs_ckernel
+def test_keyed_raw_runs_the_widest_level(monkeypatch):
+    """The level read once at load is the one every call passes to C."""
+    lib, levels = ckernel._loaded(), []
+
+    class Spy:
+        def repro_keyed_raw(self, *args):
+            levels.append(args[-1])
+            return lib.repro_keyed_raw(*args)
+
+    monkeypatch.setattr(ckernel, "_loaded", Spy)
+    keys = random_keys(37, 3, seed=0)
+    seeds = ckernel.keyed_raw(7, keys, 1)[0]
+    assert levels == [ckernel.keyed_isa()]
+    np.testing.assert_array_equal(seeds, derive_seeds(7, keys))
+
+
+@needs_ckernel
+def test_level_above_the_cpu_never_reaches_c(monkeypatch):
+    assert 0 <= ckernel.keyed_isa() < len(ckernel.KEYED_ISAS) == len(ckernel.KEYED_LANES)
+    monkeypatch.setattr(ckernel, "_loaded", lambda: pytest.fail("C was called"))
+    keys = random_keys(20, 3, seed=1)
+    for level in (ckernel.keyed_isa() + 1, len(ckernel.KEYED_ISAS), -1):
+        with pytest.raises(ValueError, match="lane level"):
+            ckernel._keyed_raw_at(level, 0, keys, 1)
 
 
 @pytest.mark.parametrize("root", [-1, 2**64])
