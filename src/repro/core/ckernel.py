@@ -13,9 +13,13 @@ definition that stays in the repo and that it matches bit for bit:
   ``SeedSequence`` mixing and the first PCG64 outputs of every keyed
   stream in one pass over 1, 4 or 8 keys, behind
   :mod:`repro.util.rng`'s batched primitives under *every* kernel;
-* **the block index** (:func:`block_index`) — a stable counting sort of
-  the visit rows by ``(location, sublocation)`` block, equal to the
-  numpy packed-key sort in ``PersonLocationGraph.block_visit_index()``.
+* **the visit indexes** (:func:`block_index`) — a stable counting sort
+  of the visit rows by ``(location, sublocation)`` block, equal to the
+  numpy packed-key sort in ``PersonLocationGraph.block_visit_index()``,
+  whose counting pass also counts visits per person for
+  ``person_visit_slices()``: one sequential read of the three id
+  columns, typed once per call, checks every id (and that
+  ``visit_person`` never descends) and counts both indexes.
 
 The location phase
 ------------------
@@ -53,6 +57,10 @@ else ``cc``/``gcc``/``clang``) into a cache directory and memoised per
 process; forked SMP workers inherit the mapping.  ``-ffp-contract=off`` keeps the compiler from fusing the
 multiply-add into an FMA that would change the bits.
 
+Every array goes to C as a bare address (``c_void_p`` arguments,
+``arr.ctypes.data``); :func:`checked` vets each one handed in — dtype,
+C-contiguity, length — and raises ``ValueError`` before any C runs.
+
 No toolchain (or ``REPRO_NO_CKERNEL=1``) simply means
 :func:`available` is ``False``: callers fall back to the numpy /
 hashlib definitions and tests skip cleanly — nothing in the repo
@@ -75,8 +83,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "build_error", "checked_masks", "block_walk", "accumulate_exposures",
-           "keyed_isa", "keyed_raw", "block_index", "cache_dir", "KEYED_ISAS", "KEYED_LANES"]
+__all__ = ["available", "build_error", "checked", "checked_masks", "block_walk",
+           "accumulate_exposures", "keyed_isa", "keyed_raw", "block_index", "cache_dir",
+           "KEYED_ISAS", "KEYED_LANES"]
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -225,26 +234,48 @@ int64_t repro_accumulate_exposures(
     return n_slots;
 }
 
-/* order = argsort(sub_off[loc] + sub, kind="stable") and its CSR bounds
- * ptr (zeroed on entry) by a counting sort.  Pass 1 checks and counts;
- * a bad row returns 1 (location) / 2 (sublocation) before any scatter.
+/* The block index and the person index in one counting sort: order =
+ * argsort(sub_off[loc] + sub, kind="stable") with its CSR bounds ptr, and
+ * person_ptr, the CSR bounds of the person-sorted rows (both zeroed on
+ * entry; sub_off has n_locations + 1 entries).  Each id column is read
+ * typed as it lies, the type picked once per call.  Pass 1 checks and
+ * counts; a bad row returns 1 (location) / 2 (sublocation) / 3 (person)
+ * out of range, and else a person below the row before returns 4, all
+ * before any scatter.
  * Pass 2 scatters ascending rows through ptr[b] as the cursor, which
  * shifts ptr down one block; the last loop shifts it back. */
 int64_t repro_block_index(
     int64_t n, const void *loc, int64_t loc_width, const void *sub, int64_t sub_width,
-    const int64_t *n_sub, const int64_t *sub_off, int64_t n_locations, int64_t n_blocks,
-    int64_t *ptr, int64_t *order)
+    const void *person, int64_t person_width, const int64_t *sub_off, int64_t n_locations,
+    int64_t n_persons, int64_t *ptr, int64_t *person_ptr, int64_t *order)
 {
-    for (int64_t i = 0; i < n; ++i) {
-        const int64_t l = REPRO_ID(loc, loc_width, i);
-        if (l < 0 || l >= n_locations) return 1;
-        const int64_t s = REPRO_ID(sub, sub_width, i), b = sub_off[l] + s;
-        if (s < 0 || s >= n_sub[l] || b < 0 || b >= n_blocks) return 2;
-        ++ptr[b + 1];
+    const int64_t n_blocks = sub_off[n_locations];
+    int64_t unsorted = 0;
+#define TYPED(width, T, ...) /* __VA_ARGS__ with T the column's C type */ \
+    if ((width) == 8) { typedef int64_t T; __VA_ARGS__ } else { typedef int32_t T; __VA_ARGS__ }
+#define COUNT \
+    for (int64_t i = 0, last = 0; i < n; ++i) { \
+        const int64_t l = ((const TL *)loc)[i], s = ((const TS *)sub)[i]; \
+        const int64_t p = ((const TP *)person)[i]; \
+        if ((uint64_t)l >= (uint64_t)n_locations) return 1; \
+        const int64_t b = sub_off[l] + s; \
+        if ((uint64_t)s >= (uint64_t)(sub_off[l + 1] - sub_off[l]) \
+            || (uint64_t)b >= (uint64_t)n_blocks) return 2; \
+        if ((uint64_t)p >= (uint64_t)n_persons) return 3; \
+        unsorted |= p < last; \
+        ++ptr[b + 1], ++person_ptr[p + 1], last = p; \
     }
+#define SCATTER \
+    for (int64_t i = 0; i < n; ++i) \
+        order[ptr[sub_off[((const TL *)loc)[i]] + ((const TS *)sub)[i]]++] = i;
+    TYPED(loc_width, TL, TYPED(sub_width, TS, TYPED(person_width, TP, COUNT)))
+    if (unsorted) return 4;
     for (int64_t b = 0; b < n_blocks; ++b) ptr[b + 1] += ptr[b];
-    for (int64_t i = 0; i < n; ++i)
-        order[ptr[sub_off[REPRO_ID(loc, loc_width, i)] + REPRO_ID(sub, sub_width, i)]++] = i;
+    for (int64_t p = 0; p < n_persons; ++p) person_ptr[p + 1] += person_ptr[p];
+    TYPED(loc_width, TL, TYPED(sub_width, TS, SCATTER))
+#undef SCATTER
+#undef COUNT
+#undef TYPED
     for (int64_t b = n_blocks; b > 0; --b) ptr[b] = ptr[b - 1];
     ptr[0] = 0;
     return 0;
@@ -487,11 +518,6 @@ void repro_keyed_raw(
 }
 """
 
-_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_U8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
-_F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_U64 = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
-
 #: memoised per process: None = not tried yet, False = unavailable
 _lib: ctypes.CDLL | None | bool = None
 _build_error: str | None = None
@@ -625,24 +651,23 @@ def _load() -> ctypes.CDLL | bool:
         return _lib
     try:
         lib = ctypes.CDLL(str(_compile()))
+        # arrays go in as bare addresses (``arr.ctypes.data``): the
+        # wrappers run checked() on every array a caller hands in and
+        # allocate the rest, so ndpointer's per-call checks would only
+        # repeat that, at about half the cost of a small call
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        fn = lib.repro_block_walk
-        fn.restype = i64
-        fn.argtypes = [ptr, _I64, i64, _I64, _I64, _I64, _I64, _U8, i64, ptr, ptr,
-                       _U8, _I64, _I64, _I64]
-        fn = lib.repro_accumulate_exposures
-        fn.restype = i64
-        fn.argtypes = [i64, _I64, i64, _I64, ptr, _I64, i64, i64, _U8, _F64, i64,
-                       _I64, _F64, _I64, _I64]
-        fn = lib.repro_keyed_raw
-        fn.restype = None
-        fn.argtypes = [i64, i64, ctypes.c_uint64, _I64, i64, _U64, _U64, i64]
-        lib.repro_keyed_isa.restype = i64
+        for name, restype, argtypes in (
+            ("repro_block_walk", i64, [ptr, ptr, i64] + [ptr] * 5 + [i64] + [ptr] * 6),
+            ("repro_accumulate_exposures", i64,
+             [i64, ptr, i64, ptr, ptr, ptr, i64, i64, ptr, ptr, i64] + [ptr] * 4),
+            ("repro_keyed_raw", None, [i64, i64, ctypes.c_uint64, ptr, i64, ptr, ptr, i64]),
+            ("repro_block_index", i64, [i64, ptr, i64, ptr, i64, ptr, i64, ptr, i64, i64]
+             + [ptr] * 3),
+            ("repro_keyed_isa", i64, []),
+        ):
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
         _keyed_isa = lib.repro_keyed_isa()
-        fn = lib.repro_block_index
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [ctypes.c_int64, *[ctypes.c_void_p, ctypes.c_int64] * 2, _I64, _I64,
-                       ctypes.c_int64, ctypes.c_int64, _I64, _I64]
         _lib = lib
     except (RuntimeError, OSError) as exc:
         _build_error = str(exc)
@@ -661,24 +686,55 @@ def build_error() -> str | None:
     return _build_error
 
 
-def _widened(col: np.ndarray) -> np.ndarray:
-    """An id or time column as it lies if int32 / int64 (memmaps go uncopied),
-    else widened to int64 — never narrowed: no bad value wraps into range."""
-    return np.ascontiguousarray(
-        col if col.dtype == np.int32 else col.astype(np.int64, casting="safe", copy=False)
-    )
+def checked(name: str, arr, dtype, shape: tuple):
+    """``arr`` if a C loop may read it where it lies — a C-contiguous
+    array of ``dtype`` (a tuple: any one of them) and ``shape`` — else
+    ``ValueError`` naming ``name``, before any C runs.  Every array a
+    caller hands a C entry point passes through here."""
+    dtypes = dtype if isinstance(dtype, tuple) else (dtype,)
+    if not (isinstance(arr, np.ndarray) and arr.dtype in dtypes and arr.shape == shape
+            and arr.flags.c_contiguous):
+        kind = ("bool mask" if dtypes == (np.bool_,)
+                else " or ".join(np.dtype(d).name for d in dtypes) + " array")
+        size = f"{shape[0]} entries" if len(shape) == 1 else f"shape {shape}"
+        raise ValueError(f"{name} must be a {kind} of {size}, C-contiguous")
+    return arr
+
+
+def checked_masks(graph, owned, removed):
+    """``[owned, removed]`` as the walks index them: each None or a
+    :func:`checked` bool mask of ``n_locations`` / ``n_visits`` entries."""
+    return [None if mask is None else checked(name, mask, np.bool_, (n,))
+            for name, mask, n in (("owned", owned, graph.n_locations),
+                                  ("removed", removed, graph.n_visits))]
+
+
+def _addr(arr) -> int | None:
+    """The address the C loop reads ``arr`` at (NULL for None)."""
+    return None if arr is None else arr.ctypes.data
+
+
+def _id_column(name: str, col, n: int) -> np.ndarray:
+    """An id or time column as it lies if int32 / int64 (memmaps go
+    uncopied), else widened to int64 — never narrowed: no bad value
+    wraps into range — and :func:`checked` at length ``n``."""
+    if col.dtype != np.int32:
+        col = col.astype(np.int64, casting="safe", copy=False)
+    return checked(name, np.ascontiguousarray(col), (np.int32, np.int64), (n,))
+
+
+_PHASE_COLUMNS = ("visit_person", "visit_location", "visit_subloc", "visit_start", "visit_end")
 
 
 def _phase_args(graph, health_state, disease):
     """``(keep_alive, col, width, role)`` for the location-phase loops:
     the C ``enum`` columns, and per state bits 1 / 2 = S / I."""
-    cols = [_widened(c) for c in (graph.visit_person, graph.visit_location, graph.visit_subloc,
-                                  graph.visit_start, graph.visit_end, health_state)]
-    if [c.size for c in cols] != [graph.n_visits] * 5 + [graph.n_persons]:
-        raise ValueError("visit columns or health_state disagree with the graph in length")
+    cols = [_id_column(name, getattr(graph, name), graph.n_visits) for name in _PHASE_COLUMNS]
+    cols.append(_id_column("health_state", health_state, graph.n_persons))
     role = disease.is_susceptible.astype(np.uint8) | disease.is_infectious.astype(np.uint8) << 1
-    return (cols, (ctypes.c_void_p * 6)(*(c.ctypes.data for c in cols)),
-            np.array([c.itemsize for c in cols], dtype=np.int64), role)
+    width = np.array([c.itemsize for c in cols], dtype=np.int64)
+    return ((cols, width), (ctypes.c_void_p * 6)(*(c.ctypes.data for c in cols)),
+            width.ctypes.data, role)
 
 
 def _check(code: int) -> None:
@@ -688,18 +744,6 @@ def _check(code: int) -> None:
         raise ValueError(("visit_person", "health_state", "rows / bptr")[code - 1] + " out of range")
 
 
-def checked_masks(graph, owned, removed):
-    """``[owned, removed]`` as the walks index them: each None or a
-    contiguous bool mask of ``n_locations`` / ``n_visits`` entries;
-    ``ValueError`` on another length or dtype, before any loop reads one."""
-    masks = []
-    for name, mask, n in (("owned", owned, graph.n_locations), ("removed", removed, graph.n_visits)):
-        if mask is not None and (np.asarray(mask).dtype != np.bool_ or np.shape(mask) != (n,)):
-            raise ValueError(f"{name} must be a bool mask of {n} entries")
-        masks.append(None if mask is None else np.ascontiguousarray(mask))
-    return masks
-
-
 def block_walk(graph, health_state, disease, owned=None, removed=None):
     """``(rows, bptr, walk_rows)`` of ``repro.core.exposure._numpy_walk``
     (the definition) by one C pass; ``owned`` / ``removed`` as
@@ -707,13 +751,14 @@ def block_walk(graph, health_state, disease, owned=None, removed=None):
     lib = _loaded()
     owned, removed = checked_masks(graph, owned, removed)
     index, ptr, sub_off = graph.block_visit_index()
+    person_ptr = graph.person_visit_slices()
     keep_alive, col, width, role = _phase_args(graph, health_state, disease)
     rows, out = np.empty(graph.n_visits, dtype=np.int64), np.empty(3, dtype=np.int64)
     bptr = np.empty(min(graph.n_visits, ptr.size - 1) + 1, dtype=np.int64)
+    mark = np.zeros(ptr.size - 1, dtype=np.uint8)
     _check(lib.repro_block_walk(
-        col, width, graph.n_persons, graph.person_visit_slices(), sub_off, index, ptr, role,
-        role.size, *(None if m is None else m.ctypes.data for m in (owned, removed)),
-        np.zeros(ptr.size - 1, dtype=np.uint8), rows, bptr, out,
+        col, width, graph.n_persons, *map(_addr, (person_ptr, sub_off, index, ptr, role)),
+        role.size, *map(_addr, (owned, removed, mark, rows, bptr, out)),
     ))
     n, n_active, walk_rows = out.tolist()
     return rows[:n], bptr[:n_active + 1], walk_rows
@@ -726,14 +771,16 @@ def accumulate_exposures(rows, bptr, graph, health_state, disease, haz_table):
     ``haz_table[i * n_states + s]``: one overlap minute of state i with s."""
     lib = _loaded()
     keep_alive, col, width, role = _phase_args(graph, health_state, disease)
-    haz_table = np.ascontiguousarray(haz_table, dtype=np.float64)
-    if haz_table.size != role.size ** 2:
-        raise ValueError("haz_table must hold n_states ** 2 hazards")
+    checked("rows", rows, np.int64, np.shape(rows))
+    checked("bptr", bptr, np.int64, np.shape(bptr))
+    haz_table = checked("haz_table", np.ascontiguousarray(haz_table, dtype=np.float64),
+                        np.float64, (role.size ** 2,))
     keys, first_minute, pair_count = (np.empty(rows.size, dtype=np.int64) for _ in range(3))
     total_h = np.empty(rows.size, dtype=np.float64)
     n = lib.repro_accumulate_exposures(
-        rows.size, rows, bptr.size - 1, bptr, col, width, graph.n_visits, graph.n_persons,
-        role, haz_table, role.size, keys, total_h, first_minute, pair_count,
+        rows.size, _addr(rows), bptr.size - 1, _addr(bptr), col, width, graph.n_visits,
+        graph.n_persons, _addr(role), _addr(haz_table), role.size,
+        *map(_addr, (keys, total_h, first_minute, pair_count)),
     )
     _check(-min(n, 0))
     return keys[:n], total_h[:n], first_minute[:n], pair_count[:n]
@@ -763,30 +810,41 @@ def _keyed_raw_at(level: int, root_seed: int, keys: np.ndarray, n_out: int):
     """:func:`keyed_raw` at lane level ``level``; ValueError above this CPU's."""
     if not 0 <= level <= keyed_isa():
         raise ValueError(f"lane level {level} is not in 0..{keyed_isa()} on this CPU")
-    n, k = keys.shape
+    n, k = checked("keys", keys, np.int64, np.shape(keys)).shape
     seeds = np.empty(n, dtype=np.uint64)
     words = np.empty((n_out, n), dtype=np.uint64)
-    _loaded().repro_keyed_raw(n, k, root_seed, keys, n_out, seeds, words, level)
+    _loaded().repro_keyed_raw(n, k, root_seed, _addr(keys), n_out, _addr(seeds), _addr(words),
+                              level)
     return seeds, words
 
 
-def block_index(visit_location, visit_subloc, location_n_sublocs, sub_off, n_blocks):
-    """``(order, ptr)`` of ``PersonLocationGraph.block_visit_index()`` by
-    the C counting sort.  Id columns are widened, never narrowed (no bad
-    id may wrap back into range); int32 / int64 memmaps go uncopied.  An
-    out-of-range id raises ``ValueError`` naming its column."""
-    loc, sub = _widened(visit_location), _widened(visit_subloc)
-    n_sub = location_n_sublocs.astype(np.int64, casting="safe")
-    if sub.size != loc.size or sub_off.shape != n_sub.shape:
-        raise ValueError("visit columns or sub_off disagree in length")
-    ptr, order = np.zeros(n_blocks + 1, dtype=np.int64), np.empty(loc.size, dtype=np.int64)
+#: repro_block_index's return codes 1 .. 4
+_INDEX_ERRORS = ("visit_location out of range", "visit_subloc out of range",
+                 "visit_person out of range", "visit_person is not sorted")
+
+
+def block_index(graph, sub_bounds):
+    """``(order, ptr, person_ptr)`` of ``PersonLocationGraph``'s block and
+    person indexes by one C counting sort; ``sub_bounds`` is ``sub_off``
+    with the block count appended (``n_locations + 1`` entries).  Id
+    columns are read where they lie if int32 / int64, else widened, never
+    narrowed (no bad id may wrap back into range).  An out-of-range id,
+    or a ``visit_person`` that descends, raises ``ValueError`` naming
+    its column."""
+    loc, sub, person = (_id_column(name, getattr(graph, name), graph.n_visits)
+                        for name in ("visit_location", "visit_subloc", "visit_person"))
+    checked("sub_bounds", sub_bounds, np.int64, (graph.n_locations + 1,))
+    ptr = np.zeros(int(sub_bounds[-1]) + 1, dtype=np.int64)
+    person_ptr = np.zeros(graph.n_persons + 1, dtype=np.int64)
+    order = np.empty(graph.n_visits, dtype=np.int64)
     bad = _loaded().repro_block_index(
-        loc.size, loc.ctypes.data, loc.itemsize, sub.ctypes.data, sub.itemsize,
-        n_sub, sub_off, n_sub.size, n_blocks, ptr, order,
+        graph.n_visits, _addr(loc), loc.itemsize, _addr(sub), sub.itemsize, _addr(person),
+        person.itemsize, _addr(sub_bounds), graph.n_locations, graph.n_persons,
+        *map(_addr, (ptr, person_ptr, order)),
     )
     if bad:
-        raise ValueError(("visit_location", "visit_subloc")[bad - 1] + " out of range")
-    return order, ptr
+        raise ValueError(_INDEX_ERRORS[bad - 1])
+    return order, ptr, person_ptr
 
 
 def _loaded() -> ctypes.CDLL:

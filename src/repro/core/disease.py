@@ -42,6 +42,7 @@ from repro.util.pcg import (
     geometric_search,
     to_double,
 )
+from repro.util import distinct
 from repro.util.rng import RngFactory
 
 __all__ = [
@@ -415,7 +416,7 @@ class DiseaseModel:
         ``infection_entry_by_state`` for partially-immune states, else
         per treatment.  Returns the persons actually infected.
         """
-        persons = np.unique(np.asarray(persons, dtype=np.int64))
+        persons = distinct(np.asarray(persons, dtype=np.int64))
         hit = persons[self.is_susceptible[state[persons]]]
         if hit.size == 0:
             return hit
@@ -441,7 +442,7 @@ class DiseaseModel:
         are drawn from a real Generator advanced to the same point.
         """
         out = np.empty(new_state.size, dtype=np.int32)
-        for ns in np.unique(new_state):
+        for ns in distinct(new_state):
             rows = np.flatnonzero(new_state == ns)
             dwell = self.states[ns].dwell
             days, replayed = dwell.replay(words[rows])

@@ -49,6 +49,7 @@ from repro.core.des import blocked_pairwise_exposures, pairwise_exposures
 from repro.core.disease import DiseaseModel
 from repro.core.transmission import TransmissionModel
 from repro.spec import KERNELS  # defined where importing it is free
+from repro.util import distinct
 from repro.util.rng import RngFactory
 
 __all__ = [
@@ -249,11 +250,7 @@ def _numpy_walk(
     if removed is not None:
         inf_rows = inf_rows[~removed[inf_rows]]
     walk_rows = inf_rows.size
-    # distinct blocks by sort + neighbour compare (np.unique is 10x slower)
-    blocks = np.sort(sub_off[graph.visit_location[inf_rows]] + graph.visit_subloc[inf_rows])
-    first = np.ones(blocks.size, dtype=bool)
-    np.not_equal(blocks[1:], blocks[:-1], out=first[1:])
-    blocks = blocks[first]
+    blocks = distinct(sub_off[graph.visit_location[inf_rows]] + graph.visit_subloc[inf_rows])
     pos, counts = _slice_rows(ptr, blocks)
     rows = index[pos]
     owner = np.repeat(np.arange(blocks.size), counts)  # index into `blocks`

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.disease import VACCINATED
 from repro.synthpop.graph import LocationType, PersonLocationGraph
+from repro.util import distinct
 from repro.util.rng import RngFactory
 
 __all__ = [
@@ -311,7 +312,7 @@ class StayHomeWhenSymptomatic(Intervention):
         sick_here = ctx.disease.symptomatic[ctx.health_state[persons]]
         if not sick_here.any():
             return
-        sick_ids = np.unique(persons[sick_here])
+        sick_ids = distinct(persons[sick_here])
         draws = ctx.rng_factory.uniforms_for(RngFactory.INTERVENTION, ctx.day, sick_ids)
         stay = np.zeros(g.n_persons, dtype=bool)
         stay[sick_ids[draws < self.compliance]] = True
@@ -348,7 +349,7 @@ class WeekendSchedule(Intervention):
         workish = (types == int(LocationType.WORK)) | (types == int(LocationType.SCHOOL))
         if not workish.any():
             return
-        ids = np.unique(persons[workish])
+        ids = distinct(persons[workish])
         draws = ctx.rng_factory.uniforms_for(RngFactory.INTERVENTION, ctx.day, ids, salt=1)
         skipping = np.zeros(g.n_persons, dtype=bool)
         skipping[ids[draws < self.compliance]] = True
@@ -394,7 +395,7 @@ class AnxietyContactReduction(Intervention):
         )
         if not discretionary.any():
             return
-        ids = np.unique(persons[discretionary])
+        ids = distinct(persons[discretionary])
         draws = ctx.rng_factory.uniforms_for(
             RngFactory.INTERVENTION, ctx.day, ids, salt=self._SALT
         )

@@ -229,13 +229,11 @@ class PersonLocationGraph:
         """CSR pointer over visits grouped by person.
 
         ``visits of person p`` are rows ``ptr[p]:ptr[p+1]`` (the visit
-        arrays are already person-sorted).
+        arrays are already person-sorted).  Built with the block index,
+        by the same pass (:meth:`block_visit_index`).
         """
         if self._person_ptr is None:
-            counts = self.person_degrees
-            ptr = np.zeros(self.n_persons + 1, dtype=np.int64)
-            np.cumsum(counts, out=ptr[1:])
-            self._person_ptr = ptr
+            self._build_visit_indexes()
         return self._person_ptr
 
     def location_visit_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -265,42 +263,59 @@ class PersonLocationGraph:
         ``np.argsort(block, kind="stable")`` gives: a C counting sort, or
         without the library one sort of the distinct keys ``block <<
         row_bits | row``.  8 B per visit + 8 B per block, built on first
-        use; an out-of-range id raises ``ValueError`` on both paths.
+        use together with :meth:`person_visit_slices`; an out-of-range id,
+        or a ``visit_person`` that descends, raises ``ValueError`` naming
+        its column on both paths.
         """
         if self._block_index is None:
-            from repro.core import ckernel  # lazy: synthpop imports no core at load
-            n_blocks = int(self.location_n_sublocs.sum())
-            with observe.span("graph.block_index", visits=self.n_visits, blocks=n_blocks):
-                sub_off = np.cumsum(self.location_n_sublocs, dtype=np.int64)
-                sub_off -= self.location_n_sublocs
-                if ckernel.available():
-                    order, ptr = ckernel.block_index(
-                        self.visit_location, self.visit_subloc, self.location_n_sublocs,
-                        sub_off, n_blocks,
-                    )
-                else:
-                    self._check_visit_ids()
-                    order = sub_off[self.visit_location]
-                    order += self.visit_subloc  # the block ids, for now
-                    ptr = np.zeros(n_blocks + 1, dtype=np.int64)
-                    np.cumsum(np.bincount(order, minlength=n_blocks), out=ptr[1:])
-                    row_bits = (self.n_visits - 1).bit_length()
-                    if row_bits + (n_blocks - 1).bit_length() > 63:
-                        raise OverflowError("block << row_bits | row overflows int64")
-                    order <<= row_bits
-                    order |= np.arange(self.n_visits)
-                    order.sort()
-                    order &= (1 << row_bits) - 1
-                self._block_index = (order, ptr, sub_off)
+            self._build_visit_indexes()
         return self._block_index
 
+    def _build_visit_indexes(self) -> None:
+        """The block index and the person index (:meth:`person_visit_slices`):
+        one C counting sort that reads the three id columns once to count
+        both, or without the library one sort of the distinct keys
+        ``block << row_bits | row`` and a ``bincount`` of ``visit_person``."""
+        from repro.core import ckernel  # lazy: synthpop imports no core at load
+        sub_bounds = np.zeros(self.n_locations + 1, dtype=np.int64)
+        np.cumsum(self.location_n_sublocs, dtype=np.int64, out=sub_bounds[1:])
+        sub_off, n_blocks = sub_bounds[:-1], int(sub_bounds[-1])
+        with observe.span("graph.block_index", visits=self.n_visits, blocks=n_blocks):
+            if ckernel.available():
+                order, ptr, person_ptr = ckernel.block_index(self, sub_bounds)
+            else:
+                self._check_visit_ids()
+                order = sub_off[self.visit_location]
+                order += self.visit_subloc  # the block ids, for now
+                ptr = np.zeros(n_blocks + 1, dtype=np.int64)
+                np.cumsum(np.bincount(order, minlength=n_blocks), out=ptr[1:])
+                row_bits = (self.n_visits - 1).bit_length()
+                if row_bits + (n_blocks - 1).bit_length() > 63:
+                    raise OverflowError("block << row_bits | row overflows int64")
+                order <<= row_bits
+                order |= np.arange(self.n_visits)
+                order.sort()
+                order &= (1 << row_bits) - 1
+                person_ptr = np.zeros(self.n_persons + 1, dtype=np.int64)
+                np.cumsum(np.bincount(self.visit_person, minlength=self.n_persons),
+                          out=person_ptr[1:])
+            self._block_index, self._person_ptr = (order, ptr, sub_off), person_ptr
+
     def _check_visit_ids(self) -> None:
-        """``ValueError`` naming the column if a visit's location or room does not exist."""
+        """``ValueError`` naming the column if a visit's location, room or
+        person does not exist, or ``visit_person`` descends."""
         loc, sub, n_sub = self.visit_location, self.visit_subloc, self.location_n_sublocs
         if loc.size and (loc.min() < 0 or loc.max() >= n_sub.size):
             raise ValueError("visit_location out of range")
         if sub.size and (sub.min() < 0 or (sub >= n_sub[loc]).any()):
             raise ValueError("visit_subloc out of range")
+        person = self.visit_person
+        if (person[1:] < person[:-1]).any():  # else the ends are the extremes
+            if person.min() < 0 or person.max() >= self.n_persons:
+                raise ValueError("visit_person out of range")
+            raise ValueError("visit_person is not sorted")
+        if person.size and (person[0] < 0 or person[-1] >= self.n_persons):
+            raise ValueError("visit_person out of range")
 
     def invalidate_indexes(self) -> None:
         """Drop cached CSR indexes after in-place mutation."""
@@ -326,15 +341,11 @@ class PersonLocationGraph:
         if self.person_home.shape[0] != self.n_persons:
             raise ValueError("person_home length mismatch")
         if nv:
-            if self.visit_person.min() < 0 or self.visit_person.max() >= self.n_persons:
-                raise ValueError("visit_person out of range")
             self._check_visit_ids()
             if np.any(self.visit_start < 0) or np.any(self.visit_end > MINUTES_PER_DAY):
                 raise ValueError("visit interval outside [0, 1440]")
             if np.any(self.visit_end <= self.visit_start):
                 raise ValueError("visit with non-positive duration")
-            if np.any(np.diff(self.visit_person) < 0):
-                raise ValueError("visit arrays are not sorted by person")
         if np.any(self.location_n_sublocs < 1):
             raise ValueError("every location needs at least one sublocation")
         if self.n_persons and (

@@ -5,9 +5,6 @@ chare-parallel runtime bit-identical to the sequential reference under
 any data distribution, detector or delivery mode — is machine-checked
 here:
 
-* :mod:`repro.validate.strategies` — hypothesis strategies generating
-  small-but-adversarial populations and scenarios, shared by all test
-  tiers;
 * :mod:`repro.validate.oracle` — the differential oracle: one
   :func:`~repro.validate.oracle.diff_runs` of every backend's
   ``SimulationResult`` (infection events, epi-curve, final state)
@@ -26,8 +23,8 @@ here:
 ``python -m repro validate --refresh-golden`` re-records the traces.
 
 Submodules import lazily so that enabling runtime checks (which only
-needs :mod:`invariants`) never drags in hypothesis or the oracle's
-partitioning stack.
+needs :mod:`invariants`) never drags in the oracle's partitioning
+stack.
 """
 
 from repro.validate.invariants import InvariantChecker, InvariantViolation

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.baselines import ContactGraph, project_contact_graph
 from repro.synthpop.graph import PersonLocationGraph
-from repro.validate.strategies import visit_graphs
+from tests.strategies import visit_graphs
 
 
 def brute_force_pair_minutes(graph) -> float:

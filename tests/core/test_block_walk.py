@@ -30,6 +30,7 @@ segmentation.
 import contextlib
 import dataclasses
 import struct
+import tempfile
 import tracemalloc
 import types
 
@@ -425,14 +426,36 @@ def _unindexed(graph, **columns):
     return dataclasses.replace(graph, **columns, **dict.fromkeys(graph._INDEX_FIELDS))
 
 
+ID_COLUMNS = ("visit_person", "visit_location", "visit_subloc")
+
+
+def _retyped(graph, dtypes, directory=None):
+    """``graph`` with each id column in its drawn width, in RAM or, with
+    a ``directory``, memmapped from a file there; no cached index."""
+    columns = {}
+    for name, dtype in zip(ID_COLUMNS, dtypes):
+        col = getattr(graph, name).astype(dtype)
+        if directory is not None and col.size:  # numpy cannot map an empty file
+            mapped = np.memmap(f"{directory}/{name}.npy", dtype=dtype, mode="w+", shape=col.shape)
+            mapped[:] = col
+            col = mapped
+        columns[name] = col
+    return _unindexed(graph, **columns)
+
+
 def _assert_index_is_the_stable_argsort(graph):
+    """Both paths' ``block_visit_index()`` against ``np.argsort(block,
+    kind="stable")``, and the ``person_visit_slices()`` the same pass
+    built against a ``bincount`` of ``visit_person``."""
     n_blocks = int(graph.location_n_sublocs.sum())
     expected_off = np.cumsum(graph.location_n_sublocs) - graph.location_n_sublocs
     block = expected_off[graph.visit_location] + graph.visit_subloc
+    person_counts = np.bincount(graph.visit_person, minlength=graph.n_persons)
     for path in INDEX_PATHS:
         fresh = _unindexed(graph)
         with path():
             order, ptr, sub_off = fresh.block_visit_index()
+            person_ptr = fresh._person_ptr  # built by the same pass, not on demand
         assert sub_off.tolist() == expected_off.tolist()
         assert order.dtype == ptr.dtype == sub_off.dtype == np.int64
         assert sorted(order.tolist()) == list(range(graph.n_visits))  # a permutation
@@ -444,12 +467,17 @@ def _assert_index_is_the_stable_argsort(graph):
         assert (np.diff(order)[same_block] > 0).all()  # ... ascending row inside each
         assert np.array_equal(order, np.argsort(block, kind="stable"))
         assert fresh.block_visit_index()[0] is order  # built once
+        assert fresh.person_visit_slices() is person_ptr and person_ptr.dtype == np.int64
+        assert np.array_equal(person_ptr, np.concatenate([[0], np.cumsum(person_counts)]))
 
 
-@given(phases())
+@given(phases(), st.lists(st.sampled_from([np.int32, np.int64]), min_size=3, max_size=3),
+       st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_index_properties(phase):
-    _assert_index_is_the_stable_argsort(phase[0])
+def test_index_properties(phase, dtypes, memmap):
+    """Any mix of int32 / int64 id columns, in RAM or memmapped."""
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_index_is_the_stable_argsort(_retyped(phase[0], dtypes, directory if memmap else None))
 
 
 def test_index_on_generated_populations(tiny_graph, small_graph, wy_graph):
@@ -459,22 +487,22 @@ def test_index_on_generated_populations(tiny_graph, small_graph, wy_graph):
 
 def test_index_on_a_memmap_population(tmp_path):
     """Streamed columns on disk: the C loop reads int64 ``visit_location``
-    and int32 ``visit_subloc`` where they lie and allocates only what it
-    returns; an int64 copy of ``visit_subloc`` gives the same index."""
+    / ``visit_person`` and int32 ``visit_subloc`` where they lie and
+    allocates only what it returns (the block index and the person
+    index); an int64 copy of ``visit_subloc`` gives the same index."""
     graph = generate_population_streamed(
         PopulationConfig(n_persons=1000), 3, backing="memmap", block_persons=64, dir=tmp_path,
     )
     assert isinstance(graph.visit_location, np.memmap) and graph.visit_subloc.dtype == np.int32
     if ckernel.available():
         n_blocks = int(graph.location_n_sublocs.sum())
-        sub_off = np.cumsum(graph.location_n_sublocs, dtype=np.int64) - graph.location_n_sublocs
-        args = graph.visit_location, graph.visit_subloc, graph.location_n_sublocs, sub_off, n_blocks
-        ckernel.block_index(*args)  # warm: first-call ctypes set-up allocates too
+        sub_bounds = np.concatenate([[0], np.cumsum(graph.location_n_sublocs, dtype=np.int64)])
+        ckernel.block_index(graph, sub_bounds)  # warm: first-call ctypes set-up allocates too
         tracemalloc.start()
-        ckernel.block_index(*args)
+        ckernel.block_index(graph, sub_bounds)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        returned = 8 * (graph.n_visits + n_blocks + 1 + graph.n_locations)  # + int64 room counts
+        returned = 8 * (graph.n_visits + n_blocks + 1 + graph.n_persons + 1)
         assert returned <= peak < returned + 4 * graph.n_visits  # less than a copy of either column
     _assert_index_is_the_stable_argsort(graph)
     wide = _unindexed(graph, visit_subloc=graph.visit_subloc.astype(np.int64))
@@ -513,8 +541,8 @@ def test_index_block_counts(n_locations, rooms):
     _assert_same_candidates(graph, disease, health, np.arange(n_locations) % 2 == 0, None)
 
 
-def test_empty_graph_has_an_empty_index():
-    graph = PersonLocationGraph(
+def _empty_graph():
+    return PersonLocationGraph(
         name="empty", n_persons=0, n_locations=0,
         **{f"visit_{c}": np.empty(0, dtype=np.int64)
            for c in ("person", "location", "subloc", "start", "end")},
@@ -522,9 +550,21 @@ def test_empty_graph_has_an_empty_index():
         location_type=np.empty(0, dtype=np.int64),
         person_age=np.empty(0, dtype=np.int64), person_home=np.empty(0, dtype=np.int64),
     )
+
+
+def test_empty_graph_has_an_empty_index():
+    graph = _empty_graph()
     _assert_index_is_the_stable_argsort(graph)  # both paths
     order, ptr, sub_off = graph.block_visit_index()
     assert order.size == 0 and ptr.tolist() == [0] and sub_off.size == 0
+
+
+@pytest.mark.parametrize("memmap", [False, True], ids=["ram", "memmap"])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("visits", [[], [(1, 2, 1, 60, 90)]], ids=["empty", "one-visit"])
+def test_index_on_the_smallest_graphs(visits, dtype, memmap, tmp_path):
+    graph = _graph(visits, [1, 1, 3], 3) if visits else _empty_graph()
+    _assert_index_is_the_stable_argsort(_retyped(graph, [dtype] * 3, tmp_path if memmap else None))
 
 
 #: (location, subloc) planted at one row of a valid three-location
@@ -550,6 +590,38 @@ def test_out_of_range_ids_raise_and_leave_the_graph_alone(case):
         messages.add(str(raised.value))
         assert graph._block_index is None and graph.content_hash() == before
     assert messages == {f"{column} out of range"}  # one error, whichever path ran
+
+
+# ----------------------------------------------------------------------
+# a corrupt person column, caught by the pass that builds both indexes
+# ----------------------------------------------------------------------
+#: {row: visit_person} planted in a valid six-person graph (row p is
+#: person p), the message: a person out of range anywhere wins
+CORRUPT_PERSON = {
+    "descending": ({4: 2}, "visit_person is not sorted"),  # row 4 below row 3's person 3
+    "negative": ({0: -1}, "visit_person out of range"),
+    "past-the-end": ({5: 6}, "visit_person out of range"),
+    "int32-wraps": ({5: 2**32 + 5}, "visit_person out of range"),  # person 5 after narrowing
+    "descending-then-past-the-end": ({2: 0, 5: 6}, "visit_person out of range"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPT_PERSON))
+@pytest.mark.parametrize("first", ["block_visit_index", "person_visit_slices"])
+def test_corrupt_visit_person_raises_on_both_paths(case, first):
+    """``person_visit_slices()`` used to ``bincount`` whatever lay in the
+    column: an unsorted one gave every person wrong rows, silently.  Now
+    either index's first use checks it, on the C path and the numpy one."""
+    planted, message = CORRUPT_PERSON[case]
+    graph = _graph([(p, p % 3, 0, 60 * p, 60 * p + 30) for p in range(6)], [2, 3, 2], 6)
+    for row, person in planted.items():
+        graph.visit_person[row] = person
+    before = graph.content_hash()
+    for path in INDEX_PATHS:
+        with path(), pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(graph, first)()
+        assert graph._block_index is None and graph._person_ptr is None
+        assert graph.content_hash() == before
 
 
 # ----------------------------------------------------------------------

@@ -132,7 +132,7 @@ class TestRunWithCheckpointing:
 
 class TestRoundTripProperty:
     """Hypothesis: for arbitrary adversarial scenarios (drawn from the
-    shared ``repro.validate.strategies`` pool), interrupting at *any*
+    shared ``tests.strategies`` pool), interrupting at *any*
     day boundary and resuming from disk reproduces the uninterrupted
     epidemic exactly."""
 
@@ -149,7 +149,7 @@ class TestRoundTripProperty:
 
         from hypothesis import HealthCheck, given, settings, strategies as st
 
-        from repro.validate.strategies import scenarios
+        from tests.strategies import scenarios
 
         @settings(
             max_examples=15, deadline=None,

@@ -31,7 +31,7 @@ from repro.core.exposure import KERNELS, compute_infections
 from repro.core.simulator import SequentialSimulator
 from repro.synthpop import PopulationConfig, generate_population
 from repro.util.rng import RngFactory
-from repro.validate.strategies import scenarios
+from tests.strategies import scenarios
 
 from .test_block_walk import walk_phases
 

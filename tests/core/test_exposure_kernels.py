@@ -24,7 +24,7 @@ from repro.core.des import LocationDES, blocked_pairwise_exposures, pairwise_exp
 from repro.core.exposure import compute_infections
 from repro.core.simulator import SequentialSimulator
 from repro.util.rng import RngFactory
-from repro.validate.strategies import scenarios, visit_graphs
+from tests.strategies import scenarios, visit_graphs
 
 from .exposure_reference import _segmentation
 

@@ -160,13 +160,13 @@ class TestEpidemicEquivalence:
 
 class TestPostconditionProperties:
     """Hypothesis: splitLoc postconditions hold on arbitrary adversarial
-    graphs drawn from the shared ``repro.validate.strategies`` pool."""
+    graphs drawn from the shared ``tests.strategies`` pool."""
 
     @staticmethod
     def _prop(check, profiles=("uniform", "heavy-tail", "single-subloc")):
         from hypothesis import HealthCheck, given, settings
 
-        from repro.validate.strategies import visit_graphs
+        from tests.strategies import visit_graphs
 
         @settings(
             max_examples=30, deadline=None,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from repro.core.simulator import SequentialSimulator
 from repro.validate.oracle import diff_runs, run_scenario_matrix
-from repro.validate.strategies import scenario_compositions
+from tests.strategies import scenario_compositions
 
 PINNED = ("waning-vaccination", "contact-tracing", "hospital-capacity",
           "two-variant")

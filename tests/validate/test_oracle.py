@@ -26,7 +26,7 @@ from repro.validate.oracle import (
     diff_runs,
     run_matrix,
 )
-from repro.validate.strategies import scenarios
+from tests.strategies import scenarios
 
 SMALL_MACHINE = MachineConfig(n_nodes=2, cores_per_node=4, smp=True, processes_per_node=1)
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.charm.machine import Machine
 from repro.synthpop.graph import MINUTES_PER_DAY
-from repro.validate.strategies import machine_configs, scenarios, visit_graphs
+from tests.strategies import machine_configs, scenarios, visit_graphs
 
 _settings = settings(
     max_examples=50,
