@@ -81,12 +81,10 @@ def main() -> int:
         for _ in range(REPEATS):
             out = SmpSimulator(_scenario(graph), n_workers=w, kernel=KERNEL).run()
             best = min(best, out.wall_seconds)
-        identical = diff_runs(scenario, reference, out.result, ordered=False) is None
+        identical = diff_runs(scenario, reference, out.result, ordered=True) is None
         ok = ok and identical
         walls[f"w{w}"] = best
-        print(f"  {w} worker(s): {best * 1e3:8.1f}ms  "
-              f"bit-identical={identical}  "
-              f"({out.backpressure_events} ring stalls)")
+        print(f"  {w} worker(s): {best * 1e3:8.1f}ms  bit-identical={identical}")
 
     speedups = {f"w{w}": walls["w1"] / walls[f"w{w}"] for w in WORKER_COUNTS}
     print(f"speedup vs 1 worker: " +

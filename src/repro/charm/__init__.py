@@ -35,9 +35,7 @@ from repro.charm.completion import CompletionDetector, QuiescenceDetector, SyncP
 from repro.charm.aggregation import MessageAggregator
 from repro.charm.tram import TramChannel
 from repro.charm.loadbalance import greedy_lb, refine_lb, MigrationCostModel
-from repro.charm.topology import TorusTopology, torus_network
 from repro.charm.trace import Tracer, attach_tracer
-from repro.charm.memory import MemoryModel, MemoryReport
 
 __all__ = [
     "MachineConfig",
@@ -62,10 +60,6 @@ __all__ = [
     "greedy_lb",
     "refine_lb",
     "MigrationCostModel",
-    "TorusTopology",
-    "torus_network",
     "Tracer",
     "attach_tracer",
-    "MemoryModel",
-    "MemoryReport",
 ]

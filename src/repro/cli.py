@@ -430,8 +430,7 @@ def _cmd_run(args) -> int:
         )
         timing = (
             f"wall time    : {out.wall_seconds:.3f}s on {out.n_workers} worker "
-            f"process(es) ({per_day * 1e3:.1f}ms/day, "
-            f"{out.backpressure_events} ring stalls)"
+            f"process(es) ({per_day * 1e3:.1f}ms/day)"
         )
     else:
         from repro.core.parallel import ParallelEpiSimdemics

@@ -75,7 +75,7 @@ class LocationPhaseResult:
 
     #: the phase's infect messages in emission order, one int64
     #: ``(person, location, minute)`` row each — the record layout the
-    #: smp infect rings carry (``repro.smp.layout.INFECT_RECORD``)
+    #: smp record segments hold (``repro.smp.layout.INFECT_RECORD``)
     records: np.ndarray = field(default_factory=lambda: np.empty((0, 3), dtype=np.int64))
     #: per-location event counts (2 × processed visits), keyed by location id
     events: Counter = field(default_factory=Counter)

@@ -51,7 +51,6 @@ def _run_task(task_id: int, spec: RunSpec, cache: ArtifactCache) -> protocol.Tas
         final_histogram=result.final_histogram,
         wall_seconds=result.wall_seconds,
         builds=result.builds,
-        backpressure=result.backpressure_events,
     )
 
 

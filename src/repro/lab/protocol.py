@@ -13,9 +13,9 @@ traffic to a byte budget.
   rebuilds the spec through the same :meth:`RunSpec.from_json` any
   user would, so a sweep task is exactly a CLI run); and a fixed
   24-byte stop frame.
-* **uplink** (worker → driver): a result frame — 64-byte header
+* **uplink** (worker → driver): a result frame — 56-byte header
   ``(opcode, task_id, n_days, total_infections, builds, hist_nbytes,
-  wall_seconds, backpressure)`` followed by the raw ``int64`` bytes of
+  wall_seconds)`` followed by the raw ``int64`` bytes of
   the per-day new-infection counts, the raw ``float64`` bytes of the
   per-day prevalence series, and the sorted-key JSON of the final
   state histogram; or the shared error frame of :mod:`repro.workers`
@@ -56,9 +56,9 @@ _TASK = struct.Struct("<qqq")  # opcode, task_id, spec_nbytes
 TASK_HEADER_NBYTES = _TASK.size  # 24
 
 #: opcode, task_id, n_days, total_infections, builds, hist_nbytes,
-#: wall_seconds, backpressure
-_RESULT = struct.Struct("<qqqqqqdq")
-RESULT_HEADER_NBYTES = _RESULT.size  # 64
+#: wall_seconds
+_RESULT = struct.Struct("<qqqqqqd")
+RESULT_HEADER_NBYTES = _RESULT.size  # 56
 
 _WORD = 8
 
@@ -76,7 +76,6 @@ class TaskResult:
     final_histogram: dict
     wall_seconds: float
     builds: int
-    backpressure: int
 
 
 def encode_task(task_id: int, spec_json: str) -> bytes:
@@ -113,9 +112,9 @@ def result_nbytes(n_days: int, hist_nbytes: int) -> int:
     """Exact uplink size for the given counts — the wire-budget formula.
 
     >>> result_nbytes(0, 0)
-    64
+    56
     >>> result_nbytes(4, 10)
-    138
+    130
     """
     return RESULT_HEADER_NBYTES + 2 * _WORD * n_days + hist_nbytes
 
@@ -131,15 +130,14 @@ def encode_result(result: TaskResult) -> bytes:
     ).encode("utf-8")
     head = _RESULT.pack(
         OP_RESULT, result.task_id, new.size, result.total_infections,
-        result.builds, len(hist), result.wall_seconds, result.backpressure,
+        result.builds, len(hist), result.wall_seconds,
     )
     return b"".join((head, new.tobytes(), prev.tobytes(), hist))
 
 
 def decode_result(buf: bytes) -> TaskResult:
     """Decode one result frame; arrays are zero-copy views of ``buf``."""
-    (op, task_id, n_days, total, builds, hist_n, wall, backpressure
-     ) = _RESULT.unpack_from(buf)
+    op, task_id, n_days, total, builds, hist_n, wall = _RESULT.unpack_from(buf)
     if op != OP_RESULT:
         raise ValueError(f"expected result opcode {OP_RESULT}, got {op}")
     offset = RESULT_HEADER_NBYTES
@@ -151,5 +149,5 @@ def decode_result(buf: bytes) -> TaskResult:
     return TaskResult(
         task_id=task_id, new_infections=new, prevalence=prev,
         total_infections=total, final_histogram=hist,
-        wall_seconds=wall, builds=builds, backpressure=backpressure,
+        wall_seconds=wall, builds=builds,
     )

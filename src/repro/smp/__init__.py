@@ -3,12 +3,13 @@
 The paper's Section IV-A SMP mode made executable: where
 :mod:`repro.core.parallel` *models* the chare runtime (virtual time,
 cost models), this package *runs* it — worker OS processes as PEs over
-``multiprocessing.shared_memory`` state, ring-buffer mailboxes with
-TRAM-style aggregation, and an atomic-counter completion detector
-mirroring :mod:`repro.charm.completion`.  The keyed RNG makes the
-result bit-identical to the sequential reference, so the two runtimes
-(simulated and real) validate each other through the differential
-oracle.
+``multiprocessing.shared_memory`` state.  As PEs of one SMP node pass
+pointers rather than copies, the workers pass no messages inside a
+day: each writes its infect records into its own shared segment, and
+one lock-free counter barrier per phase boundary publishes them.  The
+keyed RNG makes the result bit-identical to the sequential reference,
+so the two runtimes (simulated and real) validate each other through
+the differential oracle.
 
 Entry points:
 
@@ -25,23 +26,20 @@ Entry points:
 """
 
 from repro.smp.backend import SmpResult, SmpSimulator, SmpWorkerError
-from repro.smp.completion import PhaseTimeout, ShmPhaseDetector
-from repro.smp.layout import block_partition, build_shared_state
+from repro.smp.completion import CounterBarrier, PhaseTimeout
+from repro.smp.layout import RecordSegments, block_partition, build_shared_state
 from repro.smp.presets import heavy_tailed_graph
-from repro.smp.ring import Mailbox, RingFull, RingGrid
 from repro.smp.shm import SharedArena
 
 __all__ = [
     "SmpSimulator",
     "SmpResult",
     "SmpWorkerError",
-    "ShmPhaseDetector",
+    "CounterBarrier",
     "PhaseTimeout",
+    "RecordSegments",
     "block_partition",
     "build_shared_state",
     "heavy_tailed_graph",
-    "Mailbox",
-    "RingGrid",
-    "RingFull",
     "SharedArena",
 ]

@@ -8,17 +8,22 @@ the central steps (:func:`~repro.core.day.open_day` /
 :func:`~repro.core.day.close_day`: index-case seeding, intervention
 treatment updates, prevalence bookkeeping) stay on the driver, in
 exactly the sequential order, while the person / location / apply
-phases execute in parallel on the workers, with infect records
-crossing PE boundaries through shared ring buffers.
+phases execute in parallel on the workers.  No message crosses a PE
+boundary inside the day: each worker writes its infect records into
+its own shared record segment, one counter barrier per phase boundary
+publishes them, and every worker reads every segment — the paper's SMP
+mode, where PEs of a node pass pointers, not copies.
 
 The result is **bit-identical** to
 :class:`~repro.core.simulator.SequentialSimulator` (same infection
 events, same epi-curve, same final arrays): every stochastic draw is
 keyed by (phase, day, person/location ids), so neither the partition
-nor message delivery order can influence the epidemic.  The run
-record is the sequential one — ``SmpResult.result`` is a
-:class:`~repro.core.simulator.SimulationResult` with the workers'
-infect records and copies of the final arrays — so the differential
+nor the worker count can influence the epidemic.  The run record is
+the sequential one — ``SmpResult.result`` is a
+:class:`~repro.core.simulator.SimulationResult` with the day's record
+segments concatenated in rank order (under the default
+:func:`~repro.smp.layout.block_partition`, the sequential order
+itself) and copies of the final arrays — so the differential
 oracle's smp cells (:func:`repro.validate.oracle.run_smp_matrix`) diff
 it with the same :func:`~repro.validate.oracle.diff_runs` as every
 other backend.
@@ -32,11 +37,11 @@ timelines of real PEs.
 
 The day barrier itself is cheap by construction: commands and reports
 cross the pipes as fixed-layout struct-packed bytes
-(:mod:`repro.smp.protocol` — no pickling, no per-event tuples).  The
+(:mod:`repro.smp.protocol` — no pickling, no event payload).  The
 processes, the park and the failure report are :mod:`repro.workers`:
 a worker's death or error frame raises :class:`SmpWorkerError`, and the
 driver then raises the shared abort flag (peers spinning in a
-completion wait exit cleanly instead of hanging) and unlinks the
+barrier wait exit cleanly instead of hanging) and unlinks the
 shared-memory arena on every exit path.
 """
 
@@ -44,8 +49,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro import observe
 from repro.core import day as day_steps
@@ -78,7 +81,8 @@ class SmpResult:
     wall_seconds: float
     #: measured wall-clock phase boundaries, seconds from the run origin
     phase_times: list[PhaseTimes] = field(default_factory=list)
-    #: total infect-ring-full stalls across workers and days
+    #: 0 by construction (no ring left to fill); BENCHMARK.json's
+    #: ``smp.backpressure_events`` still reads it
     backpressure_events: int = 0
     #: total bytes crossing the day-barrier pipes (both directions) —
     #: the regression tests hold this to the struct-layout budget
@@ -106,13 +110,8 @@ class SmpSimulator:
         :func:`~repro.core.exposure.compute_infections`.  The
         ``"compiled"`` kernel is pre-built in the driver so the forked
         workers inherit the loaded library.
-    ring_capacity / batch / burst_bytes:
-        Mailbox geometry: words per SPSC ring and TRAM aggregation
-        burst budget.  ``burst_bytes`` sizes bursts uniformly across
-        record widths; ``batch`` (words) is the legacy spelling
-        (``batch * 8`` bytes).
     timeout:
-        Per-phase completion deadline inside workers (a hang breaker;
+        Per-phase barrier deadline inside workers (a hang breaker;
         generous because CI machines can be one-core).
     """
 
@@ -122,9 +121,6 @@ class SmpSimulator:
         n_workers: int,
         partition: BipartitePartition | None = None,
         kernel: str | None = None,
-        ring_capacity: int = 8192,
-        batch: int | None = None,
-        burst_bytes: int | None = None,
         collect_location_stats: bool = False,
         timeout: float | None = 120.0,
         _fault: dict | None = None,
@@ -138,12 +134,6 @@ class SmpSimulator:
             raise ValueError(
                 f"partition has k={partition.k} but n_workers={n_workers}"
             )
-        if batch is not None and burst_bytes is not None:
-            raise ValueError("give batch (words) or burst_bytes, not both")
-        if burst_bytes is None:
-            burst_bytes = 2048 if batch is None else batch * 8
-        if ring_capacity * 8 < burst_bytes:
-            raise ValueError("ring_capacity must hold at least one burst")
         # Build/load the C library before forking so every worker
         # inherits the mapping instead of racing the first compile —
         # under every kernel, since the keyed draws use it too.
@@ -163,8 +153,6 @@ class SmpSimulator:
             g, partition.person_part, partition.location_part, n_workers
         )
         self.kernel = kernel
-        self.ring_capacity = ring_capacity
-        self.burst_bytes = burst_bytes
         self.collect_location_stats = collect_location_stats
         self.timeout = timeout
         self._fault = _fault
@@ -190,8 +178,6 @@ class SmpSimulator:
             n_workers=rt.workers,
             partition=partition,
             kernel=rt.kernel,
-            ring_capacity=rt.ring_capacity,
-            burst_bytes=rt.burst_bytes,
         )
 
     # ------------------------------------------------------------------
@@ -204,10 +190,10 @@ class SmpSimulator:
     def _run(self) -> SmpResult:
         sc = self.scenario
         n = self.n_workers
-        shared = build_shared_state(sc, n, self.ring_capacity)
+        shared = build_shared_state(sc, self.plan.location_owner, n)
         context = WorkerContext(
             scenario=sc, shared=shared, plan=self.plan, kernel=self.kernel,
-            burst_bytes=self.burst_bytes, collect_stats=self.collect_location_stats,
+            collect_stats=self.collect_location_stats,
             timeout=self.timeout, fault=self._fault,
         )
         workers = None
@@ -225,9 +211,6 @@ class SmpSimulator:
             for day in range(sc.n_days):
                 day_start = time.perf_counter() - t_origin
                 ctx, seeded = day_steps.open_day(state, sc, day)
-                # Workers are parked on their pipes; counters are quiet.
-                shared.visit_counters[:] = 0
-                shared.infect_counters[:] = 0
                 # Components whose visit filters depend on central
                 # state broadcast it with the kick; forked workers hold
                 # stale pre-run snapshots otherwise.  Empty for the
@@ -241,7 +224,7 @@ class SmpSimulator:
 
                 reports = self._collect_reports(workers, day, out)
                 self._ingest_day(
-                    out, day_start, t_origin, reports, seeded, state, ctx
+                    out, day_start, t_origin, reports, seeded, shared, ctx
                 )
 
             # copies: the arena is unlinked when the run returns
@@ -271,22 +254,21 @@ class SmpSimulator:
         return reports
 
     def _ingest_day(
-        self, out: SmpResult, day_start, t_origin, reports, seeded, state, ctx
+        self, out: SmpResult, day_start, t_origin, reports, seeded, shared, ctx
     ) -> None:
         day = ctx.day
         # The workers have all reported and are parked on their pipes,
-        # so close_day's central post_apply edit of the shared arrays is
-        # race-free.
+        # so close_day's central post_apply edit of the shared arrays and
+        # the read of their record segments are race-free.
         day_result = day_steps.close_day(
-            state, self.scenario, ctx, seeded=seeded,
+            shared.state, self.scenario, ctx, seeded=seeded,
             visits_made=sum(r.visits_made for r in reports),
             transitions=sum(r.transitions for r in reports),
             infected=sum(r.infected for r in reports),
         )
         out.result.days.append(day_result)
         out.result.curve.record_day(day_result.new_infections, day_result.prevalence)
-        out.result.infection_log[day] = np.concatenate([r.events for r in reports])
-        out.backpressure_events += sum(r.backpressure for r in reports)
+        out.result.infection_log[day] = shared.records.gather()
         if self.collect_location_stats:
             for r in reports:
                 for pairs, counter in (

@@ -1,9 +1,7 @@
-"""Exponential spin-wait backoff shared by the SMP busy loops.
+"""Exponential spin-wait backoff for the SMP barrier wait.
 
-Every SMP wait — completion detection in
-:class:`~repro.smp.completion.ShmPhaseDetector`, ring backpressure in
-:class:`~repro.smp.ring.Mailbox` — used to pause a fixed tiny amount
-per unproductive lap.  On an oversubscribed (or plain small) machine
+A spin wait (:meth:`repro.smp.completion.CounterBarrier.wait`) once
+paused a fixed tiny amount per unproductive lap.  On an oversubscribed (or plain small) machine
 that is exactly wrong: the waiter keeps getting scheduled and steals
 the cycles the worker it is waiting *for* needs, which is a large part
 of why the backend measured slower than sequential (``BENCH_smp.json``

@@ -1,37 +1,32 @@
-"""Atomic-counter completion detection over shared memory.
+"""A lock-free counter barrier over shared memory.
 
-Mirrors the semantics of the simulated runtime's
-:class:`~repro.charm.completion.CompletionDetector` (paper §IV-B): a
-phase is complete exactly when every producer has declared itself done
-*and* every produced message has been consumed.  Instead of wave
-broadcasts over a scheduler, each worker owns one column of a shared
-``(3, n_workers)`` int64 counter block::
+Every phase boundary of the smp day — person → location, and location
+→ apply — is one :class:`CounterBarrier` crossing.  The workers share
+one int64 word each in one block; worker ``w`` announces that it
+finished the phase numbered ``epoch`` by storing ``epoch`` into its
+own word, and the phase is closed for everyone once every word has
+reached it::
 
-    row 0: produced[w]  — messages worker w has pushed into rings
-    row 1: consumed[w]  — messages worker w has drained and processed
-    row 2: done[w]      — 1 once worker w finished producing this phase
+    epochs[w] = 2 * day + phase      # phase 1: visits, phase 2: records
 
-Each slot has a single writer (its worker), so plain int64 stores are
-race-free; the only subtlety is the *order* a reader snapshots them
-in.  :meth:`ShmPhaseDetector.closed` reads ``done`` first, then
-``produced``, then ``consumed``:
+Epochs only grow, so the block needs no reset: the driver never
+touches it between days, and a worker that races ahead into the next
+phase can only make the predicate ``min(epochs) >= epoch`` *more*
+true.  Each word has a single writer, so plain int64 stores are
+race-free.
 
-* ``done[w] == 1`` is written *after* worker ``w``'s final
-  ``produced`` bump, so (store order being preserved on x86 TSO — and
-  by the GIL's barriers in CPython) seeing ``done`` implies the final
-  ``produced[w]`` is visible.  Reading the counters the other way
-  round could observe a stale, too-small ``produced`` next to
-  ``done=1`` and close the phase with messages still in flight — the
-  premature-closure bug the adversarial tests in
-  ``tests/charm/test_completion_adversarial.py`` hunt for in the
-  simulated detectors.
-* ``consumed`` only grows toward ``produced`` (a message is consumed
-  after it was produced), so a stale ``consumed`` read can only delay
-  closure, never cause it early.
-
-Hence ``all(done) and sum(produced) == sum(consumed)`` is a *stable*
-predicate: once true it stays true, exactly like a clean completion
-wave.
+What a barrier crossing publishes is whatever its writer stored before
+the epoch: the rows of the removed-visit mask it owns (phase 1), and
+its record segment plus that segment's count
+(:class:`~repro.smp.layout.RecordSegments`, phase 2).  On the
+total-store-order memory model of x86 a store is never made visible
+before an earlier store of the same thread, and CPython's eval loop
+inserts the GIL's barriers around every bytecode, so a reader that
+sees ``epochs[w] >= epoch`` also sees every store ``w`` made before
+it.  Nothing here takes a :mod:`multiprocessing` lock, ``Condition``
+or ``Barrier``: a SIGKILLed peer could die holding one, while a dead
+peer's word just stops growing — the waiters time out or see the
+driver's abort flag.
 """
 
 from __future__ import annotations
@@ -42,92 +37,56 @@ import numpy as np
 
 from repro.smp.backoff import Backoff
 
-__all__ = ["ShmPhaseDetector", "PhaseTimeout"]
+__all__ = ["CounterBarrier", "PhaseTimeout"]
 
 
 class PhaseTimeout(RuntimeError):
     """A phase failed to close within the deadline (likely a dead peer)."""
 
 
-class ShmPhaseDetector:
-    """One phase's completion state, shared by ``n_workers`` processes.
+class CounterBarrier:
+    """One worker's handle on the shared epoch block.
 
-    Works on any int64 array of shape ``(3, n_workers)`` — shared
+    Works on any 1-D int64 array with one word per worker — shared
     memory in production, a plain array in tests:
 
-    >>> det = ShmPhaseDetector(np.zeros((3, 2), dtype=np.int64), rank=0)
-    >>> other = ShmPhaseDetector(det.counters, rank=1)
-    >>> det.produce(3); det.producer_done()
-    >>> other.producer_done()
-    >>> det.closed()          # 3 produced, none consumed yet
+    >>> block = np.zeros(2, dtype=np.int64)
+    >>> a, b = CounterBarrier(block, 0), CounterBarrier(block, 1)
+    >>> a.arrive(1); a.passed(1)
     False
-    >>> other.consume(3)
-    >>> det.closed()
+    >>> b.arrive(1); a.passed(1)
     True
     """
 
-    def __init__(self, counters: np.ndarray, rank: int):
-        if counters.shape[0] != 3:
-            raise ValueError(f"expected (3, n) counters, got {counters.shape}")
-        self.counters = counters
+    def __init__(self, epochs: np.ndarray, rank: int):
+        if epochs.ndim != 1:
+            raise ValueError(f"expected one epoch word per worker, got {epochs.shape}")
+        self.epochs = epochs
         self.rank = rank
 
-    # -- writer side (each worker touches only its own column) -----------
-    def produce(self, k: int = 1) -> None:
-        self.counters[0, self.rank] += k
+    def arrive(self, epoch: int) -> None:
+        """Publish that this worker finished phase ``epoch`` (and every
+        store it made before this call)."""
+        self.epochs[self.rank] = epoch
 
-    def consume(self, k: int = 1) -> None:
-        self.counters[1, self.rank] += k
+    def passed(self, epoch: int) -> bool:
+        """True iff every worker has arrived at ``epoch`` (stable)."""
+        return int(self.epochs.min()) >= epoch
 
-    def producer_done(self) -> None:
-        self.counters[2, self.rank] = 1
-
-    # -- reader side ------------------------------------------------------
-    def closed(self) -> bool:
-        """True iff the phase can never see another message (stable)."""
-        # Snapshot order matters: done before produced before consumed —
-        # see the module docstring for why the reverse order is unsound.
-        done = self.counters[2].copy()
-        if not done.all():
-            return False
-        produced = int(self.counters[0].sum())
-        consumed = int(self.counters[1].sum())
-        return consumed == produced
-
-    def wait_closed(
-        self,
-        drain,
-        timeout: float | None = None,
-        should_abort=None,
-    ) -> None:
-        """Spin until :meth:`closed`, calling ``drain()`` each lap.
-
-        ``drain`` must make progress on this worker's inbox (bumping
-        :meth:`consume`) and return a truthy value when it consumed
-        anything — unproductive laps back off *exponentially*
+    def wait(self, epoch: int, timeout: float | None = None, should_abort=None) -> None:
+        """Spin until :meth:`passed`; unproductive laps back off
         (:class:`~repro.smp.backoff.Backoff`: a few ``sched_yield``
         laps, then sleeps doubling to 1 ms) so waiters hand the core to
-        the workers still producing instead of starving them on
-        oversubscribed machines.  ``should_abort`` may raise to break
-        out when the run is being torn down (e.g. a peer died).
-        """
+        the workers still computing.  ``should_abort`` may raise to
+        break out when the run is being torn down (a peer died)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         backoff = Backoff()
-        while not self.closed():
+        while not self.passed(epoch):
             if should_abort is not None:
                 should_abort()
-            if drain():
-                backoff.reset()
-            else:
-                backoff.pause()
             if deadline is not None and time.monotonic() > deadline:
                 raise PhaseTimeout(
-                    f"worker {self.rank}: phase did not close within "
-                    f"{timeout:.1f}s (produced={int(self.counters[0].sum())}, "
-                    f"consumed={int(self.counters[1].sum())}, "
-                    f"done={self.counters[2].tolist()})"
+                    f"worker {self.rank}: epoch {epoch} did not close within "
+                    f"{timeout:.1f}s (epochs={self.epochs.tolist()})"
                 )
-
-    def reset(self) -> None:
-        """Zero all counters — driver-only, between phases/days."""
-        self.counters[:] = 0
+            backoff.pause()

@@ -7,12 +7,13 @@ cost a measurable share of the SMP run):
 * **downlink** (driver → worker): one fixed 32-byte command —
   ``(opcode, day, prevalence, cumulative_attack)`` — for both the
   day kick-off and the stop signal;
-* **uplink** (worker → driver): a fixed 104-byte ``day_done`` header
-  (counts + the four phase-boundary clocks) followed by the raw int64
-  bytes of the applied infect-event records and, when location stats
-  are collected, their ``(key, count)`` pair arrays.  Arrays cross the
-  pipe as ``ndarray.tobytes()`` / ``np.frombuffer`` — a length-prefixed
-  memcpy, never a pickle;
+* **uplink** (worker → driver): a fixed 88-byte ``day_done`` header
+  (counts + the four phase-boundary clocks) followed, when location
+  stats are collected, by their ``(key, count)`` pair arrays.  Arrays
+  cross the pipe as ``ndarray.tobytes()`` / ``np.frombuffer`` — a
+  length-prefixed memcpy, never a pickle.  Infect records never cross
+  a pipe: the driver reads them from the workers' shared record
+  segments;
 * **errors**: the shared error frame of :mod:`repro.workers`.
 
 Every message size is an explicit function of its counts
@@ -54,12 +55,11 @@ _COMMAND = struct.Struct("<qqdd")
 COMMAND_NBYTES = _COMMAND.size  # 32
 
 #: worker → driver header: opcode, day, transitions, visits_made,
-#: infected, backpressure, n_events, n_stats_events, n_stats_inter,
-#: then the four phase-boundary perf_counter clocks t0..t3
-_REPORT = struct.Struct("<qqqqqqqqqdddd")
-REPORT_HEADER_NBYTES = _REPORT.size  # 104
+#: infected, n_stats_events, n_stats_inter, then the four
+#: phase-boundary perf_counter clocks t0..t3
+_REPORT = struct.Struct("<qqqqqqqdddd")
+REPORT_HEADER_NBYTES = _REPORT.size  # 88
 
-_EVENT_WORDS = 3  # (person, location, minute)
 _WORD = 8
 
 _STOP_BYTES = _COMMAND.pack(OP_STOP, 0, 0.0, 0.0)
@@ -73,12 +73,9 @@ class DayReport:
     transitions: int
     visits_made: int
     infected: int
-    backpressure: int
     #: phase-boundary clocks (perf_counter): start, visits done,
     #: locations done, day done
     clocks: tuple[float, float, float, float]
-    #: applied infect events, one ``(person, location, minute)`` row each
-    events: np.ndarray
     #: ``(location_key, count)`` arrays when stats were collected
     stats_events: tuple[np.ndarray, np.ndarray] | None = None
     stats_interactions: tuple[np.ndarray, np.ndarray] | None = None
@@ -120,19 +117,15 @@ def decode_command(buf: bytes) -> tuple[int, int, float, float]:
     return _COMMAND.unpack_from(buf)
 
 
-def report_nbytes(
-    n_events: int, n_stats_events: int = 0, n_stats_inter: int = 0
-) -> int:
+def report_nbytes(n_stats_events: int = 0, n_stats_inter: int = 0) -> int:
     """Exact uplink size for the given counts — the wire-budget formula.
 
-    >>> report_nbytes(0)
-    104
-    >>> report_nbytes(10)
-    344
+    >>> report_nbytes()
+    88
+    >>> report_nbytes(2, 3)
+    168
     """
-    return REPORT_HEADER_NBYTES + _WORD * (
-        _EVENT_WORDS * n_events + 2 * (n_stats_events + n_stats_inter)
-    )
+    return REPORT_HEADER_NBYTES + 2 * _WORD * (n_stats_events + n_stats_inter)
 
 
 def _pairs_bytes(stats: tuple[np.ndarray, np.ndarray] | None) -> bytes:
@@ -147,8 +140,6 @@ def _pairs_bytes(stats: tuple[np.ndarray, np.ndarray] | None) -> bytes:
 
 def encode_report(report: DayReport) -> bytes:
     """Pack one ``day_done`` message (header + raw int64 array bytes)."""
-    events = np.ascontiguousarray(report.events, dtype=np.int64)
-    n_ev = events.size // _EVENT_WORDS
     n_se = 0 if report.stats_events is None else int(report.stats_events[0].size)
     n_si = (
         0
@@ -157,16 +148,10 @@ def encode_report(report: DayReport) -> bytes:
     )
     head = _REPORT.pack(
         OP_DAY_DONE, report.day, report.transitions, report.visits_made,
-        report.infected, report.backpressure, n_ev, n_se, n_si,
-        *report.clocks,
+        report.infected, n_se, n_si, *report.clocks,
     )
     return b"".join(
-        (
-            head,
-            events.tobytes(),
-            _pairs_bytes(report.stats_events),
-            _pairs_bytes(report.stats_interactions),
-        )
+        (head, _pairs_bytes(report.stats_events), _pairs_bytes(report.stats_interactions))
     )
 
 
@@ -182,20 +167,14 @@ def _read_pairs(buf: bytes, offset: int, n: int):
 def decode_report(buf: bytes) -> DayReport:
     """Decode one ``day_done`` message; arrays are zero-copy views of
     ``buf``."""
-    (op, day, transitions, visits_made, infected, backpressure,
-     n_ev, n_se, n_si, t0, t1, t2, t3) = _REPORT.unpack_from(buf)
+    (op, day, transitions, visits_made, infected,
+     n_se, n_si, t0, t1, t2, t3) = _REPORT.unpack_from(buf)
     if op != OP_DAY_DONE:
         raise ValueError(f"expected day_done opcode {OP_DAY_DONE}, got {op}")
-    offset = REPORT_HEADER_NBYTES
-    events = np.frombuffer(
-        buf, dtype=np.int64, count=n_ev * _EVENT_WORDS, offset=offset
-    ).reshape(n_ev, _EVENT_WORDS)
-    offset += n_ev * _EVENT_WORDS * _WORD
-    stats_events, offset = _read_pairs(buf, offset, n_se)
+    stats_events, offset = _read_pairs(buf, REPORT_HEADER_NBYTES, n_se)
     stats_interactions, offset = _read_pairs(buf, offset, n_si)
     return DayReport(
         day=day, transitions=transitions, visits_made=visits_made,
-        infected=infected, backpressure=backpressure,
-        clocks=(t0, t1, t2, t3), events=events,
+        infected=infected, clocks=(t0, t1, t2, t3),
         stats_events=stats_events, stats_interactions=stats_interactions,
     )

@@ -1,7 +1,7 @@
 """Named shared-memory segments with guaranteed cleanup.
 
 The SMP backend keeps all cross-process state — person health arrays,
-ring-buffer mailboxes, completion counters — in POSIX shared memory
+record segments, barrier epochs — in POSIX shared memory
 (:class:`multiprocessing.shared_memory.SharedMemory`) so worker
 processes operate on the *same* physical pages, not copies.  A
 :class:`SharedArena` owns every segment of one run: it hands out numpy
@@ -58,7 +58,11 @@ class SharedArena:
         return [seg.name for seg in self._segments]
 
     def alloc(self, name: str, shape: tuple, dtype=np.int64) -> np.ndarray:
-        """Create a zero-filled shared segment; return a numpy view of it."""
+        """Create a zero-filled shared segment; return a numpy view of it.
+
+        A new POSIX segment reads as zeros (``ftruncate``), so its pages
+        are touched only when something writes them.
+        """
         if self.closed:
             raise RuntimeError("arena is closed")
         nbytes = max(1, int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize)
@@ -66,7 +70,6 @@ class SharedArena:
             create=True, name=f"{self._prefix}-{name}", size=nbytes
         )
         arr = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-        arr.fill(0)
         self._segments.append(seg)
         self._arrays.append(arr)
         return arr

@@ -329,9 +329,6 @@ class RuntimeSpec:
     delivery: str = "aggregated"
     #: charm phase detector: cd (completion) / qd (quiescence)
     sync: str = "cd"
-    #: smp mailbox geometry
-    ring_capacity: int = 8192
-    burst_bytes: int | None = None
 
     _BACKENDS = ("seq", "charm", "smp")
 
@@ -570,7 +567,6 @@ class RunResult:
     final_histogram: dict[str, int]
     wall_seconds: float = 0.0
     n_workers: int = 1
-    backpressure_events: int = 0
     #: population/partition artifact builds this run triggered (0 on a
     #: warm cache) — the lab aggregates these into its hit-rate stats
     builds: int = 0
@@ -662,9 +658,7 @@ def execute(spec: RunSpec, graph=None, cache=None) -> RunResult:
             return _result_from(
                 spec, out.result, graph.n_persons,
                 time.perf_counter() - t0,
-                n_workers=out.n_workers,
-                backpressure_events=out.backpressure_events,
-                builds=builds,
+                n_workers=out.n_workers, builds=builds,
             )
 
         from repro.core.parallel import ParallelEpiSimdemics

@@ -107,13 +107,9 @@ class CellResult:
     equal: bool
     divergence: Divergence | None
     checks_passed: int = 0
-    #: ring-full stalls of an smp cell
-    backpressure: int = 0
 
     def format(self) -> str:
-        counts = ((self.checks_passed, "invariant checks"), (self.backpressure, "ring stalls"))
-        counters = [f"{n} {what}" for n, what in counts if n]
-        extra = f"  ({', '.join(counters)})" if counters else ""
+        extra = f"  ({self.checks_passed} invariant checks)" if self.checks_passed else ""
         return f"  {self.label:<36} {'exact' if self.equal else 'DIVERGED':>8}{extra}"
 
 
@@ -168,9 +164,9 @@ def diff_runs(
 
     Day by day: the curve's length (in both directions), then the
     infect records, then new infections and prevalence with ``==``.
-    With ``ordered`` (both sides sequential: the kernels promise
-    emission order too) each day's record arrays must be equal as they
-    are; otherwise as sets of ``(person, location, minute)`` rows, since
+    With ``ordered`` (both sides in emission order: sequential runs,
+    and smp over its contiguous block slabs) each day's record arrays
+    must be equal as they are; otherwise as sets of ``(person, location, minute)`` rows, since
     a parallel runtime's delivery order is not part of the contract.
     Last, every person's final PTTS state and dwell timer.
 
@@ -254,22 +250,21 @@ def _make_partition(graph, distribution: str, n_pes: int):
 
 def _run_cell(
     scenario: Scenario, runtime: RuntimeSpec, partition, machine: MachineConfig
-) -> tuple[SimulationResult, int, int]:
-    """Run one cell: ``(result, invariant checks passed, ring stalls)``."""
+) -> tuple[SimulationResult, int]:
+    """Run one cell: ``(result, invariant checks passed)``."""
     if runtime.backend == "seq":
-        return SequentialSimulator(scenario, kernel=runtime.kernel).run(), 0, 0
+        return SequentialSimulator(scenario, kernel=runtime.kernel).run(), 0
     if runtime.backend == "smp":
         out = SmpSimulator(
             scenario, n_workers=runtime.workers, partition=partition, kernel=runtime.kernel,
-            ring_capacity=runtime.ring_capacity, burst_bytes=runtime.burst_bytes,
         ).run()
-        return out.result, 0, out.backpressure_events
+        return out.result, 0
     sim = ParallelEpiSimdemics(
         scenario, machine, Distribution.from_partition(partition, Machine(machine)),
         sync=runtime.sync, delivery=runtime.delivery, aggregation_bytes=8 * 1024,
         kernel=runtime.kernel, validate=True,
     )
-    return sim.run().result, sim.checker.checks_passed, 0
+    return sim.run().result, sim.checker.checks_passed
 
 
 def _drive(
@@ -286,11 +281,12 @@ def _drive(
         if build not in references:
             references[build] = SequentialSimulator(build(), kernel=reference_kernel).run()
         scenario = build()
-        got, checks, stalls = _run_cell(scenario, runtime, partition, machine)
-        divergence = diff_runs(
-            scenario, references[build], got, ordered=runtime.backend == "seq"
-        )
-        cell = CellResult(label, divergence is None, divergence, checks, stalls)
+        got, checks = _run_cell(scenario, runtime, partition, machine)
+        # smp under its default block partition concatenates the
+        # workers' ascending location slabs: the sequential order
+        ordered = runtime.backend == "seq" or (runtime.backend == "smp" and partition is None)
+        divergence = diff_runs(scenario, references[build], got, ordered=ordered)
+        cell = CellResult(label, divergence is None, divergence, checks)
         print(cell.format(), flush=True)
         results.append(cell)
         n_persons = max(n_persons, scenario.graph.n_persons)
@@ -369,13 +365,13 @@ def run_smp_matrix(
     n_days: int = 6, seed: int = 0, initial_infections: int = 8,
     transmissibility: float = 2.0e-4, kernel: str | None = "flat",
     reference_kernel: str | None = "grouped", tiny_persons: int = 300,
-    heavy_persons: int = 1500, heavy_locations: int = 200, ring_capacity: int = 1024,
+    heavy_persons: int = 1500, heavy_locations: int = 200,
 ) -> OracleReport:
     """The shared-memory backend's cells: preset × worker count.
 
     Every cell forks real worker processes
-    (:class:`~repro.smp.SmpSimulator`); a deliberately small
-    ``ring_capacity`` keeps the backpressure path exercised.
+    (:class:`~repro.smp.SmpSimulator`) and is compared *ordered*: its
+    infection log must be the sequential one, record for record.
 
     >>> report = run_smp_matrix(workers=(2,), presets=("tiny",), n_days=2,
     ...                         tiny_persons=80)  # doctest: +ELLIPSIS
@@ -398,7 +394,7 @@ def run_smp_matrix(
             raise ValueError(f"unknown preset {preset!r} (expected one of {SMP_PRESETS})")
         build = _plain(specs[preset].build(), n_days, seed, initial_infections, transmissibility)
         for w in workers:
-            runtime = RuntimeSpec("smp", w, kernel=kernel, ring_capacity=ring_capacity)
+            runtime = RuntimeSpec("smp", w, kernel=kernel)
             cells.append((f"{preset}×w{w}", build, runtime, None))
     return _drive("smp differential oracle", cells, reference_kernel, n_days)
 
@@ -408,7 +404,6 @@ def run_scenario_matrix(
     machine: MachineConfig | None = None, n_days: int = 6, seed: int = 0,
     initial_infections: int = 8, transmissibility: float = 3.0e-4, persons: int = 300,
     kernel: str | None = "flat", reference_kernel: str | None = "grouped",
-    ring_capacity: int = 1024,
 ) -> OracleReport:
     """Every registered scenario's cells: seq kernels, charm, smp.
 
@@ -440,6 +435,6 @@ def run_scenario_matrix(
         charm = RuntimeSpec("charm", kernel=kernel)
         cells.append((f"{name}×charm-rr", build, charm, partition))
         for w in workers:
-            smp = RuntimeSpec("smp", w, kernel=kernel, ring_capacity=ring_capacity)
+            smp = RuntimeSpec("smp", w, kernel=kernel)
             cells.append((f"{name}×smp-w{w}", build, smp, None))
     return _drive("scenario differential oracle", cells, reference_kernel, n_days, machine)

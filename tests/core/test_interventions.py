@@ -193,3 +193,67 @@ class TestEndToEndEffect:
         )
         res_vax = SequentialSimulator(vax).run()
         assert res_vax.total_infections < res_base.total_infections
+
+
+class TestWeekendSchedule:
+    """The weekly rhythm over long runs: weekend days drop work and
+    school visits."""
+
+    def test_weekday_untouched(self, small_graph):
+        from repro.core.interventions import InterventionSchedule, WeekendSchedule
+
+        ctx = _ctx(small_graph, day=2)  # a weekday
+        sched = InterventionSchedule([WeekendSchedule(compliance=1.0)])
+        assert sched.visit_mask(ctx).all()
+
+    def test_weekend_drops_work_and_school(self, small_graph):
+        from repro.core.interventions import InterventionSchedule, WeekendSchedule
+        from repro.synthpop.graph import LocationType
+
+        ctx = _ctx(small_graph, day=5)  # weekend
+        sched = InterventionSchedule([WeekendSchedule(compliance=1.0)])
+        keep = sched.visit_mask(ctx)
+        types = small_graph.location_type[small_graph.visit_location]
+        workish = (types == LocationType.WORK) | (types == LocationType.SCHOOL)
+        assert not np.any(keep & workish)
+        assert keep[~workish].all()
+
+    def test_partial_compliance_statistics(self, small_graph):
+        from repro.core.interventions import InterventionSchedule, WeekendSchedule
+        from repro.synthpop.graph import LocationType
+
+        ctx = _ctx(small_graph, day=6)
+        sched = InterventionSchedule([WeekendSchedule(compliance=0.5)])
+        keep = sched.visit_mask(ctx)
+        types = small_graph.location_type[small_graph.visit_location]
+        workish = (types == LocationType.WORK) | (types == LocationType.SCHOOL)
+        frac_kept = keep[workish].mean()
+        assert 0.3 < frac_kept < 0.7
+
+    def test_script_directive(self):
+        from repro.core.interventions import WeekendSchedule, parse_intervention_script
+
+        sched = parse_intervention_script("weekends compliance=0.8")
+        assert isinstance(sched.interventions[0], WeekendSchedule)
+        assert sched.interventions[0].compliance == 0.8
+
+    def test_parallel_equivalence_with_weekends(self, tiny_graph):
+        from repro.charm.machine import Machine, MachineConfig
+        from repro.core import Scenario, SequentialSimulator, TransmissionModel
+        from repro.core.interventions import InterventionSchedule, WeekendSchedule
+        from repro.core.parallel import Distribution, ParallelEpiSimdemics
+        from repro.partition import round_robin_partition
+
+        def scenario():
+            return Scenario(
+                graph=tiny_graph, n_days=10, seed=4, initial_infections=5,
+                transmission=TransmissionModel(2e-4),
+                interventions=InterventionSchedule([WeekendSchedule()]),
+            )
+
+        seq = SequentialSimulator(scenario()).run()
+        mc = MachineConfig(n_nodes=2, cores_per_node=4, smp=True, processes_per_node=1)
+        m = Machine(mc)
+        dist = Distribution.from_partition(round_robin_partition(tiny_graph, m.n_pes), m)
+        par = ParallelEpiSimdemics(scenario(), mc, dist).run()
+        assert par.result.curve == seq.curve

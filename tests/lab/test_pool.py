@@ -53,7 +53,6 @@ class TestProtocol:
             final_histogram=hist,
             wall_seconds=0.25,
             builds=1,
-            backpressure=2,
         )
         frame = lp.encode_result(result)
         hist_nbytes = len(json.dumps(hist, sort_keys=True,
@@ -64,7 +63,7 @@ class TestProtocol:
         assert back.new_infections.tolist() == [4, 2]
         assert back.prevalence.tolist() == [0.03, 0.05]
         assert back.final_histogram == hist
-        assert (back.builds, back.backpressure) == (1, 2)
+        assert back.builds == 1
 
     def test_error_frame_roundtrip(self):
         # A task failure travels in the shared error frame of repro.workers.

@@ -132,6 +132,19 @@ class TestValidation:
         assert small_spec(seed=2**64 - 1).seed == 2**64 - 1
         assert small_spec(seed=0).seed == 0
 
+    @pytest.mark.parametrize("key,value", [("ring_capacity", 8192), ("burst_bytes", 2048)])
+    def test_removed_runtime_knobs_are_refused_by_name(self, key, value):
+        # smp lost its rings: a spec that still sizes them is refused,
+        # naming the key, rather than run with the key silently dropped.
+        spec = small_spec(runtime=RuntimeSpec(backend="smp", workers=2))
+        d = spec.canonical()
+        d["runtime"][key] = value
+        with pytest.raises(TypeError, match=key):
+            RunSpec.from_dict(d)
+        toml = spec.to_toml().replace("[runtime]\n", f"[runtime]\n{key} = {value}\n")
+        with pytest.raises(TypeError, match=key):
+            RunSpec.from_toml(toml)
+
 
 class TestConstructionEquivalence:
     def test_population_spec_matches_direct_generation(self):

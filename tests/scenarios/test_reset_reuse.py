@@ -73,7 +73,7 @@ def test_reuse_across_backends(graph):
     sc = build_scenario("contact-tracing", graph, n_days=6, seed=0,
                         transmissibility=3e-4)
     first = seq_fingerprint(sc)
-    out = SmpSimulator(sc, n_workers=2, ring_capacity=1024).run()
+    out = SmpSimulator(sc, n_workers=2).run()
     assert list(out.result.curve.new_infections) == first[0]
     assert np.array_equal(out.result.final_health_state, first[1])
     assert_identical(seq_fingerprint(sc), first)

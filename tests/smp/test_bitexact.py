@@ -3,18 +3,22 @@
 The whole point of the smp backend: same keyed RNG, same phase
 ordering, therefore the *identical* epidemic — curve, every individual
 infection event, and the final per-person state arrays — regardless of
-how many real processes the population is split across.
+how many real processes the population is split across.  Under the
+default contiguous ``block_partition`` even each day's record order is
+the sequential one, so every comparison here is *ordered*.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import Scenario, TransmissionModel
+from repro.core import ckernel
 from repro.core.interventions import parse_intervention_script
 from repro.core.simulator import SequentialSimulator
-from repro.smp import SmpSimulator, heavy_tailed_graph
-from repro.smp.layout import INFECT_RECORD, block_partition
+from repro.smp import RecordSegments, SmpSimulator, heavy_tailed_graph
+from repro.smp.layout import block_partition
 from repro.spec import content_hash
 from repro.synthpop import PopulationConfig, generate_population
 from repro.validate.oracle import diff_runs
@@ -24,7 +28,7 @@ def assert_bitexact(make_scenario, workers: int, **smp_kwargs):
     reference = SequentialSimulator(make_scenario()).run()
     scenario = make_scenario()
     out = SmpSimulator(scenario, n_workers=workers, **smp_kwargs).run()
-    divergence = diff_runs(scenario, reference, out.result, ordered=False)
+    divergence = diff_runs(scenario, reference, out.result, ordered=True)
     assert divergence is None, divergence.format()
     return reference, out
 
@@ -85,30 +89,67 @@ def _digest(result) -> str:
 
 def test_a_worker_that_owns_no_location():
     """Four workers, three locations: ``block_partition`` leaves worker 3
-    no location, so its location phase runs over an all-False mask.  It
-    still crosses both barriers (the visit detector with zero records,
-    the infect detector), and the run equals the sequential one."""
+    no location, so its location phase runs over an all-False mask and
+    its record segment has room for nothing.  It still crosses both
+    barriers, and the run equals the sequential one."""
     graph = heavy_tailed_graph(n_persons=200, n_locations=3, seed=5)
     assert block_partition(graph.n_persons, graph.n_locations, 4).location_part.tolist() == [0, 1, 2]
     factory = make_tiny(graph, transmission=TransmissionModel(1e-4))
     reference = SequentialSimulator(factory()).run()
     scenario = factory()
     out = SmpSimulator(scenario, n_workers=4).run()
-    assert diff_runs(scenario, reference, out.result, ordered=False) is None
+    assert diff_runs(scenario, reference, out.result, ordered=True) is None
     assert _digest(out.result) == _digest(reference)
     assert sum(reference.curve.new_infections) > 8  # it transmitted beyond the index cases
 
 
-def test_tight_rings_still_exact(tiny_graph):
-    # Force heavy backpressure: rings barely larger than one batch.
-    # Correctness must not depend on ring capacity, only progress does.
-    # Infect records are the only ring traffic (visit rows do not
-    # travel), so the epidemic must send enough of them: one day's
-    # records overflow a 64-word ring several times over.
+@pytest.mark.parametrize("kernel", ["flat", "compiled"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_log_is_the_sequential_order(tiny_graph, workers, kernel):
+    """The kernels emit in ascending (location, person) order and each
+    rank owns an ascending location slab, so the rank-order
+    concatenation of the segments is the sequential log, array for
+    array — not merely the same set of records."""
+    if kernel == "compiled" and not ckernel.available():
+        pytest.skip(f"compiled kernel unavailable: {ckernel.build_error()}")
+    factory = make_tiny(tiny_graph, transmission=TransmissionModel(4e-4))
+    reference = SequentialSimulator(factory(), kernel=kernel).run()
+    out = SmpSimulator(factory(), n_workers=workers, kernel=kernel).run()
+    assert sorted(out.result.infection_log) == sorted(reference.infection_log)
+    for day, records in reference.infection_log.items():
+        assert np.array_equal(out.result.infection_log[day], records), day
+    assert sum(map(len, reference.infection_log.values())) > 50
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_saturating_run_is_exact(tiny_graph, workers):
+    """Nearly every exposed (location, person) slot infects, so each
+    day's records come as close to the segments' bound as an epidemic
+    can: the run must still equal the sequential one."""
     reference, _ = assert_bitexact(
-        make_tiny(tiny_graph, transmission=TransmissionModel(3e-3)), 2, ring_capacity=64, batch=16
+        make_tiny(tiny_graph, transmission=TransmissionModel(0.9)), workers
     )
-    assert max(len(day) for day in reference.infection_log.values()) > 2 * 64 // INFECT_RECORD
+    # Day 1 starts from the same state at any transmissibility; near 1
+    # every exposed slot infects, and 0.9 already gets all of them.
+    ceiling = SequentialSimulator(
+        make_tiny(tiny_graph, transmission=TransmissionModel(0.999))()
+    ).run()
+    assert len(reference.infection_log[1]) == len(ceiling.infection_log[1]) > 0
+    # persons exposed at several locations infect once per location
+    peak = max(reference.infection_log, key=lambda d: len(reference.infection_log[d]))
+    assert len(reference.infection_log[peak]) > 1.5 * reference.curve.new_infections[peak]
+
+
+def test_segment_overflow_raises_before_any_write():
+    """A record count above a segment's capacity is refused before a
+    word is stored, so a neighbour's segment is never overwritten."""
+    rows = np.zeros((5, 3), dtype=np.int64)
+    segments = RecordSegments(rows, np.array([0, 2, 5]), np.zeros(2, dtype=np.int64))
+    with pytest.raises(OverflowError, match="3 infect records exceed its segment of 2"):
+        segments.write(0, np.ones((3, 3), dtype=np.int64))
+    assert not rows.any() and segments.counts.tolist() == [0, 0]
+    segments.write(1, np.ones((3, 3), dtype=np.int64))  # a full segment is fine
+    assert segments.gather().tolist() == [[1, 1, 1]] * 3
 
 
 SCRIPT = """

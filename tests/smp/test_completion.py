@@ -1,9 +1,9 @@
-"""Shared-counter phase completion: closure logic and its stability.
+"""The counter barrier: closure, stability, and its ways out.
 
-The detector runs on plain arrays here; the property under test is the
-predicate itself — ``all(done) and sum(produced) == sum(consumed)`` —
-and the snapshot order that makes it sound (done before produced
-before consumed, see the :mod:`repro.smp.completion` docstring).
+The barrier runs on plain arrays here; the property under test is the
+predicate itself — ``min(epochs) >= epoch`` over monotonically growing
+per-worker words, never reset (see the :mod:`repro.smp.completion`
+docstring).
 """
 
 from __future__ import annotations
@@ -12,89 +12,53 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.smp import PhaseTimeout, ShmPhaseDetector
+from repro.smp import CounterBarrier, PhaseTimeout
 
 
 def make_pair(n=2):
-    counters = np.zeros((3, n), dtype=np.int64)
-    return [ShmPhaseDetector(counters, rank=r) for r in range(n)]
+    epochs = np.zeros(n, dtype=np.int64)
+    return [CounterBarrier(epochs, rank=r) for r in range(n)]
 
 
 def test_not_closed_until_all_done():
     a, b = make_pair()
-    a.producer_done()
-    assert not a.closed()                 # b never declared done
-    b.producer_done()
-    assert a.closed()
+    a.arrive(1)
+    assert not a.passed(1)                # b never arrived
+    b.arrive(1)
+    assert a.passed(1) and b.passed(1)
 
 
-def test_not_closed_with_messages_in_flight():
+def test_next_epoch_needs_everyone_again():
+    # No reset between phases or days: the next phase is a larger epoch.
     a, b = make_pair()
-    a.produce(5)
-    a.producer_done()
-    b.producer_done()
-    assert not a.closed()
-    b.consume(4)
-    assert not b.closed()
-    b.consume(1)
-    assert a.closed() and b.closed()
+    a.arrive(1)
+    b.arrive(1)
+    a.arrive(2)
+    assert a.passed(1) and not a.passed(2)
+    b.arrive(2)
+    assert a.passed(2) and not a.passed(3)
 
 
-def test_cross_consumption_balances_globally():
-    # Closure is on the global sums, not per-pair matching: a's 3
-    # messages may be consumed entirely by b while a consumes b's 2.
-    a, b = make_pair()
-    a.produce(3)
-    b.produce(2)
-    a.consume(2)
-    b.consume(3)
-    a.producer_done()
-    b.producer_done()
-    assert a.closed()
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=20), min_size=2, max_size=5),
-)
-def test_closed_is_stable_once_true(produced_per_worker):
-    """Once closed() returns True it can never flip back (no writers run
-    after closure in a correct phase, and the counts are exact)."""
-    n = len(produced_per_worker)
-    counters = np.zeros((3, n), dtype=np.int64)
-    dets = [ShmPhaseDetector(counters, rank=r) for r in range(n)]
-    for det, k in zip(dets, produced_per_worker):
-        det.produce(k)
-        det.producer_done()
-    total = sum(produced_per_worker)
-    dets[0].consume(total)
-    for det in dets:
-        assert det.closed()
-    assert dets[0].closed()               # repeated reads stay closed
-
-
-def test_wait_closed_runs_drain_until_closure():
-    a, b = make_pair()
-    a.produce(4)
-    a.producer_done()
-    b.producer_done()
-    inbox = [4]
-
-    def drain():
-        if inbox:
-            b.consume(inbox.pop())
-            return True
-        return False
-
-    b.wait_closed(drain, timeout=5.0)
-    assert b.closed()
+@given(st.lists(st.integers(min_value=1, max_value=50), min_size=2, max_size=5))
+def test_closed_is_stable_once_true(epochs_reached):
+    """Once an epoch has passed it stays passed, however far ahead any
+    worker races afterwards (the words only grow)."""
+    n = len(epochs_reached)
+    barriers = make_pair(n)
+    for bar, e in zip(barriers, epochs_reached):
+        bar.arrive(e)
+    low = min(epochs_reached)
+    assert all(bar.passed(low) for bar in barriers)
+    for bar, e in zip(barriers, epochs_reached):
+        bar.arrive(e + 7)
+        assert barriers[0].passed(low)
 
 
 def test_wait_closed_times_out_on_dead_peer():
-    a, b = make_pair()
-    a.produce(1)                          # a dies before producer_done()
-    b.producer_done()
+    a, b = make_pair()                    # a dies before arriving
+    b.arrive(1)
     with pytest.raises(PhaseTimeout, match="did not close"):
-        b.wait_closed(lambda: False, timeout=0.05)
+        b.wait(1, timeout=0.05)
 
 
 def test_wait_closed_abort_hook_raises_out():
@@ -105,21 +69,11 @@ def test_wait_closed_abort_hook_raises_out():
         raise Torn
 
     a, b = make_pair()
-    b.producer_done()                     # a never finishes
+    b.arrive(1)                           # a never finishes
     with pytest.raises(Torn):
-        b.wait_closed(lambda: False, timeout=5.0, should_abort=abort)
-
-
-def test_reset_reopens_the_phase():
-    a, b = make_pair()
-    a.producer_done()
-    b.producer_done()
-    assert a.closed()
-    a.reset()
-    assert not a.closed()
-    assert a.counters.sum() == 0
+        b.wait(1, timeout=5.0, should_abort=abort)
 
 
 def test_counter_shape_validated():
-    with pytest.raises(ValueError, match=r"expected \(3, n\)"):
-        ShmPhaseDetector(np.zeros((2, 4), dtype=np.int64), rank=0)
+    with pytest.raises(ValueError, match="one epoch word per worker"):
+        CounterBarrier(np.zeros((2, 4), dtype=np.int64), rank=0)

@@ -1,11 +1,10 @@
-"""The struct-packed day-barrier wire protocol and zero-copy routing.
+"""The struct-packed day-barrier wire protocol.
 
 These are the regression teeth behind the SMP slowdown fix: the
 per-day pipe traffic must stay *flat-layout bytes whose size is an
 explicit function of the counts* (no pickled tuples, no pickled numpy
-arrays), and visit/event routing must hand the mailboxes contiguous
-slices of one destination-sorted array (no per-destination copies).
-A real two-worker run is held to the exact byte budget.
+arrays), and no infect record crosses a pipe at all.  A real
+two-worker run is held to the exact byte budget.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro import workers
 from repro.core import Scenario, TransmissionModel
 from repro.smp import SmpSimulator, protocol
 from repro.smp.backoff import BASE_SLEEP, MAX_SLEEP, YIELD_LAPS, Backoff
-from repro.smp.ring import DEFAULT_BURST_BYTES, Mailbox, RingGrid, route_records
 from repro.synthpop import PopulationConfig, generate_population
 
 
@@ -35,33 +33,29 @@ class TestCommands:
         assert protocol.decode_command(buf)[0] == protocol.OP_STOP
 
 
-def make_report(n_events=5, stats=False):
-    events = np.arange(n_events * 3, dtype=np.int64).reshape(n_events, 3)
+def make_report(n_infected=5, stats=False, n_pairs=2):
     pairs = (
-        (np.array([7, 9], dtype=np.int64), np.array([2, 4], dtype=np.int64))
+        (np.arange(n_pairs, dtype=np.int64) * 7, np.arange(n_pairs, dtype=np.int64) + 2)
         if stats
         else None
     )
     return protocol.DayReport(
-        day=3, transitions=11, visits_made=200, infected=n_events,
-        backpressure=1, clocks=(1.0, 2.0, 3.5, 4.25), events=events,
+        day=3, transitions=11, visits_made=200, infected=n_infected,
+        clocks=(1.0, 2.0, 3.5, 4.25),
         stats_events=pairs, stats_interactions=pairs,
     )
 
 
 class TestReports:
-    @pytest.mark.parametrize("n_events", [0, 1, 13])
+    @pytest.mark.parametrize("n_pairs", [0, 1, 13])
     @pytest.mark.parametrize("stats", [False, True])
-    def test_roundtrip(self, n_events, stats):
-        r = make_report(n_events, stats)
+    def test_roundtrip(self, n_pairs, stats):
+        r = make_report(stats=stats, n_pairs=n_pairs)
         buf = protocol.encode_report(r)
         out = protocol.decode_report(buf)
-        assert (out.day, out.transitions, out.visits_made, out.infected,
-                out.backpressure, out.clocks) == (
-                   r.day, r.transitions, r.visits_made, r.infected,
-                   r.backpressure, r.clocks)
-        np.testing.assert_array_equal(out.events, r.events)
-        if stats:
+        assert (out.day, out.transitions, out.visits_made, out.infected, out.clocks) == (
+            r.day, r.transitions, r.visits_made, r.infected, r.clocks)
+        if stats and n_pairs:
             for got, want in ((out.stats_events, r.stats_events),
                               (out.stats_interactions, r.stats_interactions)):
                 np.testing.assert_array_equal(got[0], want[0])
@@ -69,18 +63,17 @@ class TestReports:
         else:
             assert out.stats_events is None and out.stats_interactions is None
 
-    @pytest.mark.parametrize("n_events,stats", [(0, False), (9, False), (4, True)])
-    def test_size_is_exactly_the_budget_formula(self, n_events, stats):
-        r = make_report(n_events, stats)
+    @pytest.mark.parametrize("n_infected,stats", [(0, False), (9, False), (4, True)])
+    def test_size_is_exactly_the_budget_formula(self, n_infected, stats):
+        # the infected count is a header word: records never ride along
+        r = make_report(n_infected, stats)
         n_pairs = 2 if stats else 0
-        assert len(protocol.encode_report(r)) == protocol.report_nbytes(
-            n_events, n_pairs, n_pairs
-        )
+        assert len(protocol.encode_report(r)) == protocol.report_nbytes(n_pairs, n_pairs)
 
     def test_payload_contains_no_pickle(self):
         """The uplink is raw little-endian words — if anyone reintroduces
         ``conn.send`` of arrays, the size formula and these markers break."""
-        buf = protocol.encode_report(make_report(50, stats=True))
+        buf = protocol.encode_report(make_report(50, stats=True, n_pairs=50))
         for marker in (
             pickle.dumps(np.int64(0))[:2],  # pickle protocol header
             b"numpy",                       # ndarray reconstructor path
@@ -89,9 +82,9 @@ class TestReports:
             assert marker not in buf
 
     def test_decode_is_zero_copy(self):
-        buf = protocol.encode_report(make_report(8))
+        buf = protocol.encode_report(make_report(8, stats=True))
         out = protocol.decode_report(buf)
-        assert out.events.base is not None  # a view of the buffer, not a copy
+        assert out.stats_events[0].base is not None  # a view of the buffer, not a copy
 
     def test_opcode_peek_and_error_roundtrip(self):
         # A worker failure travels in the shared error frame of repro.workers.
@@ -100,55 +93,6 @@ class TestReports:
         assert workers.decode_error(err) == (1, "ValueError('x')", "trace\nback")
         assert workers.opcode(protocol.encode_report(make_report())) \
             == protocol.OP_DAY_DONE
-
-
-class TestRouteRecords:
-    def test_parts_are_views_of_one_sorted_array(self):
-        values = np.arange(100, dtype=np.int64)
-        dests = values % 3
-        routed, parts = route_records(values, dests, 3)
-        assert len(parts) == 3
-        for dst, part in enumerate(parts):
-            assert np.shares_memory(part, routed)  # zero-copy contract
-            assert part.tolist() == sorted(values[dests == dst].tolist())
-
-    def test_record_rows_stay_whole(self):
-        ev = np.arange(30, dtype=np.int64).reshape(10, 3)
-        dests = np.array([0, 1] * 5)
-        routed, parts = route_records(ev, dests, 2)
-        assert np.shares_memory(parts[0], routed)
-        got = {tuple(r) for p in parts for r in p.reshape(-1, 3)}
-        assert got == {tuple(r) for r in ev}
-
-    def test_empty_destination_gets_empty_view(self):
-        _, parts = route_records(np.array([1, 2], dtype=np.int64),
-                                 np.array([0, 0]), 3)
-        assert parts[1].size == 0 and parts[2].size == 0
-
-
-class TestBurstSizing:
-    def make_grid(self, n=2, capacity=1024):
-        return RingGrid(
-            np.zeros(RingGrid.shape(n, capacity), dtype=np.int64), capacity
-        )
-
-    def test_default_burst_is_bytes_not_words(self):
-        mb = Mailbox(self.make_grid(), 0)
-        assert mb.burst_bytes == DEFAULT_BURST_BYTES
-        assert mb.batch == DEFAULT_BURST_BYTES // 8
-
-    def test_wide_records_get_fewer_per_burst(self):
-        mb = Mailbox(self.make_grid(), 0, burst_bytes=2048, record=3)
-        assert mb.batch == 255          # floor(2048/24) records * 3 words
-        assert mb.batch % 3 == 0
-
-    def test_legacy_batch_kwarg_still_words(self):
-        mb = Mailbox(self.make_grid(), 0, batch=64)
-        assert mb.batch == 64 and mb.burst_bytes == 512
-
-    def test_batch_and_burst_bytes_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            Mailbox(self.make_grid(), 0, batch=8, burst_bytes=64)
 
 
 class TestBackoff:
@@ -176,7 +120,7 @@ class TestBackoff:
 class TestWireBudget:
     def test_two_worker_run_matches_exact_byte_budget(self):
         """End-to-end: the day barrier of a real forked run carries
-        exactly commands + headers + 24 bytes per infection event."""
+        exactly commands + headers, however many infections the days had."""
         graph = generate_population(
             PopulationConfig(n_persons=300), 21, name="wire-budget"
         )
@@ -191,6 +135,6 @@ class TestWireBudget:
         n_events = sum(len(evs) for evs in out.result.infection_log.values())
         expected = n_days * n_workers * (
             protocol.COMMAND_NBYTES + protocol.REPORT_HEADER_NBYTES
-        ) + 24 * n_events
+        )
         assert out.wire_bytes == expected
-        assert n_events > 0  # the budget must be exercised, not vacuous
+        assert n_events > 0  # the days did infect: records took no pipe

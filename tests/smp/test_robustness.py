@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import Scenario, TransmissionModel
-from repro.smp import SmpSimulator, SmpWorkerError
+from repro.smp import SmpSimulator, SmpWorkerError, block_partition
 from repro.smp.shm import SEGMENT_PREFIX
 from repro.smp.worker import FAULT_EXIT_CODE
 from repro.synthpop import PopulationConfig, generate_population
@@ -69,7 +69,7 @@ def test_crash_on_later_day_after_real_progress(graph):
 
 def test_surviving_workers_do_not_deadlock_each_other(graph):
     # With 4 workers and one death, three peers are spinning in
-    # wait_closed; the driver's abort flag must break all of them out.
+    # a barrier wait; the driver's abort flag must break all of them out.
     with pytest.raises(SmpWorkerError):
         SmpSimulator(
             make_scenario(graph), n_workers=4,
@@ -139,8 +139,9 @@ def test_bad_arguments_rejected(graph):
     sc = make_scenario(graph)
     with pytest.raises(ValueError, match="n_workers"):
         SmpSimulator(sc, n_workers=0)
-    with pytest.raises(ValueError, match="ring_capacity"):
-        SmpSimulator(sc, n_workers=2, ring_capacity=8, batch=64)
+    with pytest.raises(ValueError, match="k=2 but n_workers=3"):
+        SmpSimulator(sc, n_workers=3, partition=block_partition(
+            graph.n_persons, graph.n_locations, 2))
 
 
 def test_smp_oracle_matrix_cell():

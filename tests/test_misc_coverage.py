@@ -38,29 +38,6 @@ class TestFormatGuards:
             load_checkpoint(tiny_scenario, path)
 
 
-class TestTorusInScalingModel:
-    def test_torus_network_raises_large_machine_day_time(self, tiny_graph):
-        """Wiring a torus-derived network into the phase-cost model must
-        increase the comm/sync terms on a big machine."""
-        from repro.analysis.scaling import PhaseCostModel, machine_for_core_modules
-        from repro.charm.machine import Machine
-        from repro.charm.network import NetworkModel
-        from repro.charm.topology import TorusTopology, torus_network
-        from repro.partition import round_robin_partition
-
-        mc = machine_for_core_modules(256)
-        m = Machine(mc)
-        bp = round_robin_partition(tiny_graph, m.n_pes)
-        flat = PhaseCostModel(network=NetworkModel())
-        torus = PhaseCostModel(
-            network=torus_network(NetworkModel(), TorusTopology.fitting(mc.n_nodes))
-        )
-        t_flat = flat.day_time(tiny_graph, bp, m)
-        t_torus = torus.day_time(tiny_graph, bp, m)
-        assert t_torus.sync > t_flat.sync
-        assert t_torus.total > t_flat.total
-
-
 class TestChareArrayGuards:
     def test_out_of_range_element(self):
         from repro.charm import Chare
