@@ -17,8 +17,9 @@ Two equivalent implementations are provided:
 * :func:`blocked_pairwise_exposures` — the same pair set for *all*
   locations at once, enumerated per ``(location, sublocation)`` block
   of a segmentation the caller already holds, so a heavy location
-  never materialises pairs across sublocation boundaries (used by the
-  ``flat`` exposure kernel and the contact-graph projection).
+  never materialises pairs across sublocation boundaries, handed on in
+  the ``flat`` exposure kernel's summation order (used by that kernel
+  and the contact-graph projection).
 
 Property-based tests assert all three produce identical interaction
 sets.  The DES also reports the statistics the dynamic load model
@@ -195,6 +196,20 @@ def pairwise_exposures(
     )
 
 
+def slice_rows(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``ptr[i]:ptr[i+1]`` for each ``i`` of ``ids``, end to
+    end, and the length of each of those slices: a running sum of +1
+    steps that jumps to the start of each non-empty slice."""
+    lo, counts = ptr[ids], ptr[ids + 1] - ptr[ids]
+    pos = np.ones(int(counts.sum()), dtype=np.int64)
+    full = np.flatnonzero(counts)
+    if full.size:  # each jump is from the previous slice's last position
+        lo, n = lo[full], counts[full]
+        pos[np.cumsum(n) - n] = lo - np.append(0, lo[:-1] + n[:-1] - 1)
+        np.cumsum(pos, out=pos)
+    return pos, counts
+
+
 def blocked_pairwise_exposures(
     order: np.ndarray,
     block_id: np.ndarray,
@@ -215,47 +230,37 @@ def blocked_pairwise_exposures(
 
     The caller hands in the segmentation it already holds (the exposure
     walk's ``Candidates.order`` / ``.block``, or the graph's
-    ``block_visit_index()``): ``order`` lists visit indices grouped by
-    block, ``block_id`` (non-decreasing) names each entry's block.  Each
-    block's pairs come out susceptible-major, both sides in ``order``.
+    ``block_visit_index()``): ``order`` lists distinct visit indices
+    grouped by block, ``block_id`` (non-decreasing) names each entry's
+    block.
 
-    Returns ``(sus_idx, inf_idx, overlap_start, overlap_end)``, indices
-    into the per-visit arrays, one row per interacting pair with
-    positive overlap (order may differ from the other implementations).
+    Returns ``(sus_idx, inf_idx, overlap_start, overlap_end)``, int64
+    indices into the per-visit arrays, one row per interacting pair with
+    positive overlap, **by ascending susceptible index, each one's
+    partners in ``order``**: the order the flat kernel adds hazards in.
     """
     empty = np.empty(0, dtype=np.int64)
-    # Positions (into `order`) of the susceptible/infectious members of
-    # each block, plus per-block counts — the segmented S×I geometry.
     sus_pos = np.flatnonzero(is_susceptible[order])
     inf_pos = np.flatnonzero(is_infectious[order])
     if sus_pos.size == 0 or inf_pos.size == 0:
         return empty, empty, empty.copy(), empty.copy()
-    n_blocks = int(block_id[-1]) + 1
-    ns = np.bincount(block_id[sus_pos], minlength=n_blocks)
-    ni = np.bincount(block_id[inf_pos], minlength=n_blocks)
-    pair_counts = ns * ni
-    total = int(pair_counts.sum())
-    if total == 0:
-        return empty, empty, empty.copy(), empty.copy()
-
-    # Enumerate each block's ns×ni product without a Python loop: rank
-    # every pair within its block, then div/mod by the block's |I|.
-    pair_offset = np.cumsum(pair_counts) - pair_counts
-    rank = np.arange(total, dtype=np.int64) - np.repeat(pair_offset, pair_counts)
-    ni_of_pair = np.repeat(ni, pair_counts)
-    s_local = rank // ni_of_pair
-    i_local = rank - s_local * ni_of_pair
-    s_idx = order[sus_pos[np.repeat(np.cumsum(ns) - ns, pair_counts) + s_local]]
-    i_idx = order[inf_pos[np.repeat(np.cumsum(ni) - ni, pair_counts) + i_local]]
-
-    o_start = np.maximum(start[s_idx], start[i_idx])
-    o_end = np.minimum(end[s_idx], end[i_idx])
-    # A visit that is somehow both susceptible and infectious must not
-    # pair with itself (mirrors pairwise_exposures' not_self guard).
-    mask = (o_end > o_start) & (s_idx != i_idx)
+    # Block b's infectious visits are inf[inf_ptr[b]:inf_ptr[b + 1]].
+    inf = order[inf_pos]
+    inf_ptr = np.zeros(int(block_id[-1]) + 2, dtype=np.int64)
+    np.cumsum(np.bincount(block_id[inf_pos], minlength=inf_ptr.size - 1), out=inf_ptr[1:])
+    # Each susceptible, by ascending index, against its block's run.
+    sus_pos = sus_pos[np.argsort(order[sus_pos], kind="stable")]
+    part, n_part = slice_rows(inf_ptr, block_id[sus_pos])
+    sus = order[sus_pos]
+    o_start = np.maximum(np.repeat(start[sus], n_part), start[inf][part])
+    o_end = np.minimum(np.repeat(end[sus], n_part), end[inf][part])
+    ok = o_end > o_start
+    if is_susceptible[inf].any():  # a visit that is S and I does not pair with itself
+        ok &= np.repeat(sus, n_part) != inf[part]
+    keep = np.flatnonzero(ok)
     return (
-        s_idx[mask].astype(np.int64),
-        i_idx[mask].astype(np.int64),
-        o_start[mask].astype(np.int64),
-        o_end[mask].astype(np.int64),
+        np.repeat(sus, n_part)[keep].astype(np.int64, copy=False),
+        inf[part[keep]].astype(np.int64, copy=False),
+        o_start[keep].astype(np.int64, copy=False),
+        o_end[keep].astype(np.int64, copy=False),
     )

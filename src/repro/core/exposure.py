@@ -20,8 +20,9 @@ three interchangeable kernels:
   (:mod:`repro.core.ckernel`), no column gather, no per-pair array;
 * ``"flat"`` (the default without a C toolchain) — the columns in
   ascending row order (:func:`_block_filter`), blocked pair enumeration
-  (:func:`~repro.core.des.blocked_pairwise_exposures`), hazard
-  accumulation per ``(location, person)`` slot and one batched
+  (:func:`~repro.core.des.blocked_pairwise_exposures`) straight into
+  summation order, hazard accumulation per ``(location, person)`` slot
+  from the compiled kernel's per-state-pair hazard table, and one batched
   keyed-uniform draw (:meth:`~repro.util.rng.RngFactory.keyed_uniforms`)
   for every exposed person at once — the compiled kernel's tail too;
 * ``"grouped"`` — the reference formulation: a Python loop over
@@ -45,7 +46,7 @@ import numpy as np
 
 from repro import observe
 from repro.core import ckernel
-from repro.core.des import blocked_pairwise_exposures, pairwise_exposures
+from repro.core.des import blocked_pairwise_exposures, pairwise_exposures, slice_rows
 from repro.core.disease import DiseaseModel
 from repro.core.transmission import TransmissionModel
 from repro.spec import KERNELS  # defined where importing it is free
@@ -174,14 +175,6 @@ def compute_infections(
     return result
 
 
-def _slice_rows(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions ``ptr[i]:ptr[i+1]`` for each ``i`` of ``ids``, end to
-    end, and the length of each of those slices."""
-    counts = ptr[ids + 1] - ptr[ids]
-    first = np.cumsum(counts) - counts  # where each slice starts in the output
-    return np.repeat(ptr[ids] - first, counts) + np.arange(int(counts.sum())), counts
-
-
 def _walk(
     graph, health_state: np.ndarray, disease: DiseaseModel,
     owned: np.ndarray | None, removed: np.ndarray | None, events: Counter | None,
@@ -244,25 +237,25 @@ def _numpy_walk(
     owned, removed = ckernel.checked_masks(graph, owned, removed)
     index, ptr, sub_off = graph.block_visit_index()
     carriers = np.flatnonzero(disease.is_infectious[health_state])
-    inf_rows, _ = _slice_rows(graph.person_visit_slices(), carriers)
+    inf_rows, _ = slice_rows(graph.person_visit_slices(), carriers)
     if owned is not None:
-        inf_rows = inf_rows[owned[graph.visit_location[inf_rows]]]
+        inf_rows = inf_rows[np.flatnonzero(owned[graph.visit_location[inf_rows]])]
     if removed is not None:
-        inf_rows = inf_rows[~removed[inf_rows]]
+        inf_rows = inf_rows[np.flatnonzero(~removed[inf_rows])]
     walk_rows = inf_rows.size
     blocks = distinct(sub_off[graph.visit_location[inf_rows]] + graph.visit_subloc[inf_rows])
-    pos, counts = _slice_rows(ptr, blocks)
+    pos, counts = slice_rows(ptr, blocks)
     rows = index[pos]
     owner = np.repeat(np.arange(blocks.size), counts)  # index into `blocks`
     walk_rows += rows.size
     if removed is not None:  # the rows of those blocks that happen today
-        today = ~removed[rows]
+        today = np.flatnonzero(~removed[rows])
         rows, owner = rows[today], owner[today]
     states = health_state[graph.visit_person[rows]]
-    sus = disease.is_susceptible[states]
     has_sus = np.zeros(blocks.size, dtype=bool)  # has_inf holds by construction
-    has_sus[owner[sus]] = True
-    keep = has_sus[owner] & (disease.is_susceptible | disease.is_infectious)[states]
+    has_sus[owner[np.flatnonzero(disease.is_susceptible[states])]] = True
+    can = (disease.is_susceptible | disease.is_infectious)[states]
+    keep = np.flatnonzero(has_sus[owner] & can)
     rows, owner = rows[keep], owner[keep]
     bptr = np.zeros(np.count_nonzero(has_sus) + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=blocks.size)[has_sus], out=bptr[1:])
@@ -352,22 +345,14 @@ def _flat_kernel(
         )
     if s_idx.size == 0:
         return
-    with observe.span("exposure.sort"):
-        # Restore the grouped kernel's pair order (ascending susceptible
-        # row, infectious rows in block order within each) so per-person
-        # hazard sums accumulate in the same sequence — float addition is
-        # not associative, and bit-for-bit kernel equality is the contract.
-        by_sus = np.argsort(s_idx, kind="stable")
-        s_idx, i_idx = s_idx[by_sus], i_idx[by_sus]
-        o_end = o_end[by_sus]
-        overlap = (o_end - o_start[by_sus]).astype(np.float64)
-        keys, slot = _slots(c, graph.n_persons)
     with observe.span("exposure.reduce"):
-        hazards = transmission.hazard(
-            overlap,
-            disease.infectivity[c.state[i_idx]],
-            disease.susceptibility[c.state[s_idx]],
-        )
+        # Pairs come by ascending susceptible row, partners in block
+        # order: the grouped kernel's sequence, so hazard sums add in the
+        # same order (float addition is not associative).
+        keys, slot = _slots(c, graph.n_persons)
+        pair_state = c.state[i_idx] * np.int64(len(disease.states)) + c.state[s_idx]
+        overlap = (o_end - o_start).astype(np.float64)
+        hazards = overlap * _hazard_table(disease, transmission)[pair_state]
         # Per slot, in pair order: total hazard, earliest potential
         # infection minute, pair count.
         pair_slot = slot[s_idx]
@@ -381,6 +366,16 @@ def _flat_kernel(
     )
 
 
+def _hazard_table(disease: DiseaseModel, transmission: TransmissionModel) -> np.ndarray:
+    """Per (infectious state i, susceptible state s), at ``[i * n_states
+    + s]``, the grouped kernel's per-pair hazard call at 1.0 minute, so
+    ``overlap * table[...]`` is that hazard bit for bit (``1.0 * x == x``)."""
+    n_states = len(disease.states)
+    return transmission.hazard(
+        1.0, np.repeat(disease.infectivity, n_states), np.tile(disease.susceptibility, n_states)
+    )
+
+
 def _compiled_kernel(
     result: LocationPhaseResult, rows: np.ndarray, bptr: np.ndarray, graph,
     health_state: np.ndarray, disease: DiseaseModel, transmission: TransmissionModel, day: int,
@@ -390,27 +385,21 @@ def _compiled_kernel(
     (:func:`repro.core.ckernel.accumulate_exposures`), then the flat
     kernel's tail.
 
-    Bit-identical to ``"flat"`` with no global sort back to ascending
-    rows: a slot's hazard sum only sees that slot's rows, all in one
-    location, so it is enough that the C loop visits each location's
-    susceptible candidates in ascending row order, each with its block's
-    infectious partners in block order — the order ``np.bincount`` adds
-    the flat kernel's sorted pairs in.  The visit table is person-sorted,
+    Bit-identical to ``"flat"`` without putting the candidates back in
+    ascending rows: a slot's hazard sum only sees that slot's rows, all
+    in one location, so it is enough that the C loop visits each
+    location's susceptible candidates in ascending row order, each with
+    its block's infectious partners in block order — the order
+    :func:`~repro.core.des.blocked_pairwise_exposures` hands the flat
+    kernel its pairs in.  The visit table is person-sorted,
     so a run of equal persons is one slot, and slots come out in the flat
     kernel's ``np.unique`` ``(location, person)`` order; ``first_minute``
     (a min) and ``pair_count`` (an integer) do not depend on order.
     Every transcendental runs through the other kernels' numpy paths.
     """
     with observe.span("exposure.pairs"):
-        # Per (infectious state, susceptible state) hazard of one overlap
-        # minute, computed by the same TransmissionModel call (same clip,
-        # same log1p inputs) the flat kernel makes per pair.
-        n_states = len(disease.states)
-        haz_table = transmission.hazard(
-            1.0, np.repeat(disease.infectivity, n_states), np.tile(disease.susceptibility, n_states)
-        )
         keys, total_h, first_minute, pair_count = ckernel.accumulate_exposures(
-            rows, bptr, graph, health_state, disease, haz_table
+            rows, bptr, graph, health_state, disease, _hazard_table(disease, transmission)
         )
     if keys.size == 0:
         return

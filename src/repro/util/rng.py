@@ -133,12 +133,15 @@ def keyed_raw(root_seed: int, n_out: int, *key_cols) -> tuple[np.ndarray, np.nda
     from repro.core import ckernel  # repro.util must not import repro.core at load
 
     root = _check_root(root_seed)
-    cols = [np.asarray(c, dtype=np.int64) for c in key_cols]
-    shape = np.broadcast_shapes(*(c.shape for c in cols))
-    keys = np.empty(shape + (len(cols),), dtype=np.int64)
-    for j, c in enumerate(cols):
-        keys[..., j] = c
-    keys = keys.reshape(-1, len(cols))
+    try:  # integers and arrays: no np.shape / np.asarray per column
+        shapes = {c.shape for c in key_cols if not isinstance(c, int)} - {()}
+    except AttributeError:  # a list or a float among them
+        shapes = {np.shape(c) for c in key_cols} - {()}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    keys = np.empty(shape + (len(key_cols),), dtype=np.int64)
+    for j, c in enumerate(key_cols):
+        keys[..., j] = c  # converts as np.asarray(c, dtype=np.int64) does
+    keys = keys.reshape(-1, len(key_cols))
     c_pass = ckernel.available()
     isa = ckernel.KEYED_ISAS[ckernel.keyed_isa()] if c_pass else "hashlib"
     with observe.span("rng.keyed", keys=keys.shape[0], n_out=n_out, isa=isa):

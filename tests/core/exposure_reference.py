@@ -37,6 +37,18 @@ Both wrappers take the production signature — an ``owned`` location
 mask and a ``removed`` visit mask, None for all / none — and run the
 verbatim bodies over :func:`rows_of` them, the ascending row list every
 owner used to hand in.
+
+**The block-major pair enumerator** (third part).
+:func:`blocked_pairwise_exposures` is ``repro.core.des``'s enumerator
+before it returned pairs in summation order, verbatim: block-major,
+susceptible-major within a block, enumerated by a div/mod of each pair's
+rank within its block and compacted by boolean masks.  Both parts above
+call it.  :func:`flat_kernel` is the production flat kernel that went
+with it, verbatim but for the module prefix on production's helpers: a
+stable argsort of the pairs by susceptible row restores the summation
+order, and every pair's hazard is its own ``TransmissionModel.hazard``
+call.  ``test_pair_order.py`` pins the production enumerator and kernel
+to these two.
 """
 
 from collections import Counter
@@ -46,7 +58,7 @@ import numpy as np
 
 from repro import observe
 from repro.core import exposure as production
-from repro.core.des import blocked_pairwise_exposures, pairwise_exposures
+from repro.core.des import pairwise_exposures
 from repro.core.disease import DiseaseModel
 from repro.core.exposure import (
     KERNELS,
@@ -355,3 +367,113 @@ def _segmentation(location, subloc):
     np.not_equal(loc_s[1:], loc_s[:-1], out=new_block[1:])
     new_block[1:] |= sub_s[1:] != sub_s[:-1]
     return order, np.cumsum(new_block) - 1
+
+
+# ----------------------------------------------------------------------
+# third oracle: the block-major pair enumerator and its flat kernel
+# ----------------------------------------------------------------------
+def blocked_pairwise_exposures(
+    order: np.ndarray,
+    block_id: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+    is_susceptible: np.ndarray,
+    is_infectious: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """S×I overlaps for the *whole* visit set, blocked by sublocation.
+
+    The segmented counterpart of :func:`pairwise_exposures`: one call
+    covers every location, and pairs are enumerated per ``(location,
+    sublocation)`` block instead of per location.  The pair set is
+    identical — people only interact within a sublocation — but a split
+    or heavy location never materialises the cross-sublocation part of
+    its S×I product, the same property splitLoc exploits, and the
+    per-location Python loop disappears entirely.
+
+    The caller hands in the segmentation it already holds (the exposure
+    walk's ``Candidates.order`` / ``.block``, or the graph's
+    ``block_visit_index()``): ``order`` lists visit indices grouped by
+    block, ``block_id`` (non-decreasing) names each entry's block.  Each
+    block's pairs come out susceptible-major, both sides in ``order``.
+
+    Returns ``(sus_idx, inf_idx, overlap_start, overlap_end)``, indices
+    into the per-visit arrays, one row per interacting pair with
+    positive overlap (order may differ from the other implementations).
+    """
+    empty = np.empty(0, dtype=np.int64)
+    # Positions (into `order`) of the susceptible/infectious members of
+    # each block, plus per-block counts — the segmented S×I geometry.
+    sus_pos = np.flatnonzero(is_susceptible[order])
+    inf_pos = np.flatnonzero(is_infectious[order])
+    if sus_pos.size == 0 or inf_pos.size == 0:
+        return empty, empty, empty.copy(), empty.copy()
+    n_blocks = int(block_id[-1]) + 1
+    ns = np.bincount(block_id[sus_pos], minlength=n_blocks)
+    ni = np.bincount(block_id[inf_pos], minlength=n_blocks)
+    pair_counts = ns * ni
+    total = int(pair_counts.sum())
+    if total == 0:
+        return empty, empty, empty.copy(), empty.copy()
+
+    # Enumerate each block's ns×ni product without a Python loop: rank
+    # every pair within its block, then div/mod by the block's |I|.
+    pair_offset = np.cumsum(pair_counts) - pair_counts
+    rank = np.arange(total, dtype=np.int64) - np.repeat(pair_offset, pair_counts)
+    ni_of_pair = np.repeat(ni, pair_counts)
+    s_local = rank // ni_of_pair
+    i_local = rank - s_local * ni_of_pair
+    s_idx = order[sus_pos[np.repeat(np.cumsum(ns) - ns, pair_counts) + s_local]]
+    i_idx = order[inf_pos[np.repeat(np.cumsum(ni) - ni, pair_counts) + i_local]]
+
+    o_start = np.maximum(start[s_idx], start[i_idx])
+    o_end = np.minimum(end[s_idx], end[i_idx])
+    # A visit that is somehow both susceptible and infectious must not
+    # pair with itself (mirrors pairwise_exposures' not_self guard).
+    mask = (o_end > o_start) & (s_idx != i_idx)
+    return (
+        s_idx[mask].astype(np.int64),
+        i_idx[mask].astype(np.int64),
+        o_start[mask].astype(np.int64),
+        o_end[mask].astype(np.int64),
+    )
+
+
+def flat_kernel(
+    result: LocationPhaseResult, candidates: Candidates, graph, disease: DiseaseModel,
+    transmission: TransmissionModel, day: int, rng_factory: RngFactory, collect_stats: bool,
+) -> None:
+    """Whole-visit-set vectorised kernel: no per-location Python loop."""
+    c = candidates
+    with observe.span("exposure.pairs"):
+        s_idx, i_idx, o_start, o_end = blocked_pairwise_exposures(
+            c.order, c.block, c.start, c.end, c.sus, c.inf
+        )
+    if s_idx.size == 0:
+        return
+    with observe.span("exposure.sort"):
+        # Restore the grouped kernel's pair order (ascending susceptible
+        # row, infectious rows in block order within each) so per-person
+        # hazard sums accumulate in the same sequence — float addition is
+        # not associative, and bit-for-bit kernel equality is the contract.
+        by_sus = np.argsort(s_idx, kind="stable")
+        s_idx, i_idx = s_idx[by_sus], i_idx[by_sus]
+        o_end = o_end[by_sus]
+        overlap = (o_end - o_start[by_sus]).astype(np.float64)
+        keys, slot = production._slots(c, graph.n_persons)
+    with observe.span("exposure.reduce"):
+        hazards = transmission.hazard(
+            overlap,
+            disease.infectivity[c.state[i_idx]],
+            disease.susceptibility[c.state[s_idx]],
+        )
+        # Per slot, in pair order: total hazard, earliest potential
+        # infection minute, pair count.
+        pair_slot = slot[s_idx]
+        total_h = np.bincount(pair_slot, weights=hazards, minlength=keys.size)
+        first_minute = np.full(keys.size, np.iinfo(np.int64).max)
+        np.minimum.at(first_minute, pair_slot, o_end)
+        pair_count = np.bincount(pair_slot, minlength=keys.size)
+    production._draw_and_emit(
+        result, keys, total_h, first_minute, pair_count, graph, collect_stats,
+        transmission, day, rng_factory,
+    )

@@ -18,7 +18,8 @@ from repro.core import day as day_steps
 from repro.spec import PopulationSpec, RunSpec, RuntimeSpec, execute
 
 STAGES = {
-    "flat": {"filter", "gather", "pairs", "sort", "reduce", "draw", "emit"},
+    # pairs come in summation order: no pair sort
+    "flat": {"filter", "gather", "pairs", "reduce", "draw", "emit"},
     # the walk, then the C accumulation straight from its rows: no
     # column gather and no slot sort
     "compiled": {"filter", "pairs", "reduce", "draw", "emit"},

@@ -23,6 +23,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro import observe
 from repro.core import ckernel
 from repro.util import rng as rng_mod
 from repro.util.pcg import first_uniforms, raw_outputs, to_double
@@ -136,6 +137,54 @@ class TestAgainstDefinition:
         np.testing.assert_array_equal(keyed_uniforms(5, 1, locs, 0), to_double(words[0]))
         scalar_seed, _ = keyed_raw(5, 1, 1, 2, 3)
         assert scalar_seed.shape == () and int(scalar_seed) == derive_seed(5, 1, 2, 3)
+
+
+def test_every_column_form_builds_the_same_key_matrix():
+    """Integers, numpy scalars, arrays of any integer dtype, float arrays
+    (truncated, as ``np.asarray(c, dtype=np.int64)`` does), 0-d arrays and
+    lists: the per-tuple seeds of the definition, one ``rng.keys`` row
+    per tuple."""
+    persons = np.array([0, 5, 7, 3], dtype=np.int64)
+    want = np.array([derive_seed(3, 2, 9, p, 1) for p in persons.tolist()], dtype=np.uint64)
+    for cols in (
+        (2, 9, persons, 1),
+        (np.int64(2), np.int32(9), persons.astype(np.int32), np.uint8(1)),
+        (2, np.array(9), persons.astype(np.uint8), 1),
+        (2.0, 9, persons + 0.5, True),
+        (2, 9, persons.tolist(), 1),
+        (np.full(4, 2), 9, persons, np.ones(4, dtype=np.int16)),
+    ):
+        with observe.observing() as obs:
+            np.testing.assert_array_equal(keyed_seeds(3, *cols), want)
+        assert obs.counters["rng.keys"] == 4
+    np.testing.assert_array_equal(keyed_seeds(3, 2, 9, persons[:1], 1), want[:1])
+
+
+def test_a_key_numpy_cannot_take_never_reaches_c(monkeypatch):
+    monkeypatch.setattr(ckernel, "_loaded", lambda: pytest.fail("C was called"))
+    monkeypatch.setattr(rng_mod, "derive_seeds", lambda *a: pytest.fail("hashlib was called"))
+    for cols, error in (
+        ((1, None, np.arange(3)), TypeError),
+        ((1, 2**63, np.arange(3)), OverflowError),
+        ((1, np.array(["x", "y", "z"]), 0), ValueError),
+        ((1, np.arange(3), np.arange(4)), ValueError),
+    ):
+        with pytest.raises(error):
+            keyed_uniforms(5, *cols)
+    if ckernel.available():  # the C entry itself vets its matrix
+        for keys in (np.zeros((3, 2)), np.zeros((3, 2), dtype=np.int32), [[1, 2]],
+                     np.zeros((2, 3), dtype=np.int64)[:, :2]):
+            with pytest.raises(ValueError, match="keys must be"):
+                ckernel.keyed_raw(5, keys, 1)
+
+
+@needs_ckernel
+def test_read_only_keys():
+    keys = random_keys(21, 3, seed=2)
+    keys.setflags(write=False)
+    seeds, words = ckernel.keyed_raw(7, keys, 2)
+    np.testing.assert_array_equal(seeds, derive_seeds(7, keys))
+    np.testing.assert_array_equal(words, raw_outputs(seeds, 2))
 
 
 LEVELS = list(range(ckernel.keyed_isa() + 1)) if ckernel.available() else []
