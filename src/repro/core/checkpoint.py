@@ -142,8 +142,12 @@ def run_with_checkpointing(
 ):
     """Run a scenario to completion, checkpointing periodically.
 
-    If ``resume`` and a checkpoint exists, continues from it.  Returns
-    the same :class:`SimulationResult` an uninterrupted run produces.
+    If ``resume`` and a checkpoint exists, continues from it.  Returns a
+    :class:`SimulationResult` whose ``curve``, ``final_histogram``,
+    ``final_health_state`` and ``final_days_remaining`` equal an
+    uninterrupted run's; ``days`` and ``infection_log`` hold only the
+    days this call ran (after a resume, those past the checkpoint), and
+    the location statistics are not collected.
     """
     from repro.core.metrics import state_histogram
     from repro.core.simulator import SimulationResult
@@ -156,10 +160,13 @@ def run_with_checkpointing(
         sim = SequentialSimulator(scenario)
         curve = EpiCurve()
         sim._checkpoint_curve = curve
-    result = SimulationResult(curve=curve, final_histogram={})
+    result = SimulationResult(curve=curve, final_histogram={},
+                              final_health_state=sim.health_state,
+                              final_days_remaining=sim.days_remaining)
     while sim.day < scenario.n_days:
-        day_result, _phase = sim.step_day()
+        day_result, phase = sim.step_day()
         result.days.append(day_result)
+        result.infection_log[day_result.day] = phase.records
         curve.record_day(day_result.new_infections, day_result.prevalence)
         if sim.day % checkpoint_every == 0 and sim.day < scenario.n_days:
             save_checkpoint(sim, checkpoint_path)

@@ -8,7 +8,9 @@ definition that stays in the repo and that it matches bit for bit:
   with a CSR over the active blocks (``exposure._numpy_walk``);
 * **exposure accumulation** (:func:`accumulate_exposures`) — from those
   rows to the per-``(location, person)`` hazard sums of the
-  ``"compiled"`` kernel (the ``"flat"`` kernel's pair stage);
+  ``"compiled"`` kernel (the ``"flat"`` kernel's pair stage), block by
+  block, in row order only for persons with two or more visits at a
+  location;
 * **keyed draws** (:func:`keyed_raw`) — BLAKE2b seed derivation,
   ``SeedSequence`` mixing and the first PCG64 outputs of every keyed
   stream in one pass over 1, 4 or 8 keys, behind
@@ -24,9 +26,12 @@ definition that stays in the repo and that it matches bit for bit:
 The location phase
 ------------------
 ``repro.core.exposure._compiled_kernel`` argues why the accumulation is
-bit-identical to the flat kernel.  Both loops read each column as it
-lies, raise ``ValueError`` on a person id or health state out of range,
-and free their scratch on every path.
+bit-identical to the flat kernel; its slots come out grouped by
+location, unordered inside one.  Its scratch is sized by the largest
+location's candidates, plus two bitmaps over the persons.  Both loops
+read each column as it lies (:func:`phase_columns`, built once per
+phase), raise ``ValueError`` on a person id or health state out of
+range, and free their scratch on every path.
 
 Keyed draws
 -----------
@@ -83,7 +88,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "build_error", "checked", "checked_masks", "block_walk",
+__all__ = ["available", "build_error", "checked", "checked_masks", "phase_columns", "block_walk",
            "accumulate_exposures", "keyed_isa", "keyed_raw", "block_index", "cache_dir",
            "KEYED_ISAS", "KEYED_LANES"]
 
@@ -109,7 +114,7 @@ static inline int64_t state_of(const void *const *col, const int64_t *width,
     return s < 0 || s >= n_states ? -2 : s;
 }
 
-/* qsort order of int64 values, or of records whose first member is one */
+/* qsort order of int64 values */
 static int by_value(const void *a, const void *b)
 {
     const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
@@ -168,69 +173,138 @@ int64_t repro_block_walk(
     return 0;
 }
 
-typedef struct { int64_t row, person, start, end, state, block; } sus_visit;
+/* a susceptible visit and the sums of its pairs so far: hazard, least
+ * overlap end, count */
+typedef struct { int64_t row, person, start, end, state, block; double acc; int64_t fmin, hits; }
+    sus_visit;
 typedef struct { int64_t row, start, end, column; } inf_visit; /* column = state * n_states */
 
+/* Onto p's sums: the hazards of v's pairs with partners [w, w_end),
+ * added left to right, their least overlap end and their count */
+static inline void add_pairs(sus_visit *p, const sus_visit *v, const inf_visit *w,
+                             const inf_visit *w_end, const double *haz_table)
+{
+    double acc = p->acc;
+    int64_t fmin = p->fmin, hits = p->hits;
+    for (; w < w_end; ++w) {
+        const int64_t os = v->start > w->start ? v->start : w->start;
+        const int64_t oe = v->end < w->end ? v->end : w->end;
+        if (w->row == v->row || oe <= os) continue; /* no self pairing */
+        acc += (double)(oe - os) * haz_table[w->column + v->state];
+        if (oe < fmin) fmin = oe;
+        ++hits;
+    }
+    p->acc = acc, p->fmin = fmin, p->hits = hits;
+}
+
+/* keys[0, n) (non-negative) ascending by LSD radix, a byte a pass, through
+ * tmp (n entries); returns keys or tmp, whichever ends up holding them */
+static int64_t *sort_keys(int64_t *keys, int64_t *tmp, int64_t n)
+{
+    int64_t top = 0;
+    for (int64_t i = 0; i < n; ++i) top |= keys[i];
+    for (int shift = 0; top >> shift; shift += 8) {
+        int64_t count[257] = {0}, *swap = keys;
+        for (int64_t i = 0; i < n; ++i) ++count[(keys[i] >> shift & 255) + 1];
+        for (int d = 0; d < 256; ++d) count[d + 1] += count[d];
+        for (int64_t i = 0; i < n; ++i) tmp[count[keys[i] >> shift & 255]++] = keys[i];
+        keys = tmp, tmp = swap;
+    }
+    return keys;
+}
+
+#define BIT(set, p) ((set)[(p) >> 6] >> ((p) & 63) & 1)
+#define SET(set, p) ((set)[(p) >> 6] |= (uint64_t)1 << ((p) & 63))
+#define CLEAR(set, p) ((set)[(p) >> 6] &= ~((uint64_t)1 << ((p) & 63)))
+
 /* Hazards per (location, person) slot from the walk's rows / bptr, one
- * location (adjacent blocks) at a time: its susceptible candidates by
- * ascending row, each with its block's infectious partners as contiguous
- * records in block order; a run of equal persons is one slot.  Writes
- * the slots with a pair, keys ascending; returns their number, or -1 / -2
+ * location (adjacent blocks) at a time.  Block by block, each
+ * susceptible candidate's partial: +0.0 plus its block's infectious
+ * partners in block order, the slot of a person with one such visit.
+ * Persons seen twice (bitmaps seen / twice, cleared by the location's
+ * own visits) have their visits sorted by row, one run each (the visit
+ * table is person-sorted), and the later visits' pairs added onto the
+ * first's partial: the row-order left fold.  Writes the slots with a
+ * pair, grouped by ascending location, in no order within one; out[0] =
+ * those of persons seen twice.  Returns the number of slots, or -1 / -2
  * (person id / health state), -3 (rows / bptr) out of range, -4 no memory. */
 int64_t repro_accumulate_exposures(
     int64_t n, const int64_t *rows, int64_t n_blocks, const int64_t *bptr,
     const void *const *col, const int64_t *width, int64_t n_visits, int64_t n_persons,
     const uint8_t *role, const double *haz_table, int64_t n_states,
-    int64_t *keys, double *total_h, int64_t *first_minute, int64_t *pair_count)
+    int64_t *keys, double *total_h, int64_t *first_minute, int64_t *pair_count, int64_t *out)
 {
     if (bptr[0] != 0 || bptr[n_blocks] != n) return -3;
     for (int64_t j = 0; j < n_blocks; ++j) if (bptr[j + 1] <= bptr[j]) return -3;
     for (int64_t k = 0; k < n; ++k) if (rows[k] < 0 || rows[k] >= n_visits) return -3;
-    sus_visit *sus = malloc((n + 1) * sizeof *sus);
-    inf_visit *inf = malloc((n + 1) * sizeof *inf);
-    int64_t *inf_off = malloc((n + 1) * sizeof *inf_off), n_slots = 0;
-    if (!sus || !inf || !inf_off) n_slots = -4;
+    int64_t most = 0, b = 0, n_slots = 0, n_multi_slots = 0; /* most: a location's candidates */
+    for (int64_t j0 = 0, j1; j0 < n_blocks; j0 = j1) {
+        const int64_t loc = COL(LOCATION, rows[bptr[j0]]);
+        for (j1 = j0 + 1; j1 < n_blocks && COL(LOCATION, rows[bptr[j1]]) == loc; ++j1) {}
+        if (bptr[j1] - bptr[j0] > most) most = bptr[j1] - bptr[j0];
+    }
+    while (most >> b) ++b; /* multi key = row << b | index */
+    if (b && (n_visits - 1) >> (63 - b)) return -3;
+    const int64_t words = (n_persons + 63) / 64;
+    sus_visit *sus = malloc((most + 1) * sizeof *sus);
+    inf_visit *inf = malloc((most + 1) * sizeof *inf);
+    int64_t *inf_off = malloc((most + 1) * sizeof *inf_off);
+    int64_t *multi = malloc(2 * (most + 1) * sizeof *multi);
+    uint64_t *seen = calloc(2 * words + 1, sizeof *seen), *twice = seen + words;
+    if (!sus || !inf || !inf_off || !multi || !seen) n_slots = -4;
+#define AT(key) ((key) & ((1LL << b) - 1)) /* a multi key's visit */
+#define EMIT(p, v) \
+    keys[n_slots] = loc * n_persons + (p), total_h[n_slots] = (v).acc, \
+    first_minute[n_slots] = (v).fmin, pair_count[n_slots++] = (v).hits
     for (int64_t j0 = 0, j1; n_slots >= 0 && j0 < n_blocks; j0 = j1) {
         const int64_t loc = COL(LOCATION, rows[bptr[j0]]);
-        int64_t n_sus = 0, n_inf = 0, sorted = 1;
+        int64_t n_sus = 0, n_inf = 0, n_multi = 0;
         for (j1 = j0; n_slots >= 0 && j1 < n_blocks && COL(LOCATION, rows[bptr[j1]]) == loc;
              ++j1) {
+            const int64_t first = n_sus;
             inf_off[j1 - j0] = n_inf;
-            for (int64_t k = bptr[j1]; k < bptr[j1 + 1] && n_slots >= 0; ++k) {
+            for (int64_t k = bptr[j1]; k < bptr[j1 + 1]; ++k) {
                 const int64_t r = rows[k], p = COL(PERSON, r);
                 const int64_t s = state_of(col, width, n_persons, n_states, p);
-                if (s < 0) { n_slots = s; continue; }
+                if (s < 0) { n_slots = s; break; }
                 const int64_t a = COL(START, r), e = COL(END, r);
                 if (role[s] & INF) inf[n_inf++] = (inf_visit){r, a, e, s * n_states};
-                if (!(role[s] & SUS)) continue;
-                sorted &= n_sus == 0 || sus[n_sus - 1].row < r;
-                sus[n_sus++] = (sus_visit){r, p, a, e, s, j1 - j0};
+                if (role[s] & SUS)
+                    sus[n_sus++] = (sus_visit){r, p, a, e, s, j1 - j0, 0.0, INT64_MAX, 0};
+            }
+            for (int64_t i = first; n_slots >= 0 && i < n_sus; ++i) {
+                const int64_t p = sus[i].person;
+                add_pairs(&sus[i], &sus[i], inf + inf_off[j1 - j0], inf + n_inf, haz_table);
+                if (BIT(seen, p)) SET(twice, p); else SET(seen, p);
             }
         }
         inf_off[j1 - j0] = n_inf;
-        if (!sorted) qsort(sus, n_sus, sizeof *sus, by_value); /* by row: runs interleave */
-        for (int64_t i = 0; n_slots >= 0 && i < n_sus;) {
+        for (int64_t i = 0; n_slots >= 0 && i < n_sus; ++i) {
             const int64_t p = sus[i].person;
-            double acc = 0.0;
-            int64_t fmin = INT64_MAX, hits = 0;
-            for (; i < n_sus && sus[i].person == p; ++i) {
-                const sus_visit v = sus[i];
-                for (int64_t k = inf_off[v.block]; k < inf_off[v.block + 1]; ++k) {
-                    const inf_visit w = inf[k];
-                    const int64_t os = v.start > w.start ? v.start : w.start;
-                    const int64_t oe = v.end < w.end ? v.end : w.end;
-                    if (w.row == v.row || oe <= os) continue; /* no self pairing */
-                    acc += (double)(oe - os) * haz_table[w.column + v.state];
-                    if (oe < fmin) fmin = oe;
-                    ++hits;
-                }
+            if (BIT(twice, p)) multi[n_multi++] = sus[i].row << b | i;
+            else if (sus[i].hits) EMIT(p, sus[i]);
+            CLEAR(seen, p);
+        }
+        const int64_t *by_row = sort_keys(multi, multi + most + 1, n_multi);
+        for (int64_t m = 0; n_slots >= 0 && m < n_multi;) {
+            const int64_t p = sus[AT(by_row[m])].person;
+            sus_visit slot = sus[AT(by_row[m])];
+            CLEAR(twice, p);
+            for (++m; m < n_multi && sus[AT(by_row[m])].person == p; ++m) {
+                const sus_visit *u = &sus[AT(by_row[m])];
+                add_pairs(&slot, u, inf + inf_off[u->block], inf + inf_off[u->block + 1],
+                          haz_table);
             }
-            if (!hits) continue;
-            keys[n_slots] = loc * n_persons + p, total_h[n_slots] = acc;
-            first_minute[n_slots] = fmin, pair_count[n_slots++] = hits;
+            if (slot.hits) EMIT(p, slot), ++n_multi_slots;
         }
     }
-    free(sus), free(inf), free(inf_off);
+#undef EMIT
+#undef AT
+#undef CLEAR
+#undef SET
+#undef BIT
+    free(sus), free(inf), free(inf_off), free(multi), free(seen);
+    out[0] = n_multi_slots;
     return n_slots;
 }
 
@@ -659,7 +733,7 @@ def _load() -> ctypes.CDLL | bool:
         for name, restype, argtypes in (
             ("repro_block_walk", i64, [ptr, ptr, i64] + [ptr] * 5 + [i64] + [ptr] * 6),
             ("repro_accumulate_exposures", i64,
-             [i64, ptr, i64, ptr, ptr, ptr, i64, i64, ptr, ptr, i64] + [ptr] * 4),
+             [i64, ptr, i64, ptr, ptr, ptr, i64, i64, ptr, ptr, i64] + [ptr] * 5),
             ("repro_keyed_raw", None, [i64, i64, ctypes.c_uint64, ptr, i64, ptr, ptr, i64]),
             ("repro_block_index", i64, [i64, ptr, i64, ptr, i64, ptr, i64, ptr, i64, i64]
              + [ptr] * 3),
@@ -728,9 +802,11 @@ def _id_column(name: str, col, n: int) -> np.ndarray:
 _PHASE_COLUMNS = ("visit_person", "visit_location", "visit_subloc", "visit_start", "visit_end")
 
 
-def _phase_args(graph, health_state, disease):
+def phase_columns(graph, health_state, disease):
     """``(keep_alive, col, width, role)`` for the location-phase loops:
-    the C ``enum`` columns, and per state bits 1 / 2 = S / I."""
+    the C ``enum`` columns, each :func:`checked`, and per state bits
+    1 / 2 = S / I.  One location phase builds it once for both loops
+    (their ``columns=``); nothing keeps it past the phase."""
     cols = [_id_column(name, getattr(graph, name), graph.n_visits) for name in _PHASE_COLUMNS]
     cols.append(_id_column("health_state", health_state, graph.n_persons))
     role = disease.is_susceptible.astype(np.uint8) | disease.is_infectious.astype(np.uint8) << 1
@@ -746,15 +822,16 @@ def _check(code: int) -> None:
         raise ValueError(("visit_person", "health_state", "rows / bptr")[code - 1] + " out of range")
 
 
-def block_walk(graph, health_state, disease, owned=None, removed=None):
+def block_walk(graph, health_state, disease, owned=None, removed=None, *, columns=None):
     """``(rows, bptr, walk_rows)`` of ``repro.core.exposure._numpy_walk``
     (the definition) by one C pass; ``owned`` / ``removed`` as
-    :func:`checked_masks` takes them."""
+    :func:`checked_masks` takes them, ``columns`` as
+    :func:`accumulate_exposures`."""
     lib = _loaded()
     owned, removed = checked_masks(graph, owned, removed)
     index, ptr, sub_off = graph.block_visit_index()
     person_ptr = graph.person_visit_slices()
-    keep_alive, col, width, role = _phase_args(graph, health_state, disease)
+    keep_alive, col, width, role = columns or phase_columns(graph, health_state, disease)
     rows, out = np.empty(graph.n_visits, dtype=np.int64), np.empty(3, dtype=np.int64)
     bptr = np.empty(min(graph.n_visits, ptr.size - 1) + 1, dtype=np.int64)
     mark = np.zeros(ptr.size - 1, dtype=np.uint8)
@@ -766,26 +843,30 @@ def block_walk(graph, health_state, disease, owned=None, removed=None):
     return rows[:n], bptr[:n_active + 1], walk_rows
 
 
-def accumulate_exposures(rows, bptr, graph, health_state, disease, haz_table):
-    """``(keys, total_h, first_minute, pair_count)`` of every ``(location,
-    person)`` slot with a pair, keys ``location * n_persons + person``
-    ascending, from the walk's ``(rows, bptr)`` by one C pass;
-    ``haz_table[i * n_states + s]``: one overlap minute of state i with s."""
+def accumulate_exposures(rows, bptr, graph, health_state, disease, haz_table, *, columns=None):
+    """``(keys, total_h, first_minute, pair_count, multi_slots)`` of every
+    ``(location, person)`` slot with a pair, keys ``location * n_persons
+    + person``, grouped by ascending location but in no order within
+    one, from the walk's ``(rows, bptr)`` by one C pass;
+    ``haz_table[i * n_states + s]``: one overlap minute of state i with
+    s.  ``multi_slots`` counts the slots of persons with two or more
+    susceptible visits at the location (the row-order re-add);
+    ``columns`` is :func:`phase_columns` of the same phase, if built."""
     lib = _loaded()
-    keep_alive, col, width, role = _phase_args(graph, health_state, disease)
+    keep_alive, col, width, role = columns or phase_columns(graph, health_state, disease)
     checked("rows", rows, np.int64, np.shape(rows))
     checked("bptr", bptr, np.int64, np.shape(bptr))
     haz_table = checked("haz_table", np.ascontiguousarray(haz_table, dtype=np.float64),
                         np.float64, (role.size ** 2,))
     keys, first_minute, pair_count = (np.empty(rows.size, dtype=np.int64) for _ in range(3))
-    total_h = np.empty(rows.size, dtype=np.float64)
+    total_h, out = np.empty(rows.size, dtype=np.float64), np.zeros(1, dtype=np.int64)
     n = lib.repro_accumulate_exposures(
         rows.size, _addr(rows), bptr.size - 1, _addr(bptr), col, width, graph.n_visits,
         graph.n_persons, _addr(role), _addr(haz_table), role.size,
-        *map(_addr, (keys, total_h, first_minute, pair_count)),
+        *map(_addr, (keys, total_h, first_minute, pair_count, out)),
     )
     _check(-min(n, 0))
-    return keys[:n], total_h[:n], first_minute[:n], pair_count[:n]
+    return keys[:n], total_h[:n], first_minute[:n], pair_count[:n], int(out[0])
 
 
 def keyed_isa() -> int:

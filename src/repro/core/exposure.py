@@ -178,10 +178,12 @@ def compute_infections(
 def _walk(
     graph, health_state: np.ndarray, disease: DiseaseModel,
     owned: np.ndarray | None, removed: np.ndarray | None, events: Counter | None,
-) -> tuple[int, tuple[np.ndarray, np.ndarray] | None]:
+) -> tuple[int, tuple[np.ndarray, np.ndarray, tuple | None] | None]:
     """The filter stage: ``(n_visits, walked)``, the visits processed and
     today's candidate rows, block-major, with the CSR ``bptr`` over their
-    blocks (None when nothing can transmit).
+    blocks and the C walk's ``ckernel.phase_columns`` for the C
+    accumulation (else None): ``(rows, bptr, columns)``, None when nothing
+    can transmit.
 
     A row is a candidate iff it happens today at an owned location, is
     susceptible or infectious *and* its ``(location, sublocation)``
@@ -216,12 +218,17 @@ def _walk(
         observe.counter("exposure.visits", n_visits)
         if n_visits == 0:
             return 0, None
-        walk = ckernel.block_walk if ckernel.available() else _numpy_walk
-        rows, bptr, walk_rows = walk(graph, health_state, disease, owned, removed)
+        if ckernel.available():
+            columns = ckernel.phase_columns(graph, health_state, disease)
+            rows, bptr, walk_rows = ckernel.block_walk(graph, health_state, disease, owned,
+                                                       removed, columns=columns)
+        else:
+            columns = None
+            rows, bptr, walk_rows = _numpy_walk(graph, health_state, disease, owned, removed)
     observe.counter("exposure.walk_rows", walk_rows)
     observe.counter("exposure.active_blocks", bptr.size - 1)
     observe.counter("exposure.candidates", rows.size)
-    return n_visits, ((rows, bptr) if rows.size else None)
+    return n_visits, ((rows, bptr, columns) if rows.size else None)
 
 
 def _numpy_walk(
@@ -276,7 +283,7 @@ def _block_filter(
     n_visits, walked = _walk(graph, health_state, disease, owned, removed, events)
     if walked is None:
         return n_visits, None
-    rows, bptr = walked
+    rows, bptr, _ = walked
     with observe.span("exposure.gather"):
         by_row = np.argsort(rows)  # rows are distinct: any sort kind
         order = np.empty(rows.size, dtype=np.int64)
@@ -312,15 +319,16 @@ def _draw_and_emit(
     first_minute: np.ndarray, pair_count: np.ndarray, graph, collect_stats: bool,
     transmission: TransmissionModel, day: int, rng_factory: RngFactory,
 ) -> None:
-    """The flat and compiled kernels' tail over the per-slot sums: keep
-    the touched slots, count ``interactions`` per location, then one
-    batched keyed uniform per exposed ``(location, person)``."""
+    """The flat and compiled kernels' tail over the per-slot sums, slots
+    grouped by ascending location: keep the touched slots, count
+    ``interactions`` per location, then one batched keyed uniform per
+    exposed ``(location, person)``; the hits go out by ascending key."""
     with observe.span("exposure.reduce"):
         touched = pair_count > 0
         keys, pair_count = keys[touched], pair_count[touched]
         locs = keys // graph.n_persons
         persons = keys - locs * graph.n_persons
-        if collect_stats:  # keys ascend, so each location's slots are one run
+        if collect_stats:  # each location's slots are one run
             pair_locs, first = np.unique(locs, return_index=True)
             per_loc = np.add.reduceat(pair_count, first)
             result.interactions.update(dict(zip(pair_locs.tolist(), per_loc.tolist())))
@@ -329,7 +337,8 @@ def _draw_and_emit(
         probs = transmission.probability(total_h)
         u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
     with observe.span("exposure.emit"):
-        hit = u < probs
+        hit = np.flatnonzero(u < probs)
+        hit = hit[np.argsort(keys[hit])]  # keys are distinct: any sort kind
         result.records = np.column_stack((persons[hit], locs[hit], first_minute[hit]))
 
 
@@ -377,30 +386,34 @@ def _hazard_table(disease: DiseaseModel, transmission: TransmissionModel) -> np.
 
 
 def _compiled_kernel(
-    result: LocationPhaseResult, rows: np.ndarray, bptr: np.ndarray, graph,
-    health_state: np.ndarray, disease: DiseaseModel, transmission: TransmissionModel, day: int,
-    rng_factory: RngFactory, collect_stats: bool,
+    result: LocationPhaseResult, rows: np.ndarray, bptr: np.ndarray, columns: tuple | None,
+    graph, health_state: np.ndarray, disease: DiseaseModel, transmission: TransmissionModel,
+    day: int, rng_factory: RngFactory, collect_stats: bool,
 ) -> None:
     """The walk's rows to the slot sums in one C loop
     (:func:`repro.core.ckernel.accumulate_exposures`), then the flat
     kernel's tail.
 
     Bit-identical to ``"flat"`` without putting the candidates back in
-    ascending rows: a slot's hazard sum only sees that slot's rows, all
-    in one location, so it is enough that the C loop visits each
-    location's susceptible candidates in ascending row order, each with
-    its block's infectious partners in block order — the order
-    :func:`~repro.core.des.blocked_pairwise_exposures` hands the flat
-    kernel its pairs in.  The visit table is person-sorted,
-    so a run of equal persons is one slot, and slots come out in the flat
-    kernel's ``np.unique`` ``(location, person)`` order; ``first_minute``
-    (a min) and ``pair_count`` (an integer) do not depend on order.
-    Every transcendental runs through the other kernels' numpy paths.
+    ascending rows.  A slot's hazard sum is one left fold from +0.0 over
+    the person's susceptible visits at the location by ascending row,
+    each with its block's infectious partners in block order (the order
+    :func:`~repro.core.des.blocked_pairwise_exposures` pairs in).  The C
+    loop adds each visit's partners from +0.0 while its block is at hand:
+    for a person with one visit there that partial is the fold; for more,
+    the later visits by row (one run: the visit table is person-sorted)
+    add their pairs onto the first visit's partial one by one, never as a
+    partial.  ``first_minute`` (a min) and ``pair_count`` do not depend
+    on order, and :func:`_draw_and_emit` emits the hits by key, so slots
+    may come in any order within a location.  Every transcendental runs
+    through the other kernels' numpy paths; ``columns`` is :func:`_walk`'s.
     """
     with observe.span("exposure.pairs"):
-        keys, total_h, first_minute, pair_count = ckernel.accumulate_exposures(
-            rows, bptr, graph, health_state, disease, _hazard_table(disease, transmission)
+        keys, total_h, first_minute, pair_count, multi = ckernel.accumulate_exposures(
+            rows, bptr, graph, health_state, disease, _hazard_table(disease, transmission),
+            columns=columns,
         )
+    observe.counter("exposure.multi_slots", multi)
     if keys.size == 0:
         return
     _draw_and_emit(

@@ -7,7 +7,8 @@ replaced (whole *locations*, every column for every row) with its three
 kernels, verbatim.  Everything a caller can see must be equal — the
 ``infections`` list (order and ``minute``), the per-location ``events``
 and ``interactions`` in insertion order (the charm load model sums
-floats in that order), and every keyed draw — for all three kernels;
+floats in that order), and every keyed draw with its hazard sum's bytes,
+by key — for all three kernels;
 run-level cells pin the epidemic and the simulated runtime's virtual
 time.  No registered disease model has a state that is both susceptible
 and infectious, so a hand-built one stands in for that case.
@@ -171,12 +172,18 @@ def _observable(module, kernel, graph, disease, health, owned, removed, seed=11)
         graph, health, disease, SpyTransmission(4e-3), 3, rng,
         owned=owned, removed=removed, collect_stats=True, kernel=kernel,
     )
+    # One hazard sum per keyed draw, in the same slot order; slots within
+    # a location come in no fixed order (the compiled kernel's), so each
+    # draw and its sum compare by key.
+    sums = np.frombuffer(b"".join(hazard_sums), dtype=np.float64)
+    assert sums.size == len(rng.drawn)
+    by_key = sorted(range(sums.size), key=rng.drawn.__getitem__)
     return {
         "infections": [(e.person, e.location, e.minute) for e in out.infections],
         "events": list(out.events.items()),
         "interactions": list(out.interactions.items()),
-        "drawn": rng.drawn,
-        "hazard_sums": b"".join(hazard_sums),
+        "drawn": [rng.drawn[i] for i in by_key],
+        "hazard_sums": sums[by_key].tobytes(),
     }
 
 

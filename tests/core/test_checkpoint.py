@@ -129,6 +129,28 @@ class TestRunWithCheckpointing:
         )
         assert result.curve == plain.curve
 
+    def test_returned_fields(self, tiny_graph, tmp_path):
+        """The whole-run fields equal a plain run's; ``days`` and
+        ``infection_log`` cover the days the call ran, after a resume
+        only those past the checkpoint; location statistics stay empty."""
+        plain = SequentialSimulator(_scenario(tiny_graph)).run()
+        run_with_checkpointing(_scenario(tiny_graph, n_days=8), tmp_path / "ck.npz",
+                               checkpoint_every=4)  # leaves the day-4 checkpoint
+        fresh = run_with_checkpointing(_scenario(tiny_graph), tmp_path / "fresh.npz")
+        resumed = run_with_checkpointing(_scenario(tiny_graph), tmp_path / "ck.npz",
+                                         checkpoint_every=4)
+        for result, first in ((fresh, 0), (resumed, 4)):
+            assert result.curve == plain.curve
+            assert result.final_histogram == plain.final_histogram
+            np.testing.assert_array_equal(result.final_health_state, plain.final_health_state)
+            np.testing.assert_array_equal(result.final_days_remaining,
+                                          plain.final_days_remaining)
+            assert result.days == plain.days[first:]
+            assert sorted(result.infection_log) == list(range(first, 14))
+            for day, records in result.infection_log.items():
+                assert records.tobytes() == plain.infection_log[day].tobytes()
+            assert not result.location_events and not result.location_interactions
+
 
 class TestRoundTripProperty:
     """Hypothesis: for arbitrary adversarial scenarios (drawn from the

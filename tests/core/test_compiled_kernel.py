@@ -121,14 +121,19 @@ class TestCompiledBitExact:
 
 def _slot_sums(kernel, graph, disease, health, owned, removed):
     """The per-slot arrays a kernel hands ``_draw_and_emit``, touched
-    slots only, ``total_h`` as bytes."""
+    slots only, ``total_h`` as bytes, by key.  Slots must come grouped
+    by ascending location; within one location their order is free
+    (the compiled kernel emits single-visit persons first)."""
     seen = []
     real = exposure._draw_and_emit
 
     def spy(result, keys, total_h, first_minute, pair_count, *args):
         touched = pair_count > 0
-        seen.append((keys[touched].tolist(), total_h[touched].tobytes(),
-                     first_minute[touched].tolist(), pair_count[touched].tolist()))
+        assert np.all(np.diff(keys // graph.n_persons) >= 0)  # grouped by location
+        by_key = np.argsort(keys[touched])
+        seen.append((keys[touched][by_key].tolist(), total_h[touched][by_key].tobytes(),
+                     first_minute[touched][by_key].tolist(),
+                     pair_count[touched][by_key].tolist()))
         return real(result, keys, total_h, first_minute, pair_count, *args)
 
     with pytest.MonkeyPatch.context() as mp:

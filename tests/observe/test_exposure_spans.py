@@ -10,6 +10,7 @@ what the program's own counters say.
 
 import collections
 
+import numpy as np
 import pytest
 
 from repro import observe
@@ -164,3 +165,26 @@ def test_what_the_ladder_reads(simmering, kernel, monkeypatch):
         < obs.counters["exposure.walk_rows"]
         < 0.3 * obs.counters["exposure.visits"]
     )
+
+
+@pytest.mark.skipif(not ckernel.available(), reason=f"no compiled kernel: {ckernel.build_error()}")
+def test_multi_slots_counts_the_row_order_re_adds(simmering, monkeypatch):
+    """``exposure.multi_slots``: the slots with a pair whose person has
+    two or more susceptible candidate visits at the location, counted
+    here from the rows handed to the C loop."""
+    expected = []
+    real = ckernel.accumulate_exposures
+
+    def counting(rows, bptr, graph, health_state, disease, *args, **kwargs):
+        out = real(rows, bptr, graph, health_state, disease, *args, **kwargs)
+        person = graph.visit_person[rows]
+        sus = disease.is_susceptible[health_state[person]]
+        key = graph.visit_location[rows][sus] * graph.n_persons + person[sus]
+        visits, count = np.unique(key, return_counts=True)
+        expected.append(int(np.isin(out[0], visits[count > 1]).sum()))
+        return out
+
+    monkeypatch.setattr(ckernel, "accumulate_exposures", counting)
+    with observe.observing() as obs:
+        simmering("compiled")
+    assert sum(expected) == obs.counters["exposure.multi_slots"] > 0
