@@ -27,8 +27,10 @@ The location phase
 ------------------
 ``repro.core.exposure._compiled_kernel`` argues why the accumulation is
 bit-identical to the flat kernel; its slots come out grouped by
-location, unordered inside one.  Its scratch is sized by the largest
-location's candidates, plus two bitmaps over the persons.  Both loops
+location, unordered inside one; its pair loop keeps the partners that
+overlap with no branch, then adds only those, in partner order.  Its
+scratch is sized by the largest location's candidates, plus two bitmaps
+over the persons.  Both loops
 read each column as it lies (:func:`phase_columns`, built once per
 phase), raise ``ValueError`` on a person id or health state out of
 range, and free their scratch on every path.
@@ -114,20 +116,30 @@ static inline int64_t state_of(const void *const *col, const int64_t *width,
     return s < 0 || s >= n_states ? -2 : s;
 }
 
-/* qsort order of int64 values */
-static int by_value(const void *a, const void *b)
+/* keys[0, n) (non-negative) ascending by LSD radix, a byte a pass, through
+ * tmp (n entries); returns keys or tmp, whichever ends up holding them */
+static int64_t *sort_keys(int64_t *keys, int64_t *tmp, int64_t n)
 {
-    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
+    int64_t top = 0;
+    for (int64_t i = 0; i < n; ++i) top |= keys[i];
+    for (int shift = 0; top >> shift; shift += 8) {
+        int64_t count[257] = {0}, *swap = keys;
+        for (int64_t i = 0; i < n; ++i) ++count[(keys[i] >> shift & 255) + 1];
+        for (int d = 0; d < 256; ++d) count[d + 1] += count[d];
+        for (int64_t i = 0; i < n; ++i) tmp[count[keys[i] >> shift & 255]++] = keys[i];
+        keys = tmp, tmp = swap;
+    }
+    return keys;
 }
 
 /* exposure._numpy_walk: candidate rows block-major, bptr over the active
  * blocks, out = {candidates, active blocks, walked rows}.  owned (per
  * location) and removed (per visit row) are NULL or byte masks: carrier
  * rows unowned or removed mark no block, removed rows are no candidates.
- * mark is zeroed, one byte per block.  bptr + 1 holds the sorted walked
- * blocks until overwritten: block i is read before bptr[i + 1] can be.
- * Returns 0, or 1 / 2 for a person id / health state out of range. */
+ * mark is zeroed, one byte per block.  bptr + 1 collects the walked
+ * blocks; sorted, they are there or in the walk's scratch, and block i is
+ * read before bptr[i + 1] can be overwritten.  Returns 0, or 1 / 2 for a
+ * person id / health state out of range, 4 no memory. */
 int64_t repro_block_walk(
     const void *const *col, const int64_t *width,
     int64_t n_persons, const int64_t *person_ptr, const int64_t *sub_off,
@@ -154,23 +166,26 @@ int64_t repro_block_walk(
 #undef MASKED
 #undef SCAN
 #undef WALK
-    qsort(blocks, n_walked, sizeof *blocks, by_value);
+    int64_t *tmp = malloc((n_walked + 1) * sizeof *tmp), bad = 0;
+    if (!tmp) return 4;
+    const int64_t *sorted = sort_keys(blocks, tmp, n_walked); /* distinct, >= 0 */
     bptr[0] = 0;
-    for (int64_t i = 0; i < n_walked; ++i) {
-        const int64_t b = blocks[i], first = n;
+    for (int64_t i = 0; !bad && i < n_walked; ++i) {
+        const int64_t b = sorted[i], first = n;
         int64_t sus = 0;
         walked += ptr[b + 1] - ptr[b];
         for (int64_t k = ptr[b]; k < ptr[b + 1]; ++k) {
             const int64_t r = index[k];
             if (removed && removed[r]) continue;
             const int64_t s = state_of(col, width, n_persons, n_states, COL(PERSON, r));
-            if (s < 0) return -s;
+            if (s < 0) { bad = -s; break; }
             if (role[s]) rows[n++] = r, sus |= role[s] & SUS;
         }
         if (sus) bptr[++n_active] = n; else n = first;
     }
+    free(tmp);
     out[0] = n, out[1] = n_active, out[2] = walked;
-    return 0;
+    return bad;
 }
 
 /* a susceptible visit and the sums of its pairs so far: hazard, least
@@ -180,38 +195,39 @@ typedef struct { int64_t row, person, start, end, state, block; double acc; int6
 typedef struct { int64_t row, start, end, column; } inf_visit; /* column = state * n_states */
 
 /* Onto p's sums: the hazards of v's pairs with partners [w, w_end),
- * added left to right, their least overlap end and their count */
+ * added left to right, their least overlap end and their count.  Filter,
+ * then fold, PAIR_CHUNK partners at a time: every partner's index goes to
+ * a stack buffer whose fill count advances only if it overlaps v and is
+ * not v (no branch: about 3/4 fail, unpredictably); the kept pairs are
+ * then added in partner order, the same left fold over the same pairs. */
+enum { PAIR_CHUNK = 128 }; /* buffer indexes fit a uint8_t */
+#define OVERLAP(x) /* os / oe: v's overlap with partner x */ \
+    const int64_t os = start > (x).start ? start : (x).start, oe = end < (x).end ? end : (x).end
 static inline void add_pairs(sus_visit *p, const sus_visit *v, const inf_visit *w,
                              const inf_visit *w_end, const double *haz_table)
 {
+    const int64_t row = v->row, start = v->start, end = v->end;
+    const double *haz = haz_table + v->state;
     double acc = p->acc;
     int64_t fmin = p->fmin, hits = p->hits;
-    for (; w < w_end; ++w) {
-        const int64_t os = v->start > w->start ? v->start : w->start;
-        const int64_t oe = v->end < w->end ? v->end : w->end;
-        if (w->row == v->row || oe <= os) continue; /* no self pairing */
-        acc += (double)(oe - os) * haz_table[w->column + v->state];
-        if (oe < fmin) fmin = oe;
-        ++hits;
+    for (int64_t n; w < w_end; w += n) {
+        uint8_t kept[PAIR_CHUNK];
+        int64_t k = 0;
+        n = w_end - w < PAIR_CHUNK ? w_end - w : PAIR_CHUNK;
+        for (int64_t j = 0; j < n; ++j) {
+            OVERLAP(w[j]);
+            kept[k] = (uint8_t)j, k += (oe > os) & (w[j].row != row);
+        }
+        for (int64_t j = 0; j < k; ++j) {
+            OVERLAP(w[kept[j]]);
+            acc += (double)(oe - os) * haz[w[kept[j]].column];
+            if (oe < fmin) fmin = oe;
+        }
+        hits += k;
     }
     p->acc = acc, p->fmin = fmin, p->hits = hits;
 }
-
-/* keys[0, n) (non-negative) ascending by LSD radix, a byte a pass, through
- * tmp (n entries); returns keys or tmp, whichever ends up holding them */
-static int64_t *sort_keys(int64_t *keys, int64_t *tmp, int64_t n)
-{
-    int64_t top = 0;
-    for (int64_t i = 0; i < n; ++i) top |= keys[i];
-    for (int shift = 0; top >> shift; shift += 8) {
-        int64_t count[257] = {0}, *swap = keys;
-        for (int64_t i = 0; i < n; ++i) ++count[(keys[i] >> shift & 255) + 1];
-        for (int d = 0; d < 256; ++d) count[d + 1] += count[d];
-        for (int64_t i = 0; i < n; ++i) tmp[count[keys[i] >> shift & 255]++] = keys[i];
-        keys = tmp, tmp = swap;
-    }
-    return keys;
-}
+#undef OVERLAP
 
 #define BIT(set, p) ((set)[(p) >> 6] >> ((p) & 63) & 1)
 #define SET(set, p) ((set)[(p) >> 6] |= (uint64_t)1 << ((p) & 63))
@@ -226,7 +242,8 @@ static int64_t *sort_keys(int64_t *keys, int64_t *tmp, int64_t n)
  * table is person-sorted), and the later visits' pairs added onto the
  * first's partial: the row-order left fold.  Writes the slots with a
  * pair, grouped by ascending location, in no order within one; out[0] =
- * those of persons seen twice.  Returns the number of slots, or -1 / -2
+ * those of persons seen twice, out[1] the partner records add_pairs read
+ * (partials and re-adds).  Returns the number of slots, or -1 / -2
  * (person id / health state), -3 (rows / bptr) out of range, -4 no memory. */
 int64_t repro_accumulate_exposures(
     int64_t n, const int64_t *rows, int64_t n_blocks, const int64_t *bptr,
@@ -237,11 +254,11 @@ int64_t repro_accumulate_exposures(
     if (bptr[0] != 0 || bptr[n_blocks] != n) return -3;
     for (int64_t j = 0; j < n_blocks; ++j) if (bptr[j + 1] <= bptr[j]) return -3;
     for (int64_t k = 0; k < n; ++k) if (rows[k] < 0 || rows[k] >= n_visits) return -3;
-    int64_t most = 0, b = 0, n_slots = 0, n_multi_slots = 0; /* most: a location's candidates */
+    int64_t most = 0, b = 0, n_slots = 0, n_multi_slots = 0, partners = 0;
     for (int64_t j0 = 0, j1; j0 < n_blocks; j0 = j1) {
         const int64_t loc = COL(LOCATION, rows[bptr[j0]]);
         for (j1 = j0 + 1; j1 < n_blocks && COL(LOCATION, rows[bptr[j1]]) == loc; ++j1) {}
-        if (bptr[j1] - bptr[j0] > most) most = bptr[j1] - bptr[j0];
+        if (bptr[j1] - bptr[j0] > most) most = bptr[j1] - bptr[j0]; /* a location's candidates */
     }
     while (most >> b) ++b; /* multi key = row << b | index */
     if (b && (n_visits - 1) >> (63 - b)) return -3;
@@ -277,6 +294,7 @@ int64_t repro_accumulate_exposures(
                 add_pairs(&sus[i], &sus[i], inf + inf_off[j1 - j0], inf + n_inf, haz_table);
                 if (BIT(seen, p)) SET(twice, p); else SET(seen, p);
             }
+            partners += (n_sus - first) * (n_inf - inf_off[j1 - j0]);
         }
         inf_off[j1 - j0] = n_inf;
         for (int64_t i = 0; n_slots >= 0 && i < n_sus; ++i) {
@@ -294,6 +312,7 @@ int64_t repro_accumulate_exposures(
                 const sus_visit *u = &sus[AT(by_row[m])];
                 add_pairs(&slot, u, inf + inf_off[u->block], inf + inf_off[u->block + 1],
                           haz_table);
+                partners += inf_off[u->block + 1] - inf_off[u->block];
             }
             if (slot.hits) EMIT(p, slot), ++n_multi_slots;
         }
@@ -304,7 +323,7 @@ int64_t repro_accumulate_exposures(
 #undef SET
 #undef BIT
     free(sus), free(inf), free(inf_off), free(multi), free(seen);
-    out[0] = n_multi_slots;
+    out[0] = n_multi_slots, out[1] = partners;
     return n_slots;
 }
 
@@ -815,9 +834,9 @@ def phase_columns(graph, health_state, disease):
             width.ctypes.data, role)
 
 
-def _check(code: int) -> None:
+def _check(code: int, scratch: str) -> None:
     if code == 4:
-        raise MemoryError("exposure accumulation scratch")
+        raise MemoryError(scratch)
     if code:
         raise ValueError(("visit_person", "health_state", "rows / bptr")[code - 1] + " out of range")
 
@@ -838,20 +857,23 @@ def block_walk(graph, health_state, disease, owned=None, removed=None, *, column
     _check(lib.repro_block_walk(
         col, width, graph.n_persons, *map(_addr, (person_ptr, sub_off, index, ptr, role)),
         role.size, *map(_addr, (owned, removed, mark, rows, bptr, out)),
-    ))
+    ), "block walk scratch")
     n, n_active, walk_rows = out.tolist()
     return rows[:n], bptr[:n_active + 1], walk_rows
 
 
 def accumulate_exposures(rows, bptr, graph, health_state, disease, haz_table, *, columns=None):
-    """``(keys, total_h, first_minute, pair_count, multi_slots)`` of every
-    ``(location, person)`` slot with a pair, keys ``location * n_persons
-    + person``, grouped by ascending location but in no order within
-    one, from the walk's ``(rows, bptr)`` by one C pass;
+    """``(keys, total_h, first_minute, pair_count, multi_slots,
+    partner_records)`` of every ``(location, person)`` slot with a pair,
+    keys ``location * n_persons + person``, grouped by ascending location
+    but in no order within one, from the walk's ``(rows, bptr)`` by one
+    C pass;
     ``haz_table[i * n_states + s]``: one overlap minute of state i with
     s.  ``multi_slots`` counts the slots of persons with two or more
-    susceptible visits at the location (the row-order re-add);
-    ``columns`` is :func:`phase_columns` of the same phase, if built."""
+    susceptible visits at the location (the row-order re-add),
+    ``partner_records`` the infectious partner records the pair filter
+    read, re-adds included; ``columns`` is :func:`phase_columns` of the
+    same phase, if built."""
     lib = _loaded()
     keep_alive, col, width, role = columns or phase_columns(graph, health_state, disease)
     checked("rows", rows, np.int64, np.shape(rows))
@@ -859,14 +881,15 @@ def accumulate_exposures(rows, bptr, graph, health_state, disease, haz_table, *,
     haz_table = checked("haz_table", np.ascontiguousarray(haz_table, dtype=np.float64),
                         np.float64, (role.size ** 2,))
     keys, first_minute, pair_count = (np.empty(rows.size, dtype=np.int64) for _ in range(3))
-    total_h, out = np.empty(rows.size, dtype=np.float64), np.zeros(1, dtype=np.int64)
+    total_h, out = np.empty(rows.size, dtype=np.float64), np.zeros(2, dtype=np.int64)
     n = lib.repro_accumulate_exposures(
         rows.size, _addr(rows), bptr.size - 1, _addr(bptr), col, width, graph.n_visits,
         graph.n_persons, _addr(role), _addr(haz_table), role.size,
         *map(_addr, (keys, total_h, first_minute, pair_count, out)),
     )
-    _check(-min(n, 0))
-    return keys[:n], total_h[:n], first_minute[:n], pair_count[:n], int(out[0])
+    _check(-min(n, 0), "exposure accumulation scratch")
+    multi_slots, partner_records = out.tolist()
+    return keys[:n], total_h[:n], first_minute[:n], pair_count[:n], multi_slots, partner_records
 
 
 def keyed_isa() -> int:

@@ -210,6 +210,15 @@ def slice_rows(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pos, counts
 
 
+def _narrow(minutes: np.ndarray) -> np.ndarray:
+    """A visit time column as int32 when every value fits (a day's
+    minutes always do), else as it is: no value wraps."""
+    if minutes.dtype.kind == "i" and minutes.dtype.itemsize > 4 and minutes.size:
+        if -(2**31) <= minutes.min() and minutes.max() < 2**31:
+            return minutes.astype(np.int32)
+    return minutes
+
+
 def blocked_pairwise_exposures(
     order: np.ndarray,
     block_id: np.ndarray,
@@ -244,6 +253,7 @@ def blocked_pairwise_exposures(
     inf_pos = np.flatnonzero(is_infectious[order])
     if sus_pos.size == 0 or inf_pos.size == 0:
         return empty, empty, empty.copy(), empty.copy()
+    start, end = _narrow(start), _narrow(end)
     # Block b's infectious visits are inf[inf_ptr[b]:inf_ptr[b + 1]].
     inf = order[inf_pos]
     inf_ptr = np.zeros(int(block_id[-1]) + 2, dtype=np.int64)

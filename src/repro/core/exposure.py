@@ -409,11 +409,12 @@ def _compiled_kernel(
     through the other kernels' numpy paths; ``columns`` is :func:`_walk`'s.
     """
     with observe.span("exposure.pairs"):
-        keys, total_h, first_minute, pair_count, multi = ckernel.accumulate_exposures(
+        keys, total_h, first_minute, pair_count, multi, partners = ckernel.accumulate_exposures(
             rows, bptr, graph, health_state, disease, _hazard_table(disease, transmission),
             columns=columns,
         )
     observe.counter("exposure.multi_slots", multi)
+    observe.counter("exposure.partner_records", partners)
     if keys.size == 0:
         return
     _draw_and_emit(

@@ -159,11 +159,11 @@ def test_records_do_not_depend_on_the_slot_order_within_a_location(small_graph):
     descents = []
 
     def shuffled(*args, **kwargs):
-        keys, *sums, multi = real(*args, **kwargs)
+        keys, *sums, multi, partners = real(*args, **kwargs)
         loc = keys // small_graph.n_persons
         order = np.lexsort((rng.random(keys.size), loc))
         descents.append(int(np.count_nonzero(np.diff(keys[order]) < 0)))
-        return (keys[order], *(a[order] for a in sums), multi)
+        return (keys[order], *(a[order] for a in sums), multi, partners)
 
     def run():
         return exposure.compute_infections(

@@ -406,6 +406,22 @@ def test_health_state_out_of_range_raises_in_both_c_loops(tiny_graph, dtype, sta
         ckernel.accumulate_exposures(rows, bptr[:-1], tiny_graph, health, disease, haz)
 
 
+@needs_ckernel
+def test_each_c_loop_names_its_own_scratch_when_out_of_memory(tiny_graph, monkeypatch):
+    """A failed allocation (the walk's 4, the accumulation's -4) is a
+    ``MemoryError`` naming the loop whose scratch it was."""
+    disease = DISEASES["influenza"]
+    health = np.full(tiny_graph.n_persons, disease.index["infectious_symptomatic"])
+    rows, bptr, _ = ckernel.block_walk(tiny_graph, health, disease)
+    haz = np.zeros(len(disease.states) ** 2)
+    monkeypatch.setattr(ckernel, "_lib", types.SimpleNamespace(
+        repro_block_walk=lambda *args: 4, repro_accumulate_exposures=lambda *args: -4))
+    with pytest.raises(MemoryError, match="^block walk scratch$"):
+        ckernel.block_walk(tiny_graph, health, disease)
+    with pytest.raises(MemoryError, match="^exposure accumulation scratch$"):
+        ckernel.accumulate_exposures(rows, bptr, tiny_graph, health, disease, haz)
+
+
 # ----------------------------------------------------------------------
 # the index
 # ----------------------------------------------------------------------

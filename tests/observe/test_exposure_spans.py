@@ -188,3 +188,38 @@ def test_multi_slots_counts_the_row_order_re_adds(simmering, monkeypatch):
     with observe.observing() as obs:
         simmering("compiled")
     assert sum(expected) == obs.counters["exposure.multi_slots"] > 0
+
+
+@pytest.mark.skipif(not ckernel.available(), reason=f"no compiled kernel: {ckernel.build_error()}")
+def test_partner_records_counts_what_the_filter_reads(simmering, monkeypatch):
+    """``exposure.partner_records``: per susceptible candidate visit, the
+    infectious candidates of its ``(location, sublocation)`` block, once
+    for its partial and once more for each re-add (every visit but the
+    first by row of a person with two or more at the location), counted
+    here by brute force from the rows handed to the C loop."""
+    expected, pairs = [], []
+    real = ckernel.accumulate_exposures
+
+    def counting(rows, bptr, graph, health_state, disease, *args, **kwargs):
+        out = real(rows, bptr, graph, health_state, disease, *args, **kwargs)
+        pairs.append(int(out[3].sum()))
+        person = graph.visit_person[rows]
+        state = health_state[person]
+        loc, sub = graph.visit_location[rows], graph.visit_subloc[rows]
+        blocks, block = np.unique(np.stack([loc, sub]), axis=1, return_inverse=True)
+        infectious = np.bincount(block[disease.is_infectious[state]], minlength=blocks.shape[1])
+        sus = np.flatnonzero(disease.is_susceptible[state])
+        reads = infectious[block[sus]]
+        slot = loc[sus] * graph.n_persons + person[sus]
+        by_row = np.lexsort((rows[sus], slot))
+        later = np.r_[False, slot[by_row][1:] == slot[by_row][:-1]]
+        expected.append(int(reads.sum() + reads[by_row][later].sum()))
+        assert out[5] == expected[-1]
+        return out
+
+    monkeypatch.setattr(ckernel, "accumulate_exposures", counting)
+    with observe.observing() as obs:
+        simmering("compiled")
+    assert sum(expected) == obs.counters["exposure.partner_records"] > 0
+    # the filter reads more records than it keeps pairs
+    assert obs.counters["exposure.partner_records"] > sum(pairs) > 0
