@@ -89,15 +89,20 @@ class RecordBatch:
         if self.scalar:  # at most one row, delivered bare
             yield from zip(self.indices.tolist(), self.payloads)
             return
-        order = np.argsort(self.indices, kind="stable")
-        for lo, hi in _runs(self.indices[order]):
-            yield int(self.indices[order[lo]]), self.payloads[order[lo:hi]]
+        indices, payloads = self.indices, self.payloads
+        if (indices[1:] < indices[:-1]).any():  # else already grouped: no sort
+            order = np.argsort(indices, kind="stable")
+            indices, payloads = indices[order], payloads[order]
+        for lo, hi in _runs(indices):
+            yield int(indices[lo]), payloads[lo:hi]
 
 
 def _runs(sorted_keys: np.ndarray) -> list[tuple[int, int]]:
     """``(start, stop)`` of each run of equal values in a sorted array."""
     if sorted_keys.size == 0:
         return []
+    if sorted_keys[0] == sorted_keys[-1]:  # sorted: one value, one run
+        return [(0, sorted_keys.size)]
     cuts = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
     return list(zip([0] + cuts, cuts + [sorted_keys.size]))
 
@@ -149,7 +154,10 @@ class _BufferedChannel:
     ) -> list[tuple[int, list[RecordBatch]]]:
         """:meth:`_append_one` over every row of ``batch``; returns the
         ``(next PE, chunks)`` flushes in that loop's emission order."""
-        order = np.argsort(next_pes, kind="stable")
+        # the same stable order on the narrowest unsigned copy of the PE
+        # ids: numpy's stable sort of <= 16-bit keys is a radix sort
+        narrow = np.min_scalar_type(int(next_pes.max())) if next_pes.size else next_pes.dtype
+        order = np.argsort(next_pes.astype(narrow), kind="stable")
         keys = next_pes[order]
         rows = batch.take(order)
         width = batch.payload_bytes + self.header_bytes

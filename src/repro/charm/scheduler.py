@@ -57,12 +57,12 @@ class _PEAgent(Chare):
 
     # -- aggregated batch dispatch -------------------------------------
     def _dispatch(self, chunk: RecordBatch) -> None:
-        """Charge DISPATCH_OVERHEAD per record, as a running sum (the
-        float order of one ``charge()`` each, not ``n * x``)."""
-        charge = self.runtime._exec_charge
-        for _ in range(len(chunk)):
-            charge += DISPATCH_OVERHEAD
-        self.runtime._exec_charge = charge
+        """Charge DISPATCH_OVERHEAD per record as a running sum, the float
+        order of one ``charge()`` each (not ``n * x``): ``np.add.accumulate``
+        over ``[charge, x, x, …]`` adds strictly left to right."""
+        steps = np.full(len(chunk) + 1, DISPATCH_OVERHEAD)
+        steps[0] = self.runtime._exec_charge
+        self.runtime._exec_charge = float(np.add.accumulate(steps)[-1])
 
     def _deliver(self, chunk: RecordBatch) -> None:
         """Invoke the entry method once per target chare of ``chunk``."""
@@ -173,6 +173,9 @@ class RuntimeSimulator:
         # Hook for completion detectors: called as (event, **info).
         self._sync_listeners: list[Callable[[str, dict], None]] = []
         self._events_processed = 0
+        #: (src PE, dst PE, wire bytes) -> (costs, tier, crosses process); never
+        #: stale: the machine is fixed and NetworkModel is frozen
+        self._routes: dict[tuple[int, int, int], tuple] = {}
 
     # ------------------------------------------------------------------
     # setup API
@@ -429,16 +432,20 @@ class RuntimeSimulator:
     def _route(self, src_pe: int, msg: Message, t_dep: float) -> float:
         """Schedule delivery of ``msg``; return the src CPU cost paid inline."""
         dst_pe = self.arrays[msg.array].pe_of(msg.index)
-        costs = self.network.message_costs(self.machine, src_pe, dst_pe, msg.wire_bytes())
-        smp = self.machine.config.smp
-        tier = (
-            "intra_process"
-            if self.machine.same_process(src_pe, dst_pe)
-            else "intra_node" if self.machine.same_node(src_pe, dst_pe) else "inter_node"
-        )
+        nbytes = msg.wire_bytes()
+        route = self._routes.get((src_pe, dst_pe, nbytes))
+        if route is None:
+            costs = self.network.message_costs(self.machine, src_pe, dst_pe, nbytes)
+            crosses = not self.machine.same_process(src_pe, dst_pe)
+            tier = (
+                "intra_process" if not crosses
+                else "intra_node" if self.machine.same_node(src_pe, dst_pe) else "inter_node"
+            )
+            route = self._routes[src_pe, dst_pe, nbytes] = (costs, tier, crosses)
+        costs, tier, crosses = route
         self.msg_counter[tier] += 1
-        self.bytes_counter[tier] += msg.wire_bytes()
-        if smp and not self.machine.same_process(src_pe, dst_pe):
+        self.bytes_counter[tier] += nbytes
+        if crosses and self.machine.config.smp:
             # PE hands off to its comm thread.
             self._push(t_dep + costs.src_cpu, _COMM_SEND, (src_pe, dst_pe, msg, costs))
         else:
@@ -458,9 +465,12 @@ class RuntimeSimulator:
         chare.array_name = msg.array
         chare.index = msg.index
         chare.pe = pe
-        # Wall-clock span (virtual time is the Tracer's job); no-op when off.
-        with observe.span("charm.entry", array=msg.array, method=msg.method, pe=pe):
+        # Wall-clock span (virtual time is the Tracer's job) while observed.
+        if observe.active() is None:
             getattr(chare, msg.method)(msg.payload)
+        else:
+            with observe.span("charm.entry", array=msg.array, method=msg.method, pe=pe):
+                getattr(chare, msg.method)(msg.payload)
         charge = self._exec_charge
         # Non-SMP layouts pay compute interference from inline network
         # progression (NetworkModel.non_smp_compute_interference); a
@@ -482,7 +492,8 @@ class RuntimeSimulator:
             end += src_cost
         self.pe_clock[pe] = end
         self._events_processed += 1
-        self.notify_sync("executed", pe=pe, method=msg.method, array=msg.array, time=end)
+        if self._sync_listeners:
+            self.notify_sync("executed", pe=pe, method=msg.method, array=msg.array, time=end)
 
     def _comm_send(self, t: float, src_pe: int, dst_pe: int, msg: Message, costs) -> None:
         proc = self.machine.process_of(src_pe)

@@ -11,11 +11,12 @@ plain functions over one struct-of-arrays (:class:`EpidemicState`):
   :func:`day_context` → ``update_treatments``) and :func:`close_day`
   (``post_apply`` → :func:`prevalence` → :class:`DayResult`);
 * **owned steps** — run over what an owner owns (the sequential loop
-  over everything, a ``_PersonManager`` / ``_LocationManager`` chare or
-  an smp worker over its share): persons and their visit rows for
-  :func:`person_phase` (= :func:`advance_persons` then
-  :func:`filter_visits`) and :func:`apply_phase`, a location mask for
-  :func:`location_phase`.
+  over everything, a ``_PersonManager`` chare or an smp worker over its
+  share): persons and their visit rows for :func:`person_phase` (=
+  :func:`advance_persons` then :func:`filter_visits`) and
+  :func:`apply_phase`, a location mask for :func:`location_phase` (charm
+  runs it once a day over every location and hands each
+  ``_LocationManager`` its share, as it does the PTTS pass).
 
 Every call of ``DayContext(…)``, ``advance_day``, ``visit_mask``,
 ``update_treatments``, ``compute_infections``, ``disease.infect`` and

@@ -14,10 +14,12 @@ day runs the six-step algorithm with real protocol traffic:
    as one columnar record batch per (PE → PE) flush, which the owning
    LMs receive as arrays of rows;
 2. a completion detector (or quiescence detector) closes the phase;
-3. driver broadcasts ``location_phase`` — LMs run the DES/interaction
-   kernel over their owned locations' visits less the rows the PMs'
-   interventions removed (two masks; the rows received are modelled
-   traffic) and send infect messages;
+3. driver runs the DES/interaction kernel once over every location's
+   visits less the rows the PMs' interventions removed (the rows
+   received are modelled traffic), groups its infections and
+   per-location loads by owning LM, then broadcasts ``location_phase``
+   — LMs charge their own locations' share and send infect messages
+   (the LMs share one location pass as the PMs share the PTTS pass);
 4. a second detector closes the infect phase;
 5. driver broadcasts ``apply_phase`` — PMs apply infections;
 6. a spanning-tree reduction returns the day's statistics to the driver.
@@ -45,7 +47,7 @@ from repro.charm.network import NetworkModel
 from repro.charm.scheduler import RuntimeSimulator
 from repro.core import day as day_steps
 from repro.core.day import DayResult, EpidemicState, OwnershipPlan, PhaseTimes
-from repro.core.exposure import KERNELS
+from repro.core.exposure import KERNELS, LocationPhaseResult
 from repro.core.interventions import DayContext
 from repro.core.metrics import EpiCurve, state_histogram
 from repro.core.scenario import Scenario
@@ -213,39 +215,28 @@ class _PersonManager(Chare):
 
 
 class _LocationManager(Chare):
-    def __init__(self, sim: "ParallelEpiSimdemics", owned: np.ndarray):
+    def __init__(self, sim: "ParallelEpiSimdemics"):
         self.sim = sim
-        self.owned = owned  # bool per location: the ones this LM computes
 
     def recv_visits(self, rows: np.ndarray) -> None:
-        # modelled traffic: the location phase reads the two masks
+        # modelled traffic: the day's location pass reads the removed mask
         self.sim.visit_detector.consume(rows.size)
         if self.sim.checker is not None:
             self.sim.checker.record_visits_received(rows, self.index)
 
     def location_phase(self, day: int) -> None:
         sim = self.sim
-        phase = day_steps.location_phase(
-            sim.state, sim.scenario, day, self.owned, sim.removed, kernel=sim.kernel, collect_stats=True
-        )
+        # this LM's slice of the day's one pass (``share_location_phase``)
+        records, events, inter = sim.lm_share[self.index]
         if sim.checker is not None:
-            sim.checker.record_infections(day, phase.infections)
-        sim.records_by_day.setdefault(day, []).append(phase.records)
-        # load-model inputs per location, in the events Counter's order
-        n = len(phase.events)
-        locs = np.fromiter(phase.events, np.int64, n)
-        events = np.fromiter(phase.events.values(), np.float64, n)
-        inter = np.fromiter(map(phase.interactions.get, phase.events, repeat(0)), np.int64, n)
-        # Feed the predictive load balancer's application-specific view.
-        sim.last_interactions[locs] = inter
+            sim.checker.record_infections(day, LocationPhaseResult(records).infections)
+        sim.records_by_day.setdefault(day, []).append(records)
         self.charge(sim.costs.location_charge(events, inter))
         det = sim.infect_detector
         pm_of = sim.distribution.person_chare
         pm_name = sim.name("pm")
         # One infect message per infection, in emission order.
-        for (person, _loc, minute), pm in zip(
-            phase.records.tolist(), pm_of[phase.records[:, 0]].tolist()
-        ):
+        for (person, _loc, minute), pm in zip(records.tolist(), pm_of[records[:, 0]].tolist()):
             det.produce()
             self.send(pm_name, pm, "recv_infect", (person, minute), INFECT_BYTES)
         det.producer_done()
@@ -273,6 +264,7 @@ class _Driver(Chare):
         sim = self.sim
         if sim.checker is not None:
             sim.checker.close_visit_phase(sim.runtime.aggregators[sim.name("visits")])
+        sim.share_location_phase(sim.day)
         self.runtime.broadcast(sim.name("lm"), "location_phase", sim.day)
 
     def infects_done(self, _payload=None) -> None:
@@ -441,6 +433,8 @@ class ParallelEpiSimdemics:
         self.day_results: list[DayResult] = []
         #: per day, each LocationManager's infect records, in phase order
         self.records_by_day: dict[int, list[np.ndarray]] = {}
+        #: per LM, today's (records, events, interactions) of its locations
+        self.lm_share: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.lb_period = lb_period
         self.lb_strategy = lb_strategy
         self.migration_model = migration_model or MigrationCostModel()
@@ -452,8 +446,8 @@ class ParallelEpiSimdemics:
 
         dist = distribution
         plan = OwnershipPlan.build(self.graph, dist.person_chare, dist.location_chare, dist.n_pm)
-        lm_owned = [dist.location_chare == c for c in range(dist.n_lm)]
         if self.checker is not None:
+            lm_owned = [dist.location_chare == c for c in range(dist.n_lm)]
             self.checker.check_partition(plan.persons, plan.visit_rows, lm_owned)
 
         rt = self.runtime
@@ -470,7 +464,7 @@ class ParallelEpiSimdemics:
         )
         rt.create_array(
             self.name("lm"),
-            lambda i: _LocationManager(self, lm_owned[i]),
+            lambda i: _LocationManager(self),
             dist.lm_placement,
         )
         rt.create_array(
@@ -538,6 +532,33 @@ class ParallelEpiSimdemics:
         self.transitions_per_pm = np.bincount(
             self.distribution.person_chare[changed], minlength=self.distribution.n_pm
         ).tolist()
+
+    def share_location_phase(self, day: int) -> None:
+        """The day's one location pass, once the visit phase has closed
+        (:attr:`removed` is final): every location, grouped by owning LM
+        into :attr:`lm_share` by one stable pass.  Records come sorted by
+        ``(location, person)`` and events by location, so an LM's slice is
+        what a call over its own locations emits, in that order."""
+        phase = day_steps.location_phase(
+            self.state, self.scenario, day, None, self.removed, kernel=self.kernel,
+            collect_stats=True,
+        )
+        n = len(phase.events)
+        locs = np.fromiter(phase.events, np.int64, n)
+        events = np.fromiter(phase.events.values(), np.float64, n)
+        inter = np.fromiter(map(phase.interactions.get, phase.events, repeat(0)), np.int64, n)
+        # Feed the predictive load balancer's application-specific view.
+        self.last_interactions[locs] = inter
+        lm_of, n_lm = self.distribution.location_chare, self.distribution.n_lm
+
+        def by_lm(owner: np.ndarray) -> list[np.ndarray]:
+            order = np.argsort(owner, kind="stable")
+            return np.split(order, np.cumsum(np.bincount(owner, minlength=n_lm))[:-1])
+
+        self.lm_share = [
+            (phase.records[r], events[l], inter[l])
+            for r, l in zip(by_lm(lm_of[phase.records[:, 1]]), by_lm(lm_of[locs]))
+        ]
 
     def maybe_rebalance(self, day: int) -> float:
         """Run an LB step if due; return its virtual-time cost (0 if not).

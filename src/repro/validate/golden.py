@@ -4,10 +4,10 @@ A golden trace pins a named parallel configuration end to end: the
 epidemic curve, the final PTTS state histogram, the per-day phase
 timings and the total virtual time, snapshotted to
 ``tests/golden/<name>.json``.  ``tests/validate/test_golden.py``
-re-runs each case and compares — epidemic integers must match exactly
-(the reproducibility guarantee), virtual-time floats to a relative
-tolerance of 1e-9 (they are deterministic too, but serialise through
-decimal text).
+re-runs each case and compares every leaf with ``==`` — epidemic
+integers (the reproducibility guarantee) and virtual-time floats alike:
+the runtime is deterministic, and JSON writes a float as its shortest
+``repr``, which reads back as the same double.
 
 When an *intentional* change shifts a trace (e.g. a cost-model
 recalibration moves the timings), refresh with::
@@ -21,14 +21,10 @@ the behavioural change being approved.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = ["GoldenCase", "GOLDEN_CASES", "golden_dir", "capture", "verify", "refresh_all"]
-
-#: Relative tolerance for virtual-time floats (decimal round-trip only).
-REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,8 +133,8 @@ def capture(case: GoldenCase) -> dict:
 
 
 def _diff(recorded: dict, fresh: dict, path: str = "") -> list[str]:
-    """All leaf-level differences between two traces (ints exact,
-    floats to :data:`REL_TOL`)."""
+    """All leaf-level differences between two traces, each leaf
+    compared with ``==`` (virtual-time floats too)."""
     diffs: list[str] = []
     if isinstance(recorded, dict) and isinstance(fresh, dict):
         for key in sorted(set(recorded) | set(fresh)):
@@ -152,14 +148,6 @@ def _diff(recorded: dict, fresh: dict, path: str = "") -> list[str]:
             diffs.append(f"{path}: length {len(recorded)} vs {len(fresh)}")
         for i, (a, b) in enumerate(zip(recorded, fresh)):
             diffs.extend(_diff(a, b, f"{path}[{i}]"))
-    elif isinstance(recorded, bool) or isinstance(fresh, bool) or (
-        isinstance(recorded, int) and isinstance(fresh, int)
-    ):
-        if recorded != fresh:
-            diffs.append(f"{path}: recorded {recorded!r}, fresh {fresh!r}")
-    elif isinstance(recorded, (int, float)) and isinstance(fresh, (int, float)):
-        if not math.isclose(recorded, fresh, rel_tol=REL_TOL, abs_tol=0.0):
-            diffs.append(f"{path}: recorded {recorded!r}, fresh {fresh!r}")
     elif recorded != fresh:
         diffs.append(f"{path}: recorded {recorded!r}, fresh {fresh!r}")
     return diffs

@@ -13,6 +13,12 @@ mid-phase, measured load balancing and the ladder's gp + splitLoc shape.
 The predictive balancer is left out of that matrix on purpose: it used
 to read interactions no day ever cleared, and now reads the last day's
 only (its own test below).
+
+The LocationManagers share one location pass per day
+(``share_location_phase``) and each charges and sends its slice;
+``PerOwnerLocationManager`` keeps the per-LM call it replaced, and the
+second matrix pins production to it — the infection log in LM order
+included — with the predictive balancer in.
 """
 
 from collections import Counter
@@ -25,11 +31,16 @@ from repro.core import Scenario, SequentialSimulator, TransmissionModel
 from repro.core import day as day_steps
 from repro.core import parallel
 from repro.core.interventions import InterventionSchedule, SchoolClosure, WorkClosure
-from repro.core.parallel import Distribution, ParallelEpiSimdemics
+from repro.core.parallel import Distribution, ParallelEnsemble, ParallelEpiSimdemics
 from repro.partition import round_robin_partition
 from repro.spec import PartitionSpec, PopulationSpec, RunSpec, RuntimeSpec
 
-from .visit_loop_reference import LoopLocationManager, LoopPersonManager, loop_prepare_day
+from .visit_loop_reference import (
+    LoopLocationManager,
+    LoopPersonManager,
+    PerOwnerLocationManager,
+    loop_prepare_day,
+)
 
 MACHINE = MachineConfig(n_nodes=3, cores_per_node=4, smp=True, processes_per_node=1)
 
@@ -40,9 +51,9 @@ def _closures():
     )
 
 
-def _scenario(graph):
+def _scenario(graph, seed=9):
     return Scenario(
-        graph=graph, n_days=6, seed=9, initial_infections=8,
+        graph=graph, n_days=6, seed=seed, initial_infections=8,
         transmission=TransmissionModel(3e-4), interventions=_closures(),
     )
 
@@ -56,8 +67,8 @@ def _simulation(graph, chares_per_pe=1, **kwargs):
     return ParallelEpiSimdemics(sc, MACHINE, dist, validate=True, **kwargs)
 
 
-def _modelled(sim):
-    out = sim.run()
+def _modelled(sim, out=None):
+    out = sim.run() if out is None else out
     return {
         "phase_times": out.phase_times,
         "total_virtual_time": out.total_virtual_time,
@@ -65,26 +76,41 @@ def _modelled(sim):
         "curve": out.result.curve,
         "final_histogram": out.result.final_histogram,
         "days": out.result.days,  # all five fields, ``transitions`` included
+        # each LM's infect records, in the order the LMs ran
+        "infection_log": {d: r.tolist() for d, r in out.result.infection_log.items()},
         "chare_costs": sim.runtime.chare_costs,
         "lb": (sim.lb_steps, sim.lb_moves),
     }
+
+
+def _no_shared_pass(self, day):
+    """The per-LM reference runs its own calls: no shared pass."""
 
 
 def _install_reference(patch):
     patch.setattr(parallel, "_PersonManager", LoopPersonManager)
     patch.setattr(parallel, "_LocationManager", LoopLocationManager)
     patch.setattr(ParallelEpiSimdemics, "prepare_day", loop_prepare_day)
+    patch.setattr(ParallelEpiSimdemics, "share_location_phase", _no_shared_pass)
 
 
-def _assert_matches_oracle(build, monkeypatch, n_days=6):
+def _install_per_owner(patch):
+    patch.setattr(parallel, "_LocationManager", PerOwnerLocationManager)
+    patch.setattr(ParallelEpiSimdemics, "share_location_phase", _no_shared_pass)
+
+
+def _assert_matches_oracle(build, monkeypatch, n_days=6, install=_install_reference):
     production = _modelled(build())
     with monkeypatch.context() as patch:
-        _install_reference(patch)
+        install(patch)
         oracle = _modelled(build())
+    if install is _install_reference:  # the loops predate the infection log
+        del oracle["infection_log"]
     for key, expected in oracle.items():
         assert production[key] == expected, key
     assert len(production["phase_times"]) == n_days
     assert sum(d.transitions for d in production["days"]) > 0
+    assert sum(len(r) for r in production["infection_log"].values()) > 0
 
 
 @pytest.mark.parametrize("aggregation_bytes", [64, 256, 65536])
@@ -141,6 +167,72 @@ def test_gp_split_ladder_shape_matches_the_loops(ladder_shape, monkeypatch):
         lambda: ParallelEpiSimdemics.from_spec(spec, graph=graph, partition=part),
         monkeypatch, n_days=8,
     )
+
+
+@pytest.mark.parametrize("sync", ["cd", "qd"])
+@pytest.mark.parametrize("delivery", ["aggregated", "direct", "tram"])
+def test_shared_location_pass_matches_the_per_owner_calls(
+    tiny_graph, monkeypatch, delivery, sync
+):
+    """The closures remove visits (the ``removed`` mask) on some days."""
+    removed_days = []
+    share = ParallelEpiSimdemics.share_location_phase
+
+    def spy(self, day):
+        removed_days.append(self.removed is not None)
+        share(self, day)
+
+    monkeypatch.setattr(ParallelEpiSimdemics, "share_location_phase", spy)
+    _assert_matches_oracle(
+        lambda: _simulation(tiny_graph, delivery=delivery, sync=sync, aggregation_bytes=256),
+        monkeypatch, install=_install_per_owner,
+    )
+    assert any(removed_days) and not all(removed_days)
+
+
+@pytest.mark.parametrize("kernel", ["flat", "grouped"])
+def test_shared_location_pass_under_the_numpy_kernels(tiny_graph, monkeypatch, kernel):
+    _assert_matches_oracle(
+        lambda: _simulation(tiny_graph, kernel=kernel), monkeypatch, install=_install_per_owner
+    )
+
+
+@pytest.mark.parametrize("lb_strategy", ["greedy", "predictive"])
+def test_shared_location_pass_overdecomposed_with_load_balancing(
+    tiny_graph, monkeypatch, lb_strategy
+):
+    """Three LMs per PE share a PE's slices; the LB reads the chare
+    costs (greedy) or the interactions the pass fed it (predictive)."""
+    _assert_matches_oracle(
+        lambda: _simulation(tiny_graph, chares_per_pe=3, lb_period=2, lb_strategy=lb_strategy),
+        monkeypatch, install=_install_per_owner,
+    )
+
+
+def test_shared_location_pass_on_the_ladder_shape(ladder_shape, monkeypatch):
+    spec, graph, part = ladder_shape
+    _assert_matches_oracle(
+        lambda: ParallelEpiSimdemics.from_spec(spec, graph=graph, partition=part),
+        monkeypatch, n_days=8, install=_install_per_owner,
+    )
+
+
+def test_shared_location_pass_in_a_two_replica_ensemble(tiny_graph, monkeypatch):
+    """Each replica's driver runs its own pass over its own state."""
+    m = Machine(MACHINE)
+    dist = Distribution.from_partition(round_robin_partition(tiny_graph, 2 * m.n_pes), m)
+
+    def run():
+        scenarios = [_scenario(tiny_graph), _scenario(tiny_graph, seed=10)]
+        ens = ParallelEnsemble(scenarios, MACHINE, [dist, dist])
+        return [_modelled(sim, out) for sim, out in zip(ens.sims, ens.run())]
+
+    production = run()
+    with monkeypatch.context() as patch:
+        _install_per_owner(patch)
+        oracle = run()
+    assert production == oracle
+    assert production[0]["infection_log"] != production[1]["infection_log"]
 
 
 def _lb_inputs(sim, monkeypatch):

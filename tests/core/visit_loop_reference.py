@@ -1,6 +1,6 @@
 """The charm backend's per-object bookkeeping, kept as a test oracle.
 
-Three pieces production replaced, each kept verbatim, which together
+The pieces production replaced, each kept verbatim, which together
 *define* what the vectorised forms must reproduce exactly — phase
 times, total virtual time, runtime statistics, tracked chare costs, LB
 moves, the epidemic (``test_visit_batches.py``); nothing under ``src/``
@@ -17,6 +17,13 @@ calls them:
   adapts the receiving entry: a scalar record delivers one bare row
   where a batch delivers an array.
 
+A fourth piece is the location phase before the LMs shared one pass:
+
+* ``PerOwnerLocationManager.location_phase`` — each LocationManager ran
+  the exposure kernel over its own location mask (install it with
+  ``share_location_phase`` a no-op; ``owned`` is the mask its
+  constructor used to take).
+
 Two things are newer than the loops: the PMs write the LMs'
 removed-visit mask, and the LMs hand the location phase their location
 mask and that mask instead of the rows they received, sorted.
@@ -27,6 +34,8 @@ location's pair count is written into the array and, with
 ``loop_prepare_day`` installed, never reset — the parent's stale view,
 which ``test_visit_batches.py`` contrasts with production.
 """
+
+from itertools import repeat
 
 import numpy as np
 
@@ -105,6 +114,39 @@ class LoopLocationManager(_LocationManager):
                 dynamic.evaluate(events, inter)
             )
         self.charge(compute)
+        det = sim.infect_detector
+        pm_of = sim.distribution.person_chare
+        pm_name = sim.name("pm")
+        # One infect message per infection, in emission order.
+        for (person, _loc, minute), pm in zip(
+            phase.records.tolist(), pm_of[phase.records[:, 0]].tolist()
+        ):
+            det.produce()
+            self.send(pm_name, pm, "recv_infect", (person, minute), INFECT_BYTES)
+        det.producer_done()
+
+
+class PerOwnerLocationManager(_LocationManager):
+    @property
+    def owned(self) -> np.ndarray:
+        return self.sim.distribution.location_chare == self.index
+
+    def location_phase(self, day: int) -> None:
+        sim = self.sim
+        phase = day_steps.location_phase(
+            sim.state, sim.scenario, day, self.owned, sim.removed, kernel=sim.kernel, collect_stats=True
+        )
+        if sim.checker is not None:
+            sim.checker.record_infections(day, phase.infections)
+        sim.records_by_day.setdefault(day, []).append(phase.records)
+        # load-model inputs per location, in the events Counter's order
+        n = len(phase.events)
+        locs = np.fromiter(phase.events, np.int64, n)
+        events = np.fromiter(phase.events.values(), np.float64, n)
+        inter = np.fromiter(map(phase.interactions.get, phase.events, repeat(0)), np.int64, n)
+        # Feed the predictive load balancer's application-specific view.
+        sim.last_interactions[locs] = inter
+        self.charge(sim.costs.location_charge(events, inter))
         det = sim.infect_detector
         pm_of = sim.distribution.person_chare
         pm_name = sim.name("pm")

@@ -8,6 +8,7 @@ the JSON diff; if not, a determinism or semantics regression slipped in.
 """
 
 import json
+import math
 
 import pytest
 
@@ -43,6 +44,16 @@ def test_diff_reports_changed_leaves():
     diffs = _diff(a, {"x": 2, "y": [1.0, 2.0 + 1e-6], "z": "t"})
     assert len(diffs) == 3
     assert any("x" in d for d in diffs)
+
+
+def test_diff_compares_floats_to_the_last_bit():
+    """Virtual-time floats are compared with ``==``: one ulp is a diff,
+    and a trace survives its own JSON round trip unchanged."""
+    t = 0.022623323370072817
+    assert _diff({"t": t}, {"t": t}) == []
+    assert len(_diff({"t": t}, {"t": math.nextafter(t, 1.0)})) == 1
+    trace = capture(GOLDEN_CASES[0])
+    assert _diff(json.loads(json.dumps(trace)), trace) == []
 
 
 def test_missing_trace_reports_single_diff(tmp_path):
