@@ -14,24 +14,25 @@ import time
 import numpy as np
 
 from repro.analysis.distributions import degree_distribution, load_distribution
-from repro.core.des import pairwise_exposures
+from repro.core.des import blocked_pairwise_exposures
 from repro.loadmodel.fit import fit_piecewise_linear
 from repro.util.histogram import fit_powerlaw_exponent
 
 
 def _measure_kernel(sizes, repeats=5, seed=0):
-    """Wall-time the location interaction kernel at several DES sizes."""
+    """Wall-time the pair enumerator the location phase runs
+    (``blocked_pairwise_exposures``) on one one-room location of each size."""
     rng = np.random.default_rng(seed)
     xs, ys, inters = [], [], []
     for n in sizes:
-        subloc = np.zeros(n, dtype=np.int64)
+        order, block = np.arange(n), np.zeros(n, dtype=np.int64)  # one sublocation
         start = rng.integers(0, 700, n)
         end = start + rng.integers(30, 700, n)
         sus = rng.random(n) < 0.8
         inf = ~sus
         t0 = time.perf_counter()
         for _ in range(repeats):
-            out = pairwise_exposures(subloc, start, end, sus, inf)
+            out = blocked_pairwise_exposures(order, block, start, end, sus, inf)
         ys.append((time.perf_counter() - t0) / repeats)
         xs.append(2 * n)  # events = 2 x visits
         inters.append(len(out[0]))

@@ -16,8 +16,9 @@ Runs standalone (the CI smoke step) or under pytest:
     PYTHONPATH=src REPRO_BENCH_TINY=1 python benchmarks/bench_smp_scaling.py
 
 ``REPRO_BENCH_TINY=1`` shrinks the population to smoke-test scale.
-``REPRO_BENCH_KERNEL`` selects the exposure kernel (flat / grouped /
-compiled); the kernel used is recorded in the JSON.
+``REPRO_BENCH_KERNEL`` selects the exposure kernel (flat / compiled;
+unset: compiled where the C library loads); the kernel used is recorded
+in the JSON.
 
 Speedup assertions scale with the machine: at full scale, 2 workers
 must beat 1 worker (>1.0x) whenever the machine has >= 2 CPUs — the

@@ -5,8 +5,9 @@ contagion simulation itself:
 
 * :mod:`repro.core.disease` — the PTTS health-state machine,
 * :mod:`repro.core.transmission` — the exposure→infection probability,
-* :mod:`repro.core.des` — the per-location sequential discrete-event
-  simulation of arrive/depart events,
+* :mod:`repro.core.des` — the per-location DES of step 3 as blocked
+  S×I interval overlaps, and :mod:`repro.core.exposure` — the location
+  phase built on it,
 * :mod:`repro.core.interventions` — the intervention DSL (vaccination,
   school closure, ...),
 * :mod:`repro.core.day` — the six-step per-day algorithm, once: phase
@@ -27,7 +28,6 @@ from repro.core.disease import (
     sir_model,
 )
 from repro.core.transmission import TransmissionModel
-from repro.core.des import LocationDES, pairwise_exposures, Interaction
 from repro.core.interventions import (
     Intervention,
     Vaccination,
@@ -50,9 +50,6 @@ __all__ = [
     "influenza_model",
     "sir_model",
     "TransmissionModel",
-    "LocationDES",
-    "pairwise_exposures",
-    "Interaction",
     "Intervention",
     "Vaccination",
     "SchoolClosure",

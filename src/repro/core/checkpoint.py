@@ -7,12 +7,16 @@ is keyed by ``(day, entity)``, resuming from a checkpoint reproduces
 the uninterrupted run *exactly*; the tests assert bit-equality.
 
 The checkpoint captures the :class:`~repro.core.day.EpidemicState`
-(the PTTS arrays and the epidemic bookkeeping), the curve so far, and
+(the PTTS arrays and the epidemic bookkeeping), the curve so far
+(``sim.result.curve``: every day stepped, whoever stepped it), and
 the declared mutable state of every intervention and model component
 (via ``checkpoint_state`` / ``restore_state`` on
 :class:`~repro.core.interventions.Intervention`): trigger state in the
 JSON header, array-valued state — contact-tracing rosters, quarantine
-clocks — as first-class npz arrays.
+clocks — as first-class npz arrays.  A restored simulator finishes
+through :meth:`~repro.core.simulator.SequentialSimulator.run`, the one
+sequential day loop; :func:`run_with_checkpointing` only decides where
+it stops to save.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.day import EpidemicState
-from repro.core.metrics import EpiCurve
 from repro.core.scenario import Scenario
-from repro.core.simulator import SequentialSimulator
+from repro.core.simulator import SequentialSimulator, SimulationResult
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
@@ -69,7 +72,7 @@ def _restore_component_states(
 def save_checkpoint(sim: SequentialSimulator, path: str | Path) -> None:
     """Write the simulator's full state to ``path`` (npz)."""
     path = Path(path)
-    curve_arrays = sim_curve(sim)
+    curve_arrays = sim.result.curve.as_arrays()
     states, state_arrays = _component_states(sim.scenario)
     header = {
         "format_version": _FORMAT_VERSION,
@@ -88,18 +91,6 @@ def save_checkpoint(sim: SequentialSimulator, path: str | Path) -> None:
         curve_prev=curve_arrays["prevalence"],
         **state_arrays,
     )
-
-
-def sim_curve(sim: SequentialSimulator) -> dict[str, np.ndarray]:
-    """The curve recorded so far (attached by :func:`run_with_checkpointing`
-    or reconstructed as empty when stepping manually)."""
-    curve = getattr(sim, "_checkpoint_curve", None)
-    if curve is None:
-        return {
-            "new_infections": np.empty(0, dtype=np.int64),
-            "prevalence": np.empty(0, dtype=np.float64),
-        }
-    return curve.as_arrays()
 
 
 def load_checkpoint(scenario: Scenario, path: str | Path) -> SequentialSimulator:
@@ -127,10 +118,8 @@ def load_checkpoint(scenario: Scenario, path: str | Path) -> SequentialSimulator
         sim.state.seeded = bool(header["seeded"])
         sim.day = int(header["day"])
         _restore_component_states(scenario, header["interventions"], data)
-        curve = EpiCurve()
         for n, p in zip(data["curve_new"].tolist(), data["curve_prev"].tolist()):
-            curve.record_day(int(n), float(p))
-        sim._checkpoint_curve = curve
+            sim.result.curve.record_day(int(n), float(p))
     return sim
 
 
@@ -139,36 +128,25 @@ def run_with_checkpointing(
     checkpoint_path: str | Path,
     checkpoint_every: int = 30,
     resume: bool = True,
-):
-    """Run a scenario to completion, checkpointing periodically.
+) -> SimulationResult:
+    """Run a scenario to completion, checkpointing every
+    ``checkpoint_every`` days (never at the horizon).
 
-    If ``resume`` and a checkpoint exists, continues from it.  Returns a
-    :class:`SimulationResult` whose ``curve``, ``final_histogram``,
-    ``final_health_state`` and ``final_days_remaining`` equal an
-    uninterrupted run's; ``days`` and ``infection_log`` hold only the
-    days this call ran (after a resume, those past the checkpoint), and
-    the location statistics are not collected.
+    If ``resume`` and a checkpoint exists, continues from it.  Returns
+    the simulator's :class:`~repro.core.simulator.SimulationResult`:
+    ``curve``, ``final_histogram``, ``final_health_state`` and
+    ``final_days_remaining`` equal an uninterrupted run's; ``days`` and
+    ``infection_log`` hold only the days this call ran (after a resume,
+    those past the checkpoint), and the location statistics are not
+    collected.
     """
-    from repro.core.metrics import state_histogram
-    from repro.core.simulator import SimulationResult
-
     checkpoint_path = Path(checkpoint_path)
     if resume and checkpoint_path.exists():
         sim = load_checkpoint(scenario, checkpoint_path)
-        curve = sim._checkpoint_curve
     else:
         sim = SequentialSimulator(scenario)
-        curve = EpiCurve()
-        sim._checkpoint_curve = curve
-    result = SimulationResult(curve=curve, final_histogram={},
-                              final_health_state=sim.health_state,
-                              final_days_remaining=sim.days_remaining)
-    while sim.day < scenario.n_days:
-        day_result, phase = sim.step_day()
-        result.days.append(day_result)
-        result.infection_log[day_result.day] = phase.records
-        curve.record_day(day_result.new_infections, day_result.prevalence)
-        if sim.day % checkpoint_every == 0 and sim.day < scenario.n_days:
-            save_checkpoint(sim, checkpoint_path)
-    result.final_histogram = state_histogram(sim.health_state, scenario.disease)
-    return result
+    while True:
+        result = sim.run(until=(sim.day // checkpoint_every + 1) * checkpoint_every)
+        if sim.day >= scenario.n_days:
+            return result
+        save_checkpoint(sim, checkpoint_path)

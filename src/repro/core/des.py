@@ -7,193 +7,25 @@ same sublocation.  People only interact within a sublocation — this is
 the property that lets ``splitLoc`` divide a location without adding
 communication edges (paper §III-C, Figure 6a).
 
-Two equivalent implementations are provided:
+Visit end times are known at arrival, so every S×I overlap is
+``[max(starts), min(ends))`` and the event sweep reduces to interval
+overlap per sublocation.  :func:`blocked_pairwise_exposures` computes
+that pair set for *all* locations at once, enumerated per ``(location,
+sublocation)`` block of a segmentation the caller already holds, so a
+heavy location never materialises pairs across sublocation boundaries,
+handed on in the ``flat`` exposure kernel's summation order (used by
+that kernel and the contact-graph projection).
 
-* :class:`LocationDES` — the event-driven sweep, faithful to the
-  paper's description and used as the semantic reference;
-* :func:`pairwise_exposures` — a vectorised all-pairs interval-overlap
-  computation for one location (used by the ``grouped`` exposure
-  kernel);
-* :func:`blocked_pairwise_exposures` — the same pair set for *all*
-  locations at once, enumerated per ``(location, sublocation)`` block
-  of a segmentation the caller already holds, so a heavy location
-  never materialises pairs across sublocation boundaries, handed on in
-  the ``flat`` exposure kernel's summation order (used by that kernel
-  and the contact-graph projection).
-
-Property-based tests assert all three produce identical interaction
-sets.  The DES also reports the statistics the dynamic load model
-consumes (paper §III-A): the number of arrive/depart events, the
-number of interactions, and the sum of reciprocal interactions per
-event.
+The event-driven sweep itself and the per-location all-pairs form are
+test references (``tests/core/des_reference.py``); property tests
+assert all three produce identical interaction sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "Interaction",
-    "DESStats",
-    "LocationDES",
-    "pairwise_exposures",
-    "blocked_pairwise_exposures",
-]
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """One susceptible×infectious co-presence within a sublocation.
-
-    Indices refer to rows of the visit arrays handed to the DES.
-    """
-
-    sus_visit: int
-    inf_visit: int
-    overlap_start: int
-    overlap_end: int
-
-    @property
-    def overlap(self) -> int:
-        return self.overlap_end - self.overlap_start
-
-
-@dataclass
-class DESStats:
-    """Per-location statistics feeding the load models.
-
-    ``events`` is the arrive+depart count (2 × visits).  ``interactions``
-    counts S×I pairs with positive overlap.  ``recip_interactions`` is
-    Σ over arrival events of 1/(interactions computed at that event),
-    taken over events that computed at least one interaction — our
-    concretisation of the paper's "sum of the reciprocal of
-    interactions" input to the dynamic model.
-    """
-
-    events: int = 0
-    interactions: int = 0
-    recip_interactions: float = 0.0
-
-
-class LocationDES:
-    """Event-driven interaction computation for one location.
-
-    The sweep exploits that visit end times are known at arrival (no
-    early departures mid-day), so every S×I overlap can be finalised at
-    the later arrival of the pair: ``overlap = min(ends) − arrival``.
-    Depart events still exist — they pop the visit from the occupancy
-    set and count toward the event total — which keeps the control
-    structure identical to the paper's DES formulation.
-    """
-
-    ARRIVE = 0
-    DEPART = 1
-
-    def __init__(self) -> None:
-        self.stats = DESStats()
-
-    def run(
-        self,
-        subloc: np.ndarray,
-        start: np.ndarray,
-        end: np.ndarray,
-        is_susceptible: np.ndarray,
-        is_infectious: np.ndarray,
-    ) -> list[Interaction]:
-        """Sweep one location's visits; return all S×I interactions.
-
-        Parameters are per-visit arrays (any common length).  Visits that
-        are neither susceptible nor infectious still generate events (the
-        location cannot know a visitor is epidemiologically inert until
-        it processes the visit) but produce no interactions.
-        """
-        n = len(start)
-        self.stats = DESStats(events=2 * n)
-        if n == 0:
-            return []
-        # Build the event list: (time, kind, visit). Sorting by (time,
-        # kind) processes departures before arrivals at the same minute,
-        # so zero-length overlaps are never generated.
-        times = np.concatenate([start, end])
-        kinds = np.concatenate(
-            [np.full(n, self.ARRIVE, dtype=np.int8), np.full(n, self.DEPART, dtype=np.int8)]
-        )
-        visits = np.concatenate([np.arange(n), np.arange(n)])
-        order = np.argsort(2 * times + 1 - kinds, kind="stable")  # departures first on ties
-        present_sus: dict[int, set[int]] = {}
-        present_inf: dict[int, set[int]] = {}
-        out: list[Interaction] = []
-        for idx in order:
-            v = int(visits[idx])
-            sl = int(subloc[v])
-            if kinds[idx] == self.DEPART:
-                present_sus.get(sl, set()).discard(v)
-                present_inf.get(sl, set()).discard(v)
-                continue
-            t = int(times[idx])
-            computed_here = 0
-            if is_susceptible[v]:
-                for i in present_inf.get(sl, ()):  # infectious already present
-                    o_end = min(int(end[v]), int(end[i]))
-                    if o_end > t:
-                        out.append(Interaction(v, i, t, o_end))
-                        computed_here += 1
-                present_sus.setdefault(sl, set()).add(v)
-            if is_infectious[v]:
-                for s in present_sus.get(sl, ()):  # susceptibles already present
-                    if s == v:
-                        continue
-                    o_end = min(int(end[v]), int(end[s]))
-                    if o_end > t:
-                        out.append(Interaction(s, v, t, o_end))
-                        computed_here += 1
-                present_inf.setdefault(sl, set()).add(v)
-            if computed_here:
-                self.stats.interactions += computed_here
-                self.stats.recip_interactions += 1.0 / computed_here
-        return out
-
-
-def pairwise_exposures(
-    subloc: np.ndarray,
-    start: np.ndarray,
-    end: np.ndarray,
-    is_susceptible: np.ndarray,
-    is_infectious: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised S×I overlap computation for one location.
-
-    Returns ``(sus_idx, inf_idx, overlap_start, overlap_end)`` — one row
-    per interacting pair, same pair set as :class:`LocationDES.run`
-    (order may differ).  Complexity is O(|S|·|I|) per sublocation but
-    fully vectorised, which beats the Python-loop sweep by ~2 orders of
-    magnitude on realistic location sizes.
-    """
-    sus = np.flatnonzero(is_susceptible)
-    inf = np.flatnonzero(is_infectious)
-    if sus.size == 0 or inf.size == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    # Broadcast S against I, masked to the same sublocation.
-    s_grid = np.repeat(sus, inf.size)
-    i_grid = np.tile(inf, sus.size)
-    same_subloc = subloc[s_grid] == subloc[i_grid]
-    not_self = s_grid != i_grid
-    o_start = np.maximum(start[s_grid], start[i_grid])
-    o_end = np.minimum(end[s_grid], end[i_grid])
-    mask = same_subloc & not_self & (o_end > o_start)
-    return (
-        s_grid[mask].astype(np.int64),
-        i_grid[mask].astype(np.int64),
-        o_start[mask].astype(np.int64),
-        o_end[mask].astype(np.int64),
-    )
+__all__ = ["blocked_pairwise_exposures"]
 
 
 def slice_rows(ptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,13 +61,12 @@ def blocked_pairwise_exposures(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """S×I overlaps for the *whole* visit set, blocked by sublocation.
 
-    The segmented counterpart of :func:`pairwise_exposures`: one call
-    covers every location, and pairs are enumerated per ``(location,
-    sublocation)`` block instead of per location.  The pair set is
-    identical — people only interact within a sublocation — but a split
-    or heavy location never materialises the cross-sublocation part of
-    its S×I product, the same property splitLoc exploits, and the
-    per-location Python loop disappears entirely.
+    One call covers every location, and pairs are enumerated per
+    ``(location, sublocation)`` block instead of per location.  The pair
+    set is a per-location all-pairs product's — people only interact
+    within a sublocation — but a split or heavy location never
+    materialises the cross-sublocation part of its S×I product, the
+    same property splitLoc exploits.
 
     The caller hands in the segmentation it already holds (the exposure
     walk's ``Candidates.order`` / ``.block``, or the graph's

@@ -13,7 +13,7 @@ susceptible or infectious rows of a ``(location, sublocation)`` block
 that holds both today — by walking from the infectious persons through
 the graph's block index (:func:`_walk`; it never reads the other rows)
 and hands them on block-major, with a CSR over their blocks, to one of
-three interchangeable kernels:
+two interchangeable kernels:
 
 * ``"compiled"`` (the default where :func:`repro.core.ckernel.available`)
   — C from the walk to the per-``(location, person)`` hazard sums
@@ -22,19 +22,20 @@ three interchangeable kernels:
   ascending row order (:func:`_block_filter`), blocked pair enumeration
   (:func:`~repro.core.des.blocked_pairwise_exposures`) straight into
   summation order, hazard accumulation per ``(location, person)`` slot
-  from the compiled kernel's per-state-pair hazard table, and one batched
-  keyed-uniform draw (:meth:`~repro.util.rng.RngFactory.keyed_uniforms`)
-  for every exposed person at once — the compiled kernel's tail too;
-* ``"grouped"`` — the reference formulation: a Python loop over
-  locations, a per-location S×I cross product masked by sublocation
-  after materialisation, and one keyed ``Generator`` per exposed
-  person.
+  from the per-state-pair hazard table, and one batched keyed-uniform
+  draw (:meth:`~repro.util.rng.RngFactory.keyed_uniforms`) for every
+  exposed person at once — the compiled kernel's tail too.
 
-All kernels produce bit-identical results — same infection events in
+Both kernels produce bit-identical results — same infection events in
 the same order, same statistics — which ``repro validate
 --diff-kernels`` and the differential oracle certify, so the default
 changes speed, never an epidemic (``benchmarks/ladder``'s
-``seq_dense_compiled`` and ``seq_dense_flat`` measure the two).
+``seq_dense_compiled`` and ``seq_dense_flat`` measure the two).  The
+per-location formulation both replaced — a Python loop over locations,
+a per-location S×I cross product and one keyed ``Generator`` per
+exposed person — is kept as a test reference
+(``tests/core/exposure_reference.py``), and the goldens pin all three
+to the same bits.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from repro import observe
 from repro.core import ckernel
-from repro.core.des import blocked_pairwise_exposures, pairwise_exposures, slice_rows
+from repro.core.des import blocked_pairwise_exposures, slice_rows
 from repro.core.disease import DiseaseModel
 from repro.core.transmission import TransmissionModel
 from repro.spec import KERNELS  # defined where importing it is free
@@ -93,7 +94,7 @@ class LocationPhaseResult:
 
 @dataclass(frozen=True)
 class Candidates:
-    """The visits that can transmit today — what the numpy kernels are
+    """The visits that can transmit today — what the flat kernel is
     handed.
 
     One entry per candidate visit, compacted, in ascending visit-row
@@ -145,8 +146,8 @@ def compute_infections(
         the visits processed per owned location, ascending.
     kernel:
         One of :data:`KERNELS`; None is ``"compiled"`` where the C
-        library loads, else ``"flat"`` — see the module docstring.  All
-        three are bit-for-bit equivalent.
+        library loads, else ``"flat"`` — see the module docstring.  Both
+        are bit-for-bit equivalent.
 
     Notes
     -----
@@ -169,8 +170,8 @@ def compute_infections(
         else:
             n_visits, c = _block_filter(graph, health_state, disease, owned, removed, events)
             if c is not None:
-                impl = _flat_kernel if kernel == "flat" else _grouped_kernel
-                impl(result, c, graph, disease, transmission, day, rng_factory, collect_stats)
+                _flat_kernel(result, c, graph, disease, transmission, day, rng_factory,
+                             collect_stats)
         obs_span.set(visits=n_visits, infections=len(result.records))
     return result
 
@@ -273,7 +274,7 @@ def _block_filter(
     graph, health_state: np.ndarray, disease: DiseaseModel,
     owned: np.ndarray | None, removed: np.ndarray | None, events: Counter | None,
 ) -> tuple[int, Candidates | None]:
-    """``(n_visits, candidates)`` for the numpy kernels:
+    """``(n_visits, candidates)`` for the flat kernel:
     :func:`_walk`, with the columns back in **ascending rows** and the
     block-major order kept as ``order`` / ``block``.  The flat kernel
     adds in candidate order, and block-major is *not* bit-exact: a
@@ -305,7 +306,7 @@ def _block_filter(
 def _slots(c: Candidates, n_persons: int) -> tuple[np.ndarray, np.ndarray]:
     """``(keys, slot)``: one accumulator slot per distinct ``(location,
     person)`` of the *susceptible* candidates, keys ascending (emission
-    order); kernels read ``slot`` on susceptible rows only."""
+    order); the kernel reads ``slot`` on susceptible rows only."""
     sus = np.flatnonzero(c.sus)
     key = c.location[sus] * np.int64(n_persons) + c.person[sus]
     keys, inv = np.unique(key, return_inverse=True)
@@ -356,8 +357,8 @@ def _flat_kernel(
         return
     with observe.span("exposure.reduce"):
         # Pairs come by ascending susceptible row, partners in block
-        # order: the grouped kernel's sequence, so hazard sums add in the
-        # same order (float addition is not associative).
+        # order: the per-location reference's sequence, so hazard sums
+        # add in the same order (float addition is not associative).
         keys, slot = _slots(c, graph.n_persons)
         pair_state = c.state[i_idx] * np.int64(len(disease.states)) + c.state[s_idx]
         overlap = (o_end - o_start).astype(np.float64)
@@ -377,7 +378,7 @@ def _flat_kernel(
 
 def _hazard_table(disease: DiseaseModel, transmission: TransmissionModel) -> np.ndarray:
     """Per (infectious state i, susceptible state s), at ``[i * n_states
-    + s]``, the grouped kernel's per-pair hazard call at 1.0 minute, so
+    + s]``, the per-pair ``transmission.hazard`` call at 1.0 minute, so
     ``overlap * table[...]`` is that hazard bit for bit (``1.0 * x == x``)."""
     n_states = len(disease.states)
     return transmission.hazard(
@@ -406,7 +407,7 @@ def _compiled_kernel(
     partial.  ``first_minute`` (a min) and ``pair_count`` do not depend
     on order, and :func:`_draw_and_emit` emits the hits by key, so slots
     may come in any order within a location.  Every transcendental runs
-    through the other kernels' numpy paths; ``columns`` is :func:`_walk`'s.
+    through the flat kernel's numpy paths; ``columns`` is :func:`_walk`'s.
     """
     with observe.span("exposure.pairs"):
         keys, total_h, first_minute, pair_count, multi, partners = ckernel.accumulate_exposures(
@@ -422,43 +423,3 @@ def _compiled_kernel(
         transmission, day, rng_factory,
     )
 
-
-def _grouped_kernel(
-    result: LocationPhaseResult, candidates: Candidates, graph, disease: DiseaseModel,
-    transmission: TransmissionModel, day: int, rng_factory: RngFactory, collect_stats: bool,
-) -> None:
-    """Reference kernel: per-location loop, per-person keyed Generators."""
-    c = candidates
-    records: list[tuple[int, int, int]] = []
-    with observe.span("exposure.sort"):
-        order = np.argsort(c.location, kind="stable")
-        boundaries = np.flatnonzero(np.diff(c.location[order])) + 1
-    for group in np.split(order, boundaries):
-        loc = int(c.location[group[0]])
-        with observe.span("exposure.pairs"):
-            s_idx, i_idx, o_start, o_end = pairwise_exposures(
-                c.subloc[group], c.start[group], c.end[group], c.sus[group], c.inf[group]
-            )
-        if s_idx.size == 0:
-            continue
-        if collect_stats:
-            result.interactions[loc] += int(s_idx.size)
-        with observe.span("exposure.reduce"):
-            hazards = transmission.hazard(
-                (o_end - o_start).astype(np.float64),
-                disease.infectivity[c.state[group[i_idx]]],
-                disease.susceptibility[c.state[group[s_idx]]],
-            )
-            # Accumulate hazard and earliest potential infection minute
-            # per susceptible person at this location.
-            uniq_p, inv = np.unique(c.person[group[s_idx]], return_inverse=True)
-            total_h = np.bincount(inv, weights=hazards, minlength=uniq_p.size)
-            first_minute = np.full(uniq_p.size, np.iinfo(np.int64).max)
-            np.minimum.at(first_minute, inv, o_end)
-            probs = transmission.probability(total_h)
-        with observe.span("exposure.draw"):  # draws and emits per person
-            for j, p in enumerate(uniq_p):
-                u = rng_factory.stream(RngFactory.LOCATION, day, loc, int(p)).random()
-                if u < probs[j]:
-                    records.append((int(p), loc, int(first_minute[j])))
-    result.records = np.array(records, dtype=np.int64).reshape(-1, 3)

@@ -326,11 +326,10 @@ class ParallelEpiSimdemics:
         three (asserted by :mod:`repro.validate`).
     kernel:
         Exposure-kernel selection for the LocationManagers' interaction
-        computation (``"flat"`` / ``"grouped"`` / ``"compiled"``, see
+        computation (``"flat"`` / ``"compiled"``, see
         :data:`repro.core.exposure.KERNELS`; None = ``"compiled"`` where
-        the C library loads, else ``"flat"``).  Kernels are bit-for-bit
-        equivalent — a performance choice only,
-        like ``delivery``.
+        the C library loads, else ``"flat"``).  The two are bit-for-bit
+        equivalent — a performance choice only, like ``delivery``.
     validate:
         Attach an :class:`~repro.validate.invariants.InvariantChecker`
         and enable the runtime's own invariant checks: exactly-once

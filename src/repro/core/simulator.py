@@ -11,6 +11,13 @@ and :func:`~repro.core.day.close_day` (step 6).  "Every visit" travels
 as ``None``, not as a row list: with no intervention active the
 location phase is O(visits in an infectious person's blocks).
 
+:meth:`SequentialSimulator.step_day` is the one day loop body and
+records each day into the simulator's :class:`SimulationResult`;
+:meth:`SequentialSimulator.run` steps up to a day (the horizon by
+default), so a run restored mid-way by
+:func:`repro.core.checkpoint.load_checkpoint` finishes through the same
+loop and reports the whole run's curve.
+
 The latent-period argument (an infection today can never make someone
 infectious *today*) is what allows the whole day to be processed in
 one parallel sweep without violating causality — and equally what lets
@@ -73,9 +80,13 @@ class SequentialSimulator:
         Exposure-kernel selection passed through to
         :func:`~repro.core.exposure.compute_infections` (one of
         :data:`~repro.core.exposure.KERNELS`; None = ``"compiled"`` where
-        the C library loads, else ``"flat"``).  Kernels are bit-for-bit
-        equivalent — this is a performance knob
-        and the lever for old-vs-new differential testing.
+        the C library loads, else ``"flat"``).  The kernels are
+        bit-for-bit equivalent — this is a performance knob and the lever
+        for flat-vs-compiled differential testing.
+
+    :attr:`result` is the run record, filled one day at a time by
+    :meth:`step_day`; ``final_histogram`` is set when :meth:`run`
+    returns.
     """
 
     def __init__(
@@ -93,6 +104,10 @@ class SequentialSimulator:
         self.days_remaining = self.state.days_remaining
         self.treatment = self.state.treatment
         self.day = 0
+        self.result = SimulationResult(
+            curve=EpiCurve(), final_histogram={},
+            final_health_state=self.health_state, final_days_remaining=self.days_remaining,
+        )
         # Interventions/components hold per-run trigger state; clearing
         # it here makes one Scenario object reusable across runs.
         scenario.interventions.reset()
@@ -111,7 +126,9 @@ class SequentialSimulator:
 
     # ------------------------------------------------------------------
     def step_day(self) -> tuple[DayResult, LocationPhaseResult]:
-        """Execute one simulated day; return its result and phase detail."""
+        """Execute one simulated day, record it in :attr:`result` (day,
+        infect records, curve, location statistics); return its result
+        and phase detail."""
         with observe.span("sim.day", day=self.day):
             state, sc = self.state, self.scenario
             ctx, seeded = day_steps.open_day(state, sc, self.day)
@@ -124,30 +141,28 @@ class SequentialSimulator:
             )
             infected = day_steps.apply_phase(state, sc, self.day, phase.records[:, 0])
             visits_made = sc.graph.n_visits if keep is None else int(np.count_nonzero(keep))
-            result = day_steps.close_day(
+            day_result = day_steps.close_day(
                 state, sc, ctx, seeded=seeded, visits_made=visits_made,
                 transitions=transitions, infected=infected,
             )
+            record = self.result
+            record.days.append(day_result)
+            record.infection_log[self.day] = phase.records
+            record.curve.record_day(day_result.new_infections, day_result.prevalence)
+            if self.collect_location_stats:
+                record.location_events.update(phase.events)
+                record.location_interactions.update(phase.interactions)
             self.day += 1
-            return result, phase
+            return day_result, phase
 
     # ------------------------------------------------------------------
-    def run(self) -> SimulationResult:
-        """Run all scenario days; return the aggregated result."""
+    def run(self, until: int | None = None) -> SimulationResult:
+        """Step the days before ``until`` (None or past the horizon: the
+        scenario's last day) that have not run yet; return
+        :attr:`result`, the whole run's record so far."""
+        end = self.scenario.n_days if until is None else min(until, self.scenario.n_days)
         with observe.span("sequential.run", days=self.scenario.n_days):
-            curve = EpiCurve()
-            result = SimulationResult(
-                curve=curve, final_histogram={},
-                final_health_state=self.health_state,
-                final_days_remaining=self.days_remaining,
-            )
-            for _ in range(self.scenario.n_days):
-                day_result, phase = self.step_day()
-                result.days.append(day_result)
-                result.infection_log[day_result.day] = phase.records
-                curve.record_day(day_result.new_infections, day_result.prevalence)
-                if self.collect_location_stats:
-                    result.location_events.update(phase.events)
-                    result.location_interactions.update(phase.interactions)
-            result.final_histogram = state_histogram(self.health_state, self.scenario.disease)
-            return result
+            while self.day < end:
+                self.step_day()
+            self.result.final_histogram = state_histogram(self.health_state, self.scenario.disease)
+            return self.result

@@ -1,8 +1,6 @@
 """Shared synthetic-population presets for SMP validation and benches.
 
-The heavy-tailed builder previously lived in
-``benchmarks/bench_exposure_kernel.py``; it moved here so the
-differential oracle's smp cells (the ``heavy`` preset of
+One heavy-tailed builder serves the differential oracle's smp cells (the ``heavy`` preset of
 :func:`repro.validate.oracle.run_smp_matrix`),
 the scaling benchmark (``benchmarks/bench_smp_scaling.py``) and the
 bit-exactness tests all stress the same splitLoc-motivating regime —

@@ -54,7 +54,7 @@ __all__ = [
 #: :mod:`repro.core.exposure`, which re-exports this; ``"compiled"``
 #: needs ``repro.core.ckernel.available``).  Here because this module
 #: imports nothing: the CLI builds its parser without ``repro.core``.
-KERNELS = ("flat", "grouped", "compiled")
+KERNELS = ("flat", "compiled")
 
 _DIGEST_SIZE = 16  # 128-bit BLAKE2b, hex length 32
 
@@ -323,7 +323,7 @@ class RuntimeSpec:
 
     backend: str = "seq"
     workers: int = 1
-    #: exposure kernel: flat / grouped / compiled (None = compiled, else flat)
+    #: exposure kernel: flat / compiled (None = compiled, else flat)
     kernel: str | None = None
     #: charm message delivery: direct / aggregated / tram
     delivery: str = "aggregated"
@@ -337,6 +337,8 @@ class RuntimeSpec:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.kernel is not None and self.kernel not in KERNELS:
+            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
 
     def canonical(self) -> dict:
         return _prune(dataclasses.asdict(self))

@@ -14,8 +14,9 @@ The four cell lists — :func:`run_matrix` (charm: {RR, GP, GP-splitLoc}
 runner, one driver and one :class:`OracleReport`.  splitLoc cells
 compare against a reference on the *split* graph (the split is a
 preprocessing step; ``tests/partition/test_splitloc.py`` pins it).  By
-default the reference runs the ``grouped`` kernel and every cell
-``flat``, so each cell is a cross-kernel differential too.
+default the reference runs the ``flat`` kernel and every cell the
+default one (``compiled`` where the C library loads), so there each cell
+is a cross-kernel differential too.
 """
 
 from __future__ import annotations
@@ -175,8 +176,8 @@ def diff_runs(
     >>> sc = Scenario(graph=generate_population(PopulationConfig(n_persons=80), 0),
     ...               n_days=3, seed=0, initial_infections=4,
     ...               transmission=TransmissionModel(4e-4))
-    >>> ref = SequentialSimulator(sc, kernel="grouped").run()
-    >>> got = SequentialSimulator(sc, kernel="flat").run()
+    >>> ref = SequentialSimulator(sc, kernel="flat").run()
+    >>> got = SequentialSimulator(sc).run()
     >>> diff_runs(sc, ref, got, ordered=True) is None
     True
     >>> got.curve.prevalence[2] = float(np.nextafter(got.curve.prevalence[2], 1.0))
@@ -244,6 +245,11 @@ def _events_divergence(factory: RngFactory, day: int, a, b) -> Divergence:
     )
 
 
+def _kernel_name(kernel: str | None) -> str:
+    """The kernel a run on ``kernel`` uses: None is the default."""
+    return kernel or ("compiled" if ckernel.available() else "flat")
+
+
 def _make_partition(graph, distribution: str, n_pes: int):
     return (round_robin_partition if distribution == "rr" else partition_bipartite)(graph, n_pes)
 
@@ -307,13 +313,13 @@ def run_matrix(
     distributions: tuple[str, ...] = DISTRIBUTIONS,
     sync_modes: tuple[str, ...] = SYNC_MODES,
     deliveries: tuple[str, ...] = DELIVERY_MODES,
-    kernel: str | None = "flat", reference_kernel: str | None = "grouped",
+    kernel: str | None = None, reference_kernel: str | None = "flat",
 ) -> OracleReport:
     """The charm runtime's cells: distribution × sync × delivery.
 
     ``kernel`` is the exposure kernel of every cell and
-    ``reference_kernel`` the sequential side's; the deliberately
-    asymmetric defaults make each cell a cross-kernel *and*
+    ``reference_kernel`` the sequential side's; where the C library
+    loads, the defaults make each cell a cross-kernel *and*
     cross-execution differential.  Restrict the axes to run a subset
     (here: one cell):
 
@@ -344,17 +350,20 @@ def run_matrix(
 
 def run_kernel_differential(
     graph, *, n_days: int = 8, seed: int = 0, initial_infections: int = 10,
-    transmissibility: float = 2.0e-4, kernel_a: str = "grouped", kernel_b: str = "flat",
+    transmissibility: float = 2.0e-4, kernel_a: str = "flat", kernel_b: str | None = None,
 ) -> OracleReport:
-    """One sequential cell: ``kernel_b`` against a ``kernel_a`` reference,
-    so the infect records must match in emission order, minute included.
+    """One sequential cell: ``kernel_b`` (None: the default kernel,
+    ``compiled`` where the C library loads) against a ``kernel_a``
+    reference, so the infect records must match in emission order,
+    minute included.
 
     >>> from repro.synthpop import PopulationConfig, generate_population
     >>> g = generate_population(PopulationConfig(n_persons=60), 0)
-    >>> run_kernel_differential(g, n_days=2).all_equal
-      grouped-vs-flat                         exact
+    >>> run_kernel_differential(g, n_days=2).all_equal  # doctest: +ELLIPSIS
+      flat-vs-...exact
     True
     """
+    kernel_b = _kernel_name(kernel_b)
     build = _plain(graph, n_days, seed, initial_infections, transmissibility)
     cells = [(f"{kernel_a}-vs-{kernel_b}", build, RuntimeSpec(kernel=kernel_b), None)]
     return _drive(f"kernel differential {kernel_a} vs {kernel_b}", cells, kernel_a, n_days)
@@ -363,8 +372,8 @@ def run_kernel_differential(
 def run_smp_matrix(
     *, workers: tuple[int, ...] = (1, 2, 4), presets: tuple[str, ...] = SMP_PRESETS,
     n_days: int = 6, seed: int = 0, initial_infections: int = 8,
-    transmissibility: float = 2.0e-4, kernel: str | None = "flat",
-    reference_kernel: str | None = "grouped", tiny_persons: int = 300,
+    transmissibility: float = 2.0e-4, kernel: str | None = None,
+    reference_kernel: str | None = "flat", tiny_persons: int = 300,
     heavy_persons: int = 1500, heavy_locations: int = 200,
 ) -> OracleReport:
     """The shared-memory backend's cells: preset × worker count.
@@ -403,19 +412,20 @@ def run_scenario_matrix(
     *, scenarios: tuple[str, ...] | None = None, workers: tuple[int, ...] = (1, 2),
     machine: MachineConfig | None = None, n_days: int = 6, seed: int = 0,
     initial_infections: int = 8, transmissibility: float = 3.0e-4, persons: int = 300,
-    kernel: str | None = "flat", reference_kernel: str | None = "grouped",
+    kernel: str | None = None, reference_kernel: str | None = "flat",
 ) -> OracleReport:
     """Every registered scenario's cells: seq kernels, charm, smp.
 
     For each scenario (default: all of :func:`repro.scenarios.names`)
-    the cells are the sequential simulator on ``kernel`` (plus
-    ``compiled`` when a C toolchain is present), the chare runtime with
-    invariant checks on (which also exercises each component's declared
+    the cells are the sequential simulator on ``kernel`` and on the
+    default kernel (``compiled`` where the C library loads; one cell when
+    the two are the same), the chare runtime with invariant checks on
+    (which also exercises each component's declared
     ``extra_transitions``) and smp at each worker count.
 
     >>> report = run_scenario_matrix(scenarios=("turnover",), workers=(1,),
     ...                              n_days=2, persons=80)  # doctest: +ELLIPSIS
-      turnover×seq-flat                       exact
+      turnover×seq-...exact
     ...
       turnover×smp-w1                         exact...
     >>> len(report.cells) >= 3, report.all_equal
@@ -424,7 +434,7 @@ def run_scenario_matrix(
     machine = machine or DEFAULT_MACHINE
     graph = PopulationSpec(n_persons=persons, seed=seed, name="scenario-oracle").build()
     partition = _make_partition(graph, "rr", Machine(machine).n_pes)
-    seq_kernels = [kernel] + (["compiled"] if ckernel.available() else [])
+    seq_kernels = dict.fromkeys([_kernel_name(kernel), _kernel_name(None)])
     cells = []
     for name in scenarios or tuple(registry.names()):
         build = partial(

@@ -1,4 +1,12 @@
-"""Two earlier candidate filters, kept verbatim — test oracles.
+"""Earlier candidate filters and kernels, kept verbatim — test oracles.
+
+**The kernel names.**  :data:`KERNELS` is production's kernels plus
+``"grouped"``, the per-location formulation that left ``src/``: a
+Python loop over locations, a per-location S×I cross product
+(:func:`~tests.core.des_reference.pairwise_exposures`) and one keyed
+``Generator`` per exposed person.  It runs here only; a test case named
+``"grouped"`` holds production's :func:`production_kernel` (``"flat"``)
+to it, bit for bit, which is the contract every kernel keeps.
 
 **The location-level filter and its three kernels** (first part).
 
@@ -31,7 +39,9 @@ oracle's flat kernel takes its pair segmentation from there too.
 :func:`compute_infections_linear` is ``compute_infections`` as it stood
 around it, handing those candidates to the *production* numpy kernels
 (``"compiled"`` to the production flat kernel, its definition:
-``test_block_walk.py``).
+``test_block_walk.py``), and ``"grouped"`` to
+:func:`_grouped_candidates_kernel`, production's grouped kernel over
+those candidates as it stood when it left ``src/``, verbatim.
 
 Both wrappers take the production signature — an ``owned`` location
 mask and a ``removed`` visit mask, None for all / none — and run the
@@ -58,16 +68,38 @@ import numpy as np
 
 from repro import observe
 from repro.core import exposure as production
-from repro.core.des import pairwise_exposures
 from repro.core.disease import DiseaseModel
 from repro.core.exposure import (
-    KERNELS,
     Candidates,
     InfectionEvent,
     LocationPhaseResult,
 )
 from repro.core.transmission import TransmissionModel
 from repro.util.rng import RngFactory
+
+from .des_reference import pairwise_exposures
+
+#: the kernels the references run: production's and ``"grouped"``
+KERNELS = ("flat", "grouped", "compiled")
+
+
+def production_kernel(kernel):
+    """The production kernel a reference case runs against: itself, or
+    ``"flat"`` for ``"grouped"``, which only the references have."""
+    return "flat" if kernel == "grouped" else kernel
+
+
+def pinned(compute, kernel):
+    """``compute`` (a reference ``compute_infections``) with its
+    ``kernel`` argument fixed to ``kernel``: monkeypatched in for
+    ``repro.core.day.compute_infections``, a run on
+    ``production_kernel(kernel)`` hands its location phase to the
+    reference on ``kernel``."""
+
+    def phase(*args, **kwargs):
+        return compute(*args, **{**kwargs, "kernel": kernel})
+
+    return phase
 
 
 @dataclass
@@ -294,7 +326,7 @@ def compute_infections_linear(
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     impl = {
         "flat": production._flat_kernel,
-        "grouped": production._grouped_kernel,
+        "grouped": _grouped_candidates_kernel,
         "compiled": production._flat_kernel,  # the compiled phase's definition
     }[kernel]
     result = LocationPhaseResult()
@@ -367,6 +399,47 @@ def _segmentation(location, subloc):
     np.not_equal(loc_s[1:], loc_s[:-1], out=new_block[1:])
     new_block[1:] |= sub_s[1:] != sub_s[:-1]
     return order, np.cumsum(new_block) - 1
+
+
+def _grouped_candidates_kernel(
+    result: LocationPhaseResult, candidates: Candidates, graph, disease: DiseaseModel,
+    transmission: TransmissionModel, day: int, rng_factory: RngFactory, collect_stats: bool,
+) -> None:
+    """Reference kernel: per-location loop, per-person keyed Generators."""
+    c = candidates
+    records: list[tuple[int, int, int]] = []
+    with observe.span("exposure.sort"):
+        order = np.argsort(c.location, kind="stable")
+        boundaries = np.flatnonzero(np.diff(c.location[order])) + 1
+    for group in np.split(order, boundaries):
+        loc = int(c.location[group[0]])
+        with observe.span("exposure.pairs"):
+            s_idx, i_idx, o_start, o_end = pairwise_exposures(
+                c.subloc[group], c.start[group], c.end[group], c.sus[group], c.inf[group]
+            )
+        if s_idx.size == 0:
+            continue
+        if collect_stats:
+            result.interactions[loc] += int(s_idx.size)
+        with observe.span("exposure.reduce"):
+            hazards = transmission.hazard(
+                (o_end - o_start).astype(np.float64),
+                disease.infectivity[c.state[group[i_idx]]],
+                disease.susceptibility[c.state[group[s_idx]]],
+            )
+            # Accumulate hazard and earliest potential infection minute
+            # per susceptible person at this location.
+            uniq_p, inv = np.unique(c.person[group[s_idx]], return_inverse=True)
+            total_h = np.bincount(inv, weights=hazards, minlength=uniq_p.size)
+            first_minute = np.full(uniq_p.size, np.iinfo(np.int64).max)
+            np.minimum.at(first_minute, inv, o_end)
+            probs = transmission.probability(total_h)
+        with observe.span("exposure.draw"):  # draws and emits per person
+            for j, p in enumerate(uniq_p):
+                u = rng_factory.stream(RngFactory.LOCATION, day, loc, int(p)).random()
+                if u < probs[j]:
+                    records.append((int(p), loc, int(first_minute[j])))
+    result.records = np.array(records, dtype=np.int64).reshape(-1, 3)
 
 
 # ----------------------------------------------------------------------

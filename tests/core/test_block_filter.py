@@ -8,9 +8,9 @@ kernels, verbatim.  Everything a caller can see must be equal — the
 ``infections`` list (order and ``minute``), the per-location ``events``
 and ``interactions`` in insertion order (the charm load model sums
 floats in that order), and every keyed draw with its hazard sum's bytes,
-by key — for all three kernels;
-run-level cells pin the epidemic and the simulated runtime's virtual
-time.  No registered disease model has a state that is both susceptible
+by key — for all three kernels (production ``flat`` against the
+reference's ``grouped``, which left ``src/``); run-level cells pin the
+epidemic and the simulated runtime's virtual time.  No registered disease model has a state that is both susceptible
 and infectious, so a hand-built one stands in for that case.
 """
 
@@ -31,20 +31,30 @@ from repro.synthpop.graph import PersonLocationGraph
 from repro.util.rng import RngFactory
 
 from . import exposure_reference
+from .exposure_reference import production_kernel
 
-kernels = pytest.mark.parametrize(
-    "kernel",
-    [
-        pytest.param(
-            k,
-            marks=pytest.mark.skipif(
-                k == "compiled" and not ckernel.available(),
-                reason=f"no compiled kernel: {ckernel.build_error()}",
-            ),
-        )
-        for k in KERNELS
-    ],
-)
+
+def _kernel_cases(names):
+    return pytest.mark.parametrize(
+        "kernel",
+        [
+            pytest.param(
+                k,
+                marks=pytest.mark.skipif(
+                    k == "compiled" and not ckernel.available(),
+                    reason=f"no compiled kernel: {ckernel.build_error()}",
+                ),
+            )
+            for k in names
+        ],
+    )
+
+
+#: a reference case per kernel the references run, against
+#: ``production_kernel(kernel)``
+kernels = _kernel_cases(exposure_reference.KERNELS)
+#: the kernels production runs
+production_kernels = _kernel_cases(KERNELS)
 
 
 def _carrier_model():
@@ -191,13 +201,13 @@ def _observable(module, kernel, graph, disease, health, owned, removed, seed=11)
 @given(phases())
 @settings(max_examples=150, deadline=None)
 def test_block_filter_equals_location_filter(kernel, phase):
-    got = _observable(production, kernel, *phase)
+    got = _observable(production, production_kernel(kernel), *phase)
     expected = _observable(exposure_reference, kernel, *phase)
     for key, value in expected.items():
         assert got[key] == value, key
 
 
-@kernels
+@production_kernels
 @given(phases(), st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_rows_out_of_order_are_refused(kernel, phase, seed):
@@ -292,17 +302,21 @@ def _spec(kernel, **runtime):
     )
 
 
-def _use_reference(monkeypatch):
-    """Swap the oracle in at the one place any backend reaches
-    ``compute_infections`` through."""
-    monkeypatch.setattr(day_steps, "compute_infections", exposure_reference.compute_infections)
+def _use_reference(monkeypatch, kernel):
+    """Swap the oracle on ``kernel`` in at the one place any backend
+    reaches ``compute_infections`` through."""
+    monkeypatch.setattr(
+        day_steps, "compute_infections",
+        exposure_reference.pinned(exposure_reference.compute_infections, kernel),
+    )
 
 
 @kernels
 def test_sequential_run_record_is_unchanged(kernel, monkeypatch):
-    production_record = execute(_spec(kernel)).record()
-    _use_reference(monkeypatch)
-    assert execute(_spec(kernel)).record() == production_record
+    spec = _spec(production_kernel(kernel))
+    production_record = execute(spec).record()
+    _use_reference(monkeypatch, kernel)
+    assert execute(spec).record() == production_record
     assert sum(production_record["new_infections"]) > 40  # it did transmit
 
 
@@ -310,7 +324,7 @@ def test_sequential_run_record_is_unchanged(kernel, monkeypatch):
 def test_charm_run_virtual_time_is_unchanged(kernel, monkeypatch):
     """splitLoc'd graph, 4 PEs: ``events`` / ``interactions`` feed the
     load model, so equal virtual time pins them through a whole run."""
-    spec = _spec(kernel, backend="charm", workers=4)
+    spec = _spec(production_kernel(kernel), backend="charm", workers=4)
     graph, part = PartitionSpec("gp", k=4, split=True).build(spec.population.build())
 
     def run():
@@ -318,6 +332,6 @@ def test_charm_run_virtual_time_is_unchanged(kernel, monkeypatch):
         return out.phase_times, out.total_virtual_time, out.runtime_stats, out.result.curve
 
     got = run()
-    _use_reference(monkeypatch)
+    _use_reference(monkeypatch, kernel)
     assert run() == got
     assert len(got[0]) == 3

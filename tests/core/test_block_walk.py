@@ -11,7 +11,8 @@ reference builds the block segmentation (``order`` / ``block``) by the
 ``(location, sublocation)`` lexsort the kernels ran before the walk
 handed it on, so the walk's block-major order is pinned to it; then what a
 caller sees (infections in order, ``events`` / ``interactions``, every
-keyed draw, the hazard-sum bytes) on all three kernels, for every form
+keyed draw, the hazard-sum bytes) on all three kernels (production
+``flat`` against the reference's ``grouped``), for every form
 the masks arrive in — ``None``, all-owned and none-removed, by-location
 and random owned locations and removed rows, rows removed by an active
 ``SchoolClosure``; then whole runs on all three backends.
@@ -55,7 +56,8 @@ from repro.util.rng import RngFactory
 
 from . import exposure_reference
 from .day_loop_reference import ReferenceDayLoop
-from .test_block_filter import DISEASES, _observable, kernels, phases
+from .exposure_reference import production_kernel
+from .test_block_filter import DISEASES, _observable, kernels, phases, production_kernels
 
 LINEAR = types.SimpleNamespace(compute_infections=exposure_reference.compute_infections_linear)
 COLUMNS = [f.name for f in dataclasses.fields(production.Candidates)]
@@ -134,7 +136,7 @@ def test_walk_finds_the_linear_filters_candidates(phase):
 @given(walk_phases())
 @settings(max_examples=150, deadline=None)
 def test_walk_equals_linear_filter(kernel, phase):
-    got = _observable(production, kernel, *phase)
+    got = _observable(production, production_kernel(kernel), *phase)
     expected = _observable(LINEAR, kernel, *phase)
     for key, value in expected.items():
         assert got[key] == value, key
@@ -197,7 +199,7 @@ def test_hazards_add_in_row_order_across_rooms(kernel):
     for masks in ((None, None), (np.ones(1, dtype=bool), np.zeros(5, dtype=bool))):
         candidates = _assert_same_candidates(graph, disease, health, *masks)
         assert candidates.subloc.tolist() == [3, 0, 3, 0, 0]  # ascending rows, not by room
-        got = _observable(production, kernel, graph, disease, health, *masks)
+        got = _observable(production, production_kernel(kernel), graph, disease, health, *masks)
         assert got["hazard_sums"] == row_order
         assert got == _observable(LINEAR, kernel, graph, disease, health, *masks)
 
@@ -243,7 +245,9 @@ def test_degenerate_populations(small_graph, kernel, mix):
     health = rng.choice(allowed, small_graph.n_persons)
     for owned in (None, np.arange(small_graph.n_locations) % 3 == 1):
         _assert_same_candidates(small_graph, disease, health, owned, None)
-        got = _observable(production, kernel, small_graph, disease, health, owned, None)
+        got = _observable(
+            production, production_kernel(kernel), small_graph, disease, health, owned, None
+        )
         assert got == _observable(LINEAR, kernel, small_graph, disease, health, owned, None)
         assert bool(got["infections"]) == (mix == "carrier")
         assert got["events"]  # every row still counts, whoever is in it
@@ -341,7 +345,7 @@ def test_c_walk_on_degenerate_populations(small_graph, mix):
         assert bool(walked.size) == (mix == "carrier")
 
 
-@kernels
+@production_kernels
 @pytest.mark.parametrize("bad", ["negative", "past-the-end"])
 @pytest.mark.parametrize("walk", ["c", "numpy"])
 def test_visit_rows_out_of_range_raise(small_graph, kernel, bad, walk):
@@ -651,19 +655,22 @@ def _spec(kernel, **runtime):
     )
 
 
-def _use_linear(monkeypatch):
-    """Swap the oracle in at the one place any backend reaches
-    ``compute_infections`` through (forked smp workers inherit it)."""
+def _use_linear(monkeypatch, kernel):
+    """Swap the oracle on ``kernel`` in at the one place any backend
+    reaches ``compute_infections`` through (forked smp workers inherit
+    it)."""
     monkeypatch.setattr(
-        day_steps, "compute_infections", exposure_reference.compute_infections_linear
+        day_steps, "compute_infections",
+        exposure_reference.pinned(exposure_reference.compute_infections_linear, kernel),
     )
 
 
 @kernels
 def test_sequential_run_record_is_unchanged(kernel, monkeypatch):
-    production_record = execute(_spec(kernel)).record()
-    _use_linear(monkeypatch)
-    assert execute(_spec(kernel)).record() == production_record
+    spec = _spec(production_kernel(kernel))
+    production_record = execute(spec).record()
+    _use_linear(monkeypatch, kernel)
+    assert execute(spec).record() == production_record
     assert sum(production_record["new_infections"]) > 40  # it did transmit
 
 
@@ -672,7 +679,7 @@ def test_charm_run_virtual_time_is_unchanged(kernel, monkeypatch):
     """splitLoc'd graph, 4 PEs, one walk per LocationManager chare:
     ``events`` / ``interactions`` feed the load model, so equal virtual
     time pins them through a whole run."""
-    spec = _spec(kernel, backend="charm", workers=4)
+    spec = _spec(production_kernel(kernel), backend="charm", workers=4)
     graph, part = PartitionSpec("gp", k=4, split=True).build(spec.population.build())
 
     def run():
@@ -680,7 +687,7 @@ def test_charm_run_virtual_time_is_unchanged(kernel, monkeypatch):
         return out.phase_times, out.total_virtual_time, out.runtime_stats, out.result.curve
 
     got = run()
-    _use_linear(monkeypatch)
+    _use_linear(monkeypatch, kernel)
     assert run() == got
     assert len(got[0]) == 3
 
@@ -695,7 +702,7 @@ def test_smp_day_results_are_unchanged(kernel, monkeypatch):
     graph = spec.population.build()
     got = SmpSimulator.from_spec(spec, graph=graph).run().result.days
     assert graph._block_index is not None  # built in the driver, before the fork
-    _use_linear(monkeypatch)
+    _use_linear(monkeypatch, kernel)
     assert SmpSimulator.from_spec(spec, graph=graph).run().result.days == got
     assert sum(d.new_infections for d in got) > 40
 

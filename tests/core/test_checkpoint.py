@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.core.checkpoint import load_checkpoint, run_with_checkpointing, save_checkpoint
 from repro.core.interventions import InterventionSchedule
-from repro.core.metrics import EpiCurve
+from repro.synthpop import PopulationConfig, generate_population
 
 
 def _scenario(graph, n_days=14, with_interventions=False):
@@ -65,41 +65,77 @@ class TestResumeEquality:
 
         # Interrupted: run 6 days, checkpoint, rebuild from disk, finish.
         sim = SequentialSimulator(_scenario(tiny_graph))
-        curve = EpiCurve()
-        for _ in range(6):
-            dr, _ = sim.step_day()
-            curve.record_day(dr.new_infections, dr.prevalence)
-        sim._checkpoint_curve = curve
+        sim.run(until=6)
         save_checkpoint(sim, tmp_path / "ck.npz")
 
         resumed = load_checkpoint(_scenario(tiny_graph), tmp_path / "ck.npz")
-        curve2 = resumed._checkpoint_curve
-        while resumed.day < 14:
-            dr, _ = resumed.step_day()
-            curve2.record_day(dr.new_infections, dr.prevalence)
-
-        assert curve2 == reference.curve
+        assert resumed.run().curve == reference.curve
 
     def test_resume_with_interventions(self, tiny_graph, tmp_path):
         """Trigger state (fired closures, spent vaccinations) must survive."""
         reference = SequentialSimulator(_scenario(tiny_graph, with_interventions=True)).run()
 
         sim = SequentialSimulator(_scenario(tiny_graph, with_interventions=True))
-        curve = EpiCurve()
         for _ in range(7):
-            dr, _ = sim.step_day()
-            curve.record_day(dr.new_infections, dr.prevalence)
-        sim._checkpoint_curve = curve
+            sim.step_day()
         save_checkpoint(sim, tmp_path / "ck.npz")
 
         resumed = load_checkpoint(
             _scenario(tiny_graph, with_interventions=True), tmp_path / "ck.npz"
         )
-        curve2 = resumed._checkpoint_curve
-        while resumed.day < 14:
-            dr, _ = resumed.step_day()
-            curve2.record_day(dr.new_infections, dr.prevalence)
-        assert curve2 == reference.curve
+        assert resumed.run().curve == reference.curve
+
+    def test_run_stops_at_until_and_at_the_horizon(self, tiny_graph):
+        sim = SequentialSimulator(_scenario(tiny_graph))
+        assert sim.run(until=5).curve.n_days == 5 and sim.day == 5
+        assert sim.run(until=3).curve.n_days == 5  # nothing left before day 3
+        assert sim.run(until=99).curve.n_days == 14 and sim.day == 14
+        assert sim.run().curve == SequentialSimulator(_scenario(tiny_graph)).run().curve
+
+
+class TestResumeThroughRun:
+    """A 600-person, 10-day scenario checkpointed at day 4: the restored
+    simulator's ``run()`` finishes the run and reports all of it."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generate_population(PopulationConfig(n_persons=600), 3, name="resume")
+
+    @staticmethod
+    def _scenario(graph):
+        return _scenario(graph, n_days=10, with_interventions=True)
+
+    def test_load_checkpoint_then_run_equals_the_uninterrupted_run(self, graph, tmp_path):
+        plain_sim = SequentialSimulator(self._scenario(graph))
+        plain = plain_sim.run()
+        assert plain.total_infections > 6  # it did transmit
+        sim = SequentialSimulator(self._scenario(graph))
+        for _ in range(4):
+            sim.step_day()
+        save_checkpoint(sim, tmp_path / "ck.npz")
+        resumed = load_checkpoint(self._scenario(graph), tmp_path / "ck.npz")
+        result = resumed.run()
+        assert resumed.day == 10  # not past the horizon
+        assert result.curve == plain.curve  # days 0-3 included
+        assert result.final_histogram == plain.final_histogram
+        np.testing.assert_array_equal(result.final_health_state, plain.final_health_state)
+        np.testing.assert_array_equal(result.final_days_remaining, plain.final_days_remaining)
+        assert [d.day for d in result.days] == list(range(4, 10))
+        assert result.days == plain.days[4:]
+        assert sorted(result.infection_log) == list(range(4, 10))
+
+    def test_a_checkpoint_after_manual_steps_keeps_its_curve(self, graph, tmp_path):
+        plain = SequentialSimulator(self._scenario(graph)).run()
+        sim = SequentialSimulator(self._scenario(graph))
+        for _ in range(4):
+            sim.step_day()
+        save_checkpoint(sim, tmp_path / "ck.npz")
+        result = run_with_checkpointing(self._scenario(graph), tmp_path / "ck.npz",
+                                        checkpoint_every=4)
+        assert result.curve.n_days == 10
+        assert result.curve == plain.curve
+        assert result.final_histogram == plain.final_histogram
+        assert result.days == plain.days[4:]
 
 
 class TestRunWithCheckpointing:
@@ -158,13 +194,6 @@ class TestRoundTripProperty:
     day boundary and resuming from disk reproduces the uninterrupted
     epidemic exactly."""
 
-    @staticmethod
-    def _run_tail(sim, curve):
-        while sim.day < sim.scenario.n_days:
-            dr, _ = sim.step_day()
-            curve.record_day(dr.new_infections, dr.prevalence)
-        return curve
-
     def test_roundtrip_any_scenario_any_cut(self):
         import tempfile
         from pathlib import Path
@@ -185,17 +214,12 @@ class TestRoundTripProperty:
                 st.integers(0, scenario.n_days), label="checkpoint day"
             )
             sim = SequentialSimulator(scenario)
-            curve = EpiCurve()
-            for _ in range(cut):
-                dr, _ = sim.step_day()
-                curve.record_day(dr.new_infections, dr.prevalence)
-            sim._checkpoint_curve = curve
+            sim.run(until=cut)
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "ck.npz"
                 save_checkpoint(sim, path)
                 resumed = load_checkpoint(scenario, path)
-            final = self._run_tail(resumed, resumed._checkpoint_curve)
-            assert final == reference.curve
+            assert resumed.run().curve == reference.curve
             np.testing.assert_array_equal(resumed.health_state, ref_sim.health_state)
             np.testing.assert_array_equal(resumed.days_remaining, ref_sim.days_remaining)
 

@@ -1,5 +1,8 @@
 """Location DES: the event sweep vs the vectorised all-pairs kernel.
 
+Both are test references (``des_reference``): the definition the
+production blocked enumerator is held to in ``test_exposure_kernels.py``.
+
 The central property: both implementations produce the *same set* of
 susceptible×infectious interactions with the same overlap intervals, on
 any input.  The hypothesis test generates random visit patterns.
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.des import LocationDES, pairwise_exposures
+from .des_reference import LocationDES, pairwise_exposures
 
 
 def _pairs_from_sweep(interactions):

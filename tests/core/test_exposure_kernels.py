@@ -2,14 +2,15 @@
 
 The flat kernel replaces the per-location Python loop with one global
 blocked pass; these properties pin it to the two references it must
-match exactly:
+match exactly, both kept in ``tests/core``:
 
-* the **grouped** kernel (and therefore the golden traces) — identical
-  infection events, in identical order, with identical statistics, on
-  adversarially drawn populations;
-* the **event-driven DES** — :func:`blocked_pairwise_exposures` must
-  enumerate exactly the interaction set :class:`LocationDES` computes
-  per location.  It takes its block segmentation from the caller; here
+* the **grouped** kernel (``exposure_reference``; and therefore the
+  golden traces) — identical infection events, in identical order, with
+  identical statistics, on adversarially drawn populations, and whole
+  runs with it monkeypatched in;
+* the **event-driven DES** (``des_reference``) —
+  :func:`blocked_pairwise_exposures` must enumerate exactly the
+  interaction set :class:`LocationDES` computes per location.  It takes its block segmentation from the caller; here
   that is a test-side ``(location, sublocation)`` lexsort
   (``exposure_reference._segmentation``), and the contact-graph
   projection's ``block_visit_index()`` must give the same arrays as
@@ -17,15 +18,19 @@ match exactly:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.des import LocationDES, blocked_pairwise_exposures, pairwise_exposures
+from repro.core import day as day_steps
+from repro.core.des import blocked_pairwise_exposures
 from repro.core.exposure import compute_infections
 from repro.core.simulator import SequentialSimulator
 from repro.util.rng import RngFactory
 from tests.strategies import scenarios, visit_graphs
 
+from . import exposure_reference
+from .des_reference import LocationDES, pairwise_exposures
 from .exposure_reference import _segmentation
 
 
@@ -60,7 +65,7 @@ class TestKernelEquivalence:
     def test_same_infections_same_order(self, scenario):
         g, d, state = _phase_inputs(scenario)
         f = RngFactory(scenario.seed)
-        grouped = compute_infections(
+        grouped = exposure_reference.compute_infections(
             g, state, d, scenario.transmission, 0, f,
             collect_stats=True, kernel="grouped",
         )
@@ -78,7 +83,10 @@ class TestKernelEquivalence:
         """Whole-simulation differential: curves and final state match."""
         import copy
 
-        res_g = SequentialSimulator(copy.deepcopy(scenario), kernel="grouped").run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(day_steps, "compute_infections", exposure_reference.pinned(
+                exposure_reference.compute_infections, "grouped"))
+            res_g = SequentialSimulator(copy.deepcopy(scenario), kernel="flat").run()
         res_f = SequentialSimulator(scenario, kernel="flat").run()
         assert res_f.curve.new_infections == res_g.curve.new_infections
         assert res_f.curve.prevalence == res_g.curve.prevalence

@@ -8,7 +8,8 @@ is the location-level filter, kept verbatim, run over exactly that list
 — ``flatnonzero(owned[visit_location] & ~removed)`` — so equal records,
 ``events`` (insertion order included: the charm load model sums in it)
 and ``interactions`` pin the mask form to what every owner computed
-before, on every kernel and with either walk.  A disjoint cover of the
+before, on every kernel (production ``flat`` against the reference's
+``grouped``) and with either walk.  A disjoint cover of the
 locations must also add up to the ``owned=None`` call: that is what
 lets the backends split the phase by location at all.
 """
@@ -24,6 +25,7 @@ from repro.core import ckernel
 from repro.core import exposure as production
 
 from . import exposure_reference
+from .exposure_reference import production_kernel
 from .test_block_filter import _observable, kernels, phases
 
 
@@ -56,11 +58,12 @@ walks = pytest.mark.parametrize(
 @settings(max_examples=120, deadline=None)
 def test_mask_form_equals_the_row_list_oracle(kernel, walk, cover):
     graph, disease, health, owned_masks, removed = cover
+    ran = production_kernel(kernel)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ckernel, "available", lambda: walk == "c")
-        whole = _observable(production, kernel, graph, disease, health, None, removed)
+        whole = _observable(production, ran, graph, disease, health, None, removed)
         parts = [
-            _observable(production, kernel, graph, disease, health, owned, removed)
+            _observable(production, ran, graph, disease, health, owned, removed)
             for owned in owned_masks
         ]
     for owned, got in zip(owned_masks, parts):

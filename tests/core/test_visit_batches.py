@@ -35,6 +35,8 @@ from repro.core.parallel import Distribution, ParallelEnsemble, ParallelEpiSimde
 from repro.partition import round_robin_partition
 from repro.spec import PartitionSpec, PopulationSpec, RunSpec, RuntimeSpec
 
+from . import exposure_reference
+from .exposure_reference import production_kernel
 from .visit_loop_reference import (
     LoopLocationManager,
     LoopPersonManager,
@@ -192,8 +194,18 @@ def test_shared_location_pass_matches_the_per_owner_calls(
 
 @pytest.mark.parametrize("kernel", ["flat", "grouped"])
 def test_shared_location_pass_under_the_numpy_kernels(tiny_graph, monkeypatch, kernel):
+    """Production's shared pass against per-LM calls of the linear
+    reference filter on ``kernel`` — for ``grouped``, which only the
+    references have, production runs ``flat``."""
+
+    def install(patch):
+        _install_per_owner(patch)
+        patch.setattr(day_steps, "compute_infections", exposure_reference.pinned(
+            exposure_reference.compute_infections_linear, kernel))
+
     _assert_matches_oracle(
-        lambda: _simulation(tiny_graph, kernel=kernel), monkeypatch, install=_install_per_owner
+        lambda: _simulation(tiny_graph, kernel=production_kernel(kernel)), monkeypatch,
+        install=install,
     )
 
 

@@ -59,20 +59,20 @@ class TestFitAgainstMeasuredKernel:
         the end-to-end Figure-3a procedure on this machine."""
         import time
 
-        from repro.core.des import pairwise_exposures
+        from repro.core.des import blocked_pairwise_exposures
 
         rng = np.random.default_rng(1)
         sizes = np.unique(np.geomspace(4, 600, 24).astype(int))
         xs, ys = [], []
         for n in sizes:
-            subloc = np.zeros(n, dtype=np.int64)
+            order, block = np.arange(n), np.zeros(n, dtype=np.int64)  # one sublocation
             start = rng.integers(0, 700, n)
             end = start + rng.integers(1, 700, n)
             sus = rng.random(n) < 0.7
             inf = ~sus
             t0 = time.perf_counter()
             for _ in range(3):
-                pairwise_exposures(subloc, start, end, sus, inf)
+                blocked_pairwise_exposures(order, block, start, end, sus, inf)
             ys.append((time.perf_counter() - t0) / 3)
             xs.append(2 * n)
         report = fit_piecewise_linear(np.array(xs), np.array(ys))

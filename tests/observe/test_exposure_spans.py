@@ -24,7 +24,6 @@ STAGES = {
     # the walk, then the C accumulation straight from its rows: no
     # column gather and no slot sort
     "compiled": {"filter", "pairs", "reduce", "draw", "emit"},
-    "grouped": {"filter", "gather", "sort", "pairs", "reduce", "draw"},
 }
 
 kernels = pytest.mark.parametrize(
@@ -97,19 +96,6 @@ def test_index_build_is_a_span_inside_the_first_filter(simmering):
     with observe.observing() as obs:
         simmering("flat")
     assert "graph.block_index" not in {s.name for s in obs.closed_spans()}
-
-
-def test_grouped_kernel_names_its_stages(tiny_graph):
-    from repro.core import Scenario, SequentialSimulator, TransmissionModel
-
-    scenario = Scenario(
-        graph=tiny_graph, n_days=3, seed=3, initial_infections=5,
-        transmission=TransmissionModel(2e-4),
-    )
-    with observe.observing() as obs:
-        SequentialSimulator(scenario, kernel="grouped").run()
-    names = {s.name for s in obs.closed_spans() if s.name.startswith("exposure.")}
-    assert names == {f"exposure.{n}" for n in STAGES["grouped"]} | {"exposure.compute"}
 
 
 def test_stage_names_do_not_collide_with_the_ladder_shims():

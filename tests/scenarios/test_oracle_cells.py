@@ -3,16 +3,21 @@
 The named cells the issue pins — {waning, tracing, hospital-cap,
 two-variant} × {sequential kernels, smp-w2} — plus a hypothesis sweep
 over random scenario compositions on adversarial graphs, checked
-grouped-vs-flat at the event level.
+against the per-location ``grouped`` reference kernel
+(``tests/core/exposure_reference.py``) at the event level.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from repro.core import ckernel
+from repro.core import day as day_steps
 from repro.core.simulator import SequentialSimulator
 from repro.validate.oracle import diff_runs, run_scenario_matrix
+from tests.core import exposure_reference
 from tests.strategies import scenario_compositions
 
 PINNED = ("waning-vaccination", "contact-tracing", "hospital-capacity",
@@ -25,7 +30,8 @@ def test_pinned_scenario_cells_are_exact():
     )
     assert report.all_equal, report.format()
     backends = {c.label.split("×")[1] for c in report.cells}
-    assert {"seq-flat", "charm-rr", "smp-w2"} <= backends
+    default = "compiled" if ckernel.available() else "flat"
+    assert {f"seq-{default}", "charm-rr", "smp-w2"} <= backends
     assert {c.label.split("×")[0] for c in report.cells} == set(PINNED)
     # The charm cells ran with the invariant checker on.
     assert all(c.checks_passed > 0
@@ -45,9 +51,13 @@ def test_divergence_reporting_shape():
 @settings(max_examples=12, deadline=None)
 @given(sc=scenario_compositions())
 def test_random_composition_kernels_agree(sc):
-    """grouped vs flat on random component stacks over corner graphs."""
-    ref = SequentialSimulator(sc, kernel="grouped").run()
-    got = SequentialSimulator(sc, kernel="flat").run()
+    """The grouped reference vs the default kernel (compiled where the C
+    library loads) on random component stacks over corner graphs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(day_steps, "compute_infections", exposure_reference.pinned(
+            exposure_reference.compute_infections, "grouped"))
+        ref = SequentialSimulator(sc, kernel="flat").run()
+    got = SequentialSimulator(sc).run()
     divergence = diff_runs(sc, ref, got, ordered=True)
     assert divergence is None, divergence.format()
 

@@ -1,5 +1,7 @@
 """CLI commands end-to-end (in-process)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -183,4 +185,50 @@ class TestParserIsCheapToBuild:
         from repro import spec
         from repro.core import exposure
 
-        assert exposure.KERNELS is spec.KERNELS == ("flat", "grouped", "compiled")
+        assert exposure.KERNELS is spec.KERNELS == ("flat", "compiled")
+
+
+class TestRetiredKernel:
+    """``"grouped"`` left ``src/``: every way a kernel name comes in —
+    a spec, a TOML file, a stored sweep record, the CLI — refuses it,
+    naming the kernels there are."""
+
+    def _spec(self):
+        from repro.spec import PopulationSpec, RunSpec
+
+        return RunSpec(population=PopulationSpec(n_persons=100), n_days=2)
+
+    def test_spec_and_toml_name_the_kernels(self):
+        import dataclasses
+
+        from repro.spec import KERNELS, RunSpec, RuntimeSpec
+
+        message = re.escape(f"kernel must be one of {KERNELS}, got 'grouped'")
+        with pytest.raises(ValueError, match=message):
+            RuntimeSpec(kernel="grouped")
+        toml = dataclasses.replace(self._spec(), runtime=RuntimeSpec(kernel="flat")).to_toml()
+        assert RunSpec.from_toml(toml).runtime.kernel == "flat"
+        with pytest.raises(ValueError, match=message):
+            RunSpec.from_toml(toml.replace('kernel = "flat"', 'kernel = "grouped"'))
+        record = self._spec().canonical()
+        record["runtime"] = {"kernel": "grouped"}
+        with pytest.raises(ValueError, match=message):
+            RunSpec.from_dict(record)
+
+    def test_a_stored_record_naming_it_does_not_replay(self, tmp_path):
+        from repro.lab import ResultStore, replay
+        from repro.spec import KERNELS
+
+        spec = self._spec().canonical()
+        spec["runtime"] = {"kernel": "grouped"}
+        ResultStore(tmp_path).append_records([{"index": 0, "spec": spec}])
+        with pytest.raises(ValueError, match=re.escape(f"one of {KERNELS}")):
+            replay(tmp_path, 0)
+
+    def test_run_refuses_it(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(["run", "pop.d", "--kernel", "grouped"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'grouped'" in capsys.readouterr().err

@@ -19,8 +19,8 @@ would have:
 * a ``backend`` parameter on ``ParallelEpiSimdemics.__init__``
   (``RuntimeSpec.backend`` through ``spec.execute`` is the dispatch);
 * ``.step_day(`` called outside ``core/simulator.py`` — a private copy
-  of the run loop — except in ``core/checkpoint.py``, the one copy left
-  (``run_with_checkpointing`` resumes mid-run);
+  of the run loop (``run_with_checkpointing`` resumes through
+  ``SequentialSimulator.run(until=…)``);
 * more than one class in ``validate/oracle.py`` whose name ends in
   ``Report``, or in ``CellResult``: every backend reports one
   ``SimulationResult``, so the oracle needs one report and one cell;
@@ -73,8 +73,8 @@ DAY_PRIMITIVES = {
 #: where no ``InfectionEvent(…)`` may be built
 RUN_PATH = ("core/exposure.py", "core/simulator.py", "core/parallel.py", "core/day.py", "smp/")
 
-#: the run loop's home, and the one module that still runs its own
-STEP_DAY_CALLERS = {"core/simulator.py", "core/checkpoint.py"}
+#: the run loop's home, the one module that steps days
+STEP_DAY_CALLERS = {"core/simulator.py"}
 
 ORACLE = "validate/oracle.py"
 
