@@ -104,7 +104,6 @@ class Candidates:
 
     person: np.ndarray
     location: np.ndarray
-    subloc: np.ndarray
     start: np.ndarray
     end: np.ndarray
     state: np.ndarray
@@ -296,7 +295,7 @@ def _block_filter(
         person = graph.visit_person[rows]
         state = health_state[person]
         return n_visits, Candidates(
-            person=person, location=graph.visit_location[rows], subloc=graph.visit_subloc[rows],
+            person=person, location=graph.visit_location[rows],
             start=graph.visit_start[rows], end=graph.visit_end[rows],
             state=state, sus=disease.is_susceptible[state], inf=disease.is_infectious[state],
             order=order, block=block,

@@ -88,28 +88,33 @@ class ComputeCostModel:
     #: per infect message applied
     infect_apply_cost: float = 1.0e-6
 
-    def location_charge(self, events: np.ndarray, interactions: np.ndarray) -> float:
-        """Virtual seconds of one LocationManager phase: the static model
-        over each location's ``events`` plus the dynamic model over its
-        ``interactions``, summed in array order — bit for bit the scalar
-        loop ``compute += float(static(e)) + float(dynamic(e, i))`` from
-        ``0.0``:
+    def location_costs(self, events: np.ndarray, interactions: np.ndarray) -> np.ndarray:
+        """Virtual seconds of each location's phase: the static model
+        over its ``events`` plus the dynamic model over its
+        ``interactions``.  Elementwise ufuncs (multiply, add, divide,
+        clip, exp, maximum) give each element the same double at any
+        array length or stride, so one evaluation over every location
+        and a slice of it agree bit for bit with the scalar loop's
+        ``float(static(e)) + float(dynamic(e, i))``."""
+        return self.location_static.evaluate(events) + self.location_dynamic.evaluate(
+            events, interactions
+        )
 
-        * elementwise ufuncs (multiply, add, divide, clip, exp, maximum)
-          give each element the same double at any array length or
-          stride, so ``per[j]`` is the loop's ``float(s) + float(d)``;
-        * ``np.cumsum`` (``np.add.accumulate``) adds strictly left to
-          right and ``0.0 + x == x`` (each ``per[j]`` is positive), so
-          ``cumsum(per)[-1]`` is the loop's final ``compute``.
+    @staticmethod
+    def phase_charge(costs: np.ndarray) -> float:
+        """Virtual seconds of one LocationManager phase over its
+        locations' :meth:`location_costs`, summed in array order — bit
+        for bit the scalar loop ``compute += float(static(e)) +
+        float(dynamic(e, i))`` from ``0.0``: ``np.cumsum``
+        (``np.add.accumulate``) adds strictly left to right and ``0.0 +
+        x == x`` (each cost is positive), so ``cumsum(costs)[-1]`` is the
+        loop's final ``compute``, and a phase with no location charges
+        exactly ``0.0``.
 
         Not ``np.sum`` (pairwise), ``math.fsum`` (exactly rounded) or
         builtin ``sum`` (compensated on Python ≥ 3.12).
         """
-        if events.size == 0:
-            return 0.0
-        static = self.location_static.evaluate(events)
-        per = static + self.location_dynamic.evaluate(events, interactions)
-        return float(np.cumsum(per)[-1])
+        return float(np.cumsum(costs)[-1]) if costs.size else 0.0
 
 
 @dataclass
@@ -227,11 +232,11 @@ class _LocationManager(Chare):
     def location_phase(self, day: int) -> None:
         sim = self.sim
         # this LM's slice of the day's one pass (``share_location_phase``)
-        records, events, inter = sim.lm_share[self.index]
+        records, charge = sim.lm_share[self.index]
         if sim.checker is not None:
             sim.checker.record_infections(day, LocationPhaseResult(records).infections)
         sim.records_by_day.setdefault(day, []).append(records)
-        self.charge(sim.costs.location_charge(events, inter))
+        self.charge(charge)
         det = sim.infect_detector
         pm_of = sim.distribution.person_chare
         pm_name = sim.name("pm")
@@ -432,8 +437,8 @@ class ParallelEpiSimdemics:
         self.day_results: list[DayResult] = []
         #: per day, each LocationManager's infect records, in phase order
         self.records_by_day: dict[int, list[np.ndarray]] = {}
-        #: per LM, today's (records, events, interactions) of its locations
-        self.lm_share: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: per LM, today's records and load-model charge of its locations
+        self.lm_share: list[tuple[np.ndarray, float]] = []
         self.lb_period = lb_period
         self.lb_strategy = lb_strategy
         self.migration_model = migration_model or MigrationCostModel()
@@ -537,7 +542,9 @@ class ParallelEpiSimdemics:
         (:attr:`removed` is final): every location, grouped by owning LM
         into :attr:`lm_share` by one stable pass.  Records come sorted by
         ``(location, person)`` and events by location, so an LM's slice is
-        what a call over its own locations emits, in that order."""
+        what a call over its own locations emits, in that order.  The
+        load model is evaluated once over every location; each LM's
+        charge sums its slice (:meth:`ComputeCostModel.phase_charge`)."""
         phase = day_steps.location_phase(
             self.state, self.scenario, day, None, self.removed, kernel=self.kernel,
             collect_stats=True,
@@ -548,6 +555,7 @@ class ParallelEpiSimdemics:
         inter = np.fromiter(map(phase.interactions.get, phase.events, repeat(0)), np.int64, n)
         # Feed the predictive load balancer's application-specific view.
         self.last_interactions[locs] = inter
+        costs = self.costs.location_costs(events, inter)
         lm_of, n_lm = self.distribution.location_chare, self.distribution.n_lm
 
         def by_lm(owner: np.ndarray) -> list[np.ndarray]:
@@ -555,7 +563,7 @@ class ParallelEpiSimdemics:
             return np.split(order, np.cumsum(np.bincount(owner, minlength=n_lm))[:-1])
 
         self.lm_share = [
-            (phase.records[r], events[l], inter[l])
+            (phase.records[r], ComputeCostModel.phase_charge(costs[l]))
             for r, l in zip(by_lm(lm_of[phase.records[:, 1]]), by_lm(lm_of[locs]))
         ]
 

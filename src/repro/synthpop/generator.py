@@ -31,6 +31,7 @@ import numpy as np
 
 from repro import observe
 from repro.synthpop.graph import LocationType, PersonLocationGraph, MINUTES_PER_DAY
+from repro.synthpop.guide import GuideTable, check_weights
 from repro.synthpop.powerlaw import pareto_attractiveness
 from repro.util.rng import RngFactory
 
@@ -165,6 +166,56 @@ def _assign_households(
     return person_building, person_slot, building_n_households
 
 
+def _choice(
+    rng: np.random.Generator, ids: np.ndarray, attract: np.ndarray, size: int
+) -> np.ndarray:
+    """``rng.choice(ids, size, p=attract[ids] / attract[ids].sum())``, bit
+    for bit: the same uniforms and numpy's own CDF (``cumsum``, then
+    ``/= cdf[-1]``), searched through a guide table instead of a binary
+    search."""
+    w = attract[ids]
+    check_weights(w)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return ids[GuideTable(cdf).search(rng.random(size))]
+
+
+def _person_major(
+    degrees: np.ndarray, act_person: np.ndarray, act_start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the morning home visits, the activity visits and the
+    evening home visits in the ``lexsort((start, person))`` order, found
+    without a sort: ``(first, act_rows, last)``.
+
+    Person ``p``'s visits fill rows ``first[p]..last[p]``: the morning
+    visit (start 0), the activity visits (starts in [479, 1080)), the
+    evening visit (start >= 1080).  The activity starts are prefix sums
+    of positive weights, so they do not decrease with the ordinal and
+    the stable sort keeps them in ordinal order: row ``j + 2p + 1`` for
+    activity visit ``j`` (``act_person`` non-decreasing).  Should
+    rounding ever make a person's starts descend, that person's
+    activity visits take the rows a stable sort gives them.
+    """
+    last = np.cumsum(degrees) - 1
+    first = last - (degrees - 1)
+    act_rows = np.arange(act_person.shape[0], dtype=np.int64) + 2 * act_person + 1
+    descents = (act_start[1:] < act_start[:-1]) & (act_person[1:] == act_person[:-1])
+    if descents.any():
+        act_rows[np.lexsort((act_start, act_person))] = act_rows.copy()
+    return first, act_rows, last
+
+
+def _place(rows, morning, act, evening, dtype) -> np.ndarray:
+    """One visit column from its three pieces, each scattered to its
+    rows (:func:`_person_major`)."""
+    first, act_rows, last = rows
+    out = np.empty(last[-1] + 1, dtype=dtype)
+    out[first] = morning
+    out[act_rows] = act
+    out[last] = evening
+    return out
+
+
 def generate_population(
     cfg: PopulationConfig,
     rng_factory: RngFactory | int = 0,
@@ -255,8 +306,7 @@ def _generate_population(
     act_region = (np.arange(n_activity, dtype=np.int64) * n_regions) // n_activity
     person_region = building_region[person_building]
 
-    probs = attract / attract.sum()
-    dest = rng.choice(n_activity, size=n_act_visits, p=probs)
+    dest = _choice(rng, np.arange(n_activity), attract, n_act_visits)
     if n_regions > 1 and n_act_visits:
         # Local visits redraw inside the person's home region.
         is_local = rng.random(n_act_visits) < cfg.region_locality
@@ -269,8 +319,7 @@ def _generate_population(
             pool = np.flatnonzero(act_region == r)
             if pool.size == 0:
                 continue
-            pool_p = attract[pool] / attract[pool].sum()
-            dest[mask] = rng.choice(pool, size=cnt, p=pool_p)
+            dest[mask] = _choice(rng, pool, attract, cnt)
 
     # Redirect anchor visits of children to schools and workers to
     # workplaces (weighted within their type pool, preferring the home
@@ -289,14 +338,12 @@ def _generate_population(
                 pool = type_pool[act_region[type_pool] == r]
                 if pool.size == 0:
                     pool = type_pool
-                pool_p = attract[pool] / attract[pool].sum()
-                dest[sub] = rng.choice(pool, size=cnt, p=pool_p)
+                dest[sub] = _choice(rng, pool, attract, cnt)
         else:
             cnt = int(mask.sum())
             if cnt == 0:
                 continue
-            pool_p = attract[type_pool] / attract[type_pool].sum()
-            dest[mask] = rng.choice(type_pool, size=cnt, p=pool_p)
+            dest[mask] = _choice(rng, type_pool, attract, cnt)
     visit_location_act = (dest + n_buildings).astype(np.int64)
 
     # --- activity visit times -----------------------------------------------
@@ -309,7 +356,6 @@ def _generate_population(
     sums = np.bincount(visit_person_act, weights=w, minlength=n)
     # Exclusive prefix sum within each person's segment.
     cum = np.cumsum(w)
-    seg_offset = np.concatenate([[0.0], cum])[starts_of_person[k_act > 0]] if n_act_visits else None
     start_frac = np.empty(n_act_visits)
     end_frac = np.empty(n_act_visits)
     if n_act_visits:
@@ -347,18 +393,9 @@ def _generate_population(
     ).astype(np.int32)
 
     # --- assemble -------------------------------------------------------------
-    persons = np.arange(n, dtype=np.int64)
-    visit_person = np.concatenate([persons, persons, visit_person_act])
-    visit_location = np.concatenate(
-        [person_building, person_building, visit_location_act]
-    ).astype(np.int64)
-    visit_subloc = np.concatenate(
-        [person_slot.astype(np.int32), person_slot.astype(np.int32), subloc_act]
-    )
-    visit_start = np.concatenate([morning_start, evening_start, visit_start_act])
-    visit_end = np.concatenate([morning_end, evening_end, visit_end_act])
-
-    order = np.lexsort((visit_start, visit_person))
+    # Each piece goes straight to its row in the (person, start) order:
+    # no concatenation, no sort (see _person_major).
+    rows = _person_major(degrees, visit_person_act, visit_start_act)
     regions = None, None
     if cfg.n_regions > 1:
         regions = (
@@ -369,11 +406,11 @@ def _generate_population(
         name=name,
         n_persons=n,
         n_locations=n_locations,
-        visit_person=visit_person[order],
-        visit_location=visit_location[order],
-        visit_subloc=visit_subloc[order],
-        visit_start=visit_start[order].astype(np.int32),
-        visit_end=visit_end[order].astype(np.int32),
+        visit_person=np.repeat(np.arange(n, dtype=np.int64), degrees),
+        visit_location=_place(rows, person_building, visit_location_act, person_building, np.int64),
+        visit_subloc=_place(rows, person_slot, subloc_act, person_slot, np.int32),
+        visit_start=_place(rows, morning_start, visit_start_act, evening_start, np.int32),
+        visit_end=_place(rows, morning_end, visit_end_act, evening_end, np.int32),
         location_n_sublocs=loc_n_sublocs,
         location_type=loc_type,
         person_age=ages,

@@ -8,7 +8,8 @@ of populations block-by-block, writing straight into a
 :class:`~repro.synthpop.store.PopulationBacking` (RAM for small runs,
 ``np.memmap`` files for large ones), so peak RAM is
 
-    O(n_locations)  location-side tables (attractiveness CDFs, pools)
+    O(n_locations)  location-side tables (attractiveness CDFs and their
+                    guide tables, pools)
   + O(block)        one person block's working set
   + O(chunk)        the flush buffer
 
@@ -30,11 +31,17 @@ Determinism contract (pinned by ``tests/synthpop/test_stream.py``):
 Generation is two-phase: pass 1 replays only each block's skeleton
 draws (ages, degrees, households) to learn exact visit/building counts
 and lay out global offsets; pass 2 re-derives each block stream,
-replays the skeleton, draws the visit bodies, and writes each sorted
-block into its slot.  Locations are sized from pass-1 totals exactly
-like the dense generator; activity sublocation counts use *expected*
+replays the skeleton, draws the visit bodies, and writes each block
+into its slot.  Locations are sized from pass-1 totals exactly like the
+dense generator; activity sublocation counts use *expected*
 per-location visit loads (deterministic given the attractiveness CDF),
 which is what removes the dense path's global realised-count pass.
+
+No visit column is sorted and no draw binary-searches: a block's visits
+go straight to their rows of the ``(person, start)`` order
+(:func:`~repro.synthpop.generator._person_major`), and each destination
+draw is one uniform answered through a
+:class:`~repro.synthpop.guide.GuideTable` over the pool's CDF.
 """
 
 from __future__ import annotations
@@ -46,10 +53,13 @@ from repro.synthpop.generator import (
     PopulationConfig,
     _DAY_END_ACTIVITY,
     _DAY_START_ACTIVITY,
+    _person_major,
+    _place,
     _sample_ages,
     _sample_person_degrees,
 )
 from repro.synthpop.graph import LocationType, MINUTES_PER_DAY, PersonLocationGraph
+from repro.synthpop.guide import GuideTable, check_weights
 from repro.synthpop.powerlaw import pareto_attractiveness
 from repro.synthpop.store import PopulationBacking
 from repro.util.rng import RngFactory
@@ -112,20 +122,22 @@ def _block_skeleton(rng: np.random.Generator, cfg: PopulationConfig, nb: int):
 
 class _WeightedPool:
     """A location subset with its attractiveness CDF: one uniform per
-    draw via ``searchsorted`` (no per-draw O(n_locations) work)."""
+    draw, answered through a :class:`~repro.synthpop.guide.GuideTable`
+    (no per-draw O(n_locations) work, no binary search)."""
 
-    __slots__ = ("ids", "cdf")
+    __slots__ = ("ids", "table")
 
     def __init__(self, ids: np.ndarray, attract: np.ndarray):
         self.ids = ids
         w = attract[ids].astype(np.float64)
+        check_weights(w)
         cdf = np.cumsum(w)
         cdf /= cdf[-1]
         cdf[-1] = 1.0
-        self.cdf = cdf
+        self.table = GuideTable(cdf)
 
     def draw(self, u: np.ndarray) -> np.ndarray:
-        return self.ids[np.searchsorted(self.cdf, u, side="right")]
+        return self.ids[self.table.search(u)]
 
 
 def generate_population_streamed(
@@ -379,7 +391,7 @@ def _generate_block(
     act_region, act_n_sublocs,
     p_age, p_home, p_region,
 ) -> dict:
-    """One block's visits (sorted by person, start) + person-side fills.
+    """One block's visits (in person, start order) + person-side fills.
 
     Draw order after the skeleton is fixed and documented here; both
     the chunk-invariance property and RAM/memmap bit-exactness rest on
@@ -478,19 +490,12 @@ def _generate_block(
     u_sub = rng.random(n_act)
     subloc_act = (u_sub * act_n_sublocs[dest]).astype(np.int32)
 
-    # --- assemble, block-local sort ---------------------------------------
-    person = np.concatenate([persons_local, persons_local, visit_person_act])
-    location = np.concatenate(
-        [person_building, person_building, visit_location_act]
-    ).astype(np.int64)
-    subloc = np.concatenate([person_slot, person_slot, subloc_act])
-    start = np.concatenate([morning_start, evening_start, start_act])
-    end = np.concatenate([morning_end, evening_end, end_act])
-    order = np.lexsort((start, person))
+    # --- assemble: each piece straight to its row, no sort ------------------
+    rows = _person_major(degrees, visit_person_act, start_act)
     return {
-        "person": (person[order] + lo).astype(np.int64),
-        "location": location[order],
-        "subloc": subloc[order],
-        "start": start[order].astype(np.int32),
-        "end": end[order].astype(np.int32),
+        "person": np.repeat(np.arange(lo, hi, dtype=np.int64), degrees),
+        "location": _place(rows, person_building, visit_location_act, person_building, np.int64),
+        "subloc": _place(rows, person_slot, subloc_act, person_slot, np.int32),
+        "start": _place(rows, morning_start, start_act, evening_start, np.int32),
+        "end": _place(rows, morning_end, end_act, evening_end, np.int32),
     }

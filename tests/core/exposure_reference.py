@@ -32,7 +32,8 @@ day; the wrapper packs that list into today's ``records`` array.
 ``_block_filter`` is what ``repro.core.exposure._block_filter`` was
 before it became a walk over the block CSR from the infectious persons:
 one pass over *every* handed-in row, two ``n_blocks``-sized tables, no
-index — the same :class:`Candidates` in the same order, with the block
+index — the same :class:`Candidates` in the same order (plus the
+``subloc`` column, :class:`LinearCandidates`), with the block
 segmentation (``order`` / ``block``) built by :func:`_segmentation`,
 the lexsort the kernels ran before the walk handed it on.  The first
 oracle's flat kernel takes its pair segmentation from there too.
@@ -342,10 +343,19 @@ def compute_infections_linear(
     return result
 
 
+@dataclass(frozen=True)
+class LinearCandidates(Candidates):
+    """Production's :class:`Candidates` plus the ``subloc`` column it
+    gathered until no production kernel read it: the grouped kernel's
+    pair enumerator and the block checks in ``test_block_walk.py`` do."""
+
+    subloc: np.ndarray
+
+
 def _block_filter(
     visit_rows: np.ndarray, graph, health_state: np.ndarray, disease: DiseaseModel,
     events: Counter | None,
-) -> Candidates | None:
+) -> LinearCandidates | None:
     observe.counter("exposure.visits", visit_rows.size)
     if visit_rows.size == 0:
         return None
@@ -381,7 +391,7 @@ def _block_filter(
         # backing the other pages never enter RAM.
         rows = visit_rows[keep]
         order, block = _segmentation(vl[keep], vs[keep])
-        return Candidates(
+        return LinearCandidates(
             person=vp[keep], location=vl[keep], subloc=vs[keep],
             start=graph.visit_start[rows], end=graph.visit_end[rows],
             state=states[keep], sus=sus[keep], inf=inf[keep], order=order, block=block,
@@ -402,7 +412,7 @@ def _segmentation(location, subloc):
 
 
 def _grouped_candidates_kernel(
-    result: LocationPhaseResult, candidates: Candidates, graph, disease: DiseaseModel,
+    result: LocationPhaseResult, candidates: LinearCandidates, graph, disease: DiseaseModel,
     transmission: TransmissionModel, day: int, rng_factory: RngFactory, collect_stats: bool,
 ) -> None:
     """Reference kernel: per-location loop, per-person keyed Generators."""

@@ -9,7 +9,10 @@ same (ascending) order means the kernels cannot tell the two apart, so
 the first thing pinned is every :class:`Candidates` column — the
 reference builds the block segmentation (``order`` / ``block``) by the
 ``(location, sublocation)`` lexsort the kernels ran before the walk
-handed it on, so the walk's block-major order is pinned to it; then what a
+handed it on, so the walk's block-major order is pinned to it (the
+sublocation column comes from the reference's ``LinearCandidates``:
+no production kernel reads it, so production no longer gathers it);
+then what a
 caller sees (infections in order, ``events`` / ``interactions``, every
 keyed draw, the hazard-sum bytes) on all three kernels (production
 ``flat`` against the reference's ``grouped``), for every form
@@ -119,8 +122,8 @@ def _assert_same_candidates(graph, disease, health, owned, removed):
         for name in COLUMNS:  # the reference builds `order` / `block` by lexsort
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
-        assert got.order.tolist() == np.lexsort((got.subloc, got.location)).tolist()
-    return got
+        assert got.order.tolist() == np.lexsort((expected.subloc, got.location)).tolist()
+    return got, expected
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +200,7 @@ def test_hazards_add_in_row_order_across_rooms(kernel):
     row_order = struct.pack("d", 0.0 + h55 + h41 + h17)
     assert row_order != struct.pack("d", 0.0 + h41 + h17 + h55)  # the case discriminates
     for masks in ((None, None), (np.ones(1, dtype=bool), np.zeros(5, dtype=bool))):
-        candidates = _assert_same_candidates(graph, disease, health, *masks)
+        _, candidates = _assert_same_candidates(graph, disease, health, *masks)
         assert candidates.subloc.tolist() == [3, 0, 3, 0, 0]  # ascending rows, not by room
         got = _observable(production, production_kernel(kernel), graph, disease, health, *masks)
         assert got["hazard_sums"] == row_order
@@ -209,8 +212,8 @@ def test_block_major_order_is_not_bit_exact():
     the walk meets them in — and the one hazard sum changes its last
     bit: the walk's sort back to ascending rows is not optional."""
     graph, disease, health, h55, h41, h17 = _revisit()
-    _, c = production._block_filter(graph, health, disease, None, None, None)
-    by_room = np.lexsort((np.arange(c.person.size), c.subloc, c.location))
+    c, linear = _assert_same_candidates(graph, disease, health, None, None)
+    by_room = np.lexsort((np.arange(c.person.size), linear.subloc, c.location))
     sums = []
 
     class Spy(TransmissionModel):

@@ -22,7 +22,9 @@ A fourth piece is the location phase before the LMs shared one pass:
 * ``PerOwnerLocationManager.location_phase`` — each LocationManager ran
   the exposure kernel over its own location mask (install it with
   ``share_location_phase`` a no-op; ``owned`` is the mask its
-  constructor used to take).
+  constructor used to take), and evaluated the load model over its own
+  locations (:func:`location_charge`, the ``ComputeCostModel`` method
+  it called, before one evaluation over every location replaced it).
 
 Two things are newer than the loops: the PMs write the LMs'
 removed-visit mask, and the LMs hand the location phase their location
@@ -42,6 +44,17 @@ import numpy as np
 from repro.charm.messages import INFECT_BYTES, VISIT_BYTES
 from repro.core import day as day_steps
 from repro.core.parallel import _LocationManager, _PersonManager
+
+
+def location_charge(costs, events: np.ndarray, interactions: np.ndarray) -> float:
+    """Virtual seconds of one LocationManager phase: the static model
+    over each location's ``events`` plus the dynamic model over its
+    ``interactions``, summed in array order."""
+    if events.size == 0:
+        return 0.0
+    static = costs.location_static.evaluate(events)
+    per = static + costs.location_dynamic.evaluate(events, interactions)
+    return float(np.cumsum(per)[-1])
 
 
 def loop_prepare_day(self, day: int) -> None:
@@ -146,7 +159,7 @@ class PerOwnerLocationManager(_LocationManager):
         inter = np.fromiter(map(phase.interactions.get, phase.events, repeat(0)), np.int64, n)
         # Feed the predictive load balancer's application-specific view.
         sim.last_interactions[locs] = inter
-        self.charge(sim.costs.location_charge(events, inter))
+        self.charge(location_charge(sim.costs, events, inter))
         det = sim.infect_detector
         pm_of = sim.distribution.person_chare
         pm_name = sim.name("pm")

@@ -1,10 +1,12 @@
 """The LocationManager charge: one array evaluation == the scalar loop.
 
-``ComputeCostModel.location_charge`` evaluates the static and dynamic
-load models once over a phase's per-location arrays and sums with
-``np.cumsum(...)[-1]``.  The simulated runtime's virtual time is that
-number, so it must equal — bit for bit, not approximately — the loop it
-replaced (kept in ``tests/core/visit_loop_reference.py``)::
+``ComputeCostModel.location_costs`` evaluates the static and dynamic
+load models once over the day's per-location arrays — every location,
+all LocationManagers at once — and ``phase_charge`` sums one LM's slice
+with ``np.cumsum(...)[-1]``.  The simulated runtime's virtual time is
+that number, so it must equal — bit for bit, not approximately — the
+loop it replaced (kept in ``tests/core/visit_loop_reference.py``, with
+the per-LM evaluation that came between)::
 
     compute = 0.0
     for e, i in zip(events, interactions):
@@ -18,6 +20,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.parallel import ComputeCostModel
+from tests.core.visit_loop_reference import location_charge
 from repro.loadmodel.dynamic import DynamicLoadModel
 from repro.loadmodel.static import PiecewiseLoadModel
 
@@ -35,9 +38,9 @@ def _loop(costs: ComputeCostModel, events, interactions) -> float:
 
 
 def _charge(costs: ComputeCostModel, events, interactions) -> float:
-    return costs.location_charge(
+    return costs.phase_charge(costs.location_costs(
         np.asarray(events, dtype=np.float64), np.asarray(interactions, dtype=np.int64)
-    )
+    ))
 
 
 @st.composite
@@ -100,6 +103,25 @@ def test_charge_equals_the_left_to_right_loop(case):
     assert _charge(costs, events, interactions) == _loop(costs, events, interactions)
 
 
+@given(_models_and_counts(), st.integers(1, 6), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_one_evaluation_sliced_per_lm_equals_each_lms_own(case, n_lm, random):
+    """The day's one evaluation over every location, sliced per LM in
+    location order, charges each LM what evaluating its own locations
+    did (``visit_loop_reference.location_charge``) and what the loop
+    did; an LM with no location charges 0.0."""
+    costs, events, interactions = case
+    ev = np.asarray(events, dtype=np.float64)
+    it = np.asarray(interactions, dtype=np.int64)
+    owner = np.array([random.randrange(n_lm) for _ in events], dtype=np.int64)
+    day = costs.location_costs(ev, it)
+    for lm in range(n_lm):
+        mine = np.flatnonzero(owner == lm)
+        charge = costs.phase_charge(day[mine])
+        assert charge == location_charge(costs, ev[mine], it[mine])
+        assert charge == _loop(costs, [events[j] for j in mine], [interactions[j] for j in mine])
+
+
 def test_paper_model_through_the_crossover():
     """Every event count 0–20K under the paper's constants, which
     crosses ϕ = 1380 and the whole blend."""
@@ -120,11 +142,13 @@ def test_strided_input():
     inter = rng.integers(0, 5_000, size=(4_000, 3))
     ev, it = base[::3, 1], inter[::3, 2]
     assert not ev.flags.contiguous
-    assert costs.location_charge(ev, it) == _loop(costs, ev.astype(np.int64).tolist(), it.tolist())
+    charge = costs.phase_charge(costs.location_costs(ev, it))
+    assert charge == _loop(costs, ev.astype(np.int64).tolist(), it.tolist())
 
 
 def test_empty_phase_charges_exactly_zero():
-    charge = ComputeCostModel().location_charge(np.empty(0), np.empty(0, dtype=np.int64))
+    costs = ComputeCostModel()
+    charge = costs.phase_charge(costs.location_costs(np.empty(0), np.empty(0, dtype=np.int64)))
     assert type(charge) is float
     assert charge == 0.0 and math.copysign(1.0, charge) == 1.0
 
