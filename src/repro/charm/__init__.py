@@ -35,7 +35,6 @@ from repro.charm.completion import CompletionDetector, QuiescenceDetector, SyncP
 from repro.charm.aggregation import MessageAggregator
 from repro.charm.tram import TramChannel
 from repro.charm.loadbalance import greedy_lb, refine_lb, MigrationCostModel
-from repro.charm.trace import Tracer, attach_tracer
 
 __all__ = [
     "MachineConfig",
@@ -60,6 +59,4 @@ __all__ = [
     "greedy_lb",
     "refine_lb",
     "MigrationCostModel",
-    "Tracer",
-    "attach_tracer",
 ]

@@ -465,8 +465,10 @@ class RuntimeSimulator:
         chare.array_name = msg.array
         chare.index = msg.index
         chare.pe = pe
-        # Wall-clock span (virtual time is the Tracer's job) while observed.
-        if observe.active() is None:
+        # While observed: a wall-clock span around the entry method, and
+        # its modelled interval as a virtual span once departures are paid.
+        obs = observe.active()
+        if obs is None:
             getattr(chare, msg.method)(msg.payload)
         else:
             with observe.span("charm.entry", array=msg.array, method=msg.method, pe=pe):
@@ -491,6 +493,8 @@ class RuntimeSimulator:
             self.pe_costs[pe].add("comm", src_cost)
             end += src_cost
         self.pe_clock[pe] = end
+        if obs is not None:
+            obs.add_virtual_span(pe, float(start), float(end), f"{msg.array}.{msg.method}")
         self._events_processed += 1
         if self._sync_listeners:
             self.notify_sync("executed", pe=pe, method=msg.method, array=msg.array, time=end)

@@ -393,8 +393,9 @@ def _run_spec_from_args(args):
 
 
 def _cmd_run(args) -> int:
-    import time
     from pathlib import Path
+
+    from repro.spec import execute
 
     try:
         spec = _run_spec_from_args(args)
@@ -413,42 +414,14 @@ def _cmd_run(args) -> int:
         Path(args.save_spec).write_text(text + "\n")
         print(f"wrote spec   : {args.save_spec} (hash {spec.content_hash()})")
 
-    graph = spec.population.build()
-    backend = spec.runtime.backend
-    t0 = time.perf_counter()
-    if backend == "seq":
-        from repro.core import SequentialSimulator
-
-        result = SequentialSimulator.from_spec(spec, graph=graph).run()
-        timing = f"wall time    : {time.perf_counter() - t0:.3f}s (1 process)"
-    elif backend == "smp":
-        from repro.smp import SmpSimulator
-
-        out = SmpSimulator.from_spec(spec, graph=graph).run()
-        result = out.result
-        per_day = (
-            sum(p.total for p in out.phase_times) / max(1, len(out.phase_times))
-        )
-        timing = (
-            f"wall time    : {out.wall_seconds:.3f}s on {out.n_workers} worker "
-            f"process(es) ({per_day * 1e3:.1f}ms/day)"
-        )
-    else:
-        from repro.core.parallel import ParallelEpiSimdemics
-
-        graph, part = spec.resolved_partition().build(graph)
-        out = ParallelEpiSimdemics.from_spec(spec, graph=graph, partition=part).run()
-        result = out.result
-        timing = (
-            f"virtual time : {out.total_virtual_time:.3f}s modelled on "
-            f"{spec.runtime.workers} PE(s) (wall {time.perf_counter() - t0:.3f}s)"
-        )
-
-    curve = result.curve
-    print(f"backend      : {backend}")
-    print(timing)
-    print(f"attack rate  : {curve.attack_rate(graph.n_persons):.1%}")
-    print(f"peak day     : {curve.peak_day}")
+    result = execute(spec, graph=spec.population.build())
+    unit = "process(es)" if result.virtual_seconds is None else "PE(s)"
+    print(f"backend      : {result.backend}")
+    print(f"wall time    : {result.wall_seconds:.3f}s on {result.n_workers} {unit}")
+    if result.virtual_seconds is not None:
+        print(f"virtual time : {result.virtual_seconds:.3f}s modelled")
+    print(f"attack rate  : {result.attack_rate:.1%}")
+    print(f"peak day     : {result.peak_day}")
     print(f"total cases  : {result.total_infections}")
     return 0
 

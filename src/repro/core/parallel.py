@@ -647,28 +647,23 @@ class ParallelEpiSimdemics:
         """Run all days; return epidemic output plus virtual timing.
 
         While an :mod:`repro.observe` observer is installed, the runtime
-        is additionally traced per PE (via
-        :func:`repro.charm.trace.attach_tracer`) and the entry-method
-        executions are ingested as virtual spans — the Projections-style
-        per-PE timeline view.  Tracing draws no random numbers, so the
-        epidemic is bit-identical with or without it.
+        records every entry-method execution as a per-PE virtual span —
+        the Projections-style per-PE timeline view — and the observer
+        gets one timeline row per PE of the machine, idle ones included.
+        Recording draws no random numbers, so the epidemic is
+        bit-identical with or without it.
         """
-        obs = observe.active()
-        tracer = None
-        if obs is not None:
-            from repro.charm.trace import attach_tracer
-
-            tracer = attach_tracer(self.runtime)
+        n_pes = self.runtime.machine.n_pes
+        if (obs := observe.active()) is not None:
+            obs.n_pes = max(obs.n_pes, n_pes)
         with observe.span(
             "parallel.run",
             days=self.scenario.n_days,
-            pes=self.runtime.machine.n_pes,
+            pes=n_pes,
             method=self.distribution.method,
         ):
             self.start()
             self.runtime.run(max_events=200_000_000)
-        if tracer is not None:
-            obs.ingest_tracer(tracer)
         return self.collect()
 
 

@@ -6,8 +6,8 @@ timelines* in Charm++ Projections (Figures 9–11).  This package is the
 reproduction's equivalent: a structured tracing/metrics layer threaded
 through synthesis (:mod:`repro.synthpop.generator`), partitioning
 (:mod:`repro.partition`), both simulators (:mod:`repro.core`) and the
-runtime scheduler (:mod:`repro.charm.scheduler`, via
-:class:`repro.charm.trace.Tracer`).
+runtime scheduler (:mod:`repro.charm.scheduler`, which records each
+entry-method execution as a per-PE virtual span).
 
 Usage::
 
@@ -29,7 +29,6 @@ bit-identical epidemics (``tests/observe/test_rng_unperturbed.py``).
 """
 
 from repro.observe.export import (
-    ascii_timeline,
     chrome_trace_events,
     method_profile,
     method_profile_table,
@@ -72,7 +71,6 @@ __all__ = [
     # exporters
     "chrome_trace_events",
     "write_chrome_trace",
-    "ascii_timeline",
     "pe_timeline",
     "utilization",
     "utilization_table",

@@ -27,7 +27,6 @@ from repro.observe.recorder import Observer
 __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
-    "ascii_timeline",
     "pe_timeline",
     "utilization",
     "utilization_table",
@@ -117,54 +116,12 @@ def write_chrome_trace(obs: Observer, path) -> None:
 # ----------------------------------------------------------------------
 # text timeline (the Figure-9/10 view)
 # ----------------------------------------------------------------------
-def ascii_timeline(
-    intervals,
-    n_rows: int,
-    width: int = 72,
-    rows: list[int] | None = None,
-    row_label: str = "pe",
-) -> str:
-    """Render busy intervals as an ASCII utilisation timeline.
-
-    ``intervals`` is an iterable of ``(row, start, end)``.  Each output
-    column is a time bucket; the glyph encodes the busy fraction
-    (`` `` <25%, ``-`` <50%, ``+`` <75%, ``#`` ≥75%).  Shared by
-    :meth:`repro.charm.trace.Tracer.timeline` and :func:`pe_timeline`.
-
-    >>> print(ascii_timeline([(0, 0.0, 1.0), (1, 0.5, 1.0)], 2, width=8))
-    pe   0 |########|
-    pe   1 |    ####|
-    """
-    intervals = list(intervals)
-    if not intervals:
-        return "(empty trace)"
-    t0 = min(i[1] for i in intervals)
-    t1 = max(i[2] for i in intervals)
-    if t1 <= t0:
-        return "(zero-length trace)"
-    rows = rows if rows is not None else list(range(n_rows))
-    bucket = (t1 - t0) / width
-    busy = np.zeros((n_rows, width))
-    for row, start, end in intervals:
-        b0 = int((start - t0) / bucket)
-        b1 = min(int((end - t0) / bucket), width - 1)
-        for b in range(b0, b1 + 1):
-            lo = t0 + b * bucket
-            hi = lo + bucket
-            busy[row, b] += max(0.0, min(end, hi) - max(start, lo))
-    lines = []
-    for row in rows:
-        frac = busy[row] / bucket
-        glyphs = "".join(
-            "#" if f >= 0.75 else "+" if f >= 0.5 else "-" if f >= 0.25 else " "
-            for f in frac
-        )
-        lines.append(f"{row_label}{row:>4} |{glyphs}|")
-    return "\n".join(lines)
-
-
 def pe_timeline(obs: Observer, width: int = 72, pes: list[int] | None = None) -> str:
     """Per-PE busy timeline over the observer's virtual spans.
+
+    Each column is a time bucket; the glyph encodes the busy fraction
+    (`` `` <25%, ``-`` <50%, ``+`` <75%, ``#`` ≥75%).  ``pes`` selects
+    the rows to print (default: every PE).
 
     >>> from repro.observe import Observer
     >>> obs = Observer(epoch=0.0)
@@ -174,10 +131,31 @@ def pe_timeline(obs: Observer, width: int = 72, pes: list[int] | None = None) ->
     pe   0 |########|
     pe   1 |    ####|
     """
-    return ascii_timeline(
-        [(v.pe, v.start, v.end) for v in obs.virtual_spans],
-        obs.n_pes, width=width, rows=pes,
-    )
+    spans = obs.virtual_spans
+    if not spans:
+        return "(empty trace)"
+    t0 = min(v.start for v in spans)
+    t1 = max(v.end for v in spans)
+    if t1 <= t0:
+        return "(zero-length trace)"
+    bucket = (t1 - t0) / width
+    busy = np.zeros((obs.n_pes, width))
+    for v in spans:
+        b0 = int((v.start - t0) / bucket)
+        b1 = min(int((v.end - t0) / bucket), width - 1)
+        for b in range(b0, b1 + 1):
+            lo = t0 + b * bucket
+            hi = lo + bucket
+            busy[v.pe, b] += max(0.0, min(v.end, hi) - max(v.start, lo))
+    lines = []
+    for pe in pes if pes is not None else range(obs.n_pes):
+        frac = busy[pe] / bucket
+        glyphs = "".join(
+            "#" if f >= 0.75 else "+" if f >= 0.5 else "-" if f >= 0.25 else " "
+            for f in frac
+        )
+        lines.append(f"pe{pe:>4} |{glyphs}|")
+    return "\n".join(lines)
 
 
 def utilization(obs: Observer) -> np.ndarray:

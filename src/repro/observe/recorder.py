@@ -8,9 +8,9 @@ timelines, Figures 9–11).  Two event families are recorded:
   regions measuring how long our Python code actually takes
   (synthesis, partitioning, the simulators);
 * **virtual spans** — per-PE entry-method executions in *modelled*
-  time, ingested from the runtime's
-  :class:`~repro.charm.trace.Tracer` — the view equivalent to a
-  Projections per-PE timeline.
+  time, recorded by the simulated runtime
+  (:class:`~repro.charm.scheduler.RuntimeSimulator`) while an observer
+  is installed — the view equivalent to a Projections per-PE timeline.
 
 Everything funnels into one :class:`Observer`.  When no observer is
 installed (the default), every instrumentation site costs a single
@@ -209,7 +209,7 @@ class Observer:
                 parent=parent, attrs=attrs,
             )
 
-    # -- manual recording (deterministic tests, ingest) ----------------
+    # -- manual recording (deterministic tests, runtimes) --------------
     def record_span(
         self,
         name: str,
@@ -245,21 +245,6 @@ class Observer:
     def counter(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to counter ``name`` at the current wall time."""
         self.record_counter(name, value, time.perf_counter() - self.epoch, self._tid())
-
-    # -- runtime bridge ------------------------------------------------
-    def ingest_tracer(self, tracer) -> int:
-        """Absorb a :class:`repro.charm.trace.Tracer`'s events.
-
-        Every traced entry-method execution becomes a
-        :class:`VirtualSpan` named ``"<array>.<method>"``; returns the
-        number of events ingested.
-        """
-        for e in tracer.events:
-            self.add_virtual_span(e.pe, e.start, e.end, f"{e.array}.{e.method}")
-        with self._lock:
-            if tracer._n_pes > self.n_pes:
-                self.n_pes = tracer._n_pes
-        return len(tracer.events)
 
     # -- views ---------------------------------------------------------
     def closed_spans(self) -> list[Span]:

@@ -13,10 +13,9 @@ pair into a model-component layer over the existing PTTS machinery:
   hooked into the day loop's three phases with keyed RNG so every
   backend reproduces the same epidemic bit for bit;
 * :mod:`~repro.scenarios.registry` — named scenario definitions
-  (``repro scenarios list``), overridable parameters included;
-* :mod:`~repro.scenarios.spec` — the hashable
-  :class:`~repro.scenarios.spec.ScenarioSpec` that
-  :class:`repro.spec.RunSpec` embeds and the lab sweeps over.
+  (``repro scenarios list``), overridable parameters included, which
+  :class:`repro.spec.RunSpec`'s ``scenario`` / ``scenario_params``
+  fields name and the lab sweeps over.
 
 >>> from repro.scenarios import names, build_components
 >>> disease, components = build_components("waning-vaccination")
@@ -41,7 +40,6 @@ from repro.scenarios.registry import (
     names,
     register,
 )
-from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "ModelComponent",
@@ -54,7 +52,6 @@ __all__ = [
     "hospital_model",
     "two_variant_model",
     "ScenarioDefinition",
-    "ScenarioSpec",
     "register",
     "get",
     "names",

@@ -47,7 +47,7 @@ class ScenarioDefinition:
     ``builder(**params)`` returns ``(disease_model, components)``;
     ``defaults`` names every accepted parameter with its default value
     (overrides of unknown parameters are rejected, which is what makes
-    a :class:`~repro.scenarios.spec.ScenarioSpec` validatable without
+    a :class:`repro.spec.RunSpec`'s scenario choice validatable without
     building anything).
 
     >>> get("turnover").params()["rate"]

@@ -409,9 +409,9 @@ class RunSpec:
                     "a scenario supplies its own disease model; leave "
                     "disease/disease_params at their defaults"
                 )
-            from repro.scenarios import ScenarioSpec
+            from repro.scenarios import registry
 
-            ScenarioSpec(self.scenario, self.scenario_params)
+            registry.get(self.scenario).params(**self.scenario_params)
 
     # -- serialisation --------------------------------------------------
     def canonical(self) -> dict:
@@ -572,6 +572,9 @@ class RunResult:
     #: population/partition artifact builds this run triggered (0 on a
     #: warm cache) — the lab aggregates these into its hit-rate stats
     builds: int = 0
+    #: modelled makespan of a charm run (None on seq / smp); a timing,
+    #: so it stays out of :meth:`record` like ``wall_seconds``
+    virtual_seconds: float | None = None
 
     @property
     def attack_rate(self) -> float:
@@ -671,6 +674,7 @@ def execute(spec: RunSpec, graph=None, cache=None) -> RunResult:
             spec, out.result, graph.n_persons,
             time.perf_counter() - t0,
             n_workers=rt.workers, builds=builds,
+            virtual_seconds=out.total_virtual_time,
         )
 
 

@@ -358,7 +358,6 @@ def _generate(cfg, factory, backing_kind, chunk_persons, block_persons, dir, nam
                 if buffered_persons >= chunk_persons:
                     flush()
             flush()
-        store.flush()
 
         graph = PersonLocationGraph(
             name=name,

@@ -1,8 +1,8 @@
 """Every documented example in the audited public APIs must run.
 
 The docstring-audit contract: each ``__all__`` export of
-``repro.observe``, ``repro.validate``, ``repro.charm.trace``,
-``repro.synthpop`` and ``repro.scenarios`` carries a runnable example.
+``repro.observe``, ``repro.validate``, ``repro.synthpop`` and
+``repro.scenarios`` carries a runnable example.
 CI also runs ``pytest --doctest-modules`` over these trees directly;
 this tier-1 test keeps the guarantee under a plain ``pytest tests/``
 run too.
@@ -12,14 +12,12 @@ import doctest
 
 import pytest
 
-import repro.charm.trace
 import repro.observe.export
 import repro.observe.profile
 import repro.observe.recorder
 import repro.scenarios.components
 import repro.scenarios.models
 import repro.scenarios.registry
-import repro.scenarios.spec
 import repro.synthpop.generator
 import repro.synthpop.graph
 import repro.synthpop.powerlaw
@@ -33,13 +31,11 @@ MODULES = [
     repro.observe.recorder,
     repro.observe.export,
     repro.observe.profile,
-    repro.charm.trace,
     repro.validate.invariants,
     repro.validate.oracle,
     repro.scenarios.components,
     repro.scenarios.models,
     repro.scenarios.registry,
-    repro.scenarios.spec,
     repro.synthpop.generator,
     repro.synthpop.graph,
     repro.synthpop.powerlaw,
@@ -65,7 +61,6 @@ def _documented_exports(mod):
     __import__("repro.validate", fromlist=["x"]),
     __import__("repro.synthpop", fromlist=["x"]),
     __import__("repro.scenarios", fromlist=["x"]),
-    repro.charm.trace,
 ], ids=lambda m: m.__name__)
 def test_every_export_has_docstring_with_example(mod):
     missing, no_example = [], []

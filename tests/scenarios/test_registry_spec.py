@@ -1,4 +1,4 @@
-"""Registry, ScenarioSpec and RunSpec/CLI integration.
+"""Registry, the RunSpec scenario fields and CLI integration.
 
 A scenario choice must behave like every other spec in the repo: named
 and validated at construction, JSON/TOML round-trippable, stably
@@ -15,7 +15,6 @@ import pytest
 from repro.cli import main
 from repro.scenarios import (
     ScenarioDefinition,
-    ScenarioSpec,
     build_components,
     get,
     names,
@@ -60,31 +59,47 @@ class TestRegistry:
 
 
 class TestScenarioSpec:
+    """A scenario choice is the ``scenario`` / ``scenario_params`` pair
+    of a :class:`RunSpec`: validated at construction, round-tripped and
+    hashed with the rest of the spec."""
+
+    @staticmethod
+    def spec(name, params=None):
+        return RunSpec(
+            population=PopulationSpec(n_persons=60, name="spec-build"),
+            n_days=2, scenario=name, scenario_params=params or {},
+        )
+
     def test_json_and_toml_roundtrip(self):
-        spec = ScenarioSpec("hospital-capacity", {"beds": 3})
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
-        assert ScenarioSpec.from_toml(spec.to_toml()) == spec
+        spec = self.spec("hospital-capacity", {"beds": 3})
+        assert RunSpec.from_json(spec.to_json()) == spec
+        assert RunSpec.from_toml(spec.to_toml()) == spec
 
     def test_hash_is_stable_and_param_sensitive(self):
-        a = ScenarioSpec("turnover")
-        b = ScenarioSpec("turnover", {})
-        c = ScenarioSpec("turnover", {"rate": 0.2})
+        a = self.spec("turnover")
+        b = self.spec("turnover", {})
+        c = self.spec("turnover", {"rate": 0.2})
         assert a.content_hash() == b.content_hash()
         assert a.content_hash() != c.content_hash()
         # Key order never matters: canonical JSON sorts.
-        d = ScenarioSpec("waning-vaccination", {"coverage": 0.5, "day": 1})
-        e = ScenarioSpec("waning-vaccination", {"day": 1, "coverage": 0.5})
+        d = self.spec("waning-vaccination", {"coverage": 0.5, "day": 1})
+        e = self.spec("waning-vaccination", {"day": 1, "coverage": 0.5})
+        assert list(d.scenario_params) != list(e.scenario_params)
         assert d.content_hash() == e.content_hash()
 
     def test_invalid_specs_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            ScenarioSpec("no-such")
-        with pytest.raises(ValueError, match="no parameter"):
-            ScenarioSpec("turnover", {"beds": 1})
+        with pytest.raises(ValueError, match="unknown scenario 'no-such'"):
+            self.spec("no-such")
+        with pytest.raises(
+            ValueError,
+            match=r"scenario 'turnover' has no parameter\(s\) \['beds'\] "
+                  r"\(accepted: \['rate'\]\)",
+        ):
+            self.spec("turnover", {"beds": 1})
 
     def test_build_materialises_a_scenario(self):
-        g = PopulationSpec(n_persons=60, name="spec-build").build()
-        sc = ScenarioSpec("turnover", {"rate": 0.3}).build(g, n_days=2)
+        spec = self.spec("turnover", {"rate": 0.3})
+        sc = spec.build_scenario()
         assert sc.n_days == 2
         assert sc.interventions.interventions[0].rate == 0.3
 

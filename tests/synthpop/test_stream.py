@@ -167,6 +167,18 @@ class TestRoundTrip:
         assert loaded.content_hash() == graph.content_hash()
         assert isinstance(loaded.visit_person, np.memmap)
 
+    def test_memmap_build_persists_and_reloads(self, tmp_path, graph):
+        """Generation leaves the memmap pages to the kernel; the flush
+        before publishing is ``persist``'s, so the saved directory
+        reloads to the same content."""
+        mm = generate_population_streamed(
+            CFG, 11, block_persons=128, backing="memmap"
+        )
+        d = save_population(mm, tmp_path / "pop.d")
+        assert mm.backing.dir == d
+        loaded = load_population(d)
+        assert loaded.content_hash() == mm.content_hash() == graph.content_hash()
+
     def test_streamed_matches_spec_build(self, graph):
         via_spec = PopulationSpec(
             kind="streamed", n_persons=600, seed=11,

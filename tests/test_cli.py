@@ -112,6 +112,31 @@ class TestRunSpecFlow:
         # Same spec => same epidemic (timing lines differ).
         assert first.split("total cases")[1] == second.split("total cases")[1]
 
+    def test_run_charm_prints_the_modelled_virtual_time(self, tmp_path, capsys):
+        from repro.core.parallel import ParallelEpiSimdemics
+        from repro.spec import RunSpec
+
+        spec_path = tmp_path / "charm.json"
+        assert main([
+            "run", "--persons", "300", "--backend", "charm", "--workers", "4",
+            "--days", "4", "--save-spec", str(spec_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"wall time    : [0-9.]+s on 4 PE\(s\)", out)
+        printed = re.search(r"virtual time : ([0-9.]+)s modelled", out).group(1)
+        spec = RunSpec.from_json(spec_path.read_text())
+        vt = ParallelEpiSimdemics.from_spec(spec).run().total_virtual_time
+        assert printed == f"{vt:.3f}"
+
+    @pytest.mark.parametrize("backend, workers", [("seq", 1), ("smp", 2)])
+    def test_run_prints_wall_time_and_workers(self, capsys, backend, workers):
+        assert main([
+            "run", "--persons", "200", "--backend", backend, "--days", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert re.search(rf"wall time    : [0-9.]+s on {workers} process\(es\)", out)
+        assert "virtual time" not in out
+
     def test_run_rejects_ambiguous_population(self, pop_file, capsys):
         assert main(["run", pop_file, "--persons", "100"]) == 2
         assert "exactly one" in capsys.readouterr().err
