@@ -162,6 +162,8 @@ class RuntimeSimulator:
         self._tick = itertools.count()
         self._exec_pe: int | None = None
         self._exec_charge: float = 0.0
+        #: the running entry's eager send costs: in its charge, booked as comm
+        self._exec_eager: float = 0.0
         self._outbox: list[tuple[str, int, str, Any, int]] = []
         self._local_elem_cache: dict[tuple[str, int], list[int]] = {}
         self._detectors: dict[str, "SyncProtocol"] = {}
@@ -328,6 +330,7 @@ class RuntimeSimulator:
         t_dep = self.current_time + self._exec_charge
         src_cost = self._route(src_pe, msg, t_dep)
         self._charge(src_cost)
+        self._exec_eager += src_cost
         self.pe_costs[src_pe].add("comm", src_cost)
 
     def _send_aggregated(
@@ -458,8 +461,8 @@ class RuntimeSimulator:
         start = max(t, self.pe_clock[pe])
         self.pe_costs[pe].add("idle", max(0.0, start - self.pe_clock[pe]))
         self.current_time = start
-        prev = (self._exec_pe, self._exec_charge, self._outbox)
-        self._exec_pe, self._exec_charge, self._outbox = pe, dst_cpu, []
+        prev = (self._exec_pe, self._exec_charge, self._outbox, self._exec_eager)
+        self._exec_pe, self._exec_charge, self._outbox, self._exec_eager = pe, dst_cpu, [], 0.0
         chare = array.element(msg.index)
         chare.runtime = self
         chare.array_name = msg.array
@@ -480,12 +483,12 @@ class RuntimeSimulator:
         if not self.machine.config.smp and self.machine.n_pes > 1:
             charge *= self.network.non_smp_compute_interference
         end = start + charge
-        self.pe_costs[pe].add("compute", charge)
+        self.pe_costs[pe].add("compute", charge - self._exec_eager)
         if msg.array in self._tracked_arrays:
             key = (msg.array, msg.index)
             self.chare_costs[key] = self.chare_costs.get(key, 0.0) + charge
         outbox = self._outbox
-        self._exec_pe, self._exec_charge, self._outbox = prev
+        self._exec_pe, self._exec_charge, self._outbox, self._exec_eager = prev
         # Departures are serialised after the execution.
         for (a, i, m, payload, nbytes) in outbox:
             out = Message(a, i, m, payload, nbytes, src_pe=pe)

@@ -1,7 +1,8 @@
 """C hot paths, built on demand into one library loaded via ``ctypes``.
 
-Four loops live here, each the C form of a numpy (or hashlib)
-definition that stays in the repo and that it matches bit for bit:
+Seven loops live here, each the C form of a numpy, hashlib or
+list-backed Python definition that stays in the repo and that it
+matches bit for bit:
 
 * **the block walk** (:func:`block_walk`) — from ``health_state``
   through the block index to the day's candidate rows, block-major,
@@ -21,7 +22,14 @@ definition that stays in the repo and that it matches bit for bit:
   whose counting pass also counts visits per person for
   ``person_visit_slices()``: one sequential read of the three id
   columns, typed once per call, checks every id (and that
-  ``visit_person`` never descends) and counts both indexes.
+  ``visit_person`` never descends) and counts both indexes;
+* **the partitioner's sequential loops** — heavy-edge matching
+  (:func:`heavy_edge_matching`, over the ``rng.permutation`` order
+  drawn in Python), contraction (:func:`contract`: a count pass, then
+  a fill of exactly the coarse graph's size, rows in
+  ``CSRGraph.from_edge_list``'s order) and every FM pass of one
+  ``fm_refine`` call (:func:`fm_refine`), equal to the list-backed
+  loops of ``repro.partition.coarsen`` / ``refine``.
 
 The location phase
 ------------------
@@ -67,14 +75,18 @@ multiply-add into an FMA that would change the bits.
 Every array goes to C as a bare address (``c_void_p`` arguments,
 :func:`_addr`); :func:`checked` vets each one handed in — dtype,
 C-contiguity, length — and raises ``ValueError`` before any C runs.
+The partitioner loops check their CSR in C before they write anything
+(``xadj`` from 0 to ``len(adjncy)``, never descending; ``adjncy``,
+``order`` and ``match`` in ``[0, n)``; ``part`` 0 / 1), and raise
+``ValueError`` naming the array.
 
 No toolchain (or ``REPRO_NO_CKERNEL=1``) simply means
 :func:`available` is ``False``: callers fall back to the numpy /
 hashlib definitions and tests skip cleanly — nothing in the repo
-*requires* a compiler.  The one switch governs all four paths because
-they are one library: a machine has all four C loops or none, and
+*requires* a compiler.  The one switch governs all seven paths because
+they are one library: a machine has all seven C loops or none, and
 since each path is bit-identical to its fallback, the switch changes
-speed, never an epidemic.
+speed, never an epidemic or a partition.
 """
 
 from __future__ import annotations
@@ -91,10 +103,11 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["available", "build_error", "checked", "checked_masks", "phase_columns", "block_walk",
-           "accumulate_exposures", "keyed_isa", "keyed_raw", "block_index", "cache_dir",
-           "KEYED_ISAS", "KEYED_LANES"]
+           "accumulate_exposures", "keyed_isa", "keyed_raw", "block_index", "heavy_edge_matching",
+           "contract", "fm_refine", "cache_dir", "KEYED_ISAS", "KEYED_LANES"]
 
 C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -609,6 +622,286 @@ void repro_keyed_raw(
         if (n_out > 0) pcg64_first(seeds[r], n_out, out + r, n);
     }
 }
+
+/* ---- the partitioner's loops over an int64 CSR: xadj (n + 1 entries),
+ * adjncy / adjwgt (m), vwgt (n x ncon, row-major).  Each entry point
+ * returns 0, or 1 (xadj) / 2 (adjncy) / 3 (its own array) invalid, or
+ * 4 no memory, before it writes anything but scratch. */
+
+/* 1 unless xadj starts at 0, never decreases and ends at m; 2 unless
+ * adjncy lies in [0, n); else 0 */
+static int64_t csr_bad(int64_t n, const int64_t *xadj, const int64_t *adjncy, int64_t m)
+{
+    if (xadj[0] != 0 || xadj[n] != m) return 1;
+    for (int64_t v = 0; v < n; ++v) if (xadj[v + 1] < xadj[v]) return 1;
+    for (int64_t e = 0; e < m; ++e) if ((uint64_t)adjncy[e] >= (uint64_t)n) return 2;
+    return 0;
+}
+
+/* coarsen.heavy_edge_matching after its rng.permutation: in order[]'s
+ * order, an unmatched v matches its first heaviest unmatched neighbour
+ * (strict >, adjacency order, not v itself), else itself.  3: an order
+ * entry out of [0, n). */
+int64_t repro_heavy_edge_matching(
+    int64_t n, const int64_t *xadj, const int64_t *adjncy, int64_t m, const int64_t *adjwgt,
+    const int64_t *order, int64_t *match)
+{
+    const int64_t bad = csr_bad(n, xadj, adjncy, m);
+    if (bad) return bad;
+    for (int64_t i = 0; i < n; ++i) if ((uint64_t)order[i] >= (uint64_t)n) return 3;
+    for (int64_t v = 0; v < n; ++v) match[v] = -1;
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t v = order[i];
+        if (match[v] != -1) continue;
+        int64_t best = -1, best_w = -1;
+        for (int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
+            const int64_t u = adjncy[e], w = adjwgt[e];
+            if (w > best_w && match[u] == -1 && u != v) best = u, best_w = w;
+        }
+        if (best == -1) match[v] = v; else match[v] = best, match[best] = v;
+    }
+    return 0;
+}
+
+/* coarsen.contract, count pass.  cmap[v] = the rank of min(v, match[v])
+ * among those values (np.unique's inverse).  Then, coarse vertex lo by
+ * lo, the distinct hi = cmap[d] > lo over its members' edges (v, d) with
+ * their weights summed: up[2k] = hi, up[2k + 1] = weight, row lo at
+ * [up_ptr[lo], up_ptr[lo + 1]), in first-seen order (up has room for
+ * m pairs: each pair has an edge).  out = {coarse vertices, pairs}.
+ * 3: a match entry out of [0, n). */
+int64_t repro_contract_count(
+    int64_t n, const int64_t *xadj, const int64_t *adjncy, int64_t m, const int64_t *adjwgt,
+    const int64_t *match, int64_t *cmap, int64_t *up_ptr, int64_t *up, int64_t *out)
+{
+    const int64_t bad = csr_bad(n, xadj, adjncy, m);
+    if (bad) return bad;
+    for (int64_t v = 0; v < n; ++v) if ((uint64_t)match[v] >= (uint64_t)n) return 3;
+    int64_t *rank = calloc(n + 1, sizeof *rank), *mptr = calloc(n + 2, sizeof *mptr);
+    int64_t *members = malloc((n + 1) * sizeof *members), *slot = rank, nc = 0, k = 0;
+    if (!rank || !mptr || !members) { free(rank), free(mptr), free(members); return 4; }
+    for (int64_t v = 0; v < n; ++v) rank[match[v] < v ? match[v] : v] = 1;
+    for (int64_t r = 0; r < n; ++r) { const int64_t marked = rank[r]; rank[r] = nc, nc += marked; }
+    for (int64_t v = 0; v < n; ++v) cmap[v] = rank[match[v] < v ? match[v] : v], ++mptr[cmap[v] + 2];
+    for (int64_t c = 0; c < nc; ++c) mptr[c + 2] += mptr[c + 1];
+    for (int64_t v = 0; v < n; ++v) members[mptr[cmap[v] + 1]++] = v; /* row c at mptr[c] */
+    for (int64_t c = 0; c < nc; ++c) slot[c] = -1; /* rank is done with: slot[hi] = its pair */
+    up_ptr[0] = 0;
+    for (int64_t lo = 0; lo < nc; ++lo) {
+        const int64_t first = k;
+        for (int64_t i = mptr[lo]; i < mptr[lo + 1]; ++i)
+            for (int64_t e = xadj[members[i]], v = members[i]; e < xadj[v + 1]; ++e) {
+                const int64_t hi = cmap[adjncy[e]];
+                if (hi <= lo) continue;
+                if (slot[hi] < 0) slot[hi] = k, up[2 * k] = hi, up[2 * k++ + 1] = 0;
+                up[2 * slot[hi] + 1] += adjwgt[e];
+            }
+        for (int64_t j = first; j < k; ++j) slot[up[2 * j]] = -1;
+        up_ptr[lo + 1] = k;
+    }
+    free(rank), free(mptr), free(members);
+    out[0] = nc, out[1] = k;
+    return 0;
+}
+
+/* coarsen.contract, fill pass, from the count pass's cmap / up_ptr / up:
+ * the coarse CSR as CSRGraph.from_edge_list builds it (row s: its
+ * neighbours above s ascending, then those below ascending; a pair's
+ * weight is its upper row's sum) and vwgt summed per coarse vertex.  Two
+ * counting transposes order the rows: the pairs, lo ascending, go to
+ * the lower part of row hi (so in ascending lo), then the lower parts,
+ * s ascending, back to the upper part of row lo (so in ascending hi). */
+int64_t repro_contract_fill(
+    int64_t n, int64_t ncon, const int64_t *vwgt, const int64_t *cmap, int64_t nc,
+    const int64_t *up_ptr, const int64_t *up,
+    int64_t *cxadj, int64_t *cadjncy, int64_t *cadjwgt, int64_t *cvwgt)
+{
+    int64_t *cursor = calloc(nc + 1, sizeof *cursor);
+    if (!cursor) return 4;
+    for (int64_t i = 0; i < nc * ncon; ++i) cvwgt[i] = 0;
+    for (int64_t v = 0; v < n; ++v)
+        for (int64_t c = 0; c < ncon; ++c) cvwgt[cmap[v] * ncon + c] += vwgt[v * ncon + c];
+    for (int64_t j = 0; j < up_ptr[nc]; ++j) ++cursor[up[2 * j]];
+    cxadj[0] = 0;
+    for (int64_t s = 0; s < nc; ++s) {
+        const int64_t upper = up_ptr[s + 1] - up_ptr[s], lower = cursor[s];
+        cxadj[s + 1] = cxadj[s] + upper + lower;
+        cursor[s] = cxadj[s] + upper; /* row s's lower part */
+    }
+    for (int64_t lo = 0; lo < nc; ++lo)
+        for (int64_t j = up_ptr[lo]; j < up_ptr[lo + 1]; ++j) {
+            const int64_t at = cursor[up[2 * j]]++;
+            cadjncy[at] = lo, cadjwgt[at] = up[2 * j + 1];
+        }
+    for (int64_t s = 0; s < nc; ++s) cursor[s] = cxadj[s]; /* row s's upper part */
+    for (int64_t s = 0; s < nc; ++s)
+        for (int64_t e = cxadj[s] + up_ptr[s + 1] - up_ptr[s]; e < cxadj[s + 1]; ++e) {
+            const int64_t at = cursor[cadjncy[e]]++;
+            cadjncy[at] = s, cadjwgt[at] = cadjwgt[e];
+        }
+    free(cursor);
+    return 0;
+}
+
+/* refine._fm_passes' heap entries: (-gain, v), ordered as tuples.  Equal
+ * entries are equal tuples, so any binary heap pops the same sequence. */
+typedef struct { int64_t key, v; } fm_entry;
+#define FM_LESS(a, b) ((a).key < (b).key || ((a).key == (b).key && (a).v < (b).v))
+
+static void fm_sift_down(fm_entry *heap, int64_t size, int64_t i)
+{
+    for (const fm_entry x = heap[i];;) {
+        int64_t c = 2 * i + 1;
+        if (c >= size) { heap[i] = x; return; }
+        if (c + 1 < size && FM_LESS(heap[c + 1], heap[c])) ++c;
+        if (!FM_LESS(heap[c], x)) { heap[i] = x; return; }
+        heap[i] = heap[c], i = c;
+    }
+}
+
+static void fm_push(fm_entry *heap, int64_t *size, int64_t key, int64_t v)
+{
+    const fm_entry x = {key, v};
+    int64_t i = (*size)++;
+    for (; i && FM_LESS(x, heap[(i - 1) / 2]); i = (i - 1) / 2) heap[i] = heap[(i - 1) / 2];
+    heap[i] = x;
+}
+
+/* refine._imbalance: the worst |share - target| over both sides and every
+ * constraint with mass (side_w is 2 x ncon) */
+static double fm_imbalance(const int64_t *side_w, const int64_t *totals, int64_t ncon,
+                           double target_frac)
+{
+    double worst = 0.0;
+    for (int64_t c = 0; c < ncon; ++c) {
+        if (totals[c] == 0) continue;
+        const double t = (double)totals[c];
+        const double a = fabs((double)side_w[c] / t - target_frac);
+        const double b = fabs((double)side_w[ncon + c] / t - (1.0 - target_frac));
+        if (a > worst) worst = a;
+        if (b > worst) worst = b;
+    }
+    return worst;
+}
+
+/* refine._improves_balance: is the imbalance with vw moved off side src
+ * below before, its current value? */
+static int fm_improves(const int64_t *side_w, const int64_t *totals, int64_t ncon,
+                       double target_frac, const int64_t *vw, int64_t src, double before)
+{
+    const double tgt[2] = {target_frac, 1.0 - target_frac};
+    const int64_t *src_w = side_w + src * ncon, *dst_w = side_w + (1 - src) * ncon;
+    for (int64_t c = 0; c < ncon; ++c) {
+        if (totals[c] == 0) continue;
+        const double t = (double)totals[c];
+        if (fabs((double)(src_w[c] - vw[c]) / t - tgt[src]) >= before
+            || fabs((double)(dst_w[c] + vw[c]) / t - tgt[1 - src]) >= before) return 0;
+    }
+    return 0.0 < before;
+}
+
+/* refine._fits: would side dst, given vw too, stay within its limits (a
+ * vertex heavier than a limit by itself is held to its own weight)? */
+static int fm_fits(const int64_t *dst_w, const int64_t *vw, const double *limit,
+                   const int64_t *totals, int64_t ncon)
+{
+    for (int64_t c = 0; c < ncon; ++c) {
+        if (totals[c] == 0) continue;
+        const int64_t have = dst_w[c] + vw[c];
+        if (limit[c] > (double)vw[c] ? (double)have > limit[c] : have > vw[c]) return 0;
+    }
+    return 1;
+}
+
+/* refine._fm_passes, every pass: part (0 / 1, else 3) is refined in
+ * place and gain[v] left as refine.all_gains of it; out = {passes,
+ * moves, pushes}.  The sums and comparisons are the Python loop's on
+ * ints and doubles, exact while every weight sum is below 2**53.  One
+ * pass pushes at most n + m entries: its boundary, then one per edge of
+ * each vertex it moves, once (a re-push replaces its pop). */
+int64_t repro_fm_refine(
+    int64_t n, const int64_t *xadj, const int64_t *adjncy, int64_t m, const int64_t *adjwgt,
+    const int64_t *vwgt, int64_t ncon, double target_frac, double ubfactor, int64_t max_passes,
+    int8_t *part, int64_t *gain, int64_t *out)
+{
+    const int64_t bad = csr_bad(n, xadj, adjncy, m);
+    if (bad) return bad;
+    for (int64_t v = 0; v < n; ++v) if (part[v] != 0 && part[v] != 1) return 3;
+    int64_t *ed = malloc((n + 1) * sizeof *ed);
+    int64_t *weights = calloc(4 * ncon + 1, sizeof *weights); /* side_w 2 x ncon, totals */
+    double *limits = malloc((2 * ncon + 1) * sizeof *limits);
+    fm_entry *heap = malloc((n + m + 1) * sizeof *heap);
+    uint8_t *locked = malloc(n + 1);
+    if (!ed || !weights || !limits || !heap || !locked) {
+        free(ed), free(weights), free(limits), free(heap), free(locked);
+        return 4;
+    }
+    int64_t *side_w = weights, *totals = weights + 2 * ncon;
+    for (int64_t v = 0; v < n; ++v)
+        for (int64_t c = 0; c < ncon; ++c) {
+            totals[c] += vwgt[v * ncon + c];
+            if (part[v]) side_w[ncon + c] += vwgt[v * ncon + c];
+        }
+    for (int64_t c = 0; c < ncon; ++c) {
+        side_w[c] = totals[c] - side_w[ncon + c];
+        limits[c] = (double)totals[c] * target_frac * ubfactor;
+        limits[ncon + c] = (double)totals[c] * (1.0 - target_frac) * ubfactor;
+    }
+    for (int64_t v = 0; v < n; ++v) {
+        int64_t g = 0, cross = 0;
+        for (int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
+            const int64_t x = part[adjncy[e]] != part[v];
+            g += x ? adjwgt[e] : -adjwgt[e], cross += x;
+        }
+        gain[v] = g, ed[v] = cross;
+    }
+    int64_t passes = 0, moves = 0, pushes = 0, have_imbalance = 0;
+    double imbalance = 0.0; /* of side_w while have_imbalance; a move drops it */
+    for (int64_t pass = 0; pass < max_passes; ++pass) {
+        const int64_t moves_before = moves;
+        int64_t size = 0;
+        ++passes;
+        for (int64_t v = 0; v < n; ++v) {
+            locked[v] = 0;
+            if (ed[v]) heap[size++] = (fm_entry){-gain[v], v};
+        }
+        for (int64_t i = size / 2; i-- > 0;) fm_sift_down(heap, size, i);
+        while (size) {
+            const fm_entry top = heap[0];
+            heap[0] = heap[--size];
+            fm_sift_down(heap, size, 0);
+            const int64_t v = top.v, g = gain[v];
+            if (locked[v]) continue;
+            if (g != -top.key) { fm_push(heap, &size, -g, v), ++pushes; continue; }
+            if (g < 0) break; /* the heap is sorted: nothing with positive gain remains */
+            const int64_t src = part[v], dst = 1 - src, *vw = vwgt + v * ncon;
+            locked[v] = 1;
+            if (g == 0) { /* a zero-gain move must reduce the worst imbalance */
+                if (!have_imbalance)
+                    imbalance = fm_imbalance(side_w, totals, ncon, target_frac), have_imbalance = 1;
+                if (!fm_improves(side_w, totals, ncon, target_frac, vw, src, imbalance)) continue;
+            }
+            if (!fm_fits(side_w + dst * ncon, vw, limits + dst * ncon, totals, ncon)) continue;
+            part[v] = (int8_t)dst;
+            for (int64_t c = 0; c < ncon; ++c) side_w[src * ncon + c] -= vw[c], side_w[dst * ncon + c] += vw[c];
+            have_imbalance = 0, ++moves;
+            gain[v] = -g, ed[v] = xadj[v + 1] - xadj[v] - ed[v];
+            /* every neighbour first, then the pushes: a neighbour listed
+             * twice is pushed twice with its final gain */
+            for (int64_t e = xadj[v]; e < xadj[v + 1]; ++e) {
+                const int64_t u = adjncy[e];
+                if (part[u] == dst) gain[u] -= 2 * adjwgt[e], --ed[u];
+                else gain[u] += 2 * adjwgt[e], ++ed[u];
+            }
+            for (int64_t e = xadj[v]; e < xadj[v + 1]; ++e)
+                if (!locked[adjncy[e]]) fm_push(heap, &size, -gain[adjncy[e]], adjncy[e]), ++pushes;
+        }
+        if (moves == moves_before) break;
+    }
+    free(ed), free(weights), free(limits), free(heap), free(locked);
+    out[0] = passes, out[1] = moves, out[2] = pushes;
+    return 0;
+}
 """
 
 #: memoised per process: None = not tried yet, False = unavailable
@@ -757,6 +1050,11 @@ def _load() -> ctypes.CDLL | bool:
             ("repro_block_index", i64, [i64, ptr, i64, ptr, i64, ptr, i64, ptr, i64, i64]
              + [ptr] * 3),
             ("repro_keyed_isa", i64, []),
+            ("repro_heavy_edge_matching", i64, [i64, ptr, ptr, i64, ptr, ptr, ptr]),
+            ("repro_contract_count", i64, [i64, ptr, ptr, i64] + [ptr] * 6),
+            ("repro_contract_fill", i64, [i64, i64, ptr, ptr, i64] + [ptr] * 6),
+            ("repro_fm_refine", i64, [i64, ptr, ptr, i64, ptr, ptr, i64, ctypes.c_double,
+                                      ctypes.c_double, i64, ptr, ptr, ptr]),
         ):
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
@@ -834,11 +1132,18 @@ def phase_columns(graph, health_state, disease):
             width.ctypes.data, role)
 
 
-def _check(code: int, scratch: str) -> None:
+#: the location-phase loops' return codes 1 .. 3
+_PHASE_ERRORS = ("visit_person out of range", "health_state out of range",
+                 "rows / bptr out of range")
+
+
+def _check(code: int, scratch: str, errors: tuple[str, ...] = _PHASE_ERRORS) -> None:
+    """Raise for a C loop's return code: 4 is no memory for ``scratch``,
+    1 .. 3 a ``ValueError`` with ``errors[code - 1]``."""
     if code == 4:
         raise MemoryError(scratch)
     if code:
-        raise ValueError(("visit_person", "health_state", "rows / bptr")[code - 1] + " out of range")
+        raise ValueError(errors[code - 1])
 
 
 def block_walk(graph, health_state, disease, owned=None, removed=None, *, columns=None):
@@ -950,6 +1255,84 @@ def block_index(graph, sub_bounds):
     if bad:
         raise ValueError(_INDEX_ERRORS[bad - 1])
     return order, ptr, person_ptr
+
+
+def _int64(name: str, arr, shape: tuple | None = None) -> np.ndarray:
+    """``arr`` as a C-contiguous int64 array, widened (never narrowed) if
+    it is of another integer type, :func:`checked` at ``shape`` (its own
+    by default)."""
+    arr = np.asarray(arr)
+    if arr.dtype != np.int64 and np.can_cast(arr.dtype, np.int64):
+        arr = arr.astype(np.int64)
+    return checked(name, np.ascontiguousarray(arr), np.int64, arr.shape if shape is None else shape)
+
+
+def _csr(graph) -> tuple[int, int, list[np.ndarray]]:
+    """``(n, m, [xadj, adjncy, adjwgt, vwgt])`` of a CSR graph as the
+    partitioner loops read them, each :func:`_int64`; the C loops check
+    the CSR itself (:data:`_CSR_ERRORS`) before they write anything."""
+    xadj = _int64("xadj", graph.xadj)
+    if xadj.ndim != 1 or not xadj.size:
+        raise ValueError("xadj must be a 1-D array of n + 1 entries")
+    n, m = xadj.size - 1, np.size(graph.adjncy)
+    return n, m, [xadj, _int64("adjncy", graph.adjncy, (m,)), _int64("adjwgt", graph.adjwgt, (m,)),
+                  _int64("vwgt", graph.vwgt, (n, np.shape(graph.vwgt)[-1]))]
+
+
+#: the partitioner loops' return codes 1 / 2 (3 names each loop's own array)
+_CSR_ERRORS = ("xadj must start at 0, never decrease and end at len(adjncy)",
+               "adjncy out of range [0, n)")
+
+
+def heavy_edge_matching(graph, order: np.ndarray) -> np.ndarray:
+    """``match`` of ``repro.partition.coarsen.heavy_edge_matching`` (the
+    definition) by one C pass over the visit ``order`` it drew."""
+    n, m, (xadj, adjncy, adjwgt, _) = _csr(graph)
+    order = _int64("order", order, (n,))
+    match = np.empty(n, dtype=np.int64)
+    _check(_loaded().repro_heavy_edge_matching(n, _addr(xadj), _addr(adjncy), m, _addr(adjwgt),
+                                               _addr(order), _addr(match)),
+           "matching scratch", (*_CSR_ERRORS, "order out of range [0, n)"))
+    return match
+
+
+def contract(graph, match: np.ndarray):
+    """``(xadj, adjncy, adjwgt, vwgt, coarse_map)`` of
+    ``repro.partition.coarsen.contract`` (the definition) by a C count
+    pass, then a fill into arrays of exactly the coarse graph's size."""
+    n, m, (xadj, adjncy, adjwgt, vwgt) = _csr(graph)
+    match = _int64("match", match, (n,))
+    lib = _loaded()
+    cmap, up_ptr = np.empty(n, dtype=np.int64), np.empty(n + 1, dtype=np.int64)
+    up, out = np.empty(2 * m, dtype=np.int64), np.empty(2, dtype=np.int64)
+    _check(lib.repro_contract_count(n, _addr(xadj), _addr(adjncy), m, _addr(adjwgt),
+                                    *map(_addr, (match, cmap, up_ptr, up, out))),
+           "contraction scratch", (*_CSR_ERRORS, "match out of range [0, n)"))
+    nc, pairs = out.tolist()
+    cxadj = np.empty(nc + 1, dtype=np.int64)
+    cadjncy, cadjwgt = np.empty(2 * pairs, dtype=np.int64), np.empty(2 * pairs, dtype=np.int64)
+    cvwgt = np.empty((nc, vwgt.shape[1]), dtype=np.int64)
+    _check(lib.repro_contract_fill(n, vwgt.shape[1], _addr(vwgt), _addr(cmap), nc,
+                                   *map(_addr, (up_ptr, up, cxadj, cadjncy, cadjwgt, cvwgt))),
+           "contraction scratch")
+    return cxadj, cadjncy, cadjwgt, cvwgt, cmap
+
+
+def fm_refine(graph, part: np.ndarray, target_frac: float, ubfactor: float,
+              max_passes: int) -> tuple[np.ndarray, int, int, int]:
+    """``repro.partition.refine._fm_passes`` (the definition) in one C
+    call: refines the int8 0 / 1 vector ``part`` in place and returns
+    ``(gain, passes, moves, pushes)``, ``gain`` being ``all_gains`` of
+    the refined ``part``."""
+    n, m, (xadj, adjncy, adjwgt, vwgt) = _csr(graph)
+    if not checked("part", part, np.int8, (n,)).flags.writeable:
+        raise ValueError("part must be writeable: it is refined in place")
+    gain, out = np.empty(n, dtype=np.int64), np.empty(3, dtype=np.int64)
+    _check(_loaded().repro_fm_refine(
+        n, _addr(xadj), _addr(adjncy), m, _addr(adjwgt), _addr(vwgt), vwgt.shape[1],
+        target_frac, ubfactor, max_passes, *map(_addr, (part, gain, out)),
+    ), "FM scratch", (*_CSR_ERRORS, "part must hold only 0 / 1"))
+    return gain, *out.tolist()
 
 
 def _loaded() -> ctypes.CDLL:

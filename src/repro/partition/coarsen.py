@@ -11,10 +11,13 @@ Coarsening stops when the graph is small enough for initial
 partitioning or when matching stalls (common on star-like social
 graphs — a hub's neighbours all want the hub).
 
-The matching loop reads one adjacency entry at a time, which on an
-``ndarray`` builds a NumPy scalar per read: it walks the CSR columns
-through ``memoryview`` objects (plain ints, no copy) and keeps ``match``
-in a list.
+Where :func:`repro.core.ckernel.available`, the matching (after its
+``rng.permutation``, drawn here) and the contraction run as C loops
+that reproduce the ones below bit for bit; the loops here are their
+definition and the fallback without a compiler.  The matching loop
+reads one adjacency entry at a time, which on an ``ndarray`` builds a
+NumPy scalar per read: it walks the CSR columns through ``memoryview``
+objects (plain ints, no copy) and keeps ``match`` in a list.
 """
 
 from __future__ import annotations
@@ -40,12 +43,25 @@ class CoarseLevel:
 
 def heavy_edge_matching(graph: CSRGraph, rng: np.random.Generator) -> np.ndarray:
     """Return ``match[v]`` = matched partner (or ``v`` if unmatched)."""
+    from repro.core import ckernel  # here: importing the partitioner loads no repro.core
+
     n = graph.n_vertices
-    order = rng.permutation(n).tolist()
+    order = rng.permutation(n)
+    if ckernel.available():
+        match = ckernel.heavy_edge_matching(graph, order)
+    else:
+        match = np.array(_matching(graph, order.tolist()), dtype=np.int64)
+    if observe.enabled():
+        observe.counter("partition.hem_matched", np.count_nonzero(match != np.arange(n)))
+    return match
+
+
+def _matching(graph: CSRGraph, order: list[int]) -> list[int]:
+    """:func:`heavy_edge_matching`'s loop over the vertices in ``order``."""
     xadj = memoryview(graph.xadj)
     adjncy = memoryview(graph.adjncy)
     adjwgt = memoryview(graph.adjwgt)
-    match = [-1] * n
+    match = [-1] * graph.n_vertices
     for v in order:
         if match[v] != -1:
             continue
@@ -60,14 +76,16 @@ def heavy_edge_matching(graph: CSRGraph, rng: np.random.Generator) -> np.ndarray
         else:
             match[v] = best
             match[best] = v
-    match = np.array(match, dtype=np.int64)
-    if observe.enabled():
-        observe.counter("partition.hem_matched", np.count_nonzero(match != np.arange(n)))
     return match
 
 
 def contract(graph: CSRGraph, match: np.ndarray) -> tuple[CSRGraph, np.ndarray]:
     """Contract matched pairs; return (coarse graph, fine→coarse map)."""
+    from repro.core import ckernel
+
+    if ckernel.available():
+        *arrays, coarse_map = ckernel.contract(graph, match)
+        return CSRGraph(*arrays), coarse_map
     n = graph.n_vertices
     # Number coarse vertices: pair representative = min(v, match[v]).
     rep = np.minimum(np.arange(n), match)

@@ -107,7 +107,9 @@ class CSRGraph:
         return cls(xadj=xadj, adjncy=dst, adjwgt=ww, vwgt=vwgt)
 
     def validate(self) -> None:
-        """Structural checks (symmetry by weight-sum, index ranges)."""
+        """Structural checks: index ranges, positive weights, and exact
+        symmetry — the multiset of ``(src, dst, w)`` entries equals its
+        transpose."""
         if self.xadj[0] != 0 or self.xadj[-1] != self.adjncy.shape[0]:
             raise ValueError("xadj endpoints inconsistent")
         if np.any(np.diff(self.xadj) < 0):
@@ -116,11 +118,10 @@ class CSRGraph:
             raise ValueError("adjacency index out of range")
         if np.any(self.adjwgt <= 0):
             raise ValueError("edge weights must be positive")
-        # Symmetry: per-vertex weighted degree must match its transpose.
         src = np.repeat(np.arange(self.n_vertices), np.diff(self.xadj))
-        fwd = np.bincount(src, weights=self.adjwgt, minlength=self.n_vertices)
-        bwd = np.bincount(self.adjncy, weights=self.adjwgt, minlength=self.n_vertices)
-        if not np.allclose(fwd, bwd):
+        fwd = np.stack([src, self.adjncy, self.adjwgt])
+        bwd = fwd[[1, 0, 2]]  # the transpose: (dst, src, w)
+        if not np.array_equal(fwd[:, np.lexsort(fwd[::-1])], bwd[:, np.lexsort(bwd[::-1])]):
             raise ValueError("graph is not symmetric")
 
 

@@ -9,11 +9,14 @@ and passes repeat until no move helps.  Gains are exact: one integer
 list per call, seeded from :func:`all_gains` and updated along the moved
 vertex's edges (see :func:`fm_refine`).
 
-The loop runs over Python ints (state in lists, CSR columns through
+Where :func:`repro.core.ckernel.available`, every pass runs in one C
+call that reproduces :func:`_fm_passes` bit for bit; the list-backed
+loop here is its definition and the fallback without a compiler.  It
+runs over Python ints (state in lists, CSR columns through
 ``memoryview`` objects), not arrays: a per-vertex step that indexes an
-``ndarray`` pays for a NumPy scalar on every read, which was most of the
-partitioner's cost.  The arithmetic is the same while every weight sum
-is below 2**53, which
+``ndarray`` pays for a NumPy scalar on every read.  Both loops do the
+same arithmetic as the array definitions while every weight sum is
+below 2**53, which
 :meth:`~repro.partition.metis.MultilevelPartitioner.bisect` checks.
 
 A separate :func:`rebalance` pass restores feasibility when projection
@@ -198,10 +201,21 @@ def fm_refine(
     ``v``'s side and rises by ``2w`` otherwise, ``gain[v]`` changes sign.
     So the heap holds the same tuples and the moves are the same; the
     list outlives the pass, so the next one seeds its heap from the
-    external-degree counts kept beside it.
+    external-degree counts kept beside it.  ``part`` is an int8 0 / 1
+    vector, as every stage of the bisection returns it.
     """
-    for _ in _fm_passes(graph, part, target_frac, ubfactor, max_passes):
-        pass
+    from repro.core import ckernel
+
+    if not ckernel.available():
+        for _ in _fm_passes(graph, part, target_frac, ubfactor, max_passes):
+            pass
+        return part
+    _, n_passes, n_moves, n_pushes = ckernel.fm_refine(
+        graph, part, target_frac, ubfactor, max_passes
+    )
+    observe.counter("partition.fm_passes", n_passes)
+    observe.counter("partition.fm_moves", n_moves)
+    observe.counter("partition.fm_pushes", n_pushes)
     return part
 
 

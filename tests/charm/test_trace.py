@@ -11,6 +11,7 @@ Projections-style analysis of those spans.
 import math
 
 import numpy as np
+import pytest
 
 from repro import observe
 from repro.charm import Chare, MachineConfig, RuntimeSimulator
@@ -208,3 +209,17 @@ class TestRendering:
         for pe in leaves:
             c = rt.pe_costs[pe]
             assert math.isclose(busy[pe], c.get("compute") + c.get("comm"), rel_tol=1e-9)
+
+    @pytest.mark.parametrize("smp", [False, True])
+    def test_busy_time_is_compute_plus_comm_on_every_pe(self, tiny_graph, smp):
+        # Broadcast-forwarding PEs too: an eager send's cost is booked
+        # once, as comm, though it runs inside the forwarding entry.
+        mc = MachineConfig(n_nodes=2, cores_per_node=4, smp=smp, processes_per_node=1)
+        sim = _parallel_sim(tiny_graph, mc, Machine(mc).n_pes)
+        with observe.observing() as obs:
+            sim.run()
+        rt = sim.runtime
+        assert any(rt.tree.children(pe) for pe in range(rt.machine.n_pes))
+        for pe, busy in enumerate(_busy(obs)):
+            c = rt.pe_costs[pe]
+            assert math.isclose(busy, c.get("compute") + c.get("comm"), rel_tol=1e-9)

@@ -88,3 +88,36 @@ class TestBipartiteConversion:
         n = tiny_graph.n_persons
         for v in range(0, n, max(1, n // 20)):
             assert np.all(csr.neighbors(v) >= n)
+
+
+class TestValidate:
+    """Symmetry is exact: the ``(src, dst, w)`` entries equal their transpose."""
+
+    @staticmethod
+    def _graph(xadj, adjncy, adjwgt):
+        n = len(xadj) - 1
+        return CSRGraph(*(np.array(a, dtype=np.int64) for a in (xadj, adjncy, adjwgt)),
+                        np.ones((n, 1), dtype=np.int64))
+
+    def test_symmetric_graph_with_parallel_edges_and_a_self_loop_passes(self):
+        self._graph([0, 3, 5], [1, 1, 0, 0, 0], [2, 5, 7, 5, 2]).validate()
+
+    def test_a_reverse_weight_off_by_five_in_a_million_is_refused(self):
+        g = self._graph([0, 1, 2], [1, 0], [1_000_000, 1_000_005])
+        with pytest.raises(ValueError, match="not symmetric"):
+            g.validate()
+
+    def test_a_directed_three_cycle_is_refused(self):
+        # every weighted degree matches its transpose, yet 0→1 has no 1→0
+        g = self._graph([0, 1, 2, 3], [1, 2, 0], [1, 1, 1])
+        with pytest.raises(ValueError, match="not symmetric"):
+            g.validate()
+
+    def test_weights_swapped_between_parallel_edges_still_pass(self):
+        # the multiset, not the row order: 0→1 twice (1, 2) against 1→0 (2, 1)
+        self._graph([0, 2, 4], [1, 1, 0, 0], [1, 2, 2, 1]).validate()
+
+    def test_parallel_edges_with_equal_sums_but_other_weights_are_refused(self):
+        g = self._graph([0, 2, 4], [1, 1, 0, 0], [1, 3, 2, 2])
+        with pytest.raises(ValueError, match="not symmetric"):
+            g.validate()

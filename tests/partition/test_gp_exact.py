@@ -1,5 +1,7 @@
-"""The list-backed partitioner loops reproduce the scalar ones exactly.
+"""The production partitioner loops reproduce the scalar ones exactly.
 
+The production loops are C where ``repro.core.ckernel`` loads and the
+list-backed ones otherwise (CI runs this file both ways).
 ``gp_reference`` holds the per-vertex NumPy-scalar loops the partitioner
 ran before; the production loops must return the same part / match
 vectors, leave a generator in the same state, and make the whole
