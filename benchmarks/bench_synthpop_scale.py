@@ -50,7 +50,7 @@ SCALES = [30_000, 60_000] if TINY else [1_000_000, 5_000_000, 10_000_000]
 EQUALITY_PERSONS = 5_000 if TINY else 150_000
 #: anonymous-memory cap for each generation child.  The full 10M-person
 #: run fits comfortably: the streaming working set is O(n_locations) +
-#: one flush buffer, not O(n_visits).
+#: one block + ~2 B/person of kept layout, not O(n_visits).
 BUDGET_BYTES = 512 * 1024**2 if TINY else 1536 * 1024**2
 SEED = 7
 PARTITIONS = 16

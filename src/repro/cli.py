@@ -84,9 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the streaming generator with this residency "
                         "(memmap = disk-backed arrays, bounded RAM; "
                         "auto = memmap at >=1M persons)")
-    r.add_argument("--chunk-persons", type=int, default=None,
-                   help="streaming flush-buffer size in persons "
-                        "(execution knob; never changes content)")
     r.add_argument("--backend", choices=["seq", "charm", "smp"], default="smp",
                    help="seq = sequential reference; charm = simulated chare "
                         "runtime (virtual time); smp = real shared-memory "
@@ -355,11 +352,10 @@ def _run_spec_from_args(args):
     if (args.population is None) == (args.persons is None):
         return None
     if args.persons is not None:
-        if args.backing is not None or args.chunk_persons is not None:
+        if args.backing is not None:
             population = PopulationSpec(
                 kind="streamed", n_persons=args.persons, seed=args.seed,
                 name=f"run-{args.persons}", backing=args.backing,
-                chunk_persons=args.chunk_persons,
             )
         else:
             population = PopulationSpec(

@@ -103,9 +103,9 @@ class PopulationSpec:
         :func:`repro.synthpop.generate_population_streamed` — the
         memory-bounded block-streamed generator.  ``params`` may carry
         ``block_persons`` (content-affecting RNG granularity, hashed);
-        ``backing`` and ``chunk_persons`` are pure execution knobs and
-        are **excluded** from the content hash — a RAM and a memmap
-        build of the same spec are one artifact.
+        ``backing`` is a pure execution knob and is **excluded** from
+        the content hash — a RAM and a memmap build of the same spec
+        are one artifact.
     ``state``
         :func:`repro.synthpop.state_population` for a Table-I state
         code at ``scale``.
@@ -146,8 +146,6 @@ class PopulationSpec:
     #: kind="streamed" residency: ram / memmap / auto (execution-only,
     #: never hashed).
     backing: str | None = None
-    #: kind="streamed" flush-buffer size (execution-only, never hashed).
-    chunk_persons: int | None = None
 
     _KINDS = ("generated", "streamed", "state", "preset", "file")
     _PRESETS = ("heavy-tailed",)
@@ -170,10 +168,8 @@ class PopulationSpec:
             raise ValueError(
                 f"backing must be one of {self._BACKINGS}, got {self.backing!r}"
             )
-        if self.kind != "streamed" and (
-            self.backing is not None or self.chunk_persons is not None
-        ):
-            raise ValueError("backing/chunk_persons only apply to kind='streamed'")
+        if self.kind != "streamed" and self.backing is not None:
+            raise ValueError("backing only applies to kind='streamed'")
 
     @property
     def cacheable(self) -> bool:
@@ -182,13 +178,11 @@ class PopulationSpec:
         return self.kind != "file"
 
     def canonical(self) -> dict:
-        """Content-defining fields only: ``backing`` and
-        ``chunk_persons`` change *where* the arrays live and how they
-        are flushed, never a single byte of content, so they are
+        """Content-defining fields only: ``backing`` changes *where*
+        the arrays live, never a single byte of content, so it is
         dropped before hashing."""
         d = _prune(dataclasses.asdict(self))
         d.pop("backing", None)
-        d.pop("chunk_persons", None)
         return d
 
     def content_hash(self) -> str:
@@ -223,7 +217,6 @@ class PopulationSpec:
                 PopulationConfig(n_persons=self.n_persons, **params),
                 self.seed,
                 backing=self.backing or "auto",
-                chunk_persons=self.chunk_persons,
                 block_persons=block,
                 name=self.name or f"streamed-{self.n_persons}",
             )

@@ -11,11 +11,16 @@ of populations block-by-block, writing straight into a
     O(n_locations)  location-side tables (attractiveness CDFs and their
                     guide tables, pools)
   + O(block)        one person block's working set
-  + O(chunk)        the flush buffer
+  + ~2 B/person     the layout kept from pass 1 to pass 2: each
+                    person's degree and household slot, one byte each
+                    at the default config
+  + ~1.6 KB/block   each block's post-skeleton ``Generator`` (0.2
+                    B/person at the default 8192-person block)
 
-independent of ``n_persons`` — the NiemaGraphGen playbook applied to
-the paper's Table-I scales (the US row is 280M persons; a laptop-class
-box streams ≥10M, see ``benchmarks/bench_synthpop_scale.py``).
+and nothing per visit: every visit column goes straight to the backing
+— the NiemaGraphGen playbook applied to the paper's Table-I scales (the
+US row is 280M persons; a laptop-class box streams ≥10M, see
+``benchmarks/bench_synthpop_scale.py``).
 
 Determinism contract (pinned by ``tests/synthpop/test_stream.py``):
 
@@ -23,19 +28,23 @@ Determinism contract (pinned by ``tests/synthpop/test_stream.py``):
   ``RngFactory(seed).stream(SYNTHPOP, _K_PERSON_BLOCK, b)`` and the
   location side from ``(SYNTHPOP, _K_LOCATION)``, so content depends
   only on ``(seed, config, block_persons)``;
-* ``chunk_persons`` (the flush-buffer size) and ``backing`` (RAM vs
-  memmap) are pure *execution* knobs — any value yields bit-identical
-  populations, which is why :class:`~repro.spec.PopulationSpec`
-  excludes them from its content hash.
+* ``backing`` (RAM vs memmap) is a pure *execution* knob — either
+  yields bit-identical populations, which is why
+  :class:`~repro.spec.PopulationSpec` excludes it from its content
+  hash.
 
-Generation is two-phase: pass 1 replays only each block's skeleton
-draws (ages, degrees, households) to learn exact visit/building counts
-and lay out global offsets; pass 2 re-derives each block stream,
-replays the skeleton, draws the visit bodies, and writes each block
-into its slot.  Locations are sized from pass-1 totals exactly like the
-dense generator; activity sublocation counts use *expected*
-per-location visit loads (deterministic given the attractiveness CDF),
-which is what removes the dense path's global realised-count pass.
+Generation is two-phase, and each block's draws are made once.  Pass 1
+draws each block's skeleton (ages, degrees, households), writes ages
+and global homes straight into the backing's person columns, and keeps
+the block's degrees, household slots and ``Generator`` — the latter
+where the skeleton left it — to learn exact visit/building counts and
+lay out global offsets.  Pass 2 continues each block's ``Generator``
+with the visit bodies and writes the block's visit columns to their
+slot as soon as they are drawn.  Locations are sized from pass-1 totals
+exactly like the dense generator; activity sublocation counts use
+*expected* per-location visit loads (deterministic given the
+attractiveness CDF), which is what removes the dense path's global
+realised-count pass.
 
 No visit column is sorted and no draw binary-searches: a block's visits
 go straight to their rows of the ``(person, start)`` order
@@ -82,12 +91,12 @@ _ACT_SPAN = _DAY_END_ACTIVITY - _DAY_START_ACTIVITY
 
 
 def _block_skeleton(rng: np.random.Generator, cfg: PopulationConfig, nb: int):
-    """Draws shared by both passes, in fixed order: ages, degrees and
-    the block-local household/building structure.
+    """A block's first draws, in fixed order: ages, degrees and the
+    block-local household/building structure.
 
     Returns ``(ages, degrees, person_building_local, person_slot,
-    building_hh_counts)``.  Must consume the stream identically in both
-    passes — pass 2 continues drawing from the same generator.
+    building_hh_counts)``.  Pass 1 makes these draws once; pass 2
+    continues the same ``rng`` from where they leave it.
     """
     ages = _sample_ages(rng, nb)
     degrees = _sample_person_degrees(rng, cfg, nb)
@@ -140,12 +149,19 @@ class _WeightedPool:
         return self.ids[self.table.search(u)]
 
 
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """``a`` in the narrowest integer dtype that holds both its smallest
+    and its largest value (``uint8`` for degrees and slots at the
+    default config)."""
+    lo, hi = int(a.min()), int(a.max())
+    return a.astype(np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi)))
+
+
 def generate_population_streamed(
     cfg: PopulationConfig,
     rng_factory: RngFactory | int = 0,
     *,
     backing: str = "auto",
-    chunk_persons: int | None = None,
     block_persons: int = DEFAULT_BLOCK_PERSONS,
     dir=None,
     name: str = "streamed",
@@ -161,9 +177,6 @@ def generate_population_streamed(
     backing:
         ``"ram"``, ``"memmap"``, or ``"auto"`` (memmap at ≥ 1M
         persons).  Content is bit-identical across backings.
-    chunk_persons:
-        Flush-buffer size in persons (content-neutral; default
-        ``max(block_persons, 262144)``).
     block_persons:
         Persons per generation block — the RNG keying granularity.
         Content-*affecting*: part of the population's identity.
@@ -179,7 +192,7 @@ def generate_population_streamed(
     (100, True)
     >>> g2 = generate_population_streamed(
     ...     PopulationConfig(n_persons=100), 3, block_persons=32,
-    ...     chunk_persons=17)
+    ...     backing="memmap")
     >>> g2.content_hash() == g.content_hash()
     True
     """
@@ -192,46 +205,55 @@ def generate_population_streamed(
     n = cfg.n_persons
     if backing == "auto":
         backing = "memmap" if n >= AUTO_MEMMAP_PERSONS else "ram"
-    if chunk_persons is None:
-        chunk_persons = max(block_persons, 262_144)
-    chunk_persons = max(1, int(chunk_persons))
 
     obs = observe.span(
         "synthpop.generate_streamed", persons=n, backing=backing,
         block=block_persons,
     )
     with obs:
-        graph = _generate(
-            cfg, rng_factory, backing, chunk_persons, block_persons, dir, name
-        )
+        graph = _generate(cfg, rng_factory, backing, block_persons, dir, name)
         obs.set(visits=int(graph.n_visits), locations=int(graph.n_locations))
         return graph
 
 
-def _generate(cfg, factory, backing_kind, chunk_persons, block_persons, dir, name):
+def _generate(cfg, factory, backing_kind, block_persons, dir, name):
+    store = PopulationBacking.create(backing_kind, dir=dir)
+    try:
+        graph = _fill(store, cfg, factory, block_persons, name)
+        graph.validate()
+        return graph
+    except Exception:
+        store.close()
+        raise
+
+
+def _fill(store, cfg, factory, block_persons, name):
     n = cfg.n_persons
     n_blocks = (n + block_persons - 1) // block_persons
-    blocks = [
-        (b, b * block_persons, min(n, (b + 1) * block_persons))
-        for b in range(n_blocks)
-    ]
+    p_age = store.allocate("person_age", (n,), np.int16)
+    p_home = store.allocate("person_home", (n,), np.int64)
 
     # --- pass 1: per-block skeletons -> exact global layout ---------------
+    # Each block's draws are made once: ages and global homes go to the
+    # backing, its degrees and household slots stay (narrowed), and its
+    # Generator stays where the skeleton left it for pass 2 to continue.
+    kept: list[tuple[np.random.Generator, np.ndarray, np.ndarray]] = []
     block_visits = np.zeros(n_blocks, dtype=np.int64)
-    block_buildings = np.zeros(n_blocks, dtype=np.int64)
     hh_counts_parts: list[np.ndarray] = []
+    n_buildings = 0
     with observe.span("synthpop.stream_pass1", blocks=n_blocks):
-        for b, lo, hi in blocks:
+        for b in range(n_blocks):
+            lo, hi = b * block_persons, min(n, (b + 1) * block_persons)
             rng = factory.stream(RngFactory.SYNTHPOP, _K_PERSON_BLOCK, b)
-            _ages, degrees, _pb, _ps, hh_counts = _block_skeleton(rng, cfg, hi - lo)
+            ages, degrees, pb_local, slot, hh_counts = _block_skeleton(rng, cfg, hi - lo)
+            p_age[lo:hi] = ages
+            p_home[lo:hi] = n_buildings + pb_local
+            n_buildings += hh_counts.shape[0]
             block_visits[b] = degrees.sum()
-            block_buildings[b] = hh_counts.shape[0]
             hh_counts_parts.append(hh_counts)
+            kept.append((rng, _narrow(degrees), _narrow(slot)))
 
     total_visits = int(block_visits.sum())
-    n_buildings = int(block_buildings.sum())
-    building_offset = np.zeros(n_blocks + 1, dtype=np.int64)
-    np.cumsum(block_buildings, out=building_offset[1:])
     visit_offset = np.zeros(n_blocks + 1, dtype=np.int64)
     np.cumsum(block_visits, out=visit_offset[1:])
 
@@ -289,121 +311,89 @@ def _generate(cfg, factory, backing_kind, chunk_persons, block_persons, dir, nam
         1, np.ceil(total_act_visits * probs / cfg.subloc_capacity)
     ).astype(np.int32)
 
-    # --- allocate the backing ---------------------------------------------
-    store = PopulationBacking.create(backing_kind, dir=dir)
-    try:
-        v_person = store.allocate("visit_person", (total_visits,), np.int64)
-        v_location = store.allocate("visit_location", (total_visits,), np.int64)
-        v_subloc = store.allocate("visit_subloc", (total_visits,), np.int32)
-        v_start = store.allocate("visit_start", (total_visits,), np.int32)
-        v_end = store.allocate("visit_end", (total_visits,), np.int32)
-        p_age = store.allocate("person_age", (n,), np.int16)
-        p_home = store.allocate("person_home", (n,), np.int64)
-        l_sublocs = store.allocate("location_n_sublocs", (n_locations,), np.int32)
-        l_type = store.allocate("location_type", (n_locations,), np.int8)
-        p_region = l_region = None
-        if R > 1:
-            p_region = store.allocate("person_region", (n,), np.int32)
-            l_region = store.allocate("location_region", (n_locations,), np.int32)
+    # --- allocate the rest of the backing ---------------------------------
+    v_person = store.allocate("visit_person", (total_visits,), np.int64)
+    v_location = store.allocate("visit_location", (total_visits,), np.int64)
+    v_subloc = store.allocate("visit_subloc", (total_visits,), np.int32)
+    v_start = store.allocate("visit_start", (total_visits,), np.int32)
+    v_end = store.allocate("visit_end", (total_visits,), np.int32)
+    l_sublocs = store.allocate("location_n_sublocs", (n_locations,), np.int32)
+    l_type = store.allocate("location_type", (n_locations,), np.int8)
+    p_region = l_region = None
+    if R > 1:
+        p_region = store.allocate("person_region", (n,), np.int32)
+        l_region = store.allocate("location_region", (n_locations,), np.int32)
 
-        hh_all = np.concatenate(hh_counts_parts) if hh_counts_parts else np.empty(0, np.int32)
-        l_sublocs[:n_buildings] = np.maximum(hh_all, 1)
-        l_sublocs[n_buildings:] = act_n_sublocs
-        l_type[:n_buildings] = LocationType.HOME
-        l_type[n_buildings:] = act_type
-        building_region = (np.arange(n_buildings, dtype=np.int64) * R) // max(
-            n_buildings, 1
-        )
-        if R > 1:
-            l_region[:n_buildings] = building_region
-            l_region[n_buildings:] = act_region
+    hh_all = np.concatenate(hh_counts_parts) if hh_counts_parts else np.empty(0, np.int32)
+    l_sublocs[:n_buildings] = np.maximum(hh_all, 1)
+    l_sublocs[n_buildings:] = act_n_sublocs
+    l_type[:n_buildings] = LocationType.HOME
+    l_type[n_buildings:] = act_type
+    building_region = (np.arange(n_buildings, dtype=np.int64) * R) // max(
+        n_buildings, 1
+    )
+    if R > 1:
+        l_region[:n_buildings] = building_region
+        l_region[n_buildings:] = act_region
 
-        # --- pass 2: generate blocks, buffer, flush -----------------------
-        buf: list[tuple[int, dict]] = []
-        buffered_persons = 0
+    # --- pass 2: each block's visits, written to their slot once ----------
+    visit_cols = (v_person, v_location, v_subloc, v_start, v_end)
+    with observe.span("synthpop.stream_pass2", blocks=n_blocks):
+        for b, (rng, degrees, slot) in enumerate(kept):
+            lo, hi = b * block_persons, min(n, (b + 1) * block_persons)
+            at, to = int(visit_offset[b]), int(visit_offset[b + 1])
+            cols = _generate_block(
+                rng, cfg, lo, hi, degrees.astype(np.int64), slot,
+                n_buildings=n_buildings,
+                building_region=building_region,
+                global_pool=global_pool,
+                region_pools=region_pools,
+                anchor_pools=anchor_pools,
+                act_n_sublocs=act_n_sublocs,
+                p_age=p_age, p_home=p_home, p_region=p_region,
+            )
+            for col, values in zip(visit_cols, cols):
+                col[at:to] = values
 
-        def flush():
-            nonlocal buf, buffered_persons
-            if not buf:
-                return
-            first = buf[0][0]
-            at = int(visit_offset[first])
-            for _b, cols in buf:
-                m = cols["person"].shape[0]
-                v_person[at : at + m] = cols["person"]
-                v_location[at : at + m] = cols["location"]
-                v_subloc[at : at + m] = cols["subloc"]
-                v_start[at : at + m] = cols["start"]
-                v_end[at : at + m] = cols["end"]
-                at += m
-            buf = []
-            buffered_persons = 0
-
-        with observe.span("synthpop.stream_pass2", blocks=n_blocks):
-            for b, lo, hi in blocks:
-                cols = _generate_block(
-                    factory, cfg, b, lo, hi,
-                    n_buildings=n_buildings,
-                    building_base=int(building_offset[b]),
-                    building_region=building_region,
-                    global_pool=global_pool,
-                    region_pools=region_pools,
-                    anchor_pools=anchor_pools,
-                    act_region=act_region,
-                    act_n_sublocs=act_n_sublocs,
-                    p_age=p_age, p_home=p_home, p_region=p_region,
-                )
-                buf.append((b, cols))
-                buffered_persons += hi - lo
-                if buffered_persons >= chunk_persons:
-                    flush()
-            flush()
-
-        graph = PersonLocationGraph(
-            name=name,
-            n_persons=n,
-            n_locations=n_locations,
-            visit_person=v_person,
-            visit_location=v_location,
-            visit_subloc=v_subloc,
-            visit_start=v_start,
-            visit_end=v_end,
-            location_n_sublocs=l_sublocs,
-            location_type=l_type,
-            person_age=p_age,
-            person_home=p_home,
-            person_region=p_region,
-            location_region=l_region,
-            backing=store,
-        )
-        graph.validate()
-        return graph
-    except Exception:
-        store.close()
-        raise
+    return PersonLocationGraph(
+        name=name,
+        n_persons=n,
+        n_locations=n_locations,
+        visit_person=v_person,
+        visit_location=v_location,
+        visit_subloc=v_subloc,
+        visit_start=v_start,
+        visit_end=v_end,
+        location_n_sublocs=l_sublocs,
+        location_type=l_type,
+        person_age=p_age,
+        person_home=p_home,
+        person_region=p_region,
+        location_region=l_region,
+        backing=store,
+    )
 
 
 def _generate_block(
-    factory, cfg, b, lo, hi, *,
-    n_buildings, building_base, building_region,
-    global_pool, region_pools, anchor_pools,
-    act_region, act_n_sublocs,
+    rng, cfg, lo, hi, degrees, person_slot, *,
+    n_buildings, building_region,
+    global_pool, region_pools, anchor_pools, act_n_sublocs,
     p_age, p_home, p_region,
-) -> dict:
-    """One block's visits (in person, start order) + person-side fills.
+) -> tuple[np.ndarray, ...]:
+    """One block's five visit columns (person, location, subloc, start,
+    end; in person, start order) + its person-region fill.
 
-    Draw order after the skeleton is fixed and documented here; both
-    the chunk-invariance property and RAM/memmap bit-exactness rest on
-    every draw being keyed to the block, not to global position.
+    ``rng`` is the block's Generator where :func:`_block_skeleton` left
+    it, and ``degrees`` / ``person_slot`` are that skeleton's; ages and
+    homes are read back from ``p_age`` / ``p_home``.  Draw order after
+    the skeleton is fixed and documented here; RAM/memmap bit-exactness
+    rests on every draw being keyed to the block, not to global
+    position.
     """
     nb = hi - lo
     R = cfg.n_regions
-    rng = factory.stream(RngFactory.SYNTHPOP, _K_PERSON_BLOCK, b)
-    ages, degrees, pb_local, person_slot, _hh = _block_skeleton(rng, cfg, nb)
-
-    person_building = building_base + pb_local  # global building ids
-    p_age[lo:hi] = ages
-    p_home[lo:hi] = person_building
+    ages = p_age[lo:hi]
+    person_building = p_home[lo:hi]  # global building ids
     person_region = building_region[person_building].astype(np.int64)
     if p_region is not None:
         p_region[lo:hi] = person_region
@@ -414,11 +404,11 @@ def _generate_block(
     persons_local = np.arange(nb, dtype=np.int64)
     visit_person_act = np.repeat(persons_local, k_act)
     starts_of_person = np.concatenate([[0], np.cumsum(k_act)])[:-1]
-    ordinal = np.arange(n_act) - np.repeat(starts_of_person, k_act)
-    anchor = ordinal == 0
-    v_ages = ages[visit_person_act]
-    is_child = (v_ages >= 5) & (v_ages < 18)
-    is_worker = (v_ages >= 18) & (v_ages < 65)
+    covered = k_act > 0
+    k_covered = k_act[covered]
+    # Each covered person's first activity visit, in ascending order.
+    anchor = starts_of_person[covered]
+    anchor_ages = ages[covered]
 
     # Draw order: dest, [locality, redraw], anchor, gamma weights,
     # morning jitter, evening jitter, subloc.
@@ -436,22 +426,21 @@ def _generate_block(
             if mask.any():
                 dest[mask] = pool.draw(u_redraw[mask])
     u_anchor = rng.random(n_act)
-    for lt, cond in (
-        (int(LocationType.SCHOOL), anchor & is_child),
-        (int(LocationType.WORK), anchor & is_worker),
+    for lt, rows in (
+        (int(LocationType.SCHOOL), anchor[(anchor_ages >= 5) & (anchor_ages < 18)]),
+        (int(LocationType.WORK), anchor[(anchor_ages >= 18) & (anchor_ages < 65)]),
     ):
         whole, per_region = anchor_pools[lt]
-        if whole is None or not n_act:
+        if whole is None or not rows.size:
             continue
         if R > 1:
-            visit_region = person_region[visit_person_act]
+            rows_region = person_region[visit_person_act[rows]]
             for r in range(R):
-                pool = per_region[r] or whole
-                mask = cond & (visit_region == r)
-                if mask.any():
-                    dest[mask] = pool.draw(u_anchor[mask])
-        elif cond.any():
-            dest[cond] = whole.draw(u_anchor[cond])
+                sel = rows[rows_region == r]
+                if sel.size:
+                    dest[sel] = (per_region[r] or whole).draw(u_anchor[sel])
+        else:
+            dest[rows] = whole.draw(u_anchor[rows])
     visit_location_act = dest + n_buildings
 
     # Activity times: Dirichlet-like slot partition of [08:00, 18:00).
@@ -463,9 +452,8 @@ def _generate_block(
         sums = np.bincount(visit_person_act, weights=w, minlength=nb)
         cum = np.cumsum(w)
         cum_excl = cum - w
-        covered = k_act > 0
-        base = np.repeat(cum_excl[starts_of_person[covered]], k_act[covered])
-        denom = np.repeat(sums[covered], k_act[covered])
+        base = np.repeat(cum_excl[anchor], k_covered)
+        denom = np.repeat(sums[covered], k_covered)
         start_frac = (cum_excl - base) / denom
         end_frac = (cum - base) / denom
     start_act = (_DAY_START_ACTIVITY + start_frac * _ACT_SPAN).astype(np.int32)
@@ -491,10 +479,10 @@ def _generate_block(
 
     # --- assemble: each piece straight to its row, no sort ------------------
     rows = _person_major(degrees, visit_person_act, start_act)
-    return {
-        "person": np.repeat(np.arange(lo, hi, dtype=np.int64), degrees),
-        "location": _place(rows, person_building, visit_location_act, person_building, np.int64),
-        "subloc": _place(rows, person_slot, subloc_act, person_slot, np.int32),
-        "start": _place(rows, morning_start, start_act, evening_start, np.int32),
-        "end": _place(rows, morning_end, end_act, evening_end, np.int32),
-    }
+    return (
+        np.repeat(np.arange(lo, hi, dtype=np.int64), degrees),
+        _place(rows, person_building, visit_location_act, person_building, np.int64),
+        _place(rows, person_slot, subloc_act, person_slot, np.int32),
+        _place(rows, morning_start, start_act, evening_start, np.int32),
+        _place(rows, morning_end, end_act, evening_end, np.int32),
+    )

@@ -4,8 +4,9 @@ The load-bearing contracts:
 
 * **backing is invisible** — RAM and memmap builds of the same spec are
   bit-identical (same content hash) and drive identical epidemics;
-* **chunking is invisible** — ``chunk_persons`` (the flush-buffer size)
-  never changes a byte, for *any* value (hypothesis property);
+* **backing is invisible at any block size** — RAM and memmap builds
+  agree for any ``n_persons`` × ``block_persons``, partial last blocks
+  and single blocks included (hypothesis property);
 * **block_persons is identity** — it keys the per-block RNG streams, so
   it is part of the population's content (and of the spec hash);
 * **no leaks** — dropping the last reference to a memmap-backed graph
@@ -120,15 +121,16 @@ class TestBackingEquivalence:
 
         assert result("ram") == result("memmap")
 
-    def test_spec_hash_excludes_backing_and_chunk(self):
+    def test_spec_hash_excludes_backing(self):
         hashes = {
-            PopulationSpec(
-                kind="streamed", n_persons=100, backing=b, chunk_persons=c
-            ).content_hash()
+            PopulationSpec(kind="streamed", n_persons=100, backing=b).content_hash()
             for b in (None, "ram", "memmap", "auto")
-            for c in (None, 64)
         }
         assert len(hashes) == 1
+
+    def test_chunk_persons_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            PopulationSpec(kind="streamed", n_persons=100, chunk_persons=64)
 
     def test_spec_hash_includes_block_persons(self):
         a = PopulationSpec(kind="streamed", n_persons=100)
@@ -142,22 +144,18 @@ class TestBackingEquivalence:
             PopulationSpec(n_persons=100, backing="memmap")
 
 
-class TestChunkInvariance:
+class TestBlockBackingInvariance:
     @settings(max_examples=20, deadline=None)
     @given(
-        n=st.integers(30, 300),
-        block=st.sampled_from([16, 64, 4096]),
-        chunk=st.integers(1, 400),
+        n=st.integers(1, 300),
+        block=st.one_of(st.sampled_from([16, 64, 4096]), st.integers(1, 400)),
+        regions=st.sampled_from([1, 3]),
     )
-    def test_chunked_equals_one_shot(self, n, block, chunk):
-        cfg = PopulationConfig(n_persons=n)
-        one_shot = generate_population_streamed(
-            cfg, 2, block_persons=block, chunk_persons=10**9
-        )
-        chunked = generate_population_streamed(
-            cfg, 2, block_persons=block, chunk_persons=chunk
-        )
-        assert chunked.content_hash() == one_shot.content_hash()
+    def test_ram_equals_memmap_at_any_block(self, n, block, regions):
+        cfg = PopulationConfig(n_persons=n, n_regions=regions)
+        ram = generate_population_streamed(cfg, 2, block_persons=block, backing="ram")
+        mm = generate_population_streamed(cfg, 2, block_persons=block, backing="memmap")
+        assert mm.content_hash() == ram.content_hash()
 
 
 class TestRoundTrip:

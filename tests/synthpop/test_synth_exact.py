@@ -9,6 +9,9 @@ they replaced:
 * **pins** — ``content_hash()`` of ``generated`` and ``streamed``
   populations as the ``lexsort`` + ``searchsorted`` generators built
   them: two seeds, ``n_regions`` 1 and 4, ``block_persons`` 128 and 8192;
+  and of streamed populations as the generator that drew each block's
+  skeleton twice and buffered its visits built them: the memmap backing,
+  a partial last block, ``n_persons < block_persons``;
 * **references** — the verbatim assembly and pool in
   ``synth_reference.py``, over drawn degree vectors and weights;
 * **the dense draw** — ``generator._choice`` against
@@ -54,6 +57,26 @@ def test_population_hash_is_pinned(kind, seed, regions, block):
     else:
         graph = generate_population_streamed(cfg, seed, block_persons=block, backing="ram")
     assert graph.content_hash() == PINNED[kind, seed, regions, block]
+
+
+#: (seed, n_persons, n_regions, block_persons, backing) -> content hash.
+PINNED_LAYOUTS = {
+    (3, 20_000, 1, 8192, "memmap"): "54c0b9f5cae5ab428e321f1ab301f811",
+    (20140519, 20_000, 4, 128, "memmap"): "b9a12ee0cb84243f7312e4631e399e06",
+    (3, 1000, 1, 384, "ram"): "9e8ae6a95936c0f23215050071275a12",
+    (20140519, 1000, 4, 384, "memmap"): "7550f4acc6baf2d1ab7fa88de35162ef",
+    (3, 300, 1, 8192, "ram"): "3d0f62d079c7b589aeeb6e9d6c4ecd06",
+    (20140519, 300, 4, 8192, "memmap"): "3dd788b59d86c3b703566fad8350e350",
+    (3, 1, 1, 8192, "ram"): "61a38bf37766ac78bd40f966aada5748",
+}
+
+
+@pytest.mark.parametrize("seed, n, regions, block, backing", sorted(PINNED_LAYOUTS, key=str))
+def test_streamed_layout_hash_is_pinned(seed, n, regions, block, backing):
+    cfg = PopulationConfig(n_persons=n, n_regions=regions)
+    graph = generate_population_streamed(cfg, seed, block_persons=block, backing=backing)
+    assert graph.backing.kind == backing
+    assert graph.content_hash() == PINNED_LAYOUTS[seed, n, regions, block, backing]
 
 
 # ----------------------------------------------------------------------
